@@ -84,7 +84,6 @@ def all_frequency_signal(
     *,
     sample_rate: float = DEFAULT_SAMPLE_RATE,
     amplitude_budget: int = DEFAULT_AMPLITUDE_BUDGET,
-    theta: int = 5,
 ) -> np.ndarray:
     """Spoofing waveform containing every candidate tone.
 
@@ -96,6 +95,7 @@ def all_frequency_signal(
         raise ValueError("duration must cover at least one measurement window (4096 samples)")
     t = np.arange(duration, dtype=np.float64)
     window = 4096
+    theta = spectrum.DetectionParams().theta
     amps = []
     for i, f in enumerate(grid.candidates):
         unit = np.sin(2.0 * np.pi * f * np.arange(window) / sample_rate)

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.signal
 
 from . import pcm
-from .signal import DEFAULT_GRID, FrequencyGrid, SignalSpec, synthesize
+from .signal import DEFAULT_GRID, FrequencyGrid, sample_spec, synthesize
 
 BASE_SAMPLE_RATE = 44_100.0
 DISTANCE_FLOOR_M = 0.1
@@ -349,8 +349,7 @@ def scene_from_json(
             data, _ = pcm.load_wav(wf["path"])
         elif kind == "reference_signal":
             rng = np.random.default_rng(int(wf["seed"]))
-            spec = _sample_spec_for_json(rng, grid, wf)
-            data = synthesize(spec).samples
+            data = synthesize(sample_spec(rng, grid, length=int(wf.get("length", 4096)))).samples
         elif kind in builders:
             data = builders[kind](wf, grid)
         else:
@@ -378,12 +377,6 @@ def scene_from_json(
         seed=int(obj.get("seed", 0)),
     )
     return scene, cfg
-
-
-def _sample_spec_for_json(rng: np.random.Generator, grid: FrequencyGrid, wf: dict) -> SignalSpec:
-    from .signal import sample_spec
-
-    return sample_spec(rng, grid, length=int(wf.get("length", 4096)))
 
 
 def load_scene(path: str, grid: FrequencyGrid = DEFAULT_GRID, extra_waveforms: dict | None = None):

@@ -16,7 +16,7 @@ import numpy as np
 from . import adversary as adv
 from . import channel as ch
 from . import evaluation as ev
-from .protocol import AuthPolicy, Endpoint, run_authentication
+from .protocol import AuthPolicy, Endpoint, replay_session, run_authentication
 from .signal import save_signal_json, save_signal_wav
 
 
@@ -81,49 +81,23 @@ def _cmd_auth(args) -> int:
     decision, transcript = run_authentication(auth, vouch, policy, rng, cfg)
     print(transcript.to_json())
     if args.wav_dump:
-        _dump_session_wavs(args, cfg, transcript)
+        _dump_session_wavs(args.wav_dump, cfg, transcript)
     return 0
 
 
-def _dump_session_wavs(args, cfg, transcript) -> None:
-    """Re-run the session's scene deterministically and write the recordings
-    and both reference signals as WAV files."""
-    from .signal import sample_spec, synthesize
-    from . import spectrum  # noqa: F401  (kept close to detection parameters)
-
-    os.makedirs(args.wav_dump, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
-    auth = Endpoint("auth", (0.0, 0.0))
-    vouch = Endpoint("vouch", (args.distance, 0.0))
-    spec_a = sample_spec(rng)
-    spec_v = sample_spec(rng)
-    sig_a = synthesize(spec_a)
-    sig_v = synthesize(spec_v)
-    save_signal_wav(sig_a, os.path.join(args.wav_dump, "reference_auth.wav"))
-    save_signal_json(sig_a, os.path.join(args.wav_dump, "reference_auth.json"))
-    save_signal_wav(sig_v, os.path.join(args.wav_dump, "reference_vouch.wav"))
-    save_signal_json(sig_v, os.path.join(args.wav_dump, "reference_vouch.json"))
-    t0 = transcript.playback_start
-    gap = transcript.playback_gap
-    if t0 is None:
+def _dump_session_wavs(directory: str, cfg: ch.ChannelConfig, transcript) -> None:
+    """Write both reference signals and both recordings, rebuilt from the
+    session's transcript, as WAV files (plus the signals' JSON tone maps)."""
+    if transcript.playback_start is None:
+        print("no WAV dump: the session ended before playback", file=sys.stderr)
         return
-    duration = int(1.5 * ch.BASE_SAMPLE_RATE)
-    scene = ch.AcousticScene(
-        emissions=(
-            ch.Emission("auth", sig_a.samples, t0, auth.position),
-            ch.Emission("vouch", sig_v.samples, t0 + gap, vouch.position),
-        ),
-        recorders=(
-            ch.Recorder("auth", auth.position),
-            ch.Recorder("vouch", vouch.position),
-        ),
-        duration=duration,
-        seed=transcript.session_seed or 0,
-    )
-    for device in ("auth", "vouch"):
-        rec = ch.record(scene, device, cfg)
-        ch.recording_to_wav(rec, os.path.join(args.wav_dump, f"recording_{device}.wav"))
-    print(f"wrote WAV dumps to {args.wav_dump}")
+    os.makedirs(directory, exist_ok=True)
+    sig_a, sig_v, rec_a, rec_v = replay_session(transcript, cfg)
+    for device, sig, rec in (("auth", sig_a, rec_a), ("vouch", sig_v, rec_v)):
+        save_signal_wav(sig, os.path.join(directory, f"reference_{device}.wav"))
+        save_signal_json(sig, os.path.join(directory, f"reference_{device}.json"))
+        ch.recording_to_wav(rec, os.path.join(directory, f"recording_{device}.wav"))
+    print(f"wrote WAV dumps to {directory}")
 
 
 def _cmd_frrfar(args) -> int:

@@ -31,6 +31,7 @@ from .protocol import (
     run_authentication,
 )
 from .signal import DEFAULT_GRID
+from .spectrum import DetectionParams
 
 DEFAULT_MIN_TRIALS = 10
 
@@ -351,21 +352,20 @@ def attack_campaign(
     )
 
 
-def all_frequency_power_sweep(
-    count: int = 6, *, tone_count_reference: int = 15, theta: int = 5
-) -> tuple[float, ...]:
+def all_frequency_power_sweep(count: int = 6, *, tone_count_reference: int = 15) -> tuple[float, ...]:
     """Log-spaced emitted per-tone powers spanning from well below the
     out-of-set threshold to the largest feasible level (which crosses the
     received-power thresholds at close range)."""
     from .signal import SignalSpec, synthesize
 
     grid = DEFAULT_GRID
+    params = DetectionParams()
     spec = SignalSpec(frequencies=grid.candidates[:tone_count_reference], grid=grid)
-    ref = synthesize(spec, theta=theta)
+    ref = synthesize(spec, params=params)
     r_f = ref.total_power / tone_count_reference
-    beta = 0.005 * r_f
+    beta = params.beta_ratio * r_f
     lo = beta / 4.0
-    hi = 4.0 * 0.01 * r_f
+    hi = 4.0 * params.alpha * r_f
     # keep the top of the sweep feasible for a 30-tone sum in 16-bit range
     for _ in range(40):
         try:

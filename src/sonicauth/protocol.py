@@ -24,7 +24,7 @@ import numpy as np
 
 from . import channel as ch
 from . import spectrum
-from .signal import DEFAULT_GRID, FrequencyGrid, ReferenceSignal, sample_spec, synthesize
+from .signal import DEFAULT_GRID, FrequencyGrid, ReferenceSignal, SignalSpec, sample_spec, synthesize
 
 
 @dataclass(frozen=True)
@@ -197,8 +197,93 @@ class SceneContext:
 IntruderFactory = Callable[[SceneContext, np.random.Generator], Sequence[ch.Emission]]
 
 
-def _outcome_fields(out: spectrum.DetectionOutcome) -> tuple[int | None, float | None]:
-    return out.location, out.peak_norm_power
+def _to_samples(seconds: float) -> int:
+    return int(round(seconds * ch.BASE_SAMPLE_RATE))
+
+
+def _draw(
+    rng: np.random.Generator, grid: FrequencyGrid, params: spectrum.DetectionParams, exclude: frozenset = frozenset()
+) -> ReferenceSignal:
+    """Step I: draw a tone set and synthesize its reference signal."""
+    return synthesize(sample_spec(rng, grid, exclude=exclude), params=params)
+
+
+def _transfer(
+    link: SecureLink, sender: str, sig_a: ReferenceSignal, sig_v: ReferenceSignal, grid: FrequencyGrid, d_m: float
+) -> tuple[ReferenceSignal, ReferenceSignal]:
+    """Step II: byte-faithful transfer of both signals over the paired link;
+    returns the receiving device's copies."""
+    blob = link.send(sender, "reference_signals", sig_a.to_bytes() + sig_v.to_bytes(), d_m)
+    split = 4 + int.from_bytes(blob[:4], "big") + sig_a.samples.nbytes
+    return ReferenceSignal.from_bytes(blob[:split], grid), ReferenceSignal.from_bytes(blob[split:], grid)
+
+
+def _record(
+    t: SessionTranscript,
+    sig_a: ReferenceSignal,
+    sig_v: ReferenceSignal,
+    protocol_cfg: ProtocolConfig,
+    cfg: ch.ChannelConfig,
+    extra_emissions: Sequence[ch.Emission] = (),
+) -> tuple[ch.Recording, ch.Recording]:
+    """Step III: staggered playback while both devices record.
+
+    The scene comes from the transcript's devices, playback times and seed
+    alone (plus any extra emissions), so a transcript rebuilds its own
+    recordings."""
+    duration = _to_samples(protocol_cfg.record_duration_s)
+    latest = _to_samples(protocol_cfg.playback_start_s) + protocol_cfg.start_jitter_samples + t.playback_gap
+    if latest + sig_v.samples.shape[0] > duration:
+        raise ValueError(
+            f"record_duration_s={protocol_cfg.record_duration_s} is too short: the vouching signal may start "
+            f"at sample {latest} and lasts {sig_v.samples.shape[0]} samples, past the {duration}-sample recording"
+        )
+    scene = ch.AcousticScene(
+        emissions=(
+            ch.Emission(t.auth_id, sig_a.samples, t.playback_start, t.auth_position),
+            ch.Emission(t.vouch_id, sig_v.samples, t.playback_start + t.playback_gap, t.vouch_position),
+            *extra_emissions,
+        ),
+        recorders=(
+            ch.Recorder(t.auth_id, t.auth_position, t.sample_rates["auth"]),
+            ch.Recorder(t.vouch_id, t.vouch_position, t.sample_rates["vouch"]),
+        ),
+        duration=duration,
+        seed=t.session_seed,
+    )
+    return ch.record(scene, t.auth_id, cfg), ch.record(scene, t.vouch_id, cfg)
+
+
+def _locate(
+    samples: np.ndarray, sig_a: ReferenceSignal, sig_v: ReferenceSignal, sample_rate: float,
+    params: spectrum.DetectionParams, grid: FrequencyGrid, detector: str,
+) -> tuple[spectrum.DetectionOutcome, spectrum.DetectionOutcome]:
+    """Step IV on one device: locate both signals in its own recording."""
+    if detector == "freq":
+        return spectrum.detect_pair(samples, sig_a, sig_v, params, grid=grid, sample_rate=sample_rate)
+    if detector == "xcorr":
+        locations = (spectrum.cross_correlate_detect(samples, sig) for sig in (sig_a, sig_v))
+        return tuple(spectrum.DetectionOutcome(location, None) for location in locations)
+    raise ValueError(f"unknown detector {detector!r}")
+
+
+def _conclude(t: SessionTranscript, link: SecureLink, policy: AuthPolicy, speed_of_sound: float) -> AuthDecision:
+    """Steps V-VI: the vouching device reports only its local location
+    difference, and the authenticating device turns the locations into a
+    distance and a verdict, both written to the transcript."""
+    raw = None
+    if t.signal_present:
+        v_diff = t.locations["l_va"] - t.locations["l_vv"]
+        payload = int(v_diff).to_bytes(8, "big", signed=True)
+        link.send(t.vouch_id, "location_difference", payload, t.true_distance_m)
+        raw = estimate_distance(measurements_from_transcript(t), speed_of_sound)
+    decision = decide(raw, t.signal_present, t.paired_link_ok, policy)
+    t.raw_distance_m = raw
+    t.estimated_distance_m = decision.estimated_distance_m
+    t.verdict = "accept" if decision.accepted else "reject"
+    t.reason = None if decision.accepted else decision.reason.value
+    t.link_log = link.log
+    return decision
 
 
 def run_authentication(
@@ -224,125 +309,71 @@ def run_authentication(
     baseline, which has no absence verdict).
     """
     cfg = channel_cfg if channel_cfg is not None else ch.ChannelConfig()
-    fs = ch.BASE_SAMPLE_RATE
     d_true = float(np.linalg.norm(np.asarray(auth.position) - np.asarray(vouch.position)))
-
-    transcript = SessionTranscript(
+    link = SecureLink(paired=paired, max_range_m=policy.pairing_range_m, drop=link_drop)
+    t = SessionTranscript(
         auth_id=auth.device_id,
         vouch_id=vouch.device_id,
         auth_position=auth.position,
         vouch_position=vouch.position,
         true_distance_m=d_true,
         environment=cfg.noise.name,
-        paired_link_ok=False,
+        paired_link_ok=link.usable(d_true),
         threshold_m=policy.threshold_m,
         sample_rates={"auth": auth.sample_rate, "vouch": vouch.sample_rate},
     )
+    if not t.paired_link_ok:
+        return _conclude(t, link, policy, cfg.speed_of_sound), t
 
-    link = SecureLink(paired=paired, max_range_m=policy.pairing_range_m, drop=link_drop)
-    if not link.usable(d_true):
-        decision = decide(None, False, False, policy)
-        transcript.verdict = "reject"
-        transcript.reason = decision.reason.value
-        return decision, transcript
-    transcript.paired_link_ok = True
+    sig_a = _draw(rng, grid, params)
+    exclude = frozenset(sig_a.frequencies) if protocol_cfg.disjoint_frequency_sets else frozenset()
+    sig_v = _draw(rng, grid, params, exclude)
+    t.freqs_a = sig_a.frequencies
+    t.freqs_v = sig_v.frequencies
 
-    # Step I: the authenticating device draws both reference signals.
-    spec_a = sample_spec(rng, grid)
-    exclude = frozenset(spec_a.frequencies) if protocol_cfg.disjoint_frequency_sets else frozenset()
-    spec_v = sample_spec(rng, grid, exclude=exclude)
-    sig_a = synthesize(spec_a, theta=params.theta)
-    sig_v = synthesize(spec_v, theta=params.theta)
-    transcript.freqs_a = spec_a.frequencies
-    transcript.freqs_v = spec_v.frequencies
+    vouch_sig_a, vouch_sig_v = _transfer(link, auth.device_id, sig_a, sig_v, grid, d_true)
 
-    # Step II: byte-faithful transfer of both signals over the paired link.
-    blob = link.send(auth.device_id, "reference_signals", sig_a.to_bytes() + sig_v.to_bytes(), d_true)
-    split = 4 + int.from_bytes(blob[:4], "big") + sig_a.samples.nbytes
-    vouch_sig_a = ReferenceSignal.from_bytes(blob[:split], grid)
-    vouch_sig_v = ReferenceSignal.from_bytes(blob[split:], grid)
-
-    # Step III: staggered playback while both devices record.
-    duration = int(round(protocol_cfg.record_duration_s * fs))
-    gap = int(round(protocol_cfg.playback_gap_s * fs))
+    # The draw order (start jitter, scene seed, then the intruder) is part of
+    # what a session seed reproduces.
     jitter = protocol_cfg.start_jitter_samples
-    t0 = int(round(protocol_cfg.playback_start_s * fs)) + int(rng.integers(-jitter, jitter + 1))
-    transcript.playback_start = t0
-    transcript.playback_gap = gap
-
-    emissions = [
-        ch.Emission(auth.device_id, sig_a.samples, t0, auth.position),
-        ch.Emission(vouch.device_id, vouch_sig_v.samples, t0 + gap, vouch.position),
-    ]
-    emissions.extend(extra_emissions)
-    scene_seed = int(rng.integers(0, 2**31 - 1))
-    ctx = SceneContext(auth.position, vouch.position, duration, fs)
+    t.playback_start = _to_samples(protocol_cfg.playback_start_s) + int(rng.integers(-jitter, jitter + 1))
+    t.playback_gap = _to_samples(protocol_cfg.playback_gap_s)
+    t.session_seed = int(rng.integers(0, 2**31 - 1))
+    emissions = list(extra_emissions)
     if intruder is not None:
-        emissions.extend(intruder(ctx, rng))
+        duration = _to_samples(protocol_cfg.record_duration_s)
+        emissions.extend(intruder(SceneContext(auth.position, vouch.position, duration, ch.BASE_SAMPLE_RATE), rng))
+    rec_a, rec_v = _record(t, sig_a, vouch_sig_v, protocol_cfg, cfg, emissions)
 
-    scene = ch.AcousticScene(
-        emissions=tuple(emissions),
-        recorders=(
-            ch.Recorder(auth.device_id, auth.position, auth.sample_rate),
-            ch.Recorder(vouch.device_id, vouch.position, vouch.sample_rate),
-        ),
-        duration=duration,
-        seed=scene_seed,
+    outcomes = (
+        *_locate(rec_a.samples, sig_a, sig_v, auth.sample_rate, params, grid, detector),
+        *_locate(rec_v.samples, vouch_sig_a, vouch_sig_v, vouch.sample_rate, params, grid, detector),
     )
-    transcript.session_seed = scene_seed
-    rec_a = ch.record(scene, auth.device_id, cfg)
-    rec_v = ch.record(scene, vouch.device_id, cfg)
+    for key, out in zip(("l_aa", "l_av", "l_va", "l_vv"), outcomes):
+        t.locations[key] = out.location
+        t.peak_norm_powers[key] = out.peak_norm_power
+    t.signal_present = all(out.location is not None for out in outcomes)
+    return _conclude(t, link, policy, cfg.speed_of_sound), t
 
-    # Step IV: each device locates both signals in its own recording.
-    if detector == "freq":
-        out_aa, out_av = spectrum.detect_pair(
-            rec_a.samples, sig_a, sig_v, params, grid=grid, sample_rate=auth.sample_rate
-        )
-        out_va, out_vv = spectrum.detect_pair(
-            rec_v.samples, vouch_sig_a, vouch_sig_v, params, grid=grid, sample_rate=vouch.sample_rate
-        )
-    elif detector == "xcorr":
-        out_aa = spectrum.DetectionOutcome(spectrum.cross_correlate_detect(rec_a.samples, sig_a), None)
-        out_av = spectrum.DetectionOutcome(spectrum.cross_correlate_detect(rec_a.samples, sig_v), None)
-        out_va = spectrum.DetectionOutcome(spectrum.cross_correlate_detect(rec_v.samples, vouch_sig_a), None)
-        out_vv = spectrum.DetectionOutcome(spectrum.cross_correlate_detect(rec_v.samples, vouch_sig_v), None)
-    else:
-        raise ValueError(f"unknown detector {detector!r}")
 
-    transcript.locations = {
-        "l_aa": out_aa.location,
-        "l_av": out_av.location,
-        "l_va": out_va.location,
-        "l_vv": out_vv.location,
-    }
-    transcript.peak_norm_powers = {
-        "l_aa": out_aa.peak_norm_power,
-        "l_av": out_av.peak_norm_power,
-        "l_va": out_va.peak_norm_power,
-        "l_vv": out_vv.peak_norm_power,
-    }
-
-    present = all(o.location is not None for o in (out_aa, out_av, out_va, out_vv))
-    transcript.signal_present = present
-    if not present:
-        decision = decide(None, False, True, policy)
-        transcript.reason = decision.reason.value
-        transcript.link_log = link.log
-        return decision, transcript
-
-    # Step V: the vouching device reports only its local location difference.
-    v_diff = out_va.location - out_vv.location
-    link.send(vouch.device_id, "location_difference", int(v_diff).to_bytes(8, "big", signed=True), d_true)
-
-    # Step VI: distance and verdict.
-    raw = 0.5 * cfg.speed_of_sound * (v_diff / vouch.sample_rate + (out_av.location - out_aa.location) / auth.sample_rate)
-    decision = decide(raw, True, True, policy)
-    transcript.raw_distance_m = raw
-    transcript.estimated_distance_m = decision.estimated_distance_m
-    transcript.verdict = "accept" if decision.accepted else "reject"
-    transcript.reason = None if decision.accepted else decision.reason.value
-    transcript.link_log = link.log
-    return decision, transcript
+def replay_session(
+    t: SessionTranscript,
+    channel_cfg: ch.ChannelConfig,
+    *,
+    protocol_cfg: ProtocolConfig = ProtocolConfig(),
+    params: spectrum.DetectionParams = spectrum.DetectionParams(),
+    grid: FrequencyGrid = DEFAULT_GRID,
+) -> tuple[ReferenceSignal, ReferenceSignal, ch.Recording, ch.Recording]:
+    """Rebuild a session's two reference signals and both recordings from its
+    transcript (synthesis is deterministic per tone set). Pass the channel,
+    protocol and detection settings the session ran with. Emissions from
+    intruders or extra emitters are not part of the transcript and are left
+    out."""
+    if t.playback_start is None:
+        raise ValueError("the session ended before playback; there is nothing to replay")
+    sig_a = synthesize(SignalSpec(frequencies=t.freqs_a, grid=grid), params=params)
+    sig_v = synthesize(SignalSpec(frequencies=t.freqs_v, grid=grid), params=params)
+    return (sig_a, sig_v, *_record(t, sig_a, sig_v, protocol_cfg, channel_cfg))
 
 
 def measurements_from_transcript(t: SessionTranscript) -> SessionMeasurements:
@@ -377,11 +408,10 @@ def one_way_ranging(
     detected, the processing delay actually used).
     """
     cfg = channel_cfg if channel_cfg is not None else ch.ChannelConfig()
-    fs = ch.BASE_SAMPLE_RATE
-    sig = synthesize(sample_spec(rng, grid), theta=params.theta)
-    t_send = int(round(0.15 * fs))
-    play_at = t_send + int(round(processing_delay_s * fs))
-    duration = int(round(record_duration_s * fs))
+    sig = _draw(rng, grid, params)
+    t_send = _to_samples(0.15)
+    play_at = t_send + _to_samples(processing_delay_s)
+    duration = _to_samples(record_duration_s)
     scene = ch.AcousticScene(
         emissions=(ch.Emission(vouch.device_id, sig.samples, play_at, vouch.position),),
         recorders=(ch.Recorder(auth.device_id, auth.position, auth.sample_rate),),

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import pcm
+from . import pcm, spectrum
+from .spectrum import DetectionParams
 
 DEFAULT_BAND_LOW = 25_000.0
 DEFAULT_BAND_HIGH = 35_000.0
@@ -208,13 +209,11 @@ _EDGE_SPAN = 48
 _EDGE_ENERGY_TARGET = 0.5  # of the burst's average energy rate
 
 
-def _leakage_ratio(samples: np.ndarray, spec: SignalSpec, theta: int) -> float:
+def _leakage_ratio(samples: np.ndarray, spec: SignalSpec, params: DetectionParams) -> float:
     """Worst out-of-set candidate power relative to the absence threshold."""
-    from . import spectrum
-
-    measured = spectrum.measure_candidate_powers(samples, spec.grid, spec.sample_rate, theta)
-    in_set = np.array([f in set(spec.frequencies) for f in spec.grid.candidates])
-    beta = 0.005 * measured[in_set].sum() / spec.tone_count
+    measured = spectrum.measure_candidate_powers(samples, spec.grid, spec.sample_rate, params.theta)
+    _, in_set = spectrum.in_set_mask(spec.frequencies, spec.grid)
+    beta = params.beta_ratio * measured[in_set].sum() / spec.tone_count
     if in_set.all() or beta == 0.0:
         return 0.0
     return float(measured[~in_set].max() / beta)
@@ -234,8 +233,8 @@ def _edge_energy_ratio(samples: np.ndarray) -> float:
 def _phase_family(spec: SignalSpec) -> list[np.ndarray]:
     """Deterministic phase candidates for one tone set: zero phases first,
     then seeded random draws."""
-    index = {f: i for i, f in enumerate(spec.grid.candidates)}
-    key = [index[f] for f in spec.frequencies] + [spec.grid.bin_count, spec.length]
+    index, _ = spectrum.in_set_mask(spec.frequencies, spec.grid)
+    key = index.tolist() + [spec.grid.bin_count, spec.length]
     rng = np.random.default_rng(np.random.SeedSequence(key))
     family = [np.zeros(spec.tone_count)]
     for _ in range(_PHASE_CANDIDATES - 1):
@@ -260,7 +259,7 @@ def _render(spec: SignalSpec, phases: np.ndarray) -> np.ndarray:
 def synthesize(
     spec: SignalSpec,
     *,
-    theta: int = 5,
+    params: DetectionParams = DetectionParams(),
     phase_rng: np.random.Generator | None = None,
 ) -> ReferenceSignal:
     """Render the reference signal and measure its per-tone nominal powers.
@@ -269,12 +268,10 @@ def synthesize(
     clip a 16-bit sample. Phases are zero when the zero-phase rendering keeps
     out-of-set spectral leakage confined, otherwise the best of a fixed
     tone-set-seeded family of phase draws (deterministic either way). Passing
-    ``phase_rng`` draws fully random phases instead. ``theta`` is the
-    half-width (in spectral bins) of the per-tone power measurement and must
-    match the detector's setting.
+    ``phase_rng`` draws fully random phases instead. ``params`` must be the
+    detector's: its ``theta`` sets the per-tone power measurement and its
+    ``beta_ratio`` the absence threshold the leakage is confined under.
     """
-    from . import spectrum  # runtime import; spectrum depends on these types only for annotations
-
     if phase_rng is not None:
         samples = _render(spec, phase_rng.uniform(0.0, 2.0 * np.pi, size=spec.tone_count))
     else:
@@ -282,7 +279,7 @@ def synthesize(
         fallback, fallback_key = None, None
         for phases in _phase_family(spec):
             candidate = _render(spec, phases)
-            leak = _leakage_ratio(candidate, spec, theta)
+            leak = _leakage_ratio(candidate, spec, params)
             edge = _edge_energy_ratio(candidate)
             if leak <= _LEAKAGE_TARGET and edge >= _EDGE_ENERGY_TARGET:
                 samples = candidate
@@ -297,10 +294,10 @@ def synthesize(
     samples = samples.astype(np.int16)
 
     measured = spectrum.measure_candidate_powers(
-        samples.astype(np.float64), spec.grid, spec.sample_rate, theta
+        samples.astype(np.float64), spec.grid, spec.sample_rate, params.theta
     )
-    index = {f: i for i, f in enumerate(spec.grid.candidates)}
-    power = {f: float(measured[index[f]]) for f in spec.frequencies}
+    index, _ = spectrum.in_set_mask(spec.frequencies, spec.grid)
+    power = {f: float(p) for f, p in zip(spec.frequencies, measured[index])}
     return ReferenceSignal(
         spec=spec,
         samples=samples,

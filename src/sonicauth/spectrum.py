@@ -158,22 +158,32 @@ def _batch_candidate_powers(
     return powers[:, table].sum(axis=2)
 
 
-def _signal_arrays(
-    sig: "ReferenceSignal", grid: "FrequencyGrid"
+def in_set_mask(frequencies: tuple[float, ...], grid: "FrequencyGrid") -> tuple[np.ndarray, np.ndarray]:
+    """Grid index of each tone (in the given order) and the in-set mask over
+    the grid's candidates."""
+    position = {f: i for i, f in enumerate(grid.candidates)}
+    try:
+        index = np.array([position[f] for f in frequencies], dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(f"signal frequency {exc.args[0]} not on the grid") from None
+    mask = np.zeros(len(grid.candidates), dtype=bool)
+    mask[index] = True
+    return index, mask
+
+
+def _gate_arrays(
+    frequencies: tuple[float, ...],
+    nominal_power: dict[float, float],
+    grid: "FrequencyGrid",
+    params: DetectionParams,
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Return (in-set mask over candidates, per-candidate nominal power,
-    beta, total nominal power) for one reference signal."""
-    cands = grid.candidates
-    index = {f: i for i, f in enumerate(cands)}
-    mask = np.zeros(len(cands), dtype=bool)
-    r_vec = np.zeros(len(cands))
-    for f in sig.frequencies:
-        if f not in index:
-            raise ValueError(f"signal frequency {f} not on the grid")
-        mask[index[f]] = True
-        r_vec[index[f]] = sig.nominal_power[f]
-    mean_r = sig.total_power / len(sig.frequencies)
-    return mask, r_vec, mean_r, sig.total_power
+    beta, total nominal power) for one tone set."""
+    index, mask = in_set_mask(frequencies, grid)
+    r_vec = np.zeros(len(grid.candidates))
+    r_vec[index] = [nominal_power[f] for f in frequencies]
+    total = sum(nominal_power[f] for f in frequencies)
+    return mask, r_vec, params.beta_ratio * (total / len(frequencies)), total
 
 
 def _gated_scores(
@@ -204,13 +214,7 @@ def norm_power(
     w = np.asarray(window, dtype=np.float64)
     table = candidate_bin_table(grid, sample_rate, w.shape[-1], params.theta)
     cand = _batch_candidate_powers(w, np.array([0]), w.shape[-1], table)
-    index = {f: i for i, f in enumerate(grid.candidates)}
-    mask = np.zeros(len(grid.candidates), dtype=bool)
-    r_vec = np.zeros(len(grid.candidates))
-    for f in frequencies:
-        mask[index[f]] = True
-        r_vec[index[f]] = nominal_power[f]
-    beta = params.beta_ratio * (sum(nominal_power[f] for f in frequencies) / len(frequencies))
+    mask, r_vec, beta, _ = _gate_arrays(frequencies, nominal_power, grid, params)
     score = _gated_scores(cand, mask, r_vec, beta, params.alpha)[0]
     return None if score == -np.inf else float(score)
 
@@ -242,8 +246,7 @@ class _Scanner:
     def run(
         self, sig: "ReferenceSignal", grid: "FrequencyGrid", dump_csv: str | None = None
     ) -> DetectionOutcome:
-        mask, r_vec, mean_r, total_r = _signal_arrays(sig, grid)
-        beta = self.params.beta_ratio * mean_r
+        mask, r_vec, beta, total_r = _gate_arrays(sig.frequencies, sig.nominal_power, grid, self.params)
         coarse_scores = _gated_scores(self.coarse_powers, mask, r_vec, beta, self.params.alpha)
         anchor = int(self.coarse_starts[int(np.argmax(coarse_scores))])
 
@@ -298,7 +301,6 @@ def detect_pair(
     *,
     grid: "FrequencyGrid" | None = None,
     sample_rate: float | None = None,
-    dump_csv_prefix: str | None = None,
 ) -> tuple[DetectionOutcome, DetectionOutcome]:
     """Detect two reference signals in one scan of the recording.
 
@@ -310,11 +312,7 @@ def detect_pair(
     grid = grid if grid is not None else sig_a.spec.grid
     fs = sample_rate if sample_rate is not None else sig_a.spec.sample_rate
     scanner = _Scanner(x, sig_a.spec.length, grid, params, fs)
-    dump_a = dump_b = None
-    if dump_csv_prefix is not None:
-        dump_a = f"{dump_csv_prefix}_a.csv"
-        dump_b = f"{dump_csv_prefix}_b.csv"
-    return scanner.run(sig_a, grid, dump_a), scanner.run(sig_b, grid, dump_b)
+    return scanner.run(sig_a, grid), scanner.run(sig_b, grid)
 
 
 def cross_correlate_detect(x: np.ndarray, sig: "ReferenceSignal") -> int:

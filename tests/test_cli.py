@@ -3,6 +3,9 @@ import json
 import pytest
 
 from sonicauth.cli import main
+from sonicauth.pcm import load_wav
+from sonicauth.signal import load_signal
+from sonicauth.spectrum import detect_pair
 
 
 def test_fit_sigma_stdout(capsys):
@@ -31,12 +34,22 @@ def test_auth_json_transcript(capsys):
 
 
 def test_auth_wav_dump(tmp_path, capsys):
-    code = main(
-        ["auth", "--distance", "0.5", "--seed", "3", "--wav-dump", str(tmp_path / "dump")]
-    )
+    dump = tmp_path / "dump"
+    code = main(["auth", "--distance", "0.5", "--seed", "3", "--wav-dump", str(dump)])
     assert code == 0
-    names = {p.name for p in (tmp_path / "dump").iterdir()}
+    transcript = json.loads(capsys.readouterr().out.splitlines()[0])
+    names = {p.name for p in dump.iterdir()}
     assert {"recording_auth.wav", "recording_vouch.wav", "reference_auth.wav"} <= names
+    # the dumped files reproduce the printed session's four locations exactly
+    refs = [
+        load_signal(str(dump / f"reference_{d}.wav"), str(dump / f"reference_{d}.json")) for d in ("auth", "vouch")
+    ]
+    located = {}
+    for device, keys in (("auth", ("l_aa", "l_av")), ("vouch", ("l_va", "l_vv"))):
+        samples, rate = load_wav(str(dump / f"recording_{device}.wav"))
+        outcomes = detect_pair(samples, *refs, sample_rate=rate)
+        located.update(zip(keys, (o.location for o in outcomes)))
+    assert located == transcript["locations"]
 
 
 def test_range_campaign_json(tmp_path):

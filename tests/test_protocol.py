@@ -15,8 +15,10 @@ from sonicauth.protocol import (
     decide,
     estimate_distance,
     measurements_from_transcript,
+    replay_session,
     run_authentication,
 )
+from sonicauth.spectrum import detect_pair
 
 
 class TestEstimateDistance:
@@ -180,6 +182,29 @@ class TestRunAuthentication:
     def test_unknown_detector_rejected(self):
         with pytest.raises(ValueError):
             run(0.5, detector="wavelet")
+
+    def test_recording_too_short_for_vouching_signal_rejected(self):
+        # the vouching burst may start at sample 22 250 and needs 4096 more,
+        # but a 0.55 s recording ends at sample 24 255
+        with pytest.raises(ValueError, match="record_duration_s"):
+            run(0.5, protocol_cfg=ProtocolConfig(record_duration_s=0.55))
+
+    def test_replay_rebuilds_the_recordings(self, office_cfg):
+        _, transcript = run_authentication(
+            Endpoint("auth", (0.0, 0.0)),
+            Endpoint("vouch", (0.8, 0.0), sample_rate=44_100.0 * 1.001),
+            AuthPolicy(threshold_m=1.5),
+            np.random.default_rng(5),
+            office_cfg,
+        )
+        sig_a, sig_v, rec_a, rec_v = replay_session(transcript, office_cfg)
+        located = (
+            *detect_pair(rec_a.samples, sig_a, sig_v, sample_rate=transcript.sample_rates["auth"]),
+            *detect_pair(rec_v.samples, sig_a, sig_v, sample_rate=transcript.sample_rates["vouch"]),
+        )
+        assert [o.location for o in located] == list(transcript.locations.values())
+        with pytest.raises(ValueError):
+            replay_session(run(12.0)[1], office_cfg)
 
 
 class TestOneWay:

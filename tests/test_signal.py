@@ -12,7 +12,7 @@ from sonicauth.signal import (
     sample_spec,
     synthesize,
 )
-from sonicauth.spectrum import norm_power
+from sonicauth.spectrum import DetectionParams, norm_power
 
 
 class TestBuildGrid:
@@ -133,6 +133,17 @@ class TestSynthesize:
             )
             assert p is not None
             assert p >= 0.95 * sig.total_power
+
+    def test_leakage_confined_under_the_detectors_beta(self, grid):
+        """Phase selection targets the absence threshold of the params it is
+        given: with a stricter beta_ratio, this tone set's default-params
+        rendering fails its own absence gate and the tuned one passes."""
+        strict = DetectionParams(beta_ratio=0.002)
+        spec = sample_spec(np.random.default_rng(2), grid)
+        default = synthesize(spec)
+        tuned = synthesize(spec, params=strict)
+        assert norm_power(default.samples, default.frequencies, default.nominal_power, grid, strict) is None
+        assert norm_power(tuned.samples, tuned.frequencies, tuned.nominal_power, grid, strict) is not None
 
 
 class TestSerialization:
