@@ -232,11 +232,17 @@ def _record(
     alone (plus any extra emissions), so a transcript rebuilds its own
     recordings."""
     duration = _to_samples(protocol_cfg.record_duration_s)
-    latest = _to_samples(protocol_cfg.playback_start_s) + protocol_cfg.start_jitter_samples + t.playback_gap
-    if latest + sig_v.samples.shape[0] > duration:
+    # The latest the vouching signal can end at the authenticating device:
+    # latest start, travel delay, signal length and the smoothing kernel's tail.
+    end = (
+        _to_samples(protocol_cfg.playback_start_s) + protocol_cfg.start_jitter_samples + t.playback_gap
+        + int(np.ceil(ch.propagation_delay_samples(t.vouch_position, t.auth_position, cfg)))
+        + sig_v.samples.shape[0] + len(cfg.smoothing_kernel) - 1
+    )
+    if end > duration:
         raise ValueError(
-            f"record_duration_s={protocol_cfg.record_duration_s} is too short: the vouching signal may start "
-            f"at sample {latest} and lasts {sig_v.samples.shape[0]} samples, past the {duration}-sample recording"
+            f"record_duration_s={protocol_cfg.record_duration_s} is too short: the vouching signal may end "
+            f"at sample {end} of the authenticating device's {duration}-sample recording"
         )
     scene = ch.AcousticScene(
         emissions=(
@@ -361,18 +367,16 @@ def replay_session(
     channel_cfg: ch.ChannelConfig,
     *,
     protocol_cfg: ProtocolConfig = ProtocolConfig(),
-    params: spectrum.DetectionParams = spectrum.DetectionParams(),
-    grid: FrequencyGrid = DEFAULT_GRID,
 ) -> tuple[ReferenceSignal, ReferenceSignal, ch.Recording, ch.Recording]:
     """Rebuild a session's two reference signals and both recordings from its
-    transcript (synthesis is deterministic per tone set). Pass the channel,
-    protocol and detection settings the session ran with. Emissions from
+    transcript (synthesis is deterministic per tone set). Pass the channel and
+    protocol settings the session ran with; the signals are synthesized with
+    the default detection parameters and frequency grid. Emissions from
     intruders or extra emitters are not part of the transcript and are left
     out."""
     if t.playback_start is None:
         raise ValueError("the session ended before playback; there is nothing to replay")
-    sig_a = synthesize(SignalSpec(frequencies=t.freqs_a, grid=grid), params=params)
-    sig_v = synthesize(SignalSpec(frequencies=t.freqs_v, grid=grid), params=params)
+    sig_a, sig_v = (synthesize(SignalSpec(frequencies=freqs)) for freqs in (t.freqs_a, t.freqs_v))
     return (sig_a, sig_v, *_record(t, sig_a, sig_v, protocol_cfg, channel_cfg))
 
 

@@ -188,6 +188,13 @@ class TestRunAuthentication:
         # but a 0.55 s recording ends at sample 24 255
         with pytest.raises(ValueError, match="record_duration_s"):
             run(0.5, protocol_cfg=ProtocolConfig(record_duration_s=0.55))
+        # a 0.6 s recording (26 460 samples) holds the burst as played, but
+        # not its copy at the authenticating device 2 m away: 260 samples of
+        # travel delay and the 8-sample kernel tail end it at sample 26 614
+        with pytest.raises(ValueError, match="record_duration_s"):
+            run(2.0, policy=AuthPolicy(threshold_m=3.0), protocol_cfg=ProtocolConfig(record_duration_s=0.6))
+        # at 0.5 m the arrival ends at sample 26 419, inside the recording
+        assert run(0.5, protocol_cfg=ProtocolConfig(record_duration_s=0.6))[1].signal_present
 
     def test_replay_rebuilds_the_recordings(self, office_cfg):
         _, transcript = run_authentication(
