@@ -154,14 +154,18 @@ def build_emissions(
         emissions = []
         for i, anchor in enumerate(anchors):
             guess = guessing_replay_signal(guess_rng, grid)
-            latest = ctx.duration - guess.samples.shape[0] - 1
-            when = int(rng.integers(int(0.05 * ctx.duration), latest))
+            earliest, latest = int(0.05 * ctx.duration), ctx.duration - guess.samples.shape[0] - 1
+            if earliest >= latest:
+                raise ValueError(f"scene duration {ctx.duration} too short for a {len(guess.samples)}-sample replay")
+            when = int(rng.integers(earliest, latest))
             pos = _near(scenario.attacker_position, anchor)
             emissions.append(ch.Emission(f"attacker_{i}", guess.samples, when, pos))
         return emissions
 
     if isinstance(scenario, AllFrequency):
         length = ctx.duration - 1 if scenario.continuous else 8192
+        if length >= ctx.duration:
+            raise ValueError(f"scene duration {ctx.duration} too short for a {length}-sample all-frequency burst")
         wave = all_frequency_signal(grid, scenario.per_tone_power, length)
         start = 0 if scenario.continuous else int(rng.integers(0, ctx.duration - length))
         return [

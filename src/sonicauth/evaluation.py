@@ -170,6 +170,11 @@ def _interferer_emissions(
         sig_2 = synthesize(sample_spec(rng, grid))
         gap = int(0.3 * ctx.base_sample_rate)
         latest = ctx.duration - sig_2.samples.shape[0] - gap - 1
+        if latest <= 0:
+            raise ValueError(
+                f"scene duration {ctx.duration} too short for an interferer pair: "
+                f"two {sig_2.samples.shape[0]}-sample signals {gap} samples apart"
+            )
         start = int(rng.integers(0, latest))
         emissions.append(ch.Emission(f"user{u}_a", sig_1.samples, start, pos_1))
         emissions.append(ch.Emission(f"user{u}_b", sig_2.samples, start + gap, pos_2))

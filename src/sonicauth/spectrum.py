@@ -14,7 +14,8 @@ argmax:
 Windows failing either check score negative infinity. A coarse scan with a
 large step finds the neighbourhood of the maximum, a fine scan pinpoints it,
 and the detection is declared absent when the best score stays below
-``epsilon`` times the signal's total nominal power.
+``epsilon`` times the signal's total nominal power. Each scan reads its evenly
+spaced windows in place from the recording, as a strided view, without copying.
 
 Candidate frequencies may lie above half the sample rate; their spectral
 content then appears at the mirrored (aliased) bin of the real FFT, so bin
@@ -124,15 +125,13 @@ def candidate_bin_table(
     grid: "FrequencyGrid", sample_rate: float, window_length: int, theta: int
 ) -> np.ndarray:
     """(N, 2*theta+1) one-sided bin indices per candidate, clamped then folded."""
-    half = window_length // 2
-    rows = []
-    for f in grid.candidates:
-        i = frequency_bin(f, sample_rate, window_length)
-        k = np.arange(i - theta, i + theta + 1)
-        k = np.clip(k, 0, window_length - 1)
-        k = np.where(k > half, window_length - k, k)
-        rows.append(k)
-    return np.asarray(rows, dtype=np.intp)
+    freqs = np.asarray(grid.candidates, dtype=np.float64)
+    bad = (freqs < 0) | (freqs >= sample_rate) | (freqs == sample_rate / 2)
+    if bad.any():
+        frequency_bin(float(freqs[bad][0]), sample_rate, window_length)  # raises the ValueError
+    first = np.floor(freqs / sample_rate * window_length).astype(np.intp)
+    k = np.clip(first[:, None] + np.arange(-theta, theta + 1), 0, window_length - 1)
+    return np.where(k > window_length // 2, window_length - k, k)
 
 
 def measure_candidate_powers(
@@ -143,19 +142,15 @@ def measure_candidate_powers(
     synthesis (nominal powers) and detection."""
     w = np.asarray(window, dtype=np.float64)
     table = candidate_bin_table(grid, sample_rate, w.shape[-1], theta)
-    one_sided = power_spectrum(w, sample_rate).powers
-    return one_sided[table].sum(axis=1)
+    return _batch_candidate_powers(w, slice(0, 1), w.shape[-1], table)[0]
 
 
-def _batch_candidate_powers(
-    x: np.ndarray, starts: np.ndarray, length: int, table: np.ndarray
-) -> np.ndarray:
+def _batch_candidate_powers(x: np.ndarray, starts: slice, length: int, table: np.ndarray) -> np.ndarray:
+    """Per-candidate powers of the windows ``x[s:s+length]``, ``s`` in ``starts``."""
     if length < 2 or length & (length - 1):
         raise ValueError(f"window length must be a power of two, got {length}")
-    windows = sliding_window_view(x, length)[starts]
-    spec = np.fft.rfft(windows, axis=1)
-    powers = spec.real**2 + spec.imag**2
-    return powers[:, table].sum(axis=2)
+    spec = np.fft.rfft(sliding_window_view(x, length)[starts], axis=1)[:, table]
+    return (spec.real**2 + spec.imag**2).sum(axis=2)
 
 
 def in_set_mask(frequencies: tuple[float, ...], grid: "FrequencyGrid") -> tuple[np.ndarray, np.ndarray]:
@@ -211,11 +206,9 @@ def norm_power(
 ) -> float | None:
     """Normalized power of a tone set in one window, or None when a sanity
     check fails (the explicit stand-in for the minus-infinity sentinel)."""
-    w = np.asarray(window, dtype=np.float64)
-    table = candidate_bin_table(grid, sample_rate, w.shape[-1], params.theta)
-    cand = _batch_candidate_powers(w, np.array([0]), w.shape[-1], table)
+    cand = measure_candidate_powers(window, grid, sample_rate, params.theta)
     mask, r_vec, beta, _ = _gate_arrays(frequencies, nominal_power, grid, params)
-    score = _gated_scores(cand, mask, r_vec, beta, params.alpha)[0]
+    score = _gated_scores(cand[None], mask, r_vec, beta, params.alpha)[0]
     return None if score == -np.inf else float(score)
 
 
@@ -240,20 +233,20 @@ class _Scanner:
         self.params = params
         self.table = candidate_bin_table(grid, sample_rate, length, params.theta)
         self.max_start = self.x.shape[0] - length
-        self.coarse_starts = np.arange(0, self.max_start + 1, params.coarse_step)
-        self.coarse_powers = _batch_candidate_powers(self.x, self.coarse_starts, length, self.table)
+        self.coarse = slice(0, self.max_start + 1, params.coarse_step)
+        self.coarse_powers = _batch_candidate_powers(self.x, self.coarse, length, self.table)
 
     def run(
         self, sig: "ReferenceSignal", grid: "FrequencyGrid", dump_csv: str | None = None
     ) -> DetectionOutcome:
         mask, r_vec, beta, total_r = _gate_arrays(sig.frequencies, sig.nominal_power, grid, self.params)
         coarse_scores = _gated_scores(self.coarse_powers, mask, r_vec, beta, self.params.alpha)
-        anchor = int(self.coarse_starts[int(np.argmax(coarse_scores))])
+        anchor = int(np.argmax(coarse_scores)) * self.params.coarse_step
 
         lo = max(0, anchor - self.params.fine_radius)
         hi = min(self.max_start, anchor + self.params.fine_radius)
-        fine_starts = np.arange(lo, hi + 1, self.params.fine_step)
-        fine_powers = _batch_candidate_powers(self.x, fine_starts, self.length, self.table)
+        fine = slice(lo, hi + 1, self.params.fine_step)
+        fine_powers = _batch_candidate_powers(self.x, fine, self.length, self.table)
         fine_scores = _gated_scores(fine_powers, mask, r_vec, beta, self.params.alpha)
         best = int(np.argmax(fine_scores))
         peak = float(fine_scores[best])
@@ -262,16 +255,14 @@ class _Scanner:
             with open(dump_csv, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["index", "norm_power"])
-                for idx, s in zip(self.coarse_starts, coarse_scores):
-                    writer.writerow([int(idx), s])
-                for idx, s in zip(fine_starts, fine_scores):
-                    writer.writerow([int(idx), s])
+                for scan, scores in ((self.coarse, coarse_scores), (fine, fine_scores)):
+                    writer.writerows(zip(range(scan.start, scan.stop, scan.step), scores))
 
         if peak == -np.inf:
             return DetectionOutcome(location=None, peak_norm_power=None)
         if peak < self.params.epsilon * total_r:
             return DetectionOutcome(location=None, peak_norm_power=peak)
-        return DetectionOutcome(location=int(fine_starts[best]), peak_norm_power=peak)
+        return DetectionOutcome(location=lo + best * self.params.fine_step, peak_norm_power=peak)
 
 
 def detect(

@@ -44,22 +44,30 @@ def sliding_candidate_powers(
     x: np.ndarray, grid, sample_rate: float, length: int, theta: int
 ) -> np.ndarray:
     """Per-candidate power at every window start, via cumulative sums of
-    complex demodulates (O(N) per bin, no FFT). Shape (n_windows, N_cand)."""
+    complex demodulates (O(N) per bin, no FFT). Shape (n_windows, N_cand).
+
+    ``exp(-2j*pi*k*t/length)`` has period ``length`` in ``t``: each bin's
+    exponential is tabulated over one period and broadcast over the recording,
+    zero-padded and folded into rows of ``length`` samples."""
     xf = np.asarray(x, dtype=np.float64)
-    n_win = xf.shape[0] - length + 1
-    t = np.arange(xf.shape[0])
-    out = np.zeros((n_win, len(grid.candidates)))
+    n = xf.shape[0]
+    n_win = n - length + 1
+    rows = np.zeros(-(-n // length) * length, dtype=complex)
+    rows[:n] = xf
+    rows = rows.reshape(-1, length)
+    t = np.arange(length)
+    unit = np.exp(-2j * np.pi * t / length)
+    # column 0 of the running sums stays zero: the empty prefix
+    csum = np.zeros((2 * theta + 1, n + 1), dtype=complex)
+    out = np.zeros((len(grid.candidates), n_win))
     for c, freq in enumerate(grid.candidates):
-        bins = folded_bins(freq, sample_rate, length, theta)
-        acc = np.zeros(n_win)
-        for k in np.unique(bins):
-            mult = int(np.count_nonzero(bins == k))
-            z = xf * np.exp(-2j * np.pi * int(k) * t / length)
-            csum = np.concatenate(([0.0 + 0.0j], np.cumsum(z)))
-            seg = csum[length:] - csum[:-length]
-            acc += mult * (seg.real**2 + seg.imag**2)
-        out[:, c] = acc
-    return out
+        ks, mult = np.unique(folded_bins(freq, sample_rate, length, theta), return_counts=True)
+        period = unit[np.outer(ks, t) % length]
+        z = (rows[None, :, :] * period[:, None, :]).reshape(len(ks), -1)[:, :n]
+        np.cumsum(z, axis=1, out=csum[: len(ks), 1:])
+        seg = csum[: len(ks), length:] - csum[: len(ks), :-length]
+        out[c] = mult @ (seg.real**2 + seg.imag**2)
+    return out.T
 
 
 def exhaustive_detect(x, sig, grid, params, sample_rate: float):

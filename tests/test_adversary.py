@@ -119,6 +119,14 @@ class TestScenarios:
         positions = {e.position for e in out}
         assert (0.3, 0.0) in positions and (3.3, 0.0) in positions
 
+    def test_attacks_in_too_short_scene_rejected_clearly(self, grid):
+        ctx = SceneContext((0.0, 0.0), (3.0, 0.0), duration=4200, base_sample_rate=44_100.0)
+        with pytest.raises(ValueError, match="scene duration 4200 too short for a 4096-sample replay"):
+            adv.build_emissions(adv.GuessingReplay(), ctx, np.random.default_rng(1), grid)
+        burst = adv.AllFrequency(per_tone_power=1e9, continuous=False)
+        with pytest.raises(ValueError, match="scene duration 4200 too short for a 8192-sample all-frequency"):
+            adv.build_emissions(burst, ctx, np.random.default_rng(1), grid)
+
     def test_all_frequency_continuous_spans_scene(self, grid):
         out = adv.build_emissions(
             adv.AllFrequency(per_tone_power=1e10), self._ctx(), np.random.default_rng(2), grid

@@ -4,6 +4,7 @@ import pytest
 from helpers import closed_form_far, closed_form_frr
 from sonicauth import adversary as adv
 from sonicauth import evaluation as ev
+from sonicauth.protocol import SceneContext
 
 
 class TestFrrFarModel:
@@ -99,6 +100,11 @@ class TestMultiuser:
         assert pooled_multi >= pooled_single
         # a minority of sessions lose a signal entirely
         assert 0 < multi.meta["not_present_total"] <= 12
+
+    def test_scene_too_short_for_an_interferer_pair_rejected_clearly(self, grid):
+        ctx = SceneContext((0.0, 0.0), (1.0, 0.0), duration=17_000, base_sample_rate=44_100.0)
+        with pytest.raises(ValueError, match="scene duration 17000 too short .* two 4096-sample signals 13230"):
+            ev._interferer_emissions(ctx, np.random.default_rng(0), 1, grid)
 
     def test_pairs_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
-from helpers import direct_bin_power, exhaustive_detect
+from helpers import (
+    direct_bin_power,
+    direct_candidate_power,
+    exhaustive_detect,
+    folded_bins,
+    sliding_candidate_powers,
+)
 from sonicauth.channel import ChannelConfig, environment
 from sonicauth.signal import SignalSpec, build_grid, sample_spec, synthesize
 from sonicauth.spectrum import (
     DetectionParams,
+    _batch_candidate_powers,
     candidate_bin_table,
     cross_correlate_detect,
     detect,
@@ -80,6 +87,100 @@ class TestBinTable:
         table = candidate_bin_table(grid, FS, 4096, theta=0)
         raw = [frequency_bin(f, FS, 4096) for f in grid.candidates]
         assert [4096 - r for r in raw] == [int(k[0]) for k in table]
+
+    @pytest.mark.parametrize("theta", [0, 5])
+    @pytest.mark.parametrize(
+        "bounds", [None, (10.0, 120.0, 4), (43_000.0, 44_000.0, 4)], ids=["default", "dc", "top"]
+    )
+    def test_equals_per_candidate_loop(self, grid, bounds, theta):
+        g = grid if bounds is None else build_grid(*bounds)
+        want = np.array([folded_bins(f, FS, 4096, theta) for f in g.candidates])
+        table = candidate_bin_table(g, FS, 4096, theta)
+        assert table.dtype == np.intp
+        assert np.array_equal(table, want)
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ((22_000.0, 22_300.0, 3), "fold point"),  # first candidate at fs/2
+            ((44_000.0, 44_400.0, 2), "outside"),  # first candidate at fs
+            ((-200.0, 200.0, 2), "outside"),  # first candidate below 0
+        ],
+    )
+    def test_candidates_off_the_spectrum_rejected(self, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            candidate_bin_table(build_grid(*bounds), FS, 4096, theta=5)
+
+
+def _per_window_candidate_powers(x, starts, length, table):
+    """Reference for the batched kernel: one full power spectrum per window,
+    every bin squared, then one gather and sum over the stacked spectra.
+
+    The gather and sum run over the stack, not per window: numpy adds a
+    gathered (windows, N, 2*theta+1) block's bins in another order than a
+    single window's contiguous (N, 2*theta+1) rows, so per-window sums differ
+    from the batched ones in the last bits."""
+    spectra = np.stack([power_spectrum(x[s : s + length]).powers for s in starts])
+    return spectra[:, table].sum(axis=2)
+
+
+class TestBatchCandidatePowers:
+    """The strided, gather-then-square kernel must equal the per-window
+    spectra bit for bit, on every kind of window range a scan asks for."""
+
+    @staticmethod
+    def _noise(n, seed):
+        return np.clip(np.rint(np.random.default_rng(seed).normal(0.0, 500.0, n)), -32768, 32767)
+
+    @pytest.mark.parametrize(
+        "n, starts",
+        [
+            (30_000, slice(0, 30_000 - 4096 + 1, 1000)),  # coarse scan
+            (30_000, slice(9_000, 12_001, 10)),  # fine scan inside the recording
+            (4096 + 2000, slice(0, 2001, 10)),  # fine scan clipped at both ends
+            (4096, slice(0, 1, 1000)),  # recording exactly one signal long: coarse
+            (4096, slice(0, 1, 10)),  # and fine
+            (4096, slice(0, 1)),  # single window (norm_power, measure_candidate_powers)
+        ],
+    )
+    def test_equals_per_window_loop(self, grid, params, n, starts):
+        x = self._noise(n, seed=n)
+        table = candidate_bin_table(grid, FS, 4096, params.theta)
+        windows = range(*starts.indices(n - 4096 + 1))
+        got = _batch_candidate_powers(x, starts, 4096, table)
+        want = _per_window_candidate_powers(x, windows, 4096, table)
+        assert got.shape == want.shape == (len(windows), len(grid.candidates))
+        assert np.array_equal(got, want)
+        # summed per window: the same powers up to the order of the additions
+        each = [power_spectrum(x[s : s + 4096]).powers[table].sum(axis=1) for s in windows]
+        np.testing.assert_allclose(got, each, rtol=1e-14, atol=0)
+
+    def test_scan_clipped_at_both_ends_covers_the_whole_recording(self, grid, params):
+        """The coarse anchor (1000) lies within fine_radius of both ends of a
+        2000-start recording, so the fine scan runs from 0 to max_start."""
+        sig = synthesize(sample_spec(np.random.default_rng(16), grid))
+        x = _embed(sig, 1234, 2000 - 1234)
+        out = detect(x, sig, params)
+        assert out.location is not None and abs(out.location - 1234) <= params.fine_step
+
+    def test_recording_exactly_one_signal_long(self, grid, params):
+        sig = synthesize(sample_spec(np.random.default_rng(17), grid))
+        out = detect(sig.samples.astype(float), sig, params)
+        assert out.location == 0
+        assert out.peak_norm_power == norm_power(
+            sig.samples.astype(float), sig.frequencies, sig.nominal_power, grid, params
+        )
+
+
+def test_sliding_oracle_matches_direct_projections(grid):
+    """The test oracle's cumulative-sum demodulation agrees with plain DFT
+    projections at the first, an inner and the last window start."""
+    x = np.random.default_rng(18).normal(0.0, 500.0, 4096 + 300)
+    powers = sliding_candidate_powers(x, grid, FS, 4096, 5)
+    assert powers.shape == (301, len(grid.candidates))
+    for s in (0, 137, 300):
+        want = [direct_candidate_power(x[s:], f, FS, 4096, 5) for f in grid.candidates]
+        np.testing.assert_allclose(powers[s], want, rtol=1e-9)
 
 
 class TestNormPower:
