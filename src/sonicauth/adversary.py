@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal, Union
 
 import numpy as np
@@ -90,26 +91,47 @@ def all_frequency_signal(
     Per-tone amplitudes are calibrated against the detector's measurement
     convention so each tone carries ``per_tone_power``; raises when the
     requested power cannot fit the 16-bit range after summation.
+    The waveform is memoised per ``(grid, power, duration, rate, budget)``
+    and returned read-only, since every caller with that key shares it.
     """
     if duration < 4096:
         raise ValueError("duration must cover at least one measurement window (4096 samples)")
-    t = np.arange(duration, dtype=np.float64)
-    window = 4096
-    theta = spectrum.DetectionParams().theta
-    amps = []
-    for i, f in enumerate(grid.candidates):
-        unit = np.sin(2.0 * np.pi * f * np.arange(window) / sample_rate)
-        unit_power = spectrum.measure_candidate_powers(unit, grid, sample_rate, theta)[i]
-        amps.append(math.sqrt(per_tone_power / unit_power))
+    if not (math.isfinite(per_tone_power) and per_tone_power > 0):
+        raise ValueError(f"per-tone power must be finite and positive, got {per_tone_power!r}")
+    return _all_frequency_waveform(grid, float(per_tone_power), int(duration), sample_rate, amplitude_budget)
+
+
+# An attack campaign replays one waveform on every trial, so keeping the last
+# one is enough; each kept continuous waveform holds ~130 KB.
+@lru_cache(maxsize=1)
+def _all_frequency_waveform(
+    grid: FrequencyGrid, per_tone_power: float, duration: int, sample_rate: float, amplitude_budget: int
+) -> np.ndarray:
+    amps = [math.sqrt(per_tone_power / unit_power) for unit_power in _unit_sine_powers(grid, sample_rate)]
     if sum(amps) > amplitude_budget:
         raise ValueError(
             f"per-tone power {per_tone_power:g} infeasible: tone amplitudes sum to "
             f"{sum(amps):.0f} > budget {amplitude_budget}"
         )
+    t = np.arange(duration, dtype=np.float64)
     x = np.zeros(duration)
     for f, a in zip(grid.candidates, amps):
         x += a * np.sin(2.0 * np.pi * f * t / sample_rate)
-    return np.clip(np.rint(x), -32768, 32767).astype(np.int16)
+    wave = np.clip(np.rint(x), -32768, 32767).astype(np.int16)
+    wave.setflags(write=False)
+    return wave
+
+
+@lru_cache(maxsize=4)
+def _unit_sine_powers(grid: FrequencyGrid, sample_rate: float) -> tuple[float, ...]:
+    """Each candidate's measured power for a unit-amplitude sine at it."""
+    window = 4096
+    theta = spectrum.DetectionParams().theta
+    powers = []
+    for i, f in enumerate(grid.candidates):
+        unit = np.sin(2.0 * np.pi * f * np.arange(window) / sample_rate)
+        powers.append(spectrum.measure_candidate_powers(unit, grid, sample_rate, theta)[i])
+    return tuple(powers)
 
 
 def guessing_success_probability(bin_count: int, signals: int = 1) -> float:

@@ -131,18 +131,29 @@ class ReferenceSignal:
 
     @classmethod
     def from_bytes(cls, blob: bytes, grid: FrequencyGrid = DEFAULT_GRID) -> "ReferenceSignal":
+        """Parse a link payload; raises ``ValueError`` on a malformed one."""
         hlen = int.from_bytes(blob[:4], "big")
+        if 4 + hlen > len(blob):
+            raise ValueError(f"link payload header of {hlen} bytes runs past the {len(blob)}-byte blob")
         meta = json.loads(blob[4 : 4 + hlen].decode())
+        body, length = len(blob) - 4 - hlen, meta["length"]
+        if body != 2 * length:
+            raise ValueError(f"link payload body is {body} bytes, expected {2 * length} for {length} samples")
+        powers = meta["nominal_power"]
+        if len(powers) != len(meta["freqs_hz"]):
+            raise ValueError(f"link payload has {len(powers)} nominal powers for {len(meta['freqs_hz'])} tones")
+        if not all(math.isfinite(p) and p > 0 for p in powers):
+            raise ValueError(f"link payload nominal powers must be finite and positive, got {powers}")
         samples = np.frombuffer(blob[4 + hlen :], dtype=np.int16).copy()
         spec = SignalSpec(
             frequencies=tuple(meta["freqs_hz"]),
             grid=grid,
-            length=meta["length"],
+            length=length,
             sample_rate=meta["sample_rate"],
             amplitude_budget=meta["amplitude_budget"],
         )
-        power = dict(zip(spec.frequencies, meta["nominal_power"]))
-        return cls(spec=spec, samples=samples, nominal_power=power, total_power=sum(meta["nominal_power"]))
+        power = dict(zip(meta["freqs_hz"], powers))
+        return cls(spec=spec, samples=samples, nominal_power=power, total_power=sum(powers))
 
 
 def sample_spec(

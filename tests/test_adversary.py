@@ -1,13 +1,34 @@
 import collections
+import math
 
 import numpy as np
 import pytest
 
 from helpers import proper_subsets
 from sonicauth import adversary as adv
+from sonicauth import evaluation as ev
+from sonicauth import spectrum
 from sonicauth.protocol import SceneContext
 from sonicauth.signal import build_grid, sample_spec, synthesize
 from sonicauth.spectrum import DetectionParams, measure_candidate_powers, norm_power
+
+
+def uncached_all_frequency_signal(grid, per_tone_power, duration, *, sample_rate=44_100.0, amplitude_budget=32_000):
+    """Reference: the all-frequency waveform recalibrated and rebuilt on every call."""
+    t = np.arange(duration, dtype=np.float64)
+    window = 4096
+    theta = DetectionParams().theta
+    amps = []
+    for i, f in enumerate(grid.candidates):
+        unit = np.sin(2.0 * np.pi * f * np.arange(window) / sample_rate)
+        unit_power = measure_candidate_powers(unit, grid, sample_rate, theta)[i]
+        amps.append(math.sqrt(per_tone_power / unit_power))
+    if sum(amps) > amplitude_budget:
+        raise ValueError(f"per-tone power {per_tone_power:g} infeasible")
+    x = np.zeros(duration)
+    for f, a in zip(grid.candidates, amps):
+        x += a * np.sin(2.0 * np.pi * f * t / sample_rate)
+    return np.clip(np.rint(x), -32768, 32767).astype(np.int16)
 
 
 class TestGuessingReplaySignal:
@@ -43,8 +64,44 @@ class TestAllFrequencySignal:
         assert measured.min() > 0.5e10
 
     def test_infeasible_power_rejected(self, grid):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="infeasible"):
+                adv.all_frequency_signal(grid, 1.0e16, 8192)
+
+    @pytest.mark.parametrize("duration", [8192, 66_149])
+    @pytest.mark.parametrize("power", [1.0e9, 2.5e10])
+    def test_memoised_waveform_equals_uncached_build(self, grid, power, duration):
+        expected = uncached_all_frequency_signal(grid, power, duration)
+        for _ in range(2):
+            assert np.array_equal(adv.all_frequency_signal(grid, power, duration), expected)
+
+    def test_shared_waveform_is_read_only(self, grid):
+        wave = adv.all_frequency_signal(grid, 1.0e10, 8192)
+        assert not wave.flags.writeable
         with pytest.raises(ValueError):
-            adv.all_frequency_signal(grid, 1.0e16, 8192)
+            wave[0] = 0
+
+    def test_calibration_runs_once_per_grid(self, monkeypatch):
+        # A grid no other test uses, so its calibration is not cached yet.
+        grid = build_grid(26_000.0, 34_000.0, 12)
+        calls = []
+        measure = spectrum.measure_candidate_powers
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "measure_candidate_powers", counting)
+        first = adv.all_frequency_signal(grid, 1.0e10, 8192)
+        assert len(calls) == grid.bin_count
+        assert adv.all_frequency_signal(grid, 1.0e10, 8192) is first
+        adv.all_frequency_signal(grid, 2.0e10, 8192)
+        assert len(calls) == grid.bin_count
+
+    def test_power_sweep_matches_uncached_build(self, monkeypatch):
+        sweep = ev.all_frequency_power_sweep(6)
+        monkeypatch.setattr(adv, "all_frequency_signal", uncached_all_frequency_signal)
+        assert sweep == ev.all_frequency_power_sweep(6)
 
     def test_short_duration_rejected(self, grid):
         with pytest.raises(ValueError):
@@ -147,3 +204,8 @@ class TestScenarios:
     def test_all_frequency_waveform_builder_for_scene_json(self, grid):
         wave = adv.WAVEFORM_BUILDERS["all_frequency"]({"per_tone_power": 1e10, "duration": 8192}, grid)
         assert wave.shape[0] == 8192
+
+    @pytest.mark.parametrize("power", [-1, 0, float("nan")])
+    def test_all_frequency_waveform_builder_rejects_bad_power(self, grid, power):
+        with pytest.raises(ValueError, match="per-tone power must be finite and positive, got"):
+            adv.WAVEFORM_BUILDERS["all_frequency"]({"per_tone_power": power, "duration": 8192}, grid)

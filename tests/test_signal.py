@@ -1,4 +1,5 @@
 import collections
+import json
 
 import numpy as np
 import pytest
@@ -153,6 +154,49 @@ class TestSerialization:
         assert np.array_equal(clone.samples, sig.samples)
         assert clone.spec.frequencies == sig.spec.frequencies
         assert clone.total_power == pytest.approx(sig.total_power)
+        assert clone.to_bytes() == sig.to_bytes() == self._payload(sig)
+
+    @staticmethod
+    def _payload(sig, body_delta=0, **header):
+        blob = sig.to_bytes()
+        hlen = int.from_bytes(blob[:4], "big")
+        meta = {**json.loads(blob[4 : 4 + hlen]), **header}
+        encoded = json.dumps(meta).encode()
+        body = blob[4 + hlen :]
+        body = body[:body_delta] if body_delta < 0 else body + bytes(body_delta)
+        return len(encoded).to_bytes(4, "big") + encoded + body
+
+    def test_powers_follow_their_tones_in_any_order(self, grid):
+        sig = synthesize(sample_spec(np.random.default_rng(2), grid))
+        freqs = list(reversed(sig.frequencies))
+        blob = self._payload(sig, freqs_hz=freqs, nominal_power=[sig.nominal_power[f] for f in freqs])
+        assert ReferenceSignal.from_bytes(blob, grid).nominal_power == sig.nominal_power
+
+    def test_header_past_blob_rejected(self, grid):
+        sig = synthesize(sample_spec(np.random.default_rng(2), grid))
+        blob = sig.to_bytes()
+        hlen = int.from_bytes(blob[:4], "big")
+        with pytest.raises(ValueError, match="header of .* runs past"):
+            ReferenceSignal.from_bytes(blob[: 4 + hlen - 1], grid)
+
+    @pytest.mark.parametrize("body_delta", [-200, 2])
+    def test_body_length_mismatch_rejected(self, grid, body_delta):
+        sig = synthesize(sample_spec(np.random.default_rng(2), grid))
+        with pytest.raises(ValueError, match="body is .* bytes, expected 8192 for 4096 samples"):
+            ReferenceSignal.from_bytes(self._payload(sig, body_delta), grid)
+
+    def test_power_count_mismatch_rejected(self, grid):
+        sig = synthesize(sample_spec(np.random.default_rng(2), grid))
+        short = [sig.nominal_power[f] for f in sig.frequencies][:-1]
+        with pytest.raises(ValueError, match="nominal powers for"):
+            ReferenceSignal.from_bytes(self._payload(sig, nominal_power=short), grid)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_bad_power_rejected(self, grid, bad):
+        sig = synthesize(sample_spec(np.random.default_rng(2), grid))
+        powers = [bad] + [sig.nominal_power[f] for f in sig.frequencies][1:]
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            ReferenceSignal.from_bytes(self._payload(sig, nominal_power=powers), grid)
 
     def test_wav_json_round_trip(self, grid, tmp_path):
         from sonicauth.signal import load_signal, save_signal_json, save_signal_wav
