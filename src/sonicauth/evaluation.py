@@ -153,8 +153,8 @@ def _interferer_emissions(
     ctx, rng: np.random.Generator, pairs: int, grid
 ) -> list[ch.Emission]:
     """Extra device pairs running their own sessions nearby: each pair plays
-    two fresh reference signals, staggered like a real session, at random
-    times and positions around the legitimate pair."""
+    two fresh reference signals, synthesized and staggered like the
+    legitimate session's, at random times and positions around that pair."""
     from .signal import sample_spec, synthesize
 
     emissions = []
@@ -166,9 +166,9 @@ def _interferer_emissions(
         half_gap = rng.uniform(0.2, 0.5)
         pos_1 = (center[0] - half_gap, center[1])
         pos_2 = (center[0] + half_gap, center[1])
-        sig_1 = synthesize(sample_spec(rng, grid))
-        sig_2 = synthesize(sample_spec(rng, grid))
-        gap = int(0.3 * ctx.base_sample_rate)
+        sig_1 = synthesize(sample_spec(rng, grid), params=ctx.params)
+        sig_2 = synthesize(sample_spec(rng, grid), params=ctx.params)
+        gap = ctx.playback_gap
         latest = ctx.duration - sig_2.samples.shape[0] - gap - 1
         if latest <= 0:
             raise ValueError(

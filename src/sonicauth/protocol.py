@@ -186,12 +186,16 @@ def _json_default(obj):
 
 
 # An intruder hook receives (scene context, rng) and returns extra emissions.
+# ``playback_gap`` (samples) and ``params`` are the session's own, so a hook
+# can stage signals the way the session does.
 @dataclass(frozen=True)
 class SceneContext:
     auth_position: tuple[float, ...]
     vouch_position: tuple[float, ...]
     duration: int
     base_sample_rate: float
+    playback_gap: int
+    params: spectrum.DetectionParams
 
 
 IntruderFactory = Callable[[SceneContext, np.random.Generator], Sequence[ch.Emission]]
@@ -348,7 +352,8 @@ def run_authentication(
     emissions = list(extra_emissions)
     if intruder is not None:
         duration = _to_samples(protocol_cfg.record_duration_s)
-        emissions.extend(intruder(SceneContext(auth.position, vouch.position, duration, ch.BASE_SAMPLE_RATE), rng))
+        ctx = SceneContext(auth.position, vouch.position, duration, ch.BASE_SAMPLE_RATE, t.playback_gap, params)
+        emissions.extend(intruder(ctx, rng))
     rec_a, rec_v = _record(t, sig_a, vouch_sig_v, protocol_cfg, cfg, emissions)
 
     outcomes = (

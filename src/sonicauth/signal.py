@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +100,40 @@ class SignalSpec:
         return len(self.frequencies)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and all(_is_number(v) for v in value)
+
+
+# Link-header fields: the check each value must pass and what it must be.
+_HEADER_FIELDS = {
+    "freqs_hz": (_is_number_list, "a list of numbers"),
+    "nominal_power": (_is_number_list, "a list of numbers"),
+    "length": (_is_int, "an integer"),
+    "sample_rate": (_is_number, "a number"),
+    "amplitude_budget": (_is_int, "an integer"),
+}
+
+
+def _check_header(meta) -> None:
+    """Raise ``ValueError`` naming the first link-header field that is
+    missing or of the wrong type."""
+    if not isinstance(meta, dict):
+        raise ValueError(f"link payload header must be a JSON object, got {type(meta).__name__}")
+    for key, (valid, kind) in _HEADER_FIELDS.items():
+        if key not in meta:
+            raise ValueError(f"link payload header lacks the {key!r} field")
+        if not valid(meta[key]):
+            raise ValueError(f"link payload field {key!r} must be {kind}, got {meta[key]!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ReferenceSignal:
     """A synthesized reference signal with its measured per-tone powers.
@@ -136,6 +171,7 @@ class ReferenceSignal:
         if 4 + hlen > len(blob):
             raise ValueError(f"link payload header of {hlen} bytes runs past the {len(blob)}-byte blob")
         meta = json.loads(blob[4 : 4 + hlen].decode())
+        _check_header(meta)
         body, length = len(blob) - 4 - hlen, meta["length"]
         if body != 2 * length:
             raise ValueError(f"link payload body is {body} bytes, expected {2 * length} for {length} samples")
@@ -220,10 +256,9 @@ _EDGE_SPAN = 48
 _EDGE_ENERGY_TARGET = 0.5  # of the burst's average energy rate
 
 
-def _leakage_ratio(samples: np.ndarray, spec: SignalSpec, params: DetectionParams) -> float:
-    """Worst out-of-set candidate power relative to the absence threshold."""
-    measured = spectrum.measure_candidate_powers(samples, spec.grid, spec.sample_rate, params.theta)
-    _, in_set = spectrum.in_set_mask(spec.frequencies, spec.grid)
+def _leakage_ratio(measured: np.ndarray, in_set: np.ndarray, spec: SignalSpec, params: DetectionParams) -> float:
+    """Worst out-of-set candidate power, from a rendering's measured candidate
+    powers, relative to the absence threshold."""
     beta = params.beta_ratio * measured[in_set].sum() / spec.tone_count
     if in_set.all() or beta == 0.0:
         return 0.0
@@ -241,77 +276,87 @@ def _edge_energy_ratio(samples: np.ndarray) -> float:
     return min(head, tail) / total_rate
 
 
-def _phase_family(spec: SignalSpec) -> list[np.ndarray]:
-    """Deterministic phase candidates for one tone set: zero phases first,
-    then seeded random draws."""
-    index, _ = spectrum.in_set_mask(spec.frequencies, spec.grid)
+def _phase_family(spec: SignalSpec, index: np.ndarray) -> Iterator[np.ndarray]:
+    """Deterministic phase candidates for one tone set (``index``: the tones'
+    grid indices): zero phases first, then seeded random draws."""
     key = index.tolist() + [spec.grid.bin_count, spec.length]
     rng = np.random.default_rng(np.random.SeedSequence(key))
-    family = [np.zeros(spec.tone_count)]
+    yield np.zeros(spec.tone_count)
     for _ in range(_PHASE_CANDIDATES - 1):
-        family.append(rng.uniform(0.0, 2.0 * np.pi, spec.tone_count))
-    return family
+        yield rng.uniform(0.0, 2.0 * np.pi, spec.tone_count)
 
 
-def _render(spec: SignalSpec, phases: np.ndarray) -> np.ndarray:
-    n = spec.tone_count
-    amp = spec.amplitude_budget / n
-    t = np.arange(spec.length, dtype=np.float64)
-    x = np.zeros(spec.length, dtype=np.float64)
-    for f, ph in zip(spec.frequencies, phases):
-        x += amp * np.sin(2.0 * np.pi * f * t / spec.sample_rate + ph)
-    samples = _round_half_away(x)
+# Phasor tables are built as a block product exp(iw*B*a) * exp(iw*b), a and b
+# below B (here 64), so each tone costs 2*B complex exponentials, not one sine
+# per sample and phase candidate.
+_PHASOR_BLOCK = 64
+
+
+def _phasor_table(spec: SignalSpec) -> np.ndarray:
+    """(2n, length) rows ``sin(w_k t)`` for each tone k, then ``cos(w_k t)``."""
+    omega = 2.0 * np.pi * np.asarray(spec.frequencies) / spec.sample_rate
+    blocks = -(-spec.length // _PHASOR_BLOCK)
+    coarse = np.exp(1j * omega[:, None] * (_PHASOR_BLOCK * np.arange(blocks)))
+    fine = np.exp(1j * omega[:, None] * np.arange(_PHASOR_BLOCK))
+    phasor = (coarse[:, :, None] * fine[:, None, :]).reshape(spec.tone_count, -1)[:, : spec.length]
+    return np.concatenate([phasor.imag, phasor.real])
+
+
+def _tone_sum(spec: SignalSpec, table: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """``sum_k amp * sin(w_k t + phases[k])`` from the phasor table, by
+    ``sin(a + p) = sin(a) cos(p) + cos(a) sin(p)``."""
+    amp = spec.amplitude_budget / spec.tone_count
+    return amp * (np.concatenate([np.cos(phases), np.sin(phases)]) @ table)
+
+
+def _render(spec: SignalSpec, table: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The tone sum rounded to integer-valued samples within the budget."""
+    samples = _round_half_away(_tone_sum(spec, table, phases))
     peak = int(np.max(np.abs(samples)))
     if peak > spec.amplitude_budget:
         raise RuntimeError(f"synthesis clipped amplitude budget: {peak}")
     return samples
 
 
-def synthesize(
-    spec: SignalSpec,
-    *,
-    params: DetectionParams = DetectionParams(),
-    phase_rng: np.random.Generator | None = None,
-) -> ReferenceSignal:
+def synthesize(spec: SignalSpec, *, params: DetectionParams = DetectionParams()) -> ReferenceSignal:
     """Render the reference signal and measure its per-tone nominal powers.
 
     Each tone gets amplitude ``amplitude_budget / n`` so the sum can never
     clip a 16-bit sample. Phases are zero when the zero-phase rendering keeps
     out-of-set spectral leakage confined, otherwise the best of a fixed
-    tone-set-seeded family of phase draws (deterministic either way). Passing
-    ``phase_rng`` draws fully random phases instead. ``params`` must be the
-    detector's: its ``theta`` sets the per-tone power measurement and its
-    ``beta_ratio`` the absence threshold the leakage is confined under.
+    tone-set-seeded family of phase draws (deterministic either way).
+    ``params`` must be the detector's: its ``theta`` sets the per-tone power
+    measurement and its ``beta_ratio`` the absence threshold the leakage is
+    confined under. Raises ``ValueError`` when no candidate keeps the leakage
+    under that threshold at all.
     """
-    if phase_rng is not None:
-        samples = _render(spec, phase_rng.uniform(0.0, 2.0 * np.pi, size=spec.tone_count))
-    else:
-        samples = None
-        fallback, fallback_key = None, None
-        for phases in _phase_family(spec):
-            candidate = _render(spec, phases)
-            leak = _leakage_ratio(candidate, spec, params)
-            edge = _edge_energy_ratio(candidate)
-            if leak <= _LEAKAGE_TARGET and edge >= _EDGE_ENERGY_TARGET:
-                samples = candidate
-                break
-            # fallback ranking: confined leakage beats anything, then strongest
-            # edge among confined candidates, then least leakage
-            key = (0, -edge) if leak <= _LEAKAGE_TARGET else (1, leak)
-            if fallback is None or key < fallback_key:
-                fallback, fallback_key = candidate, key
-        if samples is None:
-            samples = fallback
-    samples = samples.astype(np.int16)
-
-    measured = spectrum.measure_candidate_powers(
-        samples.astype(np.float64), spec.grid, spec.sample_rate, params.theta
-    )
-    index, _ = spectrum.in_set_mask(spec.frequencies, spec.grid)
+    index, in_set = spectrum.in_set_mask(spec.frequencies, spec.grid)
+    table = _phasor_table(spec)
+    chosen, chosen_key = None, None
+    for phases in _phase_family(spec, index):
+        candidate = _render(spec, table, phases)
+        measured = spectrum.measure_candidate_powers(candidate, spec.grid, spec.sample_rate, params.theta)
+        leak = _leakage_ratio(measured, in_set, spec, params)
+        edge = _edge_energy_ratio(candidate)
+        if leak <= _LEAKAGE_TARGET and edge >= _EDGE_ENERGY_TARGET:
+            chosen = (candidate, measured, leak)
+            break
+        # fallback ranking: confined leakage beats anything, then strongest
+        # edge among confined candidates, then least leakage
+        key = (0, -edge) if leak <= _LEAKAGE_TARGET else (1, leak)
+        if chosen is None or key < chosen_key:
+            chosen, chosen_key = (candidate, measured, leak), key
+    samples, measured, leak = chosen
+    if leak >= 1.0:  # the detector's absence gate is strict: p_out < beta
+        raise ValueError(
+            f"cannot synthesize tones {spec.frequencies} under beta_ratio={params.beta_ratio}: "
+            f"the least-leaking phase candidate reaches {leak:.3f} times the absence threshold"
+        )
+    # The candidate is integer-valued, so its int16 copy measures the same.
     power = {f: float(p) for f, p in zip(spec.frequencies, measured[index])}
     return ReferenceSignal(
         spec=spec,
-        samples=samples,
+        samples=samples.astype(np.int16),
         nominal_power=power,
         total_power=float(sum(power.values())),
     )

@@ -95,6 +95,23 @@ def exhaustive_detect(x, sig, grid, params, sample_rate: float):
     return best, peak
 
 
+def loop_tone_sum(spec, phases):
+    """Reference renderer: one ``np.sin`` per tone over the whole burst, for
+    one phase vector or a stack of them (``phases[..., k]`` is tone k's)."""
+    phases = np.asarray(phases)
+    amp = spec.amplitude_budget / spec.tone_count
+    t = np.arange(spec.length, dtype=np.float64)
+    x = np.zeros(phases.shape[:-1] + (spec.length,), dtype=np.float64)
+    for k, f in enumerate(spec.frequencies):
+        x += amp * np.sin(2.0 * np.pi * f * t / spec.sample_rate + phases[..., k, None])
+    return x
+
+
+def loop_render(spec, phases):
+    x = loop_tone_sum(spec, phases)
+    return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int16)
+
+
 def proper_subsets(items: tuple) -> list[frozenset]:
     """All non-empty proper subsets, enumerated by brute force."""
     out = []

@@ -162,6 +162,8 @@ class TestScenarios:
             vouch_position=(3.0, 0.0),
             duration=66_150,
             base_sample_rate=44_100.0,
+            playback_gap=13_230,
+            params=DetectionParams(),
         )
 
     def test_zero_effort_emits_nothing(self, grid):
@@ -177,7 +179,7 @@ class TestScenarios:
         assert (0.3, 0.0) in positions and (3.3, 0.0) in positions
 
     def test_attacks_in_too_short_scene_rejected_clearly(self, grid):
-        ctx = SceneContext((0.0, 0.0), (3.0, 0.0), duration=4200, base_sample_rate=44_100.0)
+        ctx = SceneContext((0.0, 0.0), (3.0, 0.0), 4200, 44_100.0, 13_230, DetectionParams())
         with pytest.raises(ValueError, match="scene duration 4200 too short for a 4096-sample replay"):
             adv.build_emissions(adv.GuessingReplay(), ctx, np.random.default_rng(1), grid)
         burst = adv.AllFrequency(per_tone_power=1e9, continuous=False)

@@ -4,7 +4,9 @@ import pytest
 from helpers import closed_form_far, closed_form_frr
 from sonicauth import adversary as adv
 from sonicauth import evaluation as ev
-from sonicauth.protocol import SceneContext
+from sonicauth import signal as sg
+from sonicauth.protocol import AuthPolicy, Endpoint, ProtocolConfig, SceneContext, run_authentication
+from sonicauth.spectrum import DetectionParams
 
 
 class TestFrrFarModel:
@@ -102,9 +104,39 @@ class TestMultiuser:
         assert 0 < multi.meta["not_present_total"] <= 12
 
     def test_scene_too_short_for_an_interferer_pair_rejected_clearly(self, grid):
-        ctx = SceneContext((0.0, 0.0), (1.0, 0.0), duration=17_000, base_sample_rate=44_100.0)
+        ctx = SceneContext((0.0, 0.0), (1.0, 0.0), 17_000, 44_100.0, 13_230, DetectionParams())
         with pytest.raises(ValueError, match="scene duration 17000 too short .* two 4096-sample signals 13230"):
             ev._interferer_emissions(ctx, np.random.default_rng(0), 1, grid)
+
+    def test_interferers_use_the_sessions_settings(self, grid, monkeypatch):
+        """The interferer pairs are staggered by the session's playback gap
+        and synthesized with the session's detection params."""
+        used_params = []
+        real = sg.synthesize
+
+        def spy(spec, *, params):
+            used_params.append(params)
+            return real(spec, params=params)
+
+        monkeypatch.setattr(sg, "synthesize", spy)
+        params = DetectionParams(beta_ratio=0.006)
+        emissions = []
+
+        def intruder(ctx, rng):
+            emissions.extend(ev._interferer_emissions(ctx, rng, 2, grid))
+            return emissions
+
+        run_authentication(
+            Endpoint("auth", (0.0, 0.0)),
+            Endpoint("vouch", (1.0, 0.0)),
+            AuthPolicy(threshold_m=1.0),
+            np.random.default_rng(5),
+            protocol_cfg=ProtocolConfig(playback_gap_s=0.25),
+            params=params,
+            intruder=intruder,
+        )
+        assert [b.emit_time - a.emit_time for a, b in zip(emissions[::2], emissions[1::2])] == [11_025, 11_025]
+        assert len(used_params) == 4 and all(p is params for p in used_params)
 
     def test_pairs_must_be_positive(self):
         with pytest.raises(ValueError):

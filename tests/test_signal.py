@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from helpers import direct_candidate_power, proper_subsets
+from helpers import direct_candidate_power, loop_render, proper_subsets
+from sonicauth import signal as sg
+from sonicauth import spectrum
 from sonicauth.signal import (
     DEFAULT_GRID,
     ReferenceSignal,
@@ -120,10 +122,14 @@ class TestSynthesize:
         assert np.array_equal(a.samples, b.samples)
         assert a.nominal_power == b.nominal_power
 
-    def test_random_phase_flag_keeps_budget(self, grid):
-        spec = SignalSpec(frequencies=grid.candidates[:8], grid=grid)
-        sig = synthesize(spec, phase_rng=np.random.default_rng(3))
-        assert np.max(np.abs(sig.samples)) <= spec.amplitude_budget
+    @pytest.mark.parametrize("tones", [1, 8, 29])
+    def test_random_phases_keep_budget(self, grid, tones):
+        rng = np.random.default_rng(3)
+        spec = SignalSpec(frequencies=grid.candidates[:tones], grid=grid)
+        table = sg._phasor_table(spec)
+        for _ in range(20):
+            samples = sg._render(spec, table, rng.uniform(0.0, 2.0 * np.pi, tones))
+            assert np.max(np.abs(samples)) <= spec.amplitude_budget
 
     def test_self_consistency_norm_power(self, grid, params):
         rng = np.random.default_rng(23)
@@ -145,6 +151,77 @@ class TestSynthesize:
         tuned = synthesize(spec, params=strict)
         assert norm_power(default.samples, default.frequencies, default.nominal_power, grid, strict) is None
         assert norm_power(tuned.samples, tuned.frequencies, tuned.nominal_power, grid, strict) is not None
+
+    def test_unconfinable_leakage_rejected(self, grid, params):
+        """Seed 0's tone set tries all 16 phase candidates: each leaks past the
+        strict beta, and with the default beta the fallback still passes."""
+        spec = sample_spec(np.random.default_rng(0), grid)
+        with pytest.raises(ValueError, match=r"beta_ratio=0\.002: .* reaches 1\.\d+ times the absence threshold"):
+            synthesize(spec, params=DetectionParams(beta_ratio=0.002))
+        sig = synthesize(spec, params=params)
+        assert norm_power(sig.samples, sig.frequencies, sig.nominal_power, grid, params) is not None
+
+    def test_each_candidate_measured_once(self, grid, monkeypatch):
+        """Seeds 1, 3 and 0 render 1, 2 and all 16 phase candidates; the chosen
+        one, fallback included, is not measured again."""
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(sg, "_render", counting("render", sg._render))
+        monkeypatch.setattr(
+            spectrum, "measure_candidate_powers", counting("measure", spectrum.measure_candidate_powers)
+        )
+        for seed, renders in ((1, 1), (3, 2), (0, 16)):
+            calls.clear()
+            synthesize(sample_spec(np.random.default_rng(seed), grid))
+            assert calls == {"render": renders, "measure": renders}
+
+
+def family(spec):
+    index, _ = spectrum.in_set_mask(spec.frequencies, spec.grid)
+    return list(sg._phase_family(spec, index))
+
+
+class TestPhasorRenderer:
+    @staticmethod
+    def assert_matches_loop(spec):
+        table = sg._phasor_table(spec)
+        phases = family(spec)
+        assert len(phases) == 16
+        rendered = np.array([sg._render(spec, table, ph) for ph in phases]).astype(np.int16)
+        assert np.array_equal(rendered, loop_render(spec, phases))
+
+    def test_matches_sine_loop_on_seeded_tone_sets(self, grid):
+        for seed in range(500):
+            self.assert_matches_loop(sample_spec(np.random.default_rng(seed), grid))
+
+    @pytest.mark.parametrize("tones", [1, 2, 28, 29])
+    def test_matches_sine_loop_at_extreme_tone_counts(self, grid, tones):
+        rng = np.random.default_rng(tones)
+        for _ in range(4):
+            picked = rng.choice(np.asarray(grid.candidates), size=tones, replace=False)
+            self.assert_matches_loop(SignalSpec(frequencies=tuple(float(f) for f in picked), grid=grid))
+
+    @pytest.mark.parametrize("tones", [1, 29])
+    def test_matches_sine_loop_at_a_long_length(self, grid, tones):
+        """Identity also holds where the block product's coarse phase grows
+        16 times larger than at the default length."""
+        picked = np.random.default_rng(tones).choice(np.asarray(grid.candidates), size=tones, replace=False)
+        self.assert_matches_loop(SignalSpec(frequencies=tuple(float(f) for f in picked), grid=grid, length=65_536))
+
+    def test_phase_family_stream_unchanged(self, grid):
+        """The lazy family draws the same stream as building all 16 at once."""
+        spec = sample_spec(np.random.default_rng(5), grid)
+        index, _ = spectrum.in_set_mask(spec.frequencies, grid)
+        rng = np.random.default_rng(np.random.SeedSequence(index.tolist() + [grid.bin_count, spec.length]))
+        eager = [np.zeros(spec.tone_count)] + [rng.uniform(0.0, 2.0 * np.pi, spec.tone_count) for _ in range(15)]
+        assert all(np.array_equal(a, b) for a, b in zip(family(spec), eager, strict=True))
 
 
 class TestSerialization:
@@ -196,6 +273,23 @@ class TestSerialization:
         sig = synthesize(sample_spec(np.random.default_rng(2), grid))
         powers = [bad] + [sig.nominal_power[f] for f in sig.frequencies][1:]
         with pytest.raises(ValueError, match="must be finite and positive"):
+            ReferenceSignal.from_bytes(self._payload(sig, nominal_power=powers), grid)
+
+    @pytest.mark.parametrize("field", ["freqs_hz", "nominal_power", "length", "sample_rate", "amplitude_budget"])
+    def test_missing_header_field_rejected(self, grid, field):
+        sig = synthesize(sample_spec(np.random.default_rng(2), grid))
+        blob = self._payload(sig)
+        hlen = int.from_bytes(blob[:4], "big")
+        meta = json.loads(blob[4 : 4 + hlen])
+        del meta[field]
+        encoded = json.dumps(meta).encode()
+        with pytest.raises(ValueError, match=f"header lacks the '{field}' field"):
+            ReferenceSignal.from_bytes(len(encoded).to_bytes(4, "big") + encoded + blob[4 + hlen :], grid)
+
+    def test_string_power_rejected(self, grid):
+        sig = synthesize(sample_spec(np.random.default_rng(2), grid))
+        powers = ["1e9"] + [sig.nominal_power[f] for f in sig.frequencies][1:]
+        with pytest.raises(ValueError, match="field 'nominal_power' must be a list of numbers"):
             ReferenceSignal.from_bytes(self._payload(sig, nominal_power=powers), grid)
 
     def test_wav_json_round_trip(self, grid, tmp_path):
