@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
-import scipy.signal
 
 from . import pcm
 from .signal import DEFAULT_GRID, FrequencyGrid, sample_spec, synthesize
@@ -274,6 +273,8 @@ def render_mix(scene: AcousticScene, device_id: str, cfg: ChannelConfig) -> np.n
     mix += _shaped_noise(cfg.noise, scene.duration, _noise_rng(scene, cfg, idx))
 
     if rec.sample_rate != BASE_SAMPLE_RATE:
+        import scipy.signal  # loaded on first use: only a skewed device clock resamples
+
         ratio = Fraction(rec.sample_rate / BASE_SAMPLE_RATE).limit_denominator(10_000)
         mix = scipy.signal.resample_poly(mix, ratio.numerator, ratio.denominator)
     return mix

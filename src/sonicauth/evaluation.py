@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from . import adversary as adv
 from . import channel as ch
@@ -72,10 +72,10 @@ def frr_far_model(tau_m: float, model: ErrorModel) -> tuple[float, float]:
     if not 0 < tau_m < model.detect_range_m:
         raise ValueError("threshold must lie in (0, detect_range)")
     sigma = model.sigma_m
-    frr_integral, _ = quad(lambda d: norm.sf(tau_m, loc=d, scale=sigma), 0.0, tau_m, epsabs=1e-10)
+    frr_integral, _ = quad(lambda d: ndtr(-((tau_m - d) / sigma)), 0.0, tau_m, epsabs=1e-10)
     frr = frr_integral / tau_m
     upper = min(model.detect_range_m, model.pairing_range_m)
-    far_integral, _ = quad(lambda d: norm.cdf(tau_m, loc=d, scale=sigma), tau_m, upper, epsabs=1e-10)
+    far_integral, _ = quad(lambda d: ndtr((tau_m - d) / sigma), tau_m, upper, epsabs=1e-10)
     far = far_integral / (model.pairing_range_m - tau_m)
     return frr, far
 

@@ -112,7 +112,8 @@ def _is_number_list(value) -> bool:
     return isinstance(value, list) and all(_is_number(v) for v in value)
 
 
-# Link-header fields: the check each value must pass and what it must be.
+# Fields of a link header or signal JSON: the check each value must pass and
+# what it must be. A signal JSON carries only the first two.
 _HEADER_FIELDS = {
     "freqs_hz": (_is_number_list, "a list of numbers"),
     "nominal_power": (_is_number_list, "a list of numbers"),
@@ -120,18 +121,31 @@ _HEADER_FIELDS = {
     "sample_rate": (_is_number, "a number"),
     "amplitude_budget": (_is_int, "an integer"),
 }
+_TONE_FIELDS = ("freqs_hz", "nominal_power")
 
 
-def _check_header(meta) -> None:
-    """Raise ``ValueError`` naming the first link-header field that is
-    missing or of the wrong type."""
+def _check_header(meta, source: str, fields=tuple(_HEADER_FIELDS)) -> None:
+    """Raise ``ValueError`` naming the first of ``fields`` that the decoded
+    JSON ``meta`` lacks or gives the wrong type; ``source`` names the input."""
     if not isinstance(meta, dict):
-        raise ValueError(f"link payload header must be a JSON object, got {type(meta).__name__}")
-    for key, (valid, kind) in _HEADER_FIELDS.items():
+        raise ValueError(f"{source} must be a JSON object, got {type(meta).__name__}")
+    for key in fields:
+        valid, kind = _HEADER_FIELDS[key]
         if key not in meta:
-            raise ValueError(f"link payload header lacks the {key!r} field")
+            raise ValueError(f"{source} lacks the {key!r} field")
         if not valid(meta[key]):
-            raise ValueError(f"link payload field {key!r} must be {kind}, got {meta[key]!r}")
+            raise ValueError(f"{source} field {key!r} must be {kind}, got {meta[key]!r}")
+
+
+def _tone_powers(meta, source: str) -> dict[float, float]:
+    """Each listed tone's nominal power, keyed by the tone it is listed with;
+    ``ValueError`` unless every tone has one finite, positive power."""
+    freqs, powers = meta["freqs_hz"], meta["nominal_power"]
+    if len(powers) != len(freqs):
+        raise ValueError(f"{source} has {len(powers)} nominal powers for {len(freqs)} tones")
+    if not all(math.isfinite(p) and p > 0 for p in powers):
+        raise ValueError(f"{source} nominal powers must be finite and positive, got {powers}")
+    return dict(zip(freqs, powers))
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,15 +185,11 @@ class ReferenceSignal:
         if 4 + hlen > len(blob):
             raise ValueError(f"link payload header of {hlen} bytes runs past the {len(blob)}-byte blob")
         meta = json.loads(blob[4 : 4 + hlen].decode())
-        _check_header(meta)
+        _check_header(meta, "link payload header")
         body, length = len(blob) - 4 - hlen, meta["length"]
         if body != 2 * length:
             raise ValueError(f"link payload body is {body} bytes, expected {2 * length} for {length} samples")
-        powers = meta["nominal_power"]
-        if len(powers) != len(meta["freqs_hz"]):
-            raise ValueError(f"link payload has {len(powers)} nominal powers for {len(meta['freqs_hz'])} tones")
-        if not all(math.isfinite(p) and p > 0 for p in powers):
-            raise ValueError(f"link payload nominal powers must be finite and positive, got {powers}")
+        power = _tone_powers(meta, "link payload")
         samples = np.frombuffer(blob[4 + hlen :], dtype=np.int16).copy()
         spec = SignalSpec(
             frequencies=tuple(meta["freqs_hz"]),
@@ -188,8 +198,7 @@ class ReferenceSignal:
             sample_rate=meta["sample_rate"],
             amplitude_budget=meta["amplitude_budget"],
         )
-        power = dict(zip(meta["freqs_hz"], powers))
-        return cls(spec=spec, samples=samples, nominal_power=power, total_power=sum(powers))
+        return cls(spec=spec, samples=samples, nominal_power=power, total_power=sum(meta["nominal_power"]))
 
 
 def sample_spec(
@@ -382,10 +391,14 @@ def load_signal(
     grid: FrequencyGrid = DEFAULT_GRID,
     amplitude_budget: int = DEFAULT_AMPLITUDE_BUDGET,
 ) -> ReferenceSignal:
-    """Rebuild a reference signal from its WAV samples and JSON tone map."""
+    """Rebuild a reference signal from its WAV samples and JSON tone map;
+    raises ``ValueError`` naming the field when the JSON is malformed."""
     samples, rate = pcm.load_wav(wav_path)
     with open(json_path) as fh:
         meta = json.load(fh)
+    source = f"signal JSON {json_path!r}"
+    _check_header(meta, source, _TONE_FIELDS)
+    power = {f: float(p) for f, p in _tone_powers(meta, source).items()}
     spec = SignalSpec(
         frequencies=tuple(meta["freqs_hz"]),
         grid=grid,
@@ -393,5 +406,4 @@ def load_signal(
         sample_rate=float(rate),
         amplitude_budget=amplitude_budget,
     )
-    power = dict(zip(spec.frequencies, (float(p) for p in meta["nominal_power"])))
     return ReferenceSignal(spec=spec, samples=samples, nominal_power=power, total_power=float(sum(power.values())))

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.signal
 from numpy.lib.stride_tricks import sliding_window_view
 
 if TYPE_CHECKING:
@@ -145,12 +144,24 @@ def measure_candidate_powers(
     return _batch_candidate_powers(w, slice(0, 1), w.shape[-1], table)[0]
 
 
+# Windows per rFFT in a scan: bounds the spectra held at once (a fine scan
+# reads 301 windows) without changing any result.
+_SCAN_BLOCK = 64
+
+
 def _batch_candidate_powers(x: np.ndarray, starts: slice, length: int, table: np.ndarray) -> np.ndarray:
     """Per-candidate powers of the windows ``x[s:s+length]``, ``s`` in ``starts``."""
     if length < 2 or length & (length - 1):
         raise ValueError(f"window length must be a power of two, got {length}")
-    spec = np.fft.rfft(sliding_window_view(x, length)[starts], axis=1)[:, table]
-    return (spec.real**2 + spec.imag**2).sum(axis=2)
+    windows = sliding_window_view(x, length)[starts]
+    out = np.empty((windows.shape[0], table.shape[0]))
+    # Blocks of near-equal size, so a multi-window scan never has a one-window
+    # block: numpy sums a lone window's bins in another order (last bits differ).
+    blocks = -(-windows.shape[0] // _SCAN_BLOCK)
+    for block, rows in zip(np.array_split(windows, blocks), np.array_split(out, blocks)):
+        spec = np.fft.rfft(block, axis=1)[:, table]
+        rows[:] = (spec.real**2 + spec.imag**2).sum(axis=2)
+    return out
 
 
 def in_set_mask(frequencies: tuple[float, ...], grid: "FrequencyGrid") -> tuple[np.ndarray, np.ndarray]:
@@ -310,6 +321,8 @@ def cross_correlate_detect(x: np.ndarray, sig: "ReferenceSignal") -> int:
     """Baseline detector: argmax of the raw cross-correlation of the recording
     with the clean signal. No sanity checks and no absence verdict; ties break
     to the smallest index."""
+    import scipy.signal  # loaded on first use: no session of the frequency detector calls it
+
     xf = np.asarray(x, dtype=np.float64)
     sf = sig.samples.astype(np.float64)
     if xf.shape[0] < sf.shape[0]:

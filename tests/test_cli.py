@@ -1,11 +1,27 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sonicauth
 from sonicauth.cli import main
 from sonicauth.pcm import load_wav
 from sonicauth.signal import load_signal
 from sonicauth.spectrum import detect_pair
+
+
+def test_imports_leave_scipy_signal_and_stats_unloaded():
+    """The package and its command line load neither module: only the xcorr
+    baseline and a skewed device clock need ``scipy.signal``, on first use."""
+    code = (
+        "import sys, sonicauth, sonicauth.evaluation, sonicauth.cli; "
+        "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sonicauth.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_fit_sigma_stdout(capsys):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.stats import norm
 
 from helpers import closed_form_far, closed_form_frr
 from sonicauth import adversary as adv
@@ -9,7 +12,24 @@ from sonicauth.protocol import AuthPolicy, Endpoint, ProtocolConfig, SceneContex
 from sonicauth.spectrum import DetectionParams
 
 
+def norm_frr_far(tau_m, model):
+    """Reference: the model with ``scipy.stats.norm`` integrands."""
+    sigma = model.sigma_m
+    frr = quad(lambda d: norm.sf(tau_m, loc=d, scale=sigma), 0.0, tau_m, epsabs=1e-10)[0] / tau_m
+    upper = min(model.detect_range_m, model.pairing_range_m)
+    far = quad(lambda d: norm.cdf(tau_m, loc=d, scale=sigma), tau_m, upper, epsabs=1e-10)[0]
+    return frr, far / (model.pairing_range_m - tau_m)
+
+
 class TestFrrFarModel:
+    @pytest.mark.parametrize(
+        "tau, sigma",
+        [(0.5, 0.0702), (1.0, 0.0702), (1.5, 0.0702), (2.0, 0.0702), (0.3, 0.02), (1.0, 0.5), (2.4, 0.15), (0.05, 1.0)],
+    )
+    def test_equals_norm_reference_bit_for_bit(self, tau, sigma):
+        model = ev.ErrorModel(sigma_m=sigma)
+        assert ev.frr_far_model(tau, model) == norm_frr_far(tau, model)
+
     def test_matches_closed_form(self):
         model = ev.ErrorModel(sigma_m=0.0702)
         for tau in (0.5, 1.0, 1.5, 2.0):
@@ -45,6 +65,12 @@ class TestFrrFarModel:
 
 
 class TestFitSigma:
+    def test_equals_norm_reference_bit_for_bit(self):
+        def objective(sigma):
+            return norm_frr_far(1.0, ev.ErrorModel(sigma))[0] - 0.028
+
+        assert ev.fit_sigma(0.028, 1.0) == float(brentq(objective, 1e-4, 1.0, xtol=1e-6))
+
     def test_recovers_office_sigma(self):
         sigma = ev.fit_sigma(0.028, 1.0)
         assert sigma == pytest.approx(0.0702, abs=0.0005)

@@ -12,7 +12,10 @@ from sonicauth.signal import (
     ReferenceSignal,
     SignalSpec,
     build_grid,
+    load_signal,
     sample_spec,
+    save_signal_json,
+    save_signal_wav,
     synthesize,
 )
 from sonicauth.spectrum import DetectionParams, norm_power
@@ -293,8 +296,6 @@ class TestSerialization:
             ReferenceSignal.from_bytes(self._payload(sig, nominal_power=powers), grid)
 
     def test_wav_json_round_trip(self, grid, tmp_path):
-        from sonicauth.signal import load_signal, save_signal_json, save_signal_wav
-
         sig = synthesize(sample_spec(np.random.default_rng(4), grid))
         wav = tmp_path / "ref.wav"
         meta = tmp_path / "ref.json"
@@ -303,3 +304,58 @@ class TestSerialization:
         clone = load_signal(str(wav), str(meta), grid)
         assert np.array_equal(clone.samples, sig.samples)
         assert clone.spec.frequencies == sig.spec.frequencies
+
+
+class TestLoadSignal:
+    """``load_signal`` rejects a malformed tone-map JSON with a ``ValueError``
+    naming the field, as ``ReferenceSignal.from_bytes`` does a link header."""
+
+    @pytest.fixture
+    def saved(self, tmp_path, grid):
+        """Seed 4's signal saved as WAV and JSON, and the JSON as saved."""
+        sig = synthesize(sample_spec(np.random.default_rng(4), grid))
+        save_signal_wav(sig, str(tmp_path / "ref.wav"))
+        save_signal_json(sig, str(tmp_path / "ref.json"))
+        return sig, json.loads((tmp_path / "ref.json").read_text())
+
+    @staticmethod
+    def _load(tmp_path, grid, meta):
+        (tmp_path / "ref.json").write_text(json.dumps(meta))
+        return load_signal(str(tmp_path / "ref.wav"), str(tmp_path / "ref.json"), grid)
+
+    @pytest.mark.parametrize("field", ["freqs_hz", "nominal_power"])
+    def test_missing_field_rejected(self, tmp_path, grid, saved, field):
+        _, meta = saved
+        del meta[field]
+        with pytest.raises(ValueError, match=f"lacks the '{field}' field"):
+            self._load(tmp_path, grid, meta)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("freqs_hz", "25166.7"), ("freqs_hz", [None]), ("nominal_power", {"25166.7": 1e9}), ("nominal_power", ["1e9"])],
+    )
+    def test_mistyped_field_rejected(self, tmp_path, grid, saved, field, value):
+        _, meta = saved
+        with pytest.raises(ValueError, match=f"field '{field}' must be a list of numbers"):
+            self._load(tmp_path, grid, {**meta, field: value})
+
+    def test_non_object_rejected(self, tmp_path, grid, saved):
+        with pytest.raises(ValueError, match="must be a JSON object, got list"):
+            self._load(tmp_path, grid, [1.0, 2.0])
+
+    def test_power_count_mismatch_rejected(self, tmp_path, grid, saved):
+        """One power for all tones: ``zip`` used to keep just the first tone."""
+        sig, meta = saved
+        with pytest.raises(ValueError, match=f"has 1 nominal powers for {sig.spec.tone_count} tones"):
+            self._load(tmp_path, grid, {**meta, "nominal_power": meta["nominal_power"][:1]})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_power_rejected(self, tmp_path, grid, saved, bad):
+        _, meta = saved
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            self._load(tmp_path, grid, {**meta, "nominal_power": [bad] + meta["nominal_power"][1:]})
+
+    def test_powers_follow_their_tones_in_any_order(self, tmp_path, grid, saved):
+        sig, meta = saved
+        reordered = {key: list(reversed(meta[key])) for key in ("freqs_hz", "nominal_power")}
+        assert self._load(tmp_path, grid, reordered).nominal_power == sig.nominal_power

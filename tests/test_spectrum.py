@@ -141,6 +141,10 @@ class TestBatchCandidatePowers:
             (4096, slice(0, 1, 1000)),  # recording exactly one signal long: coarse
             (4096, slice(0, 1, 10)),  # and fine
             (4096, slice(0, 1)),  # single window (norm_power, measure_candidate_powers)
+            (4096 + 10, slice(0, 11, 10)),  # 2 windows: the smallest multi-window block
+            (4096 + 630, slice(0, 631, 10)),  # 64 windows: one full block
+            (4096 + 640, slice(0, 641, 10)),  # 65 windows: two blocks, none of one window
+            (4096 + 1280, slice(0, 1281, 10)),  # 129 windows: three blocks, none of one window
         ],
     )
     def test_equals_per_window_loop(self, grid, params, n, starts):
