@@ -1,4 +1,4 @@
-"""Golden digests: seeded sessions and one campaign report, pinned bit for bit.
+"""Golden digests: seeded sessions and campaign reports, pinned bit for bit.
 
 A refactor that is meant to keep behaviour must leave every digest here
 unchanged. A change that alters behaviour on purpose updates the digests and
@@ -100,6 +100,22 @@ GOLDEN = {
 
 CAMPAIGN_CSV_SHA256 = "76cb023b9441c5554493f1609d2a72a9fd1217e32d240848e5f47776b76404cd"
 
+# Campaign reports, one per campaign that runs sessions: each pins the seeding
+# of its trials (cell and trial index) and how it folds their transcripts.
+REPORTS = {
+    "detector_comparison": lambda: ev.detector_comparison((0.5, 1.0), 2, 32).to_json(),
+    "attack_guessing_replay": lambda: ev.attack_campaign(adv.GuessingReplay(), 3, 33).to_json(),
+    "attack_zero_effort_12m": lambda: ev.attack_campaign(adv.ZeroEffort(), 3, 34, separation_m=12.0).to_json(),
+    "multiuser_2_pairs": lambda: ev.multiuser_campaign(2, (0.5, 1.5), 2, 35, min_trials=1).to_csv(),
+}
+
+REPORT_SHA256 = {
+    "detector_comparison": "2e2aacc244a83e28f72453f5cf5320fae2615255e8b81d18d6666d242a5cf43c",
+    "attack_guessing_replay": "6c44b58889c959d767f2e726f1034455ada3a6085bcd89e8b6b3aa99cabda6ec",
+    "attack_zero_effort_12m": "ba5493e490a3fac2b33b9d1a3e10972c9f89f8fabb1d57c174cfeac6bbb30f34",
+    "multiuser_2_pairs": "e4e152cefd0a8ae7ab1ef14679c7351e35167c0a35bd84599255d53a7c6fd565",
+}
+
 
 @pytest.mark.parametrize("name", sorted(SESSIONS))
 def test_session_transcript_digest(name):
@@ -109,3 +125,8 @@ def test_session_transcript_digest(name):
 def test_distance_error_campaign_csv_digest():
     report = ev.distance_error_campaign("office", (0.5, 1.5), 2, 31, min_trials=1)
     assert _sha(report.to_csv()) == CAMPAIGN_CSV_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_campaign_report_digest(name):
+    assert _sha(REPORTS[name]()) == REPORT_SHA256[name]
