@@ -1,7 +1,8 @@
 """Experiment harness: ranging-error campaigns, the analytic FRR/FAR model,
 attack campaigns, detector comparison and multi-user interference runs.
 
-Every campaign derives one random stream per trial from
+Every campaign that runs sessions runs them through ``_sessions``, the one
+place trials are seeded and run. It derives one random stream per trial from
 ``SeedSequence([campaign_seed, cell_index, trial_index])`` so trials are
 independent, reproducible, and order-insensitive (parallel execution would
 produce the identical report).
@@ -12,7 +13,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.integrate import quad
@@ -22,10 +25,9 @@ from scipy.special import ndtr
 from . import adversary as adv
 from . import channel as ch
 from .protocol import (
+    AuthDecision,
     AuthPolicy,
     Endpoint,
-    ProtocolConfig,
-    RejectReason,
     SessionTranscript,
     one_way_ranging,
     run_authentication,
@@ -139,6 +141,42 @@ def _trial_rng(seed: int, cell: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, cell, trial]))
 
 
+def _sessions(
+    separations: tuple[float, ...],
+    trials: int,
+    seed: int,
+    cfg: ch.ChannelConfig,
+    policy: AuthPolicy,
+    **session,
+) -> Iterator[tuple[int, AuthDecision, SessionTranscript]]:
+    """Run ``trials`` seeded sessions per cell, cell by cell, with the devices
+    at (0, 0) and (``separations[cell]``, 0); yield (cell, decision,
+    transcript). ``session`` holds the keyword options of
+    ``run_authentication``, which is looked up here at call time."""
+    for cell, d in enumerate(separations):
+        for trial in range(trials):
+            auth = Endpoint("auth", (0.0, 0.0))
+            vouch = Endpoint("vouch", (d, 0.0))
+            rng = _trial_rng(seed, cell, trial)
+            yield (cell, *run_authentication(auth, vouch, policy, rng, cfg, **session))
+
+
+def _signed_errors(
+    results: Iterable[tuple[int, AuthDecision, SessionTranscript]], separations: tuple[float, ...]
+) -> list[list[float]]:
+    """Per cell, the estimated minus the true distance of every session that
+    produced an estimate."""
+    per_cell: list[list[float]] = [[] for _ in separations]
+    for cell, _, t in results:
+        if t.raw_distance_m is not None:
+            per_cell[cell].append(t.raw_distance_m - separations[cell])
+    return per_cell
+
+
+def _nan_if_empty(stat, values: list[float]) -> float:
+    return float(stat(values)) if values else float("nan")
+
+
 def _cfg_for(environment: str, channel_cfg: ch.ChannelConfig | None) -> ch.ChannelConfig:
     cfg = channel_cfg if channel_cfg is not None else ch.ChannelConfig()
     return replace(cfg, noise=ch.environment(environment))
@@ -181,66 +219,6 @@ def _interferer_emissions(
     return emissions
 
 
-def _ranging_trials(
-    environment: str,
-    distances: tuple[float, ...],
-    trials: int,
-    seed: int,
-    *,
-    channel_cfg: ch.ChannelConfig | None,
-    interferer_pairs: int,
-    min_trials: int,
-) -> ExperimentReport:
-    if trials < min_trials:
-        raise ValueError(f"need at least {min_trials} trials per distance (got {trials})")
-    cfg = _cfg_for(environment, channel_cfg)
-    policy = AuthPolicy(threshold_m=1.0)
-    grid = DEFAULT_GRID
-    rows = []
-    transcripts: list[SessionTranscript] = []
-    not_present_total = 0
-    for cell, d in enumerate(distances):
-        errors = []
-        signed = []
-        not_present = 0
-        for trial in range(trials):
-            rng = _trial_rng(seed, cell, trial)
-            auth = Endpoint("auth", (0.0, 0.0))
-            vouch = Endpoint("vouch", (d, 0.0))
-            intruder = None
-            if interferer_pairs:
-                intruder = lambda ctx, r: _interferer_emissions(ctx, r, interferer_pairs, grid)
-            decision, transcript = run_authentication(
-                auth, vouch, policy, rng, cfg, intruder=intruder
-            )
-            transcripts.append(transcript)
-            if transcript.raw_distance_m is None:
-                not_present += 1
-                continue
-            errors.append(abs(transcript.raw_distance_m - d))
-            signed.append(transcript.raw_distance_m - d)
-        not_present_total += not_present
-        rows.append(
-            {
-                "environment": environment,
-                "distance_m": d,
-                "trials": trials,
-                "measured": len(errors),
-                "not_present": not_present,
-                "mean_abs_error_m": float(np.mean(errors)) if errors else float("nan"),
-                "std_abs_error_m": float(np.std(errors)) if errors else float("nan"),
-                "mean_signed_error_m": float(np.mean(signed)) if signed else float("nan"),
-            }
-        )
-    meta = {
-        "environment": environment,
-        "seed": seed,
-        "interferer_pairs": interferer_pairs,
-        "not_present_total": not_present_total,
-    }
-    return ExperimentReport(rows=rows, meta=meta, transcripts=transcripts)
-
-
 def distance_error_campaign(
     environment: str,
     distances: tuple[float, ...],
@@ -252,14 +230,8 @@ def distance_error_campaign(
 ) -> ExperimentReport:
     """Absolute ranging error statistics per distance; the decision threshold
     plays no role (estimates are logged regardless of the verdict)."""
-    return _ranging_trials(
-        environment,
-        tuple(distances),
-        trials,
-        seed,
-        channel_cfg=channel_cfg,
-        interferer_pairs=0,
-        min_trials=min_trials,
+    return multiuser_campaign(
+        1, distances, trials, seed, channel_cfg=channel_cfg, environment=environment, min_trials=min_trials
     )
 
 
@@ -277,15 +249,36 @@ def multiuser_campaign(
     interference, identical to ``distance_error_campaign``)."""
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
-    return _ranging_trials(
-        environment,
-        tuple(distances),
-        trials,
-        seed,
-        channel_cfg=channel_cfg,
-        interferer_pairs=pairs - 1,
-        min_trials=min_trials,
-    )
+    if trials < min_trials:
+        raise ValueError(f"need at least {min_trials} trials per distance (got {trials})")
+    distances = tuple(distances)
+    cfg = _cfg_for(environment, channel_cfg)
+    intruder = None
+    if pairs > 1:
+        intruder = lambda ctx, r: _interferer_emissions(ctx, r, pairs - 1, DEFAULT_GRID)
+    results = list(_sessions(distances, trials, seed, cfg, AuthPolicy(threshold_m=1.0), intruder=intruder))
+    rows = []
+    for d, signed in zip(distances, _signed_errors(results, distances)):
+        errors = [abs(e) for e in signed]
+        rows.append(
+            {
+                "environment": environment,
+                "distance_m": d,
+                "trials": trials,
+                "measured": len(errors),
+                "not_present": trials - len(errors),
+                "mean_abs_error_m": _nan_if_empty(np.mean, errors),
+                "std_abs_error_m": _nan_if_empty(np.std, errors),
+                "mean_signed_error_m": _nan_if_empty(np.mean, signed),
+            }
+        )
+    meta = {
+        "environment": environment,
+        "seed": seed,
+        "interferer_pairs": pairs - 1,
+        "not_present_total": sum(row["not_present"] for row in rows),
+    }
+    return ExperimentReport(rows=rows, meta=meta, transcripts=[t for _, _, t in results])
 
 
 # ---------------------------------------------------------------------------
@@ -327,33 +320,15 @@ def attack_campaign(
     The legitimate devices sit ``separation_m`` apart (default beyond the
     detect range: the attacker tries while the user is away)."""
     cfg = _cfg_for(environment, channel_cfg)
-    policy = AuthPolicy(threshold_m=tau_m)
-    accepts = 0
-    reasons: dict[str, int] = {}
-    transcripts = []
-    for trial in range(trials):
-        rng = _trial_rng(seed, 0, trial)
-        auth = Endpoint("auth", (0.0, 0.0))
-        vouch = Endpoint("vouch", (separation_m, 0.0))
-        decision, transcript = run_authentication(
-            auth,
-            vouch,
-            policy,
-            rng,
-            cfg,
-            intruder=lambda ctx, r: adv.build_emissions(scenario, ctx, r),
-        )
-        transcripts.append(transcript)
-        if decision.accepted:
-            accepts += 1
-        else:
-            reasons[decision.reason.value] = reasons.get(decision.reason.value, 0) + 1
+    intruder = lambda ctx, r: adv.build_emissions(scenario, ctx, r)
+    results = list(_sessions((separation_m,), trials, seed, cfg, AuthPolicy(threshold_m=tau_m), intruder=intruder))
+    decisions = [decision for _, decision, _ in results]
     return AttackReport(
         scenario=type(scenario).__name__,
         trials=trials,
-        accepts=accepts,
-        reject_reasons=reasons,
-        transcripts=transcripts,
+        accepts=sum(decision.accepted for decision in decisions),
+        reject_reasons=dict(Counter(d.reason.value for d in decisions if not d.accepted)),
+        transcripts=[transcript for _, _, transcript in results],
     )
 
 
@@ -406,48 +381,37 @@ def detector_comparison(
       delay whose per-trial jitter is Normal(mu_proc, sigma_proc).
     """
     cfg = _cfg_for(environment, channel_cfg)
-    policy = AuthPolicy(threshold_m=1.0)
-    rows = []
+    distances = tuple(distances)
+    auth = Endpoint("auth", (0.0, 0.0))
+
+    def echo(vouch: Endpoint, rng: np.random.Generator) -> float | None:
+        delay = max(mu_proc_s + sigma_proc_s * rng.standard_normal(), 0.0)
+        return one_way_ranging(auth, vouch, rng, cfg, processing_delay_s=delay)
 
     # Calibrate the echo baseline's processing delay at near-zero distance.
     cal_rng = _trial_rng(seed, 99, 0)
-    elapsed_cal = []
-    for _ in range(calibration_trials):
-        delay = max(mu_proc_s + sigma_proc_s * cal_rng.standard_normal(), 0.0)
-        auth = Endpoint("auth", (0.0, 0.0))
-        vouch = Endpoint("vouch", (0.05, 0.0))
-        elapsed, _ = one_way_ranging(auth, vouch, cal_rng, cfg, processing_delay_s=delay)
-        if elapsed is not None:
-            elapsed_cal.append(elapsed)
+    elapsed_cal = [echo(Endpoint("vouch", (0.05, 0.0)), cal_rng) for _ in range(calibration_trials)]
+    elapsed_cal = [elapsed for elapsed in elapsed_cal if elapsed is not None]
     mu_hat = float(np.mean(elapsed_cal)) if elapsed_cal else mu_proc_s
 
+    errors: dict[str, list[list[float]]] = {}
+    for method, detector in (("two_way_freq", "freq"), ("two_way_xcorr", "xcorr")):
+        results = _sessions(distances, trials, seed, cfg, AuthPolicy(threshold_m=1.0), detector=detector)
+        errors[method] = [[abs(e) for e in signed] for signed in _signed_errors(results, distances)]
+    errors["one_way_echo"] = []
     for cell, d in enumerate(distances):
-        errs: dict[str, list[float]] = {"two_way_freq": [], "two_way_xcorr": [], "one_way_echo": []}
-        for trial in range(trials):
-            auth = Endpoint("auth", (0.0, 0.0))
-            vouch = Endpoint("vouch", (d, 0.0))
-            for method in ("two_way_freq", "two_way_xcorr"):
-                rng = _trial_rng(seed, cell, trial)
-                detector = "freq" if method == "two_way_freq" else "xcorr"
-                _, transcript = run_authentication(
-                    auth, vouch, policy, rng, cfg, detector=detector
-                )
-                if transcript.raw_distance_m is not None:
-                    errs[method].append(abs(transcript.raw_distance_m - d))
-            rng = _trial_rng(seed, cell + 1000, trial)
-            delay = max(mu_proc_s + sigma_proc_s * rng.standard_normal(), 0.0)
-            elapsed, _ = one_way_ranging(auth, vouch, rng, cfg, processing_delay_s=delay)
-            if elapsed is not None:
-                estimate = cfg.speed_of_sound * (elapsed - mu_hat)
-                errs["one_way_echo"].append(abs(estimate - d))
-        for method, values in errs.items():
-            rows.append(
-                {
-                    "method": method,
-                    "distance_m": d,
-                    "trials": trials,
-                    "measured": len(values),
-                    "mean_abs_error_m": float(np.mean(values)) if values else float("nan"),
-                }
-            )
+        vouch = Endpoint("vouch", (d, 0.0))
+        elapsed = (echo(vouch, _trial_rng(seed, cell + 1000, trial)) for trial in range(trials))
+        errors["one_way_echo"].append([abs(cfg.speed_of_sound * (e - mu_hat) - d) for e in elapsed if e is not None])
+    rows = [
+        {
+            "method": method,
+            "distance_m": d,
+            "trials": trials,
+            "measured": len(per_cell[cell]),
+            "mean_abs_error_m": _nan_if_empty(np.mean, per_cell[cell]),
+        }
+        for cell, d in enumerate(distances)
+        for method, per_cell in errors.items()
+    ]
     return ExperimentReport(rows=rows, meta={"seed": seed, "sigma_proc_s": sigma_proc_s, "mu_proc_hat_s": mu_hat})

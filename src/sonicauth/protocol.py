@@ -24,7 +24,7 @@ import numpy as np
 
 from . import channel as ch
 from . import spectrum
-from .signal import DEFAULT_GRID, FrequencyGrid, ReferenceSignal, SignalSpec, sample_spec, synthesize
+from .signal import DEFAULT_GRID, ReferenceSignal, SignalSpec, sample_spec, synthesize
 
 
 @dataclass(frozen=True)
@@ -128,14 +128,13 @@ class SecureLink:
     """Stand-in for the paired short-range channel: reliable ordered byte
     pipe with a pairing flag and a hard range gate. Not cryptographic."""
 
-    def __init__(self, paired: bool, max_range_m: float, drop: bool = False) -> None:
+    def __init__(self, paired: bool, max_range_m: float) -> None:
         self.paired = paired
         self.max_range_m = max_range_m
-        self.drop = drop
         self.log: list[dict] = []
 
     def usable(self, distance_m: float) -> bool:
-        return self.paired and not self.drop and distance_m <= self.max_range_m
+        return self.paired and distance_m <= self.max_range_m
 
     def send(self, sender: str, kind: str, payload: bytes, distance_m: float) -> bytes:
         if not self.usable(distance_m):
@@ -206,20 +205,20 @@ def _to_samples(seconds: float) -> int:
 
 
 def _draw(
-    rng: np.random.Generator, grid: FrequencyGrid, params: spectrum.DetectionParams, exclude: frozenset = frozenset()
+    rng: np.random.Generator, params: spectrum.DetectionParams, exclude: frozenset = frozenset()
 ) -> ReferenceSignal:
     """Step I: draw a tone set and synthesize its reference signal."""
-    return synthesize(sample_spec(rng, grid, exclude=exclude), params=params)
+    return synthesize(sample_spec(rng, DEFAULT_GRID, exclude=exclude), params=params)
 
 
 def _transfer(
-    link: SecureLink, sender: str, sig_a: ReferenceSignal, sig_v: ReferenceSignal, grid: FrequencyGrid, d_m: float
+    link: SecureLink, sender: str, sig_a: ReferenceSignal, sig_v: ReferenceSignal, d_m: float
 ) -> tuple[ReferenceSignal, ReferenceSignal]:
     """Step II: byte-faithful transfer of both signals over the paired link;
     returns the receiving device's copies."""
     blob = link.send(sender, "reference_signals", sig_a.to_bytes() + sig_v.to_bytes(), d_m)
     split = 4 + int.from_bytes(blob[:4], "big") + sig_a.samples.nbytes
-    return ReferenceSignal.from_bytes(blob[:split], grid), ReferenceSignal.from_bytes(blob[split:], grid)
+    return ReferenceSignal.from_bytes(blob[:split]), ReferenceSignal.from_bytes(blob[split:])
 
 
 def _record(
@@ -266,11 +265,11 @@ def _record(
 
 def _locate(
     samples: np.ndarray, sig_a: ReferenceSignal, sig_v: ReferenceSignal, sample_rate: float,
-    params: spectrum.DetectionParams, grid: FrequencyGrid, detector: str,
+    params: spectrum.DetectionParams, detector: str,
 ) -> tuple[spectrum.DetectionOutcome, spectrum.DetectionOutcome]:
     """Step IV on one device: locate both signals in its own recording."""
     if detector == "freq":
-        return spectrum.detect_pair(samples, sig_a, sig_v, params, grid=grid, sample_rate=sample_rate)
+        return spectrum.detect_pair(samples, sig_a, sig_v, params, grid=DEFAULT_GRID, sample_rate=sample_rate)
     if detector == "xcorr":
         locations = (spectrum.cross_correlate_detect(samples, sig) for sig in (sig_a, sig_v))
         return tuple(spectrum.DetectionOutcome(location, None) for location in locations)
@@ -305,11 +304,8 @@ def run_authentication(
     *,
     protocol_cfg: ProtocolConfig = ProtocolConfig(),
     params: spectrum.DetectionParams = spectrum.DetectionParams(),
-    grid: FrequencyGrid = DEFAULT_GRID,
     paired: bool = True,
-    link_drop: bool = False,
     intruder: IntruderFactory | None = None,
-    extra_emissions: Sequence[ch.Emission] = (),
     detector: str = "freq",
 ) -> tuple[AuthDecision, SessionTranscript]:
     """Run one authentication session end to end on the simulated channel.
@@ -320,7 +316,7 @@ def run_authentication(
     """
     cfg = channel_cfg if channel_cfg is not None else ch.ChannelConfig()
     d_true = float(np.linalg.norm(np.asarray(auth.position) - np.asarray(vouch.position)))
-    link = SecureLink(paired=paired, max_range_m=policy.pairing_range_m, drop=link_drop)
+    link = SecureLink(paired=paired, max_range_m=policy.pairing_range_m)
     t = SessionTranscript(
         auth_id=auth.device_id,
         vouch_id=vouch.device_id,
@@ -335,13 +331,13 @@ def run_authentication(
     if not t.paired_link_ok:
         return _conclude(t, link, policy, cfg.speed_of_sound), t
 
-    sig_a = _draw(rng, grid, params)
+    sig_a = _draw(rng, params)
     exclude = frozenset(sig_a.frequencies) if protocol_cfg.disjoint_frequency_sets else frozenset()
-    sig_v = _draw(rng, grid, params, exclude)
+    sig_v = _draw(rng, params, exclude)
     t.freqs_a = sig_a.frequencies
     t.freqs_v = sig_v.frequencies
 
-    vouch_sig_a, vouch_sig_v = _transfer(link, auth.device_id, sig_a, sig_v, grid, d_true)
+    vouch_sig_a, vouch_sig_v = _transfer(link, auth.device_id, sig_a, sig_v, d_true)
 
     # The draw order (start jitter, scene seed, then the intruder) is part of
     # what a session seed reproduces.
@@ -349,16 +345,16 @@ def run_authentication(
     t.playback_start = _to_samples(protocol_cfg.playback_start_s) + int(rng.integers(-jitter, jitter + 1))
     t.playback_gap = _to_samples(protocol_cfg.playback_gap_s)
     t.session_seed = int(rng.integers(0, 2**31 - 1))
-    emissions = list(extra_emissions)
+    emissions = ()
     if intruder is not None:
         duration = _to_samples(protocol_cfg.record_duration_s)
         ctx = SceneContext(auth.position, vouch.position, duration, ch.BASE_SAMPLE_RATE, t.playback_gap, params)
-        emissions.extend(intruder(ctx, rng))
+        emissions = intruder(ctx, rng)
     rec_a, rec_v = _record(t, sig_a, vouch_sig_v, protocol_cfg, cfg, emissions)
 
     outcomes = (
-        *_locate(rec_a.samples, sig_a, sig_v, auth.sample_rate, params, grid, detector),
-        *_locate(rec_v.samples, vouch_sig_a, vouch_sig_v, vouch.sample_rate, params, grid, detector),
+        *_locate(rec_a.samples, sig_a, sig_v, auth.sample_rate, params, detector),
+        *_locate(rec_v.samples, vouch_sig_a, vouch_sig_v, vouch.sample_rate, params, detector),
     )
     for key, out in zip(("l_aa", "l_av", "l_va", "l_vv"), outcomes):
         t.locations[key] = out.location
@@ -377,8 +373,7 @@ def replay_session(
     transcript (synthesis is deterministic per tone set). Pass the channel and
     protocol settings the session ran with; the signals are synthesized with
     the default detection parameters and frequency grid. Emissions from
-    intruders or extra emitters are not part of the transcript and are left
-    out."""
+    intruders are not part of the transcript and are left out."""
     if t.playback_start is None:
         raise ValueError("the session ended before playback; there is nothing to replay")
     sig_a, sig_v = (synthesize(SignalSpec(frequencies=freqs)) for freqs in (t.freqs_a, t.freqs_v))
@@ -404,31 +399,28 @@ def one_way_ranging(
     channel_cfg: ch.ChannelConfig | None = None,
     *,
     processing_delay_s: float,
-    params: spectrum.DetectionParams = spectrum.DetectionParams(),
-    grid: FrequencyGrid = DEFAULT_GRID,
-    record_duration_s: float = 1.2,
-) -> tuple[float | None, float]:
+) -> float | None:
     """One round of the one-way echo baseline.
 
     The authenticating device hands a fresh reference signal to the vouching
     device (instantaneous over the paired link) and starts its clock; the
     vouching device plays it after ``processing_delay_s``; the authenticating
-    device locates the arrival. Returns (elapsed seconds or None when not
-    detected, the processing delay actually used).
+    device locates the arrival in a 1.2 s recording. Returns the elapsed
+    seconds, or None when the signal is not detected.
     """
     cfg = channel_cfg if channel_cfg is not None else ch.ChannelConfig()
-    sig = _draw(rng, grid, params)
+    params = spectrum.DetectionParams()
+    sig = _draw(rng, params)
     t_send = _to_samples(0.15)
     play_at = t_send + _to_samples(processing_delay_s)
-    duration = _to_samples(record_duration_s)
     scene = ch.AcousticScene(
         emissions=(ch.Emission(vouch.device_id, sig.samples, play_at, vouch.position),),
         recorders=(ch.Recorder(auth.device_id, auth.position, auth.sample_rate),),
-        duration=duration,
+        duration=_to_samples(1.2),
         seed=int(rng.integers(0, 2**31 - 1)),
     )
     rec = ch.record(scene, auth.device_id, cfg)
-    out = spectrum.detect(rec.samples, sig, params, grid=grid, sample_rate=auth.sample_rate)
+    out = spectrum.detect(rec.samples, sig, params, grid=DEFAULT_GRID, sample_rate=auth.sample_rate)
     if out.location is None:
-        return None, processing_delay_s
-    return (out.location - t_send) / auth.sample_rate, processing_delay_s
+        return None
+    return (out.location - t_send) / auth.sample_rate

@@ -137,13 +137,20 @@ def _check_header(meta, source: str, fields=tuple(_HEADER_FIELDS)) -> None:
             raise ValueError(f"{source} field {key!r} must be {kind}, got {meta[key]!r}")
 
 
+def _finite_positive(value) -> bool:
+    try:
+        return math.isfinite(value) and value > 0
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _tone_powers(meta, source: str) -> dict[float, float]:
     """Each listed tone's nominal power, keyed by the tone it is listed with;
     ``ValueError`` unless every tone has one finite, positive power."""
     freqs, powers = meta["freqs_hz"], meta["nominal_power"]
     if len(powers) != len(freqs):
         raise ValueError(f"{source} has {len(powers)} nominal powers for {len(freqs)} tones")
-    if not all(math.isfinite(p) and p > 0 for p in powers):
+    if not all(_finite_positive(p) for p in powers):
         raise ValueError(f"{source} nominal powers must be finite and positive, got {powers}")
     return dict(zip(freqs, powers))
 

@@ -24,7 +24,6 @@ indices are folded onto the one-sided spectrum rather than clamped.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -247,9 +246,7 @@ class _Scanner:
         self.coarse = slice(0, self.max_start + 1, params.coarse_step)
         self.coarse_powers = _batch_candidate_powers(self.x, self.coarse, length, self.table)
 
-    def run(
-        self, sig: "ReferenceSignal", grid: "FrequencyGrid", dump_csv: str | None = None
-    ) -> DetectionOutcome:
+    def run(self, sig: "ReferenceSignal", grid: "FrequencyGrid") -> DetectionOutcome:
         mask, r_vec, beta, total_r = _gate_arrays(sig.frequencies, sig.nominal_power, grid, self.params)
         coarse_scores = _gated_scores(self.coarse_powers, mask, r_vec, beta, self.params.alpha)
         anchor = int(np.argmax(coarse_scores)) * self.params.coarse_step
@@ -261,13 +258,6 @@ class _Scanner:
         fine_scores = _gated_scores(fine_powers, mask, r_vec, beta, self.params.alpha)
         best = int(np.argmax(fine_scores))
         peak = float(fine_scores[best])
-
-        if dump_csv is not None:
-            with open(dump_csv, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["index", "norm_power"])
-                for scan, scores in ((self.coarse, coarse_scores), (fine, fine_scores)):
-                    writer.writerows(zip(range(scan.start, scan.stop, scan.step), scores))
 
         if peak == -np.inf:
             return DetectionOutcome(location=None, peak_norm_power=None)
@@ -283,7 +273,6 @@ def detect(
     *,
     grid: "FrequencyGrid" | None = None,
     sample_rate: float | None = None,
-    dump_csv: str | None = None,
 ) -> DetectionOutcome:
     """Locate one reference signal in a recording (coarse scan, then a fine
     scan of ``fine_radius`` samples around the coarse argmax). Ties break to
@@ -292,7 +281,7 @@ def detect(
     grid = grid if grid is not None else sig.spec.grid
     fs = sample_rate if sample_rate is not None else sig.spec.sample_rate
     scanner = _Scanner(x, sig.spec.length, grid, params, fs)
-    return scanner.run(sig, grid, dump_csv)
+    return scanner.run(sig, grid)
 
 
 def detect_pair(

@@ -92,3 +92,19 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
 
 def test_bad_distance_list_exits_2(capsys):
     assert main(["range", "--distances", "abc", "--trials", "10"]) == 2
+
+
+def test_compare_csv(capsys):
+    assert main(["compare", "--distances", "0.5", "--trials", "2"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "method,distance_m,trials,measured,mean_abs_error_m"
+    assert [line.split(",")[0] for line in lines[1:]] == ["two_way_freq", "two_way_xcorr", "one_way_echo"]
+
+
+def test_multiuser_csv(capsys):
+    assert main(["multiuser", "--pairs", "2", "--distances", "0.5", "--trials", "2"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == (
+        "environment,distance_m,trials,measured,not_present,mean_abs_error_m,std_abs_error_m,mean_signed_error_m"
+    )
+    assert len(lines) == 2

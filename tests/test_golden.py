@@ -62,7 +62,6 @@ SESSIONS = {
     ),
     "not_paired_range": lambda: _session(12.0, 9),
     "not_paired_flag": lambda: _session(0.5, 10, paired=False),
-    "not_paired_drop": lambda: _session(0.5, 11, link_drop=True),
     "xcorr_0.5m": lambda: _session(0.5, 12, detector="xcorr"),
     "xcorr_1.5m": lambda: _session(1.5, 13, detector="xcorr"),
     "skewed_vouch_clock": lambda: _session(0.8, 14, tau=1.5, vouch_rate=44_100.0 * 1.001),
@@ -87,7 +86,6 @@ GOLDEN = {
     "signal_not_present_wall": "2810e2b9b5891138aea064274a5998e8fc083f93432019da428d1e4d275aeda5",
     "not_paired_range": "d5c573cb8b0a85c6e02c3523675d89c5fdbf8121139440ce4ba76363486c7030",
     "not_paired_flag": "51456c1ff5ac5602dcfae26d2de26278b61470ce55e8040e252b46a9189fd8fa",
-    "not_paired_drop": "51456c1ff5ac5602dcfae26d2de26278b61470ce55e8040e252b46a9189fd8fa",
     "xcorr_0.5m": "95c8b40d5a792b7b92e4a33b14df1e74c71ed84584ef367adf57b2e20bca68ef",
     "xcorr_1.5m": "9c573921c639108590b70794f02299c0b079783bf03e638bdef4b324adf69ee4",
     "skewed_vouch_clock": "0c9c1284e03eebc6a3c6a8a5930d88e100cfec2fd612c16ffcac612b47b2c32e",

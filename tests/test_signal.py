@@ -271,7 +271,7 @@ class TestSerialization:
         with pytest.raises(ValueError, match="nominal powers for"):
             ReferenceSignal.from_bytes(self._payload(sig, nominal_power=short), grid)
 
-    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, pytest.param(10**400, id="int_beyond_float")])
     def test_bad_power_rejected(self, grid, bad):
         sig = synthesize(sample_spec(np.random.default_rng(2), grid))
         powers = [bad] + [sig.nominal_power[f] for f in sig.frequencies][1:]
@@ -349,7 +349,9 @@ class TestLoadSignal:
         with pytest.raises(ValueError, match=f"has 1 nominal powers for {sig.spec.tone_count} tones"):
             self._load(tmp_path, grid, {**meta, "nominal_power": meta["nominal_power"][:1]})
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), 0.0, -1.0, pytest.param(10**400, id="int_beyond_float")]
+    )
     def test_bad_power_rejected(self, tmp_path, grid, saved, bad):
         _, meta = saved
         with pytest.raises(ValueError, match="must be finite and positive"):

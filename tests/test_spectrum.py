@@ -270,15 +270,6 @@ class TestDetect:
             assert got.location is not None and want_loc is not None
             assert abs(got.location - want_loc) <= params.fine_step
 
-    def test_dump_csv(self, grid, params, tmp_path):
-        sig = synthesize(sample_spec(np.random.default_rng(10), grid))
-        x = _embed(sig, 3_000, 3_000)
-        path = tmp_path / "scores.csv"
-        detect(x, sig, params, dump_csv=str(path))
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "index,norm_power"
-        assert len(rows) > 10
-
 
 class TestDetectPair:
     def test_two_signals_located(self, grid, params):
