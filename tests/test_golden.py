@@ -6,7 +6,9 @@ says why.
 """
 
 import hashlib
+import json
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -96,6 +98,30 @@ GOLDEN = {
     "crowded_3_pairs_1.5m": "8165ab67ab2896589691c4e72d75f28189d436cfecaefb8c753dd195afd2a008",
 }
 
+# The same transcripts without their ``link_log``: a change that moves only the
+# byte counts of the link payloads leaves these digests as they are.
+GOLDEN_WITHOUT_LINK = {
+    "accept_0.5m_s0": "0a6cde1d08e0b395232490d0bc33b4929b26d0c0267851fccf9ac0c87eb700e1",
+    "accept_0.5m_s1": "d1d63463f027a935b127ae34b11f361fa301c814f831286e1cdcf1e1c51cf236",
+    "accept_1.0m": "01c2f73e885c1a986f7df64b5dd9f3312b0122fdd2f28ce66245bb43fa162458",
+    "accept_silent": "66f207dc9b08612c047c34ba6bbfe119db479b6786f0fb1e5c8993864e43ac31",
+    "accept_street": "a974458ddbffe9c22815788d9afdbf7837779c3326293a45ba18395a5ba50c7c",
+    "distance_exceeded_1.8m": "b4fda4d88d1f52b76bd73ed216b407e28f6aabc1475024ad0202a19668819af2",
+    "distance_exceeded_tau_0.5": "69ba09dfd64b161d94cdd6619020bbfa688cb26a80efc560d71630e7edbab0a1",
+    "signal_not_present_3m": "3c4ab70c620d8f95a7303c9daa8ba883bc32d0a2a432783ad1be28283fc00ca3",
+    "signal_not_present_wall": "1d09af90e1f83b237f8c03a223a1dc7510f85abe1cab8dde154b806031b8f863",
+    "not_paired_range": "3bb9b0482ea8e66347965f12ec23e6c7f379f8b19ada76f5eb22ae8954cfb422",
+    "not_paired_flag": "46ed989ef1174021a0c98f14f366fbb70e901f83ab01d6b30473eee57c841594",
+    "xcorr_0.5m": "3bfb7b8a5b2de4e85b9ee1031f27adca7979e73892942a8c99d9253a28fc8172",
+    "xcorr_1.5m": "ca2a6c65b43ea5b467c8bb83b20e9a51a042740133d5c5a538e96aedcab85e12",
+    "skewed_vouch_clock": "4178027ea2aebbb03e5468d92724d7d977ea45be457ce153883baa2457544f0c",
+    "disjoint_frequency_sets": "070da5dea428b247de71c1606345da4dd693e28ce0db48eb4d06e44f932a8123",
+    "guessing_replay": "3ba69a749bb42c98c216fc407d56b9f52abae67848d7be961b75176638813cf1",
+    "all_frequency": "b5169ab0c326730491d293a8347fe89156b669a7b4d3dbc124384d17fe12c04d",
+    "crowded_3_pairs_0.5m": "343b3756f52911ab2e126080e5bb29d02150c2c3fcfc28a9b1d247ad20a506e9",
+    "crowded_3_pairs_1.5m": "f13b4d76908e96911748f0e8bcb53f751408129c6db7a4077498950300a55ba9",
+}
+
 CAMPAIGN_CSV_SHA256 = "76cb023b9441c5554493f1609d2a72a9fd1217e32d240848e5f47776b76404cd"
 
 # Campaign reports, one per campaign that runs sessions: each pins the seeding
@@ -115,9 +141,27 @@ REPORT_SHA256 = {
 }
 
 
+@cache
+def _transcript(name: str) -> str:
+    return SESSIONS[name]()
+
+
+def _without_link(transcript: str) -> str:
+    """The transcript with its ``link_log`` removed: what the session found,
+    apart from how many bytes the paired link carried."""
+    obj = json.loads(transcript)
+    del obj["link_log"]
+    return json.dumps(obj)
+
+
 @pytest.mark.parametrize("name", sorted(SESSIONS))
 def test_session_transcript_digest(name):
-    assert _sha(SESSIONS[name]()) == GOLDEN[name]
+    assert _sha(_transcript(name)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SESSIONS))
+def test_session_transcript_digest_without_link(name):
+    assert _sha(_without_link(_transcript(name))) == GOLDEN_WITHOUT_LINK[name]
 
 
 def test_distance_error_campaign_csv_digest():
