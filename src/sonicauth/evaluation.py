@@ -343,8 +343,7 @@ def all_frequency_power_sweep(count: int = 6, *, tone_count_reference: int = 15)
     spec = SignalSpec(frequencies=grid.candidates[:tone_count_reference], grid=grid)
     ref = synthesize(spec, params=params)
     r_f = ref.total_power / tone_count_reference
-    beta = params.beta_ratio * r_f
-    lo = beta / 4.0
+    lo = params.beta(ref.total_power, tone_count_reference) / 4.0
     hi = 4.0 * params.alpha * r_f
     # keep the top of the sweep feasible for a 30-tone sum in 16-bit range
     for _ in range(40):

@@ -269,7 +269,7 @@ def _locate(
 ) -> tuple[spectrum.DetectionOutcome, spectrum.DetectionOutcome]:
     """Step IV on one device: locate both signals in its own recording."""
     if detector == "freq":
-        return spectrum.detect_pair(samples, sig_a, sig_v, params, grid=DEFAULT_GRID, sample_rate=sample_rate)
+        return spectrum.detect_pair(samples, sig_a, sig_v, params, sample_rate=sample_rate)
     if detector == "xcorr":
         locations = (spectrum.cross_correlate_detect(samples, sig) for sig in (sig_a, sig_v))
         return tuple(spectrum.DetectionOutcome(location, None) for location in locations)
@@ -420,7 +420,7 @@ def one_way_ranging(
         seed=int(rng.integers(0, 2**31 - 1)),
     )
     rec = ch.record(scene, auth.device_id, cfg)
-    out = spectrum.detect(rec.samples, sig, params, grid=DEFAULT_GRID, sample_rate=auth.sample_rate)
+    out = spectrum.detect(rec.samples, sig, params, sample_rate=auth.sample_rate)
     if out.location is None:
         return None
     return (out.location - t_send) / auth.sample_rate

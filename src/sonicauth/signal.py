@@ -160,17 +160,21 @@ class ReferenceSignal:
     """A synthesized reference signal with its measured per-tone powers.
 
     ``nominal_power[f]`` is the power the detector's own measurement pipeline
-    reports for tone ``f`` on the clean samples; ``total_power`` is their sum.
+    reports for tone ``f`` on the clean samples.
     """
 
     spec: SignalSpec
     samples: np.ndarray
     nominal_power: dict[float, float]
-    total_power: float
 
     @property
     def frequencies(self) -> tuple[float, ...]:
         return self.spec.frequencies
+
+    @property
+    def total_power(self) -> float:
+        """The nominal powers summed in tone order."""
+        return sum(self.nominal_power[f] for f in self.spec.frequencies)
 
     def to_bytes(self) -> bytes:
         """Serialize for transfer over a paired link (samples + tone set)."""
@@ -205,7 +209,7 @@ class ReferenceSignal:
             sample_rate=meta["sample_rate"],
             amplitude_budget=meta["amplitude_budget"],
         )
-        return cls(spec=spec, samples=samples, nominal_power=power, total_power=sum(meta["nominal_power"]))
+        return cls(spec=spec, samples=samples, nominal_power=power)
 
 
 def sample_spec(
@@ -274,8 +278,9 @@ _EDGE_ENERGY_TARGET = 0.5  # of the burst's average energy rate
 
 def _leakage_ratio(measured: np.ndarray, in_set: np.ndarray, spec: SignalSpec, params: DetectionParams) -> float:
     """Worst out-of-set candidate power, from a rendering's measured candidate
-    powers, relative to the absence threshold."""
-    beta = params.beta_ratio * measured[in_set].sum() / spec.tone_count
+    powers, relative to the absence threshold. The in-set powers are summed in
+    tone order, as the signal's ``total_power`` will sum them."""
+    beta = params.beta(sum(measured[in_set].tolist()), spec.tone_count)
     if in_set.all() or beta == 0.0:
         return 0.0
     return float(measured[~in_set].max() / beta)
@@ -370,12 +375,7 @@ def synthesize(spec: SignalSpec, *, params: DetectionParams = DetectionParams())
         )
     # The candidate is integer-valued, so its int16 copy measures the same.
     power = {f: float(p) for f, p in zip(spec.frequencies, measured[index])}
-    return ReferenceSignal(
-        spec=spec,
-        samples=samples.astype(np.int16),
-        nominal_power=power,
-        total_power=float(sum(power.values())),
-    )
+    return ReferenceSignal(spec=spec, samples=samples.astype(np.int16), nominal_power=power)
 
 
 def save_signal_wav(sig: ReferenceSignal, path: str) -> None:
@@ -413,4 +413,4 @@ def load_signal(
         sample_rate=float(rate),
         amplitude_budget=amplitude_budget,
     )
-    return ReferenceSignal(spec=spec, samples=samples, nominal_power=power, total_power=float(sum(power.values())))
+    return ReferenceSignal(spec=spec, samples=samples, nominal_power=power)

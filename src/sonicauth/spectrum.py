@@ -17,6 +17,11 @@ and the detection is declared absent when the best score stays below
 ``epsilon`` times the signal's total nominal power. Each scan reads its evenly
 spaced windows in place from the recording, as a strided view, without copying.
 
+The grid, the tone set, the nominal powers and their total all come from the
+``ReferenceSignal``. Bin powers are added one offset after another and tone
+powers one tone after another, for a single window as for a scan, so
+``norm_power`` on a located window reproduces the scan's peak bit for bit.
+
 Candidate frequencies may lie above half the sample rate; their spectral
 content then appears at the mirrored (aliased) bin of the real FFT, so bin
 indices are folded onto the one-sided spectrum rather than clamped.
@@ -64,6 +69,11 @@ class DetectionParams:
             raise ValueError("need coarse_step >= fine_step >= 1")
         if self.fine_radius < self.coarse_step:
             raise ValueError("fine_radius must cover at least one coarse step")
+
+    def beta(self, total_power: float, tone_count: int) -> float:
+        """Absence threshold of a signal whose ``tone_count`` nominal powers
+        sum to ``total_power``: ``beta_ratio`` times their mean."""
+        return self.beta_ratio * (total_power / tone_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,19 +158,24 @@ def measure_candidate_powers(
 _SCAN_BLOCK = 64
 
 
+def _ordered_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, one row after another. ``ndarray.sum`` picks
+    its order from the memory layout (pairwise for a lone window), so the same
+    window would sum differently alone and in a block."""
+    return np.cumsum(rows, axis=0)[-1]
+
+
 def _batch_candidate_powers(x: np.ndarray, starts: slice, length: int, table: np.ndarray) -> np.ndarray:
     """Per-candidate powers of the windows ``x[s:s+length]``, ``s`` in ``starts``."""
     if length < 2 or length & (length - 1):
         raise ValueError(f"window length must be a power of two, got {length}")
     windows = sliding_window_view(x, length)[starts]
-    out = np.empty((windows.shape[0], table.shape[0]))
-    # Blocks of near-equal size, so a multi-window scan never has a one-window
-    # block: numpy sums a lone window's bins in another order (last bits differ).
-    blocks = -(-windows.shape[0] // _SCAN_BLOCK)
-    for block, rows in zip(np.array_split(windows, blocks), np.array_split(out, blocks)):
-        spec = np.fft.rfft(block, axis=1)[:, table]
-        rows[:] = (spec.real**2 + spec.imag**2).sum(axis=2)
-    return out
+    out = np.empty((table.shape[0], windows.shape[0]))
+    for i in range(0, windows.shape[0], _SCAN_BLOCK):
+        # gathered as (bin offset, candidate, window)
+        spec = np.fft.rfft(windows[i : i + _SCAN_BLOCK], axis=1).T[table.T]
+        out[:, i : i + _SCAN_BLOCK] = _ordered_sum(spec.real**2 + spec.imag**2)
+    return out.T
 
 
 def in_set_mask(frequencies: tuple[float, ...], grid: "FrequencyGrid") -> tuple[np.ndarray, np.ndarray]:
@@ -176,94 +191,66 @@ def in_set_mask(frequencies: tuple[float, ...], grid: "FrequencyGrid") -> tuple[
     return index, mask
 
 
-def _gate_arrays(
-    frequencies: tuple[float, ...],
-    nominal_power: dict[float, float],
-    grid: "FrequencyGrid",
-    params: DetectionParams,
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Return (in-set mask over candidates, per-candidate nominal power,
-    beta, total nominal power) for one tone set."""
-    index, mask = in_set_mask(frequencies, grid)
-    r_vec = np.zeros(len(grid.candidates))
-    r_vec[index] = [nominal_power[f] for f in frequencies]
-    total = sum(nominal_power[f] for f in frequencies)
-    return mask, r_vec, params.beta_ratio * (total / len(frequencies)), total
+def _gated_scores(cand_powers: np.ndarray, sig: "ReferenceSignal", params: DetectionParams) -> np.ndarray:
+    """Normalized power of ``sig`` per window (a row of ``cand_powers``);
+    -inf where a sanity check fails."""
+    index, mask = in_set_mask(sig.frequencies, sig.spec.grid)
+    # tones as rows; the signal's tones are sorted, so in grid order
+    p_in, p_out = cand_powers.T[index], cand_powers.T[~mask]
+    r_in = np.array([sig.nominal_power[f] for f in sig.frequencies])
+    ok = (p_in > params.alpha * r_in[:, None]).all(axis=0)
+    ok &= (p_out < params.beta(sig.total_power, sig.spec.tone_count)).all(axis=0)
+    return np.where(ok, _ordered_sum(p_in) - _ordered_sum(p_out), -np.inf)
 
 
-def _gated_scores(
-    cand_powers: np.ndarray, mask: np.ndarray, r_vec: np.ndarray, beta: float, alpha: float
-) -> np.ndarray:
-    """Normalized power per window; -inf where a sanity check fails."""
-    p_in = cand_powers[:, mask]
-    p_out = cand_powers[:, ~mask]
-    ok = (p_in > alpha * r_vec[mask]).all(axis=1)
-    if p_out.shape[1]:
-        ok &= (p_out < beta).all(axis=1)
-        scores = p_in.sum(axis=1) - p_out.sum(axis=1)
-    else:
-        scores = p_in.sum(axis=1)
-    return np.where(ok, scores, -np.inf)
+def _scan(
+    x: np.ndarray, sigs: tuple["ReferenceSignal", ...], params: DetectionParams, sample_rate: float | None
+) -> tuple[DetectionOutcome, ...]:
+    """Locate each signal in the recording ``x``: one coarse scan shared by
+    all of them, then a fine scan of ``fine_radius`` samples around each
+    signal's coarse argmax. Ties break to the smallest index.
+    ``sample_rate`` is the recorder's and defaults to the first signal's."""
+    spec = sigs[0].spec
+    if any(sig.spec.length != spec.length or sig.spec.grid != spec.grid for sig in sigs):
+        raise ValueError("signals scanned together must share one length and one grid")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("recording must be one-dimensional")
+    if x.shape[0] < spec.length:
+        raise ValueError("recording shorter than the reference signal")
+    fs = sample_rate if sample_rate is not None else spec.sample_rate
+    table = candidate_bin_table(spec.grid, fs, spec.length, params.theta)
+    max_start = x.shape[0] - spec.length
+    coarse_powers = _batch_candidate_powers(x, slice(0, max_start + 1, params.coarse_step), spec.length, table)
+    outcomes = []
+    for sig in sigs:
+        anchor = int(np.argmax(_gated_scores(coarse_powers, sig, params))) * params.coarse_step
+        lo = max(0, anchor - params.fine_radius)
+        hi = min(max_start, anchor + params.fine_radius)
+        fine_powers = _batch_candidate_powers(x, slice(lo, hi + 1, params.fine_step), spec.length, table)
+        fine_scores = _gated_scores(fine_powers, sig, params)
+        best = int(np.argmax(fine_scores))
+        peak = float(fine_scores[best])
+        present = peak >= params.epsilon * sig.total_power  # False for -inf: every window failed a gate
+        outcomes.append(
+            DetectionOutcome(lo + best * params.fine_step if present else None, None if peak == -np.inf else peak)
+        )
+    return tuple(outcomes)
 
 
 def norm_power(
     window: np.ndarray,
-    frequencies: tuple[float, ...],
-    nominal_power: dict[float, float],
-    grid: "FrequencyGrid",
+    sig: "ReferenceSignal",
     params: DetectionParams = DetectionParams(),
-    sample_rate: float = 44_100.0,
+    *,
+    sample_rate: float | None = None,
 ) -> float | None:
-    """Normalized power of a tone set in one window, or None when a sanity
-    check fails (the explicit stand-in for the minus-infinity sentinel)."""
-    cand = measure_candidate_powers(window, grid, sample_rate, params.theta)
-    mask, r_vec, beta, _ = _gate_arrays(frequencies, nominal_power, grid, params)
-    score = _gated_scores(cand[None], mask, r_vec, beta, params.alpha)[0]
-    return None if score == -np.inf else float(score)
-
-
-class _Scanner:
-    """Shared coarse/fine scan machinery; detect and detect_pair both run
-    through here so a paired scan is bit-identical to two single scans."""
-
-    def __init__(
-        self,
-        x: np.ndarray,
-        length: int,
-        grid: "FrequencyGrid",
-        params: DetectionParams,
-        sample_rate: float,
-    ) -> None:
-        self.x = np.asarray(x, dtype=np.float64)
-        if self.x.ndim != 1:
-            raise ValueError("recording must be one-dimensional")
-        if self.x.shape[0] < length:
-            raise ValueError("recording shorter than the reference signal")
-        self.length = length
-        self.params = params
-        self.table = candidate_bin_table(grid, sample_rate, length, params.theta)
-        self.max_start = self.x.shape[0] - length
-        self.coarse = slice(0, self.max_start + 1, params.coarse_step)
-        self.coarse_powers = _batch_candidate_powers(self.x, self.coarse, length, self.table)
-
-    def run(self, sig: "ReferenceSignal", grid: "FrequencyGrid") -> DetectionOutcome:
-        mask, r_vec, beta, total_r = _gate_arrays(sig.frequencies, sig.nominal_power, grid, self.params)
-        coarse_scores = _gated_scores(self.coarse_powers, mask, r_vec, beta, self.params.alpha)
-        anchor = int(np.argmax(coarse_scores)) * self.params.coarse_step
-
-        lo = max(0, anchor - self.params.fine_radius)
-        hi = min(self.max_start, anchor + self.params.fine_radius)
-        fine = slice(lo, hi + 1, self.params.fine_step)
-        fine_powers = _batch_candidate_powers(self.x, fine, self.length, self.table)
-        fine_scores = _gated_scores(fine_powers, mask, r_vec, beta, self.params.alpha)
-        best = int(np.argmax(fine_scores))
-        peak = float(fine_scores[best])
-
-        if peak == -np.inf:
-            return DetectionOutcome(location=None, peak_norm_power=None)
-        if peak < self.params.epsilon * total_r:
-            return DetectionOutcome(location=None, peak_norm_power=peak)
-        return DetectionOutcome(location=lo + best * self.params.fine_step, peak_norm_power=peak)
+    """Normalized power of ``sig``'s tone set in one window of its length, or
+    None when a sanity check fails (the explicit stand-in for the
+    minus-infinity sentinel). ``sample_rate`` defaults to the signal's own."""
+    if np.shape(window) != (sig.spec.length,):
+        raise ValueError(f"window must hold {sig.spec.length} samples, got shape {np.shape(window)}")
+    return _scan(window, (sig,), params, sample_rate)[0].peak_norm_power
 
 
 def detect(
@@ -271,17 +258,13 @@ def detect(
     sig: "ReferenceSignal",
     params: DetectionParams = DetectionParams(),
     *,
-    grid: "FrequencyGrid" | None = None,
     sample_rate: float | None = None,
 ) -> DetectionOutcome:
     """Locate one reference signal in a recording (coarse scan, then a fine
     scan of ``fine_radius`` samples around the coarse argmax). Ties break to
     the smallest index. ``sample_rate`` is the recorder's rate and defaults to
     the signal's own."""
-    grid = grid if grid is not None else sig.spec.grid
-    fs = sample_rate if sample_rate is not None else sig.spec.sample_rate
-    scanner = _Scanner(x, sig.spec.length, grid, params, fs)
-    return scanner.run(sig, grid)
+    return _scan(x, (sig,), params, sample_rate)[0]
 
 
 def detect_pair(
@@ -290,20 +273,13 @@ def detect_pair(
     sig_b: "ReferenceSignal",
     params: DetectionParams = DetectionParams(),
     *,
-    grid: "FrequencyGrid" | None = None,
     sample_rate: float | None = None,
 ) -> tuple[DetectionOutcome, DetectionOutcome]:
-    """Detect two reference signals in one scan of the recording.
-
-    The coarse-pass window spectra are computed once and shared; outcomes are
-    bit-identical to two independent ``detect`` calls.
+    """Detect two reference signals of one length and grid in one scan of the
+    recording. The coarse-pass window spectra are computed once and shared;
+    outcomes are bit-identical to two independent ``detect`` calls.
     """
-    if sig_a.spec.length != sig_b.spec.length:
-        raise ValueError("paired detection requires equal signal lengths")
-    grid = grid if grid is not None else sig_a.spec.grid
-    fs = sample_rate if sample_rate is not None else sig_a.spec.sample_rate
-    scanner = _Scanner(x, sig_a.spec.length, grid, params, fs)
-    return scanner.run(sig_a, grid), scanner.run(sig_b, grid)
+    return _scan(x, (sig_a, sig_b), params, sample_rate)
 
 
 def cross_correlate_detect(x: np.ndarray, sig: "ReferenceSignal") -> int:

@@ -122,7 +122,7 @@ class TestSanityCheckDefence:
             except ValueError:
                 continue
             window = wave[2048 : 2048 + 4096].astype(float)
-            assert norm_power(window, sig.frequencies, sig.nominal_power, grid, params) is None
+            assert norm_power(window, sig, params) is None
 
     def test_wrong_guess_window_is_sentinel(self, grid, params):
         rng = np.random.default_rng(9)
@@ -130,7 +130,7 @@ class TestSanityCheckDefence:
         guess = adv.guessing_replay_signal(np.random.default_rng(10), grid)
         if set(guess.frequencies) == set(sig.frequencies):  # pragma: no cover
             pytest.skip("guess collided (probability ~1e-9)")
-        p = norm_power(guess.samples.astype(float), sig.frequencies, sig.nominal_power, grid, params)
+        p = norm_power(guess.samples.astype(float), sig, params)
         assert p is None
 
 

@@ -77,25 +77,25 @@ SESSIONS = {
 }
 
 GOLDEN = {
-    "accept_0.5m_s0": "f90b42dcacf0fd081657e2ae4a335191f69f14f407c78f6372dbe77c6f8e2222",
-    "accept_0.5m_s1": "a042a04780702622530735ea61f14efd003713ad0ddc4109109a6ce71e5af275",
-    "accept_1.0m": "7842301e56eec4365ac6f2541b67c4fd57fc1ba7872db6a1ee2c672e3367a5fc",
-    "accept_silent": "868d6afe5d086003230a864d2c484672dca020fa82bd1e70433b416e7bc5c168",
-    "accept_street": "963d0913dc85f1872dbc2960f78eb5c6c50046a816208fc75e1e7f439fee0c8d",
-    "distance_exceeded_1.8m": "9dd0aaefd6132ec4220d60743800f429b22fe3eb2f5408e72487396a212f7b70",
-    "distance_exceeded_tau_0.5": "c7acea0ea2bd1c1f7fcf004224593d21fd72993c410aedae4636b3d30ce9852c",
-    "signal_not_present_3m": "d238796998a558f8f2d4f9e1d2e88e2e2904287b0e8b5a8109781d9cc8e5daf1",
-    "signal_not_present_wall": "2810e2b9b5891138aea064274a5998e8fc083f93432019da428d1e4d275aeda5",
+    "accept_0.5m_s0": "a4def92cf887afca8c92549ef7cd8cf1b06e22aa9217a1241f7265e9781fc013",
+    "accept_0.5m_s1": "46f069b0b928ad1e27df2046982b7165b79ad6f687bb0e3caad43d704239242b",
+    "accept_1.0m": "b96835c785687c57892a18b6b81566901cc71ffbee701a5a904898be4eec36e5",
+    "accept_silent": "6afc389b18c1f7a461c1f57ff33973b4dbf9ef2b476423a291c551e3d0ed2bb6",
+    "accept_street": "b68e7b423bd8d7577243f855d5f8e04bc4021e6c7afe51032d3ee781befed3c9",
+    "distance_exceeded_1.8m": "049f389e645fc34f878c61986e163c8981bb9edfe9827759ca9dc67d5065874e",
+    "distance_exceeded_tau_0.5": "c448c1dc50c4f695d099c7e62d42adb2b976b872ac3ab561738c7d1e39d4c0a7",
+    "signal_not_present_3m": "601f694c35abc85bd9d385228f4e776ef513dc4ad47e3fd9c998ac68c2fd5ce1",
+    "signal_not_present_wall": "227dccc06cce95cf035f83076859b8359143cc955ec09c1166c7f7fb2605a6bd",
     "not_paired_range": "d5c573cb8b0a85c6e02c3523675d89c5fdbf8121139440ce4ba76363486c7030",
     "not_paired_flag": "51456c1ff5ac5602dcfae26d2de26278b61470ce55e8040e252b46a9189fd8fa",
-    "xcorr_0.5m": "95c8b40d5a792b7b92e4a33b14df1e74c71ed84584ef367adf57b2e20bca68ef",
-    "xcorr_1.5m": "9c573921c639108590b70794f02299c0b079783bf03e638bdef4b324adf69ee4",
-    "skewed_vouch_clock": "0c9c1284e03eebc6a3c6a8a5930d88e100cfec2fd612c16ffcac612b47b2c32e",
-    "disjoint_frequency_sets": "cd60db194f95852f2bfcc01c3fcef8eb3ad181f4dd17d941092bba25c89af809",
-    "guessing_replay": "9ec9a015cd0c28a4bf2465e32f3d599beafe6bdbef70075fd7681abb6201912c",
-    "all_frequency": "db54fad0f64fb82ca43a3b75e6aa65eb20a55a6f540790ee00f20c71376dd643",
+    "xcorr_0.5m": "d56aa211af730fd4b5568d5b3a57bbc667e8bd1c79018e92753e99e9ef63cd1d",
+    "xcorr_1.5m": "088495bc051ed0bef37bb6dfa12fd6427363e28e093b159eb830f59d7c550de6",
+    "skewed_vouch_clock": "ee4ba79e211707af22b552b377f0a22232e2429c229ac974d4aa90cf94e45c36",
+    "disjoint_frequency_sets": "c39ab0be36a63991a342d8e20c9e8db1528aa5c9f7dde97416400062e954cb9f",
+    "guessing_replay": "ec11618656e259dee91c64d3c462ceb23f599ae1582650734a5f61d095efee5a",
+    "all_frequency": "d96e86a19f4c21c3896e0f23db0f32a560bfb4e5eff63970ba46daf58a07f3d6",
     "crowded_3_pairs_0.5m": "4412b4f1555152bac2f74a3411421ddbe4b6854581c9af3e6276d5be0dba695a",
-    "crowded_3_pairs_1.5m": "8165ab67ab2896589691c4e72d75f28189d436cfecaefb8c753dd195afd2a008",
+    "crowded_3_pairs_1.5m": "68dcc89a31df09472b93d7fa64531e90d782070575f74c36af4bed850dad45a6",
 }
 
 # The same transcripts without their ``link_log``: a change that moves only the

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from sonicauth import channel as ch
+from sonicauth import evaluation as ev
+from sonicauth import spectrum
 from sonicauth.protocol import (
     AuthDecision,
     AuthPolicy,
@@ -18,7 +20,7 @@ from sonicauth.protocol import (
     replay_session,
     run_authentication,
 )
-from sonicauth.spectrum import detect_pair
+from sonicauth.spectrum import detect_pair, norm_power
 
 
 class TestEstimateDistance:
@@ -211,6 +213,62 @@ class TestRunAuthentication:
         assert [o.location for o in located] == list(transcript.locations.values())
         with pytest.raises(ValueError):
             replay_session(run(12.0)[1], office_cfg)
+
+
+class TestPeaksReproduce:
+    """``norm_power`` on a located window, at the recording device's rate,
+    equals the scan's ``peak_norm_power`` bit for bit: a verdict can be
+    re-derived from the window alone."""
+
+    @staticmethod
+    def _detections(monkeypatch, sessions):
+        """(recording, signal, params, rate, outcome) of every detection the
+        ``sessions`` callable runs."""
+        found = []
+        scan = spectrum.detect_pair
+
+        def spy(x, sig_a, sig_b, params, *, sample_rate):
+            outcomes = scan(x, sig_a, sig_b, params, sample_rate=sample_rate)
+            found.extend((x, sig, params, sample_rate, out) for sig, out in zip((sig_a, sig_b), outcomes))
+            return outcomes
+
+        monkeypatch.setattr(spectrum, "detect_pair", spy)
+        sessions()
+        return found
+
+    @staticmethod
+    def _assert_reproduced(found, located):
+        assert sum(out.location is not None for *_, out in found) == located
+        for x, sig, params, rate, out in found:
+            if out.location is not None:
+                window = x[out.location : out.location + sig.spec.length]
+                assert norm_power(window, sig, params, sample_rate=rate) == out.peak_norm_power
+
+    def test_office_sessions(self, monkeypatch):
+        def sessions():
+            for d in (0.5, 1.0, 1.5):
+                for seed in range(4):
+                    run(d, seed=seed, policy=AuthPolicy(threshold_m=2.0))
+
+        self._assert_reproduced(self._detections(monkeypatch, sessions), 48)
+
+    def test_crowded_session(self, monkeypatch):
+        found = self._detections(monkeypatch, lambda: ev.multiuser_campaign(3, (0.5,), 1, 40, min_trials=1))
+        self._assert_reproduced(found, 4)
+
+    def test_skewed_clock_session(self, monkeypatch, office_cfg):
+        def session():
+            run_authentication(
+                Endpoint("auth", (0.0, 0.0)),
+                Endpoint("vouch", (0.8, 0.0), sample_rate=44_100.0 * 1.001),
+                AuthPolicy(threshold_m=1.5),
+                np.random.default_rng(5),
+                office_cfg,
+            )
+
+        found = self._detections(monkeypatch, session)
+        assert {rate for *_, rate, _ in found} == {44_100.0, 44_100.0 * 1.001}
+        self._assert_reproduced(found, 4)
 
 
 class TestOneWay:

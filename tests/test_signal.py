@@ -138,9 +138,7 @@ class TestSynthesize:
         rng = np.random.default_rng(23)
         for _ in range(10):
             sig = synthesize(sample_spec(rng, grid))
-            p = norm_power(
-                sig.samples.astype(float), sig.frequencies, sig.nominal_power, grid, params
-            )
+            p = norm_power(sig.samples.astype(float), sig, params)
             assert p is not None
             assert p >= 0.95 * sig.total_power
 
@@ -152,8 +150,8 @@ class TestSynthesize:
         spec = sample_spec(np.random.default_rng(2), grid)
         default = synthesize(spec)
         tuned = synthesize(spec, params=strict)
-        assert norm_power(default.samples, default.frequencies, default.nominal_power, grid, strict) is None
-        assert norm_power(tuned.samples, tuned.frequencies, tuned.nominal_power, grid, strict) is not None
+        assert norm_power(default.samples, default, strict) is None
+        assert norm_power(tuned.samples, tuned, strict) is not None
 
     def test_unconfinable_leakage_rejected(self, grid, params):
         """Seed 0's tone set tries all 16 phase candidates: each leaks past the
@@ -162,7 +160,7 @@ class TestSynthesize:
         with pytest.raises(ValueError, match=r"beta_ratio=0\.002: .* reaches 1\.\d+ times the absence threshold"):
             synthesize(spec, params=DetectionParams(beta_ratio=0.002))
         sig = synthesize(spec, params=params)
-        assert norm_power(sig.samples, sig.frequencies, sig.nominal_power, grid, params) is not None
+        assert norm_power(sig.samples, sig, params) is not None
 
     def test_each_candidate_measured_once(self, grid, monkeypatch):
         """Seeds 1, 3 and 0 render 1, 2 and all 16 phase candidates; the chosen
@@ -250,7 +248,9 @@ class TestSerialization:
         sig = synthesize(sample_spec(np.random.default_rng(2), grid))
         freqs = list(reversed(sig.frequencies))
         blob = self._payload(sig, freqs_hz=freqs, nominal_power=[sig.nominal_power[f] for f in freqs])
-        assert ReferenceSignal.from_bytes(blob, grid).nominal_power == sig.nominal_power
+        clone = ReferenceSignal.from_bytes(blob, grid)
+        assert clone.nominal_power == sig.nominal_power
+        assert clone.total_power == sig.total_power
 
     def test_header_past_blob_rejected(self, grid):
         sig = synthesize(sample_spec(np.random.default_rng(2), grid))

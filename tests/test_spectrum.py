@@ -114,14 +114,14 @@ class TestBinTable:
 
 def _per_window_candidate_powers(x, starts, length, table):
     """Reference for the batched kernel: one full power spectrum per window,
-    every bin squared, then one gather and sum over the stacked spectra.
-
-    The gather and sum run over the stack, not per window: numpy adds a
-    gathered (windows, N, 2*theta+1) block's bins in another order than a
-    single window's contiguous (N, 2*theta+1) rows, so per-window sums differ
-    from the batched ones in the last bits."""
+    every bin squared, then each candidate's 2*theta+1 bins added one offset
+    after another."""
     spectra = np.stack([power_spectrum(x[s : s + length]).powers for s in starts])
-    return spectra[:, table].sum(axis=2)
+    gathered = spectra[:, table]
+    total = gathered[:, :, 0].copy()
+    for offset in range(1, table.shape[1]):
+        total += gathered[:, :, offset]
+    return total
 
 
 class TestBatchCandidatePowers:
@@ -143,8 +143,9 @@ class TestBatchCandidatePowers:
             (4096, slice(0, 1)),  # single window (norm_power, measure_candidate_powers)
             (4096 + 10, slice(0, 11, 10)),  # 2 windows: the smallest multi-window block
             (4096 + 630, slice(0, 631, 10)),  # 64 windows: one full block
-            (4096 + 640, slice(0, 641, 10)),  # 65 windows: two blocks, none of one window
-            (4096 + 1280, slice(0, 1281, 10)),  # 129 windows: three blocks, none of one window
+            (4096 + 640, slice(0, 641, 10)),  # 65 windows: the last block holds one window
+            (4096 + 1280, slice(0, 1281, 10)),  # 129 windows: three blocks, the last of one window
+            (4096 + 64, slice(0, 65)),  # 65 adjacent windows: the last block holds one window
         ],
     )
     def test_equals_per_window_loop(self, grid, params, n, starts):
@@ -171,9 +172,7 @@ class TestBatchCandidatePowers:
         sig = synthesize(sample_spec(np.random.default_rng(17), grid))
         out = detect(sig.samples.astype(float), sig, params)
         assert out.location == 0
-        assert out.peak_norm_power == norm_power(
-            sig.samples.astype(float), sig.frequencies, sig.nominal_power, grid, params
-        )
+        assert out.peak_norm_power == norm_power(sig.samples.astype(float), sig, params)
 
 
 def test_sliding_oracle_matches_direct_projections(grid):
@@ -190,12 +189,12 @@ def test_sliding_oracle_matches_direct_projections(grid):
 class TestNormPower:
     def test_clean_signal_close_to_total(self, grid, params):
         sig = synthesize(sample_spec(np.random.default_rng(0), grid))
-        p = norm_power(sig.samples.astype(float), sig.frequencies, sig.nominal_power, grid, params)
+        p = norm_power(sig.samples.astype(float), sig, params)
         assert p is not None and p >= 0.95 * sig.total_power
 
     def test_silence_fails_presence_check(self, grid, params):
         sig = synthesize(sample_spec(np.random.default_rng(1), grid))
-        p = norm_power(np.zeros(4096), sig.frequencies, sig.nominal_power, grid, params)
+        p = norm_power(np.zeros(4096), sig, params)
         assert p is None
 
     def test_all_frequency_window_always_rejected(self, grid, params):
@@ -210,7 +209,7 @@ class TestNormPower:
             w = np.zeros(4096)
             for f in grid.candidates:
                 w += amp * np.sin(2 * np.pi * f * t / FS)
-            assert norm_power(w, sig.frequencies, sig.nominal_power, grid, params) is None
+            assert norm_power(w, sig, params) is None
 
     def test_out_of_set_tone_trips_absence_check(self, grid, params):
         """A window holding the clean signal plus one loud out-of-set tone is
@@ -219,12 +218,12 @@ class TestNormPower:
         intruder_f = grid.candidates[0]
         t = np.arange(4096)
         w = sig.samples.astype(float) + 3000.0 * np.sin(2 * np.pi * intruder_f * t / FS)
-        assert norm_power(w, sig.frequencies, sig.nominal_power, grid, params) is None
+        assert norm_power(w, sig, params) is None
 
     def test_wrong_length_rejected(self, grid, params):
         sig = synthesize(sample_spec(np.random.default_rng(4), grid))
         with pytest.raises(ValueError):
-            norm_power(np.zeros(1000), sig.frequencies, sig.nominal_power, grid, params)
+            norm_power(np.zeros(1000), sig, params)
 
 
 def _embed(sig, pre, post, scale=1.0):
@@ -310,6 +309,17 @@ class TestDetectPair:
             pair = detect_pair(x, sig_a, sig_b, params)
             singles = (detect(x, sig_a, params), detect(x, sig_b, params))
             assert pair == singles
+
+
+    def test_signals_on_two_grids_rejected(self, grid, params):
+        """Same tones, same length, but the second signal's grid is wider:
+        one scan cannot serve both."""
+        wider = build_grid(grid.band_low, grid.band_low + 1.5 * (grid.band_high - grid.band_low), 45)
+        tones = grid.candidates[:5]
+        sig_a = synthesize(SignalSpec(frequencies=tones, grid=grid))
+        sig_b = synthesize(SignalSpec(frequencies=tones, grid=wider))
+        with pytest.raises(ValueError, match="one length and one grid"):
+            detect_pair(_embed(sig_a, 8_000, 8_000), sig_a, sig_b, params)
 
 
 class TestCrossCorrelate:
