@@ -10,7 +10,7 @@ per signal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from typing import Literal, Union
 
@@ -63,7 +63,10 @@ class AllFrequency:
     target: Target = "auth"
 
     def __post_init__(self) -> None:
-        if self.per_tone_power <= 0:
+        power = self.per_tone_power
+        if isinstance(power, bool) or not isinstance(power, (int, float)):
+            raise ValueError(f"per_tone_power must be a number, got {power!r}")
+        if power <= 0:
             raise ValueError("per-tone power must be positive")
 
 
@@ -198,18 +201,28 @@ def build_emissions(
     raise TypeError(f"unknown scenario {scenario!r}")
 
 
+_SCENARIO_KINDS = {"zero_effort": ZeroEffort, "guessing_replay": GuessingReplay, "all_frequency": AllFrequency}
+
+
 def scenario_from_json(obj: dict) -> AttackScenario:
+    """Build an attack scenario from its JSON form: ``kind`` plus the
+    scenario's fields; raises ``ValueError`` naming an unknown or missing
+    field."""
     kind = obj.get("kind")
+    if kind not in _SCENARIO_KINDS:
+        raise ValueError(f"unknown attack kind {kind!r}")
+    scenario = _SCENARIO_KINDS[kind]
     params = {k: v for k, v in obj.items() if k != "kind"}
-    if "attacker_position" in params and params["attacker_position"] is not None:
+    known = {f.name: f for f in fields(scenario)}
+    for key in params:
+        if key not in known:
+            raise ValueError(f"{kind} attack has no field {key!r}")
+    for name, f in known.items():
+        if name not in params and f.default is MISSING:
+            raise ValueError(f"{kind} attack lacks the {name!r} field")
+    if params.get("attacker_position") is not None:
         params["attacker_position"] = tuple(params["attacker_position"])
-    if kind == "zero_effort":
-        return ZeroEffort(**params)
-    if kind == "guessing_replay":
-        return GuessingReplay(**params)
-    if kind == "all_frequency":
-        return AllFrequency(**params)
-    raise ValueError(f"unknown attack kind {kind!r}")
+    return scenario(**params)
 
 
 def _all_frequency_waveform_builder(wf: dict, grid: FrequencyGrid) -> np.ndarray:

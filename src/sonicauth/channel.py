@@ -326,6 +326,14 @@ def config_from_json(obj: dict) -> ChannelConfig:
     return replace(cfg, **{k: float(v) for k, v in data.items()})
 
 
+def _scene_key(entry: dict, key: str, where: str = "scene JSON"):
+    """``entry[key]``, or a ``ValueError`` naming the key and where it is missing."""
+    try:
+        return entry[key]
+    except KeyError:
+        raise ValueError(f"{where} lacks the {key!r} key") from None
+
+
 def scene_from_json(
     obj: dict,
     grid: FrequencyGrid = DEFAULT_GRID,
@@ -341,9 +349,11 @@ def scene_from_json(
     cfg = config_from_json(obj.get("channel", {}))
     builders = dict(extra_waveforms or {})
     emissions = []
-    for entry in obj.get("emissions", ()):
-        kind = entry.get("waveform", {}).get("kind", "samples")
-        wf = entry["waveform"]
+    for i, entry in enumerate(obj.get("emissions", ())):
+        source_id, wf, emit_time, position = (
+            _scene_key(entry, key, f"scene JSON emission {i}") for key in ("source_id", "waveform", "emit_time", "position")
+        )
+        kind = wf.get("kind", "samples")
         if kind == "samples":
             data = np.asarray(wf["values"], dtype=np.int16)
         elif kind == "wav":
@@ -355,26 +365,19 @@ def scene_from_json(
             data = builders[kind](wf, grid)
         else:
             raise ValueError(f"unknown waveform kind {kind!r}")
-        emissions.append(
-            Emission(
-                source_id=entry["source_id"],
-                waveform=data,
-                emit_time=int(entry["emit_time"]),
-                position=tuple(entry["position"]),
-            )
-        )
+        emissions.append(Emission(source_id, data, int(emit_time), tuple(position)))
     recorders = tuple(
         Recorder(
-            device_id=d["id"],
-            position=tuple(d["position"]),
+            device_id=_scene_key(d, "id", f"scene JSON device {i}"),
+            position=tuple(_scene_key(d, "position", f"scene JSON device {i}")),
             sample_rate=float(d.get("sample_rate", BASE_SAMPLE_RATE)),
         )
-        for d in obj.get("devices", ())
+        for i, d in enumerate(obj.get("devices", ()))
     )
     scene = AcousticScene(
         emissions=tuple(emissions),
         recorders=recorders,
-        duration=int(obj["duration"]),
+        duration=int(_scene_key(obj, "duration")),
         seed=int(obj.get("seed", 0)),
     )
     return scene, cfg

@@ -203,6 +203,19 @@ class TestScenarios:
         with pytest.raises(ValueError):
             adv.scenario_from_json({"kind": "meteor"})
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"kind": "guessing_replay", "bogus": 1}, "guessing_replay attack has no field 'bogus'"),
+            ({"kind": "all_frequency"}, "all_frequency attack lacks the 'per_tone_power' field"),
+            ({"kind": "all_frequency", "per_tone_power": "1e9"}, "per_tone_power must be a number, got '1e9'"),
+        ],
+        ids=["unknown_field", "missing_power", "string_power"],
+    )
+    def test_scenario_json_malformed_rejected(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            adv.scenario_from_json(obj)
+
     def test_all_frequency_waveform_builder_for_scene_json(self, grid):
         wave = adv.WAVEFORM_BUILDERS["all_frequency"]({"per_tone_power": 1e10, "duration": 8192}, grid)
         assert wave.shape[0] == 8192

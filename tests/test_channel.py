@@ -237,6 +237,34 @@ class TestConfig:
         rec = ch.record(scene, "a", cfg)
         assert rec.samples.shape[0] == 20_000
 
+    @staticmethod
+    def _two_by_two_scene():
+        emission = {"position": [0.0, 0.0], "emit_time": 100, "waveform": {"kind": "samples", "values": [1, -1]}}
+        return {
+            "duration": 1000,
+            "devices": [{"id": "a", "position": [0.0, 0.0]}, {"id": "b", "position": [1.0, 0.0]}],
+            "emissions": [{**emission, "source_id": "a"}, {**emission, "source_id": "b"}],
+        }
+
+    @pytest.mark.parametrize(
+        "entries, key, where",
+        [
+            (None, "duration", "scene JSON"),
+            ("emissions", "waveform", "scene JSON emission 1"),
+            ("emissions", "source_id", "scene JSON emission 1"),
+            ("emissions", "emit_time", "scene JSON emission 1"),
+            ("emissions", "position", "scene JSON emission 1"),
+            ("devices", "id", "scene JSON device 1"),
+            ("devices", "position", "scene JSON device 1"),
+        ],
+    )
+    def test_scene_missing_key_rejected(self, entries, key, where):
+        obj = self._two_by_two_scene()
+        ch.scene_from_json(obj)
+        del (obj if entries is None else obj[entries][1])[key]
+        with pytest.raises(ValueError, match=f"^{where} lacks the '{key}' key$"):
+            ch.scene_from_json(obj)
+
     def test_recording_to_wav(self, tmp_path, silent_cfg, rng):
         from sonicauth.pcm import load_wav
 
