@@ -161,8 +161,13 @@ _SCAN_BLOCK = 64
 def _ordered_sum(rows: np.ndarray) -> np.ndarray:
     """Sum over the first axis, one row after another. ``ndarray.sum`` picks
     its order from the memory layout (pairwise for a lone window), so the same
-    window would sum differently alone and in a block."""
-    return np.cumsum(rows, axis=0)[-1]
+    window would sum differently alone and in a block. Adding whole rows keeps
+    each addition a contiguous vector add; ``np.cumsum(rows, axis=0)`` gives
+    the same sums but loops over the short first axis innermost (~6x slower)."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
 
 
 def _batch_candidate_powers(x: np.ndarray, starts: slice, length: int, table: np.ndarray) -> np.ndarray:
