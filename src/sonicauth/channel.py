@@ -350,8 +350,9 @@ def scene_from_json(
     builders = dict(extra_waveforms or {})
     emissions = []
     for i, entry in enumerate(obj.get("emissions", ())):
+        where = f"scene JSON emission {i}"
         source_id, wf, emit_time, position = (
-            _scene_key(entry, key, f"scene JSON emission {i}") for key in ("source_id", "waveform", "emit_time", "position")
+            _scene_key(entry, key, where) for key in ("source_id", "waveform", "emit_time", "position")
         )
         kind = wf.get("kind", "samples")
         if kind == "samples":
