@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
-from typing import Literal, Union
+from typing import Literal, Union, get_args
 
 import numpy as np
 
@@ -35,11 +35,31 @@ Target = Literal["auth", "vouch", "both"]
 ATTACKER_OFFSET_M = 0.3
 
 
+def _check_fields(scenario) -> None:
+    """Reject a target no device answers to, an attacker position that is not
+    a tuple of finite numbers and a guess seed that is not an integer, so a
+    scenario cannot silently attack nothing or fail later inside a session."""
+    if scenario.target not in get_args(Target):
+        raise ValueError(f"target must be 'auth', 'vouch' or 'both', got {scenario.target!r}")
+    position = getattr(scenario, "attacker_position", None)
+    finite = isinstance(position, tuple) and all(
+        isinstance(p, (int, float)) and not isinstance(p, bool) and math.isfinite(p) for p in position
+    )
+    if position is not None and not finite:
+        raise ValueError(f"attacker_position must be a sequence of finite numbers, got {position!r}")
+    seed = getattr(scenario, "guess_seed", None)
+    if seed is not None and not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)):
+        raise ValueError(f"guess_seed must be an integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class ZeroEffort:
     """The attacker simply tries the device; no acoustic injection."""
 
     target: Target = "auth"
+
+    def __post_init__(self) -> None:
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -50,6 +70,9 @@ class GuessingReplay:
     guess_seed: int | None = None
     attacker_position: tuple[float, ...] | None = None
     target: Target = "both"
+
+    def __post_init__(self) -> None:
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -68,6 +91,7 @@ class AllFrequency:
             raise ValueError(f"per_tone_power must be a number, got {power!r}")
         if power <= 0:
             raise ValueError("per-tone power must be positive")
+        _check_fields(self)
 
 
 AttackScenario = Union[ZeroEffort, GuessingReplay, AllFrequency]
@@ -220,13 +244,14 @@ def scenario_from_json(obj: dict) -> AttackScenario:
     for name, f in known.items():
         if name not in params and f.default is MISSING:
             raise ValueError(f"{kind} attack lacks the {name!r} field")
-    if params.get("attacker_position") is not None:
+    if isinstance(params.get("attacker_position"), list):
         params["attacker_position"] = tuple(params["attacker_position"])
     return scenario(**params)
 
 
 def _all_frequency_waveform_builder(wf: dict, grid: FrequencyGrid) -> np.ndarray:
-    return all_frequency_signal(grid, float(wf["per_tone_power"]), int(wf.get("duration", 8192)))
+    power = ch._scene_key(wf, "per_tone_power", "scene JSON all_frequency waveform")
+    return all_frequency_signal(grid, float(power), int(wf.get("duration", 8192)))
 
 
 # For channel.scene_from_json(extra_waveforms=...): lets scene JSON carry

@@ -344,7 +344,8 @@ def scene_from_json(
     Emission waveforms are described by a ``kind``: ``samples`` (inline list),
     ``wav`` (file path), or ``reference_signal`` (drawn from a seed). Callers
     may pass additional kinds via ``extra_waveforms`` (name -> builder taking
-    the emission dict and the grid).
+    the waveform dict and the grid). A missing key raises ``ValueError``
+    naming it and where it is missing.
     """
     cfg = config_from_json(obj.get("channel", {}))
     builders = dict(extra_waveforms or {})
@@ -355,12 +356,13 @@ def scene_from_json(
             _scene_key(entry, key, where) for key in ("source_id", "waveform", "emit_time", "position")
         )
         kind = wf.get("kind", "samples")
+        wf_where = f"{where} waveform"
         if kind == "samples":
-            data = np.asarray(wf["values"], dtype=np.int16)
+            data = np.asarray(_scene_key(wf, "values", wf_where), dtype=np.int16)
         elif kind == "wav":
-            data, _ = pcm.load_wav(wf["path"])
+            data, _ = pcm.load_wav(_scene_key(wf, "path", wf_where))
         elif kind == "reference_signal":
-            rng = np.random.default_rng(int(wf["seed"]))
+            rng = np.random.default_rng(int(_scene_key(wf, "seed", wf_where)))
             data = synthesize(sample_spec(rng, grid, length=int(wf.get("length", 4096)))).samples
         elif kind in builders:
             data = builders[kind](wf, grid)

@@ -12,15 +12,20 @@ argmax:
   broadband interference and all-frequency spoofing).
 
 Windows failing either check score negative infinity. A coarse scan with a
-large step finds the neighbourhood of the maximum, a fine scan pinpoints it,
-and the detection is declared absent when the best score stays below
-``epsilon`` times the signal's total nominal power. Each scan reads its evenly
-spaced windows in place from the recording, as a strided view, without copying.
+large step finds the neighbourhood of the maximum; it takes one rFFT per
+window, reading its evenly spaced windows in place from the recording as a
+strided view. A fine scan pinpoints the maximum with a sliding DFT over the
+bins the candidates read: the first window's bins come from one rFFT and each
+later window's from the samples that enter and leave it. The fine scan only
+picks the window. The exact one-window kernel, the one ``norm_power`` uses,
+then scores that window; its score is the reported peak, and the detection is
+declared absent when it stays below ``epsilon`` times the signal's total
+nominal power. So a located window whose exact score fails a gate is not
+present, and ``norm_power`` on a located window reproduces the peak bit for
+bit by construction.
 
 The grid, the tone set, the nominal powers and their total all come from the
-``ReferenceSignal``. Bin powers are added one offset after another and tone
-powers one tone after another, for a single window as for a scan, so
-``norm_power`` on a located window reproduces the scan's peak bit for bit.
+``ReferenceSignal``.
 
 Candidate frequencies may lie above half the sample rate; their spectral
 content then appears at the mirrored (aliased) bin of the real FFT, so bin
@@ -31,13 +36,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 if TYPE_CHECKING:
-    from .signal import FrequencyGrid, ReferenceSignal
+    from .signal import FrequencyGrid, ReferenceSignal, SignalSpec
 
 
 @dataclass(frozen=True)
@@ -93,8 +99,8 @@ class DetectionOutcome:
     """Detected sample location, or absence.
 
     ``location is None`` means the signal was declared not present;
-    ``peak_norm_power`` is the best normalized power seen (None when every
-    window failed the sanity checks).
+    ``peak_norm_power`` is the exact normalized power of the window the fine
+    scan picked (None when that window fails a sanity check).
     """
 
     location: int | None
@@ -153,8 +159,8 @@ def measure_candidate_powers(
     return _batch_candidate_powers(w, slice(0, 1), w.shape[-1], table)[0]
 
 
-# Windows per rFFT in a scan: bounds the spectra held at once (a fine scan
-# reads 301 windows) without changing any result.
+# Windows per block in a scan: bounds the spectra, or the sliding sums, held
+# at once (a fine scan reads 301 windows).
 _SCAN_BLOCK = 64
 
 
@@ -183,6 +189,72 @@ def _batch_candidate_powers(x: np.ndarray, starts: slice, length: int, table: np
     return out.T
 
 
+@lru_cache(maxsize=1)
+def _roots_of_unity(length: int) -> np.ndarray:
+    """``W**n`` for every ``n`` in ``[0, length)``, ``W = exp(-2j*pi/length)``."""
+    roots = np.exp(-2j * np.pi * np.arange(length) / length)
+    roots.setflags(write=False)
+    return roots
+
+
+# Both signals of a scan share one bin table, and each device's clock rate
+# gives its own: two entries cover a session's two recorders.
+@lru_cache(maxsize=2)
+def _slide_phases(bins: bytes, step: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Phases of the sliding DFT over the bins ``k`` (an intp array's bytes):
+    ``W**(k*m)`` for the ``step`` samples ``m`` of one slide, shape (step, K),
+    and ``W**(k*step*i)`` for the ``_SCAN_BLOCK`` slides ``i`` of one block,
+    shape (_SCAN_BLOCK, K)."""
+    k = np.frombuffer(bins, dtype=np.intp)
+    roots = _roots_of_unity(length)
+    project = roots[np.arange(step)[:, None] * k % length]
+    return project, roots[np.arange(_SCAN_BLOCK)[:, None] * (step * k) % length]
+
+
+def _sliding_candidate_powers(
+    x: np.ndarray, lo: int, count: int, step: int, length: int, table: np.ndarray
+) -> np.ndarray:
+    """Per-candidate powers of the ``count`` windows ``x[s:s+length]``, ``s =
+    lo + j*step``, by a sliding DFT over the table's bins only (Jacobsen and
+    Lyons, "The sliding DFT", IEEE Signal Processing Magazine, 2003).
+
+    Bin k of window j, times ``W**(k*step*j)``, keeps that bin's power, and
+    from window j to j+1 it grows by ``W**(k*step*j)`` times the samples that
+    enter minus those that leave, ``x[s_j+length+m] - x[s_j+m]``, projected on
+    ``W**(k*m)``. Window 0's bins come from one rFFT. Each block of
+    ``_SCAN_BLOCK`` slides is one real matmul against the projections (the
+    complex table read as interleaved real and imaginary parts), one phase
+    product, and a cumulative sum that carries on from the block before.
+    Every phase is read by integer index from the table of roots of unity."""
+    bins = table.T.ravel()  # offset-major: each window's offsets are summed over the middle axis
+    project, base = _slide_phases(bins.tobytes(), step, length)
+    roots = _roots_of_unity(length)
+    span = (count - 1) * step
+    slides = (x[lo + length : lo + length + span] - x[lo : lo + span]).reshape(count - 1, step)
+    # row 0 holds the window before the block's first
+    z = np.empty((_SCAN_BLOCK + 1, bins.shape[0]), dtype=np.complex128)
+    z[0] = np.fft.rfft(x[lo : lo + length])[bins]
+    out = np.empty((count, table.shape[0]))
+    out[0] = _offset_sum(z[:1], table.shape)
+    for a in range(0, count - 1, _SCAN_BLOCK):
+        d = slides[a : a + _SCAN_BLOCK]
+        n = d.shape[0]
+        phased = project * roots[(step * a % length) * bins % length]
+        np.matmul(d, phased.view(np.float64), out=z[1 : n + 1].view(np.float64))
+        z[1 : n + 1] *= base[:n]
+        np.cumsum(z[: n + 1], axis=0, out=z[: n + 1])
+        out[a + 1 : a + 1 + n] = _offset_sum(z[1 : n + 1], table.shape)
+        z[0] = z[n]
+    return out
+
+
+def _offset_sum(z: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """(windows, candidates) powers of offset-major bins ``z`` (windows, K)
+    of a (candidates, offsets) table."""
+    power = z.real**2 + z.imag**2
+    return np.einsum("woc->wc", power.reshape(z.shape[0], shape[1], shape[0]))
+
+
 def in_set_mask(frequencies: tuple[float, ...], grid: "FrequencyGrid") -> tuple[np.ndarray, np.ndarray]:
     """Grid index of each tone (in the given order) and the in-set mask over
     the grid's candidates."""
@@ -208,13 +280,32 @@ def _gated_scores(cand_powers: np.ndarray, sig: "ReferenceSignal", params: Detec
     return np.where(ok, _ordered_sum(p_in) - _ordered_sum(p_out), -np.inf)
 
 
+def _bin_table(spec: "SignalSpec", params: DetectionParams, sample_rate: float | None) -> np.ndarray:
+    """The candidate bin table of ``spec``'s grid and length at the recorder's
+    ``sample_rate``, which defaults to the signal's own."""
+    fs = sample_rate if sample_rate is not None else spec.sample_rate
+    return candidate_bin_table(spec.grid, fs, spec.length, params.theta)
+
+
+def _window_score(
+    x: np.ndarray, start: int, sig: "ReferenceSignal", params: DetectionParams, table: np.ndarray
+) -> float:
+    """Gated normalized power of the one window ``x[start:start+length]`` by
+    the exact one-window kernel: the score a detection reports."""
+    powers = _batch_candidate_powers(x, slice(start, start + 1), sig.spec.length, table)
+    return float(_gated_scores(powers, sig, params)[0])
+
+
 def _scan(
     x: np.ndarray, sigs: tuple["ReferenceSignal", ...], params: DetectionParams, sample_rate: float | None
 ) -> tuple[DetectionOutcome, ...]:
     """Locate each signal in the recording ``x``: one coarse scan shared by
-    all of them, then a fine scan of ``fine_radius`` samples around each
-    signal's coarse argmax. Ties break to the smallest index.
-    ``sample_rate`` is the recorder's and defaults to the first signal's."""
+    all of them, then a sliding-DFT fine scan of ``fine_radius`` samples
+    around each signal's coarse argmax. Ties break to the smallest index.
+    The fine scan only picks the window; that window's exact score is the
+    reported peak and decides presence, so a window whose exact score fails a
+    gate is not present. ``sample_rate`` is the recorder's and defaults to the
+    first signal's."""
     spec = sigs[0].spec
     if any(sig.spec.length != spec.length or sig.spec.grid != spec.grid for sig in sigs):
         raise ValueError("signals scanned together must share one length and one grid")
@@ -223,23 +314,19 @@ def _scan(
         raise ValueError("recording must be one-dimensional")
     if x.shape[0] < spec.length:
         raise ValueError("recording shorter than the reference signal")
-    fs = sample_rate if sample_rate is not None else spec.sample_rate
-    table = candidate_bin_table(spec.grid, fs, spec.length, params.theta)
+    table = _bin_table(spec, params, sample_rate)
     max_start = x.shape[0] - spec.length
     coarse_powers = _batch_candidate_powers(x, slice(0, max_start + 1, params.coarse_step), spec.length, table)
     outcomes = []
     for sig in sigs:
         anchor = int(np.argmax(_gated_scores(coarse_powers, sig, params))) * params.coarse_step
         lo = max(0, anchor - params.fine_radius)
-        hi = min(max_start, anchor + params.fine_radius)
-        fine_powers = _batch_candidate_powers(x, slice(lo, hi + 1, params.fine_step), spec.length, table)
-        fine_scores = _gated_scores(fine_powers, sig, params)
-        best = int(np.argmax(fine_scores))
-        peak = float(fine_scores[best])
-        present = peak >= params.epsilon * sig.total_power  # False for -inf: every window failed a gate
-        outcomes.append(
-            DetectionOutcome(lo + best * params.fine_step if present else None, None if peak == -np.inf else peak)
-        )
+        count = (min(max_start, anchor + params.fine_radius) - lo) // params.fine_step + 1
+        fine_powers = _sliding_candidate_powers(x, lo, count, params.fine_step, spec.length, table)
+        loc = lo + int(np.argmax(_gated_scores(fine_powers, sig, params))) * params.fine_step
+        peak = _window_score(x, loc, sig, params, table)
+        present = peak >= params.epsilon * sig.total_power  # False for -inf: the window failed a gate
+        outcomes.append(DetectionOutcome(loc if present else None, None if peak == -np.inf else peak))
     return tuple(outcomes)
 
 
@@ -252,10 +339,13 @@ def norm_power(
 ) -> float | None:
     """Normalized power of ``sig``'s tone set in one window of its length, or
     None when a sanity check fails (the explicit stand-in for the
-    minus-infinity sentinel). ``sample_rate`` defaults to the signal's own."""
+    minus-infinity sentinel). It is the score a detection reports for the
+    window it locates. ``sample_rate`` defaults to the signal's own."""
     if np.shape(window) != (sig.spec.length,):
         raise ValueError(f"window must hold {sig.spec.length} samples, got shape {np.shape(window)}")
-    return _scan(window, (sig,), params, sample_rate)[0].peak_norm_power
+    table = _bin_table(sig.spec, params, sample_rate)
+    score = _window_score(np.asarray(window, dtype=np.float64), 0, sig, params, table)
+    return None if score == -np.inf else score
 
 
 def detect(

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import proper_subsets
 from sonicauth import adversary as adv
+from sonicauth import channel as ch
 from sonicauth import evaluation as ev
 from sonicauth import spectrum
 from sonicauth.protocol import SceneContext
@@ -209,12 +210,54 @@ class TestScenarios:
             ({"kind": "guessing_replay", "bogus": 1}, "guessing_replay attack has no field 'bogus'"),
             ({"kind": "all_frequency"}, "all_frequency attack lacks the 'per_tone_power' field"),
             ({"kind": "all_frequency", "per_tone_power": "1e9"}, "per_tone_power must be a number, got '1e9'"),
+            ({"kind": "guessing_replay", "target": "nobody"}, "target must be 'auth', 'vouch' or 'both', got 'nobody'"),
+            ({"kind": "zero_effort", "target": None}, "target must be 'auth', 'vouch' or 'both', got None"),
+            (
+                {"kind": "guessing_replay", "attacker_position": 3},
+                "attacker_position must be a sequence of finite numbers, got 3",
+            ),
+            (
+                {"kind": "all_frequency", "per_tone_power": 1e9, "attacker_position": [0.0, "x"]},
+                r"attacker_position must be a sequence of finite numbers, got \(0.0, 'x'\)",
+            ),
+            (
+                {"kind": "guessing_replay", "attacker_position": [0.0, float("nan")]},
+                r"attacker_position must be a sequence of finite numbers, got \(0.0, nan\)",
+            ),
+            ({"kind": "guessing_replay", "guess_seed": "x"}, "guess_seed must be an integer, got 'x'"),
+            ({"kind": "guessing_replay", "guess_seed": 1.5}, "guess_seed must be an integer, got 1.5"),
         ],
-        ids=["unknown_field", "missing_power", "string_power"],
+        ids=[
+            "unknown_field",
+            "missing_power",
+            "string_power",
+            "unknown_target",
+            "null_target",
+            "scalar_position",
+            "string_coordinate",
+            "nan_coordinate",
+            "string_seed",
+            "float_seed",
+        ],
     )
     def test_scenario_json_malformed_rejected(self, obj, message):
         with pytest.raises(ValueError, match=message):
             adv.scenario_from_json(obj)
+
+    def test_scenario_json_position_becomes_tuple(self):
+        s = adv.scenario_from_json({"kind": "guessing_replay", "attacker_position": [1.0, 2], "guess_seed": 3})
+        assert s == adv.GuessingReplay(guess_seed=3, attacker_position=(1.0, 2))
+
+    def test_all_frequency_waveform_without_power_rejected(self, grid):
+        scene = {
+            "duration": 9000,
+            "devices": [{"id": "a", "position": [0.0, 0.0]}],
+            "emissions": [
+                {"source_id": "x", "emit_time": 0, "position": [1.0, 0.0], "waveform": {"kind": "all_frequency"}}
+            ],
+        }
+        with pytest.raises(ValueError, match="^scene JSON all_frequency waveform lacks the 'per_tone_power' key$"):
+            ch.scene_from_json(scene, grid, adv.WAVEFORM_BUILDERS)
 
     def test_all_frequency_waveform_builder_for_scene_json(self, grid):
         wave = adv.WAVEFORM_BUILDERS["all_frequency"]({"per_tone_power": 1e10, "duration": 8192}, grid)

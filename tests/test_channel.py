@@ -265,6 +265,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{where} lacks the '{key}' key$"):
             ch.scene_from_json(obj)
 
+    @pytest.mark.parametrize(
+        "waveform, key",
+        [
+            ({"kind": "samples"}, "values"),
+            ({}, "values"),
+            ({"kind": "wav"}, "path"),
+            ({"kind": "reference_signal", "length": 4096}, "seed"),
+        ],
+        ids=["samples", "default_kind", "wav", "reference_signal"],
+    )
+    def test_scene_waveform_missing_key_rejected(self, waveform, key):
+        obj = self._two_by_two_scene()
+        obj["emissions"][1]["waveform"] = waveform
+        with pytest.raises(ValueError, match=f"^scene JSON emission 1 waveform lacks the '{key}' key$"):
+            ch.scene_from_json(obj)
+
     def test_recording_to_wav(self, tmp_path, silent_cfg, rng):
         from sonicauth.pcm import load_wav
 

@@ -8,11 +8,14 @@ from helpers import (
     folded_bins,
     sliding_candidate_powers,
 )
+from sonicauth import spectrum
 from sonicauth.channel import ChannelConfig, environment
 from sonicauth.signal import SignalSpec, build_grid, sample_spec, synthesize
 from sonicauth.spectrum import (
+    DetectionOutcome,
     DetectionParams,
     _batch_candidate_powers,
+    _sliding_candidate_powers,
     candidate_bin_table,
     cross_correlate_detect,
     detect,
@@ -175,6 +178,115 @@ class TestBatchCandidatePowers:
         assert out.peak_norm_power == norm_power(sig.samples.astype(float), sig, params)
 
 
+def _scene_recording(grid, n, seed):
+    """A seeded recording of ``n`` samples: office-level noise with one
+    reference signal in it."""
+    rng = np.random.default_rng(seed)
+    sig = synthesize(sample_spec(rng, grid))
+    x = rng.normal(0.0, 40.0, n)
+    pos = int(rng.integers(0, n - 4096 + 1))
+    x[pos : pos + 4096] += float(rng.uniform(0.2, 1.0)) * sig.samples
+    return np.rint(x)
+
+
+class TestSlidingCandidatePowers:
+    """The fine scan's sliding DFT reads the same candidate powers as the
+    exact rFFT kernel, up to rounding."""
+
+    @pytest.mark.parametrize(
+        "n, lo, count, step, rate",
+        [
+            (30_000, 0, 151, 10, FS),  # clipped at lo = 0: anchor 0
+            (4096 + 20_000, 18_000, 201, 10, FS),  # clipped at hi = max_start: the last window ends the recording
+            (30_000, 12_345, 1, 10, FS),  # one window
+            (30_000, 9_000, 301, 10, FS),  # 301 windows: 300 slides, the last block holds 44
+            (30_000, 9_000, 301, 10, FS * 1.001),  # a skewed recorder's bin table
+            (30_000, 7_777, 130, 1, FS),  # step 1: 129 slides, the last block holds one
+        ],
+        ids=["clipped_lo", "clipped_hi", "one_window", "full_partial_block", "skewed_rate", "step_one"],
+    )
+    def test_equals_rfft_kernel(self, grid, params, n, lo, count, step, rate):
+        x = _scene_recording(grid, n, seed=lo + count)
+        table = candidate_bin_table(grid, rate, 4096, params.theta)
+        if rate != FS:
+            assert not np.array_equal(table, candidate_bin_table(grid, FS, 4096, params.theta))
+        got = _sliding_candidate_powers(x, lo, count, step, 4096, table)
+        want = _batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), 4096, table)
+        assert got.shape == want.shape == (count, len(grid.candidates))
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+class TestLocatedWindowScore:
+    """The fine scan's sliding scores only pick the window. The exact
+    one-window kernel scores that window, and its score is both the reported
+    peak and the presence verdict."""
+
+    @staticmethod
+    def _scored(monkeypatch, x, sigs, params):
+        """(signal, outcome, scored window start, exact score) per detection."""
+        scored = []
+        exact = spectrum._window_score
+
+        def spy(x, start, sig, params, table):
+            score = exact(x, start, sig, params, table)
+            scored.append((start, score))
+            return score
+
+        with monkeypatch.context() as m:
+            m.setattr(spectrum, "_window_score", spy)
+            outcomes = detect_pair(x, *sigs, params)
+        assert len(scored) == len(sigs)
+        return [(sig, out, *s) for sig, out, s in zip(sigs, outcomes, scored)]
+
+    def test_peak_is_norm_power_of_the_located_window(self, grid, params, monkeypatch):
+        """Scenes with the second signal absent, clearly present, or scaled to
+        sit near ``epsilon`` times its total: either way the reported peak is
+        ``norm_power`` of the scored window, and presence is that score
+        against the threshold."""
+        verdicts = []
+        for seed in range(12):
+            rng = np.random.default_rng(4000 + seed)
+            sig_a = synthesize(sample_spec(rng, grid))
+            sig_b = synthesize(sample_spec(rng, grid))
+            x = rng.normal(0.0, 25.0, 30_000)
+            x[3_000 : 3_000 + 4096] += sig_a.samples * rng.uniform(0.1, 1.0)
+            if seed % 3 == 1:
+                x[18_000 : 18_000 + 4096] += sig_b.samples * 0.6
+            elif seed % 3 == 2:  # power scales with the square of the amplitude
+                power = params.epsilon * (0.95, 1.05, 0.99, 1.1)[seed // 3]
+                x[18_000 : 18_000 + 4096] += sig_b.samples * np.sqrt(power)
+            x = np.rint(x)
+            for sig, out, start, score in self._scored(monkeypatch, x, (sig_a, sig_b), params):
+                assert out.peak_norm_power == (None if score == -np.inf else score)
+                assert norm_power(x[start : start + 4096], sig, params) == out.peak_norm_power
+                present = score >= params.epsilon * sig.total_power
+                assert out.location == (start if present else None)
+                if sig is sig_b and seed % 3 == 2:
+                    verdicts.append(present)
+        assert set(verdicts) == {True, False}
+
+    def test_window_failing_a_gate_when_rescored_is_not_present(self, grid, params, monkeypatch):
+        """The stated rule for a sliding score and an exact score that
+        disagree: the exact one decides. Here the slide is made to rank the
+        scan's first window best, but a loud out-of-set tone in that window
+        fails its absence gate, so the signal is not present and has no
+        peak."""
+        sig = synthesize(sample_spec(np.random.default_rng(3), grid, exclude=frozenset(grid.candidates[:1])))
+        x = _embed(sig, 15_000, 10_000)
+        t = np.arange(1_400)
+        x[13_500:14_900] += 3000.0 * np.sin(2 * np.pi * grid.candidates[0] * t / FS)
+        assert detect(x, sig, params).location == 15_000
+        sliding = spectrum._sliding_candidate_powers
+
+        def first_window_best(x, lo, count, step, length, table):
+            powers = sliding(x, lo, count, step, length, table)
+            best = int(np.argmax(spectrum._gated_scores(powers, sig, params)))
+            powers[0] = powers[best]
+            return powers
+
+        monkeypatch.setattr(spectrum, "_sliding_candidate_powers", first_window_best)
+        assert detect(x, sig, params) == DetectionOutcome(None, None)
+
+
 def test_sliding_oracle_matches_direct_projections(grid):
     """The test oracle's cumulative-sum demodulation agrees with plain DFT
     projections at the first, an inner and the last window start."""
@@ -224,6 +336,23 @@ class TestNormPower:
         sig = synthesize(sample_spec(np.random.default_rng(4), grid))
         with pytest.raises(ValueError):
             norm_power(np.zeros(1000), sig, params)
+
+    def test_one_rfft_per_call(self, grid, params, monkeypatch):
+        """``norm_power`` takes its window's spectrum once, as the scan does
+        for the window it located."""
+        sig = synthesize(sample_spec(np.random.default_rng(5), grid))
+        calls = []
+        rfft = np.fft.rfft
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counting)
+        for window in (sig.samples.astype(float), np.zeros(4096)):
+            calls.clear()
+            norm_power(window, sig, params)
+            assert calls == [(1, 4096)]
 
 
 def _embed(sig, pre, post, scale=1.0):
