@@ -208,7 +208,10 @@ def _slide_phases(bins: bytes, step: int, length: int) -> tuple[np.ndarray, np.n
     k = np.frombuffer(bins, dtype=np.intp)
     roots = _roots_of_unity(length)
     project = roots[np.arange(step)[:, None] * k % length]
-    return project, roots[np.arange(_SCAN_BLOCK)[:, None] * (step * k) % length]
+    base = roots[np.arange(_SCAN_BLOCK)[:, None] * (step * k) % length]
+    project.setflags(write=False)
+    base.setflags(write=False)
+    return project, base
 
 
 def _sliding_candidate_powers(
