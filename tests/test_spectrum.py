@@ -139,8 +139,8 @@ class TestBatchCandidatePowers:
         "n, starts",
         [
             (30_000, slice(0, 30_000 - 4096 + 1, 1000)),  # coarse scan
-            (30_000, slice(9_000, 12_001, 10)),  # fine scan inside the recording
-            (4096 + 2000, slice(0, 2001, 10)),  # fine scan clipped at both ends
+            (30_000, slice(9_000, 12_001, 10)),  # step-10 windows inside the recording
+            (4096 + 2000, slice(0, 2001, 10)),  # step-10 windows from 0 to max_start
             (4096, slice(0, 1, 1000)),  # recording exactly one signal long: coarse
             (4096, slice(0, 1, 10)),  # and fine
             (4096, slice(0, 1)),  # single window (norm_power, measure_candidate_powers)
@@ -214,6 +214,7 @@ class TestSlidingCandidatePowers:
         want = _batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), 4096, table)
         assert got.shape == want.shape == (count, len(grid.candidates))
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
 
 class TestLocatedWindowScore:
     """The fine scan's sliding scores only pick the window. The exact
