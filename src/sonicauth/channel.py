@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from . import pcm
-from .signal import DEFAULT_GRID, FrequencyGrid, sample_spec, synthesize
+from .signal import DEFAULT_GRID, FrequencyGrid, _is_number, sample_spec, synthesize
 
 BASE_SAMPLE_RATE = 44_100.0
 DISTANCE_FLOOR_M = 0.1
@@ -235,21 +236,31 @@ def propagate(
     return out
 
 
-def _shaped_noise(profile: EnvironmentNoise, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded noise: flat below the cutoff, raised-cosine rolloff into a small
-    broadband tail. Power above the cutoff stays well under 1% of the total."""
-    if profile.rms == 0.0:
-        return np.zeros(n)
-    white = rng.standard_normal(n)
+# A session's recordings share one duration and `one_way_ranging` uses
+# another; each mask holds n/2+1 floats (~265 KB at 66150 samples).
+@lru_cache(maxsize=2)
+def _noise_mask(n: int, cutoff: float) -> np.ndarray:
+    """Spectral amplitude of the noise over the ``n``-sample rFFT bins: flat
+    below the knee, raised-cosine rolloff into the tail; built once per key
+    and shared read-only."""
     freqs = np.fft.rfftfreq(n, d=1.0 / BASE_SAMPLE_RATE)
-    cutoff = profile.lowpass_cutoff
     knee = 0.82 * cutoff
     mask = np.full(freqs.shape, _NOISE_TAIL_AMPLITUDE)
     mask[freqs <= knee] = 1.0
     ramp = (freqs > knee) & (freqs <= cutoff)
     x = (freqs[ramp] - knee) / (cutoff - knee)
     mask[ramp] = _NOISE_TAIL_AMPLITUDE + (1.0 - _NOISE_TAIL_AMPLITUDE) * 0.5 * (1.0 + np.cos(np.pi * x))
-    shaped = np.fft.irfft(np.fft.rfft(white) * mask, n)
+    mask.setflags(write=False)
+    return mask
+
+
+def _shaped_noise(profile: EnvironmentNoise, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Seeded noise: flat below the cutoff, raised-cosine rolloff into a small
+    broadband tail. Power above the cutoff stays well under 1% of the total."""
+    if profile.rms == 0.0:
+        return np.zeros(n)
+    white = rng.standard_normal(n)
+    shaped = np.fft.irfft(np.fft.rfft(white) * _noise_mask(n, profile.lowpass_cutoff), n)
     return shaped * (profile.rms / np.sqrt(np.mean(shaped**2)))
 
 
@@ -334,6 +345,22 @@ def _scene_key(entry: dict, key: str, where: str = "scene JSON"):
         raise ValueError(f"{where} lacks the {key!r} key") from None
 
 
+def _scene_object(value, where: str) -> dict:
+    """``value`` if it is a JSON object, else a ``ValueError`` naming where."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object, got {value!r}")
+    return value
+
+
+def _scene_position(entry: dict, where: str) -> tuple[float, ...]:
+    """The entry's ``position`` as a tuple; ``ValueError`` unless it is a
+    sequence of numbers."""
+    position = _scene_key(entry, "position", where)
+    if not isinstance(position, (list, tuple)) or not all(_is_number(p) for p in position):
+        raise ValueError(f"{where} field 'position' must be a sequence of numbers, got {position!r}")
+    return tuple(position)
+
+
 def scene_from_json(
     obj: dict,
     grid: FrequencyGrid = DEFAULT_GRID,
@@ -344,17 +371,20 @@ def scene_from_json(
     Emission waveforms are described by a ``kind``: ``samples`` (inline list),
     ``wav`` (file path), or ``reference_signal`` (drawn from a seed). Callers
     may pass additional kinds via ``extra_waveforms`` (name -> builder taking
-    the waveform dict and the grid). A missing key raises ``ValueError``
-    naming it and where it is missing.
+    the waveform dict and the grid). A missing key, an entry or waveform that
+    is not an object and a position that is not a sequence of numbers raise
+    ``ValueError`` naming the field and the entry.
     """
+    _scene_object(obj, "scene JSON")
     cfg = config_from_json(obj.get("channel", {}))
     builders = dict(extra_waveforms or {})
     emissions = []
     for i, entry in enumerate(obj.get("emissions", ())):
         where = f"scene JSON emission {i}"
-        source_id, wf, emit_time, position = (
-            _scene_key(entry, key, where) for key in ("source_id", "waveform", "emit_time", "position")
-        )
+        _scene_object(entry, where)
+        source_id, wf, emit_time = (_scene_key(entry, key, where) for key in ("source_id", "waveform", "emit_time"))
+        position = _scene_position(entry, where)
+        _scene_object(wf, f"{where} field 'waveform'")
         kind = wf.get("kind", "samples")
         wf_where = f"{where} waveform"
         if kind == "samples":
@@ -368,18 +398,21 @@ def scene_from_json(
             data = builders[kind](wf, grid)
         else:
             raise ValueError(f"unknown waveform kind {kind!r}")
-        emissions.append(Emission(source_id, data, int(emit_time), tuple(position)))
-    recorders = tuple(
-        Recorder(
-            device_id=_scene_key(d, "id", f"scene JSON device {i}"),
-            position=tuple(_scene_key(d, "position", f"scene JSON device {i}")),
-            sample_rate=float(d.get("sample_rate", BASE_SAMPLE_RATE)),
+        emissions.append(Emission(source_id, data, int(emit_time), position))
+    recorders = []
+    for i, d in enumerate(obj.get("devices", ())):
+        where = f"scene JSON device {i}"
+        _scene_object(d, where)
+        recorders.append(
+            Recorder(
+                device_id=_scene_key(d, "id", where),
+                position=_scene_position(d, where),
+                sample_rate=float(d.get("sample_rate", BASE_SAMPLE_RATE)),
+            )
         )
-        for i, d in enumerate(obj.get("devices", ()))
-    )
     scene = AcousticScene(
         emissions=tuple(emissions),
-        recorders=recorders,
+        recorders=tuple(recorders),
         duration=int(_scene_key(obj, "duration")),
         seed=int(obj.get("seed", 0)),
     )

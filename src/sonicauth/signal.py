@@ -15,6 +15,7 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -308,19 +309,36 @@ def _phase_family(spec: SignalSpec, index: np.ndarray) -> Iterator[np.ndarray]:
 
 
 # Phasor tables are built as a block product exp(iw*B*a) * exp(iw*b), a and b
-# below B (here 64), so each tone costs 2*B complex exponentials, not one sine
-# per sample and phase candidate.
+# below B (here 64), so each grid candidate costs 2*B complex exponentials,
+# once per grid, length and rate, not one sine per sample and phase candidate.
 _PHASOR_BLOCK = 64
 
 
-def _phasor_table(spec: SignalSpec) -> np.ndarray:
-    """(2n, length) rows ``sin(w_k t)`` for each tone k, then ``cos(w_k t)``."""
-    omega = 2.0 * np.pi * np.asarray(spec.frequencies) / spec.sample_rate
-    blocks = -(-spec.length // _PHASOR_BLOCK)
+# One grid's rows at the session length take about 2 MB (60 rows of 4096
+# samples). Keeping only the last table stops a long one-off signal (a scene
+# JSON's 65536-sample reference signal, ~31 MB) from staying resident.
+@lru_cache(maxsize=1)
+def _grid_phasor_table(grid: FrequencyGrid, length: int, sample_rate: float) -> np.ndarray:
+    """(2N, length) rows ``sin(w_i t)`` for every grid candidate i, then
+    ``cos(w_i t)``; read-only, shared by every tone set on the grid. Each row
+    is an elementwise function of its own ``w_i``, so it equals the row a
+    table of any tone subset would hold, bit for bit."""
+    omega = 2.0 * np.pi * np.asarray(grid.candidates) / sample_rate
+    blocks = -(-length // _PHASOR_BLOCK)
     coarse = np.exp(1j * omega[:, None] * (_PHASOR_BLOCK * np.arange(blocks)))
     fine = np.exp(1j * omega[:, None] * np.arange(_PHASOR_BLOCK))
-    phasor = (coarse[:, :, None] * fine[:, None, :]).reshape(spec.tone_count, -1)[:, : spec.length]
-    return np.concatenate([phasor.imag, phasor.real])
+    phasor = (coarse[:, :, None] * fine[:, None, :]).reshape(grid.bin_count, -1)[:, :length]
+    table = np.concatenate([phasor.imag, phasor.real])
+    table.setflags(write=False)
+    return table
+
+
+def _phasor_table(spec: SignalSpec) -> np.ndarray:
+    """(2n, length) rows ``sin(w_k t)`` for each tone k, then ``cos(w_k t)``,
+    gathered from the grid's shared table."""
+    index, _ = spectrum.in_set_mask(spec.frequencies, spec.grid)
+    rows = np.concatenate([index, spec.grid.bin_count + index])
+    return _grid_phasor_table(spec.grid, spec.length, spec.sample_rate)[rows]
 
 
 def _tone_sum(spec: SignalSpec, table: np.ndarray, phases: np.ndarray) -> np.ndarray:

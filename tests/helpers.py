@@ -107,6 +107,34 @@ def loop_tone_sum(spec, phases):
     return x
 
 
+def tone_set_phasor_table(spec) -> np.ndarray:
+    """Reference phasor table built for one tone set alone: (2n, length) rows
+    ``sin(w_k t)`` for each tone k, then ``cos(w_k t)``, by the same block
+    product ``exp(iw*64*a) * exp(iw*b)`` the synthesizer's grid-wide table
+    uses, over the spec's tones only."""
+    block = 64
+    omega = 2.0 * np.pi * np.asarray(spec.frequencies) / spec.sample_rate
+    blocks = -(-spec.length // block)
+    coarse = np.exp(1j * omega[:, None] * (block * np.arange(blocks)))
+    fine = np.exp(1j * omega[:, None] * np.arange(block))
+    phasor = (coarse[:, :, None] * fine[:, None, :]).reshape(spec.tone_count, -1)[:, : spec.length]
+    return np.concatenate([phasor.imag, phasor.real])
+
+
+def noise_mask(n: int, cutoff: float, sample_rate: float = 44_100.0, tail: float = 0.05) -> np.ndarray:
+    """Reference spectral mask of the environment noise over the ``n``-sample
+    rFFT bins: 1 up to the knee at 0.82 * cutoff, a raised-cosine ramp down to
+    ``tail`` at the cutoff, ``tail`` above it."""
+    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+    knee = 0.82 * cutoff
+    mask = np.full(freqs.shape, tail)
+    mask[freqs <= knee] = 1.0
+    ramp = (freqs > knee) & (freqs <= cutoff)
+    x = (freqs[ramp] - knee) / (cutoff - knee)
+    mask[ramp] = tail + (1.0 - tail) * 0.5 * (1.0 + np.cos(np.pi * x))
+    return mask
+
+
 def loop_render(spec, phases):
     x = loop_tone_sum(spec, phases)
     return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int16)

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -280,6 +281,48 @@ class TestConfig:
         obj["emissions"][1]["waveform"] = waveform
         with pytest.raises(ValueError, match=f"^scene JSON emission 1 waveform lacks the '{key}' key$"):
             ch.scene_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "entries, field, value, message",
+        [
+            ("emissions", "waveform", 3, "scene JSON emission 1 field 'waveform' must be an object, got 3"),
+            ("emissions", "waveform", [1, -1], "scene JSON emission 1 field 'waveform' must be an object"),
+            ("emissions", None, 3, "scene JSON emission 1 must be an object, got 3"),
+            ("emissions", None, ["a"], "scene JSON emission 1 must be an object"),
+            ("devices", None, "b", "scene JSON device 1 must be an object, got 'b'"),
+            ("emissions", "position", 3, "scene JSON emission 1 field 'position' must be a sequence of numbers, got 3"),
+            ("emissions", "position", "xy", "scene JSON emission 1 field 'position' must be a sequence of numbers"),
+            ("emissions", "position", [0.0, "1"], "scene JSON emission 1 field 'position' must be a sequence of numbers"),
+            ("devices", "position", 3, "scene JSON device 1 field 'position' must be a sequence of numbers, got 3"),
+            ("devices", "position", {"x": 1.0}, "scene JSON device 1 field 'position' must be a sequence of numbers"),
+            ("devices", "position", [1.0, True], "scene JSON device 1 field 'position' must be a sequence of numbers"),
+        ],
+        ids=[
+            "waveform_int",
+            "waveform_list",
+            "emission_int",
+            "emission_list",
+            "device_string",
+            "emission_position_int",
+            "emission_position_string",
+            "emission_position_string_coordinate",
+            "device_position_int",
+            "device_position_object",
+            "device_position_bool_coordinate",
+        ],
+    )
+    def test_scene_malformed_entry_rejected(self, entries, field, value, message):
+        obj = self._two_by_two_scene()
+        if field is None:
+            obj[entries][1] = value
+        else:
+            obj[entries][1][field] = value
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            ch.scene_from_json(obj)
+
+    def test_scene_not_an_object_rejected(self):
+        with pytest.raises(ValueError, match="^scene JSON must be an object, got \\[\\]$"):
+            ch.scene_from_json([])
 
     def test_recording_to_wav(self, tmp_path, silent_cfg, rng):
         from sonicauth.pcm import load_wav
