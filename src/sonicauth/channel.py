@@ -345,11 +345,10 @@ def _scene_key(entry: dict, key: str, where: str = "scene JSON"):
         raise ValueError(f"{where} lacks the {key!r} key") from None
 
 
-def _scene_object(value, where: str) -> dict:
-    """``value`` if it is a JSON object, else a ``ValueError`` naming where."""
+def _scene_object(value, where: str) -> None:
+    """``ValueError`` naming where, unless ``value`` is a JSON object."""
     if not isinstance(value, dict):
         raise ValueError(f"{where} must be an object, got {value!r}")
-    return value
 
 
 def _scene_position(entry: dict, where: str) -> tuple[float, ...]:
