@@ -15,7 +15,6 @@ from .signal import (
     FrequencyGrid,
     ReferenceSignal,
     SignalSpec,
-    build_grid,
     sample_spec,
     synthesize,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "FrequencyGrid",
     "ReferenceSignal",
     "SignalSpec",
-    "build_grid",
     "sample_spec",
     "synthesize",
     "DetectionOutcome",

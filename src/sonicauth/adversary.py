@@ -97,67 +97,57 @@ class AllFrequency:
 AttackScenario = Union[ZeroEffort, GuessingReplay, AllFrequency]
 
 
-def guessing_replay_signal(
-    rng: np.random.Generator, grid: FrequencyGrid = DEFAULT_GRID, **spec_kwargs
-) -> ReferenceSignal:
+def guessing_replay_signal(rng: np.random.Generator) -> ReferenceSignal:
     """A fresh reference-signal draw, statistically independent of any
     session's signals."""
-    return synthesize(sample_spec(rng, grid, **spec_kwargs))
+    return synthesize(sample_spec(rng))
 
 
-def all_frequency_signal(
-    grid: FrequencyGrid,
-    per_tone_power: float,
-    duration: int,
-    *,
-    sample_rate: float = DEFAULT_SAMPLE_RATE,
-    amplitude_budget: int = DEFAULT_AMPLITUDE_BUDGET,
-) -> np.ndarray:
-    """Spoofing waveform containing every candidate tone.
+def all_frequency_signal(grid: FrequencyGrid, per_tone_power: float, duration: int) -> np.ndarray:
+    """Spoofing waveform containing every candidate tone at the default
+    sample rate.
 
     Per-tone amplitudes are calibrated against the detector's measurement
     convention so each tone carries ``per_tone_power``; raises when the
-    requested power cannot fit the 16-bit range after summation.
-    The waveform is memoised per ``(grid, power, duration, rate, budget)``
-    and returned read-only, since every caller with that key shares it.
+    requested power cannot fit the default amplitude budget after summation.
+    The waveform is memoised per ``(grid, power, duration)`` and returned
+    read-only, since every caller with that key shares it.
     """
     if duration < 4096:
         raise ValueError("duration must cover at least one measurement window (4096 samples)")
     if not (math.isfinite(per_tone_power) and per_tone_power > 0):
         raise ValueError(f"per-tone power must be finite and positive, got {per_tone_power!r}")
-    return _all_frequency_waveform(grid, float(per_tone_power), int(duration), sample_rate, amplitude_budget)
+    return _all_frequency_waveform(grid, float(per_tone_power), int(duration))
 
 
 # An attack campaign replays one waveform on every trial, so keeping the last
 # one is enough; each kept continuous waveform holds ~130 KB.
 @lru_cache(maxsize=1)
-def _all_frequency_waveform(
-    grid: FrequencyGrid, per_tone_power: float, duration: int, sample_rate: float, amplitude_budget: int
-) -> np.ndarray:
-    amps = [math.sqrt(per_tone_power / unit_power) for unit_power in _unit_sine_powers(grid, sample_rate)]
-    if sum(amps) > amplitude_budget:
+def _all_frequency_waveform(grid: FrequencyGrid, per_tone_power: float, duration: int) -> np.ndarray:
+    amps = [math.sqrt(per_tone_power / unit_power) for unit_power in _unit_sine_powers(grid)]
+    if sum(amps) > DEFAULT_AMPLITUDE_BUDGET:
         raise ValueError(
             f"per-tone power {per_tone_power:g} infeasible: tone amplitudes sum to "
-            f"{sum(amps):.0f} > budget {amplitude_budget}"
+            f"{sum(amps):.0f} > budget {DEFAULT_AMPLITUDE_BUDGET}"
         )
     t = np.arange(duration, dtype=np.float64)
     x = np.zeros(duration)
     for f, a in zip(grid.candidates, amps):
-        x += a * np.sin(2.0 * np.pi * f * t / sample_rate)
+        x += a * np.sin(2.0 * np.pi * f * t / DEFAULT_SAMPLE_RATE)
     wave = np.clip(np.rint(x), -32768, 32767).astype(np.int16)
     wave.setflags(write=False)
     return wave
 
 
 @lru_cache(maxsize=4)
-def _unit_sine_powers(grid: FrequencyGrid, sample_rate: float) -> tuple[float, ...]:
+def _unit_sine_powers(grid: FrequencyGrid) -> tuple[float, ...]:
     """Each candidate's measured power for a unit-amplitude sine at it."""
     window = 4096
     theta = spectrum.DetectionParams().theta
     powers = []
     for i, f in enumerate(grid.candidates):
-        unit = np.sin(2.0 * np.pi * f * np.arange(window) / sample_rate)
-        powers.append(spectrum.measure_candidate_powers(unit, grid, sample_rate, theta)[i])
+        unit = np.sin(2.0 * np.pi * f * np.arange(window) / DEFAULT_SAMPLE_RATE)
+        powers.append(spectrum.measure_candidate_powers(unit, grid, DEFAULT_SAMPLE_RATE, theta)[i])
     return tuple(powers)
 
 
@@ -182,12 +172,7 @@ def _near(position: tuple[float, ...], anchor: tuple[float, ...]) -> tuple[float
     return tuple(p + o for p, o in zip(anchor, offset))
 
 
-def build_emissions(
-    scenario: AttackScenario,
-    ctx: SceneContext,
-    rng: np.random.Generator,
-    grid: FrequencyGrid = DEFAULT_GRID,
-) -> list[ch.Emission]:
+def build_emissions(scenario: AttackScenario, ctx: SceneContext, rng: np.random.Generator) -> list[ch.Emission]:
     """Translate an attack scenario into scene emissions."""
     if isinstance(scenario, ZeroEffort):
         return []
@@ -202,7 +187,7 @@ def build_emissions(
         guess_rng = np.random.default_rng(scenario.guess_seed) if scenario.guess_seed is not None else rng
         emissions = []
         for i, anchor in enumerate(anchors):
-            guess = guessing_replay_signal(guess_rng, grid)
+            guess = guessing_replay_signal(guess_rng)
             earliest, latest = int(0.05 * ctx.duration), ctx.duration - guess.samples.shape[0] - 1
             if earliest >= latest:
                 raise ValueError(f"scene duration {ctx.duration} too short for a {len(guess.samples)}-sample replay")
@@ -215,7 +200,7 @@ def build_emissions(
         length = ctx.duration - 1 if scenario.continuous else 8192
         if length >= ctx.duration:
             raise ValueError(f"scene duration {ctx.duration} too short for a {length}-sample all-frequency burst")
-        wave = all_frequency_signal(grid, scenario.per_tone_power, length)
+        wave = all_frequency_signal(DEFAULT_GRID, scenario.per_tone_power, length)
         start = 0 if scenario.continuous else int(rng.integers(0, ctx.duration - length))
         return [
             ch.Emission(f"attacker_{i}", wave, start, _near(scenario.attacker_position, anchor))
@@ -248,12 +233,3 @@ def scenario_from_json(obj: dict) -> AttackScenario:
         params["attacker_position"] = tuple(params["attacker_position"])
     return scenario(**params)
 
-
-def _all_frequency_waveform_builder(wf: dict, grid: FrequencyGrid) -> np.ndarray:
-    power = ch._scene_key(wf, "per_tone_power", "scene JSON all_frequency waveform")
-    return all_frequency_signal(grid, float(power), int(wf.get("duration", 8192)))
-
-
-# For channel.scene_from_json(extra_waveforms=...): lets scene JSON carry
-# attacker waveforms alongside ordinary ones.
-WAVEFORM_BUILDERS = {"all_frequency": _all_frequency_waveform_builder}

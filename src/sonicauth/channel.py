@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import pcm
-from .signal import DEFAULT_GRID, FrequencyGrid, _is_number, sample_spec, synthesize
+from .signal import DEFAULT_GRID, DEFAULT_LENGTH, _finite_positive, _is_int, _is_number, sample_spec, synthesize
 
 BASE_SAMPLE_RATE = 44_100.0
 DISTANCE_FLOOR_M = 0.1
@@ -351,73 +351,96 @@ def _scene_object(value, where: str) -> None:
         raise ValueError(f"{where} must be an object, got {value!r}")
 
 
-def _scene_position(entry: dict, where: str) -> tuple[float, ...]:
+def _scene_field(entry: dict, key: str, where: str, valid, kind: str, default=None):
+    """``entry[key]``, or ``default`` when one is given and the key is absent;
+    ``ValueError`` naming the key and where unless the value passes ``valid``."""
+    value = _scene_key(entry, key, where) if default is None else entry.get(key, default)
+    if not valid(value):
+        raise ValueError(f"{where} field {key!r} must be {kind}, got {value!r}")
+    return value
+
+
+def _scene_position(entry: dict, where: str, dims: int | None) -> tuple[float, ...]:
     """The entry's ``position`` as a tuple; ``ValueError`` unless it is a
-    sequence of numbers."""
+    sequence of ``dims`` numbers, or of at least one when ``dims`` is None."""
     position = _scene_key(entry, "position", where)
     if not isinstance(position, (list, tuple)) or not all(_is_number(p) for p in position):
         raise ValueError(f"{where} field 'position' must be a sequence of numbers, got {position!r}")
+    if not position or dims not in (None, len(position)):
+        raise ValueError(f"{where} field 'position' must have {dims or 'one or more'} coordinates, got {position!r}")
     return tuple(position)
 
 
-def scene_from_json(
-    obj: dict,
-    grid: FrequencyGrid = DEFAULT_GRID,
-    extra_waveforms: dict | None = None,
-) -> tuple[AcousticScene, ChannelConfig]:
+def _is_seed(value) -> bool:
+    return _is_int(value) and value >= 0
+
+
+def _is_rate(value) -> bool:
+    return _is_number(value) and _finite_positive(value)
+
+
+def _scene_waveform(wf: dict, where: str) -> np.ndarray:
+    """Samples of an emission's waveform, described by its ``kind``."""
+    kind = wf.get("kind", "samples")
+    if kind == "samples":
+        return np.asarray(_scene_key(wf, "values", where), dtype=np.int16)
+    if kind == "wav":
+        return pcm.load_wav(_scene_key(wf, "path", where))[0]
+    if kind == "reference_signal":
+        rng = np.random.default_rng(_scene_field(wf, "seed", where, _is_seed, "a non-negative integer"))
+        length = _scene_field(wf, "length", where, _is_int, "an integer", DEFAULT_LENGTH)
+        return synthesize(sample_spec(rng, length=length)).samples
+    if kind == "all_frequency":
+        from .adversary import all_frequency_signal  # adversary imports this module
+
+        power = _scene_field(wf, "per_tone_power", where, _is_number, "a number")
+        duration = _scene_field(wf, "duration", where, _is_int, "an integer", 8192)
+        return all_frequency_signal(DEFAULT_GRID, power, duration)
+    raise ValueError(f"unknown waveform kind {kind!r}")
+
+
+def scene_from_json(obj: dict) -> tuple[AcousticScene, ChannelConfig]:
     """Build (scene, config) from a JSON-style dict.
 
     Emission waveforms are described by a ``kind``: ``samples`` (inline list),
-    ``wav`` (file path), or ``reference_signal`` (drawn from a seed). Callers
-    may pass additional kinds via ``extra_waveforms`` (name -> builder taking
-    the waveform dict and the grid). A missing key, an entry or waveform that
-    is not an object and a position that is not a sequence of numbers raise
-    ``ValueError`` naming the field and the entry.
+    ``wav`` (file path), ``reference_signal`` (drawn from a seed) or
+    ``all_frequency`` (the spoofing waveform of every candidate tone at
+    ``per_tone_power``). Every position has the first one's number of
+    coordinates. A missing key, an entry or waveform that is not an object and
+    a field of the wrong type or out of range raise ``ValueError`` naming the
+    field and the entry.
     """
     _scene_object(obj, "scene JSON")
     cfg = config_from_json(obj.get("channel", {}))
-    builders = dict(extra_waveforms or {})
+    dims = None
     emissions = []
     for i, entry in enumerate(obj.get("emissions", ())):
         where = f"scene JSON emission {i}"
         _scene_object(entry, where)
-        source_id, wf, emit_time = (_scene_key(entry, key, where) for key in ("source_id", "waveform", "emit_time"))
-        position = _scene_position(entry, where)
+        source_id, wf = (_scene_key(entry, key, where) for key in ("source_id", "waveform"))
+        emit_time = _scene_field(entry, "emit_time", where, _is_int, "an integer")
+        position = _scene_position(entry, where, dims)
+        dims = len(position)
         _scene_object(wf, f"{where} field 'waveform'")
-        kind = wf.get("kind", "samples")
-        wf_where = f"{where} waveform"
-        if kind == "samples":
-            data = np.asarray(_scene_key(wf, "values", wf_where), dtype=np.int16)
-        elif kind == "wav":
-            data, _ = pcm.load_wav(_scene_key(wf, "path", wf_where))
-        elif kind == "reference_signal":
-            rng = np.random.default_rng(int(_scene_key(wf, "seed", wf_where)))
-            data = synthesize(sample_spec(rng, grid, length=int(wf.get("length", 4096)))).samples
-        elif kind in builders:
-            data = builders[kind](wf, grid)
-        else:
-            raise ValueError(f"unknown waveform kind {kind!r}")
-        emissions.append(Emission(source_id, data, int(emit_time), position))
+        emissions.append(Emission(source_id, _scene_waveform(wf, f"{where} waveform"), emit_time, position))
     recorders = []
     for i, d in enumerate(obj.get("devices", ())):
         where = f"scene JSON device {i}"
         _scene_object(d, where)
-        recorders.append(
-            Recorder(
-                device_id=_scene_key(d, "id", where),
-                position=_scene_position(d, where),
-                sample_rate=float(d.get("sample_rate", BASE_SAMPLE_RATE)),
-            )
-        )
+        device_id = _scene_key(d, "id", where)
+        position = _scene_position(d, where, dims)
+        dims = len(position)
+        rate = _scene_field(d, "sample_rate", where, _is_rate, "a positive number", BASE_SAMPLE_RATE)
+        recorders.append(Recorder(device_id, position, float(rate)))
     scene = AcousticScene(
         emissions=tuple(emissions),
         recorders=tuple(recorders),
-        duration=int(_scene_key(obj, "duration")),
-        seed=int(obj.get("seed", 0)),
+        duration=_scene_field(obj, "duration", "scene JSON", _is_int, "an integer"),
+        seed=_scene_field(obj, "seed", "scene JSON", _is_seed, "a non-negative integer", 0),
     )
     return scene, cfg
 
 
-def load_scene(path: str, grid: FrequencyGrid = DEFAULT_GRID, extra_waveforms: dict | None = None):
+def load_scene(path: str):
     with open(path) as fh:
-        return scene_from_json(json.load(fh), grid, extra_waveforms)
+        return scene_from_json(json.load(fh))

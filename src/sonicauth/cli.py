@@ -32,7 +32,7 @@ def _parse_distances(text: str) -> tuple[float, ...]:
 
 
 def _load_channel_cfg(args) -> ch.ChannelConfig | None:
-    if not getattr(args, "config", None):
+    if not args.config:
         return None
     try:
         with open(args.config) as fh:
@@ -69,8 +69,7 @@ def _cmd_range(args) -> int:
 
 
 def _cmd_auth(args) -> int:
-    cfg = _load_channel_cfg(args) or ch.ChannelConfig()
-    cfg = ev._cfg_for(args.env, cfg)
+    cfg = ev._cfg_for(args.env, _load_channel_cfg(args))
     rng = np.random.default_rng(args.seed)
     auth = Endpoint("auth", (0.0, 0.0))
     vouch = Endpoint("vouch", (args.distance, 0.0))
@@ -190,27 +189,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def session_flags(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--env", default="office", choices=sorted(ch.ENVIRONMENTS))
         p.add_argument("--config", help="JSON channel config file")
+
+    def out_flag(p):
         p.add_argument("--out", help="output file (.csv or .json)")
 
     p = sub.add_parser("range", help="ranging-error campaign per distance")
-    common(p)
+    session_flags(p)
+    out_flag(p)
     p.add_argument("--distances", default="0.5,1.0,1.5,2.0")
     p.add_argument("--trials", type=int, default=10)
     p.set_defaults(func=_cmd_range)
 
     p = sub.add_parser("auth", help="one authentication session")
-    common(p)
+    session_flags(p)
     p.add_argument("--distance", type=float, default=0.5)
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--wav-dump", help="directory for recordings and reference signals")
     p.set_defaults(func=_cmd_auth)
 
     p = sub.add_parser("frrfar", help="analytic FRR/FAR table")
-    common(p)
+    out_flag(p)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--tau-grid", default="0.5,1.0,1.5,2.0", dest="tau_grid")
     p.add_argument("--ds", type=float, default=2.5)
@@ -218,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_frrfar)
 
     p = sub.add_parser("fit-sigma", help="fit sigma to a target FRR")
-    common(p)
     p.add_argument("--frr", type=float, required=True)
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--ds", type=float, default=2.5)
@@ -226,21 +227,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit_sigma)
 
     p = sub.add_parser("attack", help="attack campaign")
-    common(p)
+    session_flags(p)
     p.add_argument("--kind", choices=["zero", "guessing", "allfreq"], required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--separation", type=float, default=3.0)
     p.set_defaults(func=_cmd_attack)
 
     p = sub.add_parser("compare", help="detector comparison")
-    common(p)
+    session_flags(p)
+    out_flag(p)
     p.add_argument("--distances", default="1.0")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--sigma-proc", type=float, default=0.02, dest="sigma_proc")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("multiuser", help="concurrent-pairs interference campaign")
-    common(p)
+    session_flags(p)
+    out_flag(p)
     p.add_argument("--pairs", type=int, default=3)
     p.add_argument("--distances", default="0.5,1.0,1.5,2.0")
     p.add_argument("--trials", type=int, default=10)

@@ -187,9 +187,7 @@ def _cfg_for(environment: str, channel_cfg: ch.ChannelConfig | None) -> ch.Chann
 # ---------------------------------------------------------------------------
 
 
-def _interferer_emissions(
-    ctx, rng: np.random.Generator, pairs: int, grid
-) -> list[ch.Emission]:
+def _interferer_emissions(ctx, rng: np.random.Generator, pairs: int) -> list[ch.Emission]:
     """Extra device pairs running their own sessions nearby: each pair plays
     two fresh reference signals, synthesized and staggered like the
     legitimate session's, at random times and positions around that pair."""
@@ -204,8 +202,8 @@ def _interferer_emissions(
         half_gap = rng.uniform(0.2, 0.5)
         pos_1 = (center[0] - half_gap, center[1])
         pos_2 = (center[0] + half_gap, center[1])
-        sig_1 = synthesize(sample_spec(rng, grid), params=ctx.params)
-        sig_2 = synthesize(sample_spec(rng, grid), params=ctx.params)
+        sig_1 = synthesize(sample_spec(rng), params=ctx.params)
+        sig_2 = synthesize(sample_spec(rng), params=ctx.params)
         gap = ctx.playback_gap
         latest = ctx.duration - sig_2.samples.shape[0] - gap - 1
         if latest <= 0:
@@ -255,7 +253,7 @@ def multiuser_campaign(
     cfg = _cfg_for(environment, channel_cfg)
     intruder = None
     if pairs > 1:
-        intruder = lambda ctx, r: _interferer_emissions(ctx, r, pairs - 1, DEFAULT_GRID)
+        intruder = lambda ctx, r: _interferer_emissions(ctx, r, pairs - 1)
     results = list(_sessions(distances, trials, seed, cfg, AuthPolicy(threshold_m=1.0), intruder=intruder))
     rows = []
     for d, signed in zip(distances, _signed_errors(results, distances)):
@@ -312,16 +310,16 @@ def attack_campaign(
     *,
     separation_m: float = 3.0,
     environment: str = "office",
-    tau_m: float = 1.0,
     channel_cfg: ch.ChannelConfig | None = None,
 ) -> AttackReport:
-    """Run full sessions with the attacker injected and count acceptances.
+    """Run full sessions with the attacker injected and count acceptances
+    under the 1 m threshold.
 
     The legitimate devices sit ``separation_m`` apart (default beyond the
     detect range: the attacker tries while the user is away)."""
     cfg = _cfg_for(environment, channel_cfg)
     intruder = lambda ctx, r: adv.build_emissions(scenario, ctx, r)
-    results = list(_sessions((separation_m,), trials, seed, cfg, AuthPolicy(threshold_m=tau_m), intruder=intruder))
+    results = list(_sessions((separation_m,), trials, seed, cfg, AuthPolicy(threshold_m=1.0), intruder=intruder))
     decisions = [decision for _, decision, _ in results]
     return AttackReport(
         scenario=type(scenario).__name__,
@@ -332,23 +330,25 @@ def attack_campaign(
     )
 
 
-def all_frequency_power_sweep(count: int = 6, *, tone_count_reference: int = 15) -> tuple[float, ...]:
+# The sweep's reference signal: the first half of the default grid's tones.
+_SWEEP_REFERENCE_TONES = 15
+
+
+def all_frequency_power_sweep(count: int = 6) -> tuple[float, ...]:
     """Log-spaced emitted per-tone powers spanning from well below the
     out-of-set threshold to the largest feasible level (which crosses the
     received-power thresholds at close range)."""
     from .signal import SignalSpec, synthesize
 
-    grid = DEFAULT_GRID
     params = DetectionParams()
-    spec = SignalSpec(frequencies=grid.candidates[:tone_count_reference], grid=grid)
-    ref = synthesize(spec, params=params)
-    r_f = ref.total_power / tone_count_reference
-    lo = params.beta(ref.total_power, tone_count_reference) / 4.0
+    ref = synthesize(SignalSpec(frequencies=DEFAULT_GRID.candidates[:_SWEEP_REFERENCE_TONES]), params=params)
+    r_f = ref.total_power / _SWEEP_REFERENCE_TONES
+    lo = params.beta(ref.total_power, _SWEEP_REFERENCE_TONES) / 4.0
     hi = 4.0 * params.alpha * r_f
     # keep the top of the sweep feasible for a 30-tone sum in 16-bit range
     for _ in range(40):
         try:
-            adv.all_frequency_signal(grid, hi, 8192)
+            adv.all_frequency_signal(DEFAULT_GRID, hi, 8192)
             break
         except ValueError:
             hi *= 0.8
@@ -360,6 +360,11 @@ def all_frequency_power_sweep(count: int = 6, *, tone_count_reference: int = 15)
 # ---------------------------------------------------------------------------
 
 
+# The echo baseline's mean processing delay and its calibration rounds.
+_ECHO_MU_PROC_S = 0.15
+_ECHO_CALIBRATION_TRIALS = 10
+
+
 def detector_comparison(
     distances: tuple[float, ...],
     trials: int,
@@ -367,8 +372,6 @@ def detector_comparison(
     *,
     environment: str = "office",
     sigma_proc_s: float = 0.02,
-    mu_proc_s: float = 0.15,
-    calibration_trials: int = 10,
     channel_cfg: ch.ChannelConfig | None = None,
 ) -> ExperimentReport:
     """Mean absolute ranging error for three methods:
@@ -376,22 +379,23 @@ def detector_comparison(
     * ``two_way_freq``  - the full protocol with the frequency detector;
     * ``two_way_xcorr`` - the same protocol with the raw cross-correlation
       baseline detector;
-    * ``one_way_echo``  - one-way ranging against a calibrated processing
-      delay whose per-trial jitter is Normal(mu_proc, sigma_proc).
+    * ``one_way_echo``  - one-way ranging against a processing delay,
+      calibrated over ``_ECHO_CALIBRATION_TRIALS`` rounds at 5 cm, whose
+      per-trial jitter is Normal(``_ECHO_MU_PROC_S``, ``sigma_proc_s``).
     """
     cfg = _cfg_for(environment, channel_cfg)
     distances = tuple(distances)
     auth = Endpoint("auth", (0.0, 0.0))
 
     def echo(vouch: Endpoint, rng: np.random.Generator) -> float | None:
-        delay = max(mu_proc_s + sigma_proc_s * rng.standard_normal(), 0.0)
+        delay = max(_ECHO_MU_PROC_S + sigma_proc_s * rng.standard_normal(), 0.0)
         return one_way_ranging(auth, vouch, rng, cfg, processing_delay_s=delay)
 
     # Calibrate the echo baseline's processing delay at near-zero distance.
     cal_rng = _trial_rng(seed, 99, 0)
-    elapsed_cal = [echo(Endpoint("vouch", (0.05, 0.0)), cal_rng) for _ in range(calibration_trials)]
+    elapsed_cal = [echo(Endpoint("vouch", (0.05, 0.0)), cal_rng) for _ in range(_ECHO_CALIBRATION_TRIALS)]
     elapsed_cal = [elapsed for elapsed in elapsed_cal if elapsed is not None]
-    mu_hat = float(np.mean(elapsed_cal)) if elapsed_cal else mu_proc_s
+    mu_hat = float(np.mean(elapsed_cal)) if elapsed_cal else _ECHO_MU_PROC_S
 
     errors: dict[str, list[list[float]]] = {}
     for method, detector in (("two_way_freq", "freq"), ("two_way_xcorr", "xcorr")):

@@ -98,11 +98,9 @@ def decide(raw_distance: float | None, signal_present: bool, paired: bool, polic
     )
 
 
-@dataclass(frozen=True)
-class Endpoint:
-    device_id: str
-    position: tuple[float, ...]
-    sample_rate: float = ch.BASE_SAMPLE_RATE
+# A device in a session is described as the channel records it: an id, a
+# position and a clock rate.
+Endpoint = ch.Recorder
 
 
 @dataclass(frozen=True)
@@ -192,7 +190,6 @@ class SceneContext:
     auth_position: tuple[float, ...]
     vouch_position: tuple[float, ...]
     duration: int
-    base_sample_rate: float
     playback_gap: int
     params: spectrum.DetectionParams
 
@@ -348,7 +345,7 @@ def run_authentication(
     emissions = ()
     if intruder is not None:
         duration = _to_samples(protocol_cfg.record_duration_s)
-        ctx = SceneContext(auth.position, vouch.position, duration, ch.BASE_SAMPLE_RATE, t.playback_gap, params)
+        ctx = SceneContext(auth.position, vouch.position, duration, t.playback_gap, params)
         emissions = intruder(ctx, rng)
     rec_a, rec_v = _record(t, sig_a, vouch_sig_v, protocol_cfg, cfg, emissions)
 
@@ -415,7 +412,7 @@ def one_way_ranging(
     play_at = t_send + _to_samples(processing_delay_s)
     scene = ch.AcousticScene(
         emissions=(ch.Emission(vouch.device_id, sig.samples, play_at, vouch.position),),
-        recorders=(ch.Recorder(auth.device_id, auth.position, auth.sample_rate),),
+        recorders=(auth,),
         duration=_to_samples(1.2),
         seed=int(rng.integers(0, 2**31 - 1)),
     )

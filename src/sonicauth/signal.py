@@ -60,12 +60,7 @@ class FrequencyGrid:
         return (self.band_high - self.band_low) / self.bin_count
 
 
-def build_grid(band_low: float, band_high: float, bin_count: int) -> FrequencyGrid:
-    """Build the candidate-frequency grid over ``[band_low, band_high]``."""
-    return FrequencyGrid(band_low, band_high, bin_count)
-
-
-DEFAULT_GRID = build_grid(DEFAULT_BAND_LOW, DEFAULT_BAND_HIGH, DEFAULT_BIN_COUNT)
+DEFAULT_GRID = FrequencyGrid(DEFAULT_BAND_LOW, DEFAULT_BAND_HIGH, DEFAULT_BIN_COUNT)
 
 
 @dataclass(frozen=True)
@@ -191,8 +186,9 @@ class ReferenceSignal:
         return len(header).to_bytes(4, "big") + header + self.samples.tobytes()
 
     @classmethod
-    def from_bytes(cls, blob: bytes, grid: FrequencyGrid = DEFAULT_GRID) -> "ReferenceSignal":
-        """Parse a link payload; raises ``ValueError`` on a malformed one."""
+    def from_bytes(cls, blob: bytes) -> "ReferenceSignal":
+        """Parse a link payload of a signal on the default grid; raises
+        ``ValueError`` on a malformed one."""
         hlen = int.from_bytes(blob[:4], "big")
         if 4 + hlen > len(blob):
             raise ValueError(f"link payload header of {hlen} bytes runs past the {len(blob)}-byte blob")
@@ -205,7 +201,6 @@ class ReferenceSignal:
         samples = np.frombuffer(blob[4 + hlen :], dtype=np.int16).copy()
         spec = SignalSpec(
             frequencies=tuple(meta["freqs_hz"]),
-            grid=grid,
             length=length,
             sample_rate=meta["sample_rate"],
             amplitude_budget=meta["amplitude_budget"],
@@ -410,25 +405,15 @@ def save_signal_json(sig: ReferenceSignal, path: str) -> None:
         json.dump(payload, fh)
 
 
-def load_signal(
-    wav_path: str,
-    json_path: str,
-    grid: FrequencyGrid = DEFAULT_GRID,
-    amplitude_budget: int = DEFAULT_AMPLITUDE_BUDGET,
-) -> ReferenceSignal:
-    """Rebuild a reference signal from its WAV samples and JSON tone map;
-    raises ``ValueError`` naming the field when the JSON is malformed."""
+def load_signal(wav_path: str, json_path: str) -> ReferenceSignal:
+    """Rebuild a reference signal on the default grid from its WAV samples and
+    JSON tone map; raises ``ValueError`` naming the field when the JSON is
+    malformed."""
     samples, rate = pcm.load_wav(wav_path)
     with open(json_path) as fh:
         meta = json.load(fh)
     source = f"signal JSON {json_path!r}"
     _check_header(meta, source, _TONE_FIELDS)
     power = {f: float(p) for f, p in _tone_powers(meta, source).items()}
-    spec = SignalSpec(
-        frequencies=tuple(meta["freqs_hz"]),
-        grid=grid,
-        length=len(samples),
-        sample_rate=float(rate),
-        amplitude_budget=amplitude_budget,
-    )
+    spec = SignalSpec(frequencies=tuple(meta["freqs_hz"]), length=len(samples), sample_rate=float(rate))
     return ReferenceSignal(spec=spec, samples=samples, nominal_power=power)

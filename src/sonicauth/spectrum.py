@@ -141,13 +141,10 @@ def frequency_bin(freq: float, sample_rate: float, window_length: int) -> int:
 def candidate_bin_table(
     grid: "FrequencyGrid", sample_rate: float, window_length: int, theta: int
 ) -> np.ndarray:
-    """(N, 2*theta+1) one-sided bin indices per candidate, clamped then folded.
-    Built once per key and shared read-only."""
-    freqs = np.asarray(grid.candidates, dtype=np.float64)
-    bad = (freqs < 0) | (freqs >= sample_rate) | (freqs == sample_rate / 2)
-    if bad.any():
-        frequency_bin(float(freqs[bad][0]), sample_rate, window_length)  # raises the ValueError
-    first = np.floor(freqs / sample_rate * window_length).astype(np.intp)
+    """(N, 2*theta+1) one-sided bin indices per candidate, clamped then folded,
+    around each candidate's ``frequency_bin``. Built once per key and shared
+    read-only."""
+    first = np.array([frequency_bin(f, sample_rate, window_length) for f in grid.candidates], dtype=np.intp)
     k = np.clip(first[:, None] + np.arange(-theta, theta + 1), 0, window_length - 1)
     table = np.where(k > window_length // 2, window_length - k, k)
     table.setflags(write=False)

@@ -179,9 +179,9 @@ def test_criterion_6_spoofing_attacks():
 
 def test_criterion_7_guessing_probability():
     from helpers import proper_subsets
-    from sonicauth.signal import build_grid
+    from sonicauth.signal import FrequencyGrid
 
-    grid4 = build_grid(1_000, 5_000, 4)
+    grid4 = FrequencyGrid(1_000, 5_000, 4)
     subsets = proper_subsets(grid4.candidates)
     prob = adv.guessing_success_probability(4, 1)
     ok = len(subsets) == 14 and prob == pytest.approx(1 / 14, rel=1e-12)

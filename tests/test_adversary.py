@@ -10,12 +10,13 @@ from sonicauth import channel as ch
 from sonicauth import evaluation as ev
 from sonicauth import spectrum
 from sonicauth.protocol import SceneContext
-from sonicauth.signal import build_grid, sample_spec, synthesize
+from sonicauth.signal import FrequencyGrid, sample_spec, synthesize
 from sonicauth.spectrum import DetectionParams, measure_candidate_powers, norm_power
 
 
-def uncached_all_frequency_signal(grid, per_tone_power, duration, *, sample_rate=44_100.0, amplitude_budget=32_000):
+def uncached_all_frequency_signal(grid, per_tone_power, duration):
     """Reference: the all-frequency waveform recalibrated and rebuilt on every call."""
+    sample_rate, amplitude_budget = 44_100.0, 32_000
     t = np.arange(duration, dtype=np.float64)
     window = 4096
     theta = DetectionParams().theta
@@ -34,13 +35,13 @@ def uncached_all_frequency_signal(grid, per_tone_power, duration, *, sample_rate
 
 class TestGuessingReplaySignal:
     def test_output_is_valid_reference_signal(self, grid):
-        sig = adv.guessing_replay_signal(np.random.default_rng(0), grid)
+        sig = adv.guessing_replay_signal(np.random.default_rng(0))
         assert 0 < len(sig.frequencies) < grid.bin_count
         assert np.max(np.abs(sig.samples)) <= sig.spec.amplitude_budget
         assert sig.total_power == pytest.approx(sum(sig.nominal_power.values()))
 
     def test_small_grid_enumerates_all_subsets_uniformly(self):
-        g = build_grid(1000, 5000, 4)
+        g = FrequencyGrid(1000, 5000, 4)
         admissible = proper_subsets(g.candidates)
         assert len(admissible) == 14
         rng = np.random.default_rng(321)
@@ -84,7 +85,7 @@ class TestAllFrequencySignal:
 
     def test_calibration_runs_once_per_grid(self, monkeypatch):
         # A grid no other test uses, so its calibration is not cached yet.
-        grid = build_grid(26_000.0, 34_000.0, 12)
+        grid = FrequencyGrid(26_000.0, 34_000.0, 12)
         calls = []
         measure = spectrum.measure_candidate_powers
 
@@ -128,7 +129,7 @@ class TestSanityCheckDefence:
     def test_wrong_guess_window_is_sentinel(self, grid, params):
         rng = np.random.default_rng(9)
         sig = synthesize(sample_spec(rng, grid))
-        guess = adv.guessing_replay_signal(np.random.default_rng(10), grid)
+        guess = adv.guessing_replay_signal(np.random.default_rng(10))
         if set(guess.frequencies) == set(sig.frequencies):  # pragma: no cover
             pytest.skip("guess collided (probability ~1e-9)")
         p = norm_power(guess.samples.astype(float), sig, params)
@@ -162,35 +163,30 @@ class TestScenarios:
             auth_position=(0.0, 0.0),
             vouch_position=(3.0, 0.0),
             duration=66_150,
-            base_sample_rate=44_100.0,
             playback_gap=13_230,
             params=DetectionParams(),
         )
 
-    def test_zero_effort_emits_nothing(self, grid):
-        out = adv.build_emissions(adv.ZeroEffort(), self._ctx(), np.random.default_rng(0), grid)
+    def test_zero_effort_emits_nothing(self):
+        out = adv.build_emissions(adv.ZeroEffort(), self._ctx(), np.random.default_rng(0))
         assert out == []
 
-    def test_guessing_replay_plays_near_both_devices(self, grid):
-        out = adv.build_emissions(
-            adv.GuessingReplay(), self._ctx(), np.random.default_rng(1), grid
-        )
+    def test_guessing_replay_plays_near_both_devices(self):
+        out = adv.build_emissions(adv.GuessingReplay(), self._ctx(), np.random.default_rng(1))
         assert len(out) == 2
         positions = {e.position for e in out}
         assert (0.3, 0.0) in positions and (3.3, 0.0) in positions
 
-    def test_attacks_in_too_short_scene_rejected_clearly(self, grid):
-        ctx = SceneContext((0.0, 0.0), (3.0, 0.0), 4200, 44_100.0, 13_230, DetectionParams())
+    def test_attacks_in_too_short_scene_rejected_clearly(self):
+        ctx = SceneContext((0.0, 0.0), (3.0, 0.0), 4200, 13_230, DetectionParams())
         with pytest.raises(ValueError, match="scene duration 4200 too short for a 4096-sample replay"):
-            adv.build_emissions(adv.GuessingReplay(), ctx, np.random.default_rng(1), grid)
+            adv.build_emissions(adv.GuessingReplay(), ctx, np.random.default_rng(1))
         burst = adv.AllFrequency(per_tone_power=1e9, continuous=False)
         with pytest.raises(ValueError, match="scene duration 4200 too short for a 8192-sample all-frequency"):
-            adv.build_emissions(burst, ctx, np.random.default_rng(1), grid)
+            adv.build_emissions(burst, ctx, np.random.default_rng(1))
 
-    def test_all_frequency_continuous_spans_scene(self, grid):
-        out = adv.build_emissions(
-            adv.AllFrequency(per_tone_power=1e10), self._ctx(), np.random.default_rng(2), grid
-        )
+    def test_all_frequency_continuous_spans_scene(self):
+        out = adv.build_emissions(adv.AllFrequency(per_tone_power=1e10), self._ctx(), np.random.default_rng(2))
         assert len(out) == 1
         assert out[0].emit_time == 0
         assert out[0].waveform.shape[0] == 66_149
@@ -248,22 +244,31 @@ class TestScenarios:
         s = adv.scenario_from_json({"kind": "guessing_replay", "attacker_position": [1.0, 2], "guess_seed": 3})
         assert s == adv.GuessingReplay(guess_seed=3, attacker_position=(1.0, 2))
 
-    def test_all_frequency_waveform_without_power_rejected(self, grid):
-        scene = {
+    @staticmethod
+    def _all_frequency_scene(waveform):
+        return {
             "duration": 9000,
             "devices": [{"id": "a", "position": [0.0, 0.0]}],
-            "emissions": [
-                {"source_id": "x", "emit_time": 0, "position": [1.0, 0.0], "waveform": {"kind": "all_frequency"}}
-            ],
+            "emissions": [{"source_id": "x", "emit_time": 0, "position": [1.0, 0.0], "waveform": waveform}],
         }
-        with pytest.raises(ValueError, match="^scene JSON all_frequency waveform lacks the 'per_tone_power' key$"):
-            ch.scene_from_json(scene, grid, adv.WAVEFORM_BUILDERS)
+
+    def test_all_frequency_waveform_without_power_rejected(self):
+        scene = self._all_frequency_scene({"kind": "all_frequency"})
+        with pytest.raises(ValueError, match="^scene JSON emission 0 waveform lacks the 'per_tone_power' key$"):
+            ch.scene_from_json(scene)
 
     def test_all_frequency_waveform_builder_for_scene_json(self, grid):
-        wave = adv.WAVEFORM_BUILDERS["all_frequency"]({"per_tone_power": 1e10, "duration": 8192}, grid)
+        """A scene JSON's built-in ``all_frequency`` kind plays the spoofing
+        waveform of the default grid."""
+        scene, _ = ch.scene_from_json(
+            self._all_frequency_scene({"kind": "all_frequency", "per_tone_power": 1e10, "duration": 8192})
+        )
+        wave = scene.emissions[0].waveform
         assert wave.shape[0] == 8192
+        assert np.array_equal(wave, adv.all_frequency_signal(grid, 1e10, 8192))
 
     @pytest.mark.parametrize("power", [-1, 0, float("nan")])
-    def test_all_frequency_waveform_builder_rejects_bad_power(self, grid, power):
+    def test_all_frequency_waveform_builder_rejects_bad_power(self, power):
+        scene = self._all_frequency_scene({"kind": "all_frequency", "per_tone_power": power, "duration": 8192})
         with pytest.raises(ValueError, match="per-tone power must be finite and positive, got"):
-            adv.WAVEFORM_BUILDERS["all_frequency"]({"per_tone_power": power, "duration": 8192}, grid)
+            ch.scene_from_json(scene)

@@ -296,6 +296,26 @@ class TestConfig:
             ("devices", "position", 3, "scene JSON device 1 field 'position' must be a sequence of numbers, got 3"),
             ("devices", "position", {"x": 1.0}, "scene JSON device 1 field 'position' must be a sequence of numbers"),
             ("devices", "position", [1.0, True], "scene JSON device 1 field 'position' must be a sequence of numbers"),
+            ("devices", "position", [], "scene JSON device 1 field 'position' must have 2 coordinates, got []"),
+            ("emissions", "position", [0.0, 0.0, 1.0], "scene JSON emission 1 field 'position' must have 2 coordinates"),
+            ("devices", "sample_rate", [1], "scene JSON device 1 field 'sample_rate' must be a positive number, got [1]"),
+            ("devices", "sample_rate", -5, "scene JSON device 1 field 'sample_rate' must be a positive number, got -5"),
+            ("emissions", "emit_time", [1], "scene JSON emission 1 field 'emit_time' must be an integer, got [1]"),
+            ("emissions", "emit_time", 1.7, "scene JSON emission 1 field 'emit_time' must be an integer, got 1.7"),
+            (None, "seed", [1], "scene JSON field 'seed' must be a non-negative integer, got [1]"),
+            (None, "duration", None, "scene JSON field 'duration' must be an integer, got None"),
+            (
+                "emissions",
+                "waveform",
+                {"kind": "reference_signal", "seed": 1.5},
+                "scene JSON emission 1 waveform field 'seed' must be a non-negative integer, got 1.5",
+            ),
+            (
+                "emissions",
+                "waveform",
+                {"kind": "all_frequency", "per_tone_power": "1e10"},
+                "scene JSON emission 1 waveform field 'per_tone_power' must be a number, got '1e10'",
+            ),
         ],
         ids=[
             "waveform_int",
@@ -309,11 +329,23 @@ class TestConfig:
             "device_position_int",
             "device_position_object",
             "device_position_bool_coordinate",
+            "device_position_empty",
+            "emission_position_3d",
+            "device_rate_list",
+            "device_rate_negative",
+            "emit_time_list",
+            "emit_time_float",
+            "seed_list",
+            "duration_null",
+            "reference_signal_float_seed",
+            "all_frequency_string_power",
         ],
     )
     def test_scene_malformed_entry_rejected(self, entries, field, value, message):
         obj = self._two_by_two_scene()
-        if field is None:
+        if entries is None:
+            obj[field] = value
+        elif field is None:
             obj[entries][1] = value
         else:
             obj[entries][1][field] = value

@@ -43,6 +43,25 @@ def test_frrfar_bad_sigma_exits_2(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit-sigma", "--frr", "0.028", "--out", "x"],
+        ["fit-sigma", "--frr", "0.028", "--env", "home"],
+        ["frrfar", "--sigma", "0.0702", "--seed", "1"],
+        ["frrfar", "--sigma", "0.0702", "--config", "cfg.json"],
+        ["auth", "--out", "x"],
+        ["attack", "--kind", "zero", "--out", "x"],
+    ],
+    ids=["fit_sigma_out", "fit_sigma_env", "frrfar_seed", "frrfar_config", "auth_out", "attack_out"],
+)
+def test_flag_the_subcommand_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_auth_json_transcript(capsys):
     assert main(["auth", "--distance", "0.5", "--tau", "1.0", "--seed", "3"]) == 0
     blob = json.loads(capsys.readouterr().out)

@@ -129,12 +129,12 @@ class TestMultiuser:
         # a minority of sessions lose a signal entirely
         assert 0 < multi.meta["not_present_total"] <= 12
 
-    def test_scene_too_short_for_an_interferer_pair_rejected_clearly(self, grid):
-        ctx = SceneContext((0.0, 0.0), (1.0, 0.0), 17_000, 44_100.0, 13_230, DetectionParams())
+    def test_scene_too_short_for_an_interferer_pair_rejected_clearly(self):
+        ctx = SceneContext((0.0, 0.0), (1.0, 0.0), 17_000, 13_230, DetectionParams())
         with pytest.raises(ValueError, match="scene duration 17000 too short .* two 4096-sample signals 13230"):
-            ev._interferer_emissions(ctx, np.random.default_rng(0), 1, grid)
+            ev._interferer_emissions(ctx, np.random.default_rng(0), 1)
 
-    def test_interferers_use_the_sessions_settings(self, grid, monkeypatch):
+    def test_interferers_use_the_sessions_settings(self, monkeypatch):
         """The interferer pairs are staggered by the session's playback gap
         and synthesized with the session's detection params."""
         used_params = []
@@ -149,7 +149,7 @@ class TestMultiuser:
         emissions = []
 
         def intruder(ctx, rng):
-            emissions.extend(ev._interferer_emissions(ctx, rng, 2, grid))
+            emissions.extend(ev._interferer_emissions(ctx, rng, 2))
             return emissions
 
         run_authentication(

@@ -9,9 +9,9 @@ from sonicauth import signal as sg
 from sonicauth import spectrum
 from sonicauth.signal import (
     DEFAULT_GRID,
+    FrequencyGrid,
     ReferenceSignal,
     SignalSpec,
-    build_grid,
     load_signal,
     sample_spec,
     save_signal_json,
@@ -23,7 +23,7 @@ from sonicauth.spectrum import DetectionParams, norm_power
 
 class TestBuildGrid:
     def test_default_grid_midpoints(self):
-        g = build_grid(25_000, 35_000, 30)
+        g = FrequencyGrid(25_000, 35_000, 30)
         assert g.candidates[0] == pytest.approx(25_166.6666667)
         assert g.candidates[29] == pytest.approx(34_833.3333333)
         assert g.spacing == pytest.approx(333.3333333)
@@ -33,14 +33,14 @@ class TestBuildGrid:
 
     def test_invalid_bin_count(self):
         with pytest.raises(ValueError):
-            build_grid(0, 10, 1)
+            FrequencyGrid(0, 10, 1)
 
     def test_invalid_band(self):
         with pytest.raises(ValueError):
-            build_grid(10, 10, 4)
+            FrequencyGrid(10, 10, 4)
 
     def test_all_candidates_above_noise_floor(self):
-        g = build_grid(25_000, 35_000, 30)
+        g = FrequencyGrid(25_000, 35_000, 30)
         assert all(c > 6000 for c in g.candidates)
 
 
@@ -57,7 +57,7 @@ class TestSampleSpec:
             assert 0 < spec.tone_count < grid.bin_count
 
     def test_uniform_over_subsets_small_grid(self):
-        g = build_grid(1000, 5000, 4)
+        g = FrequencyGrid(1000, 5000, 4)
         admissible = proper_subsets(g.candidates)
         assert len(admissible) == 14
         rng = np.random.default_rng(99)
@@ -228,7 +228,7 @@ class TestPhasorRenderer:
 class TestSerialization:
     def test_bytes_round_trip(self, grid):
         sig = synthesize(sample_spec(np.random.default_rng(2), grid))
-        clone = ReferenceSignal.from_bytes(sig.to_bytes(), grid)
+        clone = ReferenceSignal.from_bytes(sig.to_bytes())
         assert np.array_equal(clone.samples, sig.samples)
         assert clone.spec.frequencies == sig.spec.frequencies
         assert clone.total_power == pytest.approx(sig.total_power)
@@ -248,7 +248,7 @@ class TestSerialization:
         sig = synthesize(sample_spec(np.random.default_rng(2), grid))
         freqs = list(reversed(sig.frequencies))
         blob = self._payload(sig, freqs_hz=freqs, nominal_power=[sig.nominal_power[f] for f in freqs])
-        clone = ReferenceSignal.from_bytes(blob, grid)
+        clone = ReferenceSignal.from_bytes(blob)
         assert clone.nominal_power == sig.nominal_power
         assert clone.total_power == sig.total_power
 
@@ -257,26 +257,26 @@ class TestSerialization:
         blob = sig.to_bytes()
         hlen = int.from_bytes(blob[:4], "big")
         with pytest.raises(ValueError, match="header of .* runs past"):
-            ReferenceSignal.from_bytes(blob[: 4 + hlen - 1], grid)
+            ReferenceSignal.from_bytes(blob[: 4 + hlen - 1])
 
     @pytest.mark.parametrize("body_delta", [-200, 2])
     def test_body_length_mismatch_rejected(self, grid, body_delta):
         sig = synthesize(sample_spec(np.random.default_rng(2), grid))
         with pytest.raises(ValueError, match="body is .* bytes, expected 8192 for 4096 samples"):
-            ReferenceSignal.from_bytes(self._payload(sig, body_delta), grid)
+            ReferenceSignal.from_bytes(self._payload(sig, body_delta))
 
     def test_power_count_mismatch_rejected(self, grid):
         sig = synthesize(sample_spec(np.random.default_rng(2), grid))
         short = [sig.nominal_power[f] for f in sig.frequencies][:-1]
         with pytest.raises(ValueError, match="nominal powers for"):
-            ReferenceSignal.from_bytes(self._payload(sig, nominal_power=short), grid)
+            ReferenceSignal.from_bytes(self._payload(sig, nominal_power=short))
 
     @pytest.mark.parametrize("bad", [float("nan"), -1.0, pytest.param(10**400, id="int_beyond_float")])
     def test_bad_power_rejected(self, grid, bad):
         sig = synthesize(sample_spec(np.random.default_rng(2), grid))
         powers = [bad] + [sig.nominal_power[f] for f in sig.frequencies][1:]
         with pytest.raises(ValueError, match="must be finite and positive"):
-            ReferenceSignal.from_bytes(self._payload(sig, nominal_power=powers), grid)
+            ReferenceSignal.from_bytes(self._payload(sig, nominal_power=powers))
 
     @pytest.mark.parametrize("field", ["freqs_hz", "nominal_power", "length", "sample_rate", "amplitude_budget"])
     def test_missing_header_field_rejected(self, grid, field):
@@ -287,13 +287,13 @@ class TestSerialization:
         del meta[field]
         encoded = json.dumps(meta).encode()
         with pytest.raises(ValueError, match=f"header lacks the '{field}' field"):
-            ReferenceSignal.from_bytes(len(encoded).to_bytes(4, "big") + encoded + blob[4 + hlen :], grid)
+            ReferenceSignal.from_bytes(len(encoded).to_bytes(4, "big") + encoded + blob[4 + hlen :])
 
     def test_string_power_rejected(self, grid):
         sig = synthesize(sample_spec(np.random.default_rng(2), grid))
         powers = ["1e9"] + [sig.nominal_power[f] for f in sig.frequencies][1:]
         with pytest.raises(ValueError, match="field 'nominal_power' must be a list of numbers"):
-            ReferenceSignal.from_bytes(self._payload(sig, nominal_power=powers), grid)
+            ReferenceSignal.from_bytes(self._payload(sig, nominal_power=powers))
 
     def test_wav_json_round_trip(self, grid, tmp_path):
         sig = synthesize(sample_spec(np.random.default_rng(4), grid))
@@ -301,7 +301,7 @@ class TestSerialization:
         meta = tmp_path / "ref.json"
         save_signal_wav(sig, str(wav))
         save_signal_json(sig, str(meta))
-        clone = load_signal(str(wav), str(meta), grid)
+        clone = load_signal(str(wav), str(meta))
         assert np.array_equal(clone.samples, sig.samples)
         assert clone.spec.frequencies == sig.spec.frequencies
 
@@ -319,45 +319,45 @@ class TestLoadSignal:
         return sig, json.loads((tmp_path / "ref.json").read_text())
 
     @staticmethod
-    def _load(tmp_path, grid, meta):
+    def _load(tmp_path, meta):
         (tmp_path / "ref.json").write_text(json.dumps(meta))
-        return load_signal(str(tmp_path / "ref.wav"), str(tmp_path / "ref.json"), grid)
+        return load_signal(str(tmp_path / "ref.wav"), str(tmp_path / "ref.json"))
 
     @pytest.mark.parametrize("field", ["freqs_hz", "nominal_power"])
-    def test_missing_field_rejected(self, tmp_path, grid, saved, field):
+    def test_missing_field_rejected(self, tmp_path, saved, field):
         _, meta = saved
         del meta[field]
         with pytest.raises(ValueError, match=f"lacks the '{field}' field"):
-            self._load(tmp_path, grid, meta)
+            self._load(tmp_path, meta)
 
     @pytest.mark.parametrize(
         "field, value",
         [("freqs_hz", "25166.7"), ("freqs_hz", [None]), ("nominal_power", {"25166.7": 1e9}), ("nominal_power", ["1e9"])],
     )
-    def test_mistyped_field_rejected(self, tmp_path, grid, saved, field, value):
+    def test_mistyped_field_rejected(self, tmp_path, saved, field, value):
         _, meta = saved
         with pytest.raises(ValueError, match=f"field '{field}' must be a list of numbers"):
-            self._load(tmp_path, grid, {**meta, field: value})
+            self._load(tmp_path, {**meta, field: value})
 
-    def test_non_object_rejected(self, tmp_path, grid, saved):
+    def test_non_object_rejected(self, tmp_path, saved):
         with pytest.raises(ValueError, match="must be a JSON object, got list"):
-            self._load(tmp_path, grid, [1.0, 2.0])
+            self._load(tmp_path, [1.0, 2.0])
 
-    def test_power_count_mismatch_rejected(self, tmp_path, grid, saved):
+    def test_power_count_mismatch_rejected(self, tmp_path, saved):
         """One power for all tones: ``zip`` used to keep just the first tone."""
         sig, meta = saved
         with pytest.raises(ValueError, match=f"has 1 nominal powers for {sig.spec.tone_count} tones"):
-            self._load(tmp_path, grid, {**meta, "nominal_power": meta["nominal_power"][:1]})
+            self._load(tmp_path, {**meta, "nominal_power": meta["nominal_power"][:1]})
 
     @pytest.mark.parametrize(
         "bad", [float("nan"), float("inf"), 0.0, -1.0, pytest.param(10**400, id="int_beyond_float")]
     )
-    def test_bad_power_rejected(self, tmp_path, grid, saved, bad):
+    def test_bad_power_rejected(self, tmp_path, saved, bad):
         _, meta = saved
         with pytest.raises(ValueError, match="must be finite and positive"):
-            self._load(tmp_path, grid, {**meta, "nominal_power": [bad] + meta["nominal_power"][1:]})
+            self._load(tmp_path, {**meta, "nominal_power": [bad] + meta["nominal_power"][1:]})
 
-    def test_powers_follow_their_tones_in_any_order(self, tmp_path, grid, saved):
+    def test_powers_follow_their_tones_in_any_order(self, tmp_path, saved):
         sig, meta = saved
         reordered = {key: list(reversed(meta[key])) for key in ("freqs_hz", "nominal_power")}
-        assert self._load(tmp_path, grid, reordered).nominal_power == sig.nominal_power
+        assert self._load(tmp_path, reordered).nominal_power == sig.nominal_power

@@ -10,7 +10,7 @@ from helpers import (
 )
 from sonicauth import spectrum
 from sonicauth.channel import ChannelConfig, environment
-from sonicauth.signal import SignalSpec, build_grid, sample_spec, synthesize
+from sonicauth.signal import FrequencyGrid, SignalSpec, sample_spec, synthesize
 from sonicauth.spectrum import (
     DetectionOutcome,
     DetectionParams,
@@ -79,8 +79,8 @@ class TestFrequencyBin:
 class TestBinTable:
     def test_indices_stay_in_bounds_for_edge_grids(self):
         # candidates hugging DC and the top of the range exercise clamping/folding
-        low = build_grid(10.0, 120.0, 4)
-        high = build_grid(43_000.0, 44_000.0, 4)
+        low = FrequencyGrid(10.0, 120.0, 4)
+        high = FrequencyGrid(43_000.0, 44_000.0, 4)
         for g in (low, high):
             table = candidate_bin_table(g, FS, 4096, theta=5)
             assert table.min() >= 0
@@ -96,7 +96,7 @@ class TestBinTable:
         "bounds", [None, (10.0, 120.0, 4), (43_000.0, 44_000.0, 4)], ids=["default", "dc", "top"]
     )
     def test_equals_per_candidate_loop(self, grid, bounds, theta):
-        g = grid if bounds is None else build_grid(*bounds)
+        g = grid if bounds is None else FrequencyGrid(*bounds)
         want = np.array([folded_bins(f, FS, 4096, theta) for f in g.candidates])
         table = candidate_bin_table(g, FS, 4096, theta)
         assert table.dtype == np.intp
@@ -112,7 +112,7 @@ class TestBinTable:
     )
     def test_candidates_off_the_spectrum_rejected(self, bounds, message):
         with pytest.raises(ValueError, match=message):
-            candidate_bin_table(build_grid(*bounds), FS, 4096, theta=5)
+            candidate_bin_table(FrequencyGrid(*bounds), FS, 4096, theta=5)
 
 
 def _per_window_candidate_powers(x, starts, length, table):
@@ -444,7 +444,7 @@ class TestDetectPair:
     def test_signals_on_two_grids_rejected(self, grid, params):
         """Same tones, same length, but the second signal's grid is wider:
         one scan cannot serve both."""
-        wider = build_grid(grid.band_low, grid.band_low + 1.5 * (grid.band_high - grid.band_low), 45)
+        wider = FrequencyGrid(grid.band_low, grid.band_low + 1.5 * (grid.band_high - grid.band_low), 45)
         tones = grid.candidates[:5]
         sig_a = synthesize(SignalSpec(frequencies=tones, grid=grid))
         sig_b = synthesize(SignalSpec(frequencies=tones, grid=wider))
