@@ -10,9 +10,9 @@ per signal.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, Union, get_args
+from typing import Union
 
 import numpy as np
 
@@ -25,73 +25,38 @@ from .signal import (
     DEFAULT_GRID,
     FrequencyGrid,
     ReferenceSignal,
+    _finite_positive,
+    _is_number,
     sample_spec,
     synthesize,
 )
 
-Target = Literal["auth", "vouch", "both"]
-
-# Attacker speaker sits this far from the targeted device.
+# Attacker speaker sits this far from the device it plays at.
 ATTACKER_OFFSET_M = 0.3
-
-
-def _check_fields(scenario) -> None:
-    """Reject a target no device answers to, an attacker position that is not
-    a tuple of finite numbers and a guess seed that is not an integer, so a
-    scenario cannot silently attack nothing or fail later inside a session."""
-    if scenario.target not in get_args(Target):
-        raise ValueError(f"target must be 'auth', 'vouch' or 'both', got {scenario.target!r}")
-    position = getattr(scenario, "attacker_position", None)
-    finite = isinstance(position, tuple) and all(
-        isinstance(p, (int, float)) and not isinstance(p, bool) and math.isfinite(p) for p in position
-    )
-    if position is not None and not finite:
-        raise ValueError(f"attacker_position must be a sequence of finite numbers, got {position!r}")
-    seed = getattr(scenario, "guess_seed", None)
-    if seed is not None and not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)):
-        raise ValueError(f"guess_seed must be an integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
 class ZeroEffort:
     """The attacker simply tries the device; no acoustic injection."""
 
-    target: Target = "auth"
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
-
 
 @dataclass(frozen=True)
 class GuessingReplay:
-    """The attacker re-runs the public signal construction with its own seed
-    and plays one guess near each device (the strongest replay placement)."""
-
-    guess_seed: int | None = None
-    attacker_position: tuple[float, ...] | None = None
-    target: Target = "both"
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
+    """The attacker re-runs the public signal construction and plays one
+    guess near each device (the strongest replay placement)."""
 
 
 @dataclass(frozen=True)
 class AllFrequency:
-    """One sine per grid candidate, equal measured per-tone power, played for
-    the whole session when ``continuous``."""
+    """One sine per grid candidate, equal measured per-tone power, played
+    near the authenticating device for the whole session."""
 
     per_tone_power: float
-    attacker_position: tuple[float, ...] | None = None
-    continuous: bool = True
-    target: Target = "auth"
 
     def __post_init__(self) -> None:
         power = self.per_tone_power
-        if isinstance(power, bool) or not isinstance(power, (int, float)):
-            raise ValueError(f"per_tone_power must be a number, got {power!r}")
-        if power <= 0:
-            raise ValueError("per-tone power must be positive")
-        _check_fields(self)
+        if not (_is_number(power) and _finite_positive(power)):
+            raise ValueError(f"per_tone_power must be a finite positive number, got {power!r}")
 
 
 AttackScenario = Union[ZeroEffort, GuessingReplay, AllFrequency]
@@ -121,7 +86,7 @@ def all_frequency_signal(grid: FrequencyGrid, per_tone_power: float, duration: i
 
 
 # An attack campaign replays one waveform on every trial, so keeping the last
-# one is enough; each kept continuous waveform holds ~130 KB.
+# one is enough; a session-long waveform holds ~130 KB.
 @lru_cache(maxsize=1)
 def _all_frequency_waveform(grid: FrequencyGrid, per_tone_power: float, duration: int) -> np.ndarray:
     amps = [math.sqrt(per_tone_power / unit_power) for unit_power in _unit_sine_powers(grid)]
@@ -165,71 +130,31 @@ def guessing_success_probability(bin_count: int, signals: int = 1) -> float:
     return single if signals == 1 else single**2
 
 
-def _near(position: tuple[float, ...], anchor: tuple[float, ...]) -> tuple[float, ...]:
-    if position is not None:
-        return tuple(position)
-    offset = (ATTACKER_OFFSET_M,) + (0.0,) * (len(anchor) - 1)
-    return tuple(p + o for p, o in zip(anchor, offset))
+def _near(anchor: tuple[float, ...]) -> tuple[float, ...]:
+    return (anchor[0] + ATTACKER_OFFSET_M,) + tuple(anchor[1:])
 
 
 def build_emissions(scenario: AttackScenario, ctx: SceneContext, rng: np.random.Generator) -> list[ch.Emission]:
-    """Translate an attack scenario into scene emissions."""
+    """Translate an attack scenario into scene emissions: none for a
+    zero-effort attempt; for a guessing replay, one guess from ``rng`` near
+    each device at a time also drawn from ``rng``; for all-frequency spoofing,
+    the waveform near the authenticating device from sample 0 to the end."""
     if isinstance(scenario, ZeroEffort):
         return []
 
-    anchors = []
-    if scenario.target in ("auth", "both"):
-        anchors.append(ctx.auth_position)
-    if scenario.target in ("vouch", "both"):
-        anchors.append(ctx.vouch_position)
-
     if isinstance(scenario, GuessingReplay):
-        guess_rng = np.random.default_rng(scenario.guess_seed) if scenario.guess_seed is not None else rng
         emissions = []
-        for i, anchor in enumerate(anchors):
-            guess = guessing_replay_signal(guess_rng)
+        for i, anchor in enumerate((ctx.auth_position, ctx.vouch_position)):
+            guess = guessing_replay_signal(rng)
             earliest, latest = int(0.05 * ctx.duration), ctx.duration - guess.samples.shape[0] - 1
             if earliest >= latest:
                 raise ValueError(f"scene duration {ctx.duration} too short for a {len(guess.samples)}-sample replay")
             when = int(rng.integers(earliest, latest))
-            pos = _near(scenario.attacker_position, anchor)
-            emissions.append(ch.Emission(f"attacker_{i}", guess.samples, when, pos))
+            emissions.append(ch.Emission(f"attacker_{i}", guess.samples, when, _near(anchor)))
         return emissions
 
     if isinstance(scenario, AllFrequency):
-        length = ctx.duration - 1 if scenario.continuous else 8192
-        if length >= ctx.duration:
-            raise ValueError(f"scene duration {ctx.duration} too short for a {length}-sample all-frequency burst")
-        wave = all_frequency_signal(DEFAULT_GRID, scenario.per_tone_power, length)
-        start = 0 if scenario.continuous else int(rng.integers(0, ctx.duration - length))
-        return [
-            ch.Emission(f"attacker_{i}", wave, start, _near(scenario.attacker_position, anchor))
-            for i, anchor in enumerate(anchors)
-        ]
+        wave = all_frequency_signal(DEFAULT_GRID, scenario.per_tone_power, ctx.duration - 1)
+        return [ch.Emission("attacker_0", wave, 0, _near(ctx.auth_position))]
 
     raise TypeError(f"unknown scenario {scenario!r}")
-
-
-_SCENARIO_KINDS = {"zero_effort": ZeroEffort, "guessing_replay": GuessingReplay, "all_frequency": AllFrequency}
-
-
-def scenario_from_json(obj: dict) -> AttackScenario:
-    """Build an attack scenario from its JSON form: ``kind`` plus the
-    scenario's fields; raises ``ValueError`` naming an unknown or missing
-    field."""
-    kind = obj.get("kind")
-    if kind not in _SCENARIO_KINDS:
-        raise ValueError(f"unknown attack kind {kind!r}")
-    scenario = _SCENARIO_KINDS[kind]
-    params = {k: v for k, v in obj.items() if k != "kind"}
-    known = {f.name: f for f in fields(scenario)}
-    for key in params:
-        if key not in known:
-            raise ValueError(f"{kind} attack has no field {key!r}")
-    for name, f in known.items():
-        if name not in params and f.default is MISSING:
-            raise ValueError(f"{kind} attack lacks the {name!r} field")
-    if isinstance(params.get("attacker_position"), list):
-        params["attacker_position"] = tuple(params["attacker_position"])
-    return scenario(**params)
-

@@ -141,9 +141,12 @@ class AcousticScene:
                 raise ValueError(f"emission from {e.source_id} outside scene duration")
             if not np.all(np.isfinite(e.position)):
                 raise ValueError("emission position must be finite")
+        ids = [r.device_id for r in self.recorders]
         for r in self.recorders:
             if not np.all(np.isfinite(r.position)):
                 raise ValueError("recorder position must be finite")
+            if ids.count(r.device_id) > 1:
+                raise ValueError(f"two recorders share the device id {r.device_id!r}")
 
     def recorder(self, device_id: str) -> Recorder:
         for r in self.recorders:
@@ -310,33 +313,6 @@ def recording_to_wav(rec: Recording, path: str) -> None:
     pcm.save_wav(path, rec.samples, rec.sample_rate)
 
 
-def config_from_json(obj: dict) -> ChannelConfig:
-    """Channel config from a JSON-style dict; unknown keys are rejected."""
-    cfg = ChannelConfig()
-    data = dict(obj)
-    if "environment" in data:
-        env = data.pop("environment")
-        profile = environment(env) if isinstance(env, str) else EnvironmentNoise(**env)
-        cfg = replace(cfg, noise=profile)
-    if "noise_seed" in data:
-        cfg = replace(cfg, noise=replace(cfg.noise, seed=int(data.pop("noise_seed"))))
-    if "wall" in data:
-        wall = data.pop("wall")
-        if wall:
-            cfg = replace(
-                cfg,
-                wall_plane_x=float(wall["plane_x"]),
-                wall_attenuation_db=float(wall.get("attenuation_db", 60.0)),
-            )
-    if "smoothing_kernel" in data:
-        cfg = replace(cfg, smoothing_kernel=energy_normalized(data.pop("smoothing_kernel")))
-    allowed = {"speed_of_sound", "attenuation_exponent", "gain_at_1m"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown channel config keys: {sorted(unknown)}")
-    return replace(cfg, **{k: float(v) for k, v in data.items()})
-
-
 def _scene_key(entry: dict, key: str, where: str = "scene JSON"):
     """``entry[key]``, or a ``ValueError`` naming the key and where it is missing."""
     try:
@@ -377,6 +353,79 @@ def _is_seed(value) -> bool:
 
 def _is_rate(value) -> bool:
     return _is_number(value) and _finite_positive(value)
+
+
+def _is_finite(value) -> bool:
+    return _is_number(value) and (value == 0 or _finite_positive(abs(value)))
+
+
+def _is_kernel(value) -> bool:
+    return isinstance(value, list) and all(_is_finite(t) for t in value) and any(t != 0 for t in value)
+
+
+# Fields of a channel config and of its environment and wall objects: the
+# check each value must pass and what it must be.
+_CONFIG_FIELDS = {
+    "speed_of_sound": (_is_rate, "a positive number"),
+    "attenuation_exponent": (_is_finite, "a finite number"),
+    "gain_at_1m": (_is_rate, "a positive number"),
+    "smoothing_kernel": (_is_kernel, "a list of finite numbers, not all zero"),
+    "environment": (lambda v: isinstance(v, (str, dict)), "an environment name or an object"),
+    "noise_seed": (_is_seed, "a non-negative integer"),
+    "wall": (lambda v: isinstance(v, dict), "an object"),
+}
+_ENVIRONMENT_FIELDS = {
+    "name": (lambda v: isinstance(v, str), "a string"),
+    "rms": (lambda v: _is_finite(v) and v >= 0, "a non-negative number"),
+    "lowpass_cutoff": (_is_rate, "a positive number"),
+    "seed": (_is_seed, "a non-negative integer"),
+}
+_WALL_FIELDS = {
+    "plane_x": (_is_finite, "a finite number"),
+    "attenuation_db": (_is_finite, "a finite number"),
+}
+
+
+def _config_fields(obj, where: str, checks: dict, required: tuple[str, ...]) -> dict:
+    """The fields of the JSON object ``obj``, each passing its check in
+    ``checks``; ``ValueError`` naming where and the key for a value that is
+    not an object, an unknown key, a missing required key or a bad value."""
+    _scene_object(obj, where)
+    unknown = set(obj) - set(checks)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+    for key in required:
+        _scene_key(obj, key, where)
+    return {key: _scene_field(obj, key, where, *checks[key]) for key in obj}
+
+
+def config_from_json(obj: dict) -> ChannelConfig:
+    """Channel config from a JSON object. Every field is optional; see
+    ``_CONFIG_FIELDS`` for their types. An ``environment`` object needs
+    ``name`` and ``rms``; a ``wall`` object needs ``plane_x`` and attenuates
+    by ``attenuation_db`` (default 60). A malformed config raises
+    ``ValueError`` naming the field."""
+    where = "channel config"
+    data = _config_fields(obj, where, _CONFIG_FIELDS, ())
+    cfg = ChannelConfig()
+    env = data.pop("environment", None)
+    if isinstance(env, str):
+        cfg = replace(cfg, noise=environment(env))
+    elif env is not None:
+        profile = _config_fields(env, f"{where} environment", _ENVIRONMENT_FIELDS, ("name", "rms"))
+        cfg = replace(cfg, noise=EnvironmentNoise(**profile))
+    if "noise_seed" in data:
+        cfg = replace(cfg, noise=replace(cfg.noise, seed=data.pop("noise_seed")))
+    if "wall" in data:
+        wall = _config_fields(data.pop("wall"), f"{where} wall", _WALL_FIELDS, ("plane_x",))
+        cfg = replace(
+            cfg,
+            wall_plane_x=float(wall["plane_x"]),
+            wall_attenuation_db=float(wall.get("attenuation_db", 60.0)),
+        )
+    if "smoothing_kernel" in data:
+        cfg = replace(cfg, smoothing_kernel=energy_normalized(data.pop("smoothing_kernel")))
+    return replace(cfg, **{k: float(v) for k, v in data.items()})
 
 
 def _scene_waveform(wf: dict, where: str) -> np.ndarray:

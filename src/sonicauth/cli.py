@@ -16,7 +16,7 @@ import numpy as np
 from . import adversary as adv
 from . import channel as ch
 from . import evaluation as ev
-from .protocol import AuthPolicy, Endpoint, replay_session, run_authentication
+from .protocol import PAIRING_RANGE_M, AuthPolicy, Endpoint, replay_session, run_authentication
 from .signal import save_signal_json, save_signal_wav
 
 
@@ -40,8 +40,8 @@ def _load_channel_cfg(args) -> ch.ChannelConfig | None:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     try:
-        return ch.config_from_json(obj.get("channel", obj))
-    except (ValueError, KeyError, TypeError) as exc:
+        return ch.config_from_json(obj.get("channel", obj) if isinstance(obj, dict) else obj)
+    except ValueError as exc:
         raise ConfigError(f"bad channel config: {exc}") from exc
 
 
@@ -215,15 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
     out_flag(p)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--tau-grid", default="0.5,1.0,1.5,2.0", dest="tau_grid")
-    p.add_argument("--ds", type=float, default=2.5)
-    p.add_argument("--bt-range", type=float, default=10.0, dest="bt_range")
+    p.add_argument("--ds", type=float, default=ev.DETECTION_RANGE_M)
+    p.add_argument("--bt-range", type=float, default=PAIRING_RANGE_M, dest="bt_range")
     p.set_defaults(func=_cmd_frrfar)
 
     p = sub.add_parser("fit-sigma", help="fit sigma to a target FRR")
     p.add_argument("--frr", type=float, required=True)
     p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--ds", type=float, default=2.5)
-    p.add_argument("--bt-range", type=float, default=10.0, dest="bt_range")
+    p.add_argument("--ds", type=float, default=ev.DETECTION_RANGE_M)
+    p.add_argument("--bt-range", type=float, default=PAIRING_RANGE_M, dest="bt_range")
     p.set_defaults(func=_cmd_fit_sigma)
 
     p = sub.add_parser("attack", help="attack campaign")

@@ -25,6 +25,7 @@ from scipy.special import ndtr
 from . import adversary as adv
 from . import channel as ch
 from .protocol import (
+    PAIRING_RANGE_M,
     AuthDecision,
     AuthPolicy,
     Endpoint,
@@ -36,6 +37,10 @@ from .signal import DEFAULT_GRID
 from .spectrum import DetectionParams
 
 DEFAULT_MIN_TRIALS = 10
+
+# The analytic model's detection range: the default channel stops carrying a
+# reference signal between 2 and 3 metres.
+DETECTION_RANGE_M = 2.5
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +57,8 @@ class ErrorModel:
     attacker can even attempt from (the paired-link range)."""
 
     sigma_m: float
-    detect_range_m: float = 2.5
-    pairing_range_m: float = 10.0
+    detect_range_m: float = DETECTION_RANGE_M
+    pairing_range_m: float = PAIRING_RANGE_M
 
     def __post_init__(self) -> None:
         if self.sigma_m <= 0:
@@ -85,8 +90,8 @@ def frr_far_model(tau_m: float, model: ErrorModel) -> tuple[float, float]:
 def fit_sigma(
     frr_target: float,
     tau_m: float,
-    detect_range_m: float = 2.5,
-    pairing_range_m: float = 10.0,
+    detect_range_m: float = DETECTION_RANGE_M,
+    pairing_range_m: float = PAIRING_RANGE_M,
 ) -> float:
     """Invert the model: sigma such that FRR(tau) hits ``frr_target``.
 

@@ -51,10 +51,14 @@ def estimate_distance(m: SessionMeasurements, speed_of_sound: float = 340.0) -> 
     return 0.5 * speed_of_sound * ((m.l_va - m.l_vv) / m.f_v + (m.l_av - m.l_aa) / m.f_a)
 
 
+# Range of the paired short-range link: no session runs beyond it.
+PAIRING_RANGE_M = 10.0
+
+
 @dataclass(frozen=True)
 class AuthPolicy:
     threshold_m: float = 1.0
-    pairing_range_m: float = 10.0
+    pairing_range_m: float = PAIRING_RANGE_M
 
     def __post_init__(self) -> None:
         if not 0 < self.threshold_m < self.pairing_range_m:

@@ -181,68 +181,38 @@ class TestScenarios:
         ctx = SceneContext((0.0, 0.0), (3.0, 0.0), 4200, 13_230, DetectionParams())
         with pytest.raises(ValueError, match="scene duration 4200 too short for a 4096-sample replay"):
             adv.build_emissions(adv.GuessingReplay(), ctx, np.random.default_rng(1))
-        burst = adv.AllFrequency(per_tone_power=1e9, continuous=False)
-        with pytest.raises(ValueError, match="scene duration 4200 too short for a 8192-sample all-frequency"):
-            adv.build_emissions(burst, ctx, np.random.default_rng(1))
+        ctx = SceneContext((0.0, 0.0), (3.0, 0.0), 4096, 13_230, DetectionParams())
+        with pytest.raises(ValueError, match="at least one measurement window"):
+            adv.build_emissions(adv.AllFrequency(per_tone_power=1e9), ctx, np.random.default_rng(1))
+
+    @pytest.mark.parametrize("duration", [1, 4000])
+    def test_all_frequency_in_scene_under_4097_samples_rejected(self, duration):
+        """The waveform spans the scene but its last sample, and must cover
+        one 4096-sample measurement window."""
+        ctx = SceneContext((0.0, 0.0), (3.0, 0.0), duration, 13_230, DetectionParams())
+        with pytest.raises(ValueError, match="at least one measurement window"):
+            adv.build_emissions(adv.AllFrequency(per_tone_power=1e9), ctx, np.random.default_rng(1))
+
+    def test_all_frequency_in_shortest_scene_plays(self):
+        ctx = SceneContext((0.0, 0.0), (3.0, 0.0), 4097, 13_230, DetectionParams())
+        (out,) = adv.build_emissions(adv.AllFrequency(per_tone_power=1e9), ctx, np.random.default_rng(1))
+        assert out.waveform.shape[0] == 4096
 
     def test_all_frequency_continuous_spans_scene(self):
         out = adv.build_emissions(adv.AllFrequency(per_tone_power=1e10), self._ctx(), np.random.default_rng(2))
         assert len(out) == 1
         assert out[0].emit_time == 0
+        assert out[0].position == (0.3, 0.0)
         assert out[0].waveform.shape[0] == 66_149
 
-    def test_scenario_json_round_trip(self):
-        s = adv.scenario_from_json({"kind": "all_frequency", "per_tone_power": 2e9})
-        assert isinstance(s, adv.AllFrequency)
-        assert s.per_tone_power == 2e9
-        s = adv.scenario_from_json({"kind": "guessing_replay", "guess_seed": 7})
-        assert isinstance(s, adv.GuessingReplay)
-        with pytest.raises(ValueError):
-            adv.scenario_from_json({"kind": "meteor"})
-
     @pytest.mark.parametrize(
-        "obj, message",
-        [
-            ({"kind": "guessing_replay", "bogus": 1}, "guessing_replay attack has no field 'bogus'"),
-            ({"kind": "all_frequency"}, "all_frequency attack lacks the 'per_tone_power' field"),
-            ({"kind": "all_frequency", "per_tone_power": "1e9"}, "per_tone_power must be a number, got '1e9'"),
-            ({"kind": "guessing_replay", "target": "nobody"}, "target must be 'auth', 'vouch' or 'both', got 'nobody'"),
-            ({"kind": "zero_effort", "target": None}, "target must be 'auth', 'vouch' or 'both', got None"),
-            (
-                {"kind": "guessing_replay", "attacker_position": 3},
-                "attacker_position must be a sequence of finite numbers, got 3",
-            ),
-            (
-                {"kind": "all_frequency", "per_tone_power": 1e9, "attacker_position": [0.0, "x"]},
-                r"attacker_position must be a sequence of finite numbers, got \(0.0, 'x'\)",
-            ),
-            (
-                {"kind": "guessing_replay", "attacker_position": [0.0, float("nan")]},
-                r"attacker_position must be a sequence of finite numbers, got \(0.0, nan\)",
-            ),
-            ({"kind": "guessing_replay", "guess_seed": "x"}, "guess_seed must be an integer, got 'x'"),
-            ({"kind": "guessing_replay", "guess_seed": 1.5}, "guess_seed must be an integer, got 1.5"),
-        ],
-        ids=[
-            "unknown_field",
-            "missing_power",
-            "string_power",
-            "unknown_target",
-            "null_target",
-            "scalar_position",
-            "string_coordinate",
-            "nan_coordinate",
-            "string_seed",
-            "float_seed",
-        ],
+        "power",
+        ["1e9", None, True, [1e9], 0, -1, -1e9, float("nan"), float("inf"), -float("inf")],
+        ids=["string", "null", "bool", "list", "zero", "negative_int", "negative", "nan", "inf", "negative_inf"],
     )
-    def test_scenario_json_malformed_rejected(self, obj, message):
-        with pytest.raises(ValueError, match=message):
-            adv.scenario_from_json(obj)
-
-    def test_scenario_json_position_becomes_tuple(self):
-        s = adv.scenario_from_json({"kind": "guessing_replay", "attacker_position": [1.0, 2], "guess_seed": 3})
-        assert s == adv.GuessingReplay(guess_seed=3, attacker_position=(1.0, 2))
+    def test_all_frequency_bad_power_rejected(self, power):
+        with pytest.raises(ValueError, match="per_tone_power must be a finite positive number, got"):
+            adv.AllFrequency(per_tone_power=power)
 
     @staticmethod
     def _all_frequency_scene(waveform):

@@ -105,6 +105,11 @@ class TestRecord:
         assert rec.samples.dtype == np.int16
         assert np.all(rec.samples == 0)
 
+    def test_duplicate_device_id_rejected(self):
+        recorders = (ch.Recorder("m", (0.0, 0.0)), ch.Recorder("m", (1.0, 0.0)))
+        with pytest.raises(ValueError, match="^two recorders share the device id 'm'$"):
+            ch.AcousticScene((), recorders, duration=64)
+
     def test_unknown_device_rejected(self, silent_cfg):
         scene = ch.AcousticScene((), (ch.Recorder("m", (0.0, 0.0)),), duration=64)
         with pytest.raises(ValueError):
@@ -210,6 +215,85 @@ class TestConfig:
     def test_config_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             ch.config_from_json({"speed_of_light": 3e8})
+
+    def test_config_from_json_environment_object_and_kernel(self):
+        cfg = ch.config_from_json(
+            {
+                "environment": {"name": "lab", "rms": 100, "lowpass_cutoff": 5000.0},
+                "noise_seed": 3,
+                "smoothing_kernel": [2.0, 0],
+                "wall": {"plane_x": -1},
+            }
+        )
+        assert cfg.noise == ch.EnvironmentNoise("lab", 100, 5000.0, seed=3)
+        assert cfg.smoothing_kernel == (1.0, 0.0)
+        assert (cfg.wall_plane_x, cfg.wall_attenuation_db) == (-1.0, 60.0)
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ([1], "channel config must be an object, got [1]"),
+            ({"wall": {"attenuation_db": 60}}, "channel config wall lacks the 'plane_x' key"),
+            ({"wall": {}}, "channel config wall lacks the 'plane_x' key"),
+            ({"wall": None}, "channel config field 'wall' must be an object, got None"),
+            ({"wall": {"plane_x": "1"}}, "channel config wall field 'plane_x' must be a finite number, got '1'"),
+            ({"wall": {"plane_x": 1, "height": 2}}, "unknown channel config wall keys: ['height']"),
+            ({"environment": {"name": "x"}}, "channel config environment lacks the 'rms' key"),
+            ({"environment": {"rms": 1.0}}, "channel config environment lacks the 'name' key"),
+            (
+                {"environment": {"name": "x", "rms": -1}},
+                "channel config environment field 'rms' must be a non-negative number, got -1",
+            ),
+            ({"environment": {"name": "x", "rms": 1, "gain": 2}}, "unknown channel config environment keys: ['gain']"),
+            ({"environment": 5}, "channel config field 'environment' must be an environment name or an object, got 5"),
+            ({"environment": "moon"}, "unknown environment 'moon'"),
+            ({"gain_at_1m": [1]}, "channel config field 'gain_at_1m' must be a positive number, got [1]"),
+            ({"gain_at_1m": 0}, "channel config field 'gain_at_1m' must be a positive number, got 0"),
+            ({"smoothing_kernel": 3}, "channel config field 'smoothing_kernel' must be a list of finite numbers"),
+            ({"smoothing_kernel": [0, 0]}, "channel config field 'smoothing_kernel' must be a list of finite numbers"),
+            ({"smoothing_kernel": []}, "channel config field 'smoothing_kernel' must be a list of finite numbers"),
+            ({"speed_of_sound": True}, "channel config field 'speed_of_sound' must be a positive number, got True"),
+            ({"speed_of_sound": "340"}, "channel config field 'speed_of_sound' must be a positive number, got '340'"),
+            (
+                {"attenuation_exponent": float("nan")},
+                "channel config field 'attenuation_exponent' must be a finite number, got nan",
+            ),
+            ({"noise_seed": 1.5}, "channel config field 'noise_seed' must be a non-negative integer, got 1.5"),
+            ({"noise_seed": -1}, "channel config field 'noise_seed' must be a non-negative integer, got -1"),
+        ],
+        ids=[
+            "list",
+            "wall_without_plane",
+            "wall_empty",
+            "wall_null",
+            "wall_string_plane",
+            "wall_unknown_key",
+            "environment_without_rms",
+            "environment_without_name",
+            "environment_negative_rms",
+            "environment_unknown_key",
+            "environment_int",
+            "environment_unknown_name",
+            "gain_list",
+            "gain_zero",
+            "kernel_int",
+            "kernel_zeros",
+            "kernel_empty",
+            "speed_bool",
+            "speed_string",
+            "exponent_nan",
+            "noise_seed_float",
+            "noise_seed_negative",
+        ],
+    )
+    def test_config_malformed_rejected(self, obj, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            ch.config_from_json(obj)
+
+    def test_scene_channel_config_malformed_rejected(self):
+        obj = {**self._two_by_two_scene(), "channel": {"wall": {}}}
+        with pytest.raises(ValueError, match="^channel config wall lacks the 'plane_x' key$"):
+            ch.scene_from_json(obj)
 
     def test_scene_round_trip_via_json(self, tmp_path):
         obj = {
@@ -350,6 +434,12 @@ class TestConfig:
         else:
             obj[entries][1][field] = value
         with pytest.raises(ValueError, match="^" + re.escape(message)):
+            ch.scene_from_json(obj)
+
+    def test_scene_duplicate_device_id_rejected(self):
+        obj = self._two_by_two_scene()
+        obj["devices"][1]["id"] = "a"
+        with pytest.raises(ValueError, match="^two recorders share the device id 'a'$"):
             ch.scene_from_json(obj)
 
     def test_scene_not_an_object_rejected(self):

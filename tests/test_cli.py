@@ -109,6 +109,23 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     assert main(["range", "--trials", "10", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ("[1]", "channel config must be an object, got [1]"),
+        ('{"channel": {"wall": {}}}', "channel config wall lacks the 'plane_x' key"),
+        ('{"speed_of_sound": true}', "channel config field 'speed_of_sound' must be a positive number, got True"),
+    ],
+    ids=["list", "wall_empty", "speed_bool"],
+)
+@pytest.mark.parametrize("command", [["range", "--trials", "1", "--distances", "0.5"], ["auth"]])
+def test_malformed_config_exits_2(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    assert main([*command, "--config", str(cfg)]) == 2
+    assert f"config error: bad channel config: {message}" in capsys.readouterr().err
+
+
 def test_bad_distance_list_exits_2(capsys):
     assert main(["range", "--distances", "abc", "--trials", "10"]) == 2
 

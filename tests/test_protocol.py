@@ -184,6 +184,14 @@ class TestRunAuthentication:
         with pytest.raises(ValueError):
             run(0.5, detector="wavelet")
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_devices_sharing_an_id_rejected(self, seed):
+        """Both recordings would otherwise come from the first device, which
+        ranges at 0 m whatever the separation."""
+        rng = np.random.default_rng(seed)
+        with pytest.raises(ValueError, match="^two recorders share the device id 'x'$"):
+            run_authentication(Endpoint("x", (0.0, 0.0)), Endpoint("x", (0.8, 0.0)), AuthPolicy(), rng)
+
     def test_recording_too_short_for_vouching_signal_rejected(self):
         # the vouching burst may start at sample 22 250 and needs 4096 more,
         # but a 0.55 s recording ends at sample 24 255
