@@ -20,7 +20,6 @@ from .signal import (
 )
 from .spectrum import (
     DetectionOutcome,
-    DetectionParams,
     cross_correlate_detect,
     detect,
     detect_pair,
@@ -64,7 +63,6 @@ __all__ = [
     "sample_spec",
     "synthesize",
     "DetectionOutcome",
-    "DetectionParams",
     "cross_correlate_detect",
     "detect",
     "detect_pair",

@@ -108,11 +108,10 @@ def _all_frequency_waveform(grid: FrequencyGrid, per_tone_power: float, duration
 def _unit_sine_powers(grid: FrequencyGrid) -> tuple[float, ...]:
     """Each candidate's measured power for a unit-amplitude sine at it."""
     window = 4096
-    theta = spectrum.DetectionParams().theta
     powers = []
     for i, f in enumerate(grid.candidates):
         unit = np.sin(2.0 * np.pi * f * np.arange(window) / DEFAULT_SAMPLE_RATE)
-        powers.append(spectrum.measure_candidate_powers(unit, grid, DEFAULT_SAMPLE_RATE, theta)[i])
+        powers.append(spectrum.measure_candidate_powers(unit, grid, DEFAULT_SAMPLE_RATE)[i])
     return tuple(powers)
 
 

@@ -13,6 +13,7 @@ and saturating-quantizes to 16-bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -58,8 +59,10 @@ class EnvironmentNoise:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.rms < 0:
-            raise ValueError("noise rms must be >= 0")
+        if not (math.isfinite(self.rms) and self.rms >= 0):
+            raise ValueError(f"noise rms must be finite and >= 0, got {self.rms}")
+        if not _finite_positive(self.lowpass_cutoff):
+            raise ValueError(f"noise lowpass_cutoff must be finite and positive, got {self.lowpass_cutoff}")
 
 
 ENVIRONMENTS: dict[str, EnvironmentNoise] = {
@@ -102,13 +105,17 @@ class ChannelConfig:
     wall_plane_x: float | None = None
 
     def __post_init__(self) -> None:
-        if self.speed_of_sound <= 0:
-            raise ValueError("speed_of_sound must be positive")
-        if self.gain_at_1m <= 0:
-            raise ValueError("gain_at_1m must be positive")
+        for name in ("speed_of_sound", "gain_at_1m"):
+            if not _finite_positive(getattr(self, name)):
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        for name in ("attenuation_exponent", "wall_attenuation_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.wall_plane_x is not None and not math.isfinite(self.wall_plane_x):
+            raise ValueError(f"wall_plane_x must be finite or None, got {self.wall_plane_x}")
         energy = float(np.sum(np.asarray(self.smoothing_kernel) ** 2))
-        if abs(energy - 1.0) > 1e-6:
-            raise ValueError("smoothing kernel must be energy-normalized (sum of squares 1)")
+        if not abs(energy - 1.0) <= 1e-6:  # False for nan: a non-finite tap fails
+            raise ValueError(f"smoothing_kernel must be finite and energy-normalized (sum of squares 1), got {energy}")
 
 
 @dataclass(frozen=True)

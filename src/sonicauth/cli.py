@@ -1,7 +1,7 @@
 """Command-line front end for the simulation and evaluation harness.
 
 Exit codes: 0 on success, 2 on configuration errors (bad arguments, bad
-config files).
+config files): any ``ValueError`` a command raises is reported as one.
 """
 
 from __future__ import annotations
@@ -20,15 +20,11 @@ from .protocol import PAIRING_RANGE_M, AuthPolicy, Endpoint, replay_session, run
 from .signal import save_signal_json, save_signal_wav
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _parse_distances(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad distance list {text!r}") from exc
+        raise ValueError(f"bad distance list {text!r}") from exc
 
 
 def _load_channel_cfg(args) -> ch.ChannelConfig | None:
@@ -38,11 +34,11 @@ def _load_channel_cfg(args) -> ch.ChannelConfig | None:
         with open(args.config) as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        raise ValueError(f"cannot read config {args.config}: {exc}") from exc
     try:
         return ch.config_from_json(obj.get("channel", obj) if isinstance(obj, dict) else obj)
     except ValueError as exc:
-        raise ConfigError(f"bad channel config: {exc}") from exc
+        raise ValueError(f"bad channel config: {exc}") from exc
 
 
 def _emit(report, out: str | None) -> None:
@@ -73,11 +69,7 @@ def _cmd_auth(args) -> int:
     rng = np.random.default_rng(args.seed)
     auth = Endpoint("auth", (0.0, 0.0))
     vouch = Endpoint("vouch", (args.distance, 0.0))
-    try:
-        policy = AuthPolicy(threshold_m=args.tau)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    decision, transcript = run_authentication(auth, vouch, policy, rng, cfg)
+    decision, transcript = run_authentication(auth, vouch, AuthPolicy(threshold_m=args.tau), rng, cfg)
     print(transcript.to_json())
     if args.wav_dump:
         _dump_session_wavs(args.wav_dump, cfg, transcript)
@@ -100,30 +92,19 @@ def _dump_session_wavs(directory: str, cfg: ch.ChannelConfig, transcript) -> Non
 
 
 def _cmd_frrfar(args) -> int:
-    try:
-        model = ev.ErrorModel(args.sigma, args.ds, args.bt_range)
-        report = ev.frr_far_table(_parse_distances(args.tau_grid), model)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _emit(report, args.out)
+    model = ev.ErrorModel(args.sigma, args.ds, args.bt_range)
+    _emit(ev.frr_far_table(_parse_distances(args.tau_grid), model), args.out)
     return 0
 
 
 def _cmd_fit_sigma(args) -> int:
-    try:
-        sigma = ev.fit_sigma(args.frr, args.tau, args.ds, args.bt_range)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    sigma = ev.fit_sigma(args.frr, args.tau, args.ds, args.bt_range)
     print(json.dumps({"sigma_m": sigma, "tau_m": args.tau, "frr": args.frr}))
     return 0
 
 
 def _cmd_attack(args) -> int:
-    if args.kind == "zero":
-        scenarios = [adv.ZeroEffort()]
-    elif args.kind == "guessing":
-        scenarios = [adv.GuessingReplay()]
-    elif args.kind == "allfreq":
+    if args.kind == "allfreq":
         per_trial = max(args.trials // 6, 1)
         reports = []
         total_accepts = 0
@@ -140,18 +121,15 @@ def _cmd_attack(args) -> int:
             reports.append({"per_tone_power": p, "trials": rep.trials, "accepts": rep.accepts})
         print(json.dumps({"kind": "all_frequency_sweep", "accepts": total_accepts, "cells": reports}))
         return 0
-    else:
-        raise ConfigError(f"unknown attack kind {args.kind!r}")
-    for scenario in scenarios:
-        report = ev.attack_campaign(
-            scenario,
-            args.trials,
-            args.seed,
-            separation_m=args.separation,
-            environment=args.env,
-            channel_cfg=_load_channel_cfg(args),
-        )
-        print(report.to_json())
+    report = ev.attack_campaign(
+        adv.ZeroEffort() if args.kind == "zero" else adv.GuessingReplay(),
+        args.trials,
+        args.seed,
+        separation_m=args.separation,
+        environment=args.env,
+        channel_cfg=_load_channel_cfg(args),
+    )
+    print(report.to_json())
     return 0
 
 
@@ -257,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,8 +24,10 @@ from scipy.special import ndtr
 
 from . import adversary as adv
 from . import channel as ch
+from . import spectrum
 from .protocol import (
     PAIRING_RANGE_M,
+    PLAYBACK_GAP_SAMPLES,
     AuthDecision,
     AuthPolicy,
     Endpoint,
@@ -34,7 +36,6 @@ from .protocol import (
     run_authentication,
 )
 from .signal import DEFAULT_GRID
-from .spectrum import DetectionParams
 
 DEFAULT_MIN_TRIALS = 10
 
@@ -207,9 +208,9 @@ def _interferer_emissions(ctx, rng: np.random.Generator, pairs: int) -> list[ch.
         half_gap = rng.uniform(0.2, 0.5)
         pos_1 = (center[0] - half_gap, center[1])
         pos_2 = (center[0] + half_gap, center[1])
-        sig_1 = synthesize(sample_spec(rng), params=ctx.params)
-        sig_2 = synthesize(sample_spec(rng), params=ctx.params)
-        gap = ctx.playback_gap
+        sig_1 = synthesize(sample_spec(rng))
+        sig_2 = synthesize(sample_spec(rng))
+        gap = PLAYBACK_GAP_SAMPLES
         latest = ctx.duration - sig_2.samples.shape[0] - gap - 1
         if latest <= 0:
             raise ValueError(
@@ -345,11 +346,10 @@ def all_frequency_power_sweep(count: int = 6) -> tuple[float, ...]:
     received-power thresholds at close range)."""
     from .signal import SignalSpec, synthesize
 
-    params = DetectionParams()
-    ref = synthesize(SignalSpec(frequencies=DEFAULT_GRID.candidates[:_SWEEP_REFERENCE_TONES]), params=params)
+    ref = synthesize(SignalSpec(frequencies=DEFAULT_GRID.candidates[:_SWEEP_REFERENCE_TONES]))
     r_f = ref.total_power / _SWEEP_REFERENCE_TONES
-    lo = params.beta(ref.total_power, _SWEEP_REFERENCE_TONES) / 4.0
-    hi = 4.0 * params.alpha * r_f
+    lo = spectrum.beta(ref.total_power, _SWEEP_REFERENCE_TONES) / 4.0
+    hi = 4.0 * spectrum.ALPHA * r_f
     # keep the top of the sweep feasible for a 30-tone sum in 16-bit range
     for _ in range(40):
         try:

@@ -58,11 +58,10 @@ PAIRING_RANGE_M = 10.0
 @dataclass(frozen=True)
 class AuthPolicy:
     threshold_m: float = 1.0
-    pairing_range_m: float = PAIRING_RANGE_M
 
     def __post_init__(self) -> None:
-        if not 0 < self.threshold_m < self.pairing_range_m:
-            raise ValueError("need 0 < threshold < pairing_range")
+        if not 0 < self.threshold_m < PAIRING_RANGE_M:
+            raise ValueError(f"need 0 < threshold < pairing range ({PAIRING_RANGE_M} m), got {self.threshold_m}")
 
 
 class RejectReason(str, Enum):
@@ -107,19 +106,19 @@ def decide(raw_distance: float | None, signal_present: bool, paired: bool, polic
 Endpoint = ch.Recorder
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Session timing. The playback gap keeps the two signals from
-    overlapping in time (overlap would trip the out-of-set power check when
-    the tone sets intersect); the small start jitter keeps scan alignment
-    honest without letting coarse-scan misalignment eat the whole detection
-    margin."""
+def _to_samples(seconds: float) -> int:
+    return int(round(seconds * ch.BASE_SAMPLE_RATE))
 
-    playback_gap_s: float = 0.3
-    record_duration_s: float = 1.5
-    playback_start_s: float = 0.2
-    start_jitter_samples: int = 200
-    disjoint_frequency_sets: bool = False
+
+# Session timing. The playback gap keeps the two signals from overlapping in
+# time (overlap would trip the out-of-set power check when the tone sets
+# intersect); the small start jitter keeps scan alignment honest without
+# letting coarse-scan misalignment eat the whole detection margin.
+PLAYBACK_GAP_S = 0.3
+RECORD_DURATION_S = 1.5
+PLAYBACK_START_S = 0.2
+START_JITTER_SAMPLES = 200
+PLAYBACK_GAP_SAMPLES = _to_samples(PLAYBACK_GAP_S)
 
 
 class LinkError(RuntimeError):
@@ -128,15 +127,15 @@ class LinkError(RuntimeError):
 
 class SecureLink:
     """Stand-in for the paired short-range channel: reliable ordered byte
-    pipe with a pairing flag and a hard range gate. Not cryptographic."""
+    pipe with a pairing flag and a hard gate at the pairing range. Not
+    cryptographic."""
 
-    def __init__(self, paired: bool, max_range_m: float) -> None:
+    def __init__(self, paired: bool) -> None:
         self.paired = paired
-        self.max_range_m = max_range_m
         self.log: list[dict] = []
 
     def usable(self, distance_m: float) -> bool:
-        return self.paired and distance_m <= self.max_range_m
+        return self.paired and distance_m <= PAIRING_RANGE_M
 
     def send(self, sender: str, kind: str, payload: bytes, distance_m: float) -> bytes:
         if not self.usable(distance_m):
@@ -186,30 +185,21 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-# An intruder hook receives (scene context, rng) and returns extra emissions.
-# ``playback_gap`` (samples) and ``params`` are the session's own, so a hook
-# can stage signals the way the session does.
+# An intruder hook receives (scene context, rng) and returns extra emissions:
+# the two devices' positions and the scene's duration in samples.
 @dataclass(frozen=True)
 class SceneContext:
     auth_position: tuple[float, ...]
     vouch_position: tuple[float, ...]
     duration: int
-    playback_gap: int
-    params: spectrum.DetectionParams
 
 
 IntruderFactory = Callable[[SceneContext, np.random.Generator], Sequence[ch.Emission]]
 
 
-def _to_samples(seconds: float) -> int:
-    return int(round(seconds * ch.BASE_SAMPLE_RATE))
-
-
-def _draw(
-    rng: np.random.Generator, params: spectrum.DetectionParams, exclude: frozenset = frozenset()
-) -> ReferenceSignal:
+def _draw(rng: np.random.Generator) -> ReferenceSignal:
     """Step I: draw a tone set and synthesize its reference signal."""
-    return synthesize(sample_spec(rng, DEFAULT_GRID, exclude=exclude), params=params)
+    return synthesize(sample_spec(rng, DEFAULT_GRID))
 
 
 def _transfer(
@@ -226,7 +216,6 @@ def _record(
     t: SessionTranscript,
     sig_a: ReferenceSignal,
     sig_v: ReferenceSignal,
-    protocol_cfg: ProtocolConfig,
     cfg: ch.ChannelConfig,
     extra_emissions: Sequence[ch.Emission] = (),
 ) -> tuple[ch.Recording, ch.Recording]:
@@ -235,18 +224,18 @@ def _record(
     The scene comes from the transcript's devices, playback times and seed
     alone (plus any extra emissions), so a transcript rebuilds its own
     recordings."""
-    duration = _to_samples(protocol_cfg.record_duration_s)
+    duration = _to_samples(RECORD_DURATION_S)
     # The latest the vouching signal can end at the authenticating device:
     # latest start, travel delay, signal length and the smoothing kernel's tail.
     end = (
-        _to_samples(protocol_cfg.playback_start_s) + protocol_cfg.start_jitter_samples + t.playback_gap
+        _to_samples(PLAYBACK_START_S) + START_JITTER_SAMPLES + t.playback_gap
         + int(np.ceil(ch.propagation_delay_samples(t.vouch_position, t.auth_position, cfg)))
         + sig_v.samples.shape[0] + len(cfg.smoothing_kernel) - 1
     )
     if end > duration:
         raise ValueError(
-            f"record_duration_s={protocol_cfg.record_duration_s} is too short: the vouching signal may end "
-            f"at sample {end} of the authenticating device's {duration}-sample recording"
+            f"the {duration}-sample recording is too short: with a {len(cfg.smoothing_kernel)}-tap smoothing "
+            f"kernel the vouching signal may end at sample {end} at the authenticating device"
         )
     scene = ch.AcousticScene(
         emissions=(
@@ -265,12 +254,11 @@ def _record(
 
 
 def _locate(
-    samples: np.ndarray, sig_a: ReferenceSignal, sig_v: ReferenceSignal, sample_rate: float,
-    params: spectrum.DetectionParams, detector: str,
+    samples: np.ndarray, sig_a: ReferenceSignal, sig_v: ReferenceSignal, sample_rate: float, detector: str
 ) -> tuple[spectrum.DetectionOutcome, spectrum.DetectionOutcome]:
     """Step IV on one device: locate both signals in its own recording."""
     if detector == "freq":
-        return spectrum.detect_pair(samples, sig_a, sig_v, params, sample_rate=sample_rate)
+        return spectrum.detect_pair(samples, sig_a, sig_v, sample_rate=sample_rate)
     if detector == "xcorr":
         locations = (spectrum.cross_correlate_detect(samples, sig) for sig in (sig_a, sig_v))
         return tuple(spectrum.DetectionOutcome(location, None) for location in locations)
@@ -303,8 +291,6 @@ def run_authentication(
     rng: np.random.Generator,
     channel_cfg: ch.ChannelConfig | None = None,
     *,
-    protocol_cfg: ProtocolConfig = ProtocolConfig(),
-    params: spectrum.DetectionParams = spectrum.DetectionParams(),
     paired: bool = True,
     intruder: IntruderFactory | None = None,
     detector: str = "freq",
@@ -317,7 +303,7 @@ def run_authentication(
     """
     cfg = channel_cfg if channel_cfg is not None else ch.ChannelConfig()
     d_true = float(np.linalg.norm(np.asarray(auth.position) - np.asarray(vouch.position)))
-    link = SecureLink(paired=paired, max_range_m=policy.pairing_range_m)
+    link = SecureLink(paired=paired)
     t = SessionTranscript(
         auth_id=auth.device_id,
         vouch_id=vouch.device_id,
@@ -332,9 +318,8 @@ def run_authentication(
     if not t.paired_link_ok:
         return _conclude(t, link, policy, cfg.speed_of_sound), t
 
-    sig_a = _draw(rng, params)
-    exclude = frozenset(sig_a.frequencies) if protocol_cfg.disjoint_frequency_sets else frozenset()
-    sig_v = _draw(rng, params, exclude)
+    sig_a = _draw(rng)
+    sig_v = _draw(rng)
     t.freqs_a = sig_a.frequencies
     t.freqs_v = sig_v.frequencies
 
@@ -342,20 +327,18 @@ def run_authentication(
 
     # The draw order (start jitter, scene seed, then the intruder) is part of
     # what a session seed reproduces.
-    jitter = protocol_cfg.start_jitter_samples
-    t.playback_start = _to_samples(protocol_cfg.playback_start_s) + int(rng.integers(-jitter, jitter + 1))
-    t.playback_gap = _to_samples(protocol_cfg.playback_gap_s)
+    jitter = int(rng.integers(-START_JITTER_SAMPLES, START_JITTER_SAMPLES + 1))
+    t.playback_start = _to_samples(PLAYBACK_START_S) + jitter
+    t.playback_gap = PLAYBACK_GAP_SAMPLES
     t.session_seed = int(rng.integers(0, 2**31 - 1))
     emissions = ()
     if intruder is not None:
-        duration = _to_samples(protocol_cfg.record_duration_s)
-        ctx = SceneContext(auth.position, vouch.position, duration, t.playback_gap, params)
-        emissions = intruder(ctx, rng)
-    rec_a, rec_v = _record(t, sig_a, vouch_sig_v, protocol_cfg, cfg, emissions)
+        emissions = intruder(SceneContext(auth.position, vouch.position, _to_samples(RECORD_DURATION_S)), rng)
+    rec_a, rec_v = _record(t, sig_a, vouch_sig_v, cfg, emissions)
 
     outcomes = (
-        *_locate(rec_a.samples, sig_a, sig_v, auth.sample_rate, params, detector),
-        *_locate(rec_v.samples, vouch_sig_a, vouch_sig_v, vouch.sample_rate, params, detector),
+        *_locate(rec_a.samples, sig_a, sig_v, auth.sample_rate, detector),
+        *_locate(rec_v.samples, vouch_sig_a, vouch_sig_v, vouch.sample_rate, detector),
     )
     for key, out in zip(("l_aa", "l_av", "l_va", "l_vv"), outcomes):
         t.locations[key] = out.location
@@ -365,20 +348,17 @@ def run_authentication(
 
 
 def replay_session(
-    t: SessionTranscript,
-    channel_cfg: ch.ChannelConfig,
-    *,
-    protocol_cfg: ProtocolConfig = ProtocolConfig(),
+    t: SessionTranscript, channel_cfg: ch.ChannelConfig
 ) -> tuple[ReferenceSignal, ReferenceSignal, ch.Recording, ch.Recording]:
     """Rebuild a session's two reference signals and both recordings from its
-    transcript (synthesis is deterministic per tone set). Pass the channel and
-    protocol settings the session ran with; the signals are synthesized with
-    the default detection parameters and frequency grid. Emissions from
-    intruders are not part of the transcript and are left out."""
+    transcript (synthesis is deterministic per tone set). Pass the channel
+    settings the session ran with; the signals are synthesized on the default
+    frequency grid. Emissions from intruders are not part of the transcript
+    and are left out."""
     if t.playback_start is None:
         raise ValueError("the session ended before playback; there is nothing to replay")
     sig_a, sig_v = (synthesize(SignalSpec(frequencies=freqs)) for freqs in (t.freqs_a, t.freqs_v))
-    return (sig_a, sig_v, *_record(t, sig_a, sig_v, protocol_cfg, channel_cfg))
+    return (sig_a, sig_v, *_record(t, sig_a, sig_v, channel_cfg))
 
 
 def measurements_from_transcript(t: SessionTranscript) -> SessionMeasurements:
@@ -410,8 +390,7 @@ def one_way_ranging(
     seconds, or None when the signal is not detected.
     """
     cfg = channel_cfg if channel_cfg is not None else ch.ChannelConfig()
-    params = spectrum.DetectionParams()
-    sig = _draw(rng, params)
+    sig = _draw(rng)
     t_send = _to_samples(0.15)
     play_at = t_send + _to_samples(processing_delay_s)
     scene = ch.AcousticScene(
@@ -421,7 +400,7 @@ def one_way_ranging(
         seed=int(rng.integers(0, 2**31 - 1)),
     )
     rec = ch.record(scene, auth.device_id, cfg)
-    out = spectrum.detect(rec.samples, sig, params, sample_rate=auth.sample_rate)
+    out = spectrum.detect(rec.samples, sig, sample_rate=auth.sample_rate)
     if out.location is None:
         return None
     return (out.location - t_send) / auth.sample_rate

@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import pcm, spectrum
-from .spectrum import DetectionParams
 
 DEFAULT_BAND_LOW = 25_000.0
 DEFAULT_BAND_HIGH = 35_000.0
@@ -209,26 +208,14 @@ class ReferenceSignal:
 
 
 def sample_spec(
-    rng: np.random.Generator,
-    grid: FrequencyGrid = DEFAULT_GRID,
-    *,
-    length: int = DEFAULT_LENGTH,
-    sample_rate: float = DEFAULT_SAMPLE_RATE,
-    amplitude_budget: int = DEFAULT_AMPLITUDE_BUDGET,
-    exclude: frozenset[float] | set[float] = frozenset(),
+    rng: np.random.Generator, grid: FrequencyGrid = DEFAULT_GRID, *, length: int = DEFAULT_LENGTH
 ) -> SignalSpec:
     """Draw a tone set uniformly over all non-empty proper subsets of the grid.
 
     The subset size follows the binomial weights C(M, n), which is what makes
     every admissible subset equally likely (probability ``1 / (2**M - 2)``).
-    ``exclude`` removes candidates from the pool before drawing, for callers
-    that want disjoint tone sets across signals.
     """
-    pool = [c for c in grid.candidates if c not in exclude]
-    m = len(pool)
-    if m < 2:
-        raise ValueError("candidate pool too small to draw a proper subset")
-
+    m = grid.bin_count
     if m <= _MAX_EXACT_BINS:
         total = (1 << m) - 2
         u = int(rng.integers(0, total))
@@ -243,14 +230,8 @@ def sample_spec(
         weights = np.array([math.comb(m, size) for size in range(1, m)], dtype=float)
         n = int(rng.choice(np.arange(1, m), p=weights / weights.sum()))
 
-    chosen = rng.choice(np.asarray(pool), size=n, replace=False)
-    return SignalSpec(
-        frequencies=tuple(float(f) for f in chosen),
-        grid=grid,
-        length=length,
-        sample_rate=sample_rate,
-        amplitude_budget=amplitude_budget,
-    )
+    chosen = rng.choice(np.asarray(grid.candidates), size=n, replace=False)
+    return SignalSpec(frequencies=tuple(float(f) for f in chosen), grid=grid, length=length)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -272,11 +253,11 @@ _EDGE_SPAN = 48
 _EDGE_ENERGY_TARGET = 0.5  # of the burst's average energy rate
 
 
-def _leakage_ratio(measured: np.ndarray, in_set: np.ndarray, spec: SignalSpec, params: DetectionParams) -> float:
+def _leakage_ratio(measured: np.ndarray, in_set: np.ndarray, spec: SignalSpec) -> float:
     """Worst out-of-set candidate power, from a rendering's measured candidate
     powers, relative to the absence threshold. The in-set powers are summed in
     tone order, as the signal's ``total_power`` will sum them."""
-    beta = params.beta(sum(measured[in_set].tolist()), spec.tone_count)
+    beta = spectrum.beta(sum(measured[in_set].tolist()), spec.tone_count)
     if in_set.all() or beta == 0.0:
         return 0.0
     return float(measured[~in_set].max() / beta)
@@ -352,25 +333,24 @@ def _render(spec: SignalSpec, table: np.ndarray, phases: np.ndarray) -> np.ndarr
     return samples
 
 
-def synthesize(spec: SignalSpec, *, params: DetectionParams = DetectionParams()) -> ReferenceSignal:
+def synthesize(spec: SignalSpec) -> ReferenceSignal:
     """Render the reference signal and measure its per-tone nominal powers.
 
     Each tone gets amplitude ``amplitude_budget / n`` so the sum can never
     clip a 16-bit sample. Phases are zero when the zero-phase rendering keeps
     out-of-set spectral leakage confined, otherwise the best of a fixed
-    tone-set-seeded family of phase draws (deterministic either way).
-    ``params`` must be the detector's: its ``theta`` sets the per-tone power
-    measurement and its ``beta_ratio`` the absence threshold the leakage is
-    confined under. Raises ``ValueError`` when no candidate keeps the leakage
-    under that threshold at all.
+    tone-set-seeded family of phase draws (deterministic either way). The
+    per-tone powers are measured, and the leakage confined under the absence
+    threshold, as the detector measures and gates them. Raises ``ValueError``
+    when no candidate keeps the leakage under that threshold at all.
     """
     index, in_set = spectrum.in_set_mask(spec.frequencies, spec.grid)
     table = _phasor_table(spec)
     chosen, chosen_key = None, None
     for phases in _phase_family(spec, index):
         candidate = _render(spec, table, phases)
-        measured = spectrum.measure_candidate_powers(candidate, spec.grid, spec.sample_rate, params.theta)
-        leak = _leakage_ratio(measured, in_set, spec, params)
+        measured = spectrum.measure_candidate_powers(candidate, spec.grid, spec.sample_rate)
+        leak = _leakage_ratio(measured, in_set, spec)
         edge = _edge_energy_ratio(candidate)
         if leak <= _LEAKAGE_TARGET and edge >= _EDGE_ENERGY_TARGET:
             chosen = (candidate, measured, leak)
@@ -383,7 +363,7 @@ def synthesize(spec: SignalSpec, *, params: DetectionParams = DetectionParams())
     samples, measured, leak = chosen
     if leak >= 1.0:  # the detector's absence gate is strict: p_out < beta
         raise ValueError(
-            f"cannot synthesize tones {spec.frequencies} under beta_ratio={params.beta_ratio}: "
+            f"cannot synthesize tones {spec.frequencies} under beta_ratio={spectrum.BETA_RATIO}: "
             f"the least-leaking phase candidate reaches {leak:.3f} times the absence threshold"
         )
     # The candidate is integer-valued, so its int16 copy measures the same.

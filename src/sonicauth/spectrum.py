@@ -6,7 +6,7 @@ set: the summed power at in-set candidates minus the summed power at out-of-set
 candidates. Two sanity checks gate the score before it can compete for the
 argmax:
 
-* presence: every in-set candidate must carry more than ``alpha`` times its
+* presence: every in-set candidate must carry more than ``ALPHA`` times its
   nominal power (hardware attenuation allowance);
 * absence: every out-of-set candidate must stay below ``beta`` (rejects
   broadband interference and all-frequency spoofing).
@@ -19,7 +19,7 @@ bins the candidates read: the first window's bins come from one rFFT and each
 later window's from the samples that enter and leave it. The fine scan only
 picks the window. The exact one-window kernel, the one ``norm_power`` uses,
 then scores that window; its score is the reported peak, and the detection is
-declared absent when it stays below ``epsilon`` times the signal's total
+declared absent when it stays below ``EPSILON`` times the signal's total
 nominal power. So a located window whose exact score fails a gate is not
 present, and ``norm_power`` on a located window reproduces the peak bit for
 bit by construction.
@@ -46,40 +46,27 @@ if TYPE_CHECKING:
     from .signal import FrequencyGrid, ReferenceSignal, SignalSpec
 
 
-@dataclass(frozen=True)
-class DetectionParams:
-    """Thresholds and scan steps for the sliding-window detector.
+# The detector's fixed settings. An in-set tone passes the presence gate above
+# ALPHA times its nominal power; the absence gate is ``beta``; a located window
+# is present at EPSILON times the signal's total nominal power or more. A
+# candidate's power sums the 2*THETA+1 bins around its own. The coarse scan
+# steps COARSE_STEP samples, and the fine scan steps FINE_STEP samples up to
+# FINE_RADIUS either side of the coarse argmax. Keeping BETA_RATIO < ALPHA
+# guarantees the all-frequency spoofing defence: no single per-tone power can
+# pass both gates at once.
+ALPHA = 0.01
+EPSILON = 0.01
+BETA_RATIO = 0.005
+THETA = 5
+COARSE_STEP = 1000
+FINE_STEP = 10
+FINE_RADIUS = 1500
 
-    ``beta_ratio`` scales a signal's mean per-tone nominal power into the
-    absolute out-of-set threshold beta; keeping ``beta_ratio < alpha``
-    guarantees the all-frequency spoofing defence (no single per-tone power
-    can pass both checks at once).
-    """
 
-    alpha: float = 0.01
-    epsilon: float = 0.01
-    beta_ratio: float = 0.005
-    theta: int = 5
-    coarse_step: int = 1000
-    fine_step: int = 10
-    fine_radius: int = 1500
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon <= self.alpha < 1.0:
-            raise ValueError("need 0 < epsilon <= alpha < 1")
-        if not 0.0 < self.beta_ratio < self.alpha:
-            raise ValueError("need 0 < beta_ratio < alpha")
-        if self.theta < 0:
-            raise ValueError("theta must be >= 0")
-        if not self.coarse_step >= self.fine_step >= 1:
-            raise ValueError("need coarse_step >= fine_step >= 1")
-        if self.fine_radius < self.coarse_step:
-            raise ValueError("fine_radius must cover at least one coarse step")
-
-    def beta(self, total_power: float, tone_count: int) -> float:
-        """Absence threshold of a signal whose ``tone_count`` nominal powers
-        sum to ``total_power``: ``beta_ratio`` times their mean."""
-        return self.beta_ratio * (total_power / tone_count)
+def beta(total_power: float, tone_count: int) -> float:
+    """Absence threshold of a signal whose ``tone_count`` nominal powers sum to
+    ``total_power``: ``BETA_RATIO`` times their mean."""
+    return BETA_RATIO * (total_power / tone_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,29 +123,25 @@ def frequency_bin(freq: float, sample_rate: float, window_length: int) -> int:
 
 
 # A session reads the nominal rate's table and a skewed recorder's; four
-# entries leave room for a one-off window length or theta.
+# entries leave room for a one-off window length.
 @lru_cache(maxsize=4)
-def candidate_bin_table(
-    grid: "FrequencyGrid", sample_rate: float, window_length: int, theta: int
-) -> np.ndarray:
-    """(N, 2*theta+1) one-sided bin indices per candidate, clamped then folded,
+def candidate_bin_table(grid: "FrequencyGrid", sample_rate: float, window_length: int) -> np.ndarray:
+    """(N, 2*THETA+1) one-sided bin indices per candidate, clamped then folded,
     around each candidate's ``frequency_bin``. Built once per key and shared
     read-only."""
     first = np.array([frequency_bin(f, sample_rate, window_length) for f in grid.candidates], dtype=np.intp)
-    k = np.clip(first[:, None] + np.arange(-theta, theta + 1), 0, window_length - 1)
+    k = np.clip(first[:, None] + np.arange(-THETA, THETA + 1), 0, window_length - 1)
     table = np.where(k > window_length // 2, window_length - k, k)
     table.setflags(write=False)
     return table
 
 
-def measure_candidate_powers(
-    window: np.ndarray, grid: "FrequencyGrid", sample_rate: float, theta: int
-) -> np.ndarray:
-    """Per-candidate power of one window: sum of the 2*theta+1 bins around
+def measure_candidate_powers(window: np.ndarray, grid: "FrequencyGrid", sample_rate: float) -> np.ndarray:
+    """Per-candidate power of one window: sum of the 2*THETA+1 bins around
     each candidate's index. This is the measurement convention shared by
     synthesis (nominal powers) and detection."""
     w = np.asarray(window, dtype=np.float64)
-    table = candidate_bin_table(grid, sample_rate, w.shape[-1], theta)
+    table = candidate_bin_table(grid, sample_rate, w.shape[-1])
     return _batch_candidate_powers(w, slice(0, 1), w.shape[-1], table)[0]
 
 
@@ -274,39 +257,37 @@ def in_set_mask(frequencies: tuple[float, ...], grid: "FrequencyGrid") -> tuple[
     return index, mask
 
 
-def _gated_scores(cand_powers: np.ndarray, sig: "ReferenceSignal", params: DetectionParams) -> np.ndarray:
+def _gated_scores(cand_powers: np.ndarray, sig: "ReferenceSignal") -> np.ndarray:
     """Normalized power of ``sig`` per window (a row of ``cand_powers``);
     -inf where a sanity check fails."""
     index, mask = in_set_mask(sig.frequencies, sig.spec.grid)
     # tones as rows; the signal's tones are sorted, so in grid order
     p_in, p_out = cand_powers.T[index], cand_powers.T[~mask]
     r_in = np.array([sig.nominal_power[f] for f in sig.frequencies])
-    ok = (p_in > params.alpha * r_in[:, None]).all(axis=0)
-    ok &= (p_out < params.beta(sig.total_power, sig.spec.tone_count)).all(axis=0)
+    ok = (p_in > ALPHA * r_in[:, None]).all(axis=0)
+    ok &= (p_out < beta(sig.total_power, sig.spec.tone_count)).all(axis=0)
     return np.where(ok, _ordered_sum(p_in) - _ordered_sum(p_out), -np.inf)
 
 
-def _bin_table(spec: "SignalSpec", params: DetectionParams, sample_rate: float | None) -> np.ndarray:
+def _bin_table(spec: "SignalSpec", sample_rate: float | None) -> np.ndarray:
     """The candidate bin table of ``spec``'s grid and length at the recorder's
     ``sample_rate``, which defaults to the signal's own."""
     fs = sample_rate if sample_rate is not None else spec.sample_rate
-    return candidate_bin_table(spec.grid, fs, spec.length, params.theta)
+    return candidate_bin_table(spec.grid, fs, spec.length)
 
 
-def _window_score(
-    x: np.ndarray, start: int, sig: "ReferenceSignal", params: DetectionParams, table: np.ndarray
-) -> float:
+def _window_score(x: np.ndarray, start: int, sig: "ReferenceSignal", table: np.ndarray) -> float:
     """Gated normalized power of the one window ``x[start:start+length]`` by
     the exact one-window kernel: the score a detection reports."""
     powers = _batch_candidate_powers(x, slice(start, start + 1), sig.spec.length, table)
-    return float(_gated_scores(powers, sig, params)[0])
+    return float(_gated_scores(powers, sig)[0])
 
 
 def _scan(
-    x: np.ndarray, sigs: tuple["ReferenceSignal", ...], params: DetectionParams, sample_rate: float | None
+    x: np.ndarray, sigs: tuple["ReferenceSignal", ...], sample_rate: float | None
 ) -> tuple[DetectionOutcome, ...]:
     """Locate each signal in the recording ``x``: one coarse scan shared by
-    all of them, then a sliding-DFT fine scan of ``fine_radius`` samples
+    all of them, then a sliding-DFT fine scan of ``FINE_RADIUS`` samples
     around each signal's coarse argmax. Ties break to the smallest index.
     The fine scan only picks the window; that window's exact score is the
     reported peak and decides presence, so a window whose exact score fails a
@@ -320,59 +301,46 @@ def _scan(
         raise ValueError("recording must be one-dimensional")
     if x.shape[0] < spec.length:
         raise ValueError("recording shorter than the reference signal")
-    table = _bin_table(spec, params, sample_rate)
+    table = _bin_table(spec, sample_rate)
     max_start = x.shape[0] - spec.length
-    coarse_powers = _batch_candidate_powers(x, slice(0, max_start + 1, params.coarse_step), spec.length, table)
+    coarse_powers = _batch_candidate_powers(x, slice(0, max_start + 1, COARSE_STEP), spec.length, table)
     outcomes = []
     for sig in sigs:
-        anchor = int(np.argmax(_gated_scores(coarse_powers, sig, params))) * params.coarse_step
-        lo = max(0, anchor - params.fine_radius)
-        count = (min(max_start, anchor + params.fine_radius) - lo) // params.fine_step + 1
-        fine_powers = _sliding_candidate_powers(x, lo, count, params.fine_step, spec.length, table)
-        loc = lo + int(np.argmax(_gated_scores(fine_powers, sig, params))) * params.fine_step
-        peak = _window_score(x, loc, sig, params, table)
-        present = peak >= params.epsilon * sig.total_power  # False for -inf: the window failed a gate
+        anchor = int(np.argmax(_gated_scores(coarse_powers, sig))) * COARSE_STEP
+        lo = max(0, anchor - FINE_RADIUS)
+        count = (min(max_start, anchor + FINE_RADIUS) - lo) // FINE_STEP + 1
+        fine_powers = _sliding_candidate_powers(x, lo, count, FINE_STEP, spec.length, table)
+        loc = lo + int(np.argmax(_gated_scores(fine_powers, sig))) * FINE_STEP
+        peak = _window_score(x, loc, sig, table)
+        present = peak >= EPSILON * sig.total_power  # False for -inf: the window failed a gate
         outcomes.append(DetectionOutcome(loc if present else None, None if peak == -np.inf else peak))
     return tuple(outcomes)
 
 
-def norm_power(
-    window: np.ndarray,
-    sig: "ReferenceSignal",
-    params: DetectionParams = DetectionParams(),
-    *,
-    sample_rate: float | None = None,
-) -> float | None:
+def norm_power(window: np.ndarray, sig: "ReferenceSignal", *, sample_rate: float | None = None) -> float | None:
     """Normalized power of ``sig``'s tone set in one window of its length, or
     None when a sanity check fails (the explicit stand-in for the
     minus-infinity sentinel). It is the score a detection reports for the
     window it locates. ``sample_rate`` defaults to the signal's own."""
     if np.shape(window) != (sig.spec.length,):
         raise ValueError(f"window must hold {sig.spec.length} samples, got shape {np.shape(window)}")
-    table = _bin_table(sig.spec, params, sample_rate)
-    score = _window_score(np.asarray(window, dtype=np.float64), 0, sig, params, table)
+    table = _bin_table(sig.spec, sample_rate)
+    score = _window_score(np.asarray(window, dtype=np.float64), 0, sig, table)
     return None if score == -np.inf else score
 
 
-def detect(
-    x: np.ndarray,
-    sig: "ReferenceSignal",
-    params: DetectionParams = DetectionParams(),
-    *,
-    sample_rate: float | None = None,
-) -> DetectionOutcome:
+def detect(x: np.ndarray, sig: "ReferenceSignal", *, sample_rate: float | None = None) -> DetectionOutcome:
     """Locate one reference signal in a recording (coarse scan, then a fine
-    scan of ``fine_radius`` samples around the coarse argmax). Ties break to
+    scan of ``FINE_RADIUS`` samples around the coarse argmax). Ties break to
     the smallest index. ``sample_rate`` is the recorder's rate and defaults to
     the signal's own."""
-    return _scan(x, (sig,), params, sample_rate)[0]
+    return _scan(x, (sig,), sample_rate)[0]
 
 
 def detect_pair(
     x: np.ndarray,
     sig_a: "ReferenceSignal",
     sig_b: "ReferenceSignal",
-    params: DetectionParams = DetectionParams(),
     *,
     sample_rate: float | None = None,
 ) -> tuple[DetectionOutcome, DetectionOutcome]:
@@ -380,7 +348,7 @@ def detect_pair(
     recording. The coarse-pass window spectra are computed once and shared;
     outcomes are bit-identical to two independent ``detect`` calls.
     """
-    return _scan(x, (sig_a, sig_b), params, sample_rate)
+    return _scan(x, (sig_a, sig_b), sample_rate)
 
 
 def cross_correlate_detect(x: np.ndarray, sig: "ReferenceSignal") -> int:

@@ -3,17 +3,11 @@ import pytest
 
 from sonicauth.channel import ChannelConfig, environment
 from sonicauth.signal import DEFAULT_GRID
-from sonicauth.spectrum import DetectionParams
 
 
 @pytest.fixture
 def grid():
     return DEFAULT_GRID
-
-
-@pytest.fixture
-def params():
-    return DetectionParams()
 
 
 @pytest.fixture

@@ -13,6 +13,8 @@ from itertools import combinations
 
 import numpy as np
 
+from sonicauth import spectrum
+
 
 def direct_bin_power(x: np.ndarray, k: int, length: int) -> float:
     """|DFT(x)[k]|^2 by direct projection (no FFT)."""
@@ -70,27 +72,27 @@ def sliding_candidate_powers(
     return out.T
 
 
-def exhaustive_detect(x, sig, grid, params, sample_rate: float):
-    """Step-1 exhaustive scan with the same gating semantics as the detector;
-    returns (location or None, peak score or None)."""
+def exhaustive_detect(x, sig, grid, sample_rate: float):
+    """Step-1 exhaustive scan with the same gating semantics and constants as
+    the detector; returns (location or None, peak score or None)."""
     length = sig.spec.length
-    powers = sliding_candidate_powers(x, grid, sample_rate, length, params.theta)
+    powers = sliding_candidate_powers(x, grid, sample_rate, length, spectrum.THETA)
     index = {f: i for i, f in enumerate(grid.candidates)}
     mask = np.zeros(len(grid.candidates), dtype=bool)
     r_vec = np.zeros(len(grid.candidates))
     for f in sig.frequencies:
         mask[index[f]] = True
         r_vec[index[f]] = sig.nominal_power[f]
-    beta = params.beta_ratio * sig.total_power / len(sig.frequencies)
+    beta = spectrum.BETA_RATIO * sig.total_power / len(sig.frequencies)
     p_in = powers[:, mask]
     p_out = powers[:, ~mask]
-    ok = (p_in > params.alpha * r_vec[mask]).all(axis=1) & (p_out < beta).all(axis=1)
+    ok = (p_in > spectrum.ALPHA * r_vec[mask]).all(axis=1) & (p_out < beta).all(axis=1)
     scores = np.where(ok, p_in.sum(axis=1) - p_out.sum(axis=1), -np.inf)
     best = int(np.argmax(scores))
     peak = float(scores[best])
     if peak == -np.inf:
         return None, None
-    if peak < params.epsilon * sig.total_power:
+    if peak < spectrum.EPSILON * sig.total_power:
         return None, peak
     return best, peak
 

@@ -17,7 +17,7 @@ from sonicauth import channel as ch
 from sonicauth import evaluation as ev
 from sonicauth.protocol import AuthPolicy, Endpoint, RejectReason, run_authentication
 from sonicauth.signal import DEFAULT_GRID, sample_spec, synthesize
-from sonicauth.spectrum import DetectionParams, detect
+from sonicauth.spectrum import detect
 
 
 def _report(criterion, ok, detail):
@@ -219,7 +219,6 @@ def test_criterion_9_oracle_equivalence():
     """Random embeddings (signal at a random offset and level in white noise)
     scanned both ways: the two-stage scan must land within one fine step of
     the step-1 exhaustive argmax."""
-    params = DetectionParams()
     worst = 0
     for seed in range(100):
         rng = np.random.default_rng(np.random.SeedSequence([ORACLE_SCENE_MASTER, seed]))
@@ -230,8 +229,8 @@ def test_criterion_9_oracle_equivalence():
         x = rng.normal(0.0, 30.0, n)
         x[offset : offset + 4096] += scale * sig.samples
         x = np.clip(np.rint(x), -32768, 32767)
-        got = detect(x, sig, params)
-        want, _ = exhaustive_detect(x, sig, DEFAULT_GRID, params, 44_100.0)
+        got = detect(x, sig)
+        want, _ = exhaustive_detect(x, sig, DEFAULT_GRID, 44_100.0)
         assert got.location is not None and want is not None
         worst = max(worst, abs(got.location - want))
     ok = worst <= 10

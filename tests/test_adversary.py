@@ -11,7 +11,7 @@ from sonicauth import evaluation as ev
 from sonicauth import spectrum
 from sonicauth.protocol import SceneContext
 from sonicauth.signal import FrequencyGrid, sample_spec, synthesize
-from sonicauth.spectrum import DetectionParams, measure_candidate_powers, norm_power
+from sonicauth.spectrum import measure_candidate_powers, norm_power
 
 
 def uncached_all_frequency_signal(grid, per_tone_power, duration):
@@ -19,11 +19,10 @@ def uncached_all_frequency_signal(grid, per_tone_power, duration):
     sample_rate, amplitude_budget = 44_100.0, 32_000
     t = np.arange(duration, dtype=np.float64)
     window = 4096
-    theta = DetectionParams().theta
     amps = []
     for i, f in enumerate(grid.candidates):
         unit = np.sin(2.0 * np.pi * f * np.arange(window) / sample_rate)
-        unit_power = measure_candidate_powers(unit, grid, sample_rate, theta)[i]
+        unit_power = measure_candidate_powers(unit, grid, sample_rate)[i]
         amps.append(math.sqrt(per_tone_power / unit_power))
     if sum(amps) > amplitude_budget:
         raise ValueError(f"per-tone power {per_tone_power:g} infeasible")
@@ -56,12 +55,12 @@ class TestAllFrequencySignal:
     def test_measured_per_tone_power_within_five_percent(self, grid):
         target = 1.0e10
         wave = adv.all_frequency_signal(grid, target, 8192)
-        measured = measure_candidate_powers(wave[:4096].astype(float), grid, 44_100.0, 5)
+        measured = measure_candidate_powers(wave[:4096].astype(float), grid, 44_100.0)
         assert np.all(np.abs(measured / target - 1.0) < 0.05)
 
     def test_thirty_candidate_peaks(self, grid):
         wave = adv.all_frequency_signal(grid, 1.0e10, 8192)
-        measured = measure_candidate_powers(wave[:4096].astype(float), grid, 44_100.0, 5)
+        measured = measure_candidate_powers(wave[:4096].astype(float), grid, 44_100.0)
         assert measured.shape[0] == 30
         assert measured.min() > 0.5e10
 
@@ -111,28 +110,28 @@ class TestAllFrequencySignal:
 
 
 class TestSanityCheckDefence:
-    def test_attacker_only_window_always_sentinel(self, grid, params):
+    def test_attacker_only_window_always_sentinel(self, grid):
         """Across the emitted-power sweep, an all-candidate window never
         yields a finite normalized power: either the in-set presence check or
         the out-of-set absence check fails."""
         sig = synthesize(sample_spec(np.random.default_rng(8), grid))
         r_mean = sig.total_power / len(sig.frequencies)
-        beta = params.beta_ratio * r_mean
-        for p_emit in np.geomspace(beta / 4, 4 * params.alpha * r_mean, 6):
+        beta = spectrum.BETA_RATIO * r_mean
+        for p_emit in np.geomspace(beta / 4, 4 * spectrum.ALPHA * r_mean, 6):
             try:
                 wave = adv.all_frequency_signal(grid, p_emit, 8192)
             except ValueError:
                 continue
             window = wave[2048 : 2048 + 4096].astype(float)
-            assert norm_power(window, sig, params) is None
+            assert norm_power(window, sig) is None
 
-    def test_wrong_guess_window_is_sentinel(self, grid, params):
+    def test_wrong_guess_window_is_sentinel(self, grid):
         rng = np.random.default_rng(9)
         sig = synthesize(sample_spec(rng, grid))
         guess = adv.guessing_replay_signal(np.random.default_rng(10))
         if set(guess.frequencies) == set(sig.frequencies):  # pragma: no cover
             pytest.skip("guess collided (probability ~1e-9)")
-        p = norm_power(guess.samples.astype(float), sig, params)
+        p = norm_power(guess.samples.astype(float), sig)
         assert p is None
 
 
@@ -159,13 +158,7 @@ class TestGuessingProbability:
 
 class TestScenarios:
     def _ctx(self):
-        return SceneContext(
-            auth_position=(0.0, 0.0),
-            vouch_position=(3.0, 0.0),
-            duration=66_150,
-            playback_gap=13_230,
-            params=DetectionParams(),
-        )
+        return SceneContext(auth_position=(0.0, 0.0), vouch_position=(3.0, 0.0), duration=66_150)
 
     def test_zero_effort_emits_nothing(self):
         out = adv.build_emissions(adv.ZeroEffort(), self._ctx(), np.random.default_rng(0))
@@ -178,10 +171,10 @@ class TestScenarios:
         assert (0.3, 0.0) in positions and (3.3, 0.0) in positions
 
     def test_attacks_in_too_short_scene_rejected_clearly(self):
-        ctx = SceneContext((0.0, 0.0), (3.0, 0.0), 4200, 13_230, DetectionParams())
+        ctx = SceneContext((0.0, 0.0), (3.0, 0.0), 4200)
         with pytest.raises(ValueError, match="scene duration 4200 too short for a 4096-sample replay"):
             adv.build_emissions(adv.GuessingReplay(), ctx, np.random.default_rng(1))
-        ctx = SceneContext((0.0, 0.0), (3.0, 0.0), 4096, 13_230, DetectionParams())
+        ctx = SceneContext((0.0, 0.0), (3.0, 0.0), 4096)
         with pytest.raises(ValueError, match="at least one measurement window"):
             adv.build_emissions(adv.AllFrequency(per_tone_power=1e9), ctx, np.random.default_rng(1))
 
@@ -189,12 +182,12 @@ class TestScenarios:
     def test_all_frequency_in_scene_under_4097_samples_rejected(self, duration):
         """The waveform spans the scene but its last sample, and must cover
         one 4096-sample measurement window."""
-        ctx = SceneContext((0.0, 0.0), (3.0, 0.0), duration, 13_230, DetectionParams())
+        ctx = SceneContext((0.0, 0.0), (3.0, 0.0), duration)
         with pytest.raises(ValueError, match="at least one measurement window"):
             adv.build_emissions(adv.AllFrequency(per_tone_power=1e9), ctx, np.random.default_rng(1))
 
     def test_all_frequency_in_shortest_scene_plays(self):
-        ctx = SceneContext((0.0, 0.0), (3.0, 0.0), 4097, 13_230, DetectionParams())
+        ctx = SceneContext((0.0, 0.0), (3.0, 0.0), 4097)
         (out,) = adv.build_emissions(adv.AllFrequency(per_tone_power=1e9), ctx, np.random.default_rng(1))
         assert out.waveform.shape[0] == 4096
 

@@ -65,11 +65,11 @@ class TestCachePurity:
         warm = [session() for session in SESSIONS[kind]]
         assert warm == cold
 
-    def test_cached_arrays_are_read_only(self, grid, params):
+    def test_cached_arrays_are_read_only(self, grid):
         synthesize(sample_spec(np.random.default_rng(1), grid))
         tables = (
             sg._grid_phasor_table(grid, 4096, 44_100.0),
-            spectrum.candidate_bin_table(grid, 44_100.0, 4096, params.theta),
+            spectrum.candidate_bin_table(grid, 44_100.0, 4096),
             ch._noise_mask(66_150, 6000.0),
         )
         for table in tables:

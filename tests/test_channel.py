@@ -10,6 +10,9 @@ from sonicauth.signal import sample_spec, synthesize
 from sonicauth.spectrum import detect
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def identity_kernel_cfg(**kwargs):
     return ch.ChannelConfig(smoothing_kernel=(1.0,), noise=ch.environment("silent"), **kwargs)
 
@@ -195,6 +198,30 @@ class TestConfig:
     def test_kernel_must_be_energy_normalized(self):
         with pytest.raises(ValueError):
             ch.ChannelConfig(smoothing_kernel=(0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "cls, kwargs",
+        [
+            (ch.ChannelConfig, {"smoothing_kernel": (NAN,)}),
+            (ch.ChannelConfig, {"speed_of_sound": NAN}),
+            (ch.ChannelConfig, {"speed_of_sound": INF}),
+            (ch.ChannelConfig, {"gain_at_1m": NAN}),
+            (ch.ChannelConfig, {"attenuation_exponent": NAN}),
+            (ch.ChannelConfig, {"wall_attenuation_db": NAN}),
+            (ch.ChannelConfig, {"wall_plane_x": NAN}),
+            (ch.EnvironmentNoise, {"name": "lab", "rms": NAN}),
+            (ch.EnvironmentNoise, {"name": "lab", "rms": 1.0, "lowpass_cutoff": NAN}),
+            (ch.EnvironmentNoise, {"name": "lab", "rms": 1.0, "lowpass_cutoff": -1.0}),
+        ],
+        ids=[
+            "kernel_nan", "speed_nan", "speed_inf", "gain_nan", "exponent_nan", "wall_db_nan", "wall_x_nan",
+            "rms_nan", "cutoff_nan", "cutoff_negative",
+        ],
+    )
+    def test_non_finite_or_out_of_range_field_rejected(self, cls, kwargs):
+        field = list(kwargs)[-1]
+        with pytest.raises(ValueError, match=rf"\b{field} must be"):
+            cls(**kwargs)
 
     def test_default_kernel_energy(self, office_cfg):
         assert sum(t**2 for t in office_cfg.smoothing_kernel) == pytest.approx(1.0)

@@ -144,3 +144,23 @@ def test_multiuser_csv(capsys):
         "environment,distance_m,trials,measured,not_present,mean_abs_error_m,std_abs_error_m,mean_signed_error_m"
     )
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["multiuser", "--pairs", "0", "--trials", "1", "--distances", "0.5"], "pairs must be >= 1"),
+        (["compare", "--trials", "1", "--distances", "0.5", "--sigma-proc", "-1"], "outside scene duration"),
+        (["auth", "--distance", "0.5", "--config", "KERNEL"], "66150-sample recording is too short"),
+    ],
+    ids=["no_pairs", "negative_sigma_proc", "long_kernel"],
+)
+def test_value_error_from_a_command_exits_2(tmp_path, capsys, argv, message):
+    """A bad argument or config that only the campaign or session catches is
+    reported as a config error, not as a traceback. ``KERNEL`` is a channel
+    config whose 40000-tap smoothing kernel outlasts the recording."""
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text(json.dumps({"smoothing_kernel": [1.0] * 40_000}))
+    assert main([str(kernel) if arg == "KERNEL" else arg for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err

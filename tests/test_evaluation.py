@@ -7,9 +7,7 @@ from scipy.stats import norm
 from helpers import closed_form_far, closed_form_frr
 from sonicauth import adversary as adv
 from sonicauth import evaluation as ev
-from sonicauth import signal as sg
-from sonicauth.protocol import AuthPolicy, Endpoint, ProtocolConfig, SceneContext, run_authentication
-from sonicauth.spectrum import DetectionParams
+from sonicauth.protocol import PLAYBACK_GAP_SAMPLES, AuthPolicy, Endpoint, SceneContext, run_authentication
 
 
 def norm_frr_far(tau_m, model):
@@ -130,22 +128,12 @@ class TestMultiuser:
         assert 0 < multi.meta["not_present_total"] <= 12
 
     def test_scene_too_short_for_an_interferer_pair_rejected_clearly(self):
-        ctx = SceneContext((0.0, 0.0), (1.0, 0.0), 17_000, 13_230, DetectionParams())
+        ctx = SceneContext((0.0, 0.0), (1.0, 0.0), 17_000)
         with pytest.raises(ValueError, match="scene duration 17000 too short .* two 4096-sample signals 13230"):
             ev._interferer_emissions(ctx, np.random.default_rng(0), 1)
 
-    def test_interferers_use_the_sessions_settings(self, monkeypatch):
-        """The interferer pairs are staggered by the session's playback gap
-        and synthesized with the session's detection params."""
-        used_params = []
-        real = sg.synthesize
-
-        def spy(spec, *, params):
-            used_params.append(params)
-            return real(spec, params=params)
-
-        monkeypatch.setattr(sg, "synthesize", spy)
-        params = DetectionParams(beta_ratio=0.006)
+    def test_interferers_use_the_sessions_settings(self):
+        """The interferer pairs are staggered by the session's playback gap."""
         emissions = []
 
         def intruder(ctx, rng):
@@ -157,12 +145,10 @@ class TestMultiuser:
             Endpoint("vouch", (1.0, 0.0)),
             AuthPolicy(threshold_m=1.0),
             np.random.default_rng(5),
-            protocol_cfg=ProtocolConfig(playback_gap_s=0.25),
-            params=params,
             intruder=intruder,
         )
-        assert [b.emit_time - a.emit_time for a, b in zip(emissions[::2], emissions[1::2])] == [11_025, 11_025]
-        assert len(used_params) == 4 and all(p is params for p in used_params)
+        gaps = [b.emit_time - a.emit_time for a, b in zip(emissions[::2], emissions[1::2])]
+        assert gaps == [PLAYBACK_GAP_SAMPLES] * 2
 
     def test_pairs_must_be_positive(self):
         with pytest.raises(ValueError):

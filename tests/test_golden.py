@@ -16,7 +16,7 @@ import pytest
 from sonicauth import adversary as adv
 from sonicauth import channel as ch
 from sonicauth import evaluation as ev
-from sonicauth.protocol import AuthPolicy, Endpoint, ProtocolConfig, run_authentication
+from sonicauth.protocol import AuthPolicy, Endpoint, run_authentication
 
 # Per-tone power of the all-frequency session: the middle of the default
 # spoofing sweep, written out so this file does not depend on the sweep.
@@ -67,9 +67,6 @@ SESSIONS = {
     "xcorr_0.5m": lambda: _session(0.5, 12, detector="xcorr"),
     "xcorr_1.5m": lambda: _session(1.5, 13, detector="xcorr"),
     "skewed_vouch_clock": lambda: _session(0.8, 14, tau=1.5, vouch_rate=44_100.0 * 1.001),
-    "disjoint_frequency_sets": lambda: _session(
-        0.5, 15, protocol_cfg=ProtocolConfig(disjoint_frequency_sets=True)
-    ),
     "guessing_replay": lambda: _attack(adv.GuessingReplay(), 16),
     "all_frequency": lambda: _attack(adv.AllFrequency(per_tone_power=ALL_FREQUENCY_POWER), 17),
     "crowded_3_pairs_0.5m": lambda: _crowded(0.5, 18),
@@ -91,7 +88,6 @@ GOLDEN = {
     "xcorr_0.5m": "d56aa211af730fd4b5568d5b3a57bbc667e8bd1c79018e92753e99e9ef63cd1d",
     "xcorr_1.5m": "088495bc051ed0bef37bb6dfa12fd6427363e28e093b159eb830f59d7c550de6",
     "skewed_vouch_clock": "ee4ba79e211707af22b552b377f0a22232e2429c229ac974d4aa90cf94e45c36",
-    "disjoint_frequency_sets": "c39ab0be36a63991a342d8e20c9e8db1528aa5c9f7dde97416400062e954cb9f",
     "guessing_replay": "ec11618656e259dee91c64d3c462ceb23f599ae1582650734a5f61d095efee5a",
     "all_frequency": "d96e86a19f4c21c3896e0f23db0f32a560bfb4e5eff63970ba46daf58a07f3d6",
     "crowded_3_pairs_0.5m": "4412b4f1555152bac2f74a3411421ddbe4b6854581c9af3e6276d5be0dba695a",
@@ -115,7 +111,6 @@ GOLDEN_WITHOUT_LINK = {
     "xcorr_0.5m": "3bfb7b8a5b2de4e85b9ee1031f27adca7979e73892942a8c99d9253a28fc8172",
     "xcorr_1.5m": "ca2a6c65b43ea5b467c8bb83b20e9a51a042740133d5c5a538e96aedcab85e12",
     "skewed_vouch_clock": "4178027ea2aebbb03e5468d92724d7d977ea45be457ce153883baa2457544f0c",
-    "disjoint_frequency_sets": "070da5dea428b247de71c1606345da4dd693e28ce0db48eb4d06e44f932a8123",
     "guessing_replay": "3ba69a749bb42c98c216fc407d56b9f52abae67848d7be961b75176638813cf1",
     "all_frequency": "b5169ab0c326730491d293a8347fe89156b669a7b4d3dbc124384d17fe12c04d",
     "crowded_3_pairs_0.5m": "343b3756f52911ab2e126080e5bb29d02150c2c3fcfc28a9b1d247ad20a506e9",

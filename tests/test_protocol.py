@@ -8,10 +8,10 @@ from sonicauth import channel as ch
 from sonicauth import evaluation as ev
 from sonicauth import spectrum
 from sonicauth.protocol import (
+    PAIRING_RANGE_M,
     AuthDecision,
     AuthPolicy,
     Endpoint,
-    ProtocolConfig,
     RejectReason,
     SessionMeasurements,
     decide,
@@ -79,7 +79,7 @@ class TestDecide:
 class TestPolicy:
     def test_threshold_must_sit_inside_pairing_range(self):
         with pytest.raises(ValueError):
-            AuthPolicy(threshold_m=11.0, pairing_range_m=10.0)
+            AuthPolicy(threshold_m=PAIRING_RANGE_M)
         with pytest.raises(ValueError):
             AuthPolicy(threshold_m=0.0)
 
@@ -172,10 +172,6 @@ class TestRunAuthentication:
         assert transcript.raw_distance_m is not None
         assert abs(transcript.raw_distance_m - 0.8) <= 0.3
 
-    def test_disjoint_frequency_sets_option(self):
-        _, transcript = run(0.5, protocol_cfg=ProtocolConfig(disjoint_frequency_sets=True))
-        assert not set(transcript.freqs_a) & set(transcript.freqs_v)
-
     def test_xcorr_detector_variant_runs(self):
         decision, transcript = run(0.5, detector="xcorr")
         assert transcript.raw_distance_m is not None
@@ -193,17 +189,26 @@ class TestRunAuthentication:
             run_authentication(Endpoint("x", (0.0, 0.0)), Endpoint("x", (0.8, 0.0)), AuthPolicy(), rng)
 
     def test_recording_too_short_for_vouching_signal_rejected(self):
-        # the vouching burst may start at sample 22 250 and needs 4096 more,
-        # but a 0.55 s recording ends at sample 24 255
-        with pytest.raises(ValueError, match="record_duration_s"):
-            run(0.5, protocol_cfg=ProtocolConfig(record_duration_s=0.55))
-        # a 0.6 s recording (26 460 samples) holds the burst as played, but
-        # not its copy at the authenticating device 2 m away: 260 samples of
-        # travel delay and the 8-sample kernel tail end it at sample 26 614
-        with pytest.raises(ValueError, match="record_duration_s"):
-            run(2.0, policy=AuthPolicy(threshold_m=3.0), protocol_cfg=ProtocolConfig(record_duration_s=0.6))
-        # at 0.5 m the arrival ends at sample 26 419, inside the recording
-        assert run(0.5, protocol_cfg=ProtocolConfig(record_duration_s=0.6))[1].signal_present
+        """A smoothing kernel of n taps (a delta padded with zeros) lengthens
+        each arrival by n - 1 samples. The vouching burst may start at sample
+        22 250, arrives 65 samples later at the authenticating device 0.5 m
+        away, and with its 4096 samples ends at sample 26 410 + n of the
+        66 150-sample recording."""
+
+        def cfg(taps):
+            return ch.ChannelConfig(smoothing_kernel=(1.0,) + (0.0,) * (taps - 1))
+
+        with pytest.raises(ValueError, match="66150-sample recording is too short"):
+            run(0.5, cfg=cfg(39_741))
+        # 2 m away the arrival takes 260 samples: 39 600 taps end it at 66 205
+        with pytest.raises(ValueError, match="66150-sample recording is too short"):
+            run(2.0, policy=AuthPolicy(threshold_m=3.0), cfg=cfg(39_600))
+        # at 0.5 m the same kernel ends it at sample 66 010, inside the recording
+        assert run(0.5, cfg=cfg(39_600))[1].signal_present
+
+    def test_default_kernel_fits_the_recording_at_pairing_range(self):
+        _, transcript = run(PAIRING_RANGE_M)
+        assert transcript.paired_link_ok and transcript.playback_start is not None
 
     def test_replay_rebuilds_the_recordings(self, office_cfg):
         _, transcript = run_authentication(
@@ -230,14 +235,14 @@ class TestPeaksReproduce:
 
     @staticmethod
     def _detections(monkeypatch, sessions):
-        """(recording, signal, params, rate, outcome) of every detection the
+        """(recording, signal, rate, outcome) of every detection the
         ``sessions`` callable runs."""
         found = []
         scan = spectrum.detect_pair
 
-        def spy(x, sig_a, sig_b, params, *, sample_rate):
-            outcomes = scan(x, sig_a, sig_b, params, sample_rate=sample_rate)
-            found.extend((x, sig, params, sample_rate, out) for sig, out in zip((sig_a, sig_b), outcomes))
+        def spy(x, sig_a, sig_b, *, sample_rate):
+            outcomes = scan(x, sig_a, sig_b, sample_rate=sample_rate)
+            found.extend((x, sig, sample_rate, out) for sig, out in zip((sig_a, sig_b), outcomes))
             return outcomes
 
         monkeypatch.setattr(spectrum, "detect_pair", spy)
@@ -247,10 +252,10 @@ class TestPeaksReproduce:
     @staticmethod
     def _assert_reproduced(found, located):
         assert sum(out.location is not None for *_, out in found) == located
-        for x, sig, params, rate, out in found:
+        for x, sig, rate, out in found:
             if out.location is not None:
                 window = x[out.location : out.location + sig.spec.length]
-                assert norm_power(window, sig, params, sample_rate=rate) == out.peak_norm_power
+                assert norm_power(window, sig, sample_rate=rate) == out.peak_norm_power
 
     def test_office_sessions(self, monkeypatch):
         def sessions():

@@ -18,7 +18,7 @@ from sonicauth.signal import (
     save_signal_wav,
     synthesize,
 )
-from sonicauth.spectrum import DetectionParams, norm_power
+from sonicauth.spectrum import norm_power
 
 
 class TestBuildGrid:
@@ -73,17 +73,6 @@ class TestSampleSpec:
         chi2 = sum((counts[s] - expected) ** 2 / expected for s in admissible)
         assert chi2 < 27.69
 
-    def test_exclude_narrows_pool(self, grid):
-        rng = np.random.default_rng(1)
-        banned = frozenset(grid.candidates[:10])
-        for _ in range(50):
-            spec = sample_spec(rng, grid, exclude=banned)
-            assert not set(spec.frequencies) & banned
-
-    def test_exclude_all_raises(self, grid):
-        with pytest.raises(ValueError):
-            sample_spec(np.random.default_rng(0), grid, exclude=frozenset(grid.candidates))
-
 
 class TestSpecValidation:
     def test_rejects_empty_and_full(self, grid):
@@ -103,7 +92,7 @@ class TestSynthesize:
         spec = SignalSpec(frequencies=(f,), grid=grid)
         sig = synthesize(spec)
         assert np.max(np.abs(sig.samples)) <= 32_000
-        oracle = direct_candidate_power(sig.samples.astype(float), f, 44_100.0, 4096, theta=5)
+        oracle = direct_candidate_power(sig.samples.astype(float), f, 44_100.0, 4096, spectrum.THETA)
         assert sig.nominal_power[f] == pytest.approx(oracle, rel=1e-9)
 
     def test_two_tones_equal_power(self, grid):
@@ -134,33 +123,36 @@ class TestSynthesize:
             samples = sg._render(spec, table, rng.uniform(0.0, 2.0 * np.pi, tones))
             assert np.max(np.abs(samples)) <= spec.amplitude_budget
 
-    def test_self_consistency_norm_power(self, grid, params):
+    def test_self_consistency_norm_power(self, grid):
         rng = np.random.default_rng(23)
         for _ in range(10):
             sig = synthesize(sample_spec(rng, grid))
-            p = norm_power(sig.samples.astype(float), sig, params)
+            p = norm_power(sig.samples.astype(float), sig)
             assert p is not None
             assert p >= 0.95 * sig.total_power
 
-    def test_leakage_confined_under_the_detectors_beta(self, grid):
-        """Phase selection targets the absence threshold of the params it is
-        given: with a stricter beta_ratio, this tone set's default-params
-        rendering fails its own absence gate and the tuned one passes."""
-        strict = DetectionParams(beta_ratio=0.002)
+    def test_leakage_confined_under_the_detectors_beta(self, grid, monkeypatch):
+        """Phase selection targets the detector's absence threshold: with a
+        stricter ``BETA_RATIO``, this tone set's rendering under the default
+        one fails its own absence gate and the retuned one passes."""
         spec = sample_spec(np.random.default_rng(2), grid)
         default = synthesize(spec)
-        tuned = synthesize(spec, params=strict)
-        assert norm_power(default.samples, default, strict) is None
-        assert norm_power(tuned.samples, tuned, strict) is not None
+        monkeypatch.setattr(spectrum, "BETA_RATIO", 0.002)
+        tuned = synthesize(spec)
+        assert norm_power(default.samples, default) is None
+        assert norm_power(tuned.samples, tuned) is not None
 
-    def test_unconfinable_leakage_rejected(self, grid, params):
+    def test_unconfinable_leakage_rejected(self, grid, monkeypatch):
         """Seed 0's tone set tries all 16 phase candidates: each leaks past the
         strict beta, and with the default beta the fallback still passes."""
         spec = sample_spec(np.random.default_rng(0), grid)
-        with pytest.raises(ValueError, match=r"beta_ratio=0\.002: .* reaches 1\.\d+ times the absence threshold"):
-            synthesize(spec, params=DetectionParams(beta_ratio=0.002))
-        sig = synthesize(spec, params=params)
-        assert norm_power(sig.samples, sig, params) is not None
+        with monkeypatch.context() as patch:
+            patch.setattr(spectrum, "BETA_RATIO", 0.002)
+            message = r"beta_ratio=0\.002: .* reaches 1\.\d+ times the absence threshold"
+            with pytest.raises(ValueError, match=message):
+                synthesize(spec)
+        sig = synthesize(spec)
+        assert norm_power(sig.samples, sig) is not None
 
     def test_each_candidate_measured_once(self, grid, monkeypatch):
         """Seeds 1, 3 and 0 render 1, 2 and all 16 phase candidates; the chosen

@@ -13,7 +13,6 @@ from sonicauth.channel import ChannelConfig, environment
 from sonicauth.signal import FrequencyGrid, SignalSpec, sample_spec, synthesize
 from sonicauth.spectrum import (
     DetectionOutcome,
-    DetectionParams,
     _batch_candidate_powers,
     _sliding_candidate_powers,
     candidate_bin_table,
@@ -82,23 +81,24 @@ class TestBinTable:
         low = FrequencyGrid(10.0, 120.0, 4)
         high = FrequencyGrid(43_000.0, 44_000.0, 4)
         for g in (low, high):
-            table = candidate_bin_table(g, FS, 4096, theta=5)
+            table = candidate_bin_table(g, FS, 4096)
             assert table.min() >= 0
             assert table.max() <= 2048
 
     def test_folding_matches_mirror(self, grid):
-        table = candidate_bin_table(grid, FS, 4096, theta=0)
+        """The middle column holds each candidate's own bin, folded."""
+        table = candidate_bin_table(grid, FS, 4096)
         raw = [frequency_bin(f, FS, 4096) for f in grid.candidates]
-        assert [4096 - r for r in raw] == [int(k[0]) for k in table]
+        assert [4096 - r for r in raw] == [int(k[spectrum.THETA]) for k in table]
 
-    @pytest.mark.parametrize("theta", [0, 5])
+    @pytest.mark.parametrize("theta", [spectrum.THETA])
     @pytest.mark.parametrize(
         "bounds", [None, (10.0, 120.0, 4), (43_000.0, 44_000.0, 4)], ids=["default", "dc", "top"]
     )
     def test_equals_per_candidate_loop(self, grid, bounds, theta):
         g = grid if bounds is None else FrequencyGrid(*bounds)
         want = np.array([folded_bins(f, FS, 4096, theta) for f in g.candidates])
-        table = candidate_bin_table(g, FS, 4096, theta)
+        table = candidate_bin_table(g, FS, 4096)
         assert table.dtype == np.intp
         assert np.array_equal(table, want)
 
@@ -112,7 +112,7 @@ class TestBinTable:
     )
     def test_candidates_off_the_spectrum_rejected(self, bounds, message):
         with pytest.raises(ValueError, match=message):
-            candidate_bin_table(FrequencyGrid(*bounds), FS, 4096, theta=5)
+            candidate_bin_table(FrequencyGrid(*bounds), FS, 4096)
 
 
 def _per_window_candidate_powers(x, starts, length, table):
@@ -151,9 +151,9 @@ class TestBatchCandidatePowers:
             (4096 + 64, slice(0, 65)),  # 65 adjacent windows: the last block holds one window
         ],
     )
-    def test_equals_per_window_loop(self, grid, params, n, starts):
+    def test_equals_per_window_loop(self, grid, n, starts):
         x = self._noise(n, seed=n)
-        table = candidate_bin_table(grid, FS, 4096, params.theta)
+        table = candidate_bin_table(grid, FS, 4096)
         windows = range(*starts.indices(n - 4096 + 1))
         got = _batch_candidate_powers(x, starts, 4096, table)
         want = _per_window_candidate_powers(x, windows, 4096, table)
@@ -163,19 +163,19 @@ class TestBatchCandidatePowers:
         each = [power_spectrum(x[s : s + 4096]).powers[table].sum(axis=1) for s in windows]
         np.testing.assert_allclose(got, each, rtol=1e-14, atol=0)
 
-    def test_scan_clipped_at_both_ends_covers_the_whole_recording(self, grid, params):
+    def test_scan_clipped_at_both_ends_covers_the_whole_recording(self, grid):
         """The coarse anchor (1000) lies within fine_radius of both ends of a
         2000-start recording, so the fine scan runs from 0 to max_start."""
         sig = synthesize(sample_spec(np.random.default_rng(16), grid))
         x = _embed(sig, 1234, 2000 - 1234)
-        out = detect(x, sig, params)
-        assert out.location is not None and abs(out.location - 1234) <= params.fine_step
+        out = detect(x, sig)
+        assert out.location is not None and abs(out.location - 1234) <= spectrum.FINE_STEP
 
-    def test_recording_exactly_one_signal_long(self, grid, params):
+    def test_recording_exactly_one_signal_long(self, grid):
         sig = synthesize(sample_spec(np.random.default_rng(17), grid))
-        out = detect(sig.samples.astype(float), sig, params)
+        out = detect(sig.samples.astype(float), sig)
         assert out.location == 0
-        assert out.peak_norm_power == norm_power(sig.samples.astype(float), sig, params)
+        assert out.peak_norm_power == norm_power(sig.samples.astype(float), sig)
 
 
 def _scene_recording(grid, n, seed):
@@ -205,11 +205,11 @@ class TestSlidingCandidatePowers:
         ],
         ids=["clipped_lo", "clipped_hi", "one_window", "full_partial_block", "skewed_rate", "step_one"],
     )
-    def test_equals_rfft_kernel(self, grid, params, n, lo, count, step, rate):
+    def test_equals_rfft_kernel(self, grid, n, lo, count, step, rate):
         x = _scene_recording(grid, n, seed=lo + count)
-        table = candidate_bin_table(grid, rate, 4096, params.theta)
+        table = candidate_bin_table(grid, rate, 4096)
         if rate != FS:
-            assert not np.array_equal(table, candidate_bin_table(grid, FS, 4096, params.theta))
+            assert not np.array_equal(table, candidate_bin_table(grid, FS, 4096))
         got = _sliding_candidate_powers(x, lo, count, step, 4096, table)
         want = _batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), 4096, table)
         assert got.shape == want.shape == (count, len(grid.candidates))
@@ -222,25 +222,25 @@ class TestLocatedWindowScore:
     peak and the presence verdict."""
 
     @staticmethod
-    def _scored(monkeypatch, x, sigs, params):
+    def _scored(monkeypatch, x, sigs):
         """(signal, outcome, scored window start, exact score) per detection."""
         scored = []
         exact = spectrum._window_score
 
-        def spy(x, start, sig, params, table):
-            score = exact(x, start, sig, params, table)
+        def spy(x, start, sig, table):
+            score = exact(x, start, sig, table)
             scored.append((start, score))
             return score
 
         with monkeypatch.context() as m:
             m.setattr(spectrum, "_window_score", spy)
-            outcomes = detect_pair(x, *sigs, params)
+            outcomes = detect_pair(x, *sigs)
         assert len(scored) == len(sigs)
         return [(sig, out, *s) for sig, out, s in zip(sigs, outcomes, scored)]
 
-    def test_peak_is_norm_power_of_the_located_window(self, grid, params, monkeypatch):
+    def test_peak_is_norm_power_of_the_located_window(self, grid, monkeypatch):
         """Scenes with the second signal absent, clearly present, or scaled to
-        sit near ``epsilon`` times its total: either way the reported peak is
+        sit near ``EPSILON`` times its total: either way the reported peak is
         ``norm_power`` of the scored window, and presence is that score
         against the threshold."""
         verdicts = []
@@ -253,92 +253,92 @@ class TestLocatedWindowScore:
             if seed % 3 == 1:
                 x[18_000 : 18_000 + 4096] += sig_b.samples * 0.6
             elif seed % 3 == 2:  # power scales with the square of the amplitude
-                power = params.epsilon * (0.95, 1.05, 0.99, 1.1)[seed // 3]
+                power = spectrum.EPSILON * (0.95, 1.05, 0.99, 1.1)[seed // 3]
                 x[18_000 : 18_000 + 4096] += sig_b.samples * np.sqrt(power)
             x = np.rint(x)
-            for sig, out, start, score in self._scored(monkeypatch, x, (sig_a, sig_b), params):
+            for sig, out, start, score in self._scored(monkeypatch, x, (sig_a, sig_b)):
                 assert out.peak_norm_power == (None if score == -np.inf else score)
-                assert norm_power(x[start : start + 4096], sig, params) == out.peak_norm_power
-                present = score >= params.epsilon * sig.total_power
+                assert norm_power(x[start : start + 4096], sig) == out.peak_norm_power
+                present = score >= spectrum.EPSILON * sig.total_power
                 assert out.location == (start if present else None)
                 if sig is sig_b and seed % 3 == 2:
                     verdicts.append(present)
         assert set(verdicts) == {True, False}
 
-    def test_window_failing_a_gate_when_rescored_is_not_present(self, grid, params, monkeypatch):
+    def test_window_failing_a_gate_when_rescored_is_not_present(self, grid, monkeypatch):
         """The stated rule for a sliding score and an exact score that
         disagree: the exact one decides. Here the slide is made to rank the
         scan's first window best, but a loud out-of-set tone in that window
         fails its absence gate, so the signal is not present and has no
         peak."""
-        sig = synthesize(sample_spec(np.random.default_rng(3), grid, exclude=frozenset(grid.candidates[:1])))
+        sig = _without_first_candidate(grid)
         x = _embed(sig, 15_000, 10_000)
         t = np.arange(1_400)
         x[13_500:14_900] += 3000.0 * np.sin(2 * np.pi * grid.candidates[0] * t / FS)
-        assert detect(x, sig, params).location == 15_000
+        assert detect(x, sig).location == 15_000
         sliding = spectrum._sliding_candidate_powers
 
         def first_window_best(x, lo, count, step, length, table):
             powers = sliding(x, lo, count, step, length, table)
-            best = int(np.argmax(spectrum._gated_scores(powers, sig, params)))
+            best = int(np.argmax(spectrum._gated_scores(powers, sig)))
             powers[0] = powers[best]
             return powers
 
         monkeypatch.setattr(spectrum, "_sliding_candidate_powers", first_window_best)
-        assert detect(x, sig, params) == DetectionOutcome(None, None)
+        assert detect(x, sig) == DetectionOutcome(None, None)
 
 
 def test_sliding_oracle_matches_direct_projections(grid):
     """The test oracle's cumulative-sum demodulation agrees with plain DFT
     projections at the first, an inner and the last window start."""
     x = np.random.default_rng(18).normal(0.0, 500.0, 4096 + 300)
-    powers = sliding_candidate_powers(x, grid, FS, 4096, 5)
+    powers = sliding_candidate_powers(x, grid, FS, 4096, spectrum.THETA)
     assert powers.shape == (301, len(grid.candidates))
     for s in (0, 137, 300):
-        want = [direct_candidate_power(x[s:], f, FS, 4096, 5) for f in grid.candidates]
+        want = [direct_candidate_power(x[s:], f, FS, 4096, spectrum.THETA) for f in grid.candidates]
         np.testing.assert_allclose(powers[s], want, rtol=1e-9)
 
 
 class TestNormPower:
-    def test_clean_signal_close_to_total(self, grid, params):
+    def test_clean_signal_close_to_total(self, grid):
         sig = synthesize(sample_spec(np.random.default_rng(0), grid))
-        p = norm_power(sig.samples.astype(float), sig, params)
+        p = norm_power(sig.samples.astype(float), sig)
         assert p is not None and p >= 0.95 * sig.total_power
 
-    def test_silence_fails_presence_check(self, grid, params):
+    def test_silence_fails_presence_check(self, grid):
         sig = synthesize(sample_spec(np.random.default_rng(1), grid))
-        p = norm_power(np.zeros(4096), sig, params)
+        p = norm_power(np.zeros(4096), sig)
         assert p is None
 
-    def test_all_frequency_window_always_rejected(self, grid, params):
+    def test_all_frequency_window_always_rejected(self, grid):
         """Whatever per-tone power an all-candidate window carries, one of the
         two sanity checks fails."""
         sig = synthesize(sample_spec(np.random.default_rng(2), grid))
         t = np.arange(4096)
         r_mean = sig.total_power / len(sig.frequencies)
-        beta = params.beta_ratio * r_mean
+        beta = spectrum.BETA_RATIO * r_mean
         for power_target in np.geomspace(beta / 100, 10 * r_mean, 9):
             amp = np.sqrt(power_target / r_mean) * (32_000 / len(sig.frequencies))
             w = np.zeros(4096)
             for f in grid.candidates:
                 w += amp * np.sin(2 * np.pi * f * t / FS)
-            assert norm_power(w, sig, params) is None
+            assert norm_power(w, sig) is None
 
-    def test_out_of_set_tone_trips_absence_check(self, grid, params):
+    def test_out_of_set_tone_trips_absence_check(self, grid):
         """A window holding the clean signal plus one loud out-of-set tone is
         rejected by the beta check."""
-        sig = synthesize(sample_spec(np.random.default_rng(3), grid, exclude=frozenset(grid.candidates[:1])))
+        sig = _without_first_candidate(grid)
         intruder_f = grid.candidates[0]
         t = np.arange(4096)
         w = sig.samples.astype(float) + 3000.0 * np.sin(2 * np.pi * intruder_f * t / FS)
-        assert norm_power(w, sig, params) is None
+        assert norm_power(w, sig) is None
 
-    def test_wrong_length_rejected(self, grid, params):
+    def test_wrong_length_rejected(self, grid):
         sig = synthesize(sample_spec(np.random.default_rng(4), grid))
         with pytest.raises(ValueError):
-            norm_power(np.zeros(1000), sig, params)
+            norm_power(np.zeros(1000), sig)
 
-    def test_one_rfft_per_call(self, grid, params, monkeypatch):
+    def test_one_rfft_per_call(self, grid, monkeypatch):
         """``norm_power`` takes its window's spectrum once, as the scan does
         for the window it located."""
         sig = synthesize(sample_spec(np.random.default_rng(5), grid))
@@ -352,8 +352,14 @@ class TestNormPower:
         monkeypatch.setattr(np.fft, "rfft", counting)
         for window in (sig.samples.astype(float), np.zeros(4096)):
             calls.clear()
-            norm_power(window, sig, params)
+            norm_power(window, sig)
             assert calls == [(1, 4096)]
+
+
+def _without_first_candidate(grid):
+    """A signal whose tone set leaves out the grid's first candidate."""
+    tones = (1, 2, 3, 4, 5, 7, 8, 10, 12, 14, 15, 16, 18, 20, 21, 22, 25)
+    return synthesize(SignalSpec(frequencies=tuple(grid.candidates[i] for i in tones), grid=grid))
 
 
 def _embed(sig, pre, post, scale=1.0):
@@ -361,67 +367,68 @@ def _embed(sig, pre, post, scale=1.0):
 
 
 class TestDetect:
-    def test_clean_embedding_located(self, grid, params):
+    def test_clean_embedding_located(self, grid):
         sig = synthesize(sample_spec(np.random.default_rng(5), grid))
         x = _embed(sig, 10_000, 10_000)
-        out = detect(x, sig, params)
+        out = detect(x, sig)
         assert out.location is not None
-        assert abs(out.location - 10_000) <= params.fine_step
-        loc, _ = exhaustive_detect(x, sig, grid, params, FS)
-        assert abs(out.location - loc) <= params.fine_step
+        assert abs(out.location - 10_000) <= spectrum.FINE_STEP
+        loc, _ = exhaustive_detect(x, sig, grid, FS)
+        assert abs(out.location - loc) <= spectrum.FINE_STEP
 
-    def test_white_noise_only_not_present(self, grid, params):
+    def test_white_noise_only_not_present(self, grid):
         sig = synthesize(sample_spec(np.random.default_rng(6), grid))
         rms = np.sqrt(np.mean(sig.samples.astype(float) ** 2))
         x = np.random.default_rng(7).normal(0.0, rms, 60_000)
-        out = detect(x, sig, params)
+        out = detect(x, sig)
         assert out.not_present
 
-    def test_recording_shorter_than_signal(self, grid, params):
+    def test_recording_shorter_than_signal(self, grid):
         sig = synthesize(sample_spec(np.random.default_rng(8), grid))
         with pytest.raises(ValueError):
-            detect(np.zeros(1000), sig, params)
+            detect(np.zeros(1000), sig)
 
-    def test_monotone_rejection_when_scaled_below_epsilon(self, grid, params):
+    def test_monotone_rejection_when_scaled_below_epsilon(self, grid):
         sig = synthesize(sample_spec(np.random.default_rng(9), grid))
-        x = _embed(sig, 5_000, 5_000, scale=0.5 * params.epsilon)
-        assert detect(x, sig, params).not_present
+        x = _embed(sig, 5_000, 5_000, scale=0.5 * spectrum.EPSILON)
+        assert detect(x, sig).not_present
 
-    def test_coarse_to_fine_matches_exhaustive_on_random_scenes(self, grid, params):
+    def test_coarse_to_fine_matches_exhaustive_on_random_scenes(self, grid):
         for seed in range(10):
             rng = np.random.default_rng(seed)
             sig = synthesize(sample_spec(rng, grid))
             pre = int(rng.integers(0, 12_000))
             x = _embed(sig, pre, 18_000 - pre, scale=float(rng.uniform(0.2, 1.0)))
             x += rng.normal(0.0, 40.0, x.shape[0])
-            got = detect(x, sig, params)
-            want_loc, _ = exhaustive_detect(x, sig, grid, params, FS)
+            got = detect(x, sig)
+            want_loc, _ = exhaustive_detect(x, sig, grid, FS)
             assert got.location is not None and want_loc is not None
-            assert abs(got.location - want_loc) <= params.fine_step
+            assert abs(got.location - want_loc) <= spectrum.FINE_STEP
 
 
 class TestDetectPair:
-    def test_two_signals_located(self, grid, params):
+    def test_two_signals_located(self, grid):
         rng = np.random.default_rng(11)
         sig_a = synthesize(sample_spec(rng, grid))
         sig_b = synthesize(sample_spec(rng, grid))
         x = np.zeros(45_000)
         x[10_000 : 10_000 + 4096] = sig_a.samples
         x[30_000 : 30_000 + 4096] = sig_b.samples
-        out_a, out_b = detect_pair(x, sig_a, sig_b, params)
-        assert abs(out_a.location - 10_000) <= params.fine_step
-        assert abs(out_b.location - 30_000) <= params.fine_step
+        out_a, out_b = detect_pair(x, sig_a, sig_b)
+        assert abs(out_a.location - 10_000) <= spectrum.FINE_STEP
+        assert abs(out_b.location - 30_000) <= spectrum.FINE_STEP
 
-    def test_only_first_present(self, grid, params):
+    def test_only_first_present(self, grid):
         rng = np.random.default_rng(12)
         sig_a = synthesize(sample_spec(rng, grid))
-        sig_b = synthesize(sample_spec(rng, grid, exclude=frozenset(sig_a.frequencies)))
+        others = tuple(f for f in grid.candidates if f not in sig_a.frequencies)
+        sig_b = synthesize(SignalSpec(frequencies=others, grid=grid))
         x = _embed(sig_a, 8_000, 20_000)
-        out_a, out_b = detect_pair(x, sig_a, sig_b, params)
+        out_a, out_b = detect_pair(x, sig_a, sig_b)
         assert out_a.location is not None
         assert out_b.not_present
 
-    def test_equivalent_to_two_detect_calls(self, grid, params):
+    def test_equivalent_to_two_detect_calls(self, grid):
         """Paired scan must be bit-identical to independent scans, across
         random scenes with zero, one or two signals present."""
         for seed in range(50):
@@ -436,12 +443,12 @@ class TestDetectPair:
             if mode == 2:
                 pos_b = int(rng.integers(14_000, 24_000))
                 x[pos_b : pos_b + 4096] += sig_b.samples * rng.uniform(0.1, 1.0)
-            pair = detect_pair(x, sig_a, sig_b, params)
-            singles = (detect(x, sig_a, params), detect(x, sig_b, params))
+            pair = detect_pair(x, sig_a, sig_b)
+            singles = (detect(x, sig_a), detect(x, sig_b))
             assert pair == singles
 
 
-    def test_signals_on_two_grids_rejected(self, grid, params):
+    def test_signals_on_two_grids_rejected(self, grid):
         """Same tones, same length, but the second signal's grid is wider:
         one scan cannot serve both."""
         wider = FrequencyGrid(grid.band_low, grid.band_low + 1.5 * (grid.band_high - grid.band_low), 45)
@@ -449,7 +456,7 @@ class TestDetectPair:
         sig_a = synthesize(SignalSpec(frequencies=tones, grid=grid))
         sig_b = synthesize(SignalSpec(frequencies=tones, grid=wider))
         with pytest.raises(ValueError, match="one length and one grid"):
-            detect_pair(_embed(sig_a, 8_000, 8_000), sig_a, sig_b, params)
+            detect_pair(_embed(sig_a, 8_000, 8_000), sig_a, sig_b)
 
 
 class TestCrossCorrelate:
@@ -469,22 +476,14 @@ class TestCrossCorrelate:
             cross_correlate_detect(np.zeros(100), sig)
 
 
-class TestDetectionParams:
-    def test_defaults_satisfy_spoofing_guard(self):
-        p = DetectionParams()
-        assert p.beta_ratio < p.alpha
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"alpha": 0.0},
-            {"epsilon": 0.02, "alpha": 0.01},
-            {"beta_ratio": 0.02},
-            {"theta": -1},
-            {"coarse_step": 5, "fine_step": 10},
-            {"fine_radius": 10},
-        ],
-    )
-    def test_invalid_params_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            DetectionParams(**kwargs)
+class TestDetectionConstants:
+    def test_constants_satisfy_the_invariants(self):
+        """Gates in (0, 1) with the peak threshold at most the presence one,
+        beta below the presence gate (the all-frequency spoofing guard), and a
+        fine scan that steps no wider than the coarse one and covers at least
+        one coarse step either side."""
+        assert 0.0 < spectrum.EPSILON <= spectrum.ALPHA < 1.0
+        assert 0.0 < spectrum.BETA_RATIO < spectrum.ALPHA
+        assert spectrum.THETA >= 0
+        assert spectrum.COARSE_STEP >= spectrum.FINE_STEP >= 1
+        assert spectrum.FINE_RADIUS >= spectrum.COARSE_STEP

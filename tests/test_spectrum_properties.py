@@ -30,7 +30,7 @@ def test_sliding_powers_equal_rfft_kernel(seed, step, count, lo, tail, skew):
     pos = int(rng.integers(0, n - 4096 + 1))
     x[pos : pos + 4096] += float(rng.uniform(0.0, 1.0)) * sig.samples
     x = np.rint(x)
-    table = candidate_bin_table(DEFAULT_GRID, FS * skew, 4096, 5)
+    table = candidate_bin_table(DEFAULT_GRID, FS * skew, 4096)
     got = _sliding_candidate_powers(x, lo, count, step, 4096, table)
     want = _batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), 4096, table)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
