@@ -25,7 +25,6 @@ from .spectrum import (
     detect_pair,
     frequency_bin,
     norm_power,
-    power_spectrum,
 )
 from .channel import AcousticScene, ChannelConfig, Emission, Recorder, Recording, record
 from .protocol import (
@@ -68,7 +67,6 @@ __all__ = [
     "detect_pair",
     "frequency_bin",
     "norm_power",
-    "power_spectrum",
     "AcousticScene",
     "ChannelConfig",
     "Emission",

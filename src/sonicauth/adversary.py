@@ -20,9 +20,10 @@ from . import channel as ch
 from . import spectrum
 from .protocol import SceneContext
 from .signal import (
-    DEFAULT_AMPLITUDE_BUDGET,
-    DEFAULT_SAMPLE_RATE,
+    AMPLITUDE_BUDGET,
     DEFAULT_GRID,
+    SAMPLE_RATE,
+    SIGNAL_LENGTH,
     FrequencyGrid,
     ReferenceSignal,
     _finite_positive,
@@ -69,17 +70,17 @@ def guessing_replay_signal(rng: np.random.Generator) -> ReferenceSignal:
 
 
 def all_frequency_signal(grid: FrequencyGrid, per_tone_power: float, duration: int) -> np.ndarray:
-    """Spoofing waveform containing every candidate tone at the default
+    """Spoofing waveform containing every candidate tone at the nominal
     sample rate.
 
     Per-tone amplitudes are calibrated against the detector's measurement
     convention so each tone carries ``per_tone_power``; raises when the
-    requested power cannot fit the default amplitude budget after summation.
+    requested power cannot fit the amplitude budget after summation.
     The waveform is memoised per ``(grid, power, duration)`` and returned
     read-only, since every caller with that key shares it.
     """
-    if duration < 4096:
-        raise ValueError("duration must cover at least one measurement window (4096 samples)")
+    if duration < SIGNAL_LENGTH:
+        raise ValueError(f"duration must cover at least one measurement window ({SIGNAL_LENGTH} samples)")
     if not (math.isfinite(per_tone_power) and per_tone_power > 0):
         raise ValueError(f"per-tone power must be finite and positive, got {per_tone_power!r}")
     return _all_frequency_waveform(grid, float(per_tone_power), int(duration))
@@ -90,15 +91,15 @@ def all_frequency_signal(grid: FrequencyGrid, per_tone_power: float, duration: i
 @lru_cache(maxsize=1)
 def _all_frequency_waveform(grid: FrequencyGrid, per_tone_power: float, duration: int) -> np.ndarray:
     amps = [math.sqrt(per_tone_power / unit_power) for unit_power in _unit_sine_powers(grid)]
-    if sum(amps) > DEFAULT_AMPLITUDE_BUDGET:
+    if sum(amps) > AMPLITUDE_BUDGET:
         raise ValueError(
             f"per-tone power {per_tone_power:g} infeasible: tone amplitudes sum to "
-            f"{sum(amps):.0f} > budget {DEFAULT_AMPLITUDE_BUDGET}"
+            f"{sum(amps):.0f} > budget {AMPLITUDE_BUDGET}"
         )
     t = np.arange(duration, dtype=np.float64)
     x = np.zeros(duration)
     for f, a in zip(grid.candidates, amps):
-        x += a * np.sin(2.0 * np.pi * f * t / DEFAULT_SAMPLE_RATE)
+        x += a * np.sin(2.0 * np.pi * f * t / SAMPLE_RATE)
     wave = np.clip(np.rint(x), -32768, 32767).astype(np.int16)
     wave.setflags(write=False)
     return wave
@@ -107,11 +108,10 @@ def _all_frequency_waveform(grid: FrequencyGrid, per_tone_power: float, duration
 @lru_cache(maxsize=4)
 def _unit_sine_powers(grid: FrequencyGrid) -> tuple[float, ...]:
     """Each candidate's measured power for a unit-amplitude sine at it."""
-    window = 4096
     powers = []
     for i, f in enumerate(grid.candidates):
-        unit = np.sin(2.0 * np.pi * f * np.arange(window) / DEFAULT_SAMPLE_RATE)
-        powers.append(spectrum.measure_candidate_powers(unit, grid, DEFAULT_SAMPLE_RATE)[i])
+        unit = np.sin(2.0 * np.pi * f * np.arange(SIGNAL_LENGTH) / SAMPLE_RATE)
+        powers.append(spectrum.measure_candidate_powers(unit, grid, SAMPLE_RATE)[i])
     return tuple(powers)
 
 

@@ -1,29 +1,28 @@
 """Sample-accurate simulation of acoustic propagation between devices.
 
-Emitted waveforms live on a common base-rate timeline (44.1 kHz). Propagation
-applies the travel delay (integer part by placement, fractional part by an
-exact FFT phase shift), a distance-law amplitude scale, a short FIR kernel
-standing in for the speaker/mic frequency response, and an optional wall
-attenuation. A recorder sums every propagated emission (including its own
-playback at the near-field floor distance), adds seeded environment noise,
-resamples by its clock-skew ratio when its rate differs from the base rate,
-and saturating-quantizes to 16-bit.
+Emitted waveforms live on a common base-rate timeline, the signals' nominal
+44.1 kHz. Propagation applies the travel delay (integer part by placement,
+fractional part by an exact FFT phase shift), a distance-law amplitude scale,
+a short FIR kernel standing in for the speaker/mic frequency response, and an
+optional wall attenuation. A recorder sums every propagated emission
+(including its own playback at the near-field floor distance), adds seeded
+environment noise, resamples by its clock-skew ratio when its rate differs
+from the base rate, and saturating-quantizes to 16-bit.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+import scipy  # loads scipy.signal on first attribute access: only a skewed device clock resamples
 
-from . import pcm
-from .signal import DEFAULT_GRID, DEFAULT_LENGTH, _finite_positive, _is_int, _is_number, sample_spec, synthesize
+from .signal import SAMPLE_RATE as BASE_SAMPLE_RATE
+from .signal import _finite_positive, _is_int, _is_number, _json_fields
 
-BASE_SAMPLE_RATE = 44_100.0
 DISTANCE_FLOOR_M = 0.1
 
 # Near-delta, mildly asymmetric speaker/mic response. Energy-normalized;
@@ -294,8 +293,6 @@ def render_mix(scene: AcousticScene, device_id: str, cfg: ChannelConfig) -> np.n
     mix += _shaped_noise(cfg.noise, scene.duration, _noise_rng(scene, cfg, idx))
 
     if rec.sample_rate != BASE_SAMPLE_RATE:
-        import scipy.signal  # loaded on first use: only a skewed device clock resamples
-
         ratio = Fraction(rec.sample_rate / BASE_SAMPLE_RATE).limit_denominator(10_000)
         mix = scipy.signal.resample_poly(mix, ratio.numerator, ratio.denominator)
     return mix
@@ -314,44 +311,6 @@ def record(scene: AcousticScene, device_id: str, cfg: ChannelConfig) -> Recordin
         sample_rate=rec.sample_rate,
         samples=quantize(render_mix(scene, device_id, cfg)),
     )
-
-
-def recording_to_wav(rec: Recording, path: str) -> None:
-    pcm.save_wav(path, rec.samples, rec.sample_rate)
-
-
-def _scene_key(entry: dict, key: str, where: str = "scene JSON"):
-    """``entry[key]``, or a ``ValueError`` naming the key and where it is missing."""
-    try:
-        return entry[key]
-    except KeyError:
-        raise ValueError(f"{where} lacks the {key!r} key") from None
-
-
-def _scene_object(value, where: str) -> None:
-    """``ValueError`` naming where, unless ``value`` is a JSON object."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{where} must be an object, got {value!r}")
-
-
-def _scene_field(entry: dict, key: str, where: str, valid, kind: str, default=None):
-    """``entry[key]``, or ``default`` when one is given and the key is absent;
-    ``ValueError`` naming the key and where unless the value passes ``valid``."""
-    value = _scene_key(entry, key, where) if default is None else entry.get(key, default)
-    if not valid(value):
-        raise ValueError(f"{where} field {key!r} must be {kind}, got {value!r}")
-    return value
-
-
-def _scene_position(entry: dict, where: str, dims: int | None) -> tuple[float, ...]:
-    """The entry's ``position`` as a tuple; ``ValueError`` unless it is a
-    sequence of ``dims`` numbers, or of at least one when ``dims`` is None."""
-    position = _scene_key(entry, "position", where)
-    if not isinstance(position, (list, tuple)) or not all(_is_number(p) for p in position):
-        raise ValueError(f"{where} field 'position' must be a sequence of numbers, got {position!r}")
-    if not position or dims not in (None, len(position)):
-        raise ValueError(f"{where} field 'position' must have {dims or 'one or more'} coordinates, got {position!r}")
-    return tuple(position)
 
 
 def _is_seed(value) -> bool:
@@ -393,19 +352,6 @@ _WALL_FIELDS = {
 }
 
 
-def _config_fields(obj, where: str, checks: dict, required: tuple[str, ...]) -> dict:
-    """The fields of the JSON object ``obj``, each passing its check in
-    ``checks``; ``ValueError`` naming where and the key for a value that is
-    not an object, an unknown key, a missing required key or a bad value."""
-    _scene_object(obj, where)
-    unknown = set(obj) - set(checks)
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
-    for key in required:
-        _scene_key(obj, key, where)
-    return {key: _scene_field(obj, key, where, *checks[key]) for key in obj}
-
-
 def config_from_json(obj: dict) -> ChannelConfig:
     """Channel config from a JSON object. Every field is optional; see
     ``_CONFIG_FIELDS`` for their types. An ``environment`` object needs
@@ -413,18 +359,18 @@ def config_from_json(obj: dict) -> ChannelConfig:
     by ``attenuation_db`` (default 60). A malformed config raises
     ``ValueError`` naming the field."""
     where = "channel config"
-    data = _config_fields(obj, where, _CONFIG_FIELDS, ())
+    data = dict(_json_fields(obj, where, _CONFIG_FIELDS, ()))
     cfg = ChannelConfig()
     env = data.pop("environment", None)
     if isinstance(env, str):
         cfg = replace(cfg, noise=environment(env))
     elif env is not None:
-        profile = _config_fields(env, f"{where} environment", _ENVIRONMENT_FIELDS, ("name", "rms"))
+        profile = _json_fields(env, f"{where} environment", _ENVIRONMENT_FIELDS, ("name", "rms"))
         cfg = replace(cfg, noise=EnvironmentNoise(**profile))
     if "noise_seed" in data:
         cfg = replace(cfg, noise=replace(cfg.noise, seed=data.pop("noise_seed")))
     if "wall" in data:
-        wall = _config_fields(data.pop("wall"), f"{where} wall", _WALL_FIELDS, ("plane_x",))
+        wall = _json_fields(data.pop("wall"), f"{where} wall", _WALL_FIELDS, ("plane_x",))
         cfg = replace(
             cfg,
             wall_plane_x=float(wall["plane_x"]),
@@ -434,69 +380,3 @@ def config_from_json(obj: dict) -> ChannelConfig:
         cfg = replace(cfg, smoothing_kernel=energy_normalized(data.pop("smoothing_kernel")))
     return replace(cfg, **{k: float(v) for k, v in data.items()})
 
-
-def _scene_waveform(wf: dict, where: str) -> np.ndarray:
-    """Samples of an emission's waveform, described by its ``kind``."""
-    kind = wf.get("kind", "samples")
-    if kind == "samples":
-        return np.asarray(_scene_key(wf, "values", where), dtype=np.int16)
-    if kind == "wav":
-        return pcm.load_wav(_scene_key(wf, "path", where))[0]
-    if kind == "reference_signal":
-        rng = np.random.default_rng(_scene_field(wf, "seed", where, _is_seed, "a non-negative integer"))
-        length = _scene_field(wf, "length", where, _is_int, "an integer", DEFAULT_LENGTH)
-        return synthesize(sample_spec(rng, length=length)).samples
-    if kind == "all_frequency":
-        from .adversary import all_frequency_signal  # adversary imports this module
-
-        power = _scene_field(wf, "per_tone_power", where, _is_number, "a number")
-        duration = _scene_field(wf, "duration", where, _is_int, "an integer", 8192)
-        return all_frequency_signal(DEFAULT_GRID, power, duration)
-    raise ValueError(f"unknown waveform kind {kind!r}")
-
-
-def scene_from_json(obj: dict) -> tuple[AcousticScene, ChannelConfig]:
-    """Build (scene, config) from a JSON-style dict.
-
-    Emission waveforms are described by a ``kind``: ``samples`` (inline list),
-    ``wav`` (file path), ``reference_signal`` (drawn from a seed) or
-    ``all_frequency`` (the spoofing waveform of every candidate tone at
-    ``per_tone_power``). Every position has the first one's number of
-    coordinates. A missing key, an entry or waveform that is not an object and
-    a field of the wrong type or out of range raise ``ValueError`` naming the
-    field and the entry.
-    """
-    _scene_object(obj, "scene JSON")
-    cfg = config_from_json(obj.get("channel", {}))
-    dims = None
-    emissions = []
-    for i, entry in enumerate(obj.get("emissions", ())):
-        where = f"scene JSON emission {i}"
-        _scene_object(entry, where)
-        source_id, wf = (_scene_key(entry, key, where) for key in ("source_id", "waveform"))
-        emit_time = _scene_field(entry, "emit_time", where, _is_int, "an integer")
-        position = _scene_position(entry, where, dims)
-        dims = len(position)
-        _scene_object(wf, f"{where} field 'waveform'")
-        emissions.append(Emission(source_id, _scene_waveform(wf, f"{where} waveform"), emit_time, position))
-    recorders = []
-    for i, d in enumerate(obj.get("devices", ())):
-        where = f"scene JSON device {i}"
-        _scene_object(d, where)
-        device_id = _scene_key(d, "id", where)
-        position = _scene_position(d, where, dims)
-        dims = len(position)
-        rate = _scene_field(d, "sample_rate", where, _is_rate, "a positive number", BASE_SAMPLE_RATE)
-        recorders.append(Recorder(device_id, position, float(rate)))
-    scene = AcousticScene(
-        emissions=tuple(emissions),
-        recorders=tuple(recorders),
-        duration=_scene_field(obj, "duration", "scene JSON", _is_int, "an integer"),
-        seed=_scene_field(obj, "seed", "scene JSON", _is_seed, "a non-negative integer", 0),
-    )
-    return scene, cfg
-
-
-def load_scene(path: str):
-    with open(path) as fh:
-        return scene_from_json(json.load(fh))

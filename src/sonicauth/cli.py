@@ -16,8 +16,9 @@ import numpy as np
 from . import adversary as adv
 from . import channel as ch
 from . import evaluation as ev
+from . import pcm
 from .protocol import PAIRING_RANGE_M, AuthPolicy, Endpoint, replay_session, run_authentication
-from .signal import save_signal_json, save_signal_wav
+from .signal import SAMPLE_RATE
 
 
 def _parse_distances(text: str) -> tuple[float, ...]:
@@ -78,16 +79,18 @@ def _cmd_auth(args) -> int:
 
 def _dump_session_wavs(directory: str, cfg: ch.ChannelConfig, transcript) -> None:
     """Write both reference signals and both recordings, rebuilt from the
-    session's transcript, as WAV files (plus the signals' JSON tone maps)."""
+    session's transcript, as WAV files, plus each signal's link header (its
+    tone set and nominal powers) as JSON."""
     if transcript.playback_start is None:
         print("no WAV dump: the session ended before playback", file=sys.stderr)
         return
     os.makedirs(directory, exist_ok=True)
     sig_a, sig_v, rec_a, rec_v = replay_session(transcript, cfg)
     for device, sig, rec in (("auth", sig_a, rec_a), ("vouch", sig_v, rec_v)):
-        save_signal_wav(sig, os.path.join(directory, f"reference_{device}.wav"))
-        save_signal_json(sig, os.path.join(directory, f"reference_{device}.json"))
-        ch.recording_to_wav(rec, os.path.join(directory, f"recording_{device}.wav"))
+        pcm.save_wav(os.path.join(directory, f"reference_{device}.wav"), sig.samples, SAMPLE_RATE)
+        with open(os.path.join(directory, f"reference_{device}.json"), "wb") as fh:
+            fh.write(sig.header())
+        pcm.save_wav(os.path.join(directory, f"recording_{device}.wav"), rec.samples, rec.sample_rate)
     print(f"wrote WAV dumps to {directory}")
 
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 from scipy.integrate import quad
@@ -154,17 +155,27 @@ def _sessions(
     cfg: ch.ChannelConfig,
     policy: AuthPolicy,
     **session,
-) -> Iterator[tuple[int, AuthDecision, SessionTranscript]]:
+) -> list[tuple[int, AuthDecision, SessionTranscript]]:
     """Run ``trials`` seeded sessions per cell, cell by cell, with the devices
-    at (0, 0) and (``separations[cell]``, 0); yield (cell, decision,
-    transcript). ``session`` holds the keyword options of
-    ``run_authentication``, which is looked up here at call time."""
+    at (0, 0) and (``separations[cell]``, 0); return (cell, decision,
+    transcript) per session. ``session`` holds the keyword options of
+    ``run_authentication``, which is looked up here at call time. Raises
+    ``ValueError`` before any session when ``trials < 1`` or a separation is
+    not a finite, non-negative distance; a separation beyond the pairing
+    range is legal and is rejected as not paired."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial per cell, got trials={trials}")
+    for d in separations:
+        if not (math.isfinite(d) and d >= 0):
+            raise ValueError(f"separation must be a finite, non-negative distance in metres, got {d}")
+    results = []
     for cell, d in enumerate(separations):
         for trial in range(trials):
             auth = Endpoint("auth", (0.0, 0.0))
             vouch = Endpoint("vouch", (d, 0.0))
             rng = _trial_rng(seed, cell, trial)
-            yield (cell, *run_authentication(auth, vouch, policy, rng, cfg, **session))
+            results.append((cell, *run_authentication(auth, vouch, policy, rng, cfg, **session)))
+    return results
 
 
 def _signed_errors(
@@ -260,7 +271,7 @@ def multiuser_campaign(
     intruder = None
     if pairs > 1:
         intruder = lambda ctx, r: _interferer_emissions(ctx, r, pairs - 1)
-    results = list(_sessions(distances, trials, seed, cfg, AuthPolicy(threshold_m=1.0), intruder=intruder))
+    results = _sessions(distances, trials, seed, cfg, AuthPolicy(threshold_m=1.0), intruder=intruder)
     rows = []
     for d, signed in zip(distances, _signed_errors(results, distances)):
         errors = [abs(e) for e in signed]
@@ -325,7 +336,7 @@ def attack_campaign(
     detect range: the attacker tries while the user is away)."""
     cfg = _cfg_for(environment, channel_cfg)
     intruder = lambda ctx, r: adv.build_emissions(scenario, ctx, r)
-    results = list(_sessions((separation_m,), trials, seed, cfg, AuthPolicy(threshold_m=1.0), intruder=intruder))
+    results = _sessions((separation_m,), trials, seed, cfg, AuthPolicy(threshold_m=1.0), intruder=intruder)
     decisions = [decision for _, decision, _ in results]
     return AttackReport(
         scenario=type(scenario).__name__,
@@ -365,8 +376,11 @@ def all_frequency_power_sweep(count: int = 6) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 
-# The echo baseline's mean processing delay and its calibration rounds.
+# The echo baseline's mean processing delay, the largest jitter it accepts
+# (its recording, and the memory it takes, grow with the drawn delay) and its
+# calibration rounds.
 _ECHO_MU_PROC_S = 0.15
+_ECHO_MAX_SIGMA_PROC_S = 1.0
 _ECHO_CALIBRATION_TRIALS = 10
 
 
@@ -386,8 +400,11 @@ def detector_comparison(
       baseline detector;
     * ``one_way_echo``  - one-way ranging against a processing delay,
       calibrated over ``_ECHO_CALIBRATION_TRIALS`` rounds at 5 cm, whose
-      per-trial jitter is Normal(``_ECHO_MU_PROC_S``, ``sigma_proc_s``).
+      per-trial jitter is Normal(``_ECHO_MU_PROC_S``, ``sigma_proc_s``),
+      clipped at zero; ``sigma_proc_s`` must lie in [0, 1] s.
     """
+    if not 0 <= sigma_proc_s <= _ECHO_MAX_SIGMA_PROC_S:  # False for nan
+        raise ValueError(f"sigma_proc_s must be in [0, {_ECHO_MAX_SIGMA_PROC_S}] seconds, got {sigma_proc_s}")
     cfg = _cfg_for(environment, channel_cfg)
     distances = tuple(distances)
     auth = Endpoint("auth", (0.0, 0.0))
@@ -396,16 +413,16 @@ def detector_comparison(
         delay = max(_ECHO_MU_PROC_S + sigma_proc_s * rng.standard_normal(), 0.0)
         return one_way_ranging(auth, vouch, rng, cfg, processing_delay_s=delay)
 
+    errors: dict[str, list[list[float]]] = {}
+    for method, detector in (("two_way_freq", "freq"), ("two_way_xcorr", "xcorr")):
+        results = _sessions(distances, trials, seed, cfg, AuthPolicy(threshold_m=1.0), detector=detector)
+        errors[method] = [[abs(e) for e in signed] for signed in _signed_errors(results, distances)]
+
     # Calibrate the echo baseline's processing delay at near-zero distance.
     cal_rng = _trial_rng(seed, 99, 0)
     elapsed_cal = [echo(Endpoint("vouch", (0.05, 0.0)), cal_rng) for _ in range(_ECHO_CALIBRATION_TRIALS)]
     elapsed_cal = [elapsed for elapsed in elapsed_cal if elapsed is not None]
     mu_hat = float(np.mean(elapsed_cal)) if elapsed_cal else _ECHO_MU_PROC_S
-
-    errors: dict[str, list[list[float]]] = {}
-    for method, detector in (("two_way_freq", "freq"), ("two_way_xcorr", "xcorr")):
-        results = _sessions(distances, trials, seed, cfg, AuthPolicy(threshold_m=1.0), detector=detector)
-        errors[method] = [[abs(e) for e in signed] for signed in _signed_errors(results, distances)]
     errors["one_way_echo"] = []
     for cell, d in enumerate(distances):
         vouch = Endpoint("vouch", (d, 0.0))

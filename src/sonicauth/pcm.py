@@ -1,4 +1,4 @@
-"""Mono 16-bit PCM WAV read/write helpers."""
+"""Mono 16-bit PCM WAV output."""
 
 from __future__ import annotations
 
@@ -18,12 +18,3 @@ def save_wav(path: str, samples: np.ndarray, sample_rate: float) -> None:
         fh.setframerate(int(round(sample_rate)))
         fh.writeframes(data.tobytes())
 
-
-def load_wav(path: str) -> tuple[np.ndarray, int]:
-    """Read a mono 16-bit PCM WAV file, returning (samples, sample_rate)."""
-    with wave.open(str(path), "rb") as fh:
-        if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
-            raise ValueError(f"{path}: expected mono 16-bit PCM")
-        rate = fh.getframerate()
-        raw = fh.readframes(fh.getnframes())
-    return np.frombuffer(raw, dtype=np.int16).copy(), rate

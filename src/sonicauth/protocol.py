@@ -119,6 +119,8 @@ RECORD_DURATION_S = 1.5
 PLAYBACK_START_S = 0.2
 START_JITTER_SAMPLES = 200
 PLAYBACK_GAP_SAMPLES = _to_samples(PLAYBACK_GAP_S)
+# The one-way echo baseline's shortest recording.
+ECHO_RECORD_DURATION_S = 1.2
 
 
 class LinkError(RuntimeError):
@@ -212,6 +214,16 @@ def _transfer(
     return ReferenceSignal.from_bytes(blob[:split]), ReferenceSignal.from_bytes(blob[split:])
 
 
+def _arrival_end(
+    play_at: int, src: tuple[float, ...], dst: tuple[float, ...], sig: ReferenceSignal, cfg: ch.ChannelConfig
+) -> int:
+    """The recording length that holds all of ``sig`` played at sample
+    ``play_at`` from ``src`` and heard at ``dst``: start, travel delay, signal
+    length and the smoothing kernel's tail."""
+    delay = int(np.ceil(ch.propagation_delay_samples(src, dst, cfg)))
+    return play_at + delay + sig.samples.shape[0] + len(cfg.smoothing_kernel) - 1
+
+
 def _record(
     t: SessionTranscript,
     sig_a: ReferenceSignal,
@@ -225,13 +237,9 @@ def _record(
     alone (plus any extra emissions), so a transcript rebuilds its own
     recordings."""
     duration = _to_samples(RECORD_DURATION_S)
-    # The latest the vouching signal can end at the authenticating device:
-    # latest start, travel delay, signal length and the smoothing kernel's tail.
-    end = (
-        _to_samples(PLAYBACK_START_S) + START_JITTER_SAMPLES + t.playback_gap
-        + int(np.ceil(ch.propagation_delay_samples(t.vouch_position, t.auth_position, cfg)))
-        + sig_v.samples.shape[0] + len(cfg.smoothing_kernel) - 1
-    )
+    # The latest the vouching signal can end at the authenticating device.
+    latest_start = _to_samples(PLAYBACK_START_S) + START_JITTER_SAMPLES + t.playback_gap
+    end = _arrival_end(latest_start, t.vouch_position, t.auth_position, sig_v, cfg)
     if end > duration:
         raise ValueError(
             f"the {duration}-sample recording is too short: with a {len(cfg.smoothing_kernel)}-tap smoothing "
@@ -386,17 +394,19 @@ def one_way_ranging(
     The authenticating device hands a fresh reference signal to the vouching
     device (instantaneous over the paired link) and starts its clock; the
     vouching device plays it after ``processing_delay_s``; the authenticating
-    device locates the arrival in a 1.2 s recording. Returns the elapsed
-    seconds, or None when the signal is not detected.
+    device locates the arrival in a recording of ``ECHO_RECORD_DURATION_S``,
+    or longer when the delay needs it. Returns the elapsed seconds, or None
+    when the signal is not detected.
     """
     cfg = channel_cfg if channel_cfg is not None else ch.ChannelConfig()
     sig = _draw(rng)
     t_send = _to_samples(0.15)
     play_at = t_send + _to_samples(processing_delay_s)
+    end = _arrival_end(play_at, vouch.position, auth.position, sig, cfg)
     scene = ch.AcousticScene(
         emissions=(ch.Emission(vouch.device_id, sig.samples, play_at, vouch.position),),
         recorders=(auth,),
-        duration=_to_samples(1.2),
+        duration=max(_to_samples(ECHO_RECORD_DURATION_S), end),
         seed=int(rng.integers(0, 2**31 - 1)),
     )
     rec = ch.record(scene, auth.device_id, cfg)

@@ -19,14 +19,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import pcm, spectrum
+from . import spectrum
 
 DEFAULT_BAND_LOW = 25_000.0
 DEFAULT_BAND_HIGH = 35_000.0
 DEFAULT_BIN_COUNT = 30
-DEFAULT_LENGTH = 4096
-DEFAULT_SAMPLE_RATE = 44_100.0
-DEFAULT_AMPLITUDE_BUDGET = 32_000
+
+# The one signal format: every reference signal is SIGNAL_LENGTH samples at
+# the nominal SAMPLE_RATE (every device plays and records at it, up to clock
+# skew), and its tones share AMPLITUDE_BUDGET, so their sum never clips a
+# signed 16-bit sample.
+SIGNAL_LENGTH = 4096
+SAMPLE_RATE = 44_100.0
+AMPLITUDE_BUDGET = 32_000
 
 # Exact subset sampling draws one integer uniform over 2**N - 2 outcomes.
 _MAX_EXACT_BINS = 62
@@ -64,14 +69,10 @@ DEFAULT_GRID = FrequencyGrid(DEFAULT_BAND_LOW, DEFAULT_BAND_HIGH, DEFAULT_BIN_CO
 
 @dataclass(frozen=True)
 class SignalSpec:
-    """Recipe for one reference signal: which candidate tones, how many
-    samples, and the peak-amplitude budget shared by the tones."""
+    """Recipe for one reference signal: which candidate tones of which grid."""
 
     frequencies: tuple[float, ...]
     grid: FrequencyGrid = DEFAULT_GRID
-    length: int = DEFAULT_LENGTH
-    sample_rate: float = DEFAULT_SAMPLE_RATE
-    amplitude_budget: int = DEFAULT_AMPLITUDE_BUDGET
 
     def __post_init__(self) -> None:
         freqs = tuple(sorted(self.frequencies))
@@ -83,12 +84,6 @@ class SignalSpec:
             raise ValueError("duplicate frequencies")
         if not set(freqs) <= set(self.grid.candidates):
             raise ValueError("frequencies must be grid candidates")
-        if self.length < 2:
-            raise ValueError("length too short")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        if not 0 < self.amplitude_budget <= 32_767:
-            raise ValueError("amplitude_budget must fit a signed 16-bit sample")
 
     @property
     def tone_count(self) -> int:
@@ -107,29 +102,24 @@ def _is_number_list(value) -> bool:
     return isinstance(value, list) and all(_is_number(v) for v in value)
 
 
-# Fields of a link header or signal JSON: the check each value must pass and
-# what it must be. A signal JSON carries only the first two.
-_HEADER_FIELDS = {
-    "freqs_hz": (_is_number_list, "a list of numbers"),
-    "nominal_power": (_is_number_list, "a list of numbers"),
-    "length": (_is_int, "an integer"),
-    "sample_rate": (_is_number, "a number"),
-    "amplitude_budget": (_is_int, "an integer"),
-}
-_TONE_FIELDS = ("freqs_hz", "nominal_power")
-
-
-def _check_header(meta, source: str, fields=tuple(_HEADER_FIELDS)) -> None:
-    """Raise ``ValueError`` naming the first of ``fields`` that the decoded
-    JSON ``meta`` lacks or gives the wrong type; ``source`` names the input."""
-    if not isinstance(meta, dict):
-        raise ValueError(f"{source} must be a JSON object, got {type(meta).__name__}")
-    for key in fields:
-        valid, kind = _HEADER_FIELDS[key]
-        if key not in meta:
-            raise ValueError(f"{source} lacks the {key!r} field")
-        if not valid(meta[key]):
-            raise ValueError(f"{source} field {key!r} must be {kind}, got {meta[key]!r}")
+def _json_fields(obj, where: str, checks: dict, required: tuple[str, ...]) -> dict:
+    """Check the decoded JSON object ``obj`` and return it. ``checks`` maps
+    each allowed key to its check and what its value must be. ``ValueError``
+    names ``where`` and the key for an ``obj`` that is not an object, an
+    unknown key, a missing ``required`` key or a value failing its check."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object, got {obj!r}")
+    unknown = set(obj) - set(checks)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{where} lacks the {key!r} key")
+    for key, value in obj.items():
+        valid, kind = checks[key]
+        if not valid(value):
+            raise ValueError(f"{where} field {key!r} must be {kind}, got {value!r}")
+    return obj
 
 
 def _finite_positive(value) -> bool:
@@ -139,15 +129,11 @@ def _finite_positive(value) -> bool:
         return False
 
 
-def _tone_powers(meta, source: str) -> dict[float, float]:
-    """Each listed tone's nominal power, keyed by the tone it is listed with;
-    ``ValueError`` unless every tone has one finite, positive power."""
-    freqs, powers = meta["freqs_hz"], meta["nominal_power"]
-    if len(powers) != len(freqs):
-        raise ValueError(f"{source} has {len(powers)} nominal powers for {len(freqs)} tones")
-    if not all(_finite_positive(p) for p in powers):
-        raise ValueError(f"{source} nominal powers must be finite and positive, got {powers}")
-    return dict(zip(freqs, powers))
+# The link header: the tone set and each tone's nominal power, in tone order.
+_HEADER_FIELDS = {
+    "freqs_hz": (_is_number_list, "a list of numbers"),
+    "nominal_power": (_is_number_list, "a list of numbers"),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,17 +157,15 @@ class ReferenceSignal:
         """The nominal powers summed in tone order."""
         return sum(self.nominal_power[f] for f in self.spec.frequencies)
 
+    def header(self) -> bytes:
+        """The link header as JSON: the tone set and its nominal powers."""
+        freqs = self.spec.frequencies
+        return json.dumps({"freqs_hz": list(freqs), "nominal_power": [self.nominal_power[f] for f in freqs]}).encode()
+
     def to_bytes(self) -> bytes:
-        """Serialize for transfer over a paired link (samples + tone set)."""
-        header = json.dumps(
-            {
-                "freqs_hz": list(self.spec.frequencies),
-                "nominal_power": [self.nominal_power[f] for f in self.spec.frequencies],
-                "length": self.spec.length,
-                "sample_rate": self.spec.sample_rate,
-                "amplitude_budget": self.spec.amplitude_budget,
-            }
-        ).encode()
+        """Serialize for transfer over a paired link: the header's length, the
+        header, then the samples."""
+        header = self.header()
         return len(header).to_bytes(4, "big") + header + self.samples.tobytes()
 
     @classmethod
@@ -192,24 +176,22 @@ class ReferenceSignal:
         if 4 + hlen > len(blob):
             raise ValueError(f"link payload header of {hlen} bytes runs past the {len(blob)}-byte blob")
         meta = json.loads(blob[4 : 4 + hlen].decode())
-        _check_header(meta, "link payload header")
-        body, length = len(blob) - 4 - hlen, meta["length"]
-        if body != 2 * length:
-            raise ValueError(f"link payload body is {body} bytes, expected {2 * length} for {length} samples")
-        power = _tone_powers(meta, "link payload")
+        _json_fields(meta, "link payload header", _HEADER_FIELDS, tuple(_HEADER_FIELDS))
+        body = len(blob) - 4 - hlen
+        if body != 2 * SIGNAL_LENGTH:
+            raise ValueError(
+                f"link payload body is {body} bytes, expected {2 * SIGNAL_LENGTH} for {SIGNAL_LENGTH} samples"
+            )
+        freqs, powers = meta["freqs_hz"], meta["nominal_power"]
+        if len(powers) != len(freqs):
+            raise ValueError(f"link payload has {len(powers)} nominal powers for {len(freqs)} tones")
+        if not all(_finite_positive(p) for p in powers):
+            raise ValueError(f"link payload nominal powers must be finite and positive, got {powers}")
         samples = np.frombuffer(blob[4 + hlen :], dtype=np.int16).copy()
-        spec = SignalSpec(
-            frequencies=tuple(meta["freqs_hz"]),
-            length=length,
-            sample_rate=meta["sample_rate"],
-            amplitude_budget=meta["amplitude_budget"],
-        )
-        return cls(spec=spec, samples=samples, nominal_power=power)
+        return cls(spec=SignalSpec(frequencies=tuple(freqs)), samples=samples, nominal_power=dict(zip(freqs, powers)))
 
 
-def sample_spec(
-    rng: np.random.Generator, grid: FrequencyGrid = DEFAULT_GRID, *, length: int = DEFAULT_LENGTH
-) -> SignalSpec:
+def sample_spec(rng: np.random.Generator, grid: FrequencyGrid = DEFAULT_GRID) -> SignalSpec:
     """Draw a tone set uniformly over all non-empty proper subsets of the grid.
 
     The subset size follows the binomial weights C(M, n), which is what makes
@@ -231,7 +213,7 @@ def sample_spec(
         n = int(rng.choice(np.arange(1, m), p=weights / weights.sum()))
 
     chosen = rng.choice(np.asarray(grid.candidates), size=n, replace=False)
-    return SignalSpec(frequencies=tuple(float(f) for f in chosen), grid=grid, length=length)
+    return SignalSpec(frequencies=tuple(float(f) for f in chosen), grid=grid)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -276,8 +258,10 @@ def _edge_energy_ratio(samples: np.ndarray) -> float:
 
 def _phase_family(spec: SignalSpec, index: np.ndarray) -> Iterator[np.ndarray]:
     """Deterministic phase candidates for one tone set (``index``: the tones'
-    grid indices): zero phases first, then seeded random draws."""
-    key = index.tolist() + [spec.grid.bin_count, spec.length]
+    grid indices): zero phases first, then seeded random draws. The seed key
+    ends with the signal length; any other key would change every draw, and
+    with it every waveform."""
+    key = index.tolist() + [spec.grid.bin_count, SIGNAL_LENGTH]
     rng = np.random.default_rng(np.random.SeedSequence(key))
     yield np.zeros(spec.tone_count)
     for _ in range(_PHASE_CANDIDATES - 1):
@@ -286,41 +270,40 @@ def _phase_family(spec: SignalSpec, index: np.ndarray) -> Iterator[np.ndarray]:
 
 # Phasor tables are built as a block product exp(iw*B*a) * exp(iw*b), a and b
 # below B (here 64), so each grid candidate costs 2*B complex exponentials,
-# once per grid, length and rate, not one sine per sample and phase candidate.
+# once per grid, not one sine per sample and phase candidate.
 _PHASOR_BLOCK = 64
 
 
-# One grid's rows at the session length take about 2 MB (60 rows of 4096
-# samples). Keeping only the last table stops a long one-off signal (a scene
-# JSON's 65536-sample reference signal, ~31 MB) from staying resident.
+# One grid's rows take about 2 MB (60 rows of 4096 samples); sessions use
+# one grid, so the last table is the only one kept.
 @lru_cache(maxsize=1)
-def _grid_phasor_table(grid: FrequencyGrid, length: int, sample_rate: float) -> np.ndarray:
-    """(2N, length) rows ``sin(w_i t)`` for every grid candidate i, then
-    ``cos(w_i t)``; read-only, shared by every tone set on the grid. Each row
-    is an elementwise function of its own ``w_i``, so it equals the row a
+def _grid_phasor_table(grid: FrequencyGrid) -> np.ndarray:
+    """(2N, SIGNAL_LENGTH) rows ``sin(w_i t)`` for every grid candidate i,
+    then ``cos(w_i t)``; read-only, shared by every tone set on the grid. Each
+    row is an elementwise function of its own ``w_i``, so it equals the row a
     table of any tone subset would hold, bit for bit."""
-    omega = 2.0 * np.pi * np.asarray(grid.candidates) / sample_rate
-    blocks = -(-length // _PHASOR_BLOCK)
+    omega = 2.0 * np.pi * np.asarray(grid.candidates) / SAMPLE_RATE
+    blocks = -(-SIGNAL_LENGTH // _PHASOR_BLOCK)
     coarse = np.exp(1j * omega[:, None] * (_PHASOR_BLOCK * np.arange(blocks)))
     fine = np.exp(1j * omega[:, None] * np.arange(_PHASOR_BLOCK))
-    phasor = (coarse[:, :, None] * fine[:, None, :]).reshape(grid.bin_count, -1)[:, :length]
+    phasor = (coarse[:, :, None] * fine[:, None, :]).reshape(grid.bin_count, -1)[:, :SIGNAL_LENGTH]
     table = np.concatenate([phasor.imag, phasor.real])
     table.setflags(write=False)
     return table
 
 
 def _phasor_table(spec: SignalSpec) -> np.ndarray:
-    """(2n, length) rows ``sin(w_k t)`` for each tone k, then ``cos(w_k t)``,
-    gathered from the grid's shared table."""
+    """(2n, SIGNAL_LENGTH) rows ``sin(w_k t)`` for each tone k, then
+    ``cos(w_k t)``, gathered from the grid's shared table."""
     index, _ = spectrum.in_set_mask(spec.frequencies, spec.grid)
     rows = np.concatenate([index, spec.grid.bin_count + index])
-    return _grid_phasor_table(spec.grid, spec.length, spec.sample_rate)[rows]
+    return _grid_phasor_table(spec.grid)[rows]
 
 
 def _tone_sum(spec: SignalSpec, table: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """``sum_k amp * sin(w_k t + phases[k])`` from the phasor table, by
     ``sin(a + p) = sin(a) cos(p) + cos(a) sin(p)``."""
-    amp = spec.amplitude_budget / spec.tone_count
+    amp = AMPLITUDE_BUDGET / spec.tone_count
     return amp * (np.concatenate([np.cos(phases), np.sin(phases)]) @ table)
 
 
@@ -328,7 +311,7 @@ def _render(spec: SignalSpec, table: np.ndarray, phases: np.ndarray) -> np.ndarr
     """The tone sum rounded to integer-valued samples within the budget."""
     samples = _round_half_away(_tone_sum(spec, table, phases))
     peak = int(np.max(np.abs(samples)))
-    if peak > spec.amplitude_budget:
+    if peak > AMPLITUDE_BUDGET:
         raise RuntimeError(f"synthesis clipped amplitude budget: {peak}")
     return samples
 
@@ -336,7 +319,7 @@ def _render(spec: SignalSpec, table: np.ndarray, phases: np.ndarray) -> np.ndarr
 def synthesize(spec: SignalSpec) -> ReferenceSignal:
     """Render the reference signal and measure its per-tone nominal powers.
 
-    Each tone gets amplitude ``amplitude_budget / n`` so the sum can never
+    Each tone gets amplitude ``AMPLITUDE_BUDGET / n`` so the sum can never
     clip a 16-bit sample. Phases are zero when the zero-phase rendering keeps
     out-of-set spectral leakage confined, otherwise the best of a fixed
     tone-set-seeded family of phase draws (deterministic either way). The
@@ -349,7 +332,7 @@ def synthesize(spec: SignalSpec) -> ReferenceSignal:
     chosen, chosen_key = None, None
     for phases in _phase_family(spec, index):
         candidate = _render(spec, table, phases)
-        measured = spectrum.measure_candidate_powers(candidate, spec.grid, spec.sample_rate)
+        measured = spectrum.measure_candidate_powers(candidate, spec.grid, SAMPLE_RATE)
         leak = _leakage_ratio(measured, in_set, spec)
         edge = _edge_energy_ratio(candidate)
         if leak <= _LEAKAGE_TARGET and edge >= _EDGE_ENERGY_TARGET:
@@ -370,30 +353,3 @@ def synthesize(spec: SignalSpec) -> ReferenceSignal:
     power = {f: float(p) for f, p in zip(spec.frequencies, measured[index])}
     return ReferenceSignal(spec=spec, samples=samples.astype(np.int16), nominal_power=power)
 
-
-def save_signal_wav(sig: ReferenceSignal, path: str) -> None:
-    pcm.save_wav(path, sig.samples, sig.spec.sample_rate)
-
-
-def save_signal_json(sig: ReferenceSignal, path: str) -> None:
-    """Export the tone set and nominal powers as JSON."""
-    payload = {
-        "freqs_hz": list(sig.spec.frequencies),
-        "nominal_power": [sig.nominal_power[f] for f in sig.spec.frequencies],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_signal(wav_path: str, json_path: str) -> ReferenceSignal:
-    """Rebuild a reference signal on the default grid from its WAV samples and
-    JSON tone map; raises ``ValueError`` naming the field when the JSON is
-    malformed."""
-    samples, rate = pcm.load_wav(wav_path)
-    with open(json_path) as fh:
-        meta = json.load(fh)
-    source = f"signal JSON {json_path!r}"
-    _check_header(meta, source, _TONE_FIELDS)
-    power = {f: float(p) for f, p in _tone_powers(meta, source).items()}
-    spec = SignalSpec(frequencies=tuple(meta["freqs_hz"]), length=len(samples), sample_rate=float(rate))
-    return ReferenceSignal(spec=spec, samples=samples, nominal_power=power)

@@ -25,7 +25,7 @@ present, and ``norm_power`` on a located window reproduces the peak bit for
 bit by construction.
 
 The grid, the tone set, the nominal powers and their total all come from the
-``ReferenceSignal``.
+``ReferenceSignal``; every window is one signal long (``SIGNAL_LENGTH``).
 
 Candidate frequencies may lie above half the sample rate; their spectral
 content then appears at the mirrored (aliased) bin of the real FFT, so bin
@@ -42,8 +42,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+# ``signal`` imports this module first, so its constants are read at call time.
+from . import signal
+
 if TYPE_CHECKING:
-    from .signal import FrequencyGrid, ReferenceSignal, SignalSpec
+    from .signal import FrequencyGrid, ReferenceSignal
 
 
 # The detector's fixed settings. An in-set tone passes the presence gate above
@@ -69,18 +72,6 @@ def beta(total_power: float, tone_count: int) -> float:
     return BETA_RATIO * (total_power / tone_count)
 
 
-@dataclass(frozen=True, eq=False)
-class PowerSpectrumResult:
-    """One-sided power spectrum: ``powers[k]`` at frequency ``k * f_s / n``."""
-
-    powers: np.ndarray
-    window_length: int
-    sample_rate: float
-
-    def bin_frequency(self, k: int) -> float:
-        return k * self.sample_rate / self.window_length
-
-
 @dataclass(frozen=True)
 class DetectionOutcome:
     """Detected sample location, or absence.
@@ -96,16 +87,6 @@ class DetectionOutcome:
     @property
     def not_present(self) -> bool:
         return self.location is None
-
-
-def power_spectrum(window: np.ndarray, sample_rate: float = 44_100.0) -> PowerSpectrumResult:
-    """One-sided squared-magnitude DFT of a rectangular (unwindowed) block."""
-    w = np.asarray(window, dtype=np.float64)
-    n = w.shape[-1]
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"window length must be a power of two, got {n}")
-    spec = np.fft.rfft(w)
-    return PowerSpectrumResult(powers=spec.real**2 + spec.imag**2, window_length=n, sample_rate=sample_rate)
 
 
 def frequency_bin(freq: float, sample_rate: float, window_length: int) -> int:
@@ -269,17 +250,17 @@ def _gated_scores(cand_powers: np.ndarray, sig: "ReferenceSignal") -> np.ndarray
     return np.where(ok, _ordered_sum(p_in) - _ordered_sum(p_out), -np.inf)
 
 
-def _bin_table(spec: "SignalSpec", sample_rate: float | None) -> np.ndarray:
-    """The candidate bin table of ``spec``'s grid and length at the recorder's
-    ``sample_rate``, which defaults to the signal's own."""
-    fs = sample_rate if sample_rate is not None else spec.sample_rate
-    return candidate_bin_table(spec.grid, fs, spec.length)
+def _bin_table(grid: "FrequencyGrid", sample_rate: float | None) -> np.ndarray:
+    """The candidate bin table of ``grid`` over a signal-long window at the
+    recorder's ``sample_rate``, which defaults to the nominal rate."""
+    fs = sample_rate if sample_rate is not None else signal.SAMPLE_RATE
+    return candidate_bin_table(grid, fs, signal.SIGNAL_LENGTH)
 
 
 def _window_score(x: np.ndarray, start: int, sig: "ReferenceSignal", table: np.ndarray) -> float:
-    """Gated normalized power of the one window ``x[start:start+length]`` by
-    the exact one-window kernel: the score a detection reports."""
-    powers = _batch_candidate_powers(x, slice(start, start + 1), sig.spec.length, table)
+    """Gated normalized power of the one window ``x[start:start+SIGNAL_LENGTH]``
+    by the exact one-window kernel: the score a detection reports."""
+    powers = _batch_candidate_powers(x, slice(start, start + 1), signal.SIGNAL_LENGTH, table)
     return float(_gated_scores(powers, sig)[0])
 
 
@@ -292,24 +273,24 @@ def _scan(
     The fine scan only picks the window; that window's exact score is the
     reported peak and decides presence, so a window whose exact score fails a
     gate is not present. ``sample_rate`` is the recorder's and defaults to the
-    first signal's."""
-    spec = sigs[0].spec
-    if any(sig.spec.length != spec.length or sig.spec.grid != spec.grid for sig in sigs):
-        raise ValueError("signals scanned together must share one length and one grid")
+    nominal rate."""
+    grid, length = sigs[0].spec.grid, signal.SIGNAL_LENGTH
+    if any(sig.spec.grid != grid for sig in sigs):
+        raise ValueError("signals scanned together must share one grid")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("recording must be one-dimensional")
-    if x.shape[0] < spec.length:
+    if x.shape[0] < length:
         raise ValueError("recording shorter than the reference signal")
-    table = _bin_table(spec, sample_rate)
-    max_start = x.shape[0] - spec.length
-    coarse_powers = _batch_candidate_powers(x, slice(0, max_start + 1, COARSE_STEP), spec.length, table)
+    table = _bin_table(grid, sample_rate)
+    max_start = x.shape[0] - length
+    coarse_powers = _batch_candidate_powers(x, slice(0, max_start + 1, COARSE_STEP), length, table)
     outcomes = []
     for sig in sigs:
         anchor = int(np.argmax(_gated_scores(coarse_powers, sig))) * COARSE_STEP
         lo = max(0, anchor - FINE_RADIUS)
         count = (min(max_start, anchor + FINE_RADIUS) - lo) // FINE_STEP + 1
-        fine_powers = _sliding_candidate_powers(x, lo, count, FINE_STEP, spec.length, table)
+        fine_powers = _sliding_candidate_powers(x, lo, count, FINE_STEP, length, table)
         loc = lo + int(np.argmax(_gated_scores(fine_powers, sig))) * FINE_STEP
         peak = _window_score(x, loc, sig, table)
         present = peak >= EPSILON * sig.total_power  # False for -inf: the window failed a gate
@@ -318,13 +299,13 @@ def _scan(
 
 
 def norm_power(window: np.ndarray, sig: "ReferenceSignal", *, sample_rate: float | None = None) -> float | None:
-    """Normalized power of ``sig``'s tone set in one window of its length, or
+    """Normalized power of ``sig``'s tone set in one signal-long window, or
     None when a sanity check fails (the explicit stand-in for the
     minus-infinity sentinel). It is the score a detection reports for the
-    window it locates. ``sample_rate`` defaults to the signal's own."""
-    if np.shape(window) != (sig.spec.length,):
-        raise ValueError(f"window must hold {sig.spec.length} samples, got shape {np.shape(window)}")
-    table = _bin_table(sig.spec, sample_rate)
+    window it locates. ``sample_rate`` defaults to the nominal rate."""
+    if np.shape(window) != (signal.SIGNAL_LENGTH,):
+        raise ValueError(f"window must hold {signal.SIGNAL_LENGTH} samples, got shape {np.shape(window)}")
+    table = _bin_table(sig.spec.grid, sample_rate)
     score = _window_score(np.asarray(window, dtype=np.float64), 0, sig, table)
     return None if score == -np.inf else score
 
@@ -333,7 +314,7 @@ def detect(x: np.ndarray, sig: "ReferenceSignal", *, sample_rate: float | None =
     """Locate one reference signal in a recording (coarse scan, then a fine
     scan of ``FINE_RADIUS`` samples around the coarse argmax). Ties break to
     the smallest index. ``sample_rate`` is the recorder's rate and defaults to
-    the signal's own."""
+    the nominal rate."""
     return _scan(x, (sig,), sample_rate)[0]
 
 
@@ -344,7 +325,7 @@ def detect_pair(
     *,
     sample_rate: float | None = None,
 ) -> tuple[DetectionOutcome, DetectionOutcome]:
-    """Detect two reference signals of one length and grid in one scan of the
+    """Detect two reference signals of one grid in one scan of the
     recording. The coarse-pass window spectra are computed once and shared;
     outcomes are bit-identical to two independent ``detect`` calls.
     """

@@ -1,19 +1,49 @@
-"""Independent oracles used by the tests.
+"""Independent oracles used by the tests, and readers for the WAV dumps the
+command line writes.
 
-These deliberately avoid the production code paths: per-bin powers come from
-direct complex projections (or cumulative sums) instead of the package's
-batched rFFT pipeline, and the FRR/FAR references are closed forms instead of
-numerical quadrature.
+The oracles deliberately avoid the production code paths: per-bin powers come
+from direct complex projections, cumulative sums or one full rFFT per window
+instead of the package's batched and sliding kernels, and the FRR/FAR
+references are closed forms instead of numerical quadrature.
 """
 
 from __future__ import annotations
 
 import math
+import wave
 from itertools import combinations
 
 import numpy as np
 
 from sonicauth import spectrum
+from sonicauth.signal import AMPLITUDE_BUDGET, SAMPLE_RATE, SIGNAL_LENGTH, ReferenceSignal
+
+
+def load_wav(path: str) -> tuple[np.ndarray, int]:
+    """Read a mono 16-bit PCM WAV file, returning (samples, sample_rate)."""
+    with wave.open(str(path), "rb") as fh:
+        if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
+            raise ValueError(f"{path}: expected mono 16-bit PCM")
+        rate = fh.getframerate()
+        raw = fh.readframes(fh.getnframes())
+    return np.frombuffer(raw, dtype=np.int16).copy(), rate
+
+
+def load_signal(wav_path: str, json_path: str) -> ReferenceSignal:
+    """Rebuild a reference signal from a WAV dump: the JSON file is its link
+    header, so the header's length, the header and the WAV's samples make up
+    its link payload."""
+    samples, _ = load_wav(wav_path)
+    with open(json_path, "rb") as fh:
+        header = fh.read()
+    return ReferenceSignal.from_bytes(len(header).to_bytes(4, "big") + header + samples.tobytes())
+
+
+def power_spectrum(window: np.ndarray) -> np.ndarray:
+    """One-sided squared-magnitude DFT of a rectangular (unwindowed) block:
+    ``powers[k]`` at frequency ``k * f_s / n``, one rFFT of the whole block."""
+    spec = np.fft.rfft(np.asarray(window, dtype=np.float64))
+    return spec.real**2 + spec.imag**2
 
 
 def direct_bin_power(x: np.ndarray, k: int, length: int) -> float:
@@ -75,8 +105,7 @@ def sliding_candidate_powers(
 def exhaustive_detect(x, sig, grid, sample_rate: float):
     """Step-1 exhaustive scan with the same gating semantics and constants as
     the detector; returns (location or None, peak score or None)."""
-    length = sig.spec.length
-    powers = sliding_candidate_powers(x, grid, sample_rate, length, spectrum.THETA)
+    powers = sliding_candidate_powers(x, grid, sample_rate, SIGNAL_LENGTH, spectrum.THETA)
     index = {f: i for i, f in enumerate(grid.candidates)}
     mask = np.zeros(len(grid.candidates), dtype=bool)
     r_vec = np.zeros(len(grid.candidates))
@@ -101,25 +130,25 @@ def loop_tone_sum(spec, phases):
     """Reference renderer: one ``np.sin`` per tone over the whole burst, for
     one phase vector or a stack of them (``phases[..., k]`` is tone k's)."""
     phases = np.asarray(phases)
-    amp = spec.amplitude_budget / spec.tone_count
-    t = np.arange(spec.length, dtype=np.float64)
-    x = np.zeros(phases.shape[:-1] + (spec.length,), dtype=np.float64)
+    amp = AMPLITUDE_BUDGET / spec.tone_count
+    t = np.arange(SIGNAL_LENGTH, dtype=np.float64)
+    x = np.zeros(phases.shape[:-1] + (SIGNAL_LENGTH,), dtype=np.float64)
     for k, f in enumerate(spec.frequencies):
-        x += amp * np.sin(2.0 * np.pi * f * t / spec.sample_rate + phases[..., k, None])
+        x += amp * np.sin(2.0 * np.pi * f * t / SAMPLE_RATE + phases[..., k, None])
     return x
 
 
 def tone_set_phasor_table(spec) -> np.ndarray:
-    """Reference phasor table built for one tone set alone: (2n, length) rows
+    """Reference phasor table built for one tone set alone: (2n, SIGNAL_LENGTH) rows
     ``sin(w_k t)`` for each tone k, then ``cos(w_k t)``, by the same block
     product ``exp(iw*64*a) * exp(iw*b)`` the synthesizer's grid-wide table
     uses, over the spec's tones only."""
     block = 64
-    omega = 2.0 * np.pi * np.asarray(spec.frequencies) / spec.sample_rate
-    blocks = -(-spec.length // block)
+    omega = 2.0 * np.pi * np.asarray(spec.frequencies) / SAMPLE_RATE
+    blocks = -(-SIGNAL_LENGTH // block)
     coarse = np.exp(1j * omega[:, None] * (block * np.arange(blocks)))
     fine = np.exp(1j * omega[:, None] * np.arange(block))
-    phasor = (coarse[:, :, None] * fine[:, None, :]).reshape(spec.tone_count, -1)[:, : spec.length]
+    phasor = (coarse[:, :, None] * fine[:, None, :]).reshape(spec.tone_count, -1)[:, :SIGNAL_LENGTH]
     return np.concatenate([phasor.imag, phasor.real])
 
 

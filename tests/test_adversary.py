@@ -6,11 +6,10 @@ import pytest
 
 from helpers import proper_subsets
 from sonicauth import adversary as adv
-from sonicauth import channel as ch
 from sonicauth import evaluation as ev
 from sonicauth import spectrum
 from sonicauth.protocol import SceneContext
-from sonicauth.signal import FrequencyGrid, sample_spec, synthesize
+from sonicauth.signal import AMPLITUDE_BUDGET, FrequencyGrid, sample_spec, synthesize
 from sonicauth.spectrum import measure_candidate_powers, norm_power
 
 
@@ -36,7 +35,7 @@ class TestGuessingReplaySignal:
     def test_output_is_valid_reference_signal(self, grid):
         sig = adv.guessing_replay_signal(np.random.default_rng(0))
         assert 0 < len(sig.frequencies) < grid.bin_count
-        assert np.max(np.abs(sig.samples)) <= sig.spec.amplitude_budget
+        assert np.max(np.abs(sig.samples)) <= AMPLITUDE_BUDGET
         assert sig.total_power == pytest.approx(sum(sig.nominal_power.values()))
 
     def test_small_grid_enumerates_all_subsets_uniformly(self):
@@ -46,7 +45,7 @@ class TestGuessingReplaySignal:
         rng = np.random.default_rng(321)
         counts = collections.Counter()
         for _ in range(7000):
-            counts[frozenset(sample_spec(rng, g, length=64).frequencies)] += 1
+            counts[frozenset(sample_spec(rng, g).frequencies)] += 1
         assert set(counts) == set(admissible)
         assert min(counts.values()) / 7000 > 0.5 / 14
 
@@ -207,31 +206,8 @@ class TestScenarios:
         with pytest.raises(ValueError, match="per_tone_power must be a finite positive number, got"):
             adv.AllFrequency(per_tone_power=power)
 
-    @staticmethod
-    def _all_frequency_scene(waveform):
-        return {
-            "duration": 9000,
-            "devices": [{"id": "a", "position": [0.0, 0.0]}],
-            "emissions": [{"source_id": "x", "emit_time": 0, "position": [1.0, 0.0], "waveform": waveform}],
-        }
-
-    def test_all_frequency_waveform_without_power_rejected(self):
-        scene = self._all_frequency_scene({"kind": "all_frequency"})
-        with pytest.raises(ValueError, match="^scene JSON emission 0 waveform lacks the 'per_tone_power' key$"):
-            ch.scene_from_json(scene)
-
-    def test_all_frequency_waveform_builder_for_scene_json(self, grid):
-        """A scene JSON's built-in ``all_frequency`` kind plays the spoofing
-        waveform of the default grid."""
-        scene, _ = ch.scene_from_json(
-            self._all_frequency_scene({"kind": "all_frequency", "per_tone_power": 1e10, "duration": 8192})
-        )
-        wave = scene.emissions[0].waveform
-        assert wave.shape[0] == 8192
-        assert np.array_equal(wave, adv.all_frequency_signal(grid, 1e10, 8192))
-
     @pytest.mark.parametrize("power", [-1, 0, float("nan")])
-    def test_all_frequency_waveform_builder_rejects_bad_power(self, power):
-        scene = self._all_frequency_scene({"kind": "all_frequency", "per_tone_power": power, "duration": 8192})
+    def test_all_frequency_waveform_builder_rejects_bad_power(self, grid, power):
+        """The builder checks the power itself, not only through ``AllFrequency``."""
         with pytest.raises(ValueError, match="per-tone power must be finite and positive, got"):
-            ch.scene_from_json(scene)
+            adv.all_frequency_signal(grid, power, 8192)

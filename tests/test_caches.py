@@ -12,7 +12,7 @@ from sonicauth import evaluation as ev
 from sonicauth import signal as sg
 from sonicauth import spectrum
 from sonicauth.protocol import AuthPolicy, Endpoint, run_authentication
-from sonicauth.signal import SignalSpec, sample_spec, synthesize
+from sonicauth.signal import FrequencyGrid, SignalSpec, sample_spec, synthesize
 
 CACHES = (sg._grid_phasor_table, spectrum.candidate_bin_table, ch._noise_mask)
 
@@ -68,7 +68,7 @@ class TestCachePurity:
     def test_cached_arrays_are_read_only(self, grid):
         synthesize(sample_spec(np.random.default_rng(1), grid))
         tables = (
-            sg._grid_phasor_table(grid, 4096, 44_100.0),
+            sg._grid_phasor_table(grid),
             spectrum.candidate_bin_table(grid, 44_100.0, 4096),
             ch._noise_mask(66_150, 6000.0),
         )
@@ -84,7 +84,7 @@ class TestPhasorRows:
     def assert_rows_equal(spec):
         got = sg._phasor_table(spec)
         want = tone_set_phasor_table(spec)
-        assert got.shape == want.shape == (2 * spec.tone_count, spec.length)
+        assert got.shape == want.shape == (2 * spec.tone_count, 4096)
         assert np.array_equal(got, want)
 
     def test_seeded_tone_sets(self, grid):
@@ -99,18 +99,16 @@ class TestPhasorRows:
             freqs = rng.choice(np.asarray(grid.candidates), size=tones, replace=False)
             self.assert_rows_equal(SignalSpec(frequencies=tuple(float(f) for f in freqs), grid=grid))
 
-    def test_long_signal(self, grid):
-        self.assert_rows_equal(sample_spec(np.random.default_rng(9), grid, length=65_536))
-
     def test_one_table_kept(self, grid):
-        """A long one-off signal's table does not stay resident once a
-        session-length signal is synthesized."""
+        """The table is keyed by the grid alone: another grid's table does
+        not stay resident once a signal on the default grid is synthesized."""
+        other = FrequencyGrid(grid.band_low, grid.band_high, 20)
         sg._grid_phasor_table.cache_clear()
-        synthesize(sample_spec(np.random.default_rng(4), grid, length=65_536))
+        synthesize(sample_spec(np.random.default_rng(4), other))
         synthesize(sample_spec(np.random.default_rng(4), grid))
         info = sg._grid_phasor_table.cache_info()
         assert info.currsize == 1
-        assert sg._grid_phasor_table(grid, 4096, 44_100.0).shape == (2 * grid.bin_count, 4096)
+        assert sg._grid_phasor_table(grid).shape == (2 * grid.bin_count, 4096)
         assert sg._grid_phasor_table.cache_info().hits == info.hits + 1
 
 

@@ -6,9 +6,8 @@ import sys
 import pytest
 
 import sonicauth
+from helpers import load_signal, load_wav
 from sonicauth.cli import main
-from sonicauth.pcm import load_wav
-from sonicauth.signal import load_signal
 from sonicauth.spectrum import detect_pair
 
 
@@ -75,10 +74,9 @@ def test_auth_wav_dump(tmp_path, capsys):
     transcript = json.loads(capsys.readouterr().out.splitlines()[0])
     names = {p.name for p in dump.iterdir()}
     assert {"recording_auth.wav", "recording_vouch.wav", "reference_auth.wav"} <= names
-    # the dumped files reproduce the printed session's four locations exactly
-    refs = [
-        load_signal(str(dump / f"reference_{d}.wav"), str(dump / f"reference_{d}.json")) for d in ("auth", "vouch")
-    ]
+    # the dumped files reproduce the printed session's four locations exactly;
+    # each reference WAV and its JSON link header make up one link payload
+    refs = [load_signal(str(dump / f"reference_{d}.wav"), str(dump / f"reference_{d}.json")) for d in ("auth", "vouch")]
     located = {}
     for device, keys in (("auth", ("l_aa", "l_av")), ("vouch", ("l_va", "l_vv"))):
         samples, rate = load_wav(str(dump / f"recording_{device}.wav"))
@@ -150,10 +148,16 @@ def test_multiuser_csv(capsys):
     "argv, message",
     [
         (["multiuser", "--pairs", "0", "--trials", "1", "--distances", "0.5"], "pairs must be >= 1"),
-        (["compare", "--trials", "1", "--distances", "0.5", "--sigma-proc", "-1"], "outside scene duration"),
+        (
+            ["compare", "--trials", "1", "--distances", "0.5", "--sigma-proc", "-1"],
+            "sigma_proc_s must be in [0, 1.0] seconds, got -1.0",
+        ),
         (["auth", "--distance", "0.5", "--config", "KERNEL"], "66150-sample recording is too short"),
+        (["range", "--trials", "0", "--distances", "0.5"], "need at least one trial per cell, got trials=0"),
+        (["range", "--trials", "1", "--distances", "nan"], "separation must be a finite, non-negative distance"),
+        (["multiuser", "--trials", "1", "--distances", "-0.5"], "separation must be a finite, non-negative distance"),
     ],
-    ids=["no_pairs", "negative_sigma_proc", "long_kernel"],
+    ids=["no_pairs", "negative_sigma_proc", "long_kernel", "no_trials", "nan_distance", "negative_distance"],
 )
 def test_value_error_from_a_command_exits_2(tmp_path, capsys, argv, message):
     """A bad argument or config that only the campaign or session catches is
@@ -164,3 +168,11 @@ def test_value_error_from_a_command_exits_2(tmp_path, capsys, argv, message):
     assert main([str(kernel) if arg == "KERNEL" else arg for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+
+
+def test_compare_with_a_delay_past_the_shortest_echo_recording(capsys):
+    """At ``--sigma-proc 1`` some drawn processing delays end the echo after
+    1.2 s; its recording then grows to hold it."""
+    assert main(["compare", "--trials", "1", "--distances", "0.5", "--sigma-proc", "1"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["two_way_freq", "two_way_xcorr", "one_way_echo"]

@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 from helpers import closed_form_far, closed_form_frr
 from sonicauth import adversary as adv
+from sonicauth import channel as ch
 from sonicauth import evaluation as ev
 from sonicauth.protocol import PLAYBACK_GAP_SAMPLES, AuthPolicy, Endpoint, SceneContext, run_authentication
 
@@ -177,7 +178,33 @@ class TestAttackCampaign:
         assert sweep[0] < sweep[-1]
 
 
+class TestSessions:
+    """Every campaign runs its sessions through ``_sessions``, which rejects
+    a cell it could not measure before running any session."""
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        with pytest.raises(ValueError, match=f"^need at least one trial per cell, got trials={trials}$"):
+            ev._sessions((0.5,), trials, 1, ch.ChannelConfig(), AuthPolicy())
+
+    @pytest.mark.parametrize("separation", [float("nan"), float("inf"), -0.5])
+    def test_bad_separation_rejected(self, separation):
+        message = f"^separation must be a finite, non-negative distance in metres, got {separation}$"
+        with pytest.raises(ValueError, match=message):
+            ev._sessions((0.5, separation), 1, 1, ch.ChannelConfig(), AuthPolicy())
+
+    def test_bad_separation_rejected_before_any_session(self, monkeypatch):
+        monkeypatch.setattr(ev, "run_authentication", lambda *args, **kwargs: pytest.fail("a session ran"))
+        with pytest.raises(ValueError, match="separation"):
+            ev.distance_error_campaign("office", (0.5, float("nan")), 1, 1, min_trials=1)
+
+
 class TestDetectorComparison:
+    @pytest.mark.parametrize("sigma", [-1.0, 1.5, float("nan"), float("inf")])
+    def test_bad_sigma_proc_rejected(self, sigma):
+        with pytest.raises(ValueError, match=f"^sigma_proc_s must be in \\[0, 1.0\\] seconds, got {sigma}$"):
+            ev.detector_comparison((1.0,), 1, 42, sigma_proc_s=sigma)
+
     def test_baselines_much_worse(self):
         report = ev.detector_comparison((1.0,), 10, 42)
         by_method = {r["method"]: r["mean_abs_error_m"] for r in report.rows}

@@ -74,24 +74,24 @@ SESSIONS = {
 }
 
 GOLDEN = {
-    "accept_0.5m_s0": "a4def92cf887afca8c92549ef7cd8cf1b06e22aa9217a1241f7265e9781fc013",
-    "accept_0.5m_s1": "46f069b0b928ad1e27df2046982b7165b79ad6f687bb0e3caad43d704239242b",
-    "accept_1.0m": "b96835c785687c57892a18b6b81566901cc71ffbee701a5a904898be4eec36e5",
-    "accept_silent": "6afc389b18c1f7a461c1f57ff33973b4dbf9ef2b476423a291c551e3d0ed2bb6",
-    "accept_street": "b68e7b423bd8d7577243f855d5f8e04bc4021e6c7afe51032d3ee781befed3c9",
-    "distance_exceeded_1.8m": "049f389e645fc34f878c61986e163c8981bb9edfe9827759ca9dc67d5065874e",
-    "distance_exceeded_tau_0.5": "c448c1dc50c4f695d099c7e62d42adb2b976b872ac3ab561738c7d1e39d4c0a7",
-    "signal_not_present_3m": "601f694c35abc85bd9d385228f4e776ef513dc4ad47e3fd9c998ac68c2fd5ce1",
-    "signal_not_present_wall": "227dccc06cce95cf035f83076859b8359143cc955ec09c1166c7f7fb2605a6bd",
+    "accept_0.5m_s0": "6a20a9f557da627c4420bb2ed6d5e7e05a81de89993b6dbb80448762ec32b99c",
+    "accept_0.5m_s1": "bb59dd4e25dd688c6c2c860ee8f74a8cbc19589dff4b4ed0cf6a9e49b54ad5ba",
+    "accept_1.0m": "88065c6186609b6741a1a8cac58cbb8215f9dd071cd5ce62125a3ed7dace6fe7",
+    "accept_silent": "e08edd5efce2a29142ba45d21b0b098c8620f3ad31ba8d93c7a6a0f58d1e9825",
+    "accept_street": "2d2754dc8251442e1b3f1427319ee899364d066e1b5c691622476d139dbe6863",
+    "distance_exceeded_1.8m": "80fe18d1425b31f4b263b12157b58b835103bbfe687bb47e087bb7be6e892b46",
+    "distance_exceeded_tau_0.5": "a22a321e345bddab08255831e56bd7bb5ed3700e1d2356b7f9ad8cba150b2502",
+    "signal_not_present_3m": "d8ac1758a9cdc6266f7b5e1d4ef99a2ca1df247c7bba3f089455c888c29f0145",
+    "signal_not_present_wall": "a3ce4a016613791ea09e2110fa5f9d869dbb363e73b17e77ec8b29340d8d9fc5",
     "not_paired_range": "d5c573cb8b0a85c6e02c3523675d89c5fdbf8121139440ce4ba76363486c7030",
     "not_paired_flag": "51456c1ff5ac5602dcfae26d2de26278b61470ce55e8040e252b46a9189fd8fa",
-    "xcorr_0.5m": "d56aa211af730fd4b5568d5b3a57bbc667e8bd1c79018e92753e99e9ef63cd1d",
-    "xcorr_1.5m": "088495bc051ed0bef37bb6dfa12fd6427363e28e093b159eb830f59d7c550de6",
-    "skewed_vouch_clock": "ee4ba79e211707af22b552b377f0a22232e2429c229ac974d4aa90cf94e45c36",
-    "guessing_replay": "ec11618656e259dee91c64d3c462ceb23f599ae1582650734a5f61d095efee5a",
-    "all_frequency": "d96e86a19f4c21c3896e0f23db0f32a560bfb4e5eff63970ba46daf58a07f3d6",
-    "crowded_3_pairs_0.5m": "4412b4f1555152bac2f74a3411421ddbe4b6854581c9af3e6276d5be0dba695a",
-    "crowded_3_pairs_1.5m": "68dcc89a31df09472b93d7fa64531e90d782070575f74c36af4bed850dad45a6",
+    "xcorr_0.5m": "d3be3f8c2a987735037d184475f2cc9b2ab430cd53c4891deec118c49ab9f583",
+    "xcorr_1.5m": "f767038922679ec662565c190f3fc07682755454d592d3ac9d1173943bb4d965",
+    "skewed_vouch_clock": "9db83446ee5daf8a9ec893fb165eb53f050fa46fd83052dad0ceb8e81a5e79e0",
+    "guessing_replay": "707a60a090671f4be660156e3ce1e6a97e164a063442427e7783235efed6ced2",
+    "all_frequency": "9b688ad56ed696fa060cb131a6fd7e9a797da64f71a371f4abe89e9691f96764",
+    "crowded_3_pairs_0.5m": "79c80bfa5e7baf557ca0c0870c3313a0b3afae2b60e1253dd16000285660a4c6",
+    "crowded_3_pairs_1.5m": "b5eb29d44cec9570d923796860c0d49e1b0c907a29e0a3f31e11dc03f06ec33a",
 }
 
 # The same transcripts without their ``link_log``: a change that moves only the

@@ -20,6 +20,7 @@ from sonicauth.protocol import (
     replay_session,
     run_authentication,
 )
+from sonicauth.signal import SIGNAL_LENGTH
 from sonicauth.spectrum import detect_pair, norm_power
 
 
@@ -254,7 +255,7 @@ class TestPeaksReproduce:
         assert sum(out.location is not None for *_, out in found) == located
         for x, sig, rate, out in found:
             if out.location is not None:
-                window = x[out.location : out.location + sig.spec.length]
+                window = x[out.location : out.location + SIGNAL_LENGTH]
                 assert norm_power(window, sig, sample_rate=rate) == out.peak_norm_power
 
     def test_office_sessions(self, monkeypatch):
@@ -299,3 +300,18 @@ class TestOneWay:
         assert elapsed is not None
         d_est = 340.0 * (elapsed - 0.15)
         assert abs(d_est - 1.0) < 0.2
+
+    def test_delay_past_the_shortest_recording(self, office_cfg):
+        """A 2 s processing delay ends the echo after 1.2 s: the recording
+        grows to hold it, and the echo is still located."""
+        from sonicauth.protocol import one_way_ranging
+
+        elapsed = one_way_ranging(
+            Endpoint("auth", (0.0, 0.0)),
+            Endpoint("vouch", (1.0, 0.0)),
+            np.random.default_rng(3),
+            office_cfg,
+            processing_delay_s=2.0,
+        )
+        assert elapsed is not None
+        assert abs(340.0 * (elapsed - 2.0) - 1.0) < 0.2

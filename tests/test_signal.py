@@ -4,18 +4,17 @@ import json
 import numpy as np
 import pytest
 
-from helpers import direct_candidate_power, loop_render, proper_subsets
+from helpers import direct_candidate_power, load_signal, load_wav, loop_render, proper_subsets
+from sonicauth import pcm, spectrum
 from sonicauth import signal as sg
-from sonicauth import spectrum
 from sonicauth.signal import (
+    AMPLITUDE_BUDGET,
     DEFAULT_GRID,
+    SAMPLE_RATE,
     FrequencyGrid,
     ReferenceSignal,
     SignalSpec,
-    load_signal,
     sample_spec,
-    save_signal_json,
-    save_signal_wav,
     synthesize,
 )
 from sonicauth.spectrum import norm_power
@@ -64,7 +63,7 @@ class TestSampleSpec:
         counts = collections.Counter()
         draws = 10_000
         for _ in range(draws):
-            counts[frozenset(sample_spec(rng, g, length=64).frequencies)] += 1
+            counts[frozenset(sample_spec(rng, g).frequencies)] += 1
         assert set(counts) == set(admissible)
         for sub in admissible:
             assert counts[sub] / draws == pytest.approx(1 / 14, abs=0.02)
@@ -106,7 +105,7 @@ class TestSynthesize:
         rng = np.random.default_rng(7)
         for _ in range(40):
             sig = synthesize(sample_spec(rng, grid))
-            assert np.max(np.abs(sig.samples)) <= sig.spec.amplitude_budget
+            assert np.max(np.abs(sig.samples)) <= AMPLITUDE_BUDGET
 
     def test_bit_identical_from_same_seed(self, grid):
         a = synthesize(sample_spec(np.random.default_rng(11), grid))
@@ -121,7 +120,7 @@ class TestSynthesize:
         table = sg._phasor_table(spec)
         for _ in range(20):
             samples = sg._render(spec, table, rng.uniform(0.0, 2.0 * np.pi, tones))
-            assert np.max(np.abs(samples)) <= spec.amplitude_budget
+            assert np.max(np.abs(samples)) <= AMPLITUDE_BUDGET
 
     def test_self_consistency_norm_power(self, grid):
         rng = np.random.default_rng(23)
@@ -201,18 +200,12 @@ class TestPhasorRenderer:
             picked = rng.choice(np.asarray(grid.candidates), size=tones, replace=False)
             self.assert_matches_loop(SignalSpec(frequencies=tuple(float(f) for f in picked), grid=grid))
 
-    @pytest.mark.parametrize("tones", [1, 29])
-    def test_matches_sine_loop_at_a_long_length(self, grid, tones):
-        """Identity also holds where the block product's coarse phase grows
-        16 times larger than at the default length."""
-        picked = np.random.default_rng(tones).choice(np.asarray(grid.candidates), size=tones, replace=False)
-        self.assert_matches_loop(SignalSpec(frequencies=tuple(float(f) for f in picked), grid=grid, length=65_536))
-
     def test_phase_family_stream_unchanged(self, grid):
-        """The lazy family draws the same stream as building all 16 at once."""
+        """The lazy family draws the same stream as building all 16 at once,
+        seeded by the tone indices, the bin count and the 4096-sample length."""
         spec = sample_spec(np.random.default_rng(5), grid)
         index, _ = spectrum.in_set_mask(spec.frequencies, grid)
-        rng = np.random.default_rng(np.random.SeedSequence(index.tolist() + [grid.bin_count, spec.length]))
+        rng = np.random.default_rng(np.random.SeedSequence(index.tolist() + [grid.bin_count, 4096]))
         eager = [np.zeros(spec.tone_count)] + [rng.uniform(0.0, 2.0 * np.pi, spec.tone_count) for _ in range(15)]
         assert all(np.array_equal(a, b) for a, b in zip(family(spec), eager, strict=True))
 
@@ -270,16 +263,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match="must be finite and positive"):
             ReferenceSignal.from_bytes(self._payload(sig, nominal_power=powers))
 
-    @pytest.mark.parametrize("field", ["freqs_hz", "nominal_power", "length", "sample_rate", "amplitude_budget"])
+    @pytest.mark.parametrize("field", ["freqs_hz", "nominal_power"])
     def test_missing_header_field_rejected(self, grid, field):
         sig = synthesize(sample_spec(np.random.default_rng(2), grid))
-        blob = self._payload(sig)
-        hlen = int.from_bytes(blob[:4], "big")
-        meta = json.loads(blob[4 : 4 + hlen])
+        meta = json.loads(sig.header())
         del meta[field]
         encoded = json.dumps(meta).encode()
-        with pytest.raises(ValueError, match=f"header lacks the '{field}' field"):
-            ReferenceSignal.from_bytes(len(encoded).to_bytes(4, "big") + encoded + blob[4 + hlen :])
+        with pytest.raises(ValueError, match=f"^link payload header lacks the '{field}' key$"):
+            ReferenceSignal.from_bytes(len(encoded).to_bytes(4, "big") + encoded + sig.samples.tobytes())
+
+    @pytest.mark.parametrize("field, value", [("length", 4096), ("sample_rate", 44_100.0), ("amplitude_budget", 32_000)])
+    def test_header_field_of_the_fixed_format_rejected(self, grid, field, value):
+        """Length, rate and budget are fixed, so a header that still carries
+        one is malformed, as any unknown key is."""
+        sig = synthesize(sample_spec(np.random.default_rng(2), grid))
+        with pytest.raises(ValueError, match=f"^unknown link payload header keys: \\['{field}'\\]$"):
+            ReferenceSignal.from_bytes(self._payload(sig, **{field: value}))
 
     def test_string_power_rejected(self, grid):
         sig = synthesize(sample_spec(np.random.default_rng(2), grid))
@@ -288,26 +287,29 @@ class TestSerialization:
             ReferenceSignal.from_bytes(self._payload(sig, nominal_power=powers))
 
     def test_wav_json_round_trip(self, grid, tmp_path):
+        """The samples saved as WAV and the link header saved as JSON, as a
+        session's WAV dump saves them, rebuild the signal."""
         sig = synthesize(sample_spec(np.random.default_rng(4), grid))
-        wav = tmp_path / "ref.wav"
-        meta = tmp_path / "ref.json"
-        save_signal_wav(sig, str(wav))
-        save_signal_json(sig, str(meta))
-        clone = load_signal(str(wav), str(meta))
+        pcm.save_wav(str(tmp_path / "ref.wav"), sig.samples, SAMPLE_RATE)
+        (tmp_path / "ref.json").write_bytes(sig.header())
+        assert load_wav(str(tmp_path / "ref.wav"))[1] == SAMPLE_RATE
+        clone = load_signal(str(tmp_path / "ref.wav"), str(tmp_path / "ref.json"))
         assert np.array_equal(clone.samples, sig.samples)
         assert clone.spec.frequencies == sig.spec.frequencies
+        assert clone.nominal_power == sig.nominal_power
 
 
 class TestLoadSignal:
-    """``load_signal`` rejects a malformed tone-map JSON with a ``ValueError``
-    naming the field, as ``ReferenceSignal.from_bytes`` does a link header."""
+    """A signal saved the way a WAV dump saves it (samples as WAV, link header
+    as JSON) loads back through the link codec, which rejects a malformed
+    header with a ``ValueError`` naming the field."""
 
     @pytest.fixture
     def saved(self, tmp_path, grid):
         """Seed 4's signal saved as WAV and JSON, and the JSON as saved."""
         sig = synthesize(sample_spec(np.random.default_rng(4), grid))
-        save_signal_wav(sig, str(tmp_path / "ref.wav"))
-        save_signal_json(sig, str(tmp_path / "ref.json"))
+        pcm.save_wav(str(tmp_path / "ref.wav"), sig.samples, SAMPLE_RATE)
+        (tmp_path / "ref.json").write_bytes(sig.header())
         return sig, json.loads((tmp_path / "ref.json").read_text())
 
     @staticmethod
@@ -319,7 +321,7 @@ class TestLoadSignal:
     def test_missing_field_rejected(self, tmp_path, saved, field):
         _, meta = saved
         del meta[field]
-        with pytest.raises(ValueError, match=f"lacks the '{field}' field"):
+        with pytest.raises(ValueError, match=f"lacks the '{field}' key"):
             self._load(tmp_path, meta)
 
     @pytest.mark.parametrize(
@@ -332,11 +334,11 @@ class TestLoadSignal:
             self._load(tmp_path, {**meta, field: value})
 
     def test_non_object_rejected(self, tmp_path, saved):
-        with pytest.raises(ValueError, match="must be a JSON object, got list"):
+        with pytest.raises(ValueError, match="^link payload header must be an object, got \\[1.0, 2.0\\]$"):
             self._load(tmp_path, [1.0, 2.0])
 
     def test_power_count_mismatch_rejected(self, tmp_path, saved):
-        """One power for all tones: ``zip`` used to keep just the first tone."""
+        """One power for all tones: ``zip`` would keep just the first tone."""
         sig, meta = saved
         with pytest.raises(ValueError, match=f"has 1 nominal powers for {sig.spec.tone_count} tones"):
             self._load(tmp_path, {**meta, "nominal_power": meta["nominal_power"][:1]})

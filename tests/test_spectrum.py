@@ -6,6 +6,7 @@ from helpers import (
     direct_candidate_power,
     exhaustive_detect,
     folded_bins,
+    power_spectrum,
     sliding_candidate_powers,
 )
 from sonicauth import spectrum
@@ -20,41 +21,47 @@ from sonicauth.spectrum import (
     detect,
     detect_pair,
     frequency_bin,
+    measure_candidate_powers,
     norm_power,
-    power_spectrum,
 )
 
 FS = 44_100.0
 
 
 class TestPowerSpectrum:
+    """The rFFT reference the batched kernel is compared against, checked on
+    blocks whose spectra are known in closed form."""
+
     def test_zeros(self):
-        res = power_spectrum(np.zeros(4096))
-        assert np.all(res.powers == 0)
-        assert res.powers.shape == (2049,)
+        powers = power_spectrum(np.zeros(4096))
+        assert np.all(powers == 0)
+        assert powers.shape == (2049,)
 
     def test_dc_only(self):
-        res = power_spectrum(np.full(1024, 3.0))
-        assert res.powers[0] == pytest.approx((3.0 * 1024) ** 2)
-        assert np.allclose(res.powers[1:], 0, atol=1e-12)
+        powers = power_spectrum(np.full(1024, 3.0))
+        assert powers[0] == pytest.approx((3.0 * 1024) ** 2)
+        assert np.allclose(powers[1:], 0, atol=1e-12)
 
     def test_exact_bin_sine(self):
         n, k0, amp = 4096, 100, 7.5
         t = np.arange(n)
         w = amp * np.sin(2 * np.pi * k0 * t / n)
-        res = power_spectrum(w)
-        assert res.powers[k0] == pytest.approx((amp * n / 2) ** 2, rel=1e-9)
-        others = np.delete(res.powers, k0)
-        assert others.max() < 1e-12 * res.powers[k0]
-        assert res.powers[k0] == pytest.approx(direct_bin_power(w, k0, n), rel=1e-9)
+        powers = power_spectrum(w)
+        assert powers[k0] == pytest.approx((amp * n / 2) ** 2, rel=1e-9)
+        others = np.delete(powers, k0)
+        assert others.max() < 1e-12 * powers[k0]
+        assert powers[k0] == pytest.approx(direct_bin_power(w, k0, n), rel=1e-9)
 
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError):
-            power_spectrum(np.zeros(4095))
+    def test_non_power_of_two_rejected(self, grid):
+        """The detector's measurement takes power-of-two windows only."""
+        with pytest.raises(ValueError, match="power of two, got 4095"):
+            measure_candidate_powers(np.zeros(4095), grid, FS)
 
     def test_bin_frequency_mapping(self):
-        res = power_spectrum(np.zeros(4096), sample_rate=FS)
-        assert res.bin_frequency(2337) == pytest.approx(2337 * FS / 4096)
+        """Bin k of the reference sits at ``k * f_s / n``: the detector's
+        ``frequency_bin`` maps that frequency back to k."""
+        powers = power_spectrum(np.sin(2 * np.pi * 1337 * np.arange(4096) / 4096))
+        assert int(np.argmax(powers)) == frequency_bin(1337 * FS / 4096, FS, 4096) == 1337
 
 
 class TestFrequencyBin:
@@ -119,7 +126,7 @@ def _per_window_candidate_powers(x, starts, length, table):
     """Reference for the batched kernel: one full power spectrum per window,
     every bin squared, then each candidate's 2*theta+1 bins added one offset
     after another."""
-    spectra = np.stack([power_spectrum(x[s : s + length]).powers for s in starts])
+    spectra = np.stack([power_spectrum(x[s : s + length]) for s in starts])
     gathered = spectra[:, table]
     total = gathered[:, :, 0].copy()
     for offset in range(1, table.shape[1]):
@@ -160,7 +167,7 @@ class TestBatchCandidatePowers:
         assert got.shape == want.shape == (len(windows), len(grid.candidates))
         assert np.array_equal(got, want)
         # summed per window: the same powers up to the order of the additions
-        each = [power_spectrum(x[s : s + 4096]).powers[table].sum(axis=1) for s in windows]
+        each = [power_spectrum(x[s : s + 4096])[table].sum(axis=1) for s in windows]
         np.testing.assert_allclose(got, each, rtol=1e-14, atol=0)
 
     def test_scan_clipped_at_both_ends_covers_the_whole_recording(self, grid):
@@ -449,13 +456,13 @@ class TestDetectPair:
 
 
     def test_signals_on_two_grids_rejected(self, grid):
-        """Same tones, same length, but the second signal's grid is wider:
+        """Same tones, but the second signal's grid is wider:
         one scan cannot serve both."""
         wider = FrequencyGrid(grid.band_low, grid.band_low + 1.5 * (grid.band_high - grid.band_low), 45)
         tones = grid.candidates[:5]
         sig_a = synthesize(SignalSpec(frequencies=tones, grid=grid))
         sig_b = synthesize(SignalSpec(frequencies=tones, grid=wider))
-        with pytest.raises(ValueError, match="one length and one grid"):
+        with pytest.raises(ValueError, match="must share one grid"):
             detect_pair(_embed(sig_a, 8_000, 8_000), sig_a, sig_b)
 
 
