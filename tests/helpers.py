@@ -126,29 +126,30 @@ def exhaustive_detect(x, sig, grid, sample_rate: float):
     return best, peak
 
 
-def loop_tone_sum(spec, phases):
-    """Reference renderer: one ``np.sin`` per tone over the whole burst, for
-    one phase vector or a stack of them (``phases[..., k]`` is tone k's)."""
+def loop_tone_sum(spec, phases, length=SIGNAL_LENGTH):
+    """Reference renderer: one ``np.sin`` per tone over a ``length``-sample
+    burst, for one phase vector or a stack of them (``phases[..., k]`` is
+    tone k's)."""
     phases = np.asarray(phases)
     amp = AMPLITUDE_BUDGET / spec.tone_count
-    t = np.arange(SIGNAL_LENGTH, dtype=np.float64)
-    x = np.zeros(phases.shape[:-1] + (SIGNAL_LENGTH,), dtype=np.float64)
+    t = np.arange(length, dtype=np.float64)
+    x = np.zeros(phases.shape[:-1] + (length,), dtype=np.float64)
     for k, f in enumerate(spec.frequencies):
         x += amp * np.sin(2.0 * np.pi * f * t / SAMPLE_RATE + phases[..., k, None])
     return x
 
 
-def tone_set_phasor_table(spec) -> np.ndarray:
-    """Reference phasor table built for one tone set alone: (2n, SIGNAL_LENGTH) rows
+def tone_set_phasor_table(spec, length=SIGNAL_LENGTH) -> np.ndarray:
+    """Reference phasor table built for one tone set alone: (2n, length) rows
     ``sin(w_k t)`` for each tone k, then ``cos(w_k t)``, by the same block
     product ``exp(iw*64*a) * exp(iw*b)`` the synthesizer's grid-wide table
     uses, over the spec's tones only."""
     block = 64
     omega = 2.0 * np.pi * np.asarray(spec.frequencies) / SAMPLE_RATE
-    blocks = -(-SIGNAL_LENGTH // block)
+    blocks = -(-length // block)
     coarse = np.exp(1j * omega[:, None] * (block * np.arange(blocks)))
     fine = np.exp(1j * omega[:, None] * np.arange(block))
-    phasor = (coarse[:, :, None] * fine[:, None, :]).reshape(spec.tone_count, -1)[:, :SIGNAL_LENGTH]
+    phasor = (coarse[:, :, None] * fine[:, None, :]).reshape(spec.tone_count, -1)[:, :length]
     return np.concatenate([phasor.imag, phasor.real])
 
 
@@ -166,8 +167,8 @@ def noise_mask(n: int, cutoff: float, sample_rate: float = 44_100.0, tail: float
     return mask
 
 
-def loop_render(spec, phases):
-    x = loop_tone_sum(spec, phases)
+def loop_render(spec, phases, length=SIGNAL_LENGTH):
+    x = loop_tone_sum(spec, phases, length)
     return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int16)
 
 

@@ -81,10 +81,10 @@ class TestCachePurity:
 
 class TestPhasorRows:
     @staticmethod
-    def assert_rows_equal(spec):
+    def assert_rows_equal(spec, length=4096):
         got = sg._phasor_table(spec)
-        want = tone_set_phasor_table(spec)
-        assert got.shape == want.shape == (2 * spec.tone_count, 4096)
+        want = tone_set_phasor_table(spec, length)
+        assert got.shape == want.shape == (2 * spec.tone_count, length)
         assert np.array_equal(got, want)
 
     def test_seeded_tone_sets(self, grid):
@@ -98,6 +98,9 @@ class TestPhasorRows:
         for _ in range(5):
             freqs = rng.choice(np.asarray(grid.candidates), size=tones, replace=False)
             self.assert_rows_equal(SignalSpec(frequencies=tuple(float(f) for f in freqs), grid=grid))
+
+    def test_long_signal(self, grid, long_signal_length):
+        self.assert_rows_equal(sample_spec(np.random.default_rng(9), grid), long_signal_length)
 
     def test_one_table_kept(self, grid):
         """The table is keyed by the grid alone: another grid's table does

@@ -182,12 +182,12 @@ def family(spec):
 
 class TestPhasorRenderer:
     @staticmethod
-    def assert_matches_loop(spec):
+    def assert_matches_loop(spec, length=sg.SIGNAL_LENGTH):
         table = sg._phasor_table(spec)
         phases = family(spec)
         assert len(phases) == 16
         rendered = np.array([sg._render(spec, table, ph) for ph in phases]).astype(np.int16)
-        assert np.array_equal(rendered, loop_render(spec, phases))
+        assert np.array_equal(rendered, loop_render(spec, phases, length))
 
     def test_matches_sine_loop_on_seeded_tone_sets(self, grid):
         for seed in range(500):
@@ -199,6 +199,14 @@ class TestPhasorRenderer:
         for _ in range(4):
             picked = rng.choice(np.asarray(grid.candidates), size=tones, replace=False)
             self.assert_matches_loop(SignalSpec(frequencies=tuple(float(f) for f in picked), grid=grid))
+
+    @pytest.mark.parametrize("tones", [1, 29])
+    def test_matches_sine_loop_at_a_long_length(self, grid, tones, long_signal_length):
+        """Identity also holds where the block product's coarse phase grows
+        16 times larger than at the session length."""
+        picked = np.random.default_rng(tones).choice(np.asarray(grid.candidates), size=tones, replace=False)
+        spec = SignalSpec(frequencies=tuple(float(f) for f in picked), grid=grid)
+        self.assert_matches_loop(spec, long_signal_length)
 
     def test_phase_family_stream_unchanged(self, grid):
         """The lazy family draws the same stream as building all 16 at once,
