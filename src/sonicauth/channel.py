@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy  # loads scipy.signal on first attribute access: only a skewed device clock resamples
 
 from .signal import SAMPLE_RATE as BASE_SAMPLE_RATE
 from .signal import _finite_positive, _is_int, _is_number, _json_fields
@@ -293,6 +292,8 @@ def render_mix(scene: AcousticScene, device_id: str, cfg: ChannelConfig) -> np.n
     mix += _shaped_noise(cfg.noise, scene.duration, _noise_rng(scene, cfg, idx))
 
     if rec.sample_rate != BASE_SAMPLE_RATE:
+        import scipy.signal  # loaded on first use: only a skewed device clock resamples
+
         ratio = Fraction(rec.sample_rate / BASE_SAMPLE_RATE).limit_denominator(10_000)
         mix = scipy.signal.resample_poly(mix, ratio.numerator, ratio.denominator)
     return mix

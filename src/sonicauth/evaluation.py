@@ -19,9 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import ndtr
 
 from . import adversary as adv
 from . import channel as ch
@@ -36,7 +33,7 @@ from .protocol import (
     one_way_ranging,
     run_authentication,
 )
-from .signal import DEFAULT_GRID
+from .signal import DEFAULT_GRID, _finite_positive
 
 DEFAULT_MIN_TRIALS = 10
 
@@ -63,8 +60,8 @@ class ErrorModel:
     pairing_range_m: float = PAIRING_RANGE_M
 
     def __post_init__(self) -> None:
-        if self.sigma_m <= 0:
-            raise ValueError("sigma must be positive")
+        if not _finite_positive(self.sigma_m):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma_m}")
         if not 0 < self.detect_range_m < self.pairing_range_m:
             raise ValueError("need 0 < detect_range < pairing_range")
 
@@ -78,6 +75,9 @@ def frr_far_model(tau_m: float, model: ErrorModel) -> tuple[float, float]:
     detect range (the signal is simply not present). Integrals are evaluated
     numerically to absolute tolerance 1e-5 or better.
     """
+    from scipy.integrate import quad  # loaded on first use: no session needs the model
+    from scipy.special import ndtr  # loaded on first use: no session needs the model
+
     if not 0 < tau_m < model.detect_range_m:
         raise ValueError("threshold must lie in (0, detect_range)")
     sigma = model.sigma_m
@@ -99,6 +99,8 @@ def fit_sigma(
 
     Bisection over sigma in (1e-4, 1); raises when no root exists in the
     bracket (the model's FRR never reaches 0.5)."""
+    from scipy.optimize import brentq  # loaded on first use: no session fits sigma
+
     if not 0 < frr_target < 0.5:
         raise ValueError("frr_target must be in (0, 0.5)")
 

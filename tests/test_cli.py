@@ -8,19 +8,30 @@ import pytest
 import sonicauth
 from helpers import load_signal, load_wav
 from sonicauth.cli import main
+from sonicauth.evaluation import fit_sigma
 from sonicauth.spectrum import detect_pair
 
 
-def test_imports_leave_scipy_signal_and_stats_unloaded():
-    """The package and its command line load neither module: only the xcorr
-    baseline and a skewed device clock need ``scipy.signal``, on first use."""
+def test_session_process_loads_no_scipy_until_the_model_runs():
+    """Importing the package and its command line and running one nominal-rate
+    session load no scipy module: only the analytic model, the xcorr baseline
+    and a skewed device clock need one, and each loads it on first use. A
+    ``fit_sigma`` call in that process then loads the model's subpackages and
+    returns the same float as here."""
     code = (
-        "import sys, sonicauth, sonicauth.evaluation, sonicauth.cli; "
-        "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
+        "import sys, numpy as np, sonicauth, sonicauth.evaluation, sonicauth.cli\n"
+        "from sonicauth.protocol import AuthPolicy, Endpoint\n"
+        "sonicauth.evaluation.run_authentication(\n"
+        "    Endpoint('a', (0.0, 0.0)), Endpoint('v', (0.5, 0.0)), AuthPolicy(), np.random.default_rng(1)\n"
+        ")\n"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
+        "print(repr(sonicauth.evaluation.fit_sigma(0.028, 1.0)))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sonicauth.__file__))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    loaded, sigma = out.stdout.strip().splitlines()
+    assert loaded == "[]"
+    assert float(sigma) == fit_sigma(0.028, 1.0)
 
 
 def test_fit_sigma_stdout(capsys):
@@ -38,8 +49,9 @@ def test_frrfar_csv_output(tmp_path, capsys):
 
 
 def test_frrfar_bad_sigma_exits_2(capsys):
-    assert main(["frrfar", "--sigma", "-1.0"]) == 2
-    assert "config error" in capsys.readouterr().err
+    for sigma in ("-1.0", "nan", "inf"):
+        assert main(["frrfar", "--sigma", sigma]) == 2
+        assert f"config error: sigma must be finite and positive, got {float(sigma)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -56,6 +56,11 @@ class TestFrrFarModel:
         _, far = ev.frr_far_model(1.0, ev.ErrorModel(1e-6))
         assert far <= 1e-8
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match=f"^sigma must be finite and positive, got {sigma}$"):
+            ev.ErrorModel(sigma)
+
     def test_threshold_bounds(self):
         with pytest.raises(ValueError):
             ev.frr_far_model(2.6, ev.ErrorModel(0.07))
