@@ -2,7 +2,7 @@
 
 Submodules:
 
-* ``signal``     - candidate-frequency grid, randomized reference signals
+* ``signal``     - the candidate frequencies, randomized reference signals
 * ``spectrum``   - power spectra and sliding-window signal detection
 * ``channel``    - simulated acoustic propagation, noise and recording
 * ``protocol``   - the two-party session and the authentication decision
@@ -11,8 +11,7 @@ Submodules:
 """
 
 from .signal import (
-    DEFAULT_GRID,
-    FrequencyGrid,
+    CANDIDATES,
     ReferenceSignal,
     SignalSpec,
     sample_spec,
@@ -55,8 +54,7 @@ from .evaluation import (
 )
 
 __all__ = [
-    "DEFAULT_GRID",
-    "FrequencyGrid",
+    "CANDIDATES",
     "ReferenceSignal",
     "SignalSpec",
     "sample_spec",

@@ -21,10 +21,9 @@ from . import spectrum
 from .protocol import SceneContext
 from .signal import (
     AMPLITUDE_BUDGET,
-    DEFAULT_GRID,
+    CANDIDATES,
     SAMPLE_RATE,
     SIGNAL_LENGTH,
-    FrequencyGrid,
     ReferenceSignal,
     _finite_positive,
     _is_number,
@@ -49,7 +48,7 @@ class GuessingReplay:
 
 @dataclass(frozen=True)
 class AllFrequency:
-    """One sine per grid candidate, equal measured per-tone power, played
+    """One sine per candidate, equal measured per-tone power, played
     near the authenticating device for the whole session."""
 
     per_tone_power: float
@@ -69,28 +68,28 @@ def guessing_replay_signal(rng: np.random.Generator) -> ReferenceSignal:
     return synthesize(sample_spec(rng))
 
 
-def all_frequency_signal(grid: FrequencyGrid, per_tone_power: float, duration: int) -> np.ndarray:
+def all_frequency_signal(per_tone_power: float, duration: int) -> np.ndarray:
     """Spoofing waveform containing every candidate tone at the nominal
     sample rate.
 
     Per-tone amplitudes are calibrated against the detector's measurement
     convention so each tone carries ``per_tone_power``; raises when the
     requested power cannot fit the amplitude budget after summation.
-    The waveform is memoised per ``(grid, power, duration)`` and returned
+    The waveform is memoised per ``(power, duration)`` and returned
     read-only, since every caller with that key shares it.
     """
     if duration < SIGNAL_LENGTH:
         raise ValueError(f"duration must cover at least one measurement window ({SIGNAL_LENGTH} samples)")
     if not (math.isfinite(per_tone_power) and per_tone_power > 0):
         raise ValueError(f"per-tone power must be finite and positive, got {per_tone_power!r}")
-    return _all_frequency_waveform(grid, float(per_tone_power), int(duration))
+    return _all_frequency_waveform(float(per_tone_power), int(duration))
 
 
 # An attack campaign replays one waveform on every trial, so keeping the last
 # one is enough; a session-long waveform holds ~130 KB.
 @lru_cache(maxsize=1)
-def _all_frequency_waveform(grid: FrequencyGrid, per_tone_power: float, duration: int) -> np.ndarray:
-    amps = [math.sqrt(per_tone_power / unit_power) for unit_power in _unit_sine_powers(grid)]
+def _all_frequency_waveform(per_tone_power: float, duration: int) -> np.ndarray:
+    amps = [math.sqrt(per_tone_power / unit_power) for unit_power in _unit_sine_powers()]
     if sum(amps) > AMPLITUDE_BUDGET:
         raise ValueError(
             f"per-tone power {per_tone_power:g} infeasible: tone amplitudes sum to "
@@ -98,20 +97,20 @@ def _all_frequency_waveform(grid: FrequencyGrid, per_tone_power: float, duration
         )
     t = np.arange(duration, dtype=np.float64)
     x = np.zeros(duration)
-    for f, a in zip(grid.candidates, amps):
+    for f, a in zip(CANDIDATES, amps):
         x += a * np.sin(2.0 * np.pi * f * t / SAMPLE_RATE)
     wave = np.clip(np.rint(x), -32768, 32767).astype(np.int16)
     wave.setflags(write=False)
     return wave
 
 
-@lru_cache(maxsize=4)
-def _unit_sine_powers(grid: FrequencyGrid) -> tuple[float, ...]:
+@lru_cache(maxsize=1)
+def _unit_sine_powers() -> tuple[float, ...]:
     """Each candidate's measured power for a unit-amplitude sine at it."""
     powers = []
-    for i, f in enumerate(grid.candidates):
+    for i, f in enumerate(CANDIDATES):
         unit = np.sin(2.0 * np.pi * f * np.arange(SIGNAL_LENGTH) / SAMPLE_RATE)
-        powers.append(spectrum.measure_candidate_powers(unit, grid, SAMPLE_RATE)[i])
+        powers.append(spectrum.measure_candidate_powers(unit, SAMPLE_RATE)[i])
     return tuple(powers)
 
 
@@ -153,7 +152,7 @@ def build_emissions(scenario: AttackScenario, ctx: SceneContext, rng: np.random.
         return emissions
 
     if isinstance(scenario, AllFrequency):
-        wave = all_frequency_signal(DEFAULT_GRID, scenario.per_tone_power, ctx.duration - 1)
+        wave = all_frequency_signal(scenario.per_tone_power, ctx.duration - 1)
         return [ch.Emission("attacker_0", wave, 0, _near(ctx.auth_position))]
 
     raise TypeError(f"unknown scenario {scenario!r}")

@@ -130,6 +130,13 @@ class Recorder:
     position: tuple[float, ...]
     sample_rate: float = BASE_SAMPLE_RATE
 
+    def __post_init__(self) -> None:
+        where = f"device {self.device_id!r}"
+        if not np.all(np.isfinite(self.position)):
+            raise ValueError(f"{where} position must be finite, got {self.position}")
+        if not _finite_positive(self.sample_rate):
+            raise ValueError(f"{where} sample rate must be finite and positive, got {self.sample_rate}")
+
 
 @dataclass(frozen=True)
 class AcousticScene:
@@ -148,8 +155,6 @@ class AcousticScene:
                 raise ValueError("emission position must be finite")
         ids = [r.device_id for r in self.recorders]
         for r in self.recorders:
-            if not np.all(np.isfinite(r.position)):
-                raise ValueError("recorder position must be finite")
             if ids.count(r.device_id) > 1:
                 raise ValueError(f"two recorders share the device id {r.device_id!r}")
 

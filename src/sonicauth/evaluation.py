@@ -33,7 +33,7 @@ from .protocol import (
     one_way_ranging,
     run_authentication,
 )
-from .signal import DEFAULT_GRID, _finite_positive
+from .signal import CANDIDATES, _finite_positive
 
 DEFAULT_MIN_TRIALS = 10
 
@@ -349,7 +349,7 @@ def attack_campaign(
     )
 
 
-# The sweep's reference signal: the first half of the default grid's tones.
+# The sweep's reference signal: the first half of the candidate tones.
 _SWEEP_REFERENCE_TONES = 15
 
 
@@ -359,14 +359,14 @@ def all_frequency_power_sweep(count: int = 6) -> tuple[float, ...]:
     received-power thresholds at close range)."""
     from .signal import SignalSpec, synthesize
 
-    ref = synthesize(SignalSpec(frequencies=DEFAULT_GRID.candidates[:_SWEEP_REFERENCE_TONES]))
+    ref = synthesize(SignalSpec(frequencies=CANDIDATES[:_SWEEP_REFERENCE_TONES]))
     r_f = ref.total_power / _SWEEP_REFERENCE_TONES
     lo = spectrum.beta(ref.total_power, _SWEEP_REFERENCE_TONES) / 4.0
     hi = 4.0 * spectrum.ALPHA * r_f
     # keep the top of the sweep feasible for a 30-tone sum in 16-bit range
     for _ in range(40):
         try:
-            adv.all_frequency_signal(DEFAULT_GRID, hi, 8192)
+            adv.all_frequency_signal(hi, 8192)
             break
         except ValueError:
             hi *= 0.8

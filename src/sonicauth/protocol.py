@@ -24,7 +24,7 @@ import numpy as np
 
 from . import channel as ch
 from . import spectrum
-from .signal import DEFAULT_GRID, ReferenceSignal, SignalSpec, sample_spec, synthesize
+from .signal import ReferenceSignal, SignalSpec, _finite_positive, sample_spec, synthesize
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ class SessionMeasurements:
     f_v: float
 
     def __post_init__(self) -> None:
-        if self.f_a <= 0 or self.f_v <= 0:
-            raise ValueError("sample rates must be positive")
+        if not (_finite_positive(self.f_a) and _finite_positive(self.f_v)):
+            raise ValueError(f"sample rates must be finite and positive, got {self.f_a} and {self.f_v}")
         if min(self.l_aa, self.l_av, self.l_va, self.l_vv) < 0:
             raise ValueError("locations must be non-negative sample indices")
 
@@ -201,7 +201,7 @@ IntruderFactory = Callable[[SceneContext, np.random.Generator], Sequence[ch.Emis
 
 def _draw(rng: np.random.Generator) -> ReferenceSignal:
     """Step I: draw a tone set and synthesize its reference signal."""
-    return synthesize(sample_spec(rng, DEFAULT_GRID))
+    return synthesize(sample_spec(rng))
 
 
 def _transfer(
@@ -310,7 +310,7 @@ def run_authentication(
     baseline, which has no absence verdict).
     """
     cfg = channel_cfg if channel_cfg is not None else ch.ChannelConfig()
-    d_true = float(np.linalg.norm(np.asarray(auth.position) - np.asarray(vouch.position)))
+    d_true = ch._distance(auth.position, vouch.position)
     link = SecureLink(paired=paired)
     t = SessionTranscript(
         auth_id=auth.device_id,
@@ -360,9 +360,8 @@ def replay_session(
 ) -> tuple[ReferenceSignal, ReferenceSignal, ch.Recording, ch.Recording]:
     """Rebuild a session's two reference signals and both recordings from its
     transcript (synthesis is deterministic per tone set). Pass the channel
-    settings the session ran with; the signals are synthesized on the default
-    frequency grid. Emissions from intruders are not part of the transcript
-    and are left out."""
+    settings the session ran with. Emissions from intruders are not part of
+    the transcript and are left out."""
     if t.playback_start is None:
         raise ValueError("the session ended before playback; there is nothing to replay")
     sig_a, sig_v = (synthesize(SignalSpec(frequencies=freqs)) for freqs in (t.freqs_a, t.freqs_v))

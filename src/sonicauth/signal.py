@@ -1,12 +1,12 @@
 """Construction of randomized multi-tone reference signals.
 
 A reference signal is a short burst made of sine waves whose frequencies are
-drawn from a fixed grid of candidate frequencies. The draw is uniform over all
-non-empty proper subsets of the grid, so an eavesdropper that knows the grid
-still has to guess the exact subset. Per-tone nominal powers are measured from
-the clean samples with the same spectral pipeline used by the detector, which
-keeps the detection thresholds self-consistent regardless of FFT scaling
-conventions.
+drawn from the fixed, public set of ``CANDIDATES``. The draw is uniform over
+all non-empty proper subsets of the candidates, so an eavesdropper that knows
+them still has to guess the exact subset. Per-tone nominal powers are
+measured from the clean samples with the same spectral pipeline used by the
+detector, which keeps the detection thresholds self-consistent regardless of
+FFT scaling conventions.
 """
 
 from __future__ import annotations
@@ -14,76 +14,43 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import spectrum
 
-DEFAULT_BAND_LOW = 25_000.0
-DEFAULT_BAND_HIGH = 35_000.0
-DEFAULT_BIN_COUNT = 30
-
 # The one signal format: every reference signal is SIGNAL_LENGTH samples at
 # the nominal SAMPLE_RATE (every device plays and records at it, up to clock
 # skew), and its tones share AMPLITUDE_BUDGET, so their sum never clips a
-# signed 16-bit sample.
+# signed 16-bit sample. Its tones are drawn from the BIN_COUNT CANDIDATES, the
+# midpoints of equal bins covering (BAND_LOW, BAND_HIGH).
 SIGNAL_LENGTH = 4096
 SAMPLE_RATE = 44_100.0
 AMPLITUDE_BUDGET = 32_000
-
-# Exact subset sampling draws one integer uniform over 2**N - 2 outcomes.
-_MAX_EXACT_BINS = 62
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Equally spaced candidate frequencies: the midpoints of ``bin_count``
-    bins covering ``(band_low, band_high)``.
-
-    Candidate i sits at ``band_low + (i + 0.5) * (band_high - band_low) / N``.
-    """
-
-    band_low: float
-    band_high: float
-    bin_count: int
-    candidates: tuple[float, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.band_low < self.band_high:
-            raise ValueError("invalid band: band_low must be < band_high")
-        if self.bin_count < 2:
-            raise ValueError("invalid bin count: need at least 2 bins")
-        spacing = (self.band_high - self.band_low) / self.bin_count
-        cands = tuple(self.band_low + (i + 0.5) * spacing for i in range(self.bin_count))
-        object.__setattr__(self, "candidates", cands)
-
-    @property
-    def spacing(self) -> float:
-        return (self.band_high - self.band_low) / self.bin_count
-
-
-DEFAULT_GRID = FrequencyGrid(DEFAULT_BAND_LOW, DEFAULT_BAND_HIGH, DEFAULT_BIN_COUNT)
+BAND_LOW = 25_000.0
+BAND_HIGH = 35_000.0
+BIN_COUNT = 30
+CANDIDATES = tuple(BAND_LOW + (i + 0.5) * ((BAND_HIGH - BAND_LOW) / BIN_COUNT) for i in range(BIN_COUNT))
 
 
 @dataclass(frozen=True)
 class SignalSpec:
-    """Recipe for one reference signal: which candidate tones of which grid."""
+    """Recipe for one reference signal: which of the candidate tones."""
 
     frequencies: tuple[float, ...]
-    grid: FrequencyGrid = DEFAULT_GRID
 
     def __post_init__(self) -> None:
         freqs = tuple(sorted(self.frequencies))
         object.__setattr__(self, "frequencies", freqs)
         n = len(freqs)
-        if not 0 < n < self.grid.bin_count:
-            raise ValueError("need 0 < |F| < bin_count")
+        if not 0 < n < BIN_COUNT:
+            raise ValueError("need 0 < |F| < BIN_COUNT")
         if len(set(freqs)) != n:
             raise ValueError("duplicate frequencies")
-        if not set(freqs) <= set(self.grid.candidates):
-            raise ValueError("frequencies must be grid candidates")
+        if not set(freqs) <= set(CANDIDATES):
+            raise ValueError("frequencies must be candidates")
 
     @property
     def tone_count(self) -> int:
@@ -170,8 +137,8 @@ class ReferenceSignal:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ReferenceSignal":
-        """Parse a link payload of a signal on the default grid; raises
-        ``ValueError`` on a malformed one."""
+        """Parse a link payload; raises ``ValueError`` on a malformed one,
+        including one whose tones are not candidates."""
         hlen = int.from_bytes(blob[:4], "big")
         if 4 + hlen > len(blob):
             raise ValueError(f"link payload header of {hlen} bytes runs past the {len(blob)}-byte blob")
@@ -191,29 +158,25 @@ class ReferenceSignal:
         return cls(spec=SignalSpec(frequencies=tuple(freqs)), samples=samples, nominal_power=dict(zip(freqs, powers)))
 
 
-def sample_spec(rng: np.random.Generator, grid: FrequencyGrid = DEFAULT_GRID) -> SignalSpec:
-    """Draw a tone set uniformly over all non-empty proper subsets of the grid.
+def sample_spec(rng: np.random.Generator) -> SignalSpec:
+    """Draw a tone set uniformly over all non-empty proper subsets of the
+    candidates (probability ``1 / (2**BIN_COUNT - 2)`` each)."""
+    return SignalSpec(frequencies=_proper_subset(rng, CANDIDATES))
 
-    The subset size follows the binomial weights C(M, n), which is what makes
-    every admissible subset equally likely (probability ``1 / (2**M - 2)``).
-    """
-    m = grid.bin_count
-    if m <= _MAX_EXACT_BINS:
-        total = (1 << m) - 2
-        u = int(rng.integers(0, total))
-        cum = 0
-        n = 0
-        for size in range(1, m):
-            cum += math.comb(m, size)
-            if u < cum:
-                n = size
-                break
-    else:
-        weights = np.array([math.comb(m, size) for size in range(1, m)], dtype=float)
-        n = int(rng.choice(np.arange(1, m), p=weights / weights.sum()))
 
-    chosen = rng.choice(np.asarray(grid.candidates), size=n, replace=False)
-    return SignalSpec(frequencies=tuple(float(f) for f in chosen), grid=grid)
+def _proper_subset(rng: np.random.Generator, candidates: tuple[float, ...]) -> tuple[float, ...]:
+    """A subset of ``candidates`` drawn uniformly over the non-empty proper
+    ones: its size follows the binomial weights C(M, n), then its members are
+    drawn without replacement."""
+    m = len(candidates)
+    u = int(rng.integers(0, (1 << m) - 2))
+    cum = 0
+    for n in range(1, m):
+        cum += math.comb(m, n)
+        if u < cum:
+            break
+    chosen = rng.choice(np.asarray(candidates), size=n, replace=False)
+    return tuple(float(f) for f in chosen)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -258,10 +221,10 @@ def _edge_energy_ratio(samples: np.ndarray) -> float:
 
 def _phase_family(spec: SignalSpec, index: np.ndarray) -> Iterator[np.ndarray]:
     """Deterministic phase candidates for one tone set (``index``: the tones'
-    grid indices): zero phases first, then seeded random draws. The seed key
-    ends with the signal length; any other key would change every draw, and
-    with it every waveform."""
-    key = index.tolist() + [spec.grid.bin_count, SIGNAL_LENGTH]
+    candidate indices): zero phases first, then seeded random draws. The seed
+    key ends with the candidate count and the signal length; any other key
+    would change every draw, and with it every waveform."""
+    key = index.tolist() + [BIN_COUNT, SIGNAL_LENGTH]
     rng = np.random.default_rng(np.random.SeedSequence(key))
     yield np.zeros(spec.tone_count)
     for _ in range(_PHASE_CANDIDATES - 1):
@@ -269,24 +232,23 @@ def _phase_family(spec: SignalSpec, index: np.ndarray) -> Iterator[np.ndarray]:
 
 
 # Phasor tables are built as a block product exp(iw*B*a) * exp(iw*b), a and b
-# below B (here 64), so each grid candidate costs 2*B complex exponentials,
-# once per grid, not one sine per sample and phase candidate.
+# below B (here 64), so each candidate costs 2*B complex exponentials, once,
+# not one sine per sample and phase candidate.
 _PHASOR_BLOCK = 64
 
 
-# One grid's rows take about 2 MB (60 rows of 4096 samples); sessions use
-# one grid, so the last table is the only one kept.
+# The rows take about 2 MB (60 rows of 4096 samples), built once.
 @lru_cache(maxsize=1)
-def _grid_phasor_table(grid: FrequencyGrid) -> np.ndarray:
-    """(2N, SIGNAL_LENGTH) rows ``sin(w_i t)`` for every grid candidate i,
-    then ``cos(w_i t)``; read-only, shared by every tone set on the grid. Each
-    row is an elementwise function of its own ``w_i``, so it equals the row a
-    table of any tone subset would hold, bit for bit."""
-    omega = 2.0 * np.pi * np.asarray(grid.candidates) / SAMPLE_RATE
+def _grid_phasor_table() -> np.ndarray:
+    """(2N, SIGNAL_LENGTH) rows ``sin(w_i t)`` for every candidate i, then
+    ``cos(w_i t)``; read-only, shared by every tone set. Each row is an
+    elementwise function of its own ``w_i``, so it equals the row a table of
+    any tone subset would hold, bit for bit."""
+    omega = 2.0 * np.pi * np.asarray(CANDIDATES) / SAMPLE_RATE
     blocks = -(-SIGNAL_LENGTH // _PHASOR_BLOCK)
     coarse = np.exp(1j * omega[:, None] * (_PHASOR_BLOCK * np.arange(blocks)))
     fine = np.exp(1j * omega[:, None] * np.arange(_PHASOR_BLOCK))
-    phasor = (coarse[:, :, None] * fine[:, None, :]).reshape(grid.bin_count, -1)[:, :SIGNAL_LENGTH]
+    phasor = (coarse[:, :, None] * fine[:, None, :]).reshape(BIN_COUNT, -1)[:, :SIGNAL_LENGTH]
     table = np.concatenate([phasor.imag, phasor.real])
     table.setflags(write=False)
     return table
@@ -294,10 +256,10 @@ def _grid_phasor_table(grid: FrequencyGrid) -> np.ndarray:
 
 def _phasor_table(spec: SignalSpec) -> np.ndarray:
     """(2n, SIGNAL_LENGTH) rows ``sin(w_k t)`` for each tone k, then
-    ``cos(w_k t)``, gathered from the grid's shared table."""
-    index, _ = spectrum.in_set_mask(spec.frequencies, spec.grid)
-    rows = np.concatenate([index, spec.grid.bin_count + index])
-    return _grid_phasor_table(spec.grid)[rows]
+    ``cos(w_k t)``, gathered from the candidates' shared table."""
+    index, _ = spectrum.in_set_mask(spec.frequencies)
+    rows = np.concatenate([index, BIN_COUNT + index])
+    return _grid_phasor_table()[rows]
 
 
 def _tone_sum(spec: SignalSpec, table: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -327,12 +289,12 @@ def synthesize(spec: SignalSpec) -> ReferenceSignal:
     threshold, as the detector measures and gates them. Raises ``ValueError``
     when no candidate keeps the leakage under that threshold at all.
     """
-    index, in_set = spectrum.in_set_mask(spec.frequencies, spec.grid)
+    index, in_set = spectrum.in_set_mask(spec.frequencies)
     table = _phasor_table(spec)
     chosen, chosen_key = None, None
     for phases in _phase_family(spec, index):
         candidate = _render(spec, table, phases)
-        measured = spectrum.measure_candidate_powers(candidate, spec.grid, SAMPLE_RATE)
+        measured = spectrum.measure_candidate_powers(candidate, SAMPLE_RATE)
         leak = _leakage_ratio(measured, in_set, spec)
         edge = _edge_energy_ratio(candidate)
         if leak <= _LEAKAGE_TARGET and edge >= _EDGE_ENERGY_TARGET:

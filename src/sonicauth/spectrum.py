@@ -24,8 +24,9 @@ nominal power. So a located window whose exact score fails a gate is not
 present, and ``norm_power`` on a located window reproduces the peak bit for
 bit by construction.
 
-The grid, the tone set, the nominal powers and their total all come from the
-``ReferenceSignal``; every window is one signal long (``SIGNAL_LENGTH``).
+The tone set, the nominal powers and their total all come from the
+``ReferenceSignal``; the candidates are ``signal.CANDIDATES``, and every
+window is one signal long (``SIGNAL_LENGTH``).
 
 Candidate frequencies may lie above half the sample rate; their spectral
 content then appears at the mirrored (aliased) bin of the real FFT, so bin
@@ -46,7 +47,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import signal
 
 if TYPE_CHECKING:
-    from .signal import FrequencyGrid, ReferenceSignal
+    from .signal import ReferenceSignal
 
 
 # The detector's fixed settings. An in-set tone passes the presence gate above
@@ -106,23 +107,23 @@ def frequency_bin(freq: float, sample_rate: float, window_length: int) -> int:
 # A session reads the nominal rate's table and a skewed recorder's; four
 # entries leave room for a one-off window length.
 @lru_cache(maxsize=4)
-def candidate_bin_table(grid: "FrequencyGrid", sample_rate: float, window_length: int) -> np.ndarray:
+def candidate_bin_table(sample_rate: float, window_length: int) -> np.ndarray:
     """(N, 2*THETA+1) one-sided bin indices per candidate, clamped then folded,
     around each candidate's ``frequency_bin``. Built once per key and shared
     read-only."""
-    first = np.array([frequency_bin(f, sample_rate, window_length) for f in grid.candidates], dtype=np.intp)
+    first = np.array([frequency_bin(f, sample_rate, window_length) for f in signal.CANDIDATES], dtype=np.intp)
     k = np.clip(first[:, None] + np.arange(-THETA, THETA + 1), 0, window_length - 1)
     table = np.where(k > window_length // 2, window_length - k, k)
     table.setflags(write=False)
     return table
 
 
-def measure_candidate_powers(window: np.ndarray, grid: "FrequencyGrid", sample_rate: float) -> np.ndarray:
+def measure_candidate_powers(window: np.ndarray, sample_rate: float) -> np.ndarray:
     """Per-candidate power of one window: sum of the 2*THETA+1 bins around
     each candidate's index. This is the measurement convention shared by
     synthesis (nominal powers) and detection."""
     w = np.asarray(window, dtype=np.float64)
-    table = candidate_bin_table(grid, sample_rate, w.shape[-1])
+    table = candidate_bin_table(sample_rate, w.shape[-1])
     return _batch_candidate_powers(w, slice(0, 1), w.shape[-1], table)[0]
 
 
@@ -225,15 +226,15 @@ def _offset_sum(z: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return np.einsum("woc->wc", power.reshape(z.shape[0], shape[1], shape[0]))
 
 
-def in_set_mask(frequencies: tuple[float, ...], grid: "FrequencyGrid") -> tuple[np.ndarray, np.ndarray]:
-    """Grid index of each tone (in the given order) and the in-set mask over
-    the grid's candidates."""
-    position = {f: i for i, f in enumerate(grid.candidates)}
+def in_set_mask(frequencies: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate index of each tone (in the given order) and the in-set mask
+    over the candidates."""
+    position = {f: i for i, f in enumerate(signal.CANDIDATES)}
     try:
         index = np.array([position[f] for f in frequencies], dtype=np.intp)
     except KeyError as exc:
-        raise ValueError(f"signal frequency {exc.args[0]} not on the grid") from None
-    mask = np.zeros(len(grid.candidates), dtype=bool)
+        raise ValueError(f"signal frequency {exc.args[0]} is not a candidate") from None
+    mask = np.zeros(signal.BIN_COUNT, dtype=bool)
     mask[index] = True
     return index, mask
 
@@ -241,8 +242,8 @@ def in_set_mask(frequencies: tuple[float, ...], grid: "FrequencyGrid") -> tuple[
 def _gated_scores(cand_powers: np.ndarray, sig: "ReferenceSignal") -> np.ndarray:
     """Normalized power of ``sig`` per window (a row of ``cand_powers``);
     -inf where a sanity check fails."""
-    index, mask = in_set_mask(sig.frequencies, sig.spec.grid)
-    # tones as rows; the signal's tones are sorted, so in grid order
+    index, mask = in_set_mask(sig.frequencies)
+    # tones as rows; the signal's tones are sorted, so in candidate order
     p_in, p_out = cand_powers.T[index], cand_powers.T[~mask]
     r_in = np.array([sig.nominal_power[f] for f in sig.frequencies])
     ok = (p_in > ALPHA * r_in[:, None]).all(axis=0)
@@ -250,11 +251,11 @@ def _gated_scores(cand_powers: np.ndarray, sig: "ReferenceSignal") -> np.ndarray
     return np.where(ok, _ordered_sum(p_in) - _ordered_sum(p_out), -np.inf)
 
 
-def _bin_table(grid: "FrequencyGrid", sample_rate: float | None) -> np.ndarray:
-    """The candidate bin table of ``grid`` over a signal-long window at the
-    recorder's ``sample_rate``, which defaults to the nominal rate."""
+def _bin_table(sample_rate: float | None) -> np.ndarray:
+    """The candidate bin table over a signal-long window at the recorder's
+    ``sample_rate``, which defaults to the nominal rate."""
     fs = sample_rate if sample_rate is not None else signal.SAMPLE_RATE
-    return candidate_bin_table(grid, fs, signal.SIGNAL_LENGTH)
+    return candidate_bin_table(fs, signal.SIGNAL_LENGTH)
 
 
 def _window_score(x: np.ndarray, start: int, sig: "ReferenceSignal", table: np.ndarray) -> float:
@@ -274,15 +275,13 @@ def _scan(
     reported peak and decides presence, so a window whose exact score fails a
     gate is not present. ``sample_rate`` is the recorder's and defaults to the
     nominal rate."""
-    grid, length = sigs[0].spec.grid, signal.SIGNAL_LENGTH
-    if any(sig.spec.grid != grid for sig in sigs):
-        raise ValueError("signals scanned together must share one grid")
+    length = signal.SIGNAL_LENGTH
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("recording must be one-dimensional")
     if x.shape[0] < length:
         raise ValueError("recording shorter than the reference signal")
-    table = _bin_table(grid, sample_rate)
+    table = _bin_table(sample_rate)
     max_start = x.shape[0] - length
     coarse_powers = _batch_candidate_powers(x, slice(0, max_start + 1, COARSE_STEP), length, table)
     outcomes = []
@@ -305,7 +304,7 @@ def norm_power(window: np.ndarray, sig: "ReferenceSignal", *, sample_rate: float
     window it locates. ``sample_rate`` defaults to the nominal rate."""
     if np.shape(window) != (signal.SIGNAL_LENGTH,):
         raise ValueError(f"window must hold {signal.SIGNAL_LENGTH} samples, got shape {np.shape(window)}")
-    table = _bin_table(sig.spec.grid, sample_rate)
+    table = _bin_table(sample_rate)
     score = _window_score(np.asarray(window, dtype=np.float64), 0, sig, table)
     return None if score == -np.inf else score
 
@@ -325,9 +324,9 @@ def detect_pair(
     *,
     sample_rate: float | None = None,
 ) -> tuple[DetectionOutcome, DetectionOutcome]:
-    """Detect two reference signals of one grid in one scan of the
-    recording. The coarse-pass window spectra are computed once and shared;
-    outcomes are bit-identical to two independent ``detect`` calls.
+    """Detect two reference signals in one scan of the recording. The
+    coarse-pass window spectra are computed once and shared; outcomes are
+    bit-identical to two independent ``detect`` calls.
     """
     return _scan(x, (sig_a, sig_b), sample_rate)
 

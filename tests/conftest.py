@@ -3,19 +3,13 @@ import pytest
 
 from sonicauth.channel import ChannelConfig, environment
 from sonicauth import signal as sg
-from sonicauth.signal import DEFAULT_GRID
-
-
-@pytest.fixture
-def grid():
-    return DEFAULT_GRID
 
 
 @pytest.fixture
 def long_signal_length(monkeypatch):
     """16 times the signal length, set as ``SIGNAL_LENGTH`` for one test: there
     the synthesizer's block product runs a coarse phase 16 times larger than
-    at the session length. The grid's phasor table is rebuilt for it and
+    at the session length. The candidates' phasor table is rebuilt for it and
     dropped afterwards, so no other test sees a long table."""
     length = 16 * sg.SIGNAL_LENGTH
     sg._grid_phasor_table.cache_clear()

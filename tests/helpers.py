@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from sonicauth import spectrum
-from sonicauth.signal import AMPLITUDE_BUDGET, SAMPLE_RATE, SIGNAL_LENGTH, ReferenceSignal
+from sonicauth.signal import AMPLITUDE_BUDGET, CANDIDATES, SAMPLE_RATE, SIGNAL_LENGTH, ReferenceSignal
 
 
 def load_wav(path: str) -> tuple[np.ndarray, int]:
@@ -73,7 +73,7 @@ def direct_candidate_power(
 
 
 def sliding_candidate_powers(
-    x: np.ndarray, grid, sample_rate: float, length: int, theta: int
+    x: np.ndarray, candidates: tuple[float, ...], sample_rate: float, length: int, theta: int
 ) -> np.ndarray:
     """Per-candidate power at every window start, via cumulative sums of
     complex demodulates (O(N) per bin, no FFT). Shape (n_windows, N_cand).
@@ -91,8 +91,8 @@ def sliding_candidate_powers(
     unit = np.exp(-2j * np.pi * t / length)
     # column 0 of the running sums stays zero: the empty prefix
     csum = np.zeros((2 * theta + 1, n + 1), dtype=complex)
-    out = np.zeros((len(grid.candidates), n_win))
-    for c, freq in enumerate(grid.candidates):
+    out = np.zeros((len(candidates), n_win))
+    for c, freq in enumerate(candidates):
         ks, mult = np.unique(folded_bins(freq, sample_rate, length, theta), return_counts=True)
         period = unit[np.outer(ks, t) % length]
         z = (rows[None, :, :] * period[:, None, :]).reshape(len(ks), -1)[:, :n]
@@ -102,13 +102,13 @@ def sliding_candidate_powers(
     return out.T
 
 
-def exhaustive_detect(x, sig, grid, sample_rate: float):
+def exhaustive_detect(x, sig, sample_rate: float):
     """Step-1 exhaustive scan with the same gating semantics and constants as
     the detector; returns (location or None, peak score or None)."""
-    powers = sliding_candidate_powers(x, grid, sample_rate, SIGNAL_LENGTH, spectrum.THETA)
-    index = {f: i for i, f in enumerate(grid.candidates)}
-    mask = np.zeros(len(grid.candidates), dtype=bool)
-    r_vec = np.zeros(len(grid.candidates))
+    powers = sliding_candidate_powers(x, CANDIDATES, sample_rate, SIGNAL_LENGTH, spectrum.THETA)
+    index = {f: i for i, f in enumerate(CANDIDATES)}
+    mask = np.zeros(len(CANDIDATES), dtype=bool)
+    r_vec = np.zeros(len(CANDIDATES))
     for f in sig.frequencies:
         mask[index[f]] = True
         r_vec[index[f]] = sig.nominal_power[f]
@@ -142,7 +142,7 @@ def loop_tone_sum(spec, phases, length=SIGNAL_LENGTH):
 def tone_set_phasor_table(spec, length=SIGNAL_LENGTH) -> np.ndarray:
     """Reference phasor table built for one tone set alone: (2n, length) rows
     ``sin(w_k t)`` for each tone k, then ``cos(w_k t)``, by the same block
-    product ``exp(iw*64*a) * exp(iw*b)`` the synthesizer's grid-wide table
+    product ``exp(iw*64*a) * exp(iw*b)`` the synthesizer's all-candidate table
     uses, over the spec's tones only."""
     block = 64
     omega = 2.0 * np.pi * np.asarray(spec.frequencies) / SAMPLE_RATE

@@ -1,4 +1,4 @@
-"""The session-invariant tables (grid phasor rows, candidate bin tables, the
+"""The session-invariant tables (candidate phasor rows, candidate bin tables, the
 noise mask) are built once and shared read-only: sessions must not depend on
 whether a table was built for them or found in its cache, and every cached
 table must equal the one built for its caller alone."""
@@ -12,7 +12,7 @@ from sonicauth import evaluation as ev
 from sonicauth import signal as sg
 from sonicauth import spectrum
 from sonicauth.protocol import AuthPolicy, Endpoint, run_authentication
-from sonicauth.signal import FrequencyGrid, SignalSpec, sample_spec, synthesize
+from sonicauth.signal import BIN_COUNT, CANDIDATES, SignalSpec, sample_spec, synthesize
 
 CACHES = (sg._grid_phasor_table, spectrum.candidate_bin_table, ch._noise_mask)
 
@@ -65,11 +65,11 @@ class TestCachePurity:
         warm = [session() for session in SESSIONS[kind]]
         assert warm == cold
 
-    def test_cached_arrays_are_read_only(self, grid):
-        synthesize(sample_spec(np.random.default_rng(1), grid))
+    def test_cached_arrays_are_read_only(self):
+        synthesize(sample_spec(np.random.default_rng(1)))
         tables = (
-            sg._grid_phasor_table(grid),
-            spectrum.candidate_bin_table(grid, 44_100.0, 4096),
+            sg._grid_phasor_table(),
+            spectrum.candidate_bin_table(44_100.0, 4096),
             ch._noise_mask(66_150, 6000.0),
         )
         for table in tables:
@@ -87,31 +87,31 @@ class TestPhasorRows:
         assert got.shape == want.shape == (2 * spec.tone_count, length)
         assert np.array_equal(got, want)
 
-    def test_seeded_tone_sets(self, grid):
+    def test_seeded_tone_sets(self):
         rng = np.random.default_rng(2024)
         for _ in range(200):
-            self.assert_rows_equal(sample_spec(rng, grid))
+            self.assert_rows_equal(sample_spec(rng))
 
     @pytest.mark.parametrize("tones", [1, 2, 28, 29])
-    def test_tone_counts(self, grid, tones):
+    def test_tone_counts(self, tones):
         rng = np.random.default_rng(tones)
         for _ in range(5):
-            freqs = rng.choice(np.asarray(grid.candidates), size=tones, replace=False)
-            self.assert_rows_equal(SignalSpec(frequencies=tuple(float(f) for f in freqs), grid=grid))
+            freqs = rng.choice(np.asarray(CANDIDATES), size=tones, replace=False)
+            self.assert_rows_equal(SignalSpec(frequencies=tuple(float(f) for f in freqs)))
 
-    def test_long_signal(self, grid, long_signal_length):
-        self.assert_rows_equal(sample_spec(np.random.default_rng(9), grid), long_signal_length)
+    def test_long_signal(self, long_signal_length):
+        self.assert_rows_equal(sample_spec(np.random.default_rng(9)), long_signal_length)
 
-    def test_one_table_kept(self, grid):
-        """The table is keyed by the grid alone: another grid's table does
-        not stay resident once a signal on the default grid is synthesized."""
-        other = FrequencyGrid(grid.band_low, grid.band_high, 20)
+    def test_one_table_kept(self):
+        """One table serves every tone set: the first synthesis builds it,
+        and every later one finds it in the cache."""
         sg._grid_phasor_table.cache_clear()
-        synthesize(sample_spec(np.random.default_rng(4), other))
-        synthesize(sample_spec(np.random.default_rng(4), grid))
+        synthesize(sample_spec(np.random.default_rng(4)))
+        synthesize(sample_spec(np.random.default_rng(5)))
         info = sg._grid_phasor_table.cache_info()
-        assert info.currsize == 1
-        assert sg._grid_phasor_table(grid).shape == (2 * grid.bin_count, 4096)
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits >= 1
+        assert sg._grid_phasor_table().shape == (2 * BIN_COUNT, 4096)
         assert sg._grid_phasor_table.cache_info().hits == info.hits + 1
 
 

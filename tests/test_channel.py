@@ -109,6 +109,24 @@ class TestRecord:
         assert rec.samples.dtype == np.int16
         assert np.all(rec.samples == 0)
 
+    @pytest.mark.parametrize(
+        "position", [(float("nan"), 0.0), (0.0, float("inf")), (-float("inf"),)], ids=["nan", "inf", "negative_inf"]
+    )
+    def test_non_finite_recorder_position_rejected(self, position):
+        with pytest.raises(ValueError, match="^device 'm' position must be finite, got"):
+            ch.Recorder("m", position)
+
+    @pytest.mark.parametrize(
+        "rate",
+        [0.0, -44_100.0, float("nan"), float("inf"), 10**400],
+        ids=["zero", "negative", "nan", "inf", "huge_int"],
+    )
+    def test_bad_recorder_rate_rejected(self, rate):
+        """Before the check, 0 and negative rates failed inside the resampler
+        and ``inf`` escaped as ``OverflowError``."""
+        with pytest.raises(ValueError, match="^device 'm' sample rate must be finite and positive, got"):
+            ch.Recorder("m", (0.0, 0.0), rate)
+
     def test_duplicate_device_id_rejected(self):
         recorders = (ch.Recorder("m", (0.0, 0.0)), ch.Recorder("m", (1.0, 0.0)))
         with pytest.raises(ValueError, match="^two recorders share the device id 'm'$"):

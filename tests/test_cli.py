@@ -54,6 +54,16 @@ def test_frrfar_bad_sigma_exits_2(capsys):
         assert f"config error: sigma must be finite and positive, got {float(sigma)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("distance", ["nan", "inf"])
+def test_auth_non_finite_distance_exits_2(distance, capsys):
+    """A vouching device at a non-finite position is a configuration error,
+    not a session printed with ``NaN`` in its JSON."""
+    assert main(["auth", "--distance", distance]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: device 'vouch' position must be finite" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

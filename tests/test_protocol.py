@@ -42,8 +42,10 @@ class TestEstimateDistance:
         assert estimate_distance(base) == pytest.approx(estimate_distance(scaled))
 
     def test_invalid_rates_rejected(self):
-        with pytest.raises(ValueError):
-            SessionMeasurements(l_aa=0, l_av=0, l_va=0, l_vv=0, f_a=0.0, f_v=44_100)
+        for rate in (0.0, -1.0, float("nan"), float("inf")):
+            for f_a, f_v in ((rate, 44_100.0), (44_100.0, rate)):
+                with pytest.raises(ValueError, match="^sample rates must be finite and positive, got"):
+                    SessionMeasurements(l_aa=0, l_av=0, l_va=0, l_vv=0, f_a=f_a, f_v=f_v)
 
 
 class TestDecide:
@@ -188,6 +190,16 @@ class TestRunAuthentication:
         rng = np.random.default_rng(seed)
         with pytest.raises(ValueError, match="^two recorders share the device id 'x'$"):
             run_authentication(Endpoint("x", (0.0, 0.0)), Endpoint("x", (0.8, 0.0)), AuthPolicy(), rng)
+
+    @pytest.mark.parametrize("vouch_position", [(8.0,), (0.8, 0.0, 0.0)], ids=["1d", "3d"])
+    def test_positions_of_two_dimensionalities_rejected(self, vouch_position):
+        """The true distance comes from the channel's distance, which rejects
+        positions of different dimensionality. A 1-D position 8 m away used
+        to broadcast against the 2-D one to 11.3 m, past the pairing range,
+        and the session ended as ``not_paired``."""
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="^positions must share dimensionality$"):
+            run_authentication(Endpoint("a", (0.0, 0.0)), Endpoint("v", vouch_position), AuthPolicy(), rng)
 
     def test_recording_too_short_for_vouching_signal_rejected(self):
         """A smoothing kernel of n taps (a delta padded with zeros) lengthens

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import loop_tone_sum
 from sonicauth import signal as sg
-from sonicauth.signal import SignalSpec
+from sonicauth.signal import BIN_COUNT, CANDIDATES, SignalSpec
 
 
 @settings(max_examples=60, deadline=None)
@@ -15,12 +15,11 @@ from sonicauth.signal import SignalSpec
 def test_tone_sum_close_to_sine_loop(data):
     """For any tone subset and any phases, the phasor-table sum before
     rounding is within 1e-6 of one ``np.sin`` per tone."""
-    grid = sg.DEFAULT_GRID
     index = data.draw(
-        st.lists(st.integers(0, grid.bin_count - 1), min_size=1, max_size=grid.bin_count - 1, unique=True)
+        st.lists(st.integers(0, BIN_COUNT - 1), min_size=1, max_size=BIN_COUNT - 1, unique=True)
     )
     phases = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=len(index), max_size=len(index))))
-    spec = SignalSpec(frequencies=tuple(grid.candidates[i] for i in index), grid=grid)
+    spec = SignalSpec(frequencies=tuple(CANDIDATES[i] for i in index))
     order = np.argsort(index)  # the spec sorts its tones; keep each phase with its tone
     phases = phases[order]
     x = sg._tone_sum(spec, sg._phasor_table(spec), phases)

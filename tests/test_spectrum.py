@@ -11,7 +11,7 @@ from helpers import (
 )
 from sonicauth import spectrum
 from sonicauth.channel import ChannelConfig, environment
-from sonicauth.signal import FrequencyGrid, SignalSpec, sample_spec, synthesize
+from sonicauth.signal import CANDIDATES, SignalSpec, sample_spec, synthesize
 from sonicauth.spectrum import (
     DetectionOutcome,
     _batch_candidate_powers,
@@ -52,10 +52,10 @@ class TestPowerSpectrum:
         assert others.max() < 1e-12 * powers[k0]
         assert powers[k0] == pytest.approx(direct_bin_power(w, k0, n), rel=1e-9)
 
-    def test_non_power_of_two_rejected(self, grid):
+    def test_non_power_of_two_rejected(self):
         """The detector's measurement takes power-of-two windows only."""
         with pytest.raises(ValueError, match="power of two, got 4095"):
-            measure_candidate_powers(np.zeros(4095), grid, FS)
+            measure_candidate_powers(np.zeros(4095), FS)
 
     def test_bin_frequency_mapping(self):
         """Bin k of the reference sits at ``k * f_s / n``: the detector's
@@ -82,44 +82,51 @@ class TestFrequencyBin:
             frequency_bin(44_100.0, FS, 4096)
 
 
+# Recorder rates at the edges of the bin table: at 1e8 Hz every candidate's
+# bin window reaches below DC and is clamped there; at 34 840 Hz the last
+# candidate sits 7 Hz under the rate, so its window is clamped at the top
+# bin before folding.
+DC_RATE = 1e8
+TOP_RATE = 34_840.0
+
+
 class TestBinTable:
     def test_indices_stay_in_bounds_for_edge_grids(self):
-        # candidates hugging DC and the top of the range exercise clamping/folding
-        low = FrequencyGrid(10.0, 120.0, 4)
-        high = FrequencyGrid(43_000.0, 44_000.0, 4)
-        for g in (low, high):
-            table = candidate_bin_table(g, FS, 4096)
+        """The edge rates reach the clamps at DC and at the top bin, and the
+        table stays on the one-sided spectrum."""
+        assert frequency_bin(CANDIDATES[0], DC_RATE, 4096) - spectrum.THETA < 0
+        assert frequency_bin(CANDIDATES[-1], TOP_RATE, 4096) + spectrum.THETA > 4095
+        for rate in (DC_RATE, TOP_RATE):
+            table = candidate_bin_table(rate, 4096)
             assert table.min() >= 0
             assert table.max() <= 2048
 
-    def test_folding_matches_mirror(self, grid):
+    def test_folding_matches_mirror(self):
         """The middle column holds each candidate's own bin, folded."""
-        table = candidate_bin_table(grid, FS, 4096)
-        raw = [frequency_bin(f, FS, 4096) for f in grid.candidates]
+        table = candidate_bin_table(FS, 4096)
+        raw = [frequency_bin(f, FS, 4096) for f in CANDIDATES]
         assert [4096 - r for r in raw] == [int(k[spectrum.THETA]) for k in table]
 
     @pytest.mark.parametrize("theta", [spectrum.THETA])
-    @pytest.mark.parametrize(
-        "bounds", [None, (10.0, 120.0, 4), (43_000.0, 44_000.0, 4)], ids=["default", "dc", "top"]
-    )
-    def test_equals_per_candidate_loop(self, grid, bounds, theta):
-        g = grid if bounds is None else FrequencyGrid(*bounds)
-        want = np.array([folded_bins(f, FS, 4096, theta) for f in g.candidates])
-        table = candidate_bin_table(g, FS, 4096)
+    @pytest.mark.parametrize("rate", [FS, DC_RATE, TOP_RATE], ids=["default", "dc", "top"])
+    def test_equals_per_candidate_loop(self, rate, theta):
+        want = np.array([folded_bins(f, rate, 4096, theta) for f in CANDIDATES])
+        table = candidate_bin_table(rate, 4096)
         assert table.dtype == np.intp
         assert np.array_equal(table, want)
 
     @pytest.mark.parametrize(
-        "bounds, message",
+        "rate, message",
         [
-            ((22_000.0, 22_300.0, 3), "fold point"),  # first candidate at fs/2
-            ((44_000.0, 44_400.0, 2), "outside"),  # first candidate at fs
-            ((-200.0, 200.0, 2), "outside"),  # first candidate below 0
+            (2 * CANDIDATES[3], "fold point"),  # a candidate at half the rate
+            (CANDIDATES[-1], "outside"),  # a candidate at the rate
+            (30_000.0, "outside"),  # candidates above the rate
         ],
+        ids=["twice_a_candidate", "at_a_candidate", "below_a_candidate"],
     )
-    def test_candidates_off_the_spectrum_rejected(self, bounds, message):
+    def test_candidates_off_the_spectrum_rejected(self, rate, message):
         with pytest.raises(ValueError, match=message):
-            candidate_bin_table(FrequencyGrid(*bounds), FS, 4096)
+            candidate_bin_table(rate, 4096)
 
 
 def _per_window_candidate_powers(x, starts, length, table):
@@ -158,38 +165,38 @@ class TestBatchCandidatePowers:
             (4096 + 64, slice(0, 65)),  # 65 adjacent windows: the last block holds one window
         ],
     )
-    def test_equals_per_window_loop(self, grid, n, starts):
+    def test_equals_per_window_loop(self, n, starts):
         x = self._noise(n, seed=n)
-        table = candidate_bin_table(grid, FS, 4096)
+        table = candidate_bin_table(FS, 4096)
         windows = range(*starts.indices(n - 4096 + 1))
         got = _batch_candidate_powers(x, starts, 4096, table)
         want = _per_window_candidate_powers(x, windows, 4096, table)
-        assert got.shape == want.shape == (len(windows), len(grid.candidates))
+        assert got.shape == want.shape == (len(windows), len(CANDIDATES))
         assert np.array_equal(got, want)
         # summed per window: the same powers up to the order of the additions
         each = [power_spectrum(x[s : s + 4096])[table].sum(axis=1) for s in windows]
         np.testing.assert_allclose(got, each, rtol=1e-14, atol=0)
 
-    def test_scan_clipped_at_both_ends_covers_the_whole_recording(self, grid):
+    def test_scan_clipped_at_both_ends_covers_the_whole_recording(self):
         """The coarse anchor (1000) lies within fine_radius of both ends of a
         2000-start recording, so the fine scan runs from 0 to max_start."""
-        sig = synthesize(sample_spec(np.random.default_rng(16), grid))
+        sig = synthesize(sample_spec(np.random.default_rng(16)))
         x = _embed(sig, 1234, 2000 - 1234)
         out = detect(x, sig)
         assert out.location is not None and abs(out.location - 1234) <= spectrum.FINE_STEP
 
-    def test_recording_exactly_one_signal_long(self, grid):
-        sig = synthesize(sample_spec(np.random.default_rng(17), grid))
+    def test_recording_exactly_one_signal_long(self):
+        sig = synthesize(sample_spec(np.random.default_rng(17)))
         out = detect(sig.samples.astype(float), sig)
         assert out.location == 0
         assert out.peak_norm_power == norm_power(sig.samples.astype(float), sig)
 
 
-def _scene_recording(grid, n, seed):
+def _scene_recording(n, seed):
     """A seeded recording of ``n`` samples: office-level noise with one
     reference signal in it."""
     rng = np.random.default_rng(seed)
-    sig = synthesize(sample_spec(rng, grid))
+    sig = synthesize(sample_spec(rng))
     x = rng.normal(0.0, 40.0, n)
     pos = int(rng.integers(0, n - 4096 + 1))
     x[pos : pos + 4096] += float(rng.uniform(0.2, 1.0)) * sig.samples
@@ -212,14 +219,14 @@ class TestSlidingCandidatePowers:
         ],
         ids=["clipped_lo", "clipped_hi", "one_window", "full_partial_block", "skewed_rate", "step_one"],
     )
-    def test_equals_rfft_kernel(self, grid, n, lo, count, step, rate):
-        x = _scene_recording(grid, n, seed=lo + count)
-        table = candidate_bin_table(grid, rate, 4096)
+    def test_equals_rfft_kernel(self, n, lo, count, step, rate):
+        x = _scene_recording(n, seed=lo + count)
+        table = candidate_bin_table(rate, 4096)
         if rate != FS:
-            assert not np.array_equal(table, candidate_bin_table(grid, FS, 4096))
+            assert not np.array_equal(table, candidate_bin_table(FS, 4096))
         got = _sliding_candidate_powers(x, lo, count, step, 4096, table)
         want = _batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), 4096, table)
-        assert got.shape == want.shape == (count, len(grid.candidates))
+        assert got.shape == want.shape == (count, len(CANDIDATES))
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
 
@@ -245,7 +252,7 @@ class TestLocatedWindowScore:
         assert len(scored) == len(sigs)
         return [(sig, out, *s) for sig, out, s in zip(sigs, outcomes, scored)]
 
-    def test_peak_is_norm_power_of_the_located_window(self, grid, monkeypatch):
+    def test_peak_is_norm_power_of_the_located_window(self, monkeypatch):
         """Scenes with the second signal absent, clearly present, or scaled to
         sit near ``EPSILON`` times its total: either way the reported peak is
         ``norm_power`` of the scored window, and presence is that score
@@ -253,8 +260,8 @@ class TestLocatedWindowScore:
         verdicts = []
         for seed in range(12):
             rng = np.random.default_rng(4000 + seed)
-            sig_a = synthesize(sample_spec(rng, grid))
-            sig_b = synthesize(sample_spec(rng, grid))
+            sig_a = synthesize(sample_spec(rng))
+            sig_b = synthesize(sample_spec(rng))
             x = rng.normal(0.0, 25.0, 30_000)
             x[3_000 : 3_000 + 4096] += sig_a.samples * rng.uniform(0.1, 1.0)
             if seed % 3 == 1:
@@ -272,16 +279,16 @@ class TestLocatedWindowScore:
                     verdicts.append(present)
         assert set(verdicts) == {True, False}
 
-    def test_window_failing_a_gate_when_rescored_is_not_present(self, grid, monkeypatch):
+    def test_window_failing_a_gate_when_rescored_is_not_present(self, monkeypatch):
         """The stated rule for a sliding score and an exact score that
         disagree: the exact one decides. Here the slide is made to rank the
         scan's first window best, but a loud out-of-set tone in that window
         fails its absence gate, so the signal is not present and has no
         peak."""
-        sig = _without_first_candidate(grid)
+        sig = _without_first_candidate()
         x = _embed(sig, 15_000, 10_000)
         t = np.arange(1_400)
-        x[13_500:14_900] += 3000.0 * np.sin(2 * np.pi * grid.candidates[0] * t / FS)
+        x[13_500:14_900] += 3000.0 * np.sin(2 * np.pi * CANDIDATES[0] * t / FS)
         assert detect(x, sig).location == 15_000
         sliding = spectrum._sliding_candidate_powers
 
@@ -295,60 +302,60 @@ class TestLocatedWindowScore:
         assert detect(x, sig) == DetectionOutcome(None, None)
 
 
-def test_sliding_oracle_matches_direct_projections(grid):
+def test_sliding_oracle_matches_direct_projections():
     """The test oracle's cumulative-sum demodulation agrees with plain DFT
     projections at the first, an inner and the last window start."""
     x = np.random.default_rng(18).normal(0.0, 500.0, 4096 + 300)
-    powers = sliding_candidate_powers(x, grid, FS, 4096, spectrum.THETA)
-    assert powers.shape == (301, len(grid.candidates))
+    powers = sliding_candidate_powers(x, CANDIDATES, FS, 4096, spectrum.THETA)
+    assert powers.shape == (301, len(CANDIDATES))
     for s in (0, 137, 300):
-        want = [direct_candidate_power(x[s:], f, FS, 4096, spectrum.THETA) for f in grid.candidates]
+        want = [direct_candidate_power(x[s:], f, FS, 4096, spectrum.THETA) for f in CANDIDATES]
         np.testing.assert_allclose(powers[s], want, rtol=1e-9)
 
 
 class TestNormPower:
-    def test_clean_signal_close_to_total(self, grid):
-        sig = synthesize(sample_spec(np.random.default_rng(0), grid))
+    def test_clean_signal_close_to_total(self):
+        sig = synthesize(sample_spec(np.random.default_rng(0)))
         p = norm_power(sig.samples.astype(float), sig)
         assert p is not None and p >= 0.95 * sig.total_power
 
-    def test_silence_fails_presence_check(self, grid):
-        sig = synthesize(sample_spec(np.random.default_rng(1), grid))
+    def test_silence_fails_presence_check(self):
+        sig = synthesize(sample_spec(np.random.default_rng(1)))
         p = norm_power(np.zeros(4096), sig)
         assert p is None
 
-    def test_all_frequency_window_always_rejected(self, grid):
+    def test_all_frequency_window_always_rejected(self):
         """Whatever per-tone power an all-candidate window carries, one of the
         two sanity checks fails."""
-        sig = synthesize(sample_spec(np.random.default_rng(2), grid))
+        sig = synthesize(sample_spec(np.random.default_rng(2)))
         t = np.arange(4096)
         r_mean = sig.total_power / len(sig.frequencies)
         beta = spectrum.BETA_RATIO * r_mean
         for power_target in np.geomspace(beta / 100, 10 * r_mean, 9):
             amp = np.sqrt(power_target / r_mean) * (32_000 / len(sig.frequencies))
             w = np.zeros(4096)
-            for f in grid.candidates:
+            for f in CANDIDATES:
                 w += amp * np.sin(2 * np.pi * f * t / FS)
             assert norm_power(w, sig) is None
 
-    def test_out_of_set_tone_trips_absence_check(self, grid):
+    def test_out_of_set_tone_trips_absence_check(self):
         """A window holding the clean signal plus one loud out-of-set tone is
         rejected by the beta check."""
-        sig = _without_first_candidate(grid)
-        intruder_f = grid.candidates[0]
+        sig = _without_first_candidate()
+        intruder_f = CANDIDATES[0]
         t = np.arange(4096)
         w = sig.samples.astype(float) + 3000.0 * np.sin(2 * np.pi * intruder_f * t / FS)
         assert norm_power(w, sig) is None
 
-    def test_wrong_length_rejected(self, grid):
-        sig = synthesize(sample_spec(np.random.default_rng(4), grid))
+    def test_wrong_length_rejected(self):
+        sig = synthesize(sample_spec(np.random.default_rng(4)))
         with pytest.raises(ValueError):
             norm_power(np.zeros(1000), sig)
 
-    def test_one_rfft_per_call(self, grid, monkeypatch):
+    def test_one_rfft_per_call(self, monkeypatch):
         """``norm_power`` takes its window's spectrum once, as the scan does
         for the window it located."""
-        sig = synthesize(sample_spec(np.random.default_rng(5), grid))
+        sig = synthesize(sample_spec(np.random.default_rng(5)))
         calls = []
         rfft = np.fft.rfft
 
@@ -363,10 +370,10 @@ class TestNormPower:
             assert calls == [(1, 4096)]
 
 
-def _without_first_candidate(grid):
-    """A signal whose tone set leaves out the grid's first candidate."""
+def _without_first_candidate():
+    """A signal whose tone set leaves out the first candidate."""
     tones = (1, 2, 3, 4, 5, 7, 8, 10, 12, 14, 15, 16, 18, 20, 21, 22, 25)
-    return synthesize(SignalSpec(frequencies=tuple(grid.candidates[i] for i in tones), grid=grid))
+    return synthesize(SignalSpec(frequencies=tuple(CANDIDATES[i] for i in tones)))
 
 
 def _embed(sig, pre, post, scale=1.0):
@@ -374,50 +381,50 @@ def _embed(sig, pre, post, scale=1.0):
 
 
 class TestDetect:
-    def test_clean_embedding_located(self, grid):
-        sig = synthesize(sample_spec(np.random.default_rng(5), grid))
+    def test_clean_embedding_located(self):
+        sig = synthesize(sample_spec(np.random.default_rng(5)))
         x = _embed(sig, 10_000, 10_000)
         out = detect(x, sig)
         assert out.location is not None
         assert abs(out.location - 10_000) <= spectrum.FINE_STEP
-        loc, _ = exhaustive_detect(x, sig, grid, FS)
+        loc, _ = exhaustive_detect(x, sig, FS)
         assert abs(out.location - loc) <= spectrum.FINE_STEP
 
-    def test_white_noise_only_not_present(self, grid):
-        sig = synthesize(sample_spec(np.random.default_rng(6), grid))
+    def test_white_noise_only_not_present(self):
+        sig = synthesize(sample_spec(np.random.default_rng(6)))
         rms = np.sqrt(np.mean(sig.samples.astype(float) ** 2))
         x = np.random.default_rng(7).normal(0.0, rms, 60_000)
         out = detect(x, sig)
         assert out.not_present
 
-    def test_recording_shorter_than_signal(self, grid):
-        sig = synthesize(sample_spec(np.random.default_rng(8), grid))
+    def test_recording_shorter_than_signal(self):
+        sig = synthesize(sample_spec(np.random.default_rng(8)))
         with pytest.raises(ValueError):
             detect(np.zeros(1000), sig)
 
-    def test_monotone_rejection_when_scaled_below_epsilon(self, grid):
-        sig = synthesize(sample_spec(np.random.default_rng(9), grid))
+    def test_monotone_rejection_when_scaled_below_epsilon(self):
+        sig = synthesize(sample_spec(np.random.default_rng(9)))
         x = _embed(sig, 5_000, 5_000, scale=0.5 * spectrum.EPSILON)
         assert detect(x, sig).not_present
 
-    def test_coarse_to_fine_matches_exhaustive_on_random_scenes(self, grid):
+    def test_coarse_to_fine_matches_exhaustive_on_random_scenes(self):
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            sig = synthesize(sample_spec(rng, grid))
+            sig = synthesize(sample_spec(rng))
             pre = int(rng.integers(0, 12_000))
             x = _embed(sig, pre, 18_000 - pre, scale=float(rng.uniform(0.2, 1.0)))
             x += rng.normal(0.0, 40.0, x.shape[0])
             got = detect(x, sig)
-            want_loc, _ = exhaustive_detect(x, sig, grid, FS)
+            want_loc, _ = exhaustive_detect(x, sig, FS)
             assert got.location is not None and want_loc is not None
             assert abs(got.location - want_loc) <= spectrum.FINE_STEP
 
 
 class TestDetectPair:
-    def test_two_signals_located(self, grid):
+    def test_two_signals_located(self):
         rng = np.random.default_rng(11)
-        sig_a = synthesize(sample_spec(rng, grid))
-        sig_b = synthesize(sample_spec(rng, grid))
+        sig_a = synthesize(sample_spec(rng))
+        sig_b = synthesize(sample_spec(rng))
         x = np.zeros(45_000)
         x[10_000 : 10_000 + 4096] = sig_a.samples
         x[30_000 : 30_000 + 4096] = sig_b.samples
@@ -425,23 +432,23 @@ class TestDetectPair:
         assert abs(out_a.location - 10_000) <= spectrum.FINE_STEP
         assert abs(out_b.location - 30_000) <= spectrum.FINE_STEP
 
-    def test_only_first_present(self, grid):
+    def test_only_first_present(self):
         rng = np.random.default_rng(12)
-        sig_a = synthesize(sample_spec(rng, grid))
-        others = tuple(f for f in grid.candidates if f not in sig_a.frequencies)
-        sig_b = synthesize(SignalSpec(frequencies=others, grid=grid))
+        sig_a = synthesize(sample_spec(rng))
+        others = tuple(f for f in CANDIDATES if f not in sig_a.frequencies)
+        sig_b = synthesize(SignalSpec(frequencies=others))
         x = _embed(sig_a, 8_000, 20_000)
         out_a, out_b = detect_pair(x, sig_a, sig_b)
         assert out_a.location is not None
         assert out_b.not_present
 
-    def test_equivalent_to_two_detect_calls(self, grid):
+    def test_equivalent_to_two_detect_calls(self):
         """Paired scan must be bit-identical to independent scans, across
         random scenes with zero, one or two signals present."""
         for seed in range(50):
             rng = np.random.default_rng(1000 + seed)
-            sig_a = synthesize(sample_spec(rng, grid))
-            sig_b = synthesize(sample_spec(rng, grid))
+            sig_a = synthesize(sample_spec(rng))
+            sig_b = synthesize(sample_spec(rng))
             x = rng.normal(0.0, 25.0, 30_000)
             mode = seed % 3
             if mode >= 1:
@@ -455,30 +462,19 @@ class TestDetectPair:
             assert pair == singles
 
 
-    def test_signals_on_two_grids_rejected(self, grid):
-        """Same tones, but the second signal's grid is wider:
-        one scan cannot serve both."""
-        wider = FrequencyGrid(grid.band_low, grid.band_low + 1.5 * (grid.band_high - grid.band_low), 45)
-        tones = grid.candidates[:5]
-        sig_a = synthesize(SignalSpec(frequencies=tones, grid=grid))
-        sig_b = synthesize(SignalSpec(frequencies=tones, grid=wider))
-        with pytest.raises(ValueError, match="must share one grid"):
-            detect_pair(_embed(sig_a, 8_000, 8_000), sig_a, sig_b)
-
-
 class TestCrossCorrelate:
-    def test_exact_copy_found_exactly(self, grid):
-        sig = synthesize(sample_spec(np.random.default_rng(13), grid))
+    def test_exact_copy_found_exactly(self):
+        sig = synthesize(sample_spec(np.random.default_rng(13)))
         x = _embed(sig, 10_000, 10_000)
         assert cross_correlate_detect(x, sig) == 10_000
 
-    def test_inverted_copy_misses(self, grid):
-        sig = synthesize(sample_spec(np.random.default_rng(14), grid))
+    def test_inverted_copy_misses(self):
+        sig = synthesize(sample_spec(np.random.default_rng(14)))
         x = _embed(sig, 10_000, 10_000, scale=-1.0)
         assert cross_correlate_detect(x, sig) != 10_000
 
-    def test_short_recording_rejected(self, grid):
-        sig = synthesize(sample_spec(np.random.default_rng(15), grid))
+    def test_short_recording_rejected(self):
+        sig = synthesize(sample_spec(np.random.default_rng(15)))
         with pytest.raises(ValueError):
             cross_correlate_detect(np.zeros(100), sig)
 

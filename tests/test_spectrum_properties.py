@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sonicauth.signal import DEFAULT_GRID, sample_spec, synthesize
+from sonicauth.signal import sample_spec, synthesize
 from sonicauth.spectrum import _batch_candidate_powers, _sliding_candidate_powers, candidate_bin_table
 
 FS = 44_100.0
@@ -24,13 +24,13 @@ def test_sliding_powers_equal_rfft_kernel(seed, step, count, lo, tail, skew):
     """For any recording, first window, window count and step, the sliding
     DFT's candidate powers equal the exact rFFT kernel's (rtol 1e-9)."""
     rng = np.random.default_rng(seed)
-    sig = synthesize(sample_spec(rng, DEFAULT_GRID))
+    sig = synthesize(sample_spec(rng))
     n = lo + (count - 1) * step + 4096 + tail
     x = rng.normal(0.0, float(rng.uniform(20.0, 500.0)), n)
     pos = int(rng.integers(0, n - 4096 + 1))
     x[pos : pos + 4096] += float(rng.uniform(0.0, 1.0)) * sig.samples
     x = np.rint(x)
-    table = candidate_bin_table(DEFAULT_GRID, FS * skew, 4096)
+    table = candidate_bin_table(FS * skew, 4096)
     got = _sliding_candidate_powers(x, lo, count, step, 4096, table)
     want = _batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), 4096, table)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
