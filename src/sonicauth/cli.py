@@ -37,7 +37,7 @@ def _load_channel_cfg(args) -> ch.ChannelConfig | None:
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read config {args.config}: {exc}") from exc
     try:
-        return ch.config_from_json(obj.get("channel", obj) if isinstance(obj, dict) else obj)
+        return ch.config_from_json(obj)
     except ValueError as exc:
         raise ValueError(f"bad channel config: {exc}") from exc
 
@@ -108,10 +108,13 @@ def _cmd_fit_sigma(args) -> int:
 
 def _cmd_attack(args) -> int:
     if args.kind == "allfreq":
-        per_trial = max(args.trials // 6, 1)
+        powers = ev.all_frequency_power_sweep(6)
+        if args.trials < len(powers):
+            raise ValueError(f"--trials must be at least {len(powers)}, one per swept power, got {args.trials}")
+        per_trial = args.trials // len(powers)
         reports = []
         total_accepts = 0
-        for p in ev.all_frequency_power_sweep(6):
+        for p in powers:
             rep = ev.attack_campaign(
                 adv.AllFrequency(per_tone_power=p),
                 per_trial,

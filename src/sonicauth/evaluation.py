@@ -198,7 +198,7 @@ def _nan_if_empty(stat, values: list[float]) -> float:
 
 def _cfg_for(environment: str, channel_cfg: ch.ChannelConfig | None) -> ch.ChannelConfig:
     cfg = channel_cfg if channel_cfg is not None else ch.ChannelConfig()
-    return replace(cfg, noise=ch.environment(environment))
+    return replace(cfg, environment=environment)
 
 
 # ---------------------------------------------------------------------------

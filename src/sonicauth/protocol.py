@@ -318,7 +318,7 @@ def run_authentication(
         auth_position=auth.position,
         vouch_position=vouch.position,
         true_distance_m=d_true,
-        environment=cfg.noise.name,
+        environment=cfg.environment,
         paired_link_ok=link.usable(d_true),
         threshold_m=policy.threshold_m,
         sample_rates={"auth": auth.sample_rate, "vouch": vouch.sample_rate},

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sonicauth.channel import ChannelConfig, environment
+from sonicauth.channel import ChannelConfig
 from sonicauth import signal as sg
 
 
@@ -25,9 +25,7 @@ def office_cfg():
 
 @pytest.fixture
 def silent_cfg():
-    from dataclasses import replace
-
-    return replace(ChannelConfig(), noise=environment("silent"))
+    return ChannelConfig(environment="silent")
 
 
 @pytest.fixture

@@ -70,7 +70,7 @@ class TestCachePurity:
         tables = (
             sg._grid_phasor_table(),
             spectrum.candidate_bin_table(44_100.0, 4096),
-            ch._noise_mask(66_150, 6000.0),
+            ch._noise_mask(66_150),
         )
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
@@ -117,6 +117,5 @@ class TestPhasorRows:
 
 class TestNoiseMask:
     @pytest.mark.parametrize("n", [66_150, 52_920, 4097])
-    @pytest.mark.parametrize("cutoff", [6000.0, 2500.0])
-    def test_equals_inline_construction(self, n, cutoff):
-        assert np.array_equal(ch._noise_mask(n, cutoff), noise_mask(n, cutoff))
+    def test_equals_inline_construction(self, n):
+        assert np.array_equal(ch._noise_mask(n), noise_mask(n, 6000.0))

@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ NAN, INF = float("nan"), float("inf")
 
 
 def identity_kernel_cfg(**kwargs):
-    return ch.ChannelConfig(smoothing_kernel=(1.0,), noise=ch.environment("silent"), **kwargs)
+    return ch.ChannelConfig(smoothing_kernel=(1.0,), environment="silent", **kwargs)
 
 
 class TestPropagate:
@@ -54,6 +55,17 @@ class TestPropagate:
         b = ch.propagate(w, 100, (1.3, 0.7), (0.0, 0.0), office_cfg, 8000)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [((0.0, 0.0), (1e308, 0.0)), ((-1e308, 0.0), (1e308, 0.0))],
+        ids=["square_overflows", "difference_overflows"],
+    )
+    def test_distance_too_large_to_compute_rejected_without_warning(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^distance between {re.escape(f'{a} and {b}')} is too large"):
+                ch._distance(a, b)
+
     def test_fractional_delay_preserves_energy(self):
         cfg = identity_kernel_cfg()
         w = np.sin(2 * np.pi * 14_000 * np.arange(4096) / 44100) * 1000
@@ -65,20 +77,19 @@ class TestPropagate:
 class TestNoise:
     @pytest.mark.parametrize("name", ["office", "home", "restaurant", "street"])
     def test_spectral_power_above_cutoff_below_one_percent(self, name):
-        prof = ch.environment(name)
-        noise = ch._shaped_noise(prof, 1 << 16, np.random.default_rng(0))
+        noise = ch._shaped_noise(ch.ENVIRONMENTS[name], 1 << 16, np.random.default_rng(0))
         spec = np.abs(np.fft.rfft(noise)) ** 2
         freqs = np.fft.rfftfreq(1 << 16, 1 / ch.BASE_SAMPLE_RATE)
-        assert spec[freqs > prof.lowpass_cutoff].sum() / spec.sum() <= 0.01
+        assert spec[freqs > ch.NOISE_CUTOFF_HZ].sum() / spec.sum() <= 0.01
 
     def test_rms_levels_ordered(self):
         e = ch.ENVIRONMENTS
-        assert e["office"].rms < e["home"].rms < e["street"].rms
-        assert e["office"].rms < e["restaurant"].rms < e["street"].rms
-        assert e["home"].rms == pytest.approx(e["restaurant"].rms, rel=0.15)
+        assert e["office"] < e["home"] < e["street"]
+        assert e["office"] < e["restaurant"] < e["street"]
+        assert e["home"] == pytest.approx(e["restaurant"], rel=0.15)
 
     def test_silent_profile_is_zero(self):
-        assert np.all(ch._shaped_noise(ch.environment("silent"), 1024, np.random.default_rng(1)) == 0)
+        assert np.all(ch._shaped_noise(ch.ENVIRONMENTS["silent"], 1024, np.random.default_rng(1)) == 0)
 
     def test_recorded_office_noise_respects_cutoff(self, office_cfg):
         # through the full record() path, quantization included
@@ -89,8 +100,8 @@ class TestNoise:
         assert spec[freqs > 6000].sum() / spec.sum() <= 0.01
 
     def test_unknown_environment(self):
-        with pytest.raises(ValueError):
-            ch.environment("moon")
+        with pytest.raises(ValueError, match=r"^unknown environment 'moon'; options: \['home', 'office'"):
+            ch.ChannelConfig(environment="moon")
 
 
 def one_emitter_scene(sig, offset, src, recorders, duration, seed=0):
@@ -228,13 +239,9 @@ class TestConfig:
             (ch.ChannelConfig, {"attenuation_exponent": NAN}),
             (ch.ChannelConfig, {"wall_attenuation_db": NAN}),
             (ch.ChannelConfig, {"wall_plane_x": NAN}),
-            (ch.EnvironmentNoise, {"name": "lab", "rms": NAN}),
-            (ch.EnvironmentNoise, {"name": "lab", "rms": 1.0, "lowpass_cutoff": NAN}),
-            (ch.EnvironmentNoise, {"name": "lab", "rms": 1.0, "lowpass_cutoff": -1.0}),
         ],
         ids=[
             "kernel_nan", "speed_nan", "speed_inf", "gain_nan", "exponent_nan", "wall_db_nan", "wall_x_nan",
-            "rms_nan", "cutoff_nan", "cutoff_negative",
         ],
     )
     def test_non_finite_or_out_of_range_field_rejected(self, cls, kwargs):
@@ -249,12 +256,10 @@ class TestConfig:
         cfg = ch.config_from_json(
             {
                 "speed_of_sound": 343.0,
-                "environment": "street",
                 "wall": {"plane_x": 1.0, "attenuation_db": 40.0},
             }
         )
         assert cfg.speed_of_sound == 343.0
-        assert cfg.noise.name == "street"
         assert cfg.wall_plane_x == 1.0
         assert cfg.wall_attenuation_db == 40.0
 
@@ -265,13 +270,10 @@ class TestConfig:
     def test_config_from_json_environment_object_and_kernel(self):
         cfg = ch.config_from_json(
             {
-                "environment": {"name": "lab", "rms": 100, "lowpass_cutoff": 5000.0},
-                "noise_seed": 3,
                 "smoothing_kernel": [2.0, 0],
                 "wall": {"plane_x": -1},
             }
         )
-        assert cfg.noise == ch.EnvironmentNoise("lab", 100, 5000.0, seed=3)
         assert cfg.smoothing_kernel == (1.0, 0.0)
         assert (cfg.wall_plane_x, cfg.wall_attenuation_db) == (-1.0, 60.0)
 
@@ -284,15 +286,8 @@ class TestConfig:
             ({"wall": None}, "channel config field 'wall' must be an object, got None"),
             ({"wall": {"plane_x": "1"}}, "channel config wall field 'plane_x' must be a finite number, got '1'"),
             ({"wall": {"plane_x": 1, "height": 2}}, "unknown channel config wall keys: ['height']"),
-            ({"environment": {"name": "x"}}, "channel config environment lacks the 'rms' key"),
-            ({"environment": {"rms": 1.0}}, "channel config environment lacks the 'name' key"),
-            (
-                {"environment": {"name": "x", "rms": -1}},
-                "channel config environment field 'rms' must be a non-negative number, got -1",
-            ),
-            ({"environment": {"name": "x", "rms": 1, "gain": 2}}, "unknown channel config environment keys: ['gain']"),
-            ({"environment": 5}, "channel config field 'environment' must be an environment name or an object, got 5"),
-            ({"environment": "moon"}, "unknown environment 'moon'"),
+            ({"environment": "street"}, "unknown channel config keys: ['environment']"),
+            ({"noise_seed": 3}, "unknown channel config keys: ['noise_seed']"),
             ({"gain_at_1m": [1]}, "channel config field 'gain_at_1m' must be a positive number, got [1]"),
             ({"gain_at_1m": 0}, "channel config field 'gain_at_1m' must be a positive number, got 0"),
             ({"smoothing_kernel": 3}, "channel config field 'smoothing_kernel' must be a list of finite numbers"),
@@ -304,8 +299,6 @@ class TestConfig:
                 {"attenuation_exponent": float("nan")},
                 "channel config field 'attenuation_exponent' must be a finite number, got nan",
             ),
-            ({"noise_seed": 1.5}, "channel config field 'noise_seed' must be a non-negative integer, got 1.5"),
-            ({"noise_seed": -1}, "channel config field 'noise_seed' must be a non-negative integer, got -1"),
         ],
         ids=[
             "list",
@@ -314,12 +307,8 @@ class TestConfig:
             "wall_null",
             "wall_string_plane",
             "wall_unknown_key",
-            "environment_without_rms",
-            "environment_without_name",
-            "environment_negative_rms",
-            "environment_unknown_key",
-            "environment_int",
-            "environment_unknown_name",
+            "environment",
+            "noise_seed",
             "gain_list",
             "gain_zero",
             "kernel_int",
@@ -328,8 +317,6 @@ class TestConfig:
             "speed_bool",
             "speed_string",
             "exponent_nan",
-            "noise_seed_float",
-            "noise_seed_negative",
         ],
     )
     def test_config_malformed_rejected(self, obj, message):

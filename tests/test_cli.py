@@ -54,14 +54,23 @@ def test_frrfar_bad_sigma_exits_2(capsys):
         assert f"config error: sigma must be finite and positive, got {float(sigma)}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("distance", ["nan", "inf"])
-def test_auth_non_finite_distance_exits_2(distance, capsys):
-    """A vouching device at a non-finite position is a configuration error,
-    not a session printed with ``NaN`` in its JSON."""
+@pytest.mark.parametrize(
+    "distance, message",
+    [
+        ("nan", "device 'vouch' position must be finite"),
+        ("inf", "device 'vouch' position must be finite"),
+        ("1e308", "distance between (0.0, 0.0) and (1e+308, 0.0) is too large to compute"),
+    ],
+    ids=["nan", "inf", "1e308"],
+)
+def test_auth_non_finite_distance_exits_2(distance, message, capsys):
+    """A vouching device at a non-finite position, or so far away that the
+    distance overflows, is a configuration error, not a session printed with
+    ``NaN`` or ``Infinity`` in its JSON."""
     assert main(["auth", "--distance", distance]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "config error: device 'vouch' position must be finite" in captured.err
+    assert f"config error: {message}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -125,7 +134,7 @@ def test_attack_zero_effort(capsys):
 
 def test_bad_config_file_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"channel": {"warp_drive": 9}}')
+    cfg.write_text('{"warp_drive": 9}')
     assert main(["range", "--trials", "10", "--config", str(cfg)]) == 2
 
 
@@ -133,10 +142,13 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     "config, message",
     [
         ("[1]", "channel config must be an object, got [1]"),
-        ('{"channel": {"wall": {}}}', "channel config wall lacks the 'plane_x' key"),
+        ('{"wall": {}}', "channel config wall lacks the 'plane_x' key"),
         ('{"speed_of_sound": true}', "channel config field 'speed_of_sound' must be a positive number, got True"),
+        ('{"environment": "street"}', "unknown channel config keys: ['environment']"),
+        ('{"noise_seed": 5}', "unknown channel config keys: ['noise_seed']"),
+        ('{"channel": {"gain_at_1m": 0.2}, "speed_of_sound": 1}', "unknown channel config keys: ['channel']"),
     ],
-    ids=["list", "wall_empty", "speed_bool"],
+    ids=["list", "wall_empty", "speed_bool", "environment", "noise_seed", "channel_wrapper"],
 )
 @pytest.mark.parametrize("command", [["range", "--trials", "1", "--distances", "0.5"], ["auth"]])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config, message):
@@ -178,8 +190,19 @@ def test_multiuser_csv(capsys):
         (["range", "--trials", "0", "--distances", "0.5"], "need at least one trial per cell, got trials=0"),
         (["range", "--trials", "1", "--distances", "nan"], "separation must be a finite, non-negative distance"),
         (["multiuser", "--trials", "1", "--distances", "-0.5"], "separation must be a finite, non-negative distance"),
+        (["attack", "--kind", "allfreq", "--trials", "0"], "--trials must be at least 6, one per swept power, got 0"),
+        (["attack", "--kind", "allfreq", "--trials", "5"], "--trials must be at least 6, one per swept power, got 5"),
     ],
-    ids=["no_pairs", "negative_sigma_proc", "long_kernel", "no_trials", "nan_distance", "negative_distance"],
+    ids=[
+        "no_pairs",
+        "negative_sigma_proc",
+        "long_kernel",
+        "no_trials",
+        "nan_distance",
+        "negative_distance",
+        "allfreq_no_trials",
+        "allfreq_fewer_trials_than_powers",
+    ],
 )
 def test_value_error_from_a_command_exits_2(tmp_path, capsys, argv, message):
     """A bad argument or config that only the campaign or session catches is

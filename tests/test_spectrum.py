@@ -10,7 +10,6 @@ from helpers import (
     sliding_candidate_powers,
 )
 from sonicauth import spectrum
-from sonicauth.channel import ChannelConfig, environment
 from sonicauth.signal import CANDIDATES, SignalSpec, sample_spec, synthesize
 from sonicauth.spectrum import (
     DetectionOutcome,
