@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -284,10 +283,16 @@ def render_mix(scene: AcousticScene, device_id: str, cfg: ChannelConfig) -> np.n
     mix += _shaped_noise(ENVIRONMENTS[cfg.environment], scene.duration, _noise_rng(scene, idx))
 
     if rec.sample_rate != BASE_SAMPLE_RATE:
-        import scipy.signal  # loaded on first use: only a skewed device clock resamples
-
-        ratio = Fraction(rec.sample_rate / BASE_SAMPLE_RATE).limit_denominator(10_000)
-        mix = scipy.signal.resample_poly(mix, ratio.numerator, ratio.denominator)
+        # Fourier resampling. At an even length the last bin holds both the +fs/2 and
+        # -fs/2 terms: halve it when padding makes it inner; double a new last bin.
+        n = scene.duration
+        m = round(n * rec.sample_rate / BASE_SAMPLE_RATE)
+        spectrum = np.fft.rfft(mix)
+        if n % 2 == 0 and m > n:
+            spectrum[n // 2] *= 0.5
+        if m % 2 == 0 and m < n:
+            spectrum[m // 2] *= 2.0
+        mix = np.fft.irfft(spectrum, m) * (m / n)
     return mix
 
 

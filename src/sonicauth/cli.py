@@ -101,7 +101,7 @@ def _cmd_frrfar(args) -> int:
 
 
 def _cmd_fit_sigma(args) -> int:
-    sigma = ev.fit_sigma(args.frr, args.tau, args.ds, args.bt_range)
+    sigma = ev.fit_sigma(args.frr, args.tau, args.ds)
     print(json.dumps({"sigma_m": sigma, "tau_m": args.tau, "frr": args.frr}))
     return 0
 
@@ -207,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frr", type=float, required=True)
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--ds", type=float, default=ev.DETECTION_RANGE_M)
-    p.add_argument("--bt-range", type=float, default=PAIRING_RANGE_M, dest="bt_range")
     p.set_defaults(func=_cmd_fit_sigma)
 
     p = sub.add_parser("attack", help="attack campaign")

@@ -66,52 +66,49 @@ class ErrorModel:
             raise ValueError("need 0 < detect_range < pairing_range")
 
 
+def _normal_cdf_integral(u: float) -> float:
+    """``G(u) = u*Phi(u) + phi(u)``, the antiderivative of the standard normal CDF."""
+    return u * 0.5 * math.erfc(-u / math.sqrt(2.0)) + math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+
+
 def frr_far_model(tau_m: float, model: ErrorModel) -> tuple[float, float]:
     """False rejection and false acceptance rates at threshold ``tau_m``.
 
     FRR averages Pr[estimate > tau] over legitimate distances (0, tau];
     FAR averages Pr[estimate <= tau] over illegitimate distances
     (tau, pairing range], where the acceptance probability is zero beyond the
-    detect range (the signal is simply not present). Integrals are evaluated
-    numerically to absolute tolerance 1e-5 or better.
+    detect range (the signal is simply not present). Both integrals of the
+    normal CDF are exact, through its antiderivative ``G``.
     """
-    from scipy.integrate import quad  # loaded on first use: no session needs the model
-    from scipy.special import ndtr  # loaded on first use: no session needs the model
-
     if not 0 < tau_m < model.detect_range_m:
         raise ValueError("threshold must lie in (0, detect_range)")
     sigma = model.sigma_m
-    frr_integral, _ = quad(lambda d: ndtr(-((tau_m - d) / sigma)), 0.0, tau_m, epsabs=1e-10)
-    frr = frr_integral / tau_m
-    upper = min(model.detect_range_m, model.pairing_range_m)
-    far_integral, _ = quad(lambda d: ndtr((tau_m - d) / sigma), tau_m, upper, epsabs=1e-10)
-    far = far_integral / (model.pairing_range_m - tau_m)
+    g0 = _normal_cdf_integral(0.0)
+    frr = sigma / tau_m * (g0 - _normal_cdf_integral(-tau_m / sigma))
+    far = sigma * (g0 - _normal_cdf_integral((tau_m - model.detect_range_m) / sigma)) / (model.pairing_range_m - tau_m)
     return frr, far
 
 
-def fit_sigma(
-    frr_target: float,
-    tau_m: float,
-    detect_range_m: float = DETECTION_RANGE_M,
-    pairing_range_m: float = PAIRING_RANGE_M,
-) -> float:
+def fit_sigma(frr_target: float, tau_m: float, detect_range_m: float = DETECTION_RANGE_M) -> float:
     """Invert the model: sigma such that FRR(tau) hits ``frr_target``.
 
-    Bisection over sigma in (1e-4, 1); raises when no root exists in the
-    bracket (the model's FRR never reaches 0.5)."""
-    from scipy.optimize import brentq  # loaded on first use: no session fits sigma
+    Bisection to 1e-6 over sigma in (1e-4, 1), in which the FRR rises;
+    raises when no sigma in the bracket reaches the target (the model's FRR
+    stays below 0.5)."""
 
-    if not 0 < frr_target < 0.5:
-        raise ValueError("frr_target must be in (0, 0.5)")
-
-    def objective(sigma: float) -> float:
-        model = ErrorModel(sigma, detect_range_m, pairing_range_m)
-        return frr_far_model(tau_m, model)[0] - frr_target
+    def frr(sigma: float) -> float:
+        return frr_far_model(tau_m, ErrorModel(sigma, detect_range_m))[0]
 
     lo, hi = 1e-4, 1.0
-    if objective(lo) * objective(hi) > 0:
+    if not frr(lo) <= frr_target <= frr(hi):
         raise ValueError("no sigma in (1e-4, 1) reaches the requested FRR")
-    return float(brentq(objective, lo, hi, xtol=1e-6))
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if frr(mid) < frr_target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def frr_far_table(taus: tuple[float, ...], model: ErrorModel) -> "ExperimentReport":

@@ -335,11 +335,10 @@ def cross_correlate_detect(x: np.ndarray, sig: "ReferenceSignal") -> int:
     """Baseline detector: argmax of the raw cross-correlation of the recording
     with the clean signal. No sanity checks and no absence verdict; ties break
     to the smallest index."""
-    import scipy.signal  # loaded on first use: no session of the frequency detector calls it
-
     xf = np.asarray(x, dtype=np.float64)
-    sf = sig.samples.astype(np.float64)
-    if xf.shape[0] < sf.shape[0]:
+    n, m = xf.shape[0], sig.samples.shape[0]
+    if n < m:
         raise ValueError("recording shorter than the reference signal")
-    corr = scipy.signal.correlate(xf, sf, mode="valid", method="fft")
+    # A circular correlation of length n wraps only at lags past n - m.
+    corr = np.fft.irfft(np.fft.rfft(xf) * np.conj(np.fft.rfft(sig.samples, n)), n)[: n - m + 1]
     return int(np.argmax(corr))

@@ -3,8 +3,11 @@ command line writes.
 
 The oracles deliberately avoid the production code paths: per-bin powers come
 from direct complex projections, cumulative sums or one full rFFT per window
-instead of the package's batched and sliding kernels, and the FRR/FAR
-references are closed forms instead of numerical quadrature.
+instead of the package's batched and sliding kernels. The FRR/FAR closed forms
+here are the package's model rearranged (``erf`` and the density at both ends
+instead of ``erfc`` and the antiderivative ``G``); the independent reference
+for the model is a quadrature in ``test_evaluation``, and scipy is imported
+only by the tests that use it as a reference.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from helpers import load_wav
 from sonicauth import channel as ch
@@ -222,6 +223,22 @@ class TestRecord:
             - detect(rec_fast.samples, sig_a, sample_rate=44_100.0 * skew).location
         )
         assert sep_fast == pytest.approx(sep_true * skew, abs=25)
+
+    @pytest.mark.parametrize("skew", [1.001, 0.999, 1.0001])
+    def test_resampling_equals_scipy_resample(self, office_cfg, rng, skew):
+        """A skewed recorder's mix is the base-rate mix Fourier-resampled as
+        ``scipy.signal.resample`` does it, well within one LSB. Without its
+        Nyquist-bin split and fold it strays by up to 1.6 LSB."""
+        sig = synthesize(sample_spec(rng))
+        emissions = (ch.Emission("a", sig.samples, 2000, (0.3, 0.0)), ch.Emission("b", sig.samples, 30_000, (1.0, 0.0)))
+
+        def mix(rate):
+            scene = ch.AcousticScene(emissions, (ch.Recorder("m", (0.0, 0.0), rate),), duration=66_150, seed=7)
+            return ch.render_mix(scene, "m", office_cfg)
+
+        skewed = mix(44_100.0 * skew)
+        assert skewed.shape == (round(66_150 * skew),)
+        np.testing.assert_allclose(skewed, scipy.signal.resample(mix(44_100.0), skewed.shape[0]), rtol=0, atol=1e-6)
 
 
 class TestConfig:

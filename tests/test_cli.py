@@ -12,32 +12,48 @@ from sonicauth.evaluation import fit_sigma
 from sonicauth.spectrum import detect_pair
 
 
-def test_session_process_loads_no_scipy_until_the_model_runs():
-    """Importing the package and its command line and running one nominal-rate
-    session load no scipy module: only the analytic model, the xcorr baseline
-    and a skewed device clock need one, and each loads it on first use. A
-    ``fit_sigma`` call in that process then loads the model's subpackages and
-    returns the same float as here."""
+def test_package_runs_with_scipy_blocked():
+    """numpy is the package's one dependency. In an interpreter where every
+    scipy import fails, a nominal-rate session (``auth``), a skewed-clock
+    session, the analytic model (``frrfar``), its fit (``fit-sigma``) and the
+    detector comparison with its xcorr and echo baselines (``compare``) all
+    run, and the fit returns the same float as here."""
     code = (
-        "import sys, numpy as np, sonicauth, sonicauth.evaluation, sonicauth.cli\n"
-        "from sonicauth.protocol import AuthPolicy, Endpoint\n"
-        "sonicauth.evaluation.run_authentication(\n"
-        "    Endpoint('a', (0.0, 0.0)), Endpoint('v', (0.5, 0.0)), AuthPolicy(), np.random.default_rng(1)\n"
-        ")\n"
-        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
-        "print(repr(sonicauth.evaluation.fit_sigma(0.028, 1.0)))\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from sonicauth.cli import main\n"
+        "from sonicauth.evaluation import fit_sigma\n"
+        "from sonicauth.protocol import AuthPolicy, Endpoint, run_authentication\n"
+        "skewed = Endpoint('v', (0.8, 0.0), sample_rate=44_100.0 * 1.001)\n"
+        "_, t = run_authentication(Endpoint('a', (0.0, 0.0)), skewed, AuthPolicy(1.5), np.random.default_rng(14))\n"
+        "assert t.verdict == 'accept', t.reason\n"
+        "for argv in (\n"
+        "    ['auth', '--distance', '1.0'],\n"
+        "    ['frrfar', '--sigma', '0.0702'],\n"
+        "    ['fit-sigma', '--frr', '0.028'],\n"
+        "    ['compare', '--trials', '1', '--distances', '0.5'],\n"
+        "):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(repr(fit_sigma(0.028, 1.0)))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sonicauth.__file__))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded, sigma = out.stdout.strip().splitlines()
-    assert loaded == "[]"
-    assert float(sigma) == fit_sigma(0.028, 1.0)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout.strip().splitlines()[-1]) == fit_sigma(0.028, 1.0)
 
 
 def test_fit_sigma_stdout(capsys):
     assert main(["fit-sigma", "--frr", "0.028", "--tau", "1.0"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["sigma_m"] == pytest.approx(0.0702, abs=0.001)
+
+
+def test_fit_sigma_unreachable_frr_exits_2(capsys):
+    """At sigma = 1e-4 m, the bracket's low end, the FRR at 1 m is already
+    3.99e-5: a lower target has no sigma."""
+    assert main(["fit-sigma", "--frr", "3e-5"]) == 2
+    assert "config error: no sigma in (1e-4, 1) reaches the requested FRR" in capsys.readouterr().err
 
 
 def test_frrfar_csv_output(tmp_path, capsys):
@@ -78,12 +94,13 @@ def test_auth_non_finite_distance_exits_2(distance, message, capsys):
     [
         ["fit-sigma", "--frr", "0.028", "--out", "x"],
         ["fit-sigma", "--frr", "0.028", "--env", "home"],
+        ["fit-sigma", "--frr", "0.028", "--bt-range", "10"],
         ["frrfar", "--sigma", "0.0702", "--seed", "1"],
         ["frrfar", "--sigma", "0.0702", "--config", "cfg.json"],
         ["auth", "--out", "x"],
         ["attack", "--kind", "zero", "--out", "x"],
     ],
-    ids=["fit_sigma_out", "fit_sigma_env", "frrfar_seed", "frrfar_config", "auth_out", "attack_out"],
+    ids=["fit_sigma_out", "fit_sigma_env", "fit_sigma_bt_range", "frrfar_seed", "frrfar_config", "auth_out", "attack_out"],
 )
 def test_flag_the_subcommand_does_not_read_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

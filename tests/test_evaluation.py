@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import norm
@@ -11,12 +15,15 @@ from sonicauth import evaluation as ev
 from sonicauth.protocol import PLAYBACK_GAP_SAMPLES, AuthPolicy, Endpoint, SceneContext, run_authentication
 
 
+PHI_0 = 1.0 / math.sqrt(2.0 * math.pi)
+
+
 def norm_frr_far(tau_m, model):
-    """Reference: the model with ``scipy.stats.norm`` integrands."""
+    """Reference: the model's two integrals by ``quad`` over ``scipy.stats.norm``
+    integrands, each to absolute tolerance 1e-10."""
     sigma = model.sigma_m
     frr = quad(lambda d: norm.sf(tau_m, loc=d, scale=sigma), 0.0, tau_m, epsabs=1e-10)[0] / tau_m
-    upper = min(model.detect_range_m, model.pairing_range_m)
-    far = quad(lambda d: norm.cdf(tau_m, loc=d, scale=sigma), tau_m, upper, epsabs=1e-10)[0]
+    far = quad(lambda d: norm.cdf(tau_m, loc=d, scale=sigma), tau_m, model.detect_range_m, epsabs=1e-10)[0]
     return frr, far / (model.pairing_range_m - tau_m)
 
 
@@ -26,8 +33,33 @@ class TestFrrFarModel:
         [(0.5, 0.0702), (1.0, 0.0702), (1.5, 0.0702), (2.0, 0.0702), (0.3, 0.02), (1.0, 0.5), (2.4, 0.15), (0.05, 1.0)],
     )
     def test_equals_norm_reference_bit_for_bit(self, tau, sigma):
+        """The closed form agrees with the quadrature reference to 1e-12: the
+        two differ in the last bits, and the reference is only a quadrature."""
         model = ev.ErrorModel(sigma_m=sigma)
-        assert ev.frr_far_model(tau, model) == norm_frr_far(tau, model)
+        assert ev.frr_far_model(tau, model) == pytest.approx(norm_frr_far(tau, model), rel=0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(sigma=st.floats(0.005, 1.0), tau=st.floats(0.05, 2.4))
+    def test_equals_norm_reference_everywhere(self, sigma, tau):
+        """Wherever the transition is wide enough for the quadrature to
+        resolve, the two agree within the quadrature's own tolerance (on
+        random draws the reference strays by up to about 1e-12, the closed
+        form far less)."""
+        model = ev.ErrorModel(sigma)
+        assert ev.frr_far_model(tau, model) == pytest.approx(norm_frr_far(tau, model), rel=0, abs=1e-10)
+
+    def test_frr_exact_at_tiny_sigma(self):
+        """At sigma = 1e-4 m the transition is too narrow for a quadrature to
+        see; the FRR is then sigma*phi(0)/tau."""
+        sigma = 1e-4
+        frr, _ = ev.frr_far_model(1.0, ev.ErrorModel(sigma))
+        assert frr == pytest.approx(sigma * PHI_0 / 1.0, rel=1e-9)
+
+    def test_far_exact_at_tiny_sigma(self):
+        sigma = 2e-4
+        model = ev.ErrorModel(sigma)
+        _, far = ev.frr_far_model(1.0, model)
+        assert far == pytest.approx(sigma * PHI_0 / (model.pairing_range_m - 1.0), rel=1e-9)
 
     def test_matches_closed_form(self):
         model = ev.ErrorModel(sigma_m=0.0702)
@@ -53,8 +85,11 @@ class TestFrrFarModel:
         assert frr * 2.0 == pytest.approx(sigma / np.sqrt(2 * np.pi), rel=0.05)
 
     def test_far_vanishes_with_sigma(self):
-        _, far = ev.frr_far_model(1.0, ev.ErrorModel(1e-6))
-        assert far <= 1e-8
+        """The FAR falls in proportion to sigma: sigma*phi(0)/(R - tau) once
+        sigma is far below the gap to the detect range."""
+        model = ev.ErrorModel(1e-6)
+        _, far = ev.frr_far_model(1.0, model)
+        assert far == pytest.approx(1e-6 * PHI_0 / (model.pairing_range_m - 1.0), rel=1e-9)
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_sigma_rejected(self, sigma):
@@ -70,10 +105,13 @@ class TestFrrFarModel:
 
 class TestFitSigma:
     def test_equals_norm_reference_bit_for_bit(self):
+        """The bisection lands within the shared xtol of ``brentq`` on the
+        quadrature reference."""
+
         def objective(sigma):
             return norm_frr_far(1.0, ev.ErrorModel(sigma))[0] - 0.028
 
-        assert ev.fit_sigma(0.028, 1.0) == float(brentq(objective, 1e-4, 1.0, xtol=1e-6))
+        assert ev.fit_sigma(0.028, 1.0) == pytest.approx(brentq(objective, 1e-4, 1.0, xtol=1e-6), rel=0, abs=1e-6)
 
     def test_recovers_office_sigma(self):
         sigma = ev.fit_sigma(0.028, 1.0)
@@ -85,8 +123,16 @@ class TestFitSigma:
         assert ev.fit_sigma(0.063, 1.0) > ev.fit_sigma(0.028, 1.0)
 
     def test_unreachable_target_raises(self):
-        with pytest.raises(ValueError):
-            ev.fit_sigma(0.6, 1.0)
+        """The model's FRR stays below 0.5, and above 0."""
+        for frr in (0.6, 0.0, float("nan")):
+            with pytest.raises(ValueError, match="^no sigma in \\(1e-4, 1\\) reaches the requested FRR$"):
+                ev.fit_sigma(frr, 1.0)
+
+    def test_target_below_the_bracket_raises(self):
+        """At sigma = 1e-4 m the FRR at tau = 1 m is already 3.99e-5, so no
+        sigma in the bracket gives 3e-5."""
+        with pytest.raises(ValueError, match="reaches the requested FRR"):
+            ev.fit_sigma(3e-5, 1.0)
 
 
 class TestCampaignReports:

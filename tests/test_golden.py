@@ -87,7 +87,7 @@ GOLDEN = {
     "not_paired_flag": "51456c1ff5ac5602dcfae26d2de26278b61470ce55e8040e252b46a9189fd8fa",
     "xcorr_0.5m": "d3be3f8c2a987735037d184475f2cc9b2ab430cd53c4891deec118c49ab9f583",
     "xcorr_1.5m": "f767038922679ec662565c190f3fc07682755454d592d3ac9d1173943bb4d965",
-    "skewed_vouch_clock": "9db83446ee5daf8a9ec893fb165eb53f050fa46fd83052dad0ceb8e81a5e79e0",
+    "skewed_vouch_clock": "41404c84b2eebf9d5d1b57f3b2796415a82a22f0050eab9191dcbe52494b8109",
     "guessing_replay": "707a60a090671f4be660156e3ce1e6a97e164a063442427e7783235efed6ced2",
     "all_frequency": "9b688ad56ed696fa060cb131a6fd7e9a797da64f71a371f4abe89e9691f96764",
     "crowded_3_pairs_0.5m": "79c80bfa5e7baf557ca0c0870c3313a0b3afae2b60e1253dd16000285660a4c6",
@@ -110,7 +110,7 @@ GOLDEN_WITHOUT_LINK = {
     "not_paired_flag": "46ed989ef1174021a0c98f14f366fbb70e901f83ab01d6b30473eee57c841594",
     "xcorr_0.5m": "3bfb7b8a5b2de4e85b9ee1031f27adca7979e73892942a8c99d9253a28fc8172",
     "xcorr_1.5m": "ca2a6c65b43ea5b467c8bb83b20e9a51a042740133d5c5a538e96aedcab85e12",
-    "skewed_vouch_clock": "4178027ea2aebbb03e5468d92724d7d977ea45be457ce153883baa2457544f0c",
+    "skewed_vouch_clock": "ef23b480d386cbd67dd4269a603a67a7522f0e45ee72d503dbee0b365d0a874f",
     "guessing_replay": "3ba69a749bb42c98c216fc407d56b9f52abae67848d7be961b75176638813cf1",
     "all_frequency": "b5169ab0c326730491d293a8347fe89156b669a7b4d3dbc124384d17fe12c04d",
     "crowded_3_pairs_0.5m": "343b3756f52911ab2e126080e5bb29d02150c2c3fcfc28a9b1d247ad20a506e9",

@@ -22,8 +22,8 @@ from sonicauth import adversary, channel, cli, evaluation, pcm, protocol, signal
 
 MODULES = (signal, spectrum, channel, protocol, adversary, evaluation, pcm, cli)
 
-# 75 dataclass fields + 26 defaulted parameters + 41 flags.
-BOUND = 142
+# 75 dataclass fields + 25 defaulted parameters + 40 flags.
+BOUND = 140
 
 
 def _defined_in(module, obj) -> bool:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.signal
 
 from helpers import (
     direct_bin_power,
@@ -10,6 +11,7 @@ from helpers import (
     sliding_candidate_powers,
 )
 from sonicauth import spectrum
+from sonicauth.protocol import AuthPolicy, Endpoint, replay_session, run_authentication
 from sonicauth.signal import CANDIDATES, SignalSpec, sample_spec, synthesize
 from sonicauth.spectrum import (
     DetectionOutcome,
@@ -476,6 +478,26 @@ class TestCrossCorrelate:
         sig = synthesize(sample_spec(np.random.default_rng(15)))
         with pytest.raises(ValueError):
             cross_correlate_detect(np.zeros(100), sig)
+
+    @pytest.mark.parametrize("distance", [0.5, 1.5])
+    def test_argmax_equals_scipy_correlate(self, office_cfg, distance):
+        """On the recordings of seeded xcorr sessions, the rFFT correlation
+        locates every signal where ``scipy.signal.correlate`` peaks."""
+        for seed in range(4):
+            _, transcript = run_authentication(
+                Endpoint("auth", (0.0, 0.0)),
+                Endpoint("vouch", (distance, 0.0)),
+                AuthPolicy(),
+                np.random.default_rng(seed),
+                office_cfg,
+                detector="xcorr",
+            )
+            sig_a, sig_v, rec_a, rec_v = replay_session(transcript, office_cfg)
+            for rec in (rec_a, rec_v):
+                for sig in (sig_a, sig_v):
+                    x = rec.samples.astype(np.float64)
+                    want = scipy.signal.correlate(x, sig.samples.astype(np.float64), mode="valid")
+                    assert cross_correlate_detect(rec.samples, sig) == int(np.argmax(want))
 
 
 class TestDetectionConstants:
