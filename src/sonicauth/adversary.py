@@ -86,7 +86,7 @@ def all_frequency_signal(per_tone_power: float, duration: int) -> np.ndarray:
 
 
 # An attack campaign replays one waveform on every trial, so keeping the last
-# one is enough; a session-long waveform holds ~130 KB.
+# one is enough; a session-long waveform holds ~57 KB.
 @lru_cache(maxsize=1)
 def _all_frequency_waveform(per_tone_power: float, duration: int) -> np.ndarray:
     amps = [math.sqrt(per_tone_power / unit_power) for unit_power in _unit_sine_powers()]

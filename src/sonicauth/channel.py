@@ -131,8 +131,8 @@ class AcousticScene:
         if self.duration <= 0:
             raise ValueError("scene duration must be positive")
         for e in self.emissions:
-            if not 0 <= e.emit_time < self.duration:
-                raise ValueError(f"emission from {e.source_id} outside scene duration")
+            if e.emit_time < 0:
+                raise ValueError(f"emission from {e.source_id} starts before the scene")
             if not np.all(np.isfinite(e.position)):
                 raise ValueError("emission position must be finite")
         ids = [r.device_id for r in self.recorders]
@@ -188,18 +188,39 @@ def path_gain(src_pos: tuple[float, ...], dst_pos: tuple[float, ...], cfg: Chann
     return gain
 
 
+# A session shifts its signals at one length and a spoofing waveform at another.
+@lru_cache(maxsize=8)
+def fast_fft_length(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c * 7**d >= n (n >= 1): a length whose
+    FFT numpy takes in radix-2 to radix-7 steps, with no slow prime factor."""
+    best = 1 << (n - 1).bit_length()
+    p7 = 1
+    while p7 < best:
+        p5 = p7
+        while p5 < best:
+            p3 = p5
+            while p3 < best:
+                best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+                p3 *= 3
+            p5 *= 5
+        p7 *= 7
+    return best
+
+
 _SHIFT_PAD = 96  # absorbs the ring of the exact fractional shift
 
 
 def _fractional_shift(x: np.ndarray, frac: float) -> np.ndarray:
     """Shift ``x`` later by ``frac`` samples (0 < frac < 1), exactly, on a
-    zero-padded buffer. Returns a buffer starting _SHIFT_PAD samples early."""
-    n = x.shape[0] + 2 * _SHIFT_PAD
+    zero-padded buffer taken at a fast FFT length. Returns a buffer of
+    ``len(x) + 2*_SHIFT_PAD`` samples starting _SHIFT_PAD samples early."""
+    length = x.shape[0] + 2 * _SHIFT_PAD
+    n = fast_fft_length(length)
     padded = np.zeros(n)
     padded[_SHIFT_PAD : _SHIFT_PAD + x.shape[0]] = x
     k = np.arange(n // 2 + 1)
     spec = np.fft.rfft(padded) * np.exp(-2j * np.pi * k * frac / n)
-    return np.fft.irfft(spec, n)
+    return np.fft.irfft(spec, n)[:length]
 
 
 def propagate(
@@ -212,12 +233,16 @@ def propagate(
 ) -> np.ndarray:
     """Contribution of one emission at the destination, as a base-rate buffer
     of ``duration`` samples. Delay uses the true distance; the amplitude law
-    clamps the distance at the 0.1 m floor."""
-    w = np.asarray(waveform, dtype=np.float64) * path_gain(src_pos, dst_pos, cfg)
+    clamps the distance at the 0.1 m floor. An emission that reaches the
+    destination at or after ``duration`` is not heard: its buffer is zero."""
     delay = propagation_delay_samples(src_pos, dst_pos, cfg)
     whole = int(np.floor(delay))
     frac = delay - whole
+    out = np.zeros(duration)
+    if emit_time + whole >= duration:
+        return out
 
+    w = np.asarray(waveform, dtype=np.float64) * path_gain(src_pos, dst_pos, cfg)
     lead = 0
     if frac > 0.0:
         w = _fractional_shift(w, frac)
@@ -226,7 +251,6 @@ def propagate(
     if not (kernel.shape[0] == 1 and kernel[0] == 1.0):
         w = np.convolve(w, kernel)
 
-    out = np.zeros(duration)
     start = emit_time + whole - lead
     lo = max(start, 0)
     hi = min(start + w.shape[0], duration)
@@ -235,8 +259,8 @@ def propagate(
     return out
 
 
-# A session's recordings share one duration and `one_way_ranging` uses
-# another; each mask holds n/2+1 floats (~265 KB at 66150 samples).
+# A session's recordings share one length and the echo baseline's take a few
+# others; each mask holds n/2+1 floats (~115 KB at 28672 samples).
 @lru_cache(maxsize=2)
 def _noise_mask(n: int) -> np.ndarray:
     """Spectral amplitude of the noise over the ``n``-sample rFFT bins: flat
@@ -259,8 +283,11 @@ def _shaped_noise(rms: float, n: int, rng: np.random.Generator) -> np.ndarray:
     under 1% of the total."""
     if rms == 0.0:
         return np.zeros(n)
-    white = rng.standard_normal(n)
-    shaped = np.fft.irfft(np.fft.rfft(white) * _noise_mask(n), n)
+    # White noise drawn as its rFFT bins: a complex Gaussian per bin, whose
+    # real and imaginary parts are consecutive normal draws.
+    mask = _noise_mask(n)
+    bins = rng.standard_normal(2 * mask.shape[0]).view(np.complex128)
+    shaped = np.fft.irfft(bins * mask, n)
     return shaped * (rms / np.sqrt(np.mean(shaped**2)))
 
 

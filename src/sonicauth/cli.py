@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -66,6 +67,8 @@ def _cmd_range(args) -> int:
 
 
 def _cmd_auth(args) -> int:
+    if args.distance < 0:  # False for nan, which the device's position check reports
+        raise ValueError(f"--distance must be a non-negative distance in metres, got {args.distance}")
     cfg = ev._cfg_for(args.env, _load_channel_cfg(args))
     rng = np.random.default_rng(args.seed)
     auth = Endpoint("auth", (0.0, 0.0))
@@ -166,8 +169,20 @@ def _cmd_multiuser(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes every argument that starts like a negative number (``-1e3``,
+    ``-0.5,1.0``) as a value. argparse itself takes only ``-1000`` and
+    ``-1.5`` for numbers and reads the rest as unknown options; no flag here
+    starts with a digit. Its subcommands' parsers are built by this class
+    too."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sonicauth",
         description="Acoustic ranging and proximity-authentication simulation harness",
     )

@@ -203,10 +203,18 @@ def _cfg_for(environment: str, channel_cfg: ch.ChannelConfig | None) -> ch.Chann
 # ---------------------------------------------------------------------------
 
 
+# The interferers' timeline: their sessions start at random over 1.5 s, the
+# recordings' length before they were cut to what a session needs, so that
+# other users keep their rate per second. A pair that starts after the
+# recording ends is not heard.
+INTERFERER_TIMELINE_SAMPLES = 66_150
+
+
 def _interferer_emissions(ctx, rng: np.random.Generator, pairs: int) -> list[ch.Emission]:
     """Extra device pairs running their own sessions nearby: each pair plays
     two fresh reference signals, synthesized and staggered like the
-    legitimate session's, at random times and positions around that pair."""
+    legitimate session's, at random times over ``INTERFERER_TIMELINE_SAMPLES``
+    and at random positions around that pair."""
     from .signal import sample_spec, synthesize
 
     emissions = []
@@ -221,13 +229,7 @@ def _interferer_emissions(ctx, rng: np.random.Generator, pairs: int) -> list[ch.
         sig_1 = synthesize(sample_spec(rng))
         sig_2 = synthesize(sample_spec(rng))
         gap = PLAYBACK_GAP_SAMPLES
-        latest = ctx.duration - sig_2.samples.shape[0] - gap - 1
-        if latest <= 0:
-            raise ValueError(
-                f"scene duration {ctx.duration} too short for an interferer pair: "
-                f"two {sig_2.samples.shape[0]}-sample signals {gap} samples apart"
-            )
-        start = int(rng.integers(0, latest))
+        start = int(rng.integers(0, INTERFERER_TIMELINE_SAMPLES - sig_2.samples.shape[0] - gap - 1))
         emissions.append(ch.Emission(f"user{u}_a", sig_1.samples, start, pos_1))
         emissions.append(ch.Emission(f"user{u}_b", sig_2.samples, start + gap, pos_2))
     return emissions

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import channel as ch
 from . import spectrum
-from .signal import ReferenceSignal, SignalSpec, _finite_positive, sample_spec, synthesize
+from .signal import SIGNAL_LENGTH, ReferenceSignal, SignalSpec, _finite_positive, sample_spec, synthesize
 
 
 @dataclass(frozen=True)
@@ -115,12 +115,13 @@ def _to_samples(seconds: float) -> int:
 # intersect); the small start jitter keeps scan alignment honest without
 # letting coarse-scan misalignment eat the whole detection margin.
 PLAYBACK_GAP_S = 0.3
-RECORD_DURATION_S = 1.5
 PLAYBACK_START_S = 0.2
 START_JITTER_SAMPLES = 200
 PLAYBACK_GAP_SAMPLES = _to_samples(PLAYBACK_GAP_S)
-# The one-way echo baseline's shortest recording.
-ECHO_RECORD_DURATION_S = 1.2
+# A recording runs this many samples past the latest end of the signals it
+# must hold, before rounding up to a fast FFT length: room for a longer
+# smoothing kernel or a slower speed of sound than the defaults.
+RECORD_MARGIN_SAMPLES = 1000
 
 
 class LinkError(RuntimeError):
@@ -187,10 +188,13 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-# An intruder hook receives (scene context, rng) and returns extra emissions:
-# the two devices' positions and the scene's duration in samples.
+# An intruder hook receives (scene context, rng) and returns extra emissions.
 @dataclass(frozen=True)
 class SceneContext:
+    """The two devices' positions and the length of their recordings in
+    samples (``RECORD_SAMPLES``); an emission that starts at or after the
+    end is not heard."""
+
     auth_position: tuple[float, ...]
     vouch_position: tuple[float, ...]
     duration: int
@@ -214,14 +218,32 @@ def _transfer(
     return ReferenceSignal.from_bytes(blob[:split]), ReferenceSignal.from_bytes(blob[split:])
 
 
-def _arrival_end(
-    play_at: int, src: tuple[float, ...], dst: tuple[float, ...], sig: ReferenceSignal, cfg: ch.ChannelConfig
-) -> int:
-    """The recording length that holds all of ``sig`` played at sample
-    ``play_at`` from ``src`` and heard at ``dst``: start, travel delay, signal
-    length and the smoothing kernel's tail."""
+def _arrival_end(play_at: int, src: tuple[float, ...], dst: tuple[float, ...], cfg: ch.ChannelConfig) -> int:
+    """The recording length that holds all of a reference signal played at
+    sample ``play_at`` from ``src`` and heard at ``dst``: start, travel delay,
+    signal length and the smoothing kernel's tail."""
     delay = int(np.ceil(ch.propagation_delay_samples(src, dst, cfg)))
-    return play_at + delay + sig.samples.shape[0] + len(cfg.smoothing_kernel) - 1
+    return play_at + delay + SIGNAL_LENGTH + len(cfg.smoothing_kernel) - 1
+
+
+def _recording_length(end: int) -> int:
+    """Samples of a recording that must hold everything ending by sample
+    ``end``: the margin added, rounded up to a fast FFT length."""
+    return ch.fast_fft_length(end + RECORD_MARGIN_SAMPLES)
+
+
+# Every recording of a session lasts RECORD_SAMPLES: the latest a session's
+# signal can end at either device is the vouching signal's end at the
+# authenticating device, played at the latest start and heard at the pairing
+# range through the default kernel (sample 27652).
+RECORD_SAMPLES = _recording_length(
+    _arrival_end(
+        _to_samples(PLAYBACK_START_S) + START_JITTER_SAMPLES + PLAYBACK_GAP_SAMPLES,
+        (0.0,),
+        (PAIRING_RANGE_M,),
+        ch.ChannelConfig(),
+    )
+)
 
 
 def _record(
@@ -236,13 +258,12 @@ def _record(
     The scene comes from the transcript's devices, playback times and seed
     alone (plus any extra emissions), so a transcript rebuilds its own
     recordings."""
-    duration = _to_samples(RECORD_DURATION_S)
     # The latest the vouching signal can end at the authenticating device.
     latest_start = _to_samples(PLAYBACK_START_S) + START_JITTER_SAMPLES + t.playback_gap
-    end = _arrival_end(latest_start, t.vouch_position, t.auth_position, sig_v, cfg)
-    if end > duration:
+    end = _arrival_end(latest_start, t.vouch_position, t.auth_position, cfg)
+    if end > RECORD_SAMPLES:
         raise ValueError(
-            f"the {duration}-sample recording is too short: with a {len(cfg.smoothing_kernel)}-tap smoothing "
+            f"the {RECORD_SAMPLES}-sample recording is too short: with a {len(cfg.smoothing_kernel)}-tap smoothing "
             f"kernel the vouching signal may end at sample {end} at the authenticating device"
         )
     scene = ch.AcousticScene(
@@ -255,7 +276,7 @@ def _record(
             ch.Recorder(t.auth_id, t.auth_position, t.sample_rates["auth"]),
             ch.Recorder(t.vouch_id, t.vouch_position, t.sample_rates["vouch"]),
         ),
-        duration=duration,
+        duration=RECORD_SAMPLES,
         seed=t.session_seed,
     )
     return ch.record(scene, t.auth_id, cfg), ch.record(scene, t.vouch_id, cfg)
@@ -341,7 +362,7 @@ def run_authentication(
     t.session_seed = int(rng.integers(0, 2**31 - 1))
     emissions = ()
     if intruder is not None:
-        emissions = intruder(SceneContext(auth.position, vouch.position, _to_samples(RECORD_DURATION_S)), rng)
+        emissions = intruder(SceneContext(auth.position, vouch.position, RECORD_SAMPLES), rng)
     rec_a, rec_v = _record(t, sig_a, vouch_sig_v, cfg, emissions)
 
     outcomes = (
@@ -393,19 +414,20 @@ def one_way_ranging(
     The authenticating device hands a fresh reference signal to the vouching
     device (instantaneous over the paired link) and starts its clock; the
     vouching device plays it after ``processing_delay_s``; the authenticating
-    device locates the arrival in a recording of ``ECHO_RECORD_DURATION_S``,
-    or longer when the delay needs it. Returns the elapsed seconds, or None
-    when the signal is not detected.
+    device locates the arrival in a recording that ends, like a session's,
+    ``RECORD_MARGIN_SAMPLES`` after the latest the signal can end, rounded up
+    to a fast FFT length. Returns the elapsed seconds, or None when the signal
+    is not detected.
     """
     cfg = channel_cfg if channel_cfg is not None else ch.ChannelConfig()
     sig = _draw(rng)
     t_send = _to_samples(0.15)
     play_at = t_send + _to_samples(processing_delay_s)
-    end = _arrival_end(play_at, vouch.position, auth.position, sig, cfg)
+    end = _arrival_end(play_at, vouch.position, auth.position, cfg)
     scene = ch.AcousticScene(
         emissions=(ch.Emission(vouch.device_id, sig.samples, play_at, vouch.position),),
         recorders=(auth,),
-        duration=max(_to_samples(ECHO_RECORD_DURATION_S), end),
+        duration=_recording_length(end),
         seed=int(rng.integers(0, 2**31 - 1)),
     )
     rec = ch.record(scene, auth.device_id, cfg)

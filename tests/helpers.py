@@ -170,6 +170,29 @@ def noise_mask(n: int, cutoff: float, sample_rate: float = 44_100.0, tail: float
     return mask
 
 
+def time_domain_noise(rms: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Environment noise drawn in the time domain: ``n`` white samples,
+    shaped by the 6 kHz noise mask through an rFFT and an irFFT, scaled to
+    ``rms``."""
+    white = rng.standard_normal(n)
+    shaped = np.fft.irfft(np.fft.rfft(white) * noise_mask(n, 6000.0), n)
+    return shaped * (rms / np.sqrt(np.mean(shaped**2)))
+
+
+def smooth_length_search(n: int) -> int:
+    """The smallest integer >= ``n`` with no prime factor above 7, by trying
+    each in turn."""
+    k = n
+    while True:
+        rest = k
+        for p in (2, 3, 5, 7):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return k
+        k += 1
+
+
 def loop_render(spec, phases, length=SIGNAL_LENGTH):
     x = loop_tone_sum(spec, phases, length)
     return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int16)

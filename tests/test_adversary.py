@@ -8,7 +8,7 @@ from helpers import proper_subsets
 from sonicauth import adversary as adv
 from sonicauth import evaluation as ev
 from sonicauth import spectrum
-from sonicauth.protocol import SceneContext
+from sonicauth.protocol import RECORD_SAMPLES, AuthPolicy, Endpoint, SceneContext, run_authentication
 from sonicauth import signal as sg
 from sonicauth.signal import AMPLITUDE_BUDGET, BIN_COUNT, CANDIDATES, sample_spec, synthesize
 from sonicauth.spectrum import measure_candidate_powers, norm_power
@@ -163,7 +163,7 @@ class TestGuessingProbability:
 
 class TestScenarios:
     def _ctx(self):
-        return SceneContext(auth_position=(0.0, 0.0), vouch_position=(3.0, 0.0), duration=66_150)
+        return SceneContext(auth_position=(0.0, 0.0), vouch_position=(3.0, 0.0), duration=RECORD_SAMPLES)
 
     def test_zero_effort_emits_nothing(self):
         out = adv.build_emissions(adv.ZeroEffort(), self._ctx(), np.random.default_rng(0))
@@ -201,7 +201,26 @@ class TestScenarios:
         assert len(out) == 1
         assert out[0].emit_time == 0
         assert out[0].position == (0.3, 0.0)
-        assert out[0].waveform.shape[0] == 66_149
+        assert out[0].waveform.shape[0] == RECORD_SAMPLES - 1
+
+    @pytest.mark.parametrize("scenario", [adv.GuessingReplay(), adv.AllFrequency(per_tone_power=1e11)])
+    def test_attacks_play_inside_the_recording(self, scenario):
+        """In a session every attack emission starts and ends inside the
+        recording: a replay is heard in full, and the all-frequency waveform
+        spans the recording."""
+        emissions = []
+
+        def intruder(ctx, rng):
+            emissions.extend(adv.build_emissions(scenario, ctx, rng))
+            return emissions
+
+        auth, vouch = Endpoint("auth", (0.0, 0.0)), Endpoint("vouch", (3.0, 0.0))
+        for seed in range(20):
+            run_authentication(auth, vouch, AuthPolicy(), np.random.default_rng(seed), intruder=intruder)
+        assert emissions
+        assert all(0 <= e.emit_time and e.emit_time + e.waveform.shape[0] < RECORD_SAMPLES for e in emissions)
+        if isinstance(scenario, adv.AllFrequency):
+            assert {(e.emit_time, e.waveform.shape[0]) for e in emissions} == {(0, RECORD_SAMPLES - 1)}
 
     @pytest.mark.parametrize(
         "power",

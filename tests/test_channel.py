@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from helpers import load_wav
+from helpers import load_wav, smooth_length_search, time_domain_noise
 from sonicauth import channel as ch
 from sonicauth import pcm
 from sonicauth.signal import sample_spec, synthesize
@@ -18,6 +18,15 @@ NAN, INF = float("nan"), float("inf")
 
 def identity_kernel_cfg(**kwargs):
     return ch.ChannelConfig(smoothing_kernel=(1.0,), environment="silent", **kwargs)
+
+
+class TestFastFftLength:
+    def test_equals_a_search_over_every_length(self):
+        assert [ch.fast_fft_length(n) for n in range(1, 20_001)] == [smooth_length_search(n) for n in range(1, 20_001)]
+
+    def test_shift_of_a_session_long_waveform(self):
+        # len(x) + 2 * _SHIFT_PAD = 28 863 = 3**3 * 1069 would take a slow FFT
+        assert ch.fast_fft_length(28_671 + 2 * ch._SHIFT_PAD) == 29_160 == 2**3 * 3**6 * 5
 
 
 class TestPropagate:
@@ -88,6 +97,28 @@ class TestNoise:
         assert e["office"] < e["home"] < e["street"]
         assert e["office"] < e["restaurant"] < e["street"]
         assert e["home"] == pytest.approx(e["restaurant"], rel=0.15)
+
+    def test_frequency_domain_draw_keeps_exact_rms(self):
+        for n, seed in ((28_672, 0), (4097, 1), (66_150, 2)):
+            noise = ch._shaped_noise(ch.ENVIRONMENTS["street"], n, np.random.default_rng(seed))
+            assert np.sqrt(np.mean(noise**2)) == pytest.approx(ch.ENVIRONMENTS["street"], rel=1e-12)
+
+    def test_band_powers_match_the_time_domain_draw(self):
+        """Drawn as rFFT bins or as white samples filtered through an rFFT,
+        the noise has the same spectrum: averaged over 50 draws of each, the
+        power in the passband, the rolloff and the candidates' aliased band
+        agree within 2%."""
+        n = 28_672
+        freqs = np.fft.rfftfreq(n, 1 / ch.BASE_SAMPLE_RATE)
+        bands = [(freqs >= lo) & (freqs <= hi) for lo, hi in ((0, 4000), (5000, 6000), (9000, 19_000))]
+
+        def band_powers(draw, seed):
+            rng = np.random.default_rng(seed)
+            spectra = [np.abs(np.fft.rfft(draw(ch.ENVIRONMENTS["office"], n, rng))) ** 2 for _ in range(50)]
+            mean = np.mean(spectra, axis=0)
+            return np.array([mean[band].sum() for band in bands])
+
+        np.testing.assert_allclose(band_powers(ch._shaped_noise, 3), band_powers(time_domain_noise, 4), rtol=0.02)
 
     def test_silent_profile_is_zero(self):
         assert np.all(ch._shaped_noise(ch.ENVIRONMENTS["silent"], 1024, np.random.default_rng(1)) == 0)
@@ -185,14 +216,31 @@ class TestRecord:
         noise = ch.render_mix(ch.AcousticScene((), rec, 16_000, seed=3), "m", office_cfg)
         assert np.allclose(both, only_a + only_b - noise, rtol=1e-9, atol=1e-6)
 
-    def test_emission_outside_duration_rejected(self, rng):
+    def test_emission_before_the_scene_rejected(self, rng):
         sig = synthesize(sample_spec(rng))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^emission from a starts before the scene$"):
             ch.AcousticScene(
-                (ch.Emission("a", sig.samples, 99_999, (0.0, 0.0)),),
+                (ch.Emission("a", sig.samples, -1, (0.0, 0.0)),),
                 (ch.Recorder("m", (0.0, 0.0)),),
                 duration=10_000,
             )
+
+    @pytest.mark.parametrize(
+        "emit_time, source",
+        [(10_000, (0.0, 0.0)), (99_999, (0.0, 0.0)), (9_900, (1.0, 0.0))],
+        ids=["at_the_end", "long_after", "arrives_after_the_end"],
+    )
+    def test_emission_heard_at_or_after_the_end_is_silent(self, office_cfg, rng, emit_time, source):
+        """An emission that reaches the recorder at or after the scene's last
+        sample leaves the mix bit for bit as it is without it. From 1 m the
+        one played at sample 9 900 arrives 129.7 samples later, past 10 000."""
+        sig = synthesize(sample_spec(rng))
+        heard = ch.Emission("a", sig.samples, 2_000, (0.5, 0.0))
+        late = ch.Emission("late", sig.samples, emit_time, source)
+        rec = (ch.Recorder("m", (0.0, 0.0)),)
+        with_late = ch.render_mix(ch.AcousticScene((heard, late), rec, 10_000, seed=4), "m", office_cfg)
+        without = ch.render_mix(ch.AcousticScene((heard,), rec, 10_000, seed=4), "m", office_cfg)
+        assert np.array_equal(with_late, without)
 
     def test_clock_skew_scales_pair_separation(self, silent_cfg, rng):
         """A recorder running 0.1% fast sees playback separations shrunk by

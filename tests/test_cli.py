@@ -9,6 +9,7 @@ import sonicauth
 from helpers import load_signal, load_wav
 from sonicauth.cli import main
 from sonicauth.evaluation import fit_sigma
+from sonicauth.protocol import RECORD_SAMPLES
 from sonicauth.spectrum import detect_pair
 
 
@@ -87,6 +88,29 @@ def test_auth_non_finite_distance_exits_2(distance, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"config error: {message}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--distance", "-1e3"], ["--distance=-1e3"], ["--distance", "-1000"], ["--distance", "-1.0E+3"]],
+    ids=["exponent", "exponent_after_equals", "integer", "upper_case_exponent"],
+)
+def test_auth_negative_distance_exits_2(argv, capsys):
+    """A negative distance in exponent form is read as the flag's value, as
+    ``-1000`` is, not as an unknown option; the distance check then rejects
+    it."""
+    assert main(["auth", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: --distance must be a non-negative distance in metres, got -1000.0" in captured.err
+
+
+@pytest.mark.parametrize("distances", ["-0.5,1.0", "-1e3", "-.5"])
+def test_distance_list_starting_negative_exits_2(distances, capsys):
+    """A distance list whose first entry is negative is read as the flag's
+    value and reaches the campaign's separation check."""
+    assert main(["range", "--trials", "1", "--distances", distances]) == 2
+    assert "config error: separation must be a finite, non-negative distance" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -203,7 +227,7 @@ def test_multiuser_csv(capsys):
             ["compare", "--trials", "1", "--distances", "0.5", "--sigma-proc", "-1"],
             "sigma_proc_s must be in [0, 1.0] seconds, got -1.0",
         ),
-        (["auth", "--distance", "0.5", "--config", "KERNEL"], "66150-sample recording is too short"),
+        (["auth", "--distance", "0.5", "--config", "KERNEL"], f"{RECORD_SAMPLES}-sample recording is too short"),
         (["range", "--trials", "0", "--distances", "0.5"], "need at least one trial per cell, got trials=0"),
         (["range", "--trials", "1", "--distances", "nan"], "separation must be a finite, non-negative distance"),
         (["multiuser", "--trials", "1", "--distances", "-0.5"], "separation must be a finite, non-negative distance"),
@@ -224,17 +248,17 @@ def test_multiuser_csv(capsys):
 def test_value_error_from_a_command_exits_2(tmp_path, capsys, argv, message):
     """A bad argument or config that only the campaign or session catches is
     reported as a config error, not as a traceback. ``KERNEL`` is a channel
-    config whose 40000-tap smoothing kernel outlasts the recording."""
+    config whose smoothing kernel is as long as the recording."""
     kernel = tmp_path / "kernel.json"
-    kernel.write_text(json.dumps({"smoothing_kernel": [1.0] * 40_000}))
+    kernel.write_text(json.dumps({"smoothing_kernel": [1.0] * RECORD_SAMPLES}))
     assert main([str(kernel) if arg == "KERNEL" else arg for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
 
 
 def test_compare_with_a_delay_past_the_shortest_echo_recording(capsys):
-    """At ``--sigma-proc 1`` some drawn processing delays end the echo after
-    1.2 s; its recording then grows to hold it."""
+    """At ``--sigma-proc 1`` the drawn processing delays spread over seconds;
+    each echo's recording is as long as its own delay needs."""
     assert main(["compare", "--trials", "1", "--distances", "0.5", "--sigma-proc", "1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["two_way_freq", "two_way_xcorr", "one_way_echo"]

@@ -12,7 +12,14 @@ from helpers import closed_form_far, closed_form_frr
 from sonicauth import adversary as adv
 from sonicauth import channel as ch
 from sonicauth import evaluation as ev
-from sonicauth.protocol import PLAYBACK_GAP_SAMPLES, AuthPolicy, Endpoint, SceneContext, run_authentication
+from sonicauth.protocol import (
+    PLAYBACK_GAP_SAMPLES,
+    RECORD_SAMPLES,
+    AuthPolicy,
+    Endpoint,
+    SceneContext,
+    run_authentication,
+)
 
 
 PHI_0 = 1.0 / math.sqrt(2.0 * math.pi)
@@ -179,10 +186,14 @@ class TestMultiuser:
         # a minority of sessions lose a signal entirely
         assert 0 < multi.meta["not_present_total"] <= 12
 
-    def test_scene_too_short_for_an_interferer_pair_rejected_clearly(self):
-        ctx = SceneContext((0.0, 0.0), (1.0, 0.0), 17_000)
-        with pytest.raises(ValueError, match="scene duration 17000 too short .* two 4096-sample signals 13230"):
-            ev._interferer_emissions(ctx, np.random.default_rng(0), 1)
+    def test_interferers_start_over_their_own_timeline(self):
+        """Other users' sessions start at random over 1.5 s, past the end of
+        a session's recording: those that start after it are drawn, and not
+        heard."""
+        ctx = SceneContext((0.0, 0.0), (1.0, 0.0), RECORD_SAMPLES)
+        starts = [e.emit_time for e in ev._interferer_emissions(ctx, np.random.default_rng(0), 20)[::2]]
+        assert max(starts) < ev.INTERFERER_TIMELINE_SAMPLES - 4096 - PLAYBACK_GAP_SAMPLES
+        assert min(starts) < RECORD_SAMPLES <= max(starts)
 
     def test_interferers_use_the_sessions_settings(self):
         """The interferer pairs are staggered by the session's playback gap."""

@@ -74,50 +74,50 @@ SESSIONS = {
 }
 
 GOLDEN = {
-    "accept_0.5m_s0": "6a20a9f557da627c4420bb2ed6d5e7e05a81de89993b6dbb80448762ec32b99c",
-    "accept_0.5m_s1": "bb59dd4e25dd688c6c2c860ee8f74a8cbc19589dff4b4ed0cf6a9e49b54ad5ba",
-    "accept_1.0m": "88065c6186609b6741a1a8cac58cbb8215f9dd071cd5ce62125a3ed7dace6fe7",
-    "accept_silent": "e08edd5efce2a29142ba45d21b0b098c8620f3ad31ba8d93c7a6a0f58d1e9825",
-    "accept_street": "2d2754dc8251442e1b3f1427319ee899364d066e1b5c691622476d139dbe6863",
-    "distance_exceeded_1.8m": "80fe18d1425b31f4b263b12157b58b835103bbfe687bb47e087bb7be6e892b46",
-    "distance_exceeded_tau_0.5": "a22a321e345bddab08255831e56bd7bb5ed3700e1d2356b7f9ad8cba150b2502",
-    "signal_not_present_3m": "d8ac1758a9cdc6266f7b5e1d4ef99a2ca1df247c7bba3f089455c888c29f0145",
-    "signal_not_present_wall": "a3ce4a016613791ea09e2110fa5f9d869dbb363e73b17e77ec8b29340d8d9fc5",
+    "accept_0.5m_s0": "19d02b89ce69c9cd17a0a799a225c00ab5131eb57ba9f87dc0d77ffe92ad1adb",
+    "accept_0.5m_s1": "7ed43aa55617662774111b1b45cfd37af3bfec46620aa02946c84cb33a72cdaf",
+    "accept_1.0m": "1bcc9f298dd7b1ce3504fffe8379b778f2f38698fc44d408105318e00d6b617c",
+    "accept_silent": "af18d0f3efbd774dfe4b9cc0094a3b87010767ff966225a67bf3fb37b362c396",
+    "accept_street": "555740beb8a477c16b124d84ae6d55f641eab6f6c139bf135ab0da608e7bea49",
+    "distance_exceeded_1.8m": "a1ac9b28eef30001a3406ec298df79239cb3eb473c391f7a9ca8f21dd2286b31",
+    "distance_exceeded_tau_0.5": "64934053ec00dc63cc146ab63e06fef9bacf9397b1254424351f34d553734150",
+    "signal_not_present_3m": "40270c63c56cb3dfa44bc992463a713d643648b2695f8d00bf28f93d94db7cd3",
+    "signal_not_present_wall": "d43274bbc9abd38885a0e19bdafa8e8cac9305e70aac2d539fee5a12a91ed75f",
     "not_paired_range": "d5c573cb8b0a85c6e02c3523675d89c5fdbf8121139440ce4ba76363486c7030",
     "not_paired_flag": "51456c1ff5ac5602dcfae26d2de26278b61470ce55e8040e252b46a9189fd8fa",
     "xcorr_0.5m": "d3be3f8c2a987735037d184475f2cc9b2ab430cd53c4891deec118c49ab9f583",
     "xcorr_1.5m": "f767038922679ec662565c190f3fc07682755454d592d3ac9d1173943bb4d965",
-    "skewed_vouch_clock": "41404c84b2eebf9d5d1b57f3b2796415a82a22f0050eab9191dcbe52494b8109",
-    "guessing_replay": "707a60a090671f4be660156e3ce1e6a97e164a063442427e7783235efed6ced2",
-    "all_frequency": "9b688ad56ed696fa060cb131a6fd7e9a797da64f71a371f4abe89e9691f96764",
-    "crowded_3_pairs_0.5m": "79c80bfa5e7baf557ca0c0870c3313a0b3afae2b60e1253dd16000285660a4c6",
-    "crowded_3_pairs_1.5m": "b5eb29d44cec9570d923796860c0d49e1b0c907a29e0a3f31e11dc03f06ec33a",
+    "skewed_vouch_clock": "68850345a9f3f4b2df094a179ed09bb0355d190bc0252e613a2eecedeb284d2d",
+    "guessing_replay": "07613463ab81cb0e5528bbb5790b862feb053e9b20ba269571f0926affa71231",
+    "all_frequency": "956e3c8dd13911bc509feaba4f9f33974e89f9af8f1ceed8d95d19fc80ecf64d",
+    "crowded_3_pairs_0.5m": "1a84d73fee4d81327c804c351093cb189c68b1f3729ce03d1be8ed6ca59d87cd",
+    "crowded_3_pairs_1.5m": "99d885b2bff3087d3df4bb1ac3ba2452bfba6f122ce24e3c98ad4b9c80295aa5",
 }
 
 # The same transcripts without their ``link_log``: a change that moves only the
 # byte counts of the link payloads leaves these digests as they are.
 GOLDEN_WITHOUT_LINK = {
-    "accept_0.5m_s0": "0a6cde1d08e0b395232490d0bc33b4929b26d0c0267851fccf9ac0c87eb700e1",
-    "accept_0.5m_s1": "d1d63463f027a935b127ae34b11f361fa301c814f831286e1cdcf1e1c51cf236",
-    "accept_1.0m": "01c2f73e885c1a986f7df64b5dd9f3312b0122fdd2f28ce66245bb43fa162458",
-    "accept_silent": "66f207dc9b08612c047c34ba6bbfe119db479b6786f0fb1e5c8993864e43ac31",
-    "accept_street": "a974458ddbffe9c22815788d9afdbf7837779c3326293a45ba18395a5ba50c7c",
-    "distance_exceeded_1.8m": "b4fda4d88d1f52b76bd73ed216b407e28f6aabc1475024ad0202a19668819af2",
-    "distance_exceeded_tau_0.5": "69ba09dfd64b161d94cdd6619020bbfa688cb26a80efc560d71630e7edbab0a1",
-    "signal_not_present_3m": "3c4ab70c620d8f95a7303c9daa8ba883bc32d0a2a432783ad1be28283fc00ca3",
-    "signal_not_present_wall": "1d09af90e1f83b237f8c03a223a1dc7510f85abe1cab8dde154b806031b8f863",
+    "accept_0.5m_s0": "2d9ef36e26a2fa72cf4e3cc880d344188a2b8ea656e3ecd25d3235fe6e962fa7",
+    "accept_0.5m_s1": "158d2b1a95031153c4f37db965ce196f3b0bdfa91de76ea0f764a5878b1cde70",
+    "accept_1.0m": "a2a55c7fbf168d0d87e6be06bfb41ac0addc021908aed76ee683ba24c70bd40f",
+    "accept_silent": "13dd38aaa6a0464eb846d5f2db93f5981e741e6cf672c78b160709cca1a0a4a6",
+    "accept_street": "be74e597e00d8d5f2f40815fb7c3790d3638c2964c87e16bb6213021b988c18d",
+    "distance_exceeded_1.8m": "69e3353031515803672e439f1e29d7f41cc4cf67aa996f4164164db95e6c06fc",
+    "distance_exceeded_tau_0.5": "e394ba4076251290914b589fbfbdf17681999666f1f9f09ec05950d62a4a0da8",
+    "signal_not_present_3m": "dda94d3deb29f9075cbe7393ec77b465aa1398723b03144b027ea6289a7784d5",
+    "signal_not_present_wall": "f3008f6865cbac7345d6c208d0d3f26864eb888bffb67caac986a71b2644fe2d",
     "not_paired_range": "3bb9b0482ea8e66347965f12ec23e6c7f379f8b19ada76f5eb22ae8954cfb422",
     "not_paired_flag": "46ed989ef1174021a0c98f14f366fbb70e901f83ab01d6b30473eee57c841594",
     "xcorr_0.5m": "3bfb7b8a5b2de4e85b9ee1031f27adca7979e73892942a8c99d9253a28fc8172",
     "xcorr_1.5m": "ca2a6c65b43ea5b467c8bb83b20e9a51a042740133d5c5a538e96aedcab85e12",
-    "skewed_vouch_clock": "ef23b480d386cbd67dd4269a603a67a7522f0e45ee72d503dbee0b365d0a874f",
-    "guessing_replay": "3ba69a749bb42c98c216fc407d56b9f52abae67848d7be961b75176638813cf1",
-    "all_frequency": "b5169ab0c326730491d293a8347fe89156b669a7b4d3dbc124384d17fe12c04d",
-    "crowded_3_pairs_0.5m": "343b3756f52911ab2e126080e5bb29d02150c2c3fcfc28a9b1d247ad20a506e9",
-    "crowded_3_pairs_1.5m": "f13b4d76908e96911748f0e8bcb53f751408129c6db7a4077498950300a55ba9",
+    "skewed_vouch_clock": "a96592bd969c133ca6a9ce57125f82adc89fd6da34ce28823aa5757debaddc05",
+    "guessing_replay": "6f7ea8ccd0d8f5353a9420f49fb5a91a529bf6033e298d5d1ee0ab15b1505f72",
+    "all_frequency": "56648bd58c13346dc67cad4c3198bc3acd7a2795f8a20b034f471fa4a6ed03d1",
+    "crowded_3_pairs_0.5m": "3f8f054a844726b367aec0241a769adf6cd162855e5c481bb6c09b9236c539d8",
+    "crowded_3_pairs_1.5m": "18ceeee3e31dcca534463eec93c1497f4b329a7bf0ace9f6a331ebcb09ae464a",
 }
 
-CAMPAIGN_CSV_SHA256 = "76cb023b9441c5554493f1609d2a72a9fd1217e32d240848e5f47776b76404cd"
+CAMPAIGN_CSV_SHA256 = "0515c563f78f75496381fcd7ec5279aa2700a55ef8d668340f0b3f9bf6e1abc9"
 
 # Campaign reports, one per campaign that runs sessions: each pins the seeding
 # of its trials (cell and trial index) and how it folds their transcripts.
@@ -129,10 +129,10 @@ REPORTS = {
 }
 
 REPORT_SHA256 = {
-    "detector_comparison": "2e2aacc244a83e28f72453f5cf5320fae2615255e8b81d18d6666d242a5cf43c",
+    "detector_comparison": "fdf7a3583d33f47013899e96520f2c4623be1b7156e58ae4c2c0487ce7d1ab78",
     "attack_guessing_replay": "6c44b58889c959d767f2e726f1034455ada3a6085bcd89e8b6b3aa99cabda6ec",
     "attack_zero_effort_12m": "ba5493e490a3fac2b33b9d1a3e10972c9f89f8fabb1d57c174cfeac6bbb30f34",
-    "multiuser_2_pairs": "e4e152cefd0a8ae7ab1ef14679c7351e35167c0a35bd84599255d53a7c6fd565",
+    "multiuser_2_pairs": "fd60cdd3f335f3283cfcd2c2977b1798eb7795308cdeaa4114b3955910221ab4",
 }
 
 

@@ -9,6 +9,11 @@ from sonicauth import evaluation as ev
 from sonicauth import spectrum
 from sonicauth.protocol import (
     PAIRING_RANGE_M,
+    PLAYBACK_GAP_SAMPLES,
+    PLAYBACK_START_S,
+    RECORD_MARGIN_SAMPLES,
+    RECORD_SAMPLES,
+    START_JITTER_SAMPLES,
     AuthDecision,
     AuthPolicy,
     Endpoint,
@@ -19,6 +24,8 @@ from sonicauth.protocol import (
     measurements_from_transcript,
     replay_session,
     run_authentication,
+    _arrival_end,
+    _to_samples,
 )
 from sonicauth.signal import SIGNAL_LENGTH
 from sonicauth.spectrum import detect_pair, norm_power
@@ -206,18 +213,29 @@ class TestRunAuthentication:
         each arrival by n - 1 samples. The vouching burst may start at sample
         22 250, arrives 65 samples later at the authenticating device 0.5 m
         away, and with its 4096 samples ends at sample 26 410 + n of the
-        66 150-sample recording."""
+        ``RECORD_SAMPLES``-sample recording."""
 
         def cfg(taps):
             return ch.ChannelConfig(smoothing_kernel=(1.0,) + (0.0,) * (taps - 1))
 
-        with pytest.raises(ValueError, match="66150-sample recording is too short"):
-            run(0.5, cfg=cfg(39_741))
-        # 2 m away the arrival takes 260 samples: 39 600 taps end it at 66 205
-        with pytest.raises(ValueError, match="66150-sample recording is too short"):
-            run(2.0, policy=AuthPolicy(threshold_m=3.0), cfg=cfg(39_600))
-        # at 0.5 m the same kernel ends it at sample 66 010, inside the recording
-        assert run(0.5, cfg=cfg(39_600))[1].signal_present
+        fitting = RECORD_SAMPLES - 26_410  # ends the burst on the recording's last sample
+        with pytest.raises(ValueError, match=f"{RECORD_SAMPLES}-sample recording is too short"):
+            run(0.5, cfg=cfg(fitting + 1))
+        # 2 m away the arrival takes 260 samples, 195 more
+        with pytest.raises(ValueError, match=f"{RECORD_SAMPLES}-sample recording is too short"):
+            run(2.0, policy=AuthPolicy(threshold_m=3.0), cfg=cfg(fitting))
+        assert run(0.5, cfg=cfg(fitting))[1].signal_present
+
+    def test_recording_holds_the_latest_arrival_at_pairing_range(self):
+        """The recording is derived from the latest end of a session's signal:
+        the vouching signal played at the largest start jitter and heard at
+        the pairing range through the default kernel. It holds that end plus
+        the margin, at a length with no prime factor above 7."""
+        latest_start = _to_samples(PLAYBACK_START_S) + START_JITTER_SAMPLES + PLAYBACK_GAP_SAMPLES
+        end = _arrival_end(latest_start, (0.0, 0.0), (PAIRING_RANGE_M, 0.0), ch.ChannelConfig())
+        assert end == 8820 + 200 + 13_230 + 1298 + SIGNAL_LENGTH + 8 == 27_652
+        assert end + RECORD_MARGIN_SAMPLES <= RECORD_SAMPLES == ch.fast_fft_length(end + RECORD_MARGIN_SAMPLES)
+        assert RECORD_SAMPLES == 28_672 == 2**12 * 7
 
     def test_default_kernel_fits_the_recording_at_pairing_range(self):
         _, transcript = run(PAIRING_RANGE_M)
