@@ -18,7 +18,7 @@ import numpy as np
 
 from . import channel as ch
 from . import spectrum
-from .protocol import SceneContext
+from .protocol import RECORD_SAMPLES, SceneContext
 from .signal import (
     AMPLITUDE_BUDGET,
     CANDIDATES,
@@ -136,7 +136,8 @@ def build_emissions(scenario: AttackScenario, ctx: SceneContext, rng: np.random.
     """Translate an attack scenario into scene emissions: none for a
     zero-effort attempt; for a guessing replay, one guess from ``rng`` near
     each device at a time also drawn from ``rng``; for all-frequency spoofing,
-    the waveform near the authenticating device from sample 0 to the end."""
+    the waveform near the authenticating device from sample 0 to the end of
+    the ``RECORD_SAMPLES``-sample recording."""
     if isinstance(scenario, ZeroEffort):
         return []
 
@@ -144,15 +145,13 @@ def build_emissions(scenario: AttackScenario, ctx: SceneContext, rng: np.random.
         emissions = []
         for i, anchor in enumerate((ctx.auth_position, ctx.vouch_position)):
             guess = guessing_replay_signal(rng)
-            earliest, latest = int(0.05 * ctx.duration), ctx.duration - guess.samples.shape[0] - 1
-            if earliest >= latest:
-                raise ValueError(f"scene duration {ctx.duration} too short for a {len(guess.samples)}-sample replay")
+            earliest, latest = int(0.05 * RECORD_SAMPLES), RECORD_SAMPLES - guess.samples.shape[0] - 1
             when = int(rng.integers(earliest, latest))
             emissions.append(ch.Emission(f"attacker_{i}", guess.samples, when, _near(anchor)))
         return emissions
 
     if isinstance(scenario, AllFrequency):
-        wave = all_frequency_signal(scenario.per_tone_power, ctx.duration - 1)
+        wave = all_frequency_signal(scenario.per_tone_power, RECORD_SAMPLES - 1)
         return [ch.Emission("attacker_0", wave, 0, _near(ctx.auth_position))]
 
     raise TypeError(f"unknown scenario {scenario!r}")

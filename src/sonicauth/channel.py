@@ -247,9 +247,7 @@ def propagate(
     if frac > 0.0:
         w = _fractional_shift(w, frac)
         lead = _SHIFT_PAD
-    kernel = np.asarray(cfg.smoothing_kernel)
-    if not (kernel.shape[0] == 1 and kernel[0] == 1.0):
-        w = np.convolve(w, kernel)
+    w = np.convolve(w, cfg.smoothing_kernel)
 
     start = emit_time + whole - lead
     lo = max(start, 0)

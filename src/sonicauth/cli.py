@@ -43,9 +43,9 @@ def _load_channel_cfg(args) -> ch.ChannelConfig | None:
         raise ValueError(f"bad channel config: {exc}") from exc
 
 
-def _emit(report, out: str | None) -> None:
+def _emit(report: ev.ExperimentReport, out: str | None) -> None:
     if out is None:
-        print(report.to_csv() if hasattr(report, "to_csv") else report.to_json())
+        print(report.to_csv())
         return
     payload = report.to_json() if out.endswith(".json") else report.to_csv()
     with open(out, "w") as fh:
@@ -73,7 +73,7 @@ def _cmd_auth(args) -> int:
     rng = np.random.default_rng(args.seed)
     auth = Endpoint("auth", (0.0, 0.0))
     vouch = Endpoint("vouch", (args.distance, 0.0))
-    decision, transcript = run_authentication(auth, vouch, AuthPolicy(threshold_m=args.tau), rng, cfg)
+    _, transcript = run_authentication(auth, vouch, AuthPolicy(threshold_m=args.tau), rng, cfg)
     print(transcript.to_json())
     if args.wav_dump:
         _dump_session_wavs(args.wav_dump, cfg, transcript)
@@ -114,13 +114,15 @@ def _cmd_attack(args) -> int:
         powers = ev.all_frequency_power_sweep(6)
         if args.trials < len(powers):
             raise ValueError(f"--trials must be at least {len(powers)}, one per swept power, got {args.trials}")
-        per_trial = args.trials // len(powers)
+        # The first ``trials % len(powers)`` powers run one trial more, so
+        # that exactly ``trials`` sessions run.
+        per_trial, extra = divmod(args.trials, len(powers))
         reports = []
         total_accepts = 0
-        for p in powers:
+        for i, p in enumerate(powers):
             rep = ev.attack_campaign(
                 adv.AllFrequency(per_tone_power=p),
-                per_trial,
+                per_trial + (i < extra),
                 args.seed,
                 separation_m=args.separation,
                 environment=args.env,

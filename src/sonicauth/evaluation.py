@@ -26,7 +26,6 @@ from . import spectrum
 from .protocol import (
     PAIRING_RANGE_M,
     PLAYBACK_GAP_SAMPLES,
-    AuthDecision,
     AuthPolicy,
     Endpoint,
     SessionTranscript,
@@ -154,10 +153,10 @@ def _sessions(
     cfg: ch.ChannelConfig,
     policy: AuthPolicy,
     **session,
-) -> list[tuple[int, AuthDecision, SessionTranscript]]:
+) -> list[tuple[int, SessionTranscript]]:
     """Run ``trials`` seeded sessions per cell, cell by cell, with the devices
-    at (0, 0) and (``separations[cell]``, 0); return (cell, decision,
-    transcript) per session. ``session`` holds the keyword options of
+    at (0, 0) and (``separations[cell]``, 0); return (cell, transcript) per
+    session. ``session`` holds the keyword options of
     ``run_authentication``, which is looked up here at call time. Raises
     ``ValueError`` before any session when ``trials < 1`` or a separation is
     not a finite, non-negative distance; a separation beyond the pairing
@@ -173,17 +172,18 @@ def _sessions(
             auth = Endpoint("auth", (0.0, 0.0))
             vouch = Endpoint("vouch", (d, 0.0))
             rng = _trial_rng(seed, cell, trial)
-            results.append((cell, *run_authentication(auth, vouch, policy, rng, cfg, **session)))
+            _, transcript = run_authentication(auth, vouch, policy, rng, cfg, **session)
+            results.append((cell, transcript))
     return results
 
 
 def _signed_errors(
-    results: Iterable[tuple[int, AuthDecision, SessionTranscript]], separations: tuple[float, ...]
+    results: Iterable[tuple[int, SessionTranscript]], separations: tuple[float, ...]
 ) -> list[list[float]]:
     """Per cell, the estimated minus the true distance of every session that
     produced an estimate."""
     per_cell: list[list[float]] = [[] for _ in separations]
-    for cell, _, t in results:
+    for cell, t in results:
         if t.raw_distance_m is not None:
             per_cell[cell].append(t.raw_distance_m - separations[cell])
     return per_cell
@@ -215,6 +215,8 @@ def _interferer_emissions(ctx, rng: np.random.Generator, pairs: int) -> list[ch.
     two fresh reference signals, synthesized and staggered like the
     legitimate session's, at random times over ``INTERFERER_TIMELINE_SAMPLES``
     and at random positions around that pair."""
+    # Imported at call time, so that a wrapper installed on
+    # ``sonicauth.signal`` (as perfbench's tracer does) sees and counts them.
     from .signal import sample_spec, synthesize
 
     emissions = []
@@ -294,7 +296,7 @@ def multiuser_campaign(
         "interferer_pairs": pairs - 1,
         "not_present_total": sum(row["not_present"] for row in rows),
     }
-    return ExperimentReport(rows=rows, meta=meta, transcripts=[t for _, _, t in results])
+    return ExperimentReport(rows=rows, meta=meta, transcripts=[t for _, t in results])
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +340,13 @@ def attack_campaign(
     cfg = _cfg_for(environment, channel_cfg)
     intruder = lambda ctx, r: adv.build_emissions(scenario, ctx, r)
     results = _sessions((separation_m,), trials, seed, cfg, AuthPolicy(threshold_m=1.0), intruder=intruder)
-    decisions = [decision for _, decision, _ in results]
+    transcripts = [t for _, t in results]
     return AttackReport(
         scenario=type(scenario).__name__,
         trials=trials,
-        accepts=sum(decision.accepted for decision in decisions),
-        reject_reasons=dict(Counter(d.reason.value for d in decisions if not d.accepted)),
-        transcripts=[transcript for _, _, transcript in results],
+        accepts=sum(t.verdict == "accept" for t in transcripts),
+        reject_reasons=dict(Counter(t.reason for t in transcripts if t.verdict != "accept")),
+        transcripts=transcripts,
     )
 
 
@@ -356,6 +358,8 @@ def all_frequency_power_sweep(count: int = 6) -> tuple[float, ...]:
     """Log-spaced emitted per-tone powers spanning from well below the
     out-of-set threshold to the largest feasible level (which crosses the
     received-power thresholds at close range)."""
+    # Imported at call time, like ``_interferer_emissions``'s: a wrapper
+    # installed on ``sonicauth.signal`` sees and counts it.
     from .signal import SignalSpec, synthesize
 
     ref = synthesize(SignalSpec(frequencies=CANDIDATES[:_SWEEP_REFERENCE_TONES]))

@@ -130,15 +130,14 @@ class LinkError(RuntimeError):
 
 class SecureLink:
     """Stand-in for the paired short-range channel: reliable ordered byte
-    pipe with a pairing flag and a hard gate at the pairing range. Not
+    pipe between paired devices, usable exactly within the pairing range. Not
     cryptographic."""
 
-    def __init__(self, paired: bool) -> None:
-        self.paired = paired
+    def __init__(self) -> None:
         self.log: list[dict] = []
 
     def usable(self, distance_m: float) -> bool:
-        return self.paired and distance_m <= PAIRING_RANGE_M
+        return distance_m <= PAIRING_RANGE_M
 
     def send(self, sender: str, kind: str, payload: bytes, distance_m: float) -> bytes:
         if not self.usable(distance_m):
@@ -191,13 +190,11 @@ def _json_default(obj):
 # An intruder hook receives (scene context, rng) and returns extra emissions.
 @dataclass(frozen=True)
 class SceneContext:
-    """The two devices' positions and the length of their recordings in
-    samples (``RECORD_SAMPLES``); an emission that starts at or after the
-    end is not heard."""
+    """The two devices' positions. Their recordings last ``RECORD_SAMPLES``;
+    an emission that starts at or after the end is not heard."""
 
     auth_position: tuple[float, ...]
     vouch_position: tuple[float, ...]
-    duration: int
 
 
 IntruderFactory = Callable[[SceneContext, np.random.Generator], Sequence[ch.Emission]]
@@ -318,9 +315,8 @@ def run_authentication(
     vouch: Endpoint,
     policy: AuthPolicy,
     rng: np.random.Generator,
-    channel_cfg: ch.ChannelConfig | None = None,
+    channel_cfg: ch.ChannelConfig,
     *,
-    paired: bool = True,
     intruder: IntruderFactory | None = None,
     detector: str = "freq",
 ) -> tuple[AuthDecision, SessionTranscript]:
@@ -330,22 +326,21 @@ def run_authentication(
     spectral power, the default) or ``"xcorr"`` (raw cross-correlation
     baseline, which has no absence verdict).
     """
-    cfg = channel_cfg if channel_cfg is not None else ch.ChannelConfig()
     d_true = ch._distance(auth.position, vouch.position)
-    link = SecureLink(paired=paired)
+    link = SecureLink()
     t = SessionTranscript(
         auth_id=auth.device_id,
         vouch_id=vouch.device_id,
         auth_position=auth.position,
         vouch_position=vouch.position,
         true_distance_m=d_true,
-        environment=cfg.environment,
+        environment=channel_cfg.environment,
         paired_link_ok=link.usable(d_true),
         threshold_m=policy.threshold_m,
         sample_rates={"auth": auth.sample_rate, "vouch": vouch.sample_rate},
     )
     if not t.paired_link_ok:
-        return _conclude(t, link, policy, cfg.speed_of_sound), t
+        return _conclude(t, link, policy, channel_cfg.speed_of_sound), t
 
     sig_a = _draw(rng)
     sig_v = _draw(rng)
@@ -362,8 +357,8 @@ def run_authentication(
     t.session_seed = int(rng.integers(0, 2**31 - 1))
     emissions = ()
     if intruder is not None:
-        emissions = intruder(SceneContext(auth.position, vouch.position, RECORD_SAMPLES), rng)
-    rec_a, rec_v = _record(t, sig_a, vouch_sig_v, cfg, emissions)
+        emissions = intruder(SceneContext(auth.position, vouch.position), rng)
+    rec_a, rec_v = _record(t, sig_a, vouch_sig_v, channel_cfg, emissions)
 
     outcomes = (
         *_locate(rec_a.samples, sig_a, sig_v, auth.sample_rate, detector),
@@ -373,7 +368,7 @@ def run_authentication(
         t.locations[key] = out.location
         t.peak_norm_powers[key] = out.peak_norm_power
     t.signal_present = all(out.location is not None for out in outcomes)
-    return _conclude(t, link, policy, cfg.speed_of_sound), t
+    return _conclude(t, link, policy, channel_cfg.speed_of_sound), t
 
 
 def replay_session(
@@ -405,7 +400,7 @@ def one_way_ranging(
     auth: Endpoint,
     vouch: Endpoint,
     rng: np.random.Generator,
-    channel_cfg: ch.ChannelConfig | None = None,
+    channel_cfg: ch.ChannelConfig,
     *,
     processing_delay_s: float,
 ) -> float | None:
@@ -419,18 +414,17 @@ def one_way_ranging(
     to a fast FFT length. Returns the elapsed seconds, or None when the signal
     is not detected.
     """
-    cfg = channel_cfg if channel_cfg is not None else ch.ChannelConfig()
     sig = _draw(rng)
     t_send = _to_samples(0.15)
     play_at = t_send + _to_samples(processing_delay_s)
-    end = _arrival_end(play_at, vouch.position, auth.position, cfg)
+    end = _arrival_end(play_at, vouch.position, auth.position, channel_cfg)
     scene = ch.AcousticScene(
         emissions=(ch.Emission(vouch.device_id, sig.samples, play_at, vouch.position),),
         recorders=(auth,),
         duration=_recording_length(end),
         seed=int(rng.integers(0, 2**31 - 1)),
     )
-    rec = ch.record(scene, auth.device_id, cfg)
+    rec = ch.record(scene, auth.device_id, channel_cfg)
     out = spectrum.detect(rec.samples, sig, sample_rate=auth.sample_rate)
     if out.location is None:
         return None

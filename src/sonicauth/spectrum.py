@@ -85,10 +85,6 @@ class DetectionOutcome:
     location: int | None
     peak_norm_power: float | None
 
-    @property
-    def not_present(self) -> bool:
-        return self.location is None
-
 
 def frequency_bin(freq: float, sample_rate: float, window_length: int) -> int:
     """Spectral index ``floor(freq / sample_rate * window_length)``.
@@ -251,13 +247,6 @@ def _gated_scores(cand_powers: np.ndarray, sig: "ReferenceSignal") -> np.ndarray
     return np.where(ok, _ordered_sum(p_in) - _ordered_sum(p_out), -np.inf)
 
 
-def _bin_table(sample_rate: float | None) -> np.ndarray:
-    """The candidate bin table over a signal-long window at the recorder's
-    ``sample_rate``, which defaults to the nominal rate."""
-    fs = sample_rate if sample_rate is not None else signal.SAMPLE_RATE
-    return candidate_bin_table(fs, signal.SIGNAL_LENGTH)
-
-
 def _window_score(x: np.ndarray, start: int, sig: "ReferenceSignal", table: np.ndarray) -> float:
     """Gated normalized power of the one window ``x[start:start+SIGNAL_LENGTH]``
     by the exact one-window kernel: the score a detection reports."""
@@ -265,23 +254,20 @@ def _window_score(x: np.ndarray, start: int, sig: "ReferenceSignal", table: np.n
     return float(_gated_scores(powers, sig)[0])
 
 
-def _scan(
-    x: np.ndarray, sigs: tuple["ReferenceSignal", ...], sample_rate: float | None
-) -> tuple[DetectionOutcome, ...]:
+def _scan(x: np.ndarray, sigs: tuple["ReferenceSignal", ...], sample_rate: float) -> tuple[DetectionOutcome, ...]:
     """Locate each signal in the recording ``x``: one coarse scan shared by
     all of them, then a sliding-DFT fine scan of ``FINE_RADIUS`` samples
     around each signal's coarse argmax. Ties break to the smallest index.
     The fine scan only picks the window; that window's exact score is the
     reported peak and decides presence, so a window whose exact score fails a
-    gate is not present. ``sample_rate`` is the recorder's and defaults to the
-    nominal rate."""
+    gate is not present. ``sample_rate`` is the recorder's."""
     length = signal.SIGNAL_LENGTH
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("recording must be one-dimensional")
     if x.shape[0] < length:
         raise ValueError("recording shorter than the reference signal")
-    table = _bin_table(sample_rate)
+    table = candidate_bin_table(sample_rate, length)
     max_start = x.shape[0] - length
     coarse_powers = _batch_candidate_powers(x, slice(0, max_start + 1, COARSE_STEP), length, table)
     outcomes = []
@@ -297,23 +283,22 @@ def _scan(
     return tuple(outcomes)
 
 
-def norm_power(window: np.ndarray, sig: "ReferenceSignal", *, sample_rate: float | None = None) -> float | None:
-    """Normalized power of ``sig``'s tone set in one signal-long window, or
-    None when a sanity check fails (the explicit stand-in for the
-    minus-infinity sentinel). It is the score a detection reports for the
-    window it locates. ``sample_rate`` defaults to the nominal rate."""
+def norm_power(window: np.ndarray, sig: "ReferenceSignal", *, sample_rate: float) -> float | None:
+    """Normalized power of ``sig``'s tone set in one signal-long window
+    recorded at ``sample_rate``, or None when a sanity check fails (the
+    explicit stand-in for the minus-infinity sentinel). It is the score a
+    detection reports for the window it locates."""
     if np.shape(window) != (signal.SIGNAL_LENGTH,):
         raise ValueError(f"window must hold {signal.SIGNAL_LENGTH} samples, got shape {np.shape(window)}")
-    table = _bin_table(sample_rate)
+    table = candidate_bin_table(sample_rate, signal.SIGNAL_LENGTH)
     score = _window_score(np.asarray(window, dtype=np.float64), 0, sig, table)
     return None if score == -np.inf else score
 
 
-def detect(x: np.ndarray, sig: "ReferenceSignal", *, sample_rate: float | None = None) -> DetectionOutcome:
-    """Locate one reference signal in a recording (coarse scan, then a fine
-    scan of ``FINE_RADIUS`` samples around the coarse argmax). Ties break to
-    the smallest index. ``sample_rate`` is the recorder's rate and defaults to
-    the nominal rate."""
+def detect(x: np.ndarray, sig: "ReferenceSignal", *, sample_rate: float) -> DetectionOutcome:
+    """Locate one reference signal in a recording made at ``sample_rate``
+    (coarse scan, then a fine scan of ``FINE_RADIUS`` samples around the
+    coarse argmax). Ties break to the smallest index."""
     return _scan(x, (sig,), sample_rate)[0]
 
 
@@ -322,11 +307,11 @@ def detect_pair(
     sig_a: "ReferenceSignal",
     sig_b: "ReferenceSignal",
     *,
-    sample_rate: float | None = None,
+    sample_rate: float,
 ) -> tuple[DetectionOutcome, DetectionOutcome]:
-    """Detect two reference signals in one scan of the recording. The
-    coarse-pass window spectra are computed once and shared; outcomes are
-    bit-identical to two independent ``detect`` calls.
+    """Detect two reference signals in one scan of a recording made at
+    ``sample_rate``. The coarse-pass window spectra are computed once and
+    shared; outcomes are bit-identical to two independent ``detect`` calls.
     """
     return _scan(x, (sig_a, sig_b), sample_rate)
 

@@ -16,7 +16,7 @@ from sonicauth import adversary as adv
 from sonicauth import channel as ch
 from sonicauth import evaluation as ev
 from sonicauth.protocol import AuthPolicy, Endpoint, RejectReason, run_authentication
-from sonicauth.signal import sample_spec, synthesize
+from sonicauth.signal import SAMPLE_RATE, sample_spec, synthesize
 from sonicauth.spectrum import detect
 
 
@@ -227,7 +227,7 @@ def test_criterion_9_oracle_equivalence():
         x = rng.normal(0.0, 30.0, n)
         x[offset : offset + 4096] += scale * sig.samples
         x = np.clip(np.rint(x), -32768, 32767)
-        got = detect(x, sig)
+        got = detect(x, sig, sample_rate=SAMPLE_RATE)
         want, _ = exhaustive_detect(x, sig, 44_100.0)
         assert got.location is not None and want is not None
         worst = max(worst, abs(got.location - want))
@@ -242,10 +242,11 @@ def test_criterion_10_session_throughput():
     rng = np.random.default_rng(10_001)
     policy = AuthPolicy(threshold_m=1.0)
     # warm-up outside the timed region (imports, FFT plan caches)
-    run_authentication(Endpoint("a", (0.0, 0.0)), Endpoint("v", (0.5, 0.0)), policy, rng)
+    cfg = ch.ChannelConfig()
+    run_authentication(Endpoint("a", (0.0, 0.0)), Endpoint("v", (0.5, 0.0)), policy, rng, cfg)
     start = time.perf_counter()
     decision, _ = run_authentication(
-        Endpoint("a", (0.0, 0.0)), Endpoint("v", (0.5, 0.0)), policy, rng
+        Endpoint("a", (0.0, 0.0)), Endpoint("v", (0.5, 0.0)), policy, rng, cfg
     )
     elapsed = time.perf_counter() - start
     ok = elapsed < 3.0

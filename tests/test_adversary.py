@@ -6,11 +6,12 @@ import pytest
 
 from helpers import proper_subsets
 from sonicauth import adversary as adv
+from sonicauth import channel as ch
 from sonicauth import evaluation as ev
 from sonicauth import spectrum
 from sonicauth.protocol import RECORD_SAMPLES, AuthPolicy, Endpoint, SceneContext, run_authentication
 from sonicauth import signal as sg
-from sonicauth.signal import AMPLITUDE_BUDGET, BIN_COUNT, CANDIDATES, sample_spec, synthesize
+from sonicauth.signal import AMPLITUDE_BUDGET, BIN_COUNT, CANDIDATES, SAMPLE_RATE, sample_spec, synthesize
 from sonicauth.spectrum import measure_candidate_powers, norm_power
 
 
@@ -113,6 +114,15 @@ class TestAllFrequencySignal:
         with pytest.raises(ValueError):
             adv.all_frequency_signal(1.0e10, 1000)
 
+    @pytest.mark.parametrize("duration", [1, 4000, 4095])
+    def test_under_one_window_rejected(self, duration):
+        """The waveform must cover one 4096-sample measurement window."""
+        with pytest.raises(ValueError, match="at least one measurement window"):
+            adv.all_frequency_signal(1e9, duration)
+
+    def test_one_window_builds(self):
+        assert adv.all_frequency_signal(1e9, 4096).shape == (4096,)
+
 
 class TestSanityCheckDefence:
     def test_attacker_only_window_always_sentinel(self):
@@ -128,7 +138,7 @@ class TestSanityCheckDefence:
             except ValueError:
                 continue
             window = wave[2048 : 2048 + 4096].astype(float)
-            assert norm_power(window, sig) is None
+            assert norm_power(window, sig, sample_rate=SAMPLE_RATE) is None
 
     def test_wrong_guess_window_is_sentinel(self):
         rng = np.random.default_rng(9)
@@ -136,7 +146,7 @@ class TestSanityCheckDefence:
         guess = adv.guessing_replay_signal(np.random.default_rng(10))
         if set(guess.frequencies) == set(sig.frequencies):  # pragma: no cover
             pytest.skip("guess collided (probability ~1e-9)")
-        p = norm_power(guess.samples.astype(float), sig)
+        p = norm_power(guess.samples.astype(float), sig, sample_rate=SAMPLE_RATE)
         assert p is None
 
 
@@ -163,7 +173,7 @@ class TestGuessingProbability:
 
 class TestScenarios:
     def _ctx(self):
-        return SceneContext(auth_position=(0.0, 0.0), vouch_position=(3.0, 0.0), duration=RECORD_SAMPLES)
+        return SceneContext(auth_position=(0.0, 0.0), vouch_position=(3.0, 0.0))
 
     def test_zero_effort_emits_nothing(self):
         out = adv.build_emissions(adv.ZeroEffort(), self._ctx(), np.random.default_rng(0))
@@ -174,27 +184,6 @@ class TestScenarios:
         assert len(out) == 2
         positions = {e.position for e in out}
         assert (0.3, 0.0) in positions and (3.3, 0.0) in positions
-
-    def test_attacks_in_too_short_scene_rejected_clearly(self):
-        ctx = SceneContext((0.0, 0.0), (3.0, 0.0), 4200)
-        with pytest.raises(ValueError, match="scene duration 4200 too short for a 4096-sample replay"):
-            adv.build_emissions(adv.GuessingReplay(), ctx, np.random.default_rng(1))
-        ctx = SceneContext((0.0, 0.0), (3.0, 0.0), 4096)
-        with pytest.raises(ValueError, match="at least one measurement window"):
-            adv.build_emissions(adv.AllFrequency(per_tone_power=1e9), ctx, np.random.default_rng(1))
-
-    @pytest.mark.parametrize("duration", [1, 4000])
-    def test_all_frequency_in_scene_under_4097_samples_rejected(self, duration):
-        """The waveform spans the scene but its last sample, and must cover
-        one 4096-sample measurement window."""
-        ctx = SceneContext((0.0, 0.0), (3.0, 0.0), duration)
-        with pytest.raises(ValueError, match="at least one measurement window"):
-            adv.build_emissions(adv.AllFrequency(per_tone_power=1e9), ctx, np.random.default_rng(1))
-
-    def test_all_frequency_in_shortest_scene_plays(self):
-        ctx = SceneContext((0.0, 0.0), (3.0, 0.0), 4097)
-        (out,) = adv.build_emissions(adv.AllFrequency(per_tone_power=1e9), ctx, np.random.default_rng(1))
-        assert out.waveform.shape[0] == 4096
 
     def test_all_frequency_continuous_spans_scene(self):
         out = adv.build_emissions(adv.AllFrequency(per_tone_power=1e10), self._ctx(), np.random.default_rng(2))
@@ -216,7 +205,9 @@ class TestScenarios:
 
         auth, vouch = Endpoint("auth", (0.0, 0.0)), Endpoint("vouch", (3.0, 0.0))
         for seed in range(20):
-            run_authentication(auth, vouch, AuthPolicy(), np.random.default_rng(seed), intruder=intruder)
+            run_authentication(
+                auth, vouch, AuthPolicy(), np.random.default_rng(seed), ch.ChannelConfig(), intruder=intruder
+            )
         assert emissions
         assert all(0 <= e.emit_time and e.emit_time + e.waveform.shape[0] < RECORD_SAMPLES for e in emissions)
         if isinstance(scenario, adv.AllFrequency):

@@ -25,7 +25,7 @@ def _clear_caches():
 def _office_session(d, seed):
     rng = np.random.default_rng(np.random.SeedSequence([77, seed]))
     _, t = run_authentication(
-        Endpoint("auth", (0.0, 0.0)), Endpoint("vouch", (d, 0.0)), AuthPolicy(threshold_m=1.0), rng
+        Endpoint("auth", (0.0, 0.0)), Endpoint("vouch", (d, 0.0)), AuthPolicy(threshold_m=1.0), rng, ch.ChannelConfig()
     )
     return [t.to_json()]
 
@@ -41,6 +41,7 @@ def _skewed_session():
         Endpoint("vouch", (0.8, 0.0), sample_rate=44_100.0 * 1.001),
         AuthPolicy(threshold_m=1.5),
         np.random.default_rng(5),
+        ch.ChannelConfig(),
     )
     return [t.to_json()]
 

@@ -191,8 +191,8 @@ class TestRecord:
         )
         near = ch.record(scene, "near", office_cfg)
         far = ch.record(scene, "far", office_cfg)
-        l_near = detect(near.samples, sig).location
-        l_far = detect(far.samples, sig).location
+        l_near = detect(near.samples, sig, sample_rate=near.sample_rate).location
+        l_far = detect(far.samples, sig, sample_rate=far.sample_rate).location
         expected = round(0.5 / 340 * 44_100)  # 65 samples
         assert l_near is not None and l_far is not None
         assert abs((l_far - l_near) - expected) <= 10
@@ -264,7 +264,8 @@ class TestRecord:
         rec_fast = ch.record(scene, "fast", silent_cfg)
         assert rec_fast.samples.shape[0] == pytest.approx(60_000 * skew, abs=2)
         sep_true = (
-            detect(rec_true.samples, sig_b).location - detect(rec_true.samples, sig_a).location
+            detect(rec_true.samples, sig_b, sample_rate=44_100.0).location
+            - detect(rec_true.samples, sig_a, sample_rate=44_100.0).location
         )
         sep_fast = (
             detect(rec_fast.samples, sig_b, sample_rate=44_100.0 * skew).location
@@ -408,5 +409,5 @@ class TestCalibration:
                 sig, 8000, (d, 0.0), (ch.Recorder("m", (0.0, 0.0)),), 30_000, seed=int(d * 10)
             )
             rec = ch.record(scene, "m", office_cfg)
-            out = detect(rec.samples, sig)
+            out = detect(rec.samples, sig, sample_rate=rec.sample_rate)
             assert (out.location is not None) == want_found

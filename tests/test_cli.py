@@ -25,9 +25,11 @@ def test_package_runs_with_scipy_blocked():
         "import numpy as np\n"
         "from sonicauth.cli import main\n"
         "from sonicauth.evaluation import fit_sigma\n"
+        "from sonicauth.channel import ChannelConfig\n"
         "from sonicauth.protocol import AuthPolicy, Endpoint, run_authentication\n"
         "skewed = Endpoint('v', (0.8, 0.0), sample_rate=44_100.0 * 1.001)\n"
-        "_, t = run_authentication(Endpoint('a', (0.0, 0.0)), skewed, AuthPolicy(1.5), np.random.default_rng(14))\n"
+        "rng = np.random.default_rng(14)\n"
+        "_, t = run_authentication(Endpoint('a', (0.0, 0.0)), skewed, AuthPolicy(1.5), rng, ChannelConfig())\n"
         "assert t.verdict == 'accept', t.reason\n"
         "for argv in (\n"
         "    ['auth', '--distance', '1.0'],\n"
@@ -171,6 +173,14 @@ def test_attack_zero_effort(capsys):
     assert main(["attack", "--kind", "zero", "--trials", "3", "--separation", "12"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["accepts"] == 0
+
+
+def test_attack_allfreq_runs_every_trial(capsys):
+    """Trials that do not divide evenly over the 6 swept powers go to the
+    first powers, one each: ``--trials 7`` runs 7 sessions, not 6."""
+    assert main(["attack", "--kind", "allfreq", "--trials", "7", "--separation", "12"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert [cell["trials"] for cell in blob["cells"]] == [2, 1, 1, 1, 1, 1]
 
 
 def test_bad_config_file_exits_2(tmp_path, capsys):

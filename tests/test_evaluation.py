@@ -190,7 +190,7 @@ class TestMultiuser:
         """Other users' sessions start at random over 1.5 s, past the end of
         a session's recording: those that start after it are drawn, and not
         heard."""
-        ctx = SceneContext((0.0, 0.0), (1.0, 0.0), RECORD_SAMPLES)
+        ctx = SceneContext((0.0, 0.0), (1.0, 0.0))
         starts = [e.emit_time for e in ev._interferer_emissions(ctx, np.random.default_rng(0), 20)[::2]]
         assert max(starts) < ev.INTERFERER_TIMELINE_SAMPLES - 4096 - PLAYBACK_GAP_SAMPLES
         assert min(starts) < RECORD_SAMPLES <= max(starts)
@@ -208,6 +208,7 @@ class TestMultiuser:
             Endpoint("vouch", (1.0, 0.0)),
             AuthPolicy(threshold_m=1.0),
             np.random.default_rng(5),
+            ch.ChannelConfig(),
             intruder=intruder,
         )
         gaps = [b.emit_time - a.emit_time for a, b in zip(emissions[::2], emissions[1::2])]

@@ -94,7 +94,7 @@ class TestPolicy:
             AuthPolicy(threshold_m=0.0)
 
 
-def run(d, policy=None, cfg=None, seed=1, **kwargs):
+def run(d, policy=None, cfg=ch.ChannelConfig(), seed=1, **kwargs):
     rng = np.random.default_rng(np.random.SeedSequence([77, seed]))
     return run_authentication(
         Endpoint("auth", (0.0, 0.0)),
@@ -128,9 +128,6 @@ class TestRunAuthentication:
         decision, transcript = run(12.0)
         assert decision.reason is RejectReason.NOT_PAIRED
         assert not transcript.paired_link_ok
-
-    def test_reject_when_unpaired_or_dropped(self):
-        assert run(0.5, paired=False)[0].reason is RejectReason.NOT_PAIRED
 
     def test_distance_exceeded_between_tau_and_detect_range(self):
         decision, _ = run(1.8, policy=AuthPolicy(threshold_m=1.0))
@@ -196,7 +193,7 @@ class TestRunAuthentication:
         ranges at 0 m whatever the separation."""
         rng = np.random.default_rng(seed)
         with pytest.raises(ValueError, match="^two recorders share the device id 'x'$"):
-            run_authentication(Endpoint("x", (0.0, 0.0)), Endpoint("x", (0.8, 0.0)), AuthPolicy(), rng)
+            run_authentication(Endpoint("x", (0.0, 0.0)), Endpoint("x", (0.8, 0.0)), AuthPolicy(), rng, ch.ChannelConfig())
 
     @pytest.mark.parametrize("vouch_position", [(8.0,), (0.8, 0.0, 0.0)], ids=["1d", "3d"])
     def test_positions_of_two_dimensionalities_rejected(self, vouch_position):
@@ -206,7 +203,9 @@ class TestRunAuthentication:
         and the session ended as ``not_paired``."""
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="^positions must share dimensionality$"):
-            run_authentication(Endpoint("a", (0.0, 0.0)), Endpoint("v", vouch_position), AuthPolicy(), rng)
+            run_authentication(
+                Endpoint("a", (0.0, 0.0)), Endpoint("v", vouch_position), AuthPolicy(), rng, ch.ChannelConfig()
+            )
 
     def test_recording_too_short_for_vouching_signal_rejected(self):
         """A smoothing kernel of n taps (a delta padded with zeros) lengthens

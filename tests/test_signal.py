@@ -119,7 +119,7 @@ class TestSynthesize:
         rng = np.random.default_rng(23)
         for _ in range(10):
             sig = synthesize(sample_spec(rng))
-            p = norm_power(sig.samples.astype(float), sig)
+            p = norm_power(sig.samples.astype(float), sig, sample_rate=SAMPLE_RATE)
             assert p is not None
             assert p >= 0.95 * sig.total_power
 
@@ -131,8 +131,8 @@ class TestSynthesize:
         default = synthesize(spec)
         monkeypatch.setattr(spectrum, "BETA_RATIO", 0.002)
         tuned = synthesize(spec)
-        assert norm_power(default.samples, default) is None
-        assert norm_power(tuned.samples, tuned) is not None
+        assert norm_power(default.samples, default, sample_rate=SAMPLE_RATE) is None
+        assert norm_power(tuned.samples, tuned, sample_rate=SAMPLE_RATE) is not None
 
     def test_unconfinable_leakage_rejected(self, monkeypatch):
         """Seed 0's tone set tries all 16 phase candidates: each leaks past the
@@ -144,7 +144,7 @@ class TestSynthesize:
             with pytest.raises(ValueError, match=message):
                 synthesize(spec)
         sig = synthesize(spec)
-        assert norm_power(sig.samples, sig) is not None
+        assert norm_power(sig.samples, sig, sample_rate=SAMPLE_RATE) is not None
 
     def test_each_candidate_measured_once(self, monkeypatch):
         """Seeds 1, 3 and 0 render 1, 2 and all 16 phase candidates; the chosen

@@ -183,14 +183,14 @@ class TestBatchCandidatePowers:
         2000-start recording, so the fine scan runs from 0 to max_start."""
         sig = synthesize(sample_spec(np.random.default_rng(16)))
         x = _embed(sig, 1234, 2000 - 1234)
-        out = detect(x, sig)
+        out = detect(x, sig, sample_rate=FS)
         assert out.location is not None and abs(out.location - 1234) <= spectrum.FINE_STEP
 
     def test_recording_exactly_one_signal_long(self):
         sig = synthesize(sample_spec(np.random.default_rng(17)))
-        out = detect(sig.samples.astype(float), sig)
+        out = detect(sig.samples.astype(float), sig, sample_rate=FS)
         assert out.location == 0
-        assert out.peak_norm_power == norm_power(sig.samples.astype(float), sig)
+        assert out.peak_norm_power == norm_power(sig.samples.astype(float), sig, sample_rate=FS)
 
 
 def _scene_recording(n, seed):
@@ -249,7 +249,7 @@ class TestLocatedWindowScore:
 
         with monkeypatch.context() as m:
             m.setattr(spectrum, "_window_score", spy)
-            outcomes = detect_pair(x, *sigs)
+            outcomes = detect_pair(x, *sigs, sample_rate=FS)
         assert len(scored) == len(sigs)
         return [(sig, out, *s) for sig, out, s in zip(sigs, outcomes, scored)]
 
@@ -273,7 +273,7 @@ class TestLocatedWindowScore:
             x = np.rint(x)
             for sig, out, start, score in self._scored(monkeypatch, x, (sig_a, sig_b)):
                 assert out.peak_norm_power == (None if score == -np.inf else score)
-                assert norm_power(x[start : start + 4096], sig) == out.peak_norm_power
+                assert norm_power(x[start : start + 4096], sig, sample_rate=FS) == out.peak_norm_power
                 present = score >= spectrum.EPSILON * sig.total_power
                 assert out.location == (start if present else None)
                 if sig is sig_b and seed % 3 == 2:
@@ -290,7 +290,7 @@ class TestLocatedWindowScore:
         x = _embed(sig, 15_000, 10_000)
         t = np.arange(1_400)
         x[13_500:14_900] += 3000.0 * np.sin(2 * np.pi * CANDIDATES[0] * t / FS)
-        assert detect(x, sig).location == 15_000
+        assert detect(x, sig, sample_rate=FS).location == 15_000
         sliding = spectrum._sliding_candidate_powers
 
         def first_window_best(x, lo, count, step, length, table):
@@ -300,7 +300,7 @@ class TestLocatedWindowScore:
             return powers
 
         monkeypatch.setattr(spectrum, "_sliding_candidate_powers", first_window_best)
-        assert detect(x, sig) == DetectionOutcome(None, None)
+        assert detect(x, sig, sample_rate=FS) == DetectionOutcome(None, None)
 
 
 def test_sliding_oracle_matches_direct_projections():
@@ -317,12 +317,12 @@ def test_sliding_oracle_matches_direct_projections():
 class TestNormPower:
     def test_clean_signal_close_to_total(self):
         sig = synthesize(sample_spec(np.random.default_rng(0)))
-        p = norm_power(sig.samples.astype(float), sig)
+        p = norm_power(sig.samples.astype(float), sig, sample_rate=FS)
         assert p is not None and p >= 0.95 * sig.total_power
 
     def test_silence_fails_presence_check(self):
         sig = synthesize(sample_spec(np.random.default_rng(1)))
-        p = norm_power(np.zeros(4096), sig)
+        p = norm_power(np.zeros(4096), sig, sample_rate=FS)
         assert p is None
 
     def test_all_frequency_window_always_rejected(self):
@@ -337,7 +337,7 @@ class TestNormPower:
             w = np.zeros(4096)
             for f in CANDIDATES:
                 w += amp * np.sin(2 * np.pi * f * t / FS)
-            assert norm_power(w, sig) is None
+            assert norm_power(w, sig, sample_rate=FS) is None
 
     def test_out_of_set_tone_trips_absence_check(self):
         """A window holding the clean signal plus one loud out-of-set tone is
@@ -346,12 +346,12 @@ class TestNormPower:
         intruder_f = CANDIDATES[0]
         t = np.arange(4096)
         w = sig.samples.astype(float) + 3000.0 * np.sin(2 * np.pi * intruder_f * t / FS)
-        assert norm_power(w, sig) is None
+        assert norm_power(w, sig, sample_rate=FS) is None
 
     def test_wrong_length_rejected(self):
         sig = synthesize(sample_spec(np.random.default_rng(4)))
         with pytest.raises(ValueError):
-            norm_power(np.zeros(1000), sig)
+            norm_power(np.zeros(1000), sig, sample_rate=FS)
 
     def test_one_rfft_per_call(self, monkeypatch):
         """``norm_power`` takes its window's spectrum once, as the scan does
@@ -367,7 +367,7 @@ class TestNormPower:
         monkeypatch.setattr(np.fft, "rfft", counting)
         for window in (sig.samples.astype(float), np.zeros(4096)):
             calls.clear()
-            norm_power(window, sig)
+            norm_power(window, sig, sample_rate=FS)
             assert calls == [(1, 4096)]
 
 
@@ -385,7 +385,7 @@ class TestDetect:
     def test_clean_embedding_located(self):
         sig = synthesize(sample_spec(np.random.default_rng(5)))
         x = _embed(sig, 10_000, 10_000)
-        out = detect(x, sig)
+        out = detect(x, sig, sample_rate=FS)
         assert out.location is not None
         assert abs(out.location - 10_000) <= spectrum.FINE_STEP
         loc, _ = exhaustive_detect(x, sig, FS)
@@ -395,18 +395,18 @@ class TestDetect:
         sig = synthesize(sample_spec(np.random.default_rng(6)))
         rms = np.sqrt(np.mean(sig.samples.astype(float) ** 2))
         x = np.random.default_rng(7).normal(0.0, rms, 60_000)
-        out = detect(x, sig)
-        assert out.not_present
+        out = detect(x, sig, sample_rate=FS)
+        assert out.location is None
 
     def test_recording_shorter_than_signal(self):
         sig = synthesize(sample_spec(np.random.default_rng(8)))
         with pytest.raises(ValueError):
-            detect(np.zeros(1000), sig)
+            detect(np.zeros(1000), sig, sample_rate=FS)
 
     def test_monotone_rejection_when_scaled_below_epsilon(self):
         sig = synthesize(sample_spec(np.random.default_rng(9)))
         x = _embed(sig, 5_000, 5_000, scale=0.5 * spectrum.EPSILON)
-        assert detect(x, sig).not_present
+        assert detect(x, sig, sample_rate=FS).location is None
 
     def test_coarse_to_fine_matches_exhaustive_on_random_scenes(self):
         for seed in range(10):
@@ -415,7 +415,7 @@ class TestDetect:
             pre = int(rng.integers(0, 12_000))
             x = _embed(sig, pre, 18_000 - pre, scale=float(rng.uniform(0.2, 1.0)))
             x += rng.normal(0.0, 40.0, x.shape[0])
-            got = detect(x, sig)
+            got = detect(x, sig, sample_rate=FS)
             want_loc, _ = exhaustive_detect(x, sig, FS)
             assert got.location is not None and want_loc is not None
             assert abs(got.location - want_loc) <= spectrum.FINE_STEP
@@ -429,7 +429,7 @@ class TestDetectPair:
         x = np.zeros(45_000)
         x[10_000 : 10_000 + 4096] = sig_a.samples
         x[30_000 : 30_000 + 4096] = sig_b.samples
-        out_a, out_b = detect_pair(x, sig_a, sig_b)
+        out_a, out_b = detect_pair(x, sig_a, sig_b, sample_rate=FS)
         assert abs(out_a.location - 10_000) <= spectrum.FINE_STEP
         assert abs(out_b.location - 30_000) <= spectrum.FINE_STEP
 
@@ -439,9 +439,9 @@ class TestDetectPair:
         others = tuple(f for f in CANDIDATES if f not in sig_a.frequencies)
         sig_b = synthesize(SignalSpec(frequencies=others))
         x = _embed(sig_a, 8_000, 20_000)
-        out_a, out_b = detect_pair(x, sig_a, sig_b)
+        out_a, out_b = detect_pair(x, sig_a, sig_b, sample_rate=FS)
         assert out_a.location is not None
-        assert out_b.not_present
+        assert out_b.location is None
 
     def test_equivalent_to_two_detect_calls(self):
         """Paired scan must be bit-identical to independent scans, across
@@ -458,8 +458,8 @@ class TestDetectPair:
             if mode == 2:
                 pos_b = int(rng.integers(14_000, 24_000))
                 x[pos_b : pos_b + 4096] += sig_b.samples * rng.uniform(0.1, 1.0)
-            pair = detect_pair(x, sig_a, sig_b)
-            singles = (detect(x, sig_a), detect(x, sig_b))
+            pair = detect_pair(x, sig_a, sig_b, sample_rate=FS)
+            singles = (detect(x, sig_a, sample_rate=FS), detect(x, sig_b, sample_rate=FS))
             assert pair == singles
 
 
