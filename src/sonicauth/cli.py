@@ -115,8 +115,10 @@ def _cmd_attack(args) -> int:
         if args.trials < len(powers):
             raise ValueError(f"--trials must be at least {len(powers)}, one per swept power, got {args.trials}")
         # The first ``trials % len(powers)`` powers run one trial more, so
-        # that exactly ``trials`` sessions run.
+        # that exactly ``trials`` sessions run. Every cell runs on the one
+        # channel the config is read into once.
         per_trial, extra = divmod(args.trials, len(powers))
+        channel_cfg = _load_channel_cfg(args)
         reports = []
         total_accepts = 0
         for i, p in enumerate(powers):
@@ -126,7 +128,7 @@ def _cmd_attack(args) -> int:
                 args.seed,
                 separation_m=args.separation,
                 environment=args.env,
-                channel_cfg=_load_channel_cfg(args),
+                channel_cfg=channel_cfg,
             )
             total_accepts += rep.accepts
             reports.append({"per_tone_power": p, "trials": rep.trials, "accepts": rep.accepts})

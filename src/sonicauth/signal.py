@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -219,16 +218,16 @@ def _edge_energy_ratio(samples: np.ndarray) -> float:
     return min(head, tail) / total_rate
 
 
-def _phase_family(spec: SignalSpec, index: np.ndarray) -> Iterator[np.ndarray]:
-    """Deterministic phase candidates for one tone set (``index``: the tones'
-    candidate indices): zero phases first, then seeded random draws. The seed
-    key ends with the candidate count and the signal length; any other key
-    would change every draw, and with it every waveform."""
+def _phase_family(spec: SignalSpec, index: np.ndarray) -> np.ndarray:
+    """(_PHASE_CANDIDATES, n) deterministic phase candidates for one tone set
+    (``index``: the tones' candidate indices): zero phases first, then seeded
+    random draws, taken in one call that draws the same stream as one call per
+    row. The seed key ends with the candidate count and the signal length; any
+    other key would change every draw, and with it every waveform."""
     key = index.tolist() + [BIN_COUNT, SIGNAL_LENGTH]
     rng = np.random.default_rng(np.random.SeedSequence(key))
-    yield np.zeros(spec.tone_count)
-    for _ in range(_PHASE_CANDIDATES - 1):
-        yield rng.uniform(0.0, 2.0 * np.pi, spec.tone_count)
+    draws = rng.uniform(0.0, 2.0 * np.pi, (_PHASE_CANDIDATES - 1, spec.tone_count))
+    return np.concatenate([np.zeros((1, spec.tone_count)), draws])
 
 
 # Phasor tables are built as a block product exp(iw*B*a) * exp(iw*b), a and b
@@ -278,6 +277,53 @@ def _render(spec: SignalSpec, table: np.ndarray, phases: np.ndarray) -> np.ndarr
     return samples
 
 
+# About 310 KB (60 rows of 30 candidates' 11 bins), built once.
+@lru_cache(maxsize=1)
+def _grid_bin_spectra() -> np.ndarray:
+    """(2N, N, 2*THETA+1) complex: each row of ``_grid_phasor_table`` after an
+    rFFT, read at every candidate's bins (``spectrum.candidate_bin_table``);
+    read-only. Built row by row, so no (2N, SIGNAL_LENGTH) spectrum is held."""
+    bins = spectrum.candidate_bin_table(SAMPLE_RATE, SIGNAL_LENGTH)
+    rows = _grid_phasor_table()
+    table = np.empty((rows.shape[0],) + bins.shape, dtype=np.complex128)
+    for row, out in zip(rows, table):
+        out[...] = np.fft.rfft(row)[bins]
+    table.setflags(write=False)
+    return table
+
+
+def _candidate_norms(spec: SignalSpec, index: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """(P, N) 2-norm of each candidate's bins in the unrounded tone sum, for
+    each of the P phase vectors ``phases``: by linearity, the tones' table
+    rows weighted as ``_tone_sum`` weights their phasor rows."""
+    rows = np.concatenate([index, BIN_COUNT + index])
+    spectra = _grid_bin_spectra()[rows]
+    amp = AMPLITUDE_BUDGET / spec.tone_count
+    coeff = amp * np.concatenate([np.cos(phases), np.sin(phases)], axis=1)
+    parts = coeff @ spectra.reshape(rows.shape[0], -1).view(np.float64)  # real and imaginary parts interleaved
+    return np.sqrt((parts**2).reshape(phases.shape[0], BIN_COUNT, -1).sum(axis=2))
+
+
+def _leakage_lower_bounds(norms: np.ndarray, in_set: np.ndarray, tone_count: int) -> np.ndarray:
+    """A lower bound on ``_leakage_ratio`` of each rendering, from its
+    unrounded candidate norms (``_candidate_norms``). Rounding moves each
+    sample by at most 1/2, and a candidate's 2*THETA+1 bins are distinct DFT
+    rows, orthogonal with norm sqrt(SIGNAL_LENGTH); so it moves a candidate's
+    norm by at most SIGNAL_LENGTH/2. The 1.0 covers floating-point error, which
+    is far smaller. ``spectrum.beta`` is read at call time."""
+    slack = SIGNAL_LENGTH / 2 + 1.0
+    worst_out = (np.maximum(norms[:, ~in_set] - slack, 0.0) ** 2).max(axis=1)
+    return worst_out / spectrum.beta(((norms[:, in_set] + slack) ** 2).sum(axis=1), tone_count)
+
+
+def _measure(spec: SignalSpec, table: np.ndarray, phases: np.ndarray, in_set: np.ndarray):
+    """Render one phase candidate: its samples, measured candidate powers,
+    leakage ratio and edge energy ratio."""
+    samples = _render(spec, table, phases)
+    measured = spectrum.measure_candidate_powers(samples, SAMPLE_RATE)
+    return samples, measured, _leakage_ratio(measured, in_set, spec), _edge_energy_ratio(samples)
+
+
 def synthesize(spec: SignalSpec) -> ReferenceSignal:
     """Render the reference signal and measure its per-tone nominal powers.
 
@@ -288,24 +334,43 @@ def synthesize(spec: SignalSpec) -> ReferenceSignal:
     per-tone powers are measured, and the leakage confined under the absence
     threshold, as the detector measures and gates them. Raises ``ValueError``
     when no candidate keeps the leakage under that threshold at all.
+
+    The search picks what rendering every candidate in family order would:
+    the first that passes both targets, else the confined one with the
+    strongest edge, else the least leaking, ties to the first. A certified
+    lower bound on every candidate's leakage, from its unrounded spectrum
+    (``_leakage_lower_bounds``), spares the renders that cannot change that
+    choice.
     """
     index, in_set = spectrum.in_set_mask(spec.frequencies)
     table = _phasor_table(spec)
-    chosen, chosen_key = None, None
-    for phases in _phase_family(spec, index):
-        candidate = _render(spec, table, phases)
-        measured = spectrum.measure_candidate_powers(candidate, SAMPLE_RATE)
-        leak = _leakage_ratio(measured, in_set, spec)
-        edge = _edge_energy_ratio(candidate)
+    family = _phase_family(spec, index)
+    lower = _leakage_lower_bounds(_candidate_norms(spec, index, family), in_set, spec.tone_count)
+    ruled_out = lower > _LEAKAGE_TARGET  # their leakage is too: none can pass or be confined
+    best = None  # (fallback key, samples, measured powers, leakage) of the best candidate so far
+    for i in np.flatnonzero(~ruled_out):
+        samples, measured, leak, edge = _measure(spec, table, family[i], in_set)
         if leak <= _LEAKAGE_TARGET and edge >= _EDGE_ENERGY_TARGET:
-            chosen = (candidate, measured, leak)
+            best = (None, samples, measured, leak)
             break
         # fallback ranking: confined leakage beats anything, then strongest
-        # edge among confined candidates, then least leakage
-        key = (0, -edge) if leak <= _LEAKAGE_TARGET else (1, leak)
-        if chosen is None or key < chosen_key:
-            chosen, chosen_key = (candidate, measured, leak), key
-    samples, measured, leak = chosen
+        # edge among confined candidates, then least leakage; ties to the first
+        key = (0, -edge, i) if leak <= _LEAKAGE_TARGET else (1, leak, i)
+        if best is None or key < best[0]:
+            best = (key, samples, measured, leak)
+    else:
+        if best is None or best[3] > _LEAKAGE_TARGET:
+            # None is confined, so the least leakage wins: render the ruled-out
+            # candidates by ascending bound until one exceeds the least found.
+            for i in np.argsort(lower, kind="stable"):
+                if best is not None and lower[i] > best[3]:
+                    break
+                if ruled_out[i]:
+                    samples, measured, leak, _ = _measure(spec, table, family[i], in_set)
+                    key = (1, leak, i)
+                    if best is None or key < best[0]:
+                        best = (key, samples, measured, leak)
+    _, samples, measured, leak = best
     if leak >= 1.0:  # the detector's absence gate is strict: p_out < beta
         raise ValueError(
             f"cannot synthesize tones {spec.frequencies} under beta_ratio={spectrum.BETA_RATIO}: "

@@ -3,11 +3,14 @@ command line writes.
 
 The oracles deliberately avoid the production code paths: per-bin powers come
 from direct complex projections, cumulative sums or one full rFFT per window
-instead of the package's batched and sliding kernels. The FRR/FAR closed forms
-here are the package's model rearranged (``erf`` and the density at both ends
-instead of ``erfc`` and the antiderivative ``G``); the independent reference
-for the model is a quadrature in ``test_evaluation``, and scipy is imported
-only by the tests that use it as a reference.
+instead of the package's batched and sliding kernels. The reference phase
+search is the exception: it renders and measures with the package's own
+functions and differs from ``synthesize`` only in rendering every candidate,
+with no bound to skip any. The FRR/FAR closed forms here are the package's
+model rearranged (``erf`` and the density at both ends instead of ``erfc`` and
+the antiderivative ``G``); the independent reference for the model is a
+quadrature in ``test_evaluation``, and scipy is imported only by the tests
+that use it as a reference.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
+from sonicauth import signal as sg
 from sonicauth import spectrum
 from sonicauth.signal import AMPLITUDE_BUDGET, CANDIDATES, SAMPLE_RATE, SIGNAL_LENGTH, ReferenceSignal
 
@@ -196,6 +200,36 @@ def smooth_length_search(n: int) -> int:
 def loop_render(spec, phases, length=SIGNAL_LENGTH):
     x = loop_tone_sum(spec, phases, length)
     return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int16)
+
+
+def sequential_synthesize(spec) -> ReferenceSignal:
+    """Reference phase search: render and measure every phase candidate in
+    family order, with no bound to skip any. The first that passes both the
+    leakage and the edge-energy target wins; otherwise the confined candidate
+    with the strongest edge, otherwise the least leaking, ties to the first.
+    Raises ``ValueError`` as ``synthesize`` does."""
+    index, in_set = spectrum.in_set_mask(spec.frequencies)
+    table = sg._phasor_table(spec)
+    chosen, chosen_key = None, None
+    for phases in sg._phase_family(spec, index):
+        candidate = sg._render(spec, table, phases)
+        measured = spectrum.measure_candidate_powers(candidate, SAMPLE_RATE)
+        leak = sg._leakage_ratio(measured, in_set, spec)
+        edge = sg._edge_energy_ratio(candidate)
+        if leak <= sg._LEAKAGE_TARGET and edge >= sg._EDGE_ENERGY_TARGET:
+            chosen = (candidate, measured, leak)
+            break
+        key = (0, -edge) if leak <= sg._LEAKAGE_TARGET else (1, leak)
+        if chosen is None or key < chosen_key:
+            chosen, chosen_key = (candidate, measured, leak), key
+    samples, measured, leak = chosen
+    if leak >= 1.0:
+        raise ValueError(
+            f"cannot synthesize tones {spec.frequencies} under beta_ratio={spectrum.BETA_RATIO}: "
+            f"the least-leaking phase candidate reaches {leak:.3f} times the absence threshold"
+        )
+    power = {f: float(p) for f, p in zip(spec.frequencies, measured[index])}
+    return ReferenceSignal(spec=spec, samples=samples.astype(np.int16), nominal_power=power)
 
 
 def proper_subsets(items: tuple) -> list[frozenset]:

@@ -1,7 +1,8 @@
-"""The session-invariant tables (candidate phasor rows, candidate bin tables, the
-noise mask) are built once and shared read-only: sessions must not depend on
-whether a table was built for them or found in its cache, and every cached
-table must equal the one built for its caller alone."""
+"""The session-invariant tables (candidate phasor rows and their spectra at the
+candidates' bins, candidate bin tables, the noise mask) are built once and
+shared read-only: sessions must not depend on whether a table was built for
+them or found in its cache, and every cached table must equal the one built
+for its caller alone."""
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from sonicauth import evaluation as ev
 from sonicauth import signal as sg
 from sonicauth import spectrum
 from sonicauth.protocol import AuthPolicy, Endpoint, run_authentication
-from sonicauth.signal import BIN_COUNT, CANDIDATES, SignalSpec, sample_spec, synthesize
+from sonicauth.signal import BIN_COUNT, CANDIDATES, SAMPLE_RATE, SIGNAL_LENGTH, SignalSpec, sample_spec, synthesize
 
-CACHES = (sg._grid_phasor_table, spectrum.candidate_bin_table, ch._noise_mask)
+CACHES = (sg._grid_phasor_table, sg._grid_bin_spectra, spectrum.candidate_bin_table, ch._noise_mask)
 
 
 def _clear_caches():
@@ -70,6 +71,7 @@ class TestCachePurity:
         synthesize(sample_spec(np.random.default_rng(1)))
         tables = (
             sg._grid_phasor_table(),
+            sg._grid_bin_spectra(),
             spectrum.candidate_bin_table(44_100.0, 4096),
             ch._noise_mask(66_150),
         )
@@ -114,6 +116,24 @@ class TestPhasorRows:
         assert info.hits >= 1
         assert sg._grid_phasor_table().shape == (2 * BIN_COUNT, 4096)
         assert sg._grid_phasor_table.cache_info().hits == info.hits + 1
+
+
+class TestBinSpectra:
+    def test_equals_per_row_rfft(self):
+        """Each phasor row's rFFT, taken alone and read at every candidate's
+        bins."""
+        bins = spectrum.candidate_bin_table(SAMPLE_RATE, SIGNAL_LENGTH)
+        want = np.array([np.fft.rfft(row)[bins] for row in sg._grid_phasor_table()])
+        got = sg._grid_bin_spectra()
+        assert got.shape == want.shape == (2 * BIN_COUNT, BIN_COUNT, 2 * spectrum.THETA + 1)
+        assert np.array_equal(got, want)
+
+    def test_each_candidates_bins_distinct(self):
+        """The leakage bound needs a candidate's bins to be distinct DFT rows,
+        orthogonal, so that rounding moves their norm by at most
+        ``SIGNAL_LENGTH / 2``."""
+        bins = spectrum.candidate_bin_table(SAMPLE_RATE, SIGNAL_LENGTH)
+        assert all(np.unique(row).size == row.size for row in bins)
 
 
 class TestNoiseMask:

@@ -7,6 +7,7 @@ import pytest
 
 import sonicauth
 from helpers import load_signal, load_wav
+from sonicauth import cli
 from sonicauth.cli import main
 from sonicauth.evaluation import fit_sigma
 from sonicauth.protocol import RECORD_SAMPLES
@@ -181,6 +182,25 @@ def test_attack_allfreq_runs_every_trial(capsys):
     assert main(["attack", "--kind", "allfreq", "--trials", "7", "--separation", "12"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert [cell["trials"] for cell in blob["cells"]] == [2, 1, 1, 1, 1, 1]
+
+
+def test_attack_allfreq_reads_the_config_once(tmp_path, monkeypatch, capsys):
+    """The sweep's 6 cells share one channel: ``--config`` is read once, not
+    once per swept power."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text("{}")
+    loads = []
+    load = cli._load_channel_cfg
+
+    def counting(args):
+        loads.append(args.config)
+        return load(args)
+
+    monkeypatch.setattr(cli, "_load_channel_cfg", counting)
+    argv = ["attack", "--kind", "allfreq", "--trials", "6", "--separation", "12", "--config", str(cfg)]
+    assert main(argv) == 0
+    assert loads == [str(cfg)]
+    assert len(json.loads(capsys.readouterr().out)["cells"]) == 6
 
 
 def test_bad_config_file_exits_2(tmp_path, capsys):

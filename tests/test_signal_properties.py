@@ -1,5 +1,6 @@
-"""Property tests for the synthesis renderer (need ``hypothesis``, kept apart
-so the rest of the signal tests collect without it)."""
+"""Property tests for the synthesis renderer and its leakage bound (need
+``hypothesis``, kept apart so the rest of the signal tests collect without
+it)."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,7 +8,19 @@ from hypothesis import strategies as st
 
 from helpers import loop_tone_sum
 from sonicauth import signal as sg
-from sonicauth.signal import BIN_COUNT, CANDIDATES, SignalSpec
+from sonicauth import spectrum
+from sonicauth.signal import BIN_COUNT, CANDIDATES, SAMPLE_RATE, SIGNAL_LENGTH, SignalSpec
+
+
+def _tones_and_phases(data, low: float, high: float) -> tuple[SignalSpec, np.ndarray]:
+    """A tone subset and one phase per tone, in ``[low, high]``, each phase
+    kept with its tone in the spec's sorted order."""
+    index = data.draw(
+        st.lists(st.integers(0, BIN_COUNT - 1), min_size=1, max_size=BIN_COUNT - 1, unique=True)
+    )
+    phases = np.array(data.draw(st.lists(st.floats(low, high), min_size=len(index), max_size=len(index))))
+    spec = SignalSpec(frequencies=tuple(CANDIDATES[i] for i in index))
+    return spec, phases[np.argsort(index)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -15,12 +28,25 @@ from sonicauth.signal import BIN_COUNT, CANDIDATES, SignalSpec
 def test_tone_sum_close_to_sine_loop(data):
     """For any tone subset and any phases, the phasor-table sum before
     rounding is within 1e-6 of one ``np.sin`` per tone."""
-    index = data.draw(
-        st.lists(st.integers(0, BIN_COUNT - 1), min_size=1, max_size=BIN_COUNT - 1, unique=True)
-    )
-    phases = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=len(index), max_size=len(index))))
-    spec = SignalSpec(frequencies=tuple(CANDIDATES[i] for i in index))
-    order = np.argsort(index)  # the spec sorts its tones; keep each phase with its tone
-    phases = phases[order]
+    spec, phases = _tones_and_phases(data, -10.0, 10.0)
     x = sg._tone_sum(spec, sg._phasor_table(spec), phases)
     assert np.max(np.abs(x - loop_tone_sum(spec, phases))) <= 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rounding_moves_candidate_norms_by_at_most_half_the_length(data):
+    """For any tone subset and any phases, each candidate's measured power on
+    the rendering lies within ``SIGNAL_LENGTH / 2`` (without the bound's
+    floating-point slack) of its 2-norm in the unrounded spectrum:
+    ``[(norm - B)+^2, (norm + B)^2]``. So the screen's leakage bound never
+    exceeds the rendering's leakage ratio."""
+    spec, phases = _tones_and_phases(data, 0.0, 2.0 * np.pi)
+    index, in_set = spectrum.in_set_mask(spec.frequencies)
+    norms = sg._candidate_norms(spec, index, phases[None])
+    measured = spectrum.measure_candidate_powers(sg._render(spec, sg._phasor_table(spec), phases), SAMPLE_RATE)
+    bound = SIGNAL_LENGTH / 2
+    assert np.all(np.maximum(norms[0] - bound, 0.0) ** 2 <= measured)
+    assert np.all(measured <= (norms[0] + bound) ** 2)
+    lower = sg._leakage_lower_bounds(norms, in_set, spec.tone_count)
+    assert lower[0] <= sg._leakage_ratio(measured, in_set, spec)
