@@ -16,11 +16,18 @@ large step finds the neighbourhood of the maximum; it takes one rFFT per
 window, reading its evenly spaced windows in place from the recording as a
 strided view. A fine scan pinpoints the maximum with a sliding DFT over the
 bins the candidates read: the first window's bins come from one rFFT and each
-later window's from the samples that enter and leave it. The fine scan only
-picks the window. The exact one-window kernel, the one ``norm_power`` uses,
-then scores that window; its score is the reported peak, and the detection is
-declared absent when it stays below ``EPSILON`` times the signal's total
-nominal power. So a located window whose exact score fails a gate is not
+later window's from the samples that enter and leave it. All signals sought in
+one recording share one stacked fine pass: their first windows take one rFFT,
+and each block of slides takes one phase product and one running sum over
+every signal's bins. The running sum adds the block's windows one row after
+another, so each bin is summed in window order, as a per-signal cumulative
+sum would sum it, and the stacked pass gives each signal's powers bit for bit.
+Each signal's gate (tone indices, out-of-set indices, presence floors and
+``beta``) is built once per scan and read by the coarse, fine and exact
+scores. The fine scan only picks the window. The exact one-window kernel, the
+one ``norm_power`` uses, then scores that window; its score is the reported
+peak, and the detection is declared absent when it stays below ``EPSILON``
+times the signal's total nominal power. So a located window whose exact score fails a gate is not
 present, and ``norm_power`` on a located window reproduces the peak bit for
 bit by construction.
 
@@ -106,7 +113,15 @@ def frequency_bin(freq: float, sample_rate: float, window_length: int) -> int:
 def candidate_bin_table(sample_rate: float, window_length: int) -> np.ndarray:
     """(N, 2*THETA+1) one-sided bin indices per candidate, clamped then folded,
     around each candidate's ``frequency_bin``. Built once per key and shared
-    read-only."""
+    read-only. A rate that is not finite, or not above the highest candidate,
+    is refused here, so it is checked once per rate and never on a cache
+    hit."""
+    highest = max(signal.CANDIDATES)
+    if not (math.isfinite(sample_rate) and sample_rate > highest):
+        raise ValueError(
+            f"sample rate {sample_rate} Hz must be finite and above the highest candidate, {highest:.2f} Hz: "
+            "a candidate outside [0, sample_rate) cannot be measured"
+        )
     first = np.array([frequency_bin(f, sample_rate, window_length) for f in signal.CANDIDATES], dtype=np.intp)
     k = np.clip(first[:, None] + np.arange(-THETA, THETA + 1), 0, window_length - 1)
     table = np.where(k > window_length // 2, window_length - k, k)
@@ -119,8 +134,10 @@ def measure_candidate_powers(window: np.ndarray, sample_rate: float) -> np.ndarr
     each candidate's index. This is the measurement convention shared by
     synthesis (nominal powers) and detection."""
     w = np.asarray(window, dtype=np.float64)
-    table = candidate_bin_table(sample_rate, w.shape[-1])
-    return _batch_candidate_powers(w, slice(0, 1), w.shape[-1], table)[0]
+    length = w.shape[-1]
+    if length < 2 or length & (length - 1):
+        raise ValueError(f"window length must be a power of two, got {length}")
+    return _window_powers(w, candidate_bin_table(sample_rate, length))
 
 
 # Windows per block in a scan: bounds the spectra, or the sliding sums, held
@@ -140,10 +157,16 @@ def _ordered_sum(rows: np.ndarray) -> np.ndarray:
     return total
 
 
+def _window_powers(window: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per-candidate powers of one window: its rFFT read at the table's bins,
+    offset-major, squared, and the offsets added one after another. That is
+    the batched kernel's arithmetic for one of its windows, bit for bit."""
+    spec = np.fft.rfft(window)[table.T]
+    return _ordered_sum(spec.real**2 + spec.imag**2)
+
+
 def _batch_candidate_powers(x: np.ndarray, starts: slice, length: int, table: np.ndarray) -> np.ndarray:
     """Per-candidate powers of the windows ``x[s:s+length]``, ``s`` in ``starts``."""
-    if length < 2 or length & (length - 1):
-        raise ValueError(f"window length must be a power of two, got {length}")
     windows = sliding_window_view(x, length)[starts]
     out = np.empty((table.shape[0], windows.shape[0]))
     for i in range(0, windows.shape[0], _SCAN_BLOCK):
@@ -179,47 +202,68 @@ def _slide_phases(bins: bytes, step: int, length: int) -> tuple[np.ndarray, np.n
 
 
 def _sliding_candidate_powers(
-    x: np.ndarray, lo: int, count: int, step: int, length: int, table: np.ndarray
-) -> np.ndarray:
-    """Per-candidate powers of the ``count`` windows ``x[s:s+length]``, ``s =
-    lo + j*step``, by a sliding DFT over the table's bins only (Jacobsen and
-    Lyons, "The sliding DFT", IEEE Signal Processing Magazine, 2003).
+    x: np.ndarray, spans: list[tuple[int, int]], step: int, length: int, table: np.ndarray
+) -> list[np.ndarray]:
+    """Per-candidate powers, for each span ``(lo, count)``, of the ``count``
+    windows ``x[s:s+length]``, ``s = lo + j*step``: every span in one pass of a
+    sliding DFT over the table's bins only (Jacobsen and Lyons, "The sliding
+    DFT", IEEE Signal Processing Magazine, 2003).
 
     Bin k of window j, times ``W**(k*step*j)``, keeps that bin's power, and
     from window j to j+1 it grows by ``W**(k*step*j)`` times the samples that
     enter minus those that leave, ``x[s_j+length+m] - x[s_j+m]``, projected on
-    ``W**(k*m)``. Window 0's bins come from one rFFT. Each block of
-    ``_SCAN_BLOCK`` slides is one real matmul against the projections (the
-    complex table read as interleaved real and imaginary parts), one phase
-    product, and a cumulative sum that carries on from the block before.
-    Every phase is read by integer index from the table of roots of unity."""
+    ``W**(k*m)``. The spans' first windows come from one rFFT. Each block of
+    ``_SCAN_BLOCK`` slides is one real matmul per span against the
+    projections (the complex table read as interleaved real and imaginary
+    parts), then, over every span at once, one phase product and a running
+    sum that carries on from the block before. The running sum adds the
+    block's rows one after another, a row holding every span's bins, so each
+    bin is summed in window order, as ``np.cumsum`` along the windows would
+    sum it. A span with fewer slides than the longest has its rows past them
+    zeroed, and they are dropped. Every phase is read by integer index from
+    the table of roots of unity."""
     bins = table.T.ravel()  # offset-major: each window's offsets are summed over the middle axis
     project, base = _slide_phases(bins.tobytes(), step, length)
     roots = _roots_of_unity(length)
-    span = (count - 1) * step
-    slides = (x[lo + length : lo + length + span] - x[lo : lo + span]).reshape(count - 1, step)
-    # row 0 holds the window before the block's first
-    z = np.empty((_SCAN_BLOCK + 1, bins.shape[0]), dtype=np.complex128)
-    z[0] = np.fft.rfft(x[lo : lo + length])[bins]
-    out = np.empty((count, table.shape[0]))
-    out[0] = _offset_sum(z[:1], table.shape)
-    for a in range(0, count - 1, _SCAN_BLOCK):
-        d = slides[a : a + _SCAN_BLOCK]
-        n = d.shape[0]
+    slides = [
+        (x[lo + length : lo + length + (count - 1) * step] - x[lo : lo + (count - 1) * step]).reshape(-1, step)
+        for lo, count in spans
+    ]
+    longest = max(d.shape[0] for d in slides)
+    # (block row, span, bin); row 0 holds the window before the block's first
+    z = np.empty((_SCAN_BLOCK + 1, len(spans), bins.shape[0]), dtype=np.complex128)
+    rows = list(z)
+    z[0] = np.fft.rfft(np.stack([x[lo : lo + length] for lo, _ in spans]))[:, bins]
+    out = np.empty((len(spans), longest + 1, table.shape[0]))
+    parts = z.view(np.float64)
+    re, im = parts[..., 0::2], parts[..., 1::2]
+    power, square = np.empty(re.shape), np.empty(re.shape)
+
+    def offset_sum(lo: int, hi: int, at: int) -> None:
+        """Powers of rows ``lo:hi``, ``re*re + im*im`` per bin with each
+        candidate's offsets added in order, into windows ``at:`` of ``out``."""
+        np.multiply(re[lo:hi], re[lo:hi], out=power[lo:hi])
+        np.multiply(im[lo:hi], im[lo:hi], out=square[lo:hi])
+        np.add(power[lo:hi], square[lo:hi], out=power[lo:hi])
+        by_offset = power[lo:hi].reshape(hi - lo, len(spans), table.shape[1], table.shape[0])
+        np.einsum("wsoc->swc", by_offset, out=out[:, at : at + hi - lo])
+
+    offset_sum(0, 1, 0)
+    for a in range(0, longest, _SCAN_BLOCK):
+        n = min(_SCAN_BLOCK, longest - a)
         phased = project * roots[(step * a % length) * bins % length]
-        np.matmul(d, phased.view(np.float64), out=z[1 : n + 1].view(np.float64))
-        z[1 : n + 1] *= base[:n]
-        np.cumsum(z[: n + 1], axis=0, out=z[: n + 1])
-        out[a + 1 : a + 1 + n] = _offset_sum(z[1 : n + 1], table.shape)
+        for s, d in enumerate(slides):
+            m = d[a : a + n].shape[0]
+            if m:
+                np.matmul(d[a : a + m], phased.view(np.float64), out=z[1 : m + 1, s].view(np.float64))
+            if m < n:
+                z[m + 1 : n + 1, s] = 0
+        z[1 : n + 1] *= base[:n, None]
+        for i in range(1, n + 1):
+            np.add(rows[i - 1], rows[i], out=rows[i])
+        offset_sum(1, n + 1, a + 1)
         z[0] = z[n]
-    return out
-
-
-def _offset_sum(z: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """(windows, candidates) powers of offset-major bins ``z`` (windows, K)
-    of a (candidates, offsets) table."""
-    power = z.real**2 + z.imag**2
-    return np.einsum("woc->wc", power.reshape(z.shape[0], shape[1], shape[0]))
+    return [out[s, :count] for s, (_, count) in enumerate(spans)]
 
 
 def in_set_mask(frequencies: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -235,34 +279,57 @@ def in_set_mask(frequencies: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]
     return index, mask
 
 
-def _gated_scores(cand_powers: np.ndarray, sig: "ReferenceSignal") -> np.ndarray:
-    """Normalized power of ``sig`` per window (a row of ``cand_powers``);
-    -inf where a sanity check fails."""
+def _gate(sig: "ReferenceSignal") -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``sig``'s sanity checks, built once per scan: the candidate index of
+    each tone (sorted, so in candidate order), the out-of-set candidates, the
+    presence floors ``ALPHA`` times each tone's nominal power (a column), and
+    the absence threshold ``beta``."""
     index, mask = in_set_mask(sig.frequencies)
-    # tones as rows; the signal's tones are sorted, so in candidate order
-    p_in, p_out = cand_powers.T[index], cand_powers.T[~mask]
     r_in = np.array([sig.nominal_power[f] for f in sig.frequencies])
-    ok = (p_in > ALPHA * r_in[:, None]).all(axis=0)
-    ok &= (p_out < beta(sig.total_power, sig.spec.tone_count)).all(axis=0)
+    return index, np.flatnonzero(~mask), ALPHA * r_in[:, None], beta(sig.total_power, sig.spec.tone_count)
+
+
+def _gated_scores(cand_powers: np.ndarray, gate: tuple) -> np.ndarray:
+    """Normalized power per window (a row of ``cand_powers``) of the signal
+    whose ``_gate`` is given; -inf where a sanity check fails."""
+    index, out, floor, limit = gate
+    # tones as rows
+    p_in, p_out = cand_powers.T[index], cand_powers.T[out]
+    ok = (p_in > floor).all(axis=0)
+    ok &= (p_out < limit).all(axis=0)
     return np.where(ok, _ordered_sum(p_in) - _ordered_sum(p_out), -np.inf)
 
 
-def _window_score(x: np.ndarray, start: int, sig: "ReferenceSignal", table: np.ndarray) -> float:
+def _window_score(x: np.ndarray, start: int, gate: tuple, table: np.ndarray) -> float:
     """Gated normalized power of the one window ``x[start:start+SIGNAL_LENGTH]``
     by the exact one-window kernel: the score a detection reports."""
-    powers = _batch_candidate_powers(x, slice(start, start + 1), signal.SIGNAL_LENGTH, table)
-    return float(_gated_scores(powers, sig)[0])
+    powers = _window_powers(x[start : start + signal.SIGNAL_LENGTH], table)
+    return float(_gated_scores(powers[None], gate)[0])
+
+
+def _samples(x: np.ndarray, what: str) -> np.ndarray:
+    """``x`` as float64 samples; a ValueError names a dtype that is not real
+    or the first sample that is not finite."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must hold real samples, got dtype {x.dtype}")
+    floating = x.dtype.kind == "f"  # integer and boolean samples are finite
+    x = x.astype(np.float64, copy=False)
+    if floating and not np.isfinite(x).all():
+        i = np.flatnonzero(~np.isfinite(x))[0]
+        raise ValueError(f"{what} holds a non-finite sample, {x.flat[i]} at index {i}")
+    return x
 
 
 def _scan(x: np.ndarray, sigs: tuple["ReferenceSignal", ...], sample_rate: float) -> tuple[DetectionOutcome, ...]:
     """Locate each signal in the recording ``x``: one coarse scan shared by
-    all of them, then a sliding-DFT fine scan of ``FINE_RADIUS`` samples
+    all of them, then one sliding-DFT fine pass over ``FINE_RADIUS`` samples
     around each signal's coarse argmax. Ties break to the smallest index.
     The fine scan only picks the window; that window's exact score is the
     reported peak and decides presence, so a window whose exact score fails a
     gate is not present. ``sample_rate`` is the recorder's."""
     length = signal.SIGNAL_LENGTH
-    x = np.asarray(x, dtype=np.float64)
+    x = _samples(x, "recording")
     if x.ndim != 1:
         raise ValueError("recording must be one-dimensional")
     if x.shape[0] < length:
@@ -270,14 +337,17 @@ def _scan(x: np.ndarray, sigs: tuple["ReferenceSignal", ...], sample_rate: float
     table = candidate_bin_table(sample_rate, length)
     max_start = x.shape[0] - length
     coarse_powers = _batch_candidate_powers(x, slice(0, max_start + 1, COARSE_STEP), length, table)
-    outcomes = []
-    for sig in sigs:
-        anchor = int(np.argmax(_gated_scores(coarse_powers, sig))) * COARSE_STEP
+    gates = [_gate(sig) for sig in sigs]
+    spans = []
+    for gate in gates:
+        anchor = int(np.argmax(_gated_scores(coarse_powers, gate))) * COARSE_STEP
         lo = max(0, anchor - FINE_RADIUS)
-        count = (min(max_start, anchor + FINE_RADIUS) - lo) // FINE_STEP + 1
-        fine_powers = _sliding_candidate_powers(x, lo, count, FINE_STEP, length, table)
-        loc = lo + int(np.argmax(_gated_scores(fine_powers, sig))) * FINE_STEP
-        peak = _window_score(x, loc, sig, table)
+        spans.append((lo, (min(max_start, anchor + FINE_RADIUS) - lo) // FINE_STEP + 1))
+    fine_powers = _sliding_candidate_powers(x, spans, FINE_STEP, length, table)
+    outcomes = []
+    for sig, gate, (lo, _), powers in zip(sigs, gates, spans, fine_powers):
+        loc = lo + int(np.argmax(_gated_scores(powers, gate))) * FINE_STEP
+        peak = _window_score(x, loc, gate, table)
         present = peak >= EPSILON * sig.total_power  # False for -inf: the window failed a gate
         outcomes.append(DetectionOutcome(loc if present else None, None if peak == -np.inf else peak))
     return tuple(outcomes)
@@ -291,7 +361,7 @@ def norm_power(window: np.ndarray, sig: "ReferenceSignal", *, sample_rate: float
     if np.shape(window) != (signal.SIGNAL_LENGTH,):
         raise ValueError(f"window must hold {signal.SIGNAL_LENGTH} samples, got shape {np.shape(window)}")
     table = candidate_bin_table(sample_rate, signal.SIGNAL_LENGTH)
-    score = _window_score(np.asarray(window, dtype=np.float64), 0, sig, table)
+    score = _window_score(_samples(window, "window"), 0, _gate(sig), table)
     return None if score == -np.inf else score
 
 
@@ -311,7 +381,8 @@ def detect_pair(
 ) -> tuple[DetectionOutcome, DetectionOutcome]:
     """Detect two reference signals in one scan of a recording made at
     ``sample_rate``. The coarse-pass window spectra are computed once and
-    shared; outcomes are bit-identical to two independent ``detect`` calls.
+    shared, and both fine scans run as one stacked pass; outcomes are
+    bit-identical to two independent ``detect`` calls.
     """
     return _scan(x, (sig_a, sig_b), sample_rate)
 

@@ -3,10 +3,12 @@ command line writes.
 
 The oracles deliberately avoid the production code paths: per-bin powers come
 from direct complex projections, cumulative sums or one full rFFT per window
-instead of the package's batched and sliding kernels. The reference phase
-search is the exception: it renders and measures with the package's own
-functions and differs from ``synthesize`` only in rendering every candidate,
-with no bound to skip any. The FRR/FAR closed forms here are the package's
+instead of the package's batched and sliding kernels. Two references are
+the exception. The reference phase search renders and measures with the
+package's own functions and differs from ``synthesize`` only in rendering
+every candidate, with no bound to skip any. The per-span sliding DFT is the
+fine scan as it ran one signal at a time, with the package's phase tables:
+the stacked pass must reproduce it bit for bit. The FRR/FAR closed forms here are the package's
 model rearranged (``erf`` and the density at both ends instead of ``erfc`` and
 the antiderivative ``G``); the independent reference for the model is a
 quadrature in ``test_evaluation``, and scipy is imported only by the tests
@@ -107,6 +109,39 @@ def sliding_candidate_powers(
         seg = csum[: len(ks), length:] - csum[: len(ks), :-length]
         out[c] = mult @ (seg.real**2 + seg.imag**2)
     return out.T
+
+
+def per_span_sliding_powers(
+    x: np.ndarray, lo: int, count: int, step: int, length: int, table: np.ndarray
+) -> np.ndarray:
+    """Per-candidate powers of the ``count`` windows ``x[s:s+length]``, ``s =
+    lo + j*step``, by the sliding DFT over one span: window 0's bins from one
+    rFFT, then per block of ``spectrum._SCAN_BLOCK`` slides one real matmul,
+    one phase product and ``np.cumsum`` along the windows. Shape (count, N)."""
+    bins = table.T.ravel()
+    project, base = spectrum._slide_phases(bins.tobytes(), step, length)
+    roots = spectrum._roots_of_unity(length)
+    span = (count - 1) * step
+    slides = (x[lo + length : lo + length + span] - x[lo : lo + span]).reshape(count - 1, step)
+    z = np.empty((spectrum._SCAN_BLOCK + 1, bins.shape[0]), dtype=np.complex128)
+    z[0] = np.fft.rfft(x[lo : lo + length])[bins]
+
+    def offset_sum(rows):
+        power = rows.real**2 + rows.imag**2
+        return np.einsum("woc->wc", power.reshape(rows.shape[0], table.shape[1], table.shape[0]))
+
+    out = np.empty((count, table.shape[0]))
+    out[0] = offset_sum(z[:1])
+    for a in range(0, count - 1, spectrum._SCAN_BLOCK):
+        d = slides[a : a + spectrum._SCAN_BLOCK]
+        n = d.shape[0]
+        phased = project * roots[(step * a % length) * bins % length]
+        np.matmul(d, phased.view(np.float64), out=z[1 : n + 1].view(np.float64))
+        z[1 : n + 1] *= base[:n]
+        np.cumsum(z[: n + 1], axis=0, out=z[: n + 1])
+        out[a + 1 : a + 1 + n] = offset_sum(z[1 : n + 1])
+        z[0] = z[n]
+    return out
 
 
 def exhaustive_detect(x, sig, sample_rate: float):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -7,6 +9,7 @@ from helpers import (
     direct_candidate_power,
     exhaustive_detect,
     folded_bins,
+    per_span_sliding_powers,
     power_spectrum,
     sliding_candidate_powers,
 )
@@ -225,10 +228,58 @@ class TestSlidingCandidatePowers:
         table = candidate_bin_table(rate, 4096)
         if rate != FS:
             assert not np.array_equal(table, candidate_bin_table(FS, 4096))
-        got = _sliding_candidate_powers(x, lo, count, step, 4096, table)
+        (got,) = _sliding_candidate_powers(x, [(lo, count)], step, 4096, table)
         want = _batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), 4096, table)
         assert got.shape == want.shape == (count, len(CANDIDATES))
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+class TestStackedSlidingPass:
+    """The stacked pass computes every span's powers as the per-span sliding
+    DFT does, bit for bit: the same matmul per span and block, the same phase
+    product, and a row-by-row running sum that adds each bin in the order
+    ``np.cumsum`` does. A span with fewer windows than the longest has its
+    extra rows dropped."""
+
+    @pytest.mark.parametrize(
+        "spans, step, rate",
+        [
+            # anchors 0, 10 000 and 25 000 of a 30 000-sample recording
+            # (max_start 25 904): clipped at 0, full, clipped at max_start
+            ([(0, 151), (8_500, 301), (23_500, 241)], 10, FS),
+            ([(12_345, 1)], 10, FS),  # one window, no slide
+            ([(12_345, 1), (9_000, 301)], 10, FS),  # a one-window span beside a full one
+            ([(9_000, 301), (2_000, 66)], 10, FS),  # the shorter span's last block holds one slide
+            ([(7_777, 130), (100, 65)], 1, FS),  # step 1
+            ([(0, 151), (8_500, 301)], 10, FS * 1.001),  # a skewed recorder's bin table
+        ],
+        ids=["unequal_counts", "one_window", "one_window_beside_full", "one_slide_block", "step_one", "skewed_rate"],
+    )
+    def test_equals_per_span_reference(self, spans, step, rate):
+        x = _scene_recording(30_000, seed=sum(lo + count for lo, count in spans))
+        table = candidate_bin_table(rate, 4096)
+        got = _sliding_candidate_powers(x, spans, step, 4096, table)
+        assert len(got) == len(spans)
+        for (lo, count), powers in zip(spans, got):
+            want = per_span_sliding_powers(x, lo, count, step, 4096, table)
+            assert powers.shape == want.shape == (count, len(CANDIDATES))
+            assert np.array_equal(powers, want)
+
+
+class TestWindowPowers:
+    """The one-window kernel behind ``norm_power``, ``measure_candidate_powers``
+    and the reported peak equals the batched kernel's row for that window,
+    bit for bit."""
+
+    @pytest.mark.parametrize("rate", [FS, FS * 1.001], ids=["nominal", "skewed"])
+    def test_equals_batched_kernel(self, rate):
+        x = _scene_recording(30_000, seed=25)
+        table = candidate_bin_table(rate, 4096)
+        starts = np.random.default_rng(26).integers(0, 30_000 - 4096 + 1, 500)
+        for s in starts:
+            got = spectrum._window_powers(x[s : s + 4096], table)
+            want = _batch_candidate_powers(x, slice(s, s + 1), 4096, table)[0]
+            assert np.array_equal(got, want)
 
 
 class TestLocatedWindowScore:
@@ -293,11 +344,11 @@ class TestLocatedWindowScore:
         assert detect(x, sig, sample_rate=FS).location == 15_000
         sliding = spectrum._sliding_candidate_powers
 
-        def first_window_best(x, lo, count, step, length, table):
-            powers = sliding(x, lo, count, step, length, table)
-            best = int(np.argmax(spectrum._gated_scores(powers, sig)))
+        def first_window_best(x, spans, step, length, table):
+            (powers,) = sliding(x, spans, step, length, table)
+            best = int(np.argmax(spectrum._gated_scores(powers, spectrum._gate(sig))))
             powers[0] = powers[best]
-            return powers
+            return [powers]
 
         monkeypatch.setattr(spectrum, "_sliding_candidate_powers", first_window_best)
         assert detect(x, sig, sample_rate=FS) == DetectionOutcome(None, None)
@@ -368,7 +419,41 @@ class TestNormPower:
         for window in (sig.samples.astype(float), np.zeros(4096)):
             calls.clear()
             norm_power(window, sig, sample_rate=FS)
-            assert calls == [(1, 4096)]
+            assert calls == [(4096,)]
+
+
+class TestDetectorInputs:
+    """A recording, window or rate the detector cannot measure fails at once
+    with a ValueError that names the problem, and no numpy warning leaks."""
+
+    @staticmethod
+    def _entry_points(x, rate):
+        sig = synthesize(sample_spec(np.random.default_rng(30)))
+        return (
+            lambda: detect(x, sig, sample_rate=rate),
+            lambda: detect_pair(x, sig, sig, sample_rate=rate),
+            lambda: norm_power(x[:4096], sig, sample_rate=rate),
+        )
+
+    def _rejected(self, x, rate, message):
+        for call in self._entry_points(x, rate):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=message):
+                    call()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample(self, value):
+        x = np.zeros(20_000)
+        x[100] = value
+        self._rejected(x, FS, rf"non-finite sample, {value} at index 100")
+
+    def test_complex_recording(self):
+        self._rejected(np.zeros(20_000, dtype=complex), FS, "real samples, got dtype complex128")
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 1_000.0, CANDIDATES[-1], 0.0, -FS])
+    def test_rate_not_finite_or_not_above_every_candidate(self, rate):
+        self._rejected(np.zeros(20_000), rate, "must be finite and above the highest candidate, 34833.33 Hz")
 
 
 def _without_first_candidate():
