@@ -210,6 +210,19 @@ def fast_fft_length(n: int) -> int:
 _SHIFT_PAD = 96  # absorbs the ring of the exact fractional shift
 
 
+# Sessions of one geometry shift by the same fractions: eight entries hold an
+# office campaign's four, or a spoofing campaign's seven (length, fraction)
+# keys. An entry takes ~35 KB for a signal, ~233 KB for a spoofing waveform.
+@lru_cache(maxsize=8)
+def _shift_ramp(n: int, frac: float) -> np.ndarray:
+    """``exp(-2j*pi*k*frac/n)`` over the ``n``-sample rFFT bins ``k``: the
+    phase ramp that delays by ``frac`` samples; shared read-only."""
+    k = np.arange(n // 2 + 1)
+    ramp = np.exp(-2j * np.pi * k * frac / n)
+    ramp.setflags(write=False)
+    return ramp
+
+
 def _fractional_shift(x: np.ndarray, frac: float) -> np.ndarray:
     """Shift ``x`` later by ``frac`` samples (0 < frac < 1), exactly, on a
     zero-padded buffer taken at a fast FFT length. Returns a buffer of
@@ -218,9 +231,7 @@ def _fractional_shift(x: np.ndarray, frac: float) -> np.ndarray:
     n = fast_fft_length(length)
     padded = np.zeros(n)
     padded[_SHIFT_PAD : _SHIFT_PAD + x.shape[0]] = x
-    k = np.arange(n // 2 + 1)
-    spec = np.fft.rfft(padded) * np.exp(-2j * np.pi * k * frac / n)
-    return np.fft.irfft(spec, n)[:length]
+    return np.fft.irfft(np.fft.rfft(padded) * _shift_ramp(n, frac), n)[:length]
 
 
 def propagate(
@@ -229,18 +240,18 @@ def propagate(
     src_pos: tuple[float, ...],
     dst_pos: tuple[float, ...],
     cfg: ChannelConfig,
-    duration: int,
-) -> np.ndarray:
-    """Contribution of one emission at the destination, as a base-rate buffer
-    of ``duration`` samples. Delay uses the true distance; the amplitude law
-    clamps the distance at the 0.1 m floor. An emission that reaches the
-    destination at or after ``duration`` is not heard: its buffer is zero."""
+    mix: np.ndarray,
+) -> None:
+    """Add the contribution of one emission at the destination into ``mix``,
+    a base-rate buffer, over the samples it reaches. Delay uses the true
+    distance; the amplitude law clamps the distance at the 0.1 m floor. An
+    emission that reaches the destination at or after the end of ``mix`` is
+    not heard: it adds nothing."""
     delay = propagation_delay_samples(src_pos, dst_pos, cfg)
     whole = int(np.floor(delay))
     frac = delay - whole
-    out = np.zeros(duration)
-    if emit_time + whole >= duration:
-        return out
+    if emit_time + whole >= mix.shape[0]:
+        return
 
     w = np.asarray(waveform, dtype=np.float64) * path_gain(src_pos, dst_pos, cfg)
     lead = 0
@@ -251,10 +262,8 @@ def propagate(
 
     start = emit_time + whole - lead
     lo = max(start, 0)
-    hi = min(start + w.shape[0], duration)
-    if hi > lo:
-        out[lo:hi] = w[lo - start : hi - start]
-    return out
+    hi = min(start + w.shape[0], mix.shape[0])
+    mix[lo:hi] += w[lo - start : hi - start]
 
 
 # A session's recordings share one length and the echo baseline's take a few
@@ -285,8 +294,8 @@ def _shaped_noise(rms: float, n: int, rng: np.random.Generator) -> np.ndarray:
     # real and imaginary parts are consecutive normal draws.
     mask = _noise_mask(n)
     bins = rng.standard_normal(2 * mask.shape[0]).view(np.complex128)
-    shaped = np.fft.irfft(bins * mask, n)
-    return shaped * (rms / np.sqrt(np.mean(shaped**2)))
+    shaped = np.fft.irfft(np.multiply(bins, mask, out=bins), n)
+    return np.multiply(shaped, rms / np.sqrt(np.mean(shaped**2)), out=shaped)
 
 
 def _noise_rng(scene: AcousticScene, device_index: int) -> np.random.Generator:
@@ -302,9 +311,7 @@ def render_mix(scene: AcousticScene, device_id: str, cfg: ChannelConfig) -> np.n
     idx = [r.device_id for r in scene.recorders].index(device_id)
     mix = np.zeros(scene.duration)
     for emission in scene.emissions:
-        mix += propagate(
-            emission.waveform, emission.emit_time, emission.position, rec.position, cfg, scene.duration
-        )
+        propagate(emission.waveform, emission.emit_time, emission.position, rec.position, cfg, mix)
     mix += _shaped_noise(ENVIRONMENTS[cfg.environment], scene.duration, _noise_rng(scene, idx))
 
     if rec.sample_rate != BASE_SAMPLE_RATE:
@@ -322,8 +329,9 @@ def render_mix(scene: AcousticScene, device_id: str, cfg: ChannelConfig) -> np.n
 
 
 def quantize(x: np.ndarray) -> np.ndarray:
-    """Saturating 16-bit quantization."""
-    return np.clip(np.rint(x), -32768, 32767).astype(np.int16)
+    """Saturating 16-bit quantization; rounds and clips the float buffer
+    ``x`` in place on the way."""
+    return np.clip(np.rint(x, out=x), -32768, 32767, out=x).astype(np.int16)
 
 
 def record(scene: AcousticScene, device_id: str, cfg: ChannelConfig) -> Recording:

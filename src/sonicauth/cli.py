@@ -1,7 +1,8 @@
 """Command-line front end for the simulation and evaluation harness.
 
 Exit codes: 0 on success, 2 on configuration errors (bad arguments, bad
-config files): any ``ValueError`` a command raises is reported as one.
+config files, an output path that cannot be written, refused before any
+session runs): any ``ValueError`` a command raises is reported as one.
 """
 
 from __future__ import annotations
@@ -43,6 +44,22 @@ def _load_channel_cfg(args) -> ch.ChannelConfig | None:
         raise ValueError(f"bad channel config: {exc}") from exc
 
 
+def _check_outputs(args) -> None:
+    """Refuse, before any session runs, an output the command could not
+    write: ``--out`` is a file in an existing directory, and ``--wav-dump``
+    is made here, with any missing parents."""
+    out = getattr(args, "out", None)
+    if out is not None and os.path.isdir(os.path.abspath(out)):  # "" names the working directory
+        raise ValueError(f"cannot write {out}: it is a directory")
+    if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise ValueError(f"cannot write {out}: its directory does not exist")
+    if getattr(args, "wav_dump", None) is not None:
+        try:
+            os.makedirs(args.wav_dump, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot make the directory {args.wav_dump}: {exc.strerror}") from None
+
+
 def _emit(report: ev.ExperimentReport, out: str | None) -> None:
     if out is None:
         print(report.to_csv())
@@ -51,19 +68,6 @@ def _emit(report: ev.ExperimentReport, out: str | None) -> None:
     with open(out, "w") as fh:
         fh.write(payload)
     print(f"wrote {out}")
-
-
-def _cmd_range(args) -> int:
-    report = ev.distance_error_campaign(
-        args.env,
-        _parse_distances(args.distances),
-        args.trials,
-        args.seed,
-        channel_cfg=_load_channel_cfg(args),
-        min_trials=min(args.trials, ev.DEFAULT_MIN_TRIALS),
-    )
-    _emit(report, args.out)
-    return 0
 
 
 def _cmd_auth(args) -> int:
@@ -87,7 +91,6 @@ def _dump_session_wavs(directory: str, cfg: ch.ChannelConfig, transcript) -> Non
     if transcript.playback_start is None:
         print("no WAV dump: the session ended before playback", file=sys.stderr)
         return
-    os.makedirs(directory, exist_ok=True)
     sig_a, sig_v, rec_a, rec_v = replay_session(transcript, cfg)
     for device, sig, rec in (("auth", sig_a, rec_a), ("vouch", sig_v, rec_v)):
         pcm.save_wav(os.path.join(directory, f"reference_{device}.wav"), sig.samples, SAMPLE_RATE)
@@ -160,8 +163,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_multiuser(args) -> int:
+    """Also ``range``: the campaign with one pair, so no interference."""
     report = ev.multiuser_campaign(
-        args.pairs,
+        getattr(args, "pairs", 1),
         _parse_distances(args.distances),
         args.trials,
         args.seed,
@@ -205,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     out_flag(p)
     p.add_argument("--distances", default="0.5,1.0,1.5,2.0")
     p.add_argument("--trials", type=int, default=10)
-    p.set_defaults(func=_cmd_range)
+    p.set_defaults(func=_cmd_multiuser)
 
     p = sub.add_parser("auth", help="one authentication session")
     session_flags(p)
@@ -258,6 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -61,13 +61,18 @@ class ErrorModel:
     def __post_init__(self) -> None:
         if not _finite_positive(self.sigma_m):
             raise ValueError(f"sigma must be finite and positive, got {self.sigma_m}")
-        if not 0 < self.detect_range_m < self.pairing_range_m:
-            raise ValueError("need 0 < detect_range < pairing_range")
+        if not 0 < self.detect_range_m < self.pairing_range_m < math.inf:  # False for nan
+            raise ValueError(
+                f"need 0 < detect_range < pairing_range < inf, got {self.detect_range_m} and {self.pairing_range_m}"
+            )
 
 
-def _normal_cdf_integral(u: float) -> float:
-    """``G(u) = u*Phi(u) + phi(u)``, the antiderivative of the standard normal CDF."""
-    return u * 0.5 * math.erfc(-u / math.sqrt(2.0)) + math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+def _normal_cdf_integral_gap(x: float) -> float:
+    """``G(0) - G(-x)`` for ``x >= 0``, where ``G(u) = u*Phi(u) + phi(u)`` is
+    the antiderivative of the standard normal CDF: ``phi(0)*(1 - exp(-x*x/2))
+    + x*Phi(-x)``. ``expm1`` keeps the first term exact where ``x`` is small,
+    so no two nearly equal terms are subtracted."""
+    return -math.expm1(-0.5 * x * x) / math.sqrt(2.0 * math.pi) + x * 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def frr_far_model(tau_m: float, model: ErrorModel) -> tuple[float, float]:
@@ -77,14 +82,14 @@ def frr_far_model(tau_m: float, model: ErrorModel) -> tuple[float, float]:
     FAR averages Pr[estimate <= tau] over illegitimate distances
     (tau, pairing range], where the acceptance probability is zero beyond the
     detect range (the signal is simply not present). Both integrals of the
-    normal CDF are exact, through its antiderivative ``G``.
+    normal CDF are exact, through its antiderivative ``G``, and free of
+    cancellation at any sigma.
     """
     if not 0 < tau_m < model.detect_range_m:
         raise ValueError("threshold must lie in (0, detect_range)")
     sigma = model.sigma_m
-    g0 = _normal_cdf_integral(0.0)
-    frr = sigma / tau_m * (g0 - _normal_cdf_integral(-tau_m / sigma))
-    far = sigma * (g0 - _normal_cdf_integral((tau_m - model.detect_range_m) / sigma)) / (model.pairing_range_m - tau_m)
+    frr = sigma / tau_m * _normal_cdf_integral_gap(tau_m / sigma)
+    far = sigma * _normal_cdf_integral_gap((model.detect_range_m - tau_m) / sigma) / (model.pairing_range_m - tau_m)
     return frr, far
 
 

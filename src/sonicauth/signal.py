@@ -32,6 +32,8 @@ BAND_LOW = 25_000.0
 BAND_HIGH = 35_000.0
 BIN_COUNT = 30
 CANDIDATES = tuple(BAND_LOW + (i + 0.5) * ((BAND_HIGH - BAND_LOW) / BIN_COUNT) for i in range(BIN_COUNT))
+# Each candidate's index in CANDIDATES; its keys are the candidate set.
+_CANDIDATE_INDEX = {f: i for i, f in enumerate(CANDIDATES)}
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class SignalSpec:
             raise ValueError("need 0 < |F| < BIN_COUNT")
         if len(set(freqs)) != n:
             raise ValueError("duplicate frequencies")
-        if not set(freqs) <= set(CANDIDATES):
+        if not all(f in _CANDIDATE_INDEX for f in freqs):
             raise ValueError("frequencies must be candidates")
 
     @property
@@ -178,10 +180,6 @@ def _proper_subset(rng: np.random.Generator, candidates: tuple[float, ...]) -> t
     return tuple(float(f) for f in chosen)
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
 # With every tone at phase zero, the spectral tails of the off-bin tones can
 # stack coherently and push an out-of-set candidate window past the
 # detector's absence threshold on the clean signal itself; an unlucky phase
@@ -230,47 +228,43 @@ def _phase_family(spec: SignalSpec, index: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros((1, spec.tone_count)), draws])
 
 
-# Phasor tables are built as a block product exp(iw*B*a) * exp(iw*b), a and b
-# below B (here 64), so each candidate costs 2*B complex exponentials, once,
-# not one sine per sample and phase candidate.
+# Tone sums are rendered from block phasors: sample B*a + b of candidate i's
+# phasor is exp(iw_i*B*a) * exp(iw_i*b), a and b below B (here 64), so each
+# candidate costs 2*B complex exponentials, once, not one sine per sample and
+# phase candidate.
 _PHASOR_BLOCK = 64
 
 
-# The rows take about 2 MB (60 rows of 4096 samples), built once.
+# About 60 KB (two tables of 30 candidates' 64 phasors), built once.
 @lru_cache(maxsize=1)
-def _grid_phasor_table() -> np.ndarray:
-    """(2N, SIGNAL_LENGTH) rows ``sin(w_i t)`` for every candidate i, then
-    ``cos(w_i t)``; read-only, shared by every tone set. Each row is an
-    elementwise function of its own ``w_i``, so it equals the row a table of
-    any tone subset would hold, bit for bit."""
+def _block_phasors() -> tuple[np.ndarray, np.ndarray]:
+    """The coarse phasors ``exp(iw_i*B*a)`` over the signal's blocks a, (N,
+    blocks), and the fine ones ``exp(iw_i*b)`` over b below B, (N, B), a row
+    per candidate i; read-only, shared by every tone set."""
     omega = 2.0 * np.pi * np.asarray(CANDIDATES) / SAMPLE_RATE
     blocks = -(-SIGNAL_LENGTH // _PHASOR_BLOCK)
     coarse = np.exp(1j * omega[:, None] * (_PHASOR_BLOCK * np.arange(blocks)))
     fine = np.exp(1j * omega[:, None] * np.arange(_PHASOR_BLOCK))
-    phasor = (coarse[:, :, None] * fine[:, None, :]).reshape(BIN_COUNT, -1)[:, :SIGNAL_LENGTH]
-    table = np.concatenate([phasor.imag, phasor.real])
-    table.setflags(write=False)
-    return table
+    coarse.setflags(write=False)
+    fine.setflags(write=False)
+    return coarse, fine
 
 
-def _phasor_table(spec: SignalSpec) -> np.ndarray:
-    """(2n, SIGNAL_LENGTH) rows ``sin(w_k t)`` for each tone k, then
-    ``cos(w_k t)``, gathered from the candidates' shared table."""
-    index, _ = spectrum.in_set_mask(spec.frequencies)
-    rows = np.concatenate([index, BIN_COUNT + index])
-    return _grid_phasor_table()[rows]
-
-
-def _tone_sum(spec: SignalSpec, table: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """``sum_k amp * sin(w_k t + phases[k])`` from the phasor table, by
-    ``sin(a + p) = sin(a) cos(p) + cos(a) sin(p)``."""
+def _tone_sum(spec: SignalSpec, index: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """``sum_k amp * sin(w_k t + phases[k])`` over the tones at candidate
+    indices ``index``, at ``t = B*a + b``: the imaginary part of one (blocks,
+    n) by (n, B) complex product, the tones' coarse phasors turned by their
+    phases times their fine ones."""
+    coarse, fine = _block_phasors()
     amp = AMPLITUDE_BUDGET / spec.tone_count
-    return amp * (np.concatenate([np.cos(phases), np.sin(phases)]) @ table)
+    return (amp * ((coarse[index].T * np.exp(1j * phases)) @ fine[index]).imag).ravel()[:SIGNAL_LENGTH]
 
 
-def _render(spec: SignalSpec, table: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """The tone sum rounded to integer-valued samples within the budget."""
-    samples = _round_half_away(_tone_sum(spec, table, phases))
+def _render(spec: SignalSpec, index: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The tone sum rounded half away from zero to integer-valued samples
+    within the budget."""
+    x = _tone_sum(spec, index, phases)
+    samples = np.sign(x) * np.floor(np.abs(x) + 0.5)
     peak = int(np.max(np.abs(samples)))
     if peak > AMPLITUDE_BUDGET:
         raise RuntimeError(f"synthesis clipped amplitude budget: {peak}")
@@ -280,22 +274,26 @@ def _render(spec: SignalSpec, table: np.ndarray, phases: np.ndarray) -> np.ndarr
 # About 310 KB (60 rows of 30 candidates' 11 bins), built once.
 @lru_cache(maxsize=1)
 def _grid_bin_spectra() -> np.ndarray:
-    """(2N, N, 2*THETA+1) complex: each row of ``_grid_phasor_table`` after an
-    rFFT, read at every candidate's bins (``spectrum.candidate_bin_table``);
-    read-only. Built row by row, so no (2N, SIGNAL_LENGTH) spectrum is held."""
+    """(2N, N, 2*THETA+1) complex: the rFFT of ``sin(w_i t)`` for every
+    candidate i, then of ``cos(w_i t)``, read at every candidate's bins
+    (``spectrum.candidate_bin_table``); read-only. Each candidate's phasor row
+    is its coarse and fine phasors' block product, built one at a time, so no
+    (2N, SIGNAL_LENGTH) table is held."""
     bins = spectrum.candidate_bin_table(SAMPLE_RATE, SIGNAL_LENGTH)
-    rows = _grid_phasor_table()
-    table = np.empty((rows.shape[0],) + bins.shape, dtype=np.complex128)
-    for row, out in zip(rows, table):
-        out[...] = np.fft.rfft(row)[bins]
+    coarse, fine = _block_phasors()
+    table = np.empty((2 * BIN_COUNT,) + bins.shape, dtype=np.complex128)
+    for i in range(BIN_COUNT):
+        phasor = (coarse[i, :, None] * fine[i, None, :]).ravel()[:SIGNAL_LENGTH]
+        table[i] = np.fft.rfft(phasor.imag)[bins]
+        table[BIN_COUNT + i] = np.fft.rfft(phasor.real)[bins]
     table.setflags(write=False)
     return table
 
 
 def _candidate_norms(spec: SignalSpec, index: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """(P, N) 2-norm of each candidate's bins in the unrounded tone sum, for
-    each of the P phase vectors ``phases``: by linearity, the tones' table
-    rows weighted as ``_tone_sum`` weights their phasor rows."""
+    each of the P phase vectors ``phases``: by linearity, the tones' sine
+    rows weighted by ``amp*cos(p)`` and cosine rows by ``amp*sin(p)``."""
     rows = np.concatenate([index, BIN_COUNT + index])
     spectra = _grid_bin_spectra()[rows]
     amp = AMPLITUDE_BUDGET / spec.tone_count
@@ -316,10 +314,10 @@ def _leakage_lower_bounds(norms: np.ndarray, in_set: np.ndarray, tone_count: int
     return worst_out / spectrum.beta(((norms[:, in_set] + slack) ** 2).sum(axis=1), tone_count)
 
 
-def _measure(spec: SignalSpec, table: np.ndarray, phases: np.ndarray, in_set: np.ndarray):
+def _measure(spec: SignalSpec, index: np.ndarray, phases: np.ndarray, in_set: np.ndarray):
     """Render one phase candidate: its samples, measured candidate powers,
     leakage ratio and edge energy ratio."""
-    samples = _render(spec, table, phases)
+    samples = _render(spec, index, phases)
     measured = spectrum.measure_candidate_powers(samples, SAMPLE_RATE)
     return samples, measured, _leakage_ratio(measured, in_set, spec), _edge_energy_ratio(samples)
 
@@ -343,13 +341,12 @@ def synthesize(spec: SignalSpec) -> ReferenceSignal:
     choice.
     """
     index, in_set = spectrum.in_set_mask(spec.frequencies)
-    table = _phasor_table(spec)
     family = _phase_family(spec, index)
     lower = _leakage_lower_bounds(_candidate_norms(spec, index, family), in_set, spec.tone_count)
     ruled_out = lower > _LEAKAGE_TARGET  # their leakage is too: none can pass or be confined
     best = None  # (fallback key, samples, measured powers, leakage) of the best candidate so far
     for i in np.flatnonzero(~ruled_out):
-        samples, measured, leak, edge = _measure(spec, table, family[i], in_set)
+        samples, measured, leak, edge = _measure(spec, index, family[i], in_set)
         if leak <= _LEAKAGE_TARGET and edge >= _EDGE_ENERGY_TARGET:
             best = (None, samples, measured, leak)
             break
@@ -366,7 +363,7 @@ def synthesize(spec: SignalSpec) -> ReferenceSignal:
                 if best is not None and lower[i] > best[3]:
                     break
                 if ruled_out[i]:
-                    samples, measured, leak, _ = _measure(spec, table, family[i], in_set)
+                    samples, measured, leak, _ = _measure(spec, index, family[i], in_set)
                     key = (1, leak, i)
                     if best is None or key < best[0]:
                         best = (key, samples, measured, leak)

@@ -268,12 +268,8 @@ def _sliding_candidate_powers(
 
 def in_set_mask(frequencies: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Candidate index of each tone (in the given order) and the in-set mask
-    over the candidates."""
-    position = {f: i for i, f in enumerate(signal.CANDIDATES)}
-    try:
-        index = np.array([position[f] for f in frequencies], dtype=np.intp)
-    except KeyError as exc:
-        raise ValueError(f"signal frequency {exc.args[0]} is not a candidate") from None
+    over the candidates; the tones are a ``SignalSpec``'s, so candidates."""
+    index = np.array([signal._CANDIDATE_INDEX[f] for f in frequencies], dtype=np.intp)
     mask = np.zeros(signal.BIN_COUNT, dtype=bool)
     mask[index] = True
     return index, mask
@@ -390,8 +386,9 @@ def detect_pair(
 def cross_correlate_detect(x: np.ndarray, sig: "ReferenceSignal") -> int:
     """Baseline detector: argmax of the raw cross-correlation of the recording
     with the clean signal. No sanity checks and no absence verdict; ties break
-    to the smallest index."""
-    xf = np.asarray(x, dtype=np.float64)
+    to the smallest index. A recording that is not real, or holds a sample
+    that is not finite, raises a ValueError naming it."""
+    xf = _samples(x, "recording")
     n, m = xf.shape[0], sig.samples.shape[0]
     if n < m:
         raise ValueError("recording shorter than the reference signal")

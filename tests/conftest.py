@@ -9,11 +9,11 @@ from sonicauth import signal as sg
 def long_signal_length(monkeypatch):
     """16 times the signal length, set as ``SIGNAL_LENGTH`` for one test: there
     the synthesizer's block product runs a coarse phase 16 times larger than
-    at the session length. The candidates' phasor table and its bin spectra
-    are rebuilt for it and dropped afterwards, so no other test sees a long
-    table."""
+    at the session length. The candidates' block phasors and their bin
+    spectra are rebuilt for it and dropped afterwards, so no other test sees
+    a long table."""
     length = 16 * sg.SIGNAL_LENGTH
-    long_tables = (sg._grid_phasor_table, sg._grid_bin_spectra)
+    long_tables = (sg._block_phasors, sg._grid_bin_spectra)
     for table in long_tables:
         table.cache_clear()
     monkeypatch.setattr(sg, "SIGNAL_LENGTH", length)

@@ -3,12 +3,16 @@ command line writes.
 
 The oracles deliberately avoid the production code paths: per-bin powers come
 from direct complex projections, cumulative sums or one full rFFT per window
-instead of the package's batched and sliding kernels. Two references are
+instead of the package's batched and sliding kernels. Three references are
 the exception. The reference phase search renders and measures with the
 package's own functions and differs from ``synthesize`` only in rendering
 every candidate, with no bound to skip any. The per-span sliding DFT is the
 fine scan as it ran one signal at a time, with the package's phase tables:
-the stacked pass must reproduce it bit for bit. The FRR/FAR closed forms here are the package's
+the stacked pass must reproduce it bit for bit. The full-buffer recording
+propagates each emission into a zeroed buffer of the whole scene, with an
+inline phase ramp, and sums the buffers, with the package's delay, gain,
+noise mask and noise seeds: ``channel.record`` must give its samples bit for
+bit. The FRR/FAR closed forms here are the package's
 model rearranged (``erf`` and the density at both ends instead of ``erfc`` and
 the antiderivative ``G``); the independent reference for the model is a
 quadrature in ``test_evaluation``, and scipy is imported only by the tests
@@ -23,6 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
+from sonicauth import channel as ch
 from sonicauth import signal as sg
 from sonicauth import spectrum
 from sonicauth.signal import AMPLITUDE_BUDGET, CANDIDATES, SAMPLE_RATE, SIGNAL_LENGTH, ReferenceSignal
@@ -181,18 +186,73 @@ def loop_tone_sum(spec, phases, length=SIGNAL_LENGTH):
     return x
 
 
-def tone_set_phasor_table(spec, length=SIGNAL_LENGTH) -> np.ndarray:
-    """Reference phasor table built for one tone set alone: (2n, length) rows
-    ``sin(w_k t)`` for each tone k, then ``cos(w_k t)``, by the same block
-    product ``exp(iw*64*a) * exp(iw*b)`` the synthesizer's all-candidate table
-    uses, over the spec's tones only."""
+def tone_set_phasor_table(frequencies, length=SIGNAL_LENGTH) -> np.ndarray:
+    """Reference phasor table built for the given tones alone: (2n, length)
+    rows ``sin(w_k t)`` for each tone k, then ``cos(w_k t)``, by the block
+    product ``exp(iw*64*a) * exp(iw*b)`` that the synthesizer's block phasors
+    hold for every candidate, taken over these tones only."""
     block = 64
-    omega = 2.0 * np.pi * np.asarray(spec.frequencies) / SAMPLE_RATE
+    omega = 2.0 * np.pi * np.asarray(frequencies) / SAMPLE_RATE
     blocks = -(-length // block)
     coarse = np.exp(1j * omega[:, None] * (block * np.arange(blocks)))
     fine = np.exp(1j * omega[:, None] * np.arange(block))
-    phasor = (coarse[:, :, None] * fine[:, None, :]).reshape(spec.tone_count, -1)[:, :length]
+    phasor = (coarse[:, :, None] * fine[:, None, :]).reshape(len(frequencies), -1)[:, :length]
     return np.concatenate([phasor.imag, phasor.real])
+
+
+def full_buffer_propagate(emission, dst_pos, cfg, duration: int) -> np.ndarray:
+    """Reference propagation: one emission's contribution at ``dst_pos`` as a
+    zeroed buffer of ``duration`` samples, its fractional shift's phase ramp
+    taken by an inline ``np.exp``."""
+    out = np.zeros(duration)
+    delay = ch.propagation_delay_samples(emission.position, dst_pos, cfg)
+    whole = int(np.floor(delay))
+    frac = delay - whole
+    if emission.emit_time + whole >= duration:
+        return out
+    w = np.asarray(emission.waveform, dtype=np.float64) * ch.path_gain(emission.position, dst_pos, cfg)
+    lead = 0
+    if frac > 0.0:
+        lead = ch._SHIFT_PAD
+        length = w.shape[0] + 2 * lead
+        n = ch.fast_fft_length(length)
+        padded = np.zeros(n)
+        padded[lead : lead + w.shape[0]] = w
+        k = np.arange(n // 2 + 1)
+        w = np.fft.irfft(np.fft.rfft(padded) * np.exp(-2j * np.pi * k * frac / n), n)[:length]
+    w = np.convolve(w, cfg.smoothing_kernel)
+    start = emission.emit_time + whole - lead
+    lo, hi = max(start, 0), min(start + w.shape[0], duration)
+    if hi > lo:
+        out[lo:hi] = w[lo - start : hi - start]
+    return out
+
+
+def full_buffer_record(scene, device_id: str, cfg) -> np.ndarray:
+    """Reference recording: every emission's full-length buffer summed into
+    the mix in emission order, the environment noise drawn as rFFT bins and
+    added, the Fourier resampling to a skewed clock and the saturating int16
+    quantization, each step out of place."""
+    rec = scene.recorder(device_id)
+    n = scene.duration
+    mix = np.zeros(n)
+    for emission in scene.emissions:
+        mix += full_buffer_propagate(emission, rec.position, cfg, n)
+    rms = ch.ENVIRONMENTS[cfg.environment]
+    if rms:
+        mask = ch._noise_mask(n)
+        rng = ch._noise_rng(scene, [r.device_id for r in scene.recorders].index(device_id))
+        shaped = np.fft.irfft(rng.standard_normal(2 * mask.shape[0]).view(np.complex128) * mask, n)
+        mix += shaped * (rms / np.sqrt(np.mean(shaped**2)))
+    if rec.sample_rate != ch.BASE_SAMPLE_RATE:
+        m = round(n * rec.sample_rate / ch.BASE_SAMPLE_RATE)
+        spec = np.fft.rfft(mix)
+        if n % 2 == 0 and m > n:
+            spec[n // 2] *= 0.5
+        if m % 2 == 0 and m < n:
+            spec[m // 2] *= 2.0
+        mix = np.fft.irfft(spec, m) * (m / n)
+    return np.clip(np.rint(mix), -32768, 32767).astype(np.int16)
 
 
 def noise_mask(n: int, cutoff: float, sample_rate: float = 44_100.0, tail: float = 0.05) -> np.ndarray:
@@ -244,10 +304,9 @@ def sequential_synthesize(spec) -> ReferenceSignal:
     with the strongest edge, otherwise the least leaking, ties to the first.
     Raises ``ValueError`` as ``synthesize`` does."""
     index, in_set = spectrum.in_set_mask(spec.frequencies)
-    table = sg._phasor_table(spec)
     chosen, chosen_key = None, None
     for phases in sg._phase_family(spec, index):
-        candidate = sg._render(spec, table, phases)
+        candidate = sg._render(spec, index, phases)
         measured = spectrum.measure_candidate_powers(candidate, SAMPLE_RATE)
         leak = sg._leakage_ratio(measured, in_set, spec)
         edge = sg._edge_energy_ratio(candidate)

@@ -1,8 +1,8 @@
-"""The session-invariant tables (candidate phasor rows and their spectra at the
-candidates' bins, candidate bin tables, the noise mask) are built once and
-shared read-only: sessions must not depend on whether a table was built for
-them or found in its cache, and every cached table must equal the one built
-for its caller alone."""
+"""The session-invariant tables (candidate block phasors and the spectra of
+their rows at the candidates' bins, candidate bin tables, the noise mask, the
+fractional-shift ramps) are built once and shared read-only: sessions must
+not depend on whether a table was built for them or found in its cache, and
+every cached table must equal the one built for its caller alone."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from sonicauth import spectrum
 from sonicauth.protocol import AuthPolicy, Endpoint, run_authentication
 from sonicauth.signal import BIN_COUNT, CANDIDATES, SAMPLE_RATE, SIGNAL_LENGTH, SignalSpec, sample_spec, synthesize
 
-CACHES = (sg._grid_phasor_table, sg._grid_bin_spectra, spectrum.candidate_bin_table, ch._noise_mask)
+CACHES = (sg._block_phasors, sg._grid_bin_spectra, spectrum.candidate_bin_table, ch._noise_mask, ch._shift_ramp)
 
 
 def _clear_caches():
@@ -70,10 +70,11 @@ class TestCachePurity:
     def test_cached_arrays_are_read_only(self):
         synthesize(sample_spec(np.random.default_rng(1)))
         tables = (
-            sg._grid_phasor_table(),
+            *sg._block_phasors(),
             sg._grid_bin_spectra(),
             spectrum.candidate_bin_table(44_100.0, 4096),
             ch._noise_mask(66_150),
+            ch._shift_ramp(4320, 0.25),
         )
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
@@ -83,10 +84,17 @@ class TestCachePurity:
 
 
 class TestPhasorRows:
+    """The candidates' block phasors, taken for a tone set and multiplied
+    out, hold the phasor rows of a table built for those tones alone."""
+
     @staticmethod
     def assert_rows_equal(spec, length=4096):
-        got = sg._phasor_table(spec)
-        want = tone_set_phasor_table(spec, length)
+        index, _ = spectrum.in_set_mask(spec.frequencies)
+        coarse, fine = (table[index] for table in sg._block_phasors())
+        assert coarse.shape == (spec.tone_count, -(-length // 64)) and fine.shape == (spec.tone_count, 64)
+        phasor = (coarse[:, :, None] * fine[:, None, :]).reshape(spec.tone_count, -1)[:, :length]
+        got = np.concatenate([phasor.imag, phasor.real])
+        want = tone_set_phasor_table(spec.frequencies, length)
         assert got.shape == want.shape == (2 * spec.tone_count, length)
         assert np.array_equal(got, want)
 
@@ -106,24 +114,24 @@ class TestPhasorRows:
         self.assert_rows_equal(sample_spec(np.random.default_rng(9)), long_signal_length)
 
     def test_one_table_kept(self):
-        """One table serves every tone set: the first synthesis builds it,
-        and every later one finds it in the cache."""
-        sg._grid_phasor_table.cache_clear()
+        """One cache entry, the coarse and the fine phasors, serves every tone
+        set: the first synthesis builds it, and every later one finds it."""
+        sg._block_phasors.cache_clear()
         synthesize(sample_spec(np.random.default_rng(4)))
         synthesize(sample_spec(np.random.default_rng(5)))
-        info = sg._grid_phasor_table.cache_info()
+        info = sg._block_phasors.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
         assert info.hits >= 1
-        assert sg._grid_phasor_table().shape == (2 * BIN_COUNT, 4096)
-        assert sg._grid_phasor_table.cache_info().hits == info.hits + 1
+        assert [table.shape for table in sg._block_phasors()] == [(BIN_COUNT, 64), (BIN_COUNT, 64)]
+        assert sg._block_phasors.cache_info().hits == info.hits + 1
 
 
 class TestBinSpectra:
     def test_equals_per_row_rfft(self):
-        """Each phasor row's rFFT, taken alone and read at every candidate's
-        bins."""
+        """Each candidate's phasor row in a table built for every candidate,
+        its rFFT taken alone and read at every candidate's bins."""
         bins = spectrum.candidate_bin_table(SAMPLE_RATE, SIGNAL_LENGTH)
-        want = np.array([np.fft.rfft(row)[bins] for row in sg._grid_phasor_table()])
+        want = np.array([np.fft.rfft(row)[bins] for row in tone_set_phasor_table(CANDIDATES)])
         got = sg._grid_bin_spectra()
         assert got.shape == want.shape == (2 * BIN_COUNT, BIN_COUNT, 2 * spectrum.THETA + 1)
         assert np.array_equal(got, want)
@@ -140,3 +148,20 @@ class TestNoiseMask:
     @pytest.mark.parametrize("n", [66_150, 52_920, 4097])
     def test_equals_inline_construction(self, n):
         assert np.array_equal(ch._noise_mask(n), noise_mask(n, 6000.0))
+
+
+class TestShiftRamp:
+    @pytest.mark.parametrize("n, frac", [(4320, 0.7058823529411598), (4320, 1e-9), (29_160, 0.5), (4097, 0.999)])
+    def test_equals_inline_exp(self, n, frac):
+        k = np.arange(n // 2 + 1)
+        assert np.array_equal(ch._shift_ramp(n, frac), np.exp(-2j * np.pi * k * frac / n))
+
+    def test_fixed_geometry_hits(self):
+        """A session at one distance shifts both signals across it by one
+        fraction (each device's own playback takes no shift): the first
+        shift builds the ramp, and every later one finds it."""
+        ch._shift_ramp.cache_clear()
+        _office_session(1.0, 0)
+        assert ch._shift_ramp.cache_info()[:2] == (1, 1)  # hits, misses
+        _office_session(1.0, 1)
+        assert ch._shift_ramp.cache_info()[:2] == (3, 1)

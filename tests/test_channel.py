@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from helpers import load_wav, smooth_length_search, time_domain_noise
+from helpers import full_buffer_record, load_wav, smooth_length_search, time_domain_noise
+from sonicauth import adversary as adv
 from sonicauth import channel as ch
+from sonicauth import evaluation as ev
 from sonicauth import pcm
+from sonicauth.protocol import AuthPolicy, Endpoint, run_authentication
 from sonicauth.signal import sample_spec, synthesize
 from sonicauth.spectrum import detect
 
@@ -18,6 +21,14 @@ NAN, INF = float("nan"), float("inf")
 
 def identity_kernel_cfg(**kwargs):
     return ch.ChannelConfig(smoothing_kernel=(1.0,), environment="silent", **kwargs)
+
+
+def propagated(waveform, emit_time, src, dst, cfg, duration):
+    """One emission's contribution alone, added into a zeroed buffer of
+    ``duration`` samples."""
+    mix = np.zeros(duration)
+    ch.propagate(waveform, emit_time, src, dst, cfg, mix)
+    return mix
 
 
 class TestFastFftLength:
@@ -40,7 +51,7 @@ class TestPropagate:
         # classic inverse-square power model the clamp gives gain_at_1m / 0.1
         cfg = identity_kernel_cfg(attenuation_exponent=2.0)
         w = np.ones(64) * 100.0
-        out = ch.propagate(w, 10, (0.0, 0.0), (0.0, 0.0), cfg, 200)
+        out = propagated(w, 10, (0.0, 0.0), (0.0, 0.0), cfg, 200)
         assert np.allclose(out[10:74], 100.0 * cfg.gain_at_1m / 0.1)
         assert np.all(out[:10] == 0) and np.all(out[74:] == 0)
 
@@ -48,21 +59,21 @@ class TestPropagate:
         cfg = identity_kernel_cfg(wall_plane_x=0.5, wall_attenuation_db=60.0)
         open_cfg = identity_kernel_cfg()
         w = np.sin(2 * np.pi * 1000 * np.arange(4096) / 44100) * 1000
-        through = ch.propagate(w, 0, (0.0, 0.0), (1.0, 0.0), cfg, 5000)
-        free = ch.propagate(w, 0, (0.0, 0.0), (1.0, 0.0), open_cfg, 5000)
+        through = propagated(w, 0, (0.0, 0.0), (1.0, 0.0), cfg, 5000)
+        free = propagated(w, 0, (0.0, 0.0), (1.0, 0.0), open_cfg, 5000)
         ratio = np.sqrt(np.mean(through**2) / np.mean(free**2))
         assert ratio == pytest.approx(10 ** (-60 / 20), rel=1e-6)
 
     def test_wall_only_between_opposite_sides(self):
         cfg = identity_kernel_cfg(wall_plane_x=5.0, wall_attenuation_db=60.0)
         w = np.ones(32) * 100
-        same_side = ch.propagate(w, 0, (0.0, 0.0), (1.0, 0.0), cfg, 300)
+        same_side = propagated(w, 0, (0.0, 0.0), (1.0, 0.0), cfg, 300)
         assert np.max(np.abs(same_side)) > 1.0
 
     def test_reciprocity(self, office_cfg):
         w = np.sin(2 * np.pi * 9000 * np.arange(2048) / 44100) * 500
-        a = ch.propagate(w, 100, (0.0, 0.0), (1.3, 0.7), office_cfg, 8000)
-        b = ch.propagate(w, 100, (1.3, 0.7), (0.0, 0.0), office_cfg, 8000)
+        a = propagated(w, 100, (0.0, 0.0), (1.3, 0.7), office_cfg, 8000)
+        b = propagated(w, 100, (1.3, 0.7), (0.0, 0.0), office_cfg, 8000)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize(
@@ -76,10 +87,28 @@ class TestPropagate:
             with pytest.raises(ValueError, match=rf"^distance between {re.escape(f'{a} and {b}')} is too large"):
                 ch._distance(a, b)
 
+    def test_adds_into_the_mix_over_its_span(self, office_cfg):
+        """The contribution is added to what the mix already holds, and
+        nothing outside the samples the emission reaches is written."""
+        w = np.sin(2 * np.pi * 9000 * np.arange(2048) / 44100) * 500
+        alone = propagated(w, 100, (0.0, 0.0), (1.3, 0.7), office_cfg, 8000)
+        base = np.random.default_rng(3).standard_normal(8000)
+        mix = base.copy()
+        assert ch.propagate(w, 100, (0.0, 0.0), (1.3, 0.7), office_cfg, mix) is None
+        assert np.array_equal(mix, base + alone)
+        reached = np.flatnonzero(alone)
+        assert np.array_equal(mix[: reached[0]], base[: reached[0]])
+        assert np.array_equal(mix[reached[-1] + 1 :], base[reached[-1] + 1 :])
+
+    def test_unheard_emission_adds_nothing(self, office_cfg):
+        mix = np.full(500, 7.0)
+        ch.propagate(np.ones(64), 480, (0.0, 0.0), (1.0, 0.0), office_cfg, mix)
+        assert np.all(mix == 7.0)
+
     def test_fractional_delay_preserves_energy(self):
         cfg = identity_kernel_cfg()
         w = np.sin(2 * np.pi * 14_000 * np.arange(4096) / 44100) * 1000
-        out = ch.propagate(w, 500, (0.0, 0.0), (1.0, 0.0), cfg, 8000)
+        out = propagated(w, 500, (0.0, 0.0), (1.0, 0.0), cfg, 8000)
         gain = ch.path_gain((0.0, 0.0), (1.0, 0.0), cfg)
         assert np.sum(out**2) == pytest.approx(np.sum((w * gain) ** 2), rel=1e-3)
 
@@ -288,6 +317,53 @@ class TestRecord:
         skewed = mix(44_100.0 * skew)
         assert skewed.shape == (round(66_150 * skew),)
         np.testing.assert_allclose(skewed, scipy.signal.resample(mix(44_100.0), skewed.shape[0]), rtol=0, atol=1e-6)
+
+
+class TestFullBufferEquivalence:
+    """Each recording a session makes, with every emission added into the
+    mix over its own span and the shift ramps read from their cache, holds
+    the int16 samples of the full-buffer reference: a zeroed buffer of the
+    whole scene per emission, an inline ramp, the buffers summed."""
+
+    @pytest.fixture
+    def emission_counts(self, monkeypatch):
+        """Installs the check on ``channel.record``, which the sessions look
+        up at call time; lists each checked scene's emission count."""
+        counts = []
+        record = ch.record
+
+        def checked(scene, device_id, cfg):
+            rec = record(scene, device_id, cfg)
+            assert np.array_equal(rec.samples, full_buffer_record(scene, device_id, cfg))
+            counts.append(len(scene.emissions))
+            return rec
+
+        monkeypatch.setattr(ch, "record", checked)
+        return counts
+
+    def test_office(self, emission_counts):
+        ev.distance_error_campaign("office", (0.5, 1.0, 1.5, 2.0), 2, 2601, min_trials=1)
+        assert emission_counts == [2] * 16
+
+    def test_crowded(self, emission_counts):
+        ev.multiuser_campaign(3, (0.5, 2.0), 2, 2602, min_trials=1)
+        assert emission_counts == [6] * 8
+
+    def test_all_frequency(self, emission_counts):
+        for power in ev.all_frequency_power_sweep(6)[::2]:
+            ev.attack_campaign(adv.AllFrequency(per_tone_power=float(power)), 1, 2603)
+        assert emission_counts == [3] * 6
+
+    @pytest.mark.parametrize("skew", [1.001, 0.9995])
+    def test_skewed_clock(self, emission_counts, skew):
+        run_authentication(
+            Endpoint("auth", (0.0, 0.0)),
+            Endpoint("vouch", (0.8, 0.3), sample_rate=44_100.0 * skew),
+            AuthPolicy(threshold_m=1.0),
+            np.random.default_rng(2604),
+            ch.ChannelConfig(),
+        )
+        assert emission_counts == [2] * 2
 
 
 class TestConfig:

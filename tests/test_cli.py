@@ -263,6 +263,7 @@ def test_multiuser_csv(capsys):
         (["multiuser", "--trials", "1", "--distances", "-0.5"], "separation must be a finite, non-negative distance"),
         (["attack", "--kind", "allfreq", "--trials", "0"], "--trials must be at least 6, one per swept power, got 0"),
         (["attack", "--kind", "allfreq", "--trials", "5"], "--trials must be at least 6, one per swept power, got 5"),
+        (["frrfar", "--sigma", "0.07", "--bt-range", "inf"], "need 0 < detect_range < pairing_range < inf, got 2.5 and inf"),
     ],
     ids=[
         "no_pairs",
@@ -273,6 +274,7 @@ def test_multiuser_csv(capsys):
         "negative_distance",
         "allfreq_no_trials",
         "allfreq_fewer_trials_than_powers",
+        "infinite_pairing_range",
     ],
 )
 def test_value_error_from_a_command_exits_2(tmp_path, capsys, argv, message):
@@ -284,6 +286,61 @@ def test_value_error_from_a_command_exits_2(tmp_path, capsys, argv, message):
     assert main([str(kernel) if arg == "KERNEL" else arg for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["range", "--trials", "1", "--distances", "0.5", "--out", "{missing}/x.csv"], "its directory does not exist"),
+        (["multiuser", "--trials", "1", "--distances", "0.5", "--out", "{missing}/x.json"], "its directory does not exist"),
+        (["compare", "--trials", "1", "--distances", "0.5", "--out", "{file}/x.csv"], "its directory does not exist"),
+        (["frrfar", "--sigma", "0.07", "--out", "{tmp}"], "it is a directory"),
+        (["frrfar", "--sigma", "0.07", "--out", ""], "it is a directory"),
+    ],
+    ids=[
+        "range_missing_directory",
+        "multiuser_missing_directory",
+        "compare_under_a_file",
+        "frrfar_onto_a_directory",
+        "frrfar_empty_path",
+    ],
+)
+def test_unwritable_out_exits_2_before_any_session(tmp_path, monkeypatch, capsys, argv, message):
+    """An ``--out`` file the command could not write is refused with a
+    one-line config error before any session runs, not after the whole
+    campaign with a traceback. ``{tmp}`` is a directory, ``{file}`` a file in
+    it and ``{missing}`` a path in it that does not exist."""
+    paths = {"tmp": tmp_path, "file": tmp_path / "file", "missing": tmp_path / "missing"}
+    paths["file"].write_text("")
+    _refuse_sessions(monkeypatch)
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: cannot write {argv[-1].format(**paths)}: {message}\n"
+    assert not paths["missing"].exists()
+
+
+@pytest.mark.parametrize("where, message", [("file/wav", "Not a directory"), ("file", "File exists")])
+def test_wav_dump_that_cannot_be_made_exits_2_before_the_session(tmp_path, monkeypatch, capsys, where, message):
+    """A ``--wav-dump`` directory is made before the session runs; one that
+    cannot be, under a file or onto one, is a one-line config error."""
+    (tmp_path / "file").write_text("")
+    _refuse_sessions(monkeypatch)
+    assert main(["auth", "--distance", "0.5", "--wav-dump", str(tmp_path / where)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: cannot make the directory {tmp_path / where}: {message}\n"
+
+
+def _refuse_sessions(monkeypatch):
+    """Replace the session at both names it is called by with one that fails
+    the test."""
+
+    def no_session(*args, **kwargs):
+        raise AssertionError("a session ran")
+
+    monkeypatch.setattr(cli, "run_authentication", no_session)
+    monkeypatch.setattr(sonicauth.evaluation, "run_authentication", no_session)
 
 
 def test_compare_with_a_delay_past_the_shortest_echo_recording(capsys):

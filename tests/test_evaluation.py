@@ -23,6 +23,7 @@ from sonicauth.protocol import (
 
 
 PHI_0 = 1.0 / math.sqrt(2.0 * math.pi)
+NAN, INF = float("nan"), float("inf")
 
 
 def norm_frr_far(tau_m, model):
@@ -97,6 +98,28 @@ class TestFrrFarModel:
         model = ev.ErrorModel(1e-6)
         _, far = ev.frr_far_model(1.0, model)
         assert far == pytest.approx(1e-6 * PHI_0 / (model.pairing_range_m - 1.0), rel=1e-9)
+
+    @pytest.mark.parametrize("sigma", [1e6, 1e16, 1e17, 1e300])
+    def test_no_cancellation_at_large_sigma(self, sigma):
+        """As sigma outgrows every distance, the FRR tends to 1/2 from below,
+        as ``1/2 - phi(0)*x/2`` at ``x = tau/sigma``, and the FAR to
+        ``(D - tau) / (2*(R - tau))`` from below, with the same correction at
+        ``x = (D - tau)/sigma``. A difference of the antiderivative's values
+        read 0.555 and 0.062 at sigma = 1e16, then 0 and 0."""
+        model = ev.ErrorModel(sigma)
+        frr, far = ev.frr_far_model(1.0, model)
+        gap = model.detect_range_m - 1.0
+        assert frr <= 0.5
+        assert frr == pytest.approx(0.5 - PHI_0 / sigma / 2, rel=1e-12)
+        assert far == pytest.approx((gap / 2 - PHI_0 * gap * gap / sigma / 2) / (model.pairing_range_m - 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "ranges", [(2.5, INF), (INF, INF), (INF, 10.0), (-INF, 10.0), (NAN, 10.0), (2.5, NAN)], ids=str
+    )
+    def test_non_finite_range_rejected(self, ranges):
+        """An infinite pairing range would make every FAR 0."""
+        with pytest.raises(ValueError, match=rf"^need 0 < detect_range < pairing_range < inf, got {ranges[0]} and {ranges[1]}$"):
+            ev.ErrorModel(0.07, *ranges)
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_sigma_rejected(self, sigma):

@@ -564,6 +564,27 @@ class TestCrossCorrelate:
         with pytest.raises(ValueError):
             cross_correlate_detect(np.zeros(100), sig)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, value):
+        """Named, not located: the sample's rFFT would spread over every lag
+        and put the argmax at 0, not at the copy at 5000."""
+        sig = synthesize(sample_spec(np.random.default_rng(13)))
+        x = _embed(sig, 5000, 5000)
+        x[100] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^recording holds a non-finite sample, {value} at index 100$"):
+                cross_correlate_detect(x, sig)
+
+    def test_complex_recording_rejected(self):
+        """Refused, not cast to its real part with a ComplexWarning."""
+        sig = synthesize(sample_spec(np.random.default_rng(13)))
+        x = _embed(sig, 5000, 5000).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^recording must hold real samples, got dtype complex128$"):
+                cross_correlate_detect(x, sig)
+
     @pytest.mark.parametrize("distance", [0.5, 1.5])
     def test_argmax_equals_scipy_correlate(self, office_cfg, distance):
         """On the recordings of seeded xcorr sessions, the rFFT correlation
