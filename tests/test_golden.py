@@ -133,6 +133,12 @@ REPORT_SHA256 = {
 }
 
 
+# An all-frequency campaign's transcripts, concatenated: its later sessions
+# find the spoofer's path responses memoized by the first, so even in a fresh
+# process this digest covers memo hits, not only misses.
+ALL_FREQUENCY_CAMPAIGN_SHA256 = "0f90bd14a4f29ff15e83eece7e7865bb642cccd31f1396ff14914be82c95d969"
+
+
 @cache
 def _transcript(name: str) -> str:
     return SESSIONS[name]()
@@ -164,3 +170,8 @@ def test_distance_error_campaign_csv_digest():
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_campaign_report_digest(name):
     assert _sha(REPORTS[name]()) == REPORT_SHA256[name]
+
+
+def test_all_frequency_campaign_transcripts_digest():
+    report = ev.attack_campaign(adv.AllFrequency(per_tone_power=ALL_FREQUENCY_POWER), 3, 36)
+    assert _sha("".join(t.to_json() for t in report.transcripts)) == ALL_FREQUENCY_CAMPAIGN_SHA256
