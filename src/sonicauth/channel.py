@@ -10,6 +10,12 @@ noise of the config's named environment (an RMS from ``ENVIRONMENTS``,
 shaped below ``NOISE_CUTOFF_HZ`` and seeded by the scene seed and the
 device's index), resamples by its clock-skew ratio when its rate differs
 from the base rate, and saturating-quantizes to 16-bit.
+
+A path's response to a read-only waveform (the all-frequency spoofer's, which
+every session of a campaign replays from one place) is memoized per path, so
+a campaign shifts and smooths it once per recorder rather than once per
+session; a writeable waveform may change between calls and is always
+propagated afresh.
 """
 
 from __future__ import annotations
@@ -234,6 +240,55 @@ def _fractional_shift(x: np.ndarray, frac: float) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(padded) * _shift_ramp(n, frac), n)[:length]
 
 
+def _path_response(
+    waveform: np.ndarray, frac: float, gain: float, kernel: tuple[float, ...]
+) -> tuple[np.ndarray, int]:
+    """The waveform as heard at the end of a path: scaled by ``gain``, shifted
+    later by ``frac`` samples and smoothed by ``kernel``; with the count of
+    samples it starts before the whole-sample delay."""
+    w = np.asarray(waveform, dtype=np.float64) * gain
+    lead = 0
+    if frac > 0.0:
+        w = _fractional_shift(w, frac)
+        lead = _SHIFT_PAD
+    return np.convolve(w, kernel), lead
+
+
+class _Held:
+    """A read-only waveform as a cache key, hashed and compared by identity.
+    The key holds the waveform, so while its entry lives no other array can
+    take its ``id``."""
+
+    __slots__ = ("waveform",)
+
+    def __init__(self, waveform: np.ndarray) -> None:
+        self.waveform = waveform
+
+    def __hash__(self) -> int:
+        return id(self.waveform)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Held) and other.waveform is self.waveform
+
+
+# An all-frequency campaign replays one read-only waveform from one position
+# in every session, to the same two recorders: two entries, ~231 KB each.
+@lru_cache(maxsize=2)
+def _held_path_response(
+    held: _Held, frac: float, gain: float, kernel: tuple[float, ...]
+) -> tuple[np.ndarray, int]:
+    """``_path_response`` of a read-only waveform, shared read-only."""
+    w, lead = _path_response(held.waveform, frac, gain, kernel)
+    w.setflags(write=False)
+    return w, lead
+
+
+def _read_only(waveform) -> bool:
+    """Whether ``waveform`` is an array that owns its samples and refuses
+    writes: no view of a writeable buffer, so it cannot change under a memo."""
+    return isinstance(waveform, np.ndarray) and not waveform.flags.writeable and waveform.base is None
+
+
 def propagate(
     waveform: np.ndarray,
     emit_time: int,
@@ -246,19 +301,24 @@ def propagate(
     a base-rate buffer, over the samples it reaches. Delay uses the true
     distance; the amplitude law clamps the distance at the 0.1 m floor. An
     emission that reaches the destination at or after the end of ``mix`` is
-    not heard: it adds nothing."""
+    not heard: it adds nothing.
+
+    The path response of a read-only waveform that owns its samples (the
+    all-frequency spoofer's, which every session of a campaign shares) is
+    memoized per path; every other waveform's is computed afresh, since a
+    writeable one may change between calls. Either way the mix gets the same
+    bits."""
     delay = propagation_delay_samples(src_pos, dst_pos, cfg)
     whole = int(np.floor(delay))
     frac = delay - whole
     if emit_time + whole >= mix.shape[0]:
         return
 
-    w = np.asarray(waveform, dtype=np.float64) * path_gain(src_pos, dst_pos, cfg)
-    lead = 0
-    if frac > 0.0:
-        w = _fractional_shift(w, frac)
-        lead = _SHIFT_PAD
-    w = np.convolve(w, cfg.smoothing_kernel)
+    gain = path_gain(src_pos, dst_pos, cfg)
+    if _read_only(waveform):
+        w, lead = _held_path_response(_Held(waveform), frac, gain, cfg.smoothing_kernel)
+    else:
+        w, lead = _path_response(waveform, frac, gain, cfg.smoothing_kernel)
 
     start = emit_time + whole - lead
     lo = max(start, 0)

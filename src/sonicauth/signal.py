@@ -188,8 +188,12 @@ def _proper_subset(rng: np.random.Generator, candidates: tuple[float, ...]) -> t
 # keeps zero phases when they already confine the leakage below
 # _LEAKAGE_TARGET times the absence threshold while carrying enough edge
 # energy, and otherwise searches a fixed, tone-set-seeded family of random
-# phase draws for the best candidate.
+# phase draws for the best candidate. When no member of the family keeps its
+# leakage under the absence threshold at all, the search reads on down the
+# same seeded stream, up to _PHASE_SEARCH_LIMIT candidates in all, for the
+# first that does.
 _PHASE_CANDIDATES = 16
+_PHASE_SEARCH_LIMIT = 256
 _LEAKAGE_TARGET = 0.6
 _EDGE_SPAN = 48
 _EDGE_ENERGY_TARGET = 0.5  # of the burst's average energy rate
@@ -216,15 +220,16 @@ def _edge_energy_ratio(samples: np.ndarray) -> float:
     return min(head, tail) / total_rate
 
 
-def _phase_family(spec: SignalSpec, index: np.ndarray) -> np.ndarray:
-    """(_PHASE_CANDIDATES, n) deterministic phase candidates for one tone set
-    (``index``: the tones' candidate indices): zero phases first, then seeded
-    random draws, taken in one call that draws the same stream as one call per
-    row. The seed key ends with the candidate count and the signal length; any
-    other key would change every draw, and with it every waveform."""
+def _phase_family(spec: SignalSpec, index: np.ndarray, count: int) -> np.ndarray:
+    """(count, n) deterministic phase candidates for one tone set (``index``:
+    the tones' candidate indices): zero phases first, then seeded random
+    draws, taken in one call that draws the same stream as one call per row,
+    so a longer family starts with every row of a shorter one. The seed key
+    ends with the candidate count and the signal length; any other key would
+    change every draw, and with it every waveform."""
     key = index.tolist() + [BIN_COUNT, SIGNAL_LENGTH]
     rng = np.random.default_rng(np.random.SeedSequence(key))
-    draws = rng.uniform(0.0, 2.0 * np.pi, (_PHASE_CANDIDATES - 1, spec.tone_count))
+    draws = rng.uniform(0.0, 2.0 * np.pi, (count - 1, spec.tone_count))
     return np.concatenate([np.zeros((1, spec.tone_count)), draws])
 
 
@@ -322,6 +327,25 @@ def _measure(spec: SignalSpec, index: np.ndarray, phases: np.ndarray, in_set: np
     return samples, measured, _leakage_ratio(measured, in_set, spec), _edge_energy_ratio(samples)
 
 
+def _first_under_threshold(spec: SignalSpec, index: np.ndarray, in_set: np.ndarray, least: float):
+    """Samples and measured powers of the first phase candidate past the
+    family, in stream order, whose leakage stays under the absence threshold;
+    the family's least-leaking candidate reached ``least`` times it. Candidates
+    whose certified lower bound reaches the threshold are not rendered. Raises
+    ``ValueError`` when none of the first _PHASE_SEARCH_LIMIT does."""
+    rows = _phase_family(spec, index, _PHASE_SEARCH_LIMIT)[_PHASE_CANDIDATES:]
+    lower = _leakage_lower_bounds(_candidate_norms(spec, index, rows), in_set, spec.tone_count)
+    for i in np.flatnonzero(lower < 1.0):
+        samples, measured, leak, _ = _measure(spec, index, rows[i], in_set)
+        if leak < 1.0:
+            return samples, measured
+    raise ValueError(
+        f"cannot synthesize tones {spec.frequencies} under beta_ratio={spectrum.BETA_RATIO}: "
+        f"no phase candidate of {_PHASE_SEARCH_LIMIT} stays under the absence threshold, and the "
+        f"least-leaking of the first {_PHASE_CANDIDATES} reaches {least:.3f} times it"
+    )
+
+
 def synthesize(spec: SignalSpec) -> ReferenceSignal:
     """Render the reference signal and measure its per-tone nominal powers.
 
@@ -330,18 +354,20 @@ def synthesize(spec: SignalSpec) -> ReferenceSignal:
     out-of-set spectral leakage confined, otherwise the best of a fixed
     tone-set-seeded family of phase draws (deterministic either way). The
     per-tone powers are measured, and the leakage confined under the absence
-    threshold, as the detector measures and gates them. Raises ``ValueError``
-    when no candidate keeps the leakage under that threshold at all.
+    threshold, as the detector measures and gates them.
 
     The search picks what rendering every candidate in family order would:
     the first that passes both targets, else the confined one with the
-    strongest edge, else the least leaking, ties to the first. A certified
-    lower bound on every candidate's leakage, from its unrounded spectrum
-    (``_leakage_lower_bounds``), spares the renders that cannot change that
-    choice.
+    strongest edge, else the least leaking, ties to the first. When even that
+    one reaches the absence threshold, the first later draw of the same
+    stream that stays under it wins (``_first_under_threshold``), and
+    ``ValueError`` is raised when none of _PHASE_SEARCH_LIMIT candidates
+    does. A certified lower bound on every candidate's leakage, from its
+    unrounded spectrum (``_leakage_lower_bounds``), spares the renders that
+    cannot change that choice.
     """
     index, in_set = spectrum.in_set_mask(spec.frequencies)
-    family = _phase_family(spec, index)
+    family = _phase_family(spec, index, _PHASE_CANDIDATES)
     lower = _leakage_lower_bounds(_candidate_norms(spec, index, family), in_set, spec.tone_count)
     ruled_out = lower > _LEAKAGE_TARGET  # their leakage is too: none can pass or be confined
     best = None  # (fallback key, samples, measured powers, leakage) of the best candidate so far
@@ -369,10 +395,7 @@ def synthesize(spec: SignalSpec) -> ReferenceSignal:
                         best = (key, samples, measured, leak)
     _, samples, measured, leak = best
     if leak >= 1.0:  # the detector's absence gate is strict: p_out < beta
-        raise ValueError(
-            f"cannot synthesize tones {spec.frequencies} under beta_ratio={spectrum.BETA_RATIO}: "
-            f"the least-leaking phase candidate reaches {leak:.3f} times the absence threshold"
-        )
+        samples, measured = _first_under_threshold(spec, index, in_set, leak)
     # The candidate is integer-valued, so its int16 copy measures the same.
     power = {f: float(p) for f, p in zip(spec.frequencies, measured[index])}
     return ReferenceSignal(spec=spec, samples=samples.astype(np.int16), nominal_power=power)

@@ -302,10 +302,12 @@ def sequential_synthesize(spec) -> ReferenceSignal:
     family order, with no bound to skip any. The first that passes both the
     leakage and the edge-energy target wins; otherwise the confined candidate
     with the strongest edge, otherwise the least leaking, ties to the first.
-    Raises ``ValueError`` as ``synthesize`` does."""
+    When that one reaches the absence threshold, every later draw of the
+    stream is rendered in turn until one stays under it. Raises
+    ``ValueError`` as ``synthesize`` does."""
     index, in_set = spectrum.in_set_mask(spec.frequencies)
     chosen, chosen_key = None, None
-    for phases in sg._phase_family(spec, index):
+    for phases in sg._phase_family(spec, index, sg._PHASE_CANDIDATES):
         candidate = sg._render(spec, index, phases)
         measured = spectrum.measure_candidate_powers(candidate, SAMPLE_RATE)
         leak = sg._leakage_ratio(measured, in_set, spec)
@@ -318,10 +320,17 @@ def sequential_synthesize(spec) -> ReferenceSignal:
             chosen, chosen_key = (candidate, measured, leak), key
     samples, measured, leak = chosen
     if leak >= 1.0:
-        raise ValueError(
-            f"cannot synthesize tones {spec.frequencies} under beta_ratio={spectrum.BETA_RATIO}: "
-            f"the least-leaking phase candidate reaches {leak:.3f} times the absence threshold"
-        )
+        for phases in sg._phase_family(spec, index, sg._PHASE_SEARCH_LIMIT)[sg._PHASE_CANDIDATES :]:
+            samples = sg._render(spec, index, phases)
+            measured = spectrum.measure_candidate_powers(samples, SAMPLE_RATE)
+            if sg._leakage_ratio(measured, in_set, spec) < 1.0:
+                break
+        else:
+            raise ValueError(
+                f"cannot synthesize tones {spec.frequencies} under beta_ratio={spectrum.BETA_RATIO}: "
+                f"no phase candidate of {sg._PHASE_SEARCH_LIMIT} stays under the absence threshold, and the "
+                f"least-leaking of the first {sg._PHASE_CANDIDATES} reaches {leak:.3f} times it"
+            )
     power = {f: float(p) for f, p in zip(spec.frequencies, measured[index])}
     return ReferenceSignal(spec=spec, samples=samples.astype(np.int16), nominal_power=power)
 

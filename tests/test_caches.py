@@ -1,13 +1,15 @@
 """The session-invariant tables (candidate block phasors and the spectra of
 their rows at the candidates' bins, candidate bin tables, the noise mask, the
-fractional-shift ramps) are built once and shared read-only: sessions must
-not depend on whether a table was built for them or found in its cache, and
-every cached table must equal the one built for its caller alone."""
+fractional-shift ramps, a read-only waveform's path responses) are built once
+and shared read-only: sessions must not depend on whether a table was built
+for them or found in its cache, and every cached table must equal the one
+built for its caller alone."""
 
 import numpy as np
 import pytest
 
 from helpers import noise_mask, tone_set_phasor_table
+from sonicauth import adversary as adv
 from sonicauth import channel as ch
 from sonicauth import evaluation as ev
 from sonicauth import signal as sg
@@ -15,7 +17,16 @@ from sonicauth import spectrum
 from sonicauth.protocol import AuthPolicy, Endpoint, run_authentication
 from sonicauth.signal import BIN_COUNT, CANDIDATES, SAMPLE_RATE, SIGNAL_LENGTH, SignalSpec, sample_spec, synthesize
 
-CACHES = (sg._block_phasors, sg._grid_bin_spectra, spectrum.candidate_bin_table, ch._noise_mask, ch._shift_ramp)
+CACHES = (
+    sg._block_phasors,
+    sg._grid_bin_spectra,
+    spectrum.candidate_bin_table,
+    ch._noise_mask,
+    ch._shift_ramp,
+    ch._held_path_response,
+)
+# Only a read-only waveform, the all-frequency spoofer's, fills the path memo.
+PATH_MEMO_KINDS = {"all_frequency"}
 
 
 def _clear_caches():
@@ -47,10 +58,16 @@ def _skewed_session():
     return [t.to_json()]
 
 
+def _all_frequency_campaign():
+    report = ev.attack_campaign(adv.AllFrequency(per_tone_power=1e11), 3, 41)
+    return [report.to_json()] + [t.to_json() for t in report.transcripts]
+
+
 SESSIONS = {
     "office": [lambda d=d, s=s: _office_session(d, s) for d in (0.5, 1.0, 1.5) for s in range(2)],
     "crowded": [_crowded_session],
     "skewed": [_skewed_session],
+    "all_frequency": [_all_frequency_campaign],
 }
 
 
@@ -63,7 +80,8 @@ class TestCachePurity:
         for session in SESSIONS[kind]:
             _clear_caches()
             cold.append(session())
-        assert all(cache.cache_info().currsize > 0 for cache in CACHES)
+        filled = CACHES if kind in PATH_MEMO_KINDS else CACHES[:-1]
+        assert all(cache.cache_info().currsize > 0 for cache in filled)
         warm = [session() for session in SESSIONS[kind]]
         assert warm == cold
 
@@ -75,6 +93,7 @@ class TestCachePurity:
             spectrum.candidate_bin_table(44_100.0, 4096),
             ch._noise_mask(66_150),
             ch._shift_ramp(4320, 0.25),
+            ch._held_path_response(ch._Held(adv.all_frequency_signal(1e11, 4096)), 0.25, 0.2, (1.0,))[0],
         )
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):

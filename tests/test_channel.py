@@ -113,6 +113,52 @@ class TestPropagate:
         assert np.sum(out**2) == pytest.approx(np.sum((w * gain) ** 2), rel=1e-3)
 
 
+class TestPathMemo:
+    """A read-only waveform's path response is memoized per path: a hit adds
+    what a fresh computation adds, at most two responses are held, and a
+    waveform that can change between calls is never served from the memo."""
+
+    SPOOFER, AUTH, VOUCH = (0.3, 0.0), (0.0, 0.0), (3.0, 0.0)
+    DURATION = 28_672
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        ch._held_path_response.cache_clear()
+        yield
+        ch._held_path_response.cache_clear()
+
+    def test_hit_adds_what_a_fresh_computation_adds(self, office_cfg):
+        wave = adv.all_frequency_signal(1e11, self.DURATION - 1)
+        base = np.random.default_rng(4).standard_normal(self.DURATION)
+        for emit_time in (0, 0, 700, 0):
+            fresh = propagated(wave.copy(), emit_time, self.SPOOFER, self.AUTH, office_cfg, self.DURATION)
+            mix = base.copy()
+            ch.propagate(wave, emit_time, self.SPOOFER, self.AUTH, office_cfg, mix)
+            assert np.array_equal(mix, base + fresh)
+        assert ch._held_path_response.cache_info()[:2] == (3, 1)  # hits, misses
+
+    def test_holds_two_responses(self, office_cfg):
+        wave = adv.all_frequency_signal(1e11, self.DURATION - 1)
+        for dst in (self.AUTH, self.VOUCH, self.AUTH, self.VOUCH, (1.0, 1.0), self.AUTH):
+            propagated(wave, 0, self.SPOOFER, dst, office_cfg, self.DURATION)
+        info = ch._held_path_response.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 4, 2)
+
+    def test_writeable_waveform_never_served(self, office_cfg):
+        """Mutating the waveform between two propagations changes the second
+        mix, for a writeable array and for a read-only view of one."""
+        w = np.sin(2 * np.pi * 9000 * np.arange(2048) / 44100) * 500
+        view = w.view()
+        view.setflags(write=False)
+        for waveform in (w, view):
+            first = propagated(waveform, 100, (0.0, 0.0), (1.3, 0.7), office_cfg, 8000)
+            w *= 2.0
+            second = propagated(waveform, 100, (0.0, 0.0), (1.3, 0.7), office_cfg, 8000)
+            assert not np.array_equal(second, first)
+            assert np.array_equal(second, propagated(w.copy(), 100, (0.0, 0.0), (1.3, 0.7), office_cfg, 8000))
+        assert ch._held_path_response.cache_info().currsize == 0
+
+
 class TestNoise:
     @pytest.mark.parametrize("name", ["office", "home", "restaurant", "street"])
     def test_spectral_power_above_cutoff_below_one_percent(self, name):
@@ -350,9 +396,13 @@ class TestFullBufferEquivalence:
         assert emission_counts == [6] * 8
 
     def test_all_frequency(self, emission_counts):
+        """Two trials per power: the second session of each finds the
+        spoofer's path responses memoized by the first, at both devices."""
+        hits = ch._held_path_response.cache_info().hits
         for power in ev.all_frequency_power_sweep(6)[::2]:
-            ev.attack_campaign(adv.AllFrequency(per_tone_power=float(power)), 1, 2603)
-        assert emission_counts == [3] * 6
+            ev.attack_campaign(adv.AllFrequency(per_tone_power=float(power)), 2, 2603)
+        assert emission_counts == [3] * 12
+        assert ch._held_path_response.cache_info().hits - hits >= 6
 
     @pytest.mark.parametrize("skew", [1.001, 0.9995])
     def test_skewed_clock(self, emission_counts, skew):

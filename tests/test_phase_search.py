@@ -61,10 +61,25 @@ class TestMatchesSequentialSearch:
             picked = rng.choice(np.asarray(CANDIDATES), size=tones, replace=False)
             assert_matches_sequential(SignalSpec(frequencies=tuple(float(f) for f in picked)))
 
+    def test_read_on_past_the_family(self):
+        """No member of the 16-candidate family keeps this 18-tone set's
+        leakage under the absence threshold (the least leaks 1.077 times it),
+        so the search reads on down the seeded stream: row 17 leaks 0.939
+        times it, and the detector finds the clean signal present."""
+        tones = (1, 3, 4, 5, 7, 8, 10, 11, 13, 15, 16, 17, 20, 21, 23, 25, 27, 28)
+        spec = SignalSpec(frequencies=tuple(CANDIDATES[i] for i in tones))
+        assert assert_matches_sequential(spec) == "least_leaking"
+        sig = synthesize(spec)
+        index, in_set = spectrum.in_set_mask(spec.frequencies)
+        assert sg._leakage_ratio(spectrum.measure_candidate_powers(sig.samples, SAMPLE_RATE), in_set, spec) < 1.0
+        row = sg._phase_family(spec, index, sg._PHASE_SEARCH_LIMIT)[17]
+        assert np.array_equal(sig.samples, sg._render(spec, index, row).astype(np.int16))
+        assert spectrum.norm_power(sig.samples, sig, sample_rate=SAMPLE_RATE) is not None
+
     def test_strict_beta(self, monkeypatch):
         """A stricter absence threshold sends most tone sets down the
-        fallbacks, and some to the ``ValueError``: the bound reads
-        ``BETA_RATIO`` at call time."""
+        fallbacks, many past the family, and some to the ``ValueError``: the
+        bound reads ``BETA_RATIO`` at call time."""
         monkeypatch.setattr(spectrum, "BETA_RATIO", 0.002)
         assert set(_seeded_paths(500)) == {"passes", "confined", "least_leaking", "error"}
 

@@ -134,12 +134,12 @@ class TestSynthesize:
         assert norm_power(tuned.samples, tuned, sample_rate=SAMPLE_RATE) is not None
 
     def test_unconfinable_leakage_rejected(self, monkeypatch):
-        """Seed 0's tone set tries all 16 phase candidates: each leaks past the
+        """Seed 6's tone set tries all 256 phase candidates: each leaks past the
         strict beta, and with the default beta the fallback still passes."""
-        spec = sample_spec(np.random.default_rng(0))
+        spec = sample_spec(np.random.default_rng(6))
         with monkeypatch.context() as patch:
             patch.setattr(spectrum, "BETA_RATIO", 0.002)
-            message = r"beta_ratio=0\.002: .* reaches 1\.\d+ times the absence threshold"
+            message = r"beta_ratio=0\.002: no phase candidate of 256 stays under .* reaches 1\.\d+ times it$"
             with pytest.raises(ValueError, match=message):
                 synthesize(spec)
         sig = synthesize(spec)
@@ -171,7 +171,7 @@ class TestSynthesize:
 
 def family(spec):
     index, _ = spectrum.in_set_mask(spec.frequencies)
-    return list(sg._phase_family(spec, index))
+    return list(sg._phase_family(spec, index, sg._PHASE_CANDIDATES))
 
 
 class TestPhasorRenderer:
