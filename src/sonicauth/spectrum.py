@@ -14,14 +14,18 @@ argmax:
 Windows failing either check score negative infinity. A coarse scan with a
 large step finds the neighbourhood of the maximum; it takes one rFFT per
 window, reading its evenly spaced windows in place from the recording as a
-strided view. A fine scan pinpoints the maximum with a sliding DFT over the
-bins the candidates read: the first window's bins come from one rFFT and each
-later window's from the samples that enter and leave it. All signals sought in
-one recording share one stacked fine pass: their first windows take one rFFT,
-and each block of slides takes one phase product and one running sum over
-every signal's bins. The running sum adds the block's windows one row after
-another, so each bin is summed in window order, as a per-signal cumulative
-sum would sum it, and the stacked pass gives each signal's powers bit for bit.
+strided view. A signal that no coarse window passes is not fine-scanned: its
+scored window is the coarse argmax, the recording's first window, and a
+recording in which both signals fail every coarse window runs no fine pass.
+A fine scan pinpoints the maximum of every other signal with a sliding DFT
+over the bins the candidates read: the first window's bins come from one rFFT
+and each later window's from the samples that enter and leave it. All signals
+fine-scanned in one recording share one stacked fine pass: their first
+windows take one rFFT, and each block of slides takes one phase product and
+one running sum over every signal's bins. The running sum adds the block's
+windows one row after another, so each bin is summed in window order, as a
+per-signal cumulative sum would sum it, and the stacked pass gives each
+signal's powers bit for bit.
 Each signal's gate (tone indices, out-of-set indices, presence floors and
 ``beta``) is built once per scan and read by the coarse, fine and exact
 scores. The fine scan only picks the window. The exact one-window kernel, the
@@ -85,8 +89,9 @@ class DetectionOutcome:
     """Detected sample location, or absence.
 
     ``location is None`` means the signal was declared not present;
-    ``peak_norm_power`` is the exact normalized power of the window the fine
-    scan picked (None when that window fails a sanity check).
+    ``peak_norm_power`` is the exact normalized power of the window the scan
+    picked (None when that window fails a sanity check): the fine scan's
+    pick, or, for a signal that no coarse window passes, the coarse argmax.
     """
 
     location: int | None
@@ -320,10 +325,13 @@ def _samples(x: np.ndarray, what: str) -> np.ndarray:
 def _scan(x: np.ndarray, sigs: tuple["ReferenceSignal", ...], sample_rate: float) -> tuple[DetectionOutcome, ...]:
     """Locate each signal in the recording ``x``: one coarse scan shared by
     all of them, then one sliding-DFT fine pass over ``FINE_RADIUS`` samples
-    around each signal's coarse argmax. Ties break to the smallest index.
-    The fine scan only picks the window; that window's exact score is the
-    reported peak and decides presence, so a window whose exact score fails a
-    gate is not present. ``sample_rate`` is the recorder's."""
+    around the coarse argmax of each signal that some coarse window passes.
+    A signal that fails every coarse window gets no fine span; its window is
+    the coarse argmax (the first window), and when every signal fails, no
+    fine pass runs. Ties break to the smallest index. The fine scan only
+    picks the window; that window's exact score is the reported peak and
+    decides presence, so a window whose exact score fails a gate is not
+    present. ``sample_rate`` is the recorder's."""
     length = signal.SIGNAL_LENGTH
     x = _samples(x, "recording")
     if x.ndim != 1:
@@ -334,15 +342,21 @@ def _scan(x: np.ndarray, sigs: tuple["ReferenceSignal", ...], sample_rate: float
     max_start = x.shape[0] - length
     coarse_powers = _batch_candidate_powers(x, slice(0, max_start + 1, COARSE_STEP), length, table)
     gates = [_gate(sig) for sig in sigs]
-    spans = []
-    for gate in gates:
-        anchor = int(np.argmax(_gated_scores(coarse_powers, gate))) * COARSE_STEP
-        lo = max(0, anchor - FINE_RADIUS)
-        spans.append((lo, (min(max_start, anchor + FINE_RADIUS) - lo) // FINE_STEP + 1))
-    fine_powers = _sliding_candidate_powers(x, spans, FINE_STEP, length, table)
+    locations, spans = [], {}
+    for i, gate in enumerate(gates):
+        scores = _gated_scores(coarse_powers, gate)
+        best = int(np.argmax(scores))
+        anchor = best * COARSE_STEP
+        locations.append(anchor)
+        if scores[best] > -np.inf:  # a signal that no coarse window passes keeps its coarse argmax
+            lo = max(0, anchor - FINE_RADIUS)
+            spans[i] = (lo, (min(max_start, anchor + FINE_RADIUS) - lo) // FINE_STEP + 1)
+    if spans:
+        fine_powers = _sliding_candidate_powers(x, list(spans.values()), FINE_STEP, length, table)
+        for (i, (lo, _)), powers in zip(spans.items(), fine_powers):
+            locations[i] = lo + int(np.argmax(_gated_scores(powers, gates[i]))) * FINE_STEP
     outcomes = []
-    for sig, gate, (lo, _), powers in zip(sigs, gates, spans, fine_powers):
-        loc = lo + int(np.argmax(_gated_scores(powers, gate))) * FINE_STEP
+    for sig, gate, loc in zip(sigs, gates, locations):
         peak = _window_score(x, loc, gate, table)
         present = peak >= EPSILON * sig.total_power  # False for -inf: the window failed a gate
         outcomes.append(DetectionOutcome(loc if present else None, None if peak == -np.inf else peak))
@@ -364,7 +378,9 @@ def norm_power(window: np.ndarray, sig: "ReferenceSignal", *, sample_rate: float
 def detect(x: np.ndarray, sig: "ReferenceSignal", *, sample_rate: float) -> DetectionOutcome:
     """Locate one reference signal in a recording made at ``sample_rate``
     (coarse scan, then a fine scan of ``FINE_RADIUS`` samples around the
-    coarse argmax). Ties break to the smallest index."""
+    coarse argmax, skipped when no coarse window passes the gates; the
+    scored window is then the coarse argmax). Ties break to the smallest
+    index."""
     return _scan(x, (sig,), sample_rate)[0]
 
 
@@ -377,8 +393,9 @@ def detect_pair(
 ) -> tuple[DetectionOutcome, DetectionOutcome]:
     """Detect two reference signals in one scan of a recording made at
     ``sample_rate``. The coarse-pass window spectra are computed once and
-    shared, and both fine scans run as one stacked pass; outcomes are
-    bit-identical to two independent ``detect`` calls.
+    shared, and the fine scans of the signals that some coarse window passes
+    run as one stacked pass; outcomes are bit-identical to two independent
+    ``detect`` calls.
     """
     return _scan(x, (sig_a, sig_b), sample_rate)
 

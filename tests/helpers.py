@@ -3,16 +3,18 @@ command line writes.
 
 The oracles deliberately avoid the production code paths: per-bin powers come
 from direct complex projections, cumulative sums or one full rFFT per window
-instead of the package's batched and sliding kernels. Three references are
+instead of the package's batched and sliding kernels. Four references are
 the exception. The reference phase search renders and measures with the
 package's own functions and differs from ``synthesize`` only in rendering
 every candidate, with no bound to skip any. The per-span sliding DFT is the
 fine scan as it ran one signal at a time, with the package's phase tables:
-the stacked pass must reproduce it bit for bit. The full-buffer recording
-propagates each emission into a zeroed buffer of the whole scene, with an
-inline phase ramp, and sums the buffers, with the package's delay, gain,
-noise mask and noise seeds: ``channel.record`` must give its samples bit for
-bit. The FRR/FAR closed forms here are the package's
+the stacked pass must reproduce it bit for bit. The always-fine scan is the
+detector as it ran before a signal that no coarse window passes lost its fine
+span, with the package's kernels: it fine-scans every signal. The full-buffer
+recording propagates each emission into a zeroed buffer of the whole scene,
+with an inline phase ramp, and sums the buffers, with the package's delay,
+gain, noise mask and noise seeds: ``channel.record`` must give its samples
+bit for bit. The FRR/FAR closed forms here are the package's
 model rearranged (``erf`` and the density at both ends instead of ``erfc`` and
 the antiderivative ``G``); the independent reference for the model is a
 quadrature in ``test_evaluation``, and scipy is imported only by the tests
@@ -147,6 +149,35 @@ def per_span_sliding_powers(
         out[a + 1 : a + 1 + n] = offset_sum(z[1 : n + 1])
         z[0] = z[n]
     return out
+
+
+def always_fine_scan(x: np.ndarray, sigs: tuple, sample_rate: float) -> tuple:
+    """Reference detector: every signal fine-scanned over ``FINE_RADIUS``
+    samples around its coarse argmax, which is the first window when every
+    coarse window fails its gates, in one stacked pass, then the exact
+    rescoring of the picked window. ``spectrum._scan`` gives a signal that no
+    coarse window passes no fine span, and so differs from this only when a
+    fine window near the recording's start passes after every coarse one
+    failed."""
+    length = SIGNAL_LENGTH
+    x = np.asarray(x, dtype=np.float64)
+    table = spectrum.candidate_bin_table(sample_rate, length)
+    max_start = x.shape[0] - length
+    coarse_powers = spectrum._batch_candidate_powers(x, slice(0, max_start + 1, spectrum.COARSE_STEP), length, table)
+    gates = [spectrum._gate(sig) for sig in sigs]
+    spans = []
+    for gate in gates:
+        anchor = int(np.argmax(spectrum._gated_scores(coarse_powers, gate))) * spectrum.COARSE_STEP
+        lo = max(0, anchor - spectrum.FINE_RADIUS)
+        spans.append((lo, (min(max_start, anchor + spectrum.FINE_RADIUS) - lo) // spectrum.FINE_STEP + 1))
+    fine_powers = spectrum._sliding_candidate_powers(x, spans, spectrum.FINE_STEP, length, table)
+    outcomes = []
+    for sig, gate, (lo, _), powers in zip(sigs, gates, spans, fine_powers):
+        loc = lo + int(np.argmax(spectrum._gated_scores(powers, gate))) * spectrum.FINE_STEP
+        peak = spectrum._window_score(x, loc, gate, table)
+        present = peak >= spectrum.EPSILON * sig.total_power
+        outcomes.append(spectrum.DetectionOutcome(loc if present else None, None if peak == -np.inf else peak))
+    return tuple(outcomes)
 
 
 def exhaustive_detect(x, sig, sample_rate: float):

@@ -138,6 +138,11 @@ REPORT_SHA256 = {
 # process this digest covers memo hits, not only misses.
 ALL_FREQUENCY_CAMPAIGN_SHA256 = "0f90bd14a4f29ff15e83eece7e7865bb642cccd31f1396ff14914be82c95d969"
 
+# A guessing-replay campaign's transcripts, concatenated: the report digest
+# above pins only its counts, these pin the locations and peaks of detections
+# whose signal no coarse window passes, which are not fine-scanned.
+GUESSING_REPLAY_CAMPAIGN_SHA256 = "291490152408b9fd58eff39b3788788d64dcb7aed05c6d0ad0a8c178fa4ded0d"
+
 
 @cache
 def _transcript(name: str) -> str:
@@ -175,3 +180,8 @@ def test_campaign_report_digest(name):
 def test_all_frequency_campaign_transcripts_digest():
     report = ev.attack_campaign(adv.AllFrequency(per_tone_power=ALL_FREQUENCY_POWER), 3, 36)
     assert _sha("".join(t.to_json() for t in report.transcripts)) == ALL_FREQUENCY_CAMPAIGN_SHA256
+
+
+def test_guessing_replay_campaign_transcripts_digest():
+    report = ev.attack_campaign(adv.GuessingReplay(), 3, 37)
+    assert _sha("".join(t.to_json() for t in report.transcripts)) == GUESSING_REPLAY_CAMPAIGN_SHA256

@@ -5,6 +5,7 @@ import pytest
 import scipy.signal
 
 from helpers import (
+    always_fine_scan,
     direct_bin_power,
     direct_candidate_power,
     exhaustive_detect,
@@ -13,6 +14,8 @@ from helpers import (
     power_spectrum,
     sliding_candidate_powers,
 )
+from sonicauth import adversary as adv
+from sonicauth import evaluation as ev
 from sonicauth import spectrum
 from sonicauth.protocol import AuthPolicy, Endpoint, replay_session, run_authentication
 from sonicauth.signal import CANDIDATES, SignalSpec, sample_spec, synthesize
@@ -250,10 +253,19 @@ class TestStackedSlidingPass:
             ([(12_345, 1)], 10, FS),  # one window, no slide
             ([(12_345, 1), (9_000, 301)], 10, FS),  # a one-window span beside a full one
             ([(9_000, 301), (2_000, 66)], 10, FS),  # the shorter span's last block holds one slide
+            ([(9_000, 301)], 10, FS),  # a lone full span: the other signal failed every coarse window
             ([(7_777, 130), (100, 65)], 1, FS),  # step 1
             ([(0, 151), (8_500, 301)], 10, FS * 1.001),  # a skewed recorder's bin table
         ],
-        ids=["unequal_counts", "one_window", "one_window_beside_full", "one_slide_block", "step_one", "skewed_rate"],
+        ids=[
+            "unequal_counts",
+            "one_window",
+            "one_window_beside_full",
+            "one_slide_block",
+            "lone_full_span",
+            "step_one",
+            "skewed_rate",
+        ],
     )
     def test_equals_per_span_reference(self, spans, step, rate):
         x = _scene_recording(30_000, seed=sum(lo + count for lo, count in spans))
@@ -504,6 +516,103 @@ class TestDetect:
             want_loc, _ = exhaustive_detect(x, sig, FS)
             assert got.location is not None and want_loc is not None
             assert abs(got.location - want_loc) <= spectrum.FINE_STEP
+
+
+class TestCoarseFailureSkipsFineScan:
+    """A signal that no coarse window passes gets no fine span: its scored
+    window is the coarse argmax, the first window, which is also the window
+    the always-fine reference's all-failing fine scan picks. The two differ
+    only when a window in (0, FINE_RADIUS] passes after every coarse window
+    failed."""
+
+    @staticmethod
+    def _fine_spans(monkeypatch):
+        """The span lists the stacked fine pass is called with, one per call."""
+        calls = []
+        sliding = spectrum._sliding_candidate_powers
+
+        def spy(x, spans, step, length, table):
+            calls.append(list(spans))
+            return sliding(x, spans, step, length, table)
+
+        monkeypatch.setattr(spectrum, "_sliding_candidate_powers", spy)
+        return calls
+
+    def test_campaign_recordings_match_the_always_fine_scan(self, monkeypatch):
+        """Guessing-replay, all-frequency, crowded and office recordings give
+        the reference's outcomes, and some of their signals skip the fine
+        scan."""
+        recordings = []
+        scan = spectrum.detect_pair
+
+        def spy(x, sig_a, sig_b, *, sample_rate):
+            recordings.append((x, (sig_a, sig_b), sample_rate))
+            return scan(x, sig_a, sig_b, sample_rate=sample_rate)
+
+        with monkeypatch.context() as m:
+            m.setattr(spectrum, "detect_pair", spy)
+            ev.attack_campaign(adv.GuessingReplay(), 2, 2801)
+            ev.attack_campaign(adv.AllFrequency(per_tone_power=1.0e11), 2, 2802)
+            ev.multiuser_campaign(3, (0.5,), 1, 2803, min_trials=1)
+            ev.distance_error_campaign("office", (0.5, 1.5), 1, 2804, min_trials=1)
+        calls = self._fine_spans(monkeypatch)
+        skipped = 0
+        for x, sigs, rate in recordings:
+            want = always_fine_scan(x, sigs, rate)
+            calls.clear()
+            assert detect_pair(x, *sigs, sample_rate=rate) == want
+            skipped += len(sigs) - sum(len(spans) for spans in calls)
+        assert skipped > 0
+
+    @staticmethod
+    def _edge_scene(shift):
+        """A signal at ``shift + 500`` between loud out-of-set bursts over
+        ``[shift, shift + 400)`` and ``[shift + 4700, shift + 5100)``: every
+        coarse window holds part of a burst or none of the signal, but the
+        window at ``shift + 500`` holds the whole signal and no burst."""
+        sig = _without_first_candidate()
+        x = np.zeros(28_672)
+        x[shift + 500 : shift + 500 + 4096] += sig.samples
+        burst = 3000.0 * np.sin(2 * np.pi * CANDIDATES[0] * np.arange(400) / FS)
+        for start in (shift, shift + 4_700):
+            x[start : start + 400] += burst
+        return x, sig
+
+    def test_edge_scene_is_absent_at_every_offset(self):
+        """The one behaviour change: at offset 0 the window at 500 lies in the
+        reference's fine span around the first window, so it finds the signal
+        there; shifted by 10 000 or 20 000 samples it lies outside that span,
+        and the reference finds nothing either. The scan reports the scene
+        absent at every offset."""
+        absent = DetectionOutcome(None, None)
+        x, sig = self._edge_scene(0)
+        assert always_fine_scan(x, (sig,), FS)[0].location == 500
+        assert detect(x, sig, sample_rate=FS) == absent
+        for shift in (10_000, 20_000):
+            x, sig = self._edge_scene(shift)
+            assert always_fine_scan(x, (sig,), FS) == (absent,)
+            assert detect(x, sig, sample_rate=FS) == absent
+
+    def test_fine_pass_only_for_signals_some_coarse_window_passes(self, monkeypatch):
+        """Noise alone fails every coarse window of both signals: no fine pass
+        runs. With the second signal at 9 000, the pass gets its span alone.
+        ``detect``, the echo baseline's single-signal scan, follows the same
+        rule."""
+        rng = np.random.default_rng(2805)
+        sig_a, sig_b = synthesize(sample_spec(rng)), synthesize(sample_spec(rng))
+        noise = rng.normal(0.0, 25.0, 28_672)
+        x = noise.copy()
+        x[9_000 : 9_000 + 4096] += sig_b.samples
+        absent = DetectionOutcome(None, None)
+        calls = self._fine_spans(monkeypatch)
+        assert detect_pair(noise, sig_a, sig_b, sample_rate=FS) == (absent, absent)
+        assert detect(noise, sig_b, sample_rate=FS) == absent
+        assert calls == []
+        out_a, out_b = detect_pair(x, sig_a, sig_b, sample_rate=FS)
+        assert out_a == absent and out_b.location == 9_000
+        assert detect(x, sig_a, sample_rate=FS) == absent
+        assert detect(x, sig_b, sample_rate=FS) == out_b
+        assert calls == [[(7_500, 301)], [(7_500, 301)]]
 
 
 class TestDetectPair:
