@@ -25,6 +25,8 @@ from .signal import (
     SAMPLE_RATE,
     SIGNAL_LENGTH,
     ReferenceSignal,
+    _block_phasors,
+    _coarse_phasors,
     _finite_positive,
     _is_number,
     sample_spec,
@@ -85,21 +87,32 @@ def all_frequency_signal(per_tone_power: float, duration: int) -> np.ndarray:
     return _all_frequency_waveform(float(per_tone_power), int(duration))
 
 
-# An attack campaign replays one waveform on every trial, so keeping the last
-# one is enough; a session-long waveform holds ~57 KB.
-@lru_cache(maxsize=1)
-def _all_frequency_waveform(per_tone_power: float, duration: int) -> np.ndarray:
+def all_frequency_amplitudes(per_tone_power: float) -> list[float]:
+    """Each candidate sine's amplitude, calibrated so it carries
+    ``per_tone_power``; raises when they sum above the amplitude budget, as
+    the waveform must not clip."""
     amps = [math.sqrt(per_tone_power / unit_power) for unit_power in _unit_sine_powers()]
     if sum(amps) > AMPLITUDE_BUDGET:
         raise ValueError(
             f"per-tone power {per_tone_power:g} infeasible: tone amplitudes sum to "
             f"{sum(amps):.0f} > budget {AMPLITUDE_BUDGET}"
         )
-    t = np.arange(duration, dtype=np.float64)
-    x = np.zeros(duration)
-    for f, a in zip(CANDIDATES, amps):
-        x += a * np.sin(2.0 * np.pi * f * t / SAMPLE_RATE)
-    wave = np.clip(np.rint(x), -32768, 32767).astype(np.int16)
+    return amps
+
+
+# An attack campaign replays one waveform on every trial, so keeping the last
+# one is enough; a session-long waveform holds ~57 KB.
+@lru_cache(maxsize=1)
+def _all_frequency_waveform(per_tone_power: float, duration: int) -> np.ndarray:
+    """``sum_i amp_i * sin(w_i t)`` rounded to 16-bit samples, at ``t = B*a +
+    b``: the imaginary part of one (blocks, N) by (N, B) complex product of
+    the candidates' coarse phasors, scaled by their amplitudes, and their fine
+    ones, rounded and clipped in place in the product's imaginary slots."""
+    coarse = _coarse_phasors(duration)
+    coarse *= np.array(all_frequency_amplitudes(per_tone_power))[:, None]
+    tone_sum = (coarse.T @ _block_phasors()[1]).view(np.float64)[:, 1::2]
+    np.clip(np.rint(tone_sum, out=tone_sum), -32768, 32767, out=tone_sum)
+    wave = tone_sum.astype(np.int16).ravel()[:duration].copy()  # owns its samples, so a path memo may hold it
     wave.setflags(write=False)
     return wave
 

@@ -237,7 +237,8 @@ def _fractional_shift(x: np.ndarray, frac: float) -> np.ndarray:
     n = fast_fft_length(length)
     padded = np.zeros(n)
     padded[_SHIFT_PAD : _SHIFT_PAD + x.shape[0]] = x
-    return np.fft.irfft(np.fft.rfft(padded) * _shift_ramp(n, frac), n)[:length]
+    spec = np.fft.rfft(padded)
+    return np.fft.irfft(np.multiply(spec, _shift_ramp(n, frac), out=spec), n)[:length]
 
 
 def _path_response(
@@ -355,7 +356,9 @@ def _shaped_noise(rms: float, n: int, rng: np.random.Generator) -> np.ndarray:
     mask = _noise_mask(n)
     bins = rng.standard_normal(2 * mask.shape[0]).view(np.complex128)
     shaped = np.fft.irfft(np.multiply(bins, mask, out=bins), n)
-    return np.multiply(shaped, rms / np.sqrt(np.mean(shaped**2)), out=shaped)
+    # The bins are dead once transformed: their first n floats hold the squares.
+    square = np.multiply(shaped, shaped, out=bins.view(np.float64)[:n])
+    return np.multiply(shaped, rms / np.sqrt(np.mean(square)), out=shaped)
 
 
 def _noise_rng(scene: AcousticScene, device_index: int) -> np.random.Generator:
@@ -384,7 +387,8 @@ def render_mix(scene: AcousticScene, device_id: str, cfg: ChannelConfig) -> np.n
             spectrum[n // 2] *= 0.5
         if m % 2 == 0 and m < n:
             spectrum[m // 2] *= 2.0
-        mix = np.fft.irfft(spectrum, m) * (m / n)
+        mix = np.fft.irfft(spectrum, m)
+        mix *= m / n
     return mix
 
 

@@ -374,7 +374,7 @@ def all_frequency_power_sweep(count: int = 6) -> tuple[float, ...]:
     # keep the top of the sweep feasible for a 30-tone sum in 16-bit range
     for _ in range(40):
         try:
-            adv.all_frequency_signal(hi, 8192)
+            adv.all_frequency_amplitudes(hi)
             break
         except ValueError:
             hi *= 0.8

@@ -240,6 +240,13 @@ def _phase_family(spec: SignalSpec, index: np.ndarray, count: int) -> np.ndarray
 _PHASOR_BLOCK = 64
 
 
+def _coarse_phasors(samples: int) -> np.ndarray:
+    """``exp(iw_i*B*a)`` over the blocks a that cover ``samples`` samples,
+    (N, blocks), a row per candidate i."""
+    omega = 2.0 * np.pi * np.asarray(CANDIDATES) / SAMPLE_RATE
+    return np.exp(1j * omega[:, None] * (_PHASOR_BLOCK * np.arange(-(-samples // _PHASOR_BLOCK))))
+
+
 # About 60 KB (two tables of 30 candidates' 64 phasors), built once.
 @lru_cache(maxsize=1)
 def _block_phasors() -> tuple[np.ndarray, np.ndarray]:
@@ -247,8 +254,7 @@ def _block_phasors() -> tuple[np.ndarray, np.ndarray]:
     blocks), and the fine ones ``exp(iw_i*b)`` over b below B, (N, B), a row
     per candidate i; read-only, shared by every tone set."""
     omega = 2.0 * np.pi * np.asarray(CANDIDATES) / SAMPLE_RATE
-    blocks = -(-SIGNAL_LENGTH // _PHASOR_BLOCK)
-    coarse = np.exp(1j * omega[:, None] * (_PHASOR_BLOCK * np.arange(blocks)))
+    coarse = _coarse_phasors(SIGNAL_LENGTH)
     fine = np.exp(1j * omega[:, None] * np.arange(_PHASOR_BLOCK))
     coarse.setflags(write=False)
     fine.setflags(write=False)

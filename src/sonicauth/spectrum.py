@@ -14,8 +14,9 @@ argmax:
 Windows failing either check score negative infinity. A coarse scan with a
 large step finds the neighbourhood of the maximum; it takes one rFFT per
 window, reading its evenly spaced windows in place from the recording as a
-strided view. A signal that no coarse window passes is not fine-scanned: its
-scored window is the coarse argmax, the recording's first window, and a
+strided view. A signal that no coarse window passes is not fine-scanned and
+not rescored: it is absent, with no peak, since the coarse scan's first
+window, its argmax, already failed a gate with the exact kernel's powers; a
 recording in which both signals fail every coarse window runs no fine pass.
 A fine scan pinpoints the maximum of every other signal with a sliding DFT
 over the bins the candidates read: the first window's bins come from one rFFT
@@ -25,7 +26,9 @@ windows take one rFFT, and each block of slides takes one phase product and
 one running sum over every signal's bins. The running sum adds the block's
 windows one row after another, so each bin is summed in window order, as a
 per-signal cumulative sum would sum it, and the stacked pass gives each
-signal's powers bit for bit.
+signal's powers bit for bit. Once a block's sums are complete, its powers are
+squared in place in the slide buffer itself, so the pass holds no power
+buffers of its own.
 Each signal's gate (tone indices, out-of-set indices, presence floors and
 ``beta``) is built once per scan and read by the coarse, fine and exact
 scores. The fine scan only picks the window. The exact one-window kernel, the
@@ -91,7 +94,8 @@ class DetectionOutcome:
     ``location is None`` means the signal was declared not present;
     ``peak_norm_power`` is the exact normalized power of the window the scan
     picked (None when that window fails a sanity check): the fine scan's
-    pick, or, for a signal that no coarse window passes, the coarse argmax.
+    pick, or, for a signal that no coarse window passes, the coarse argmax,
+    the recording's first window, which has no peak.
     """
 
     location: int | None
@@ -224,9 +228,11 @@ def _sliding_candidate_powers(
     sum that carries on from the block before. The running sum adds the
     block's rows one after another, a row holding every span's bins, so each
     bin is summed in window order, as ``np.cumsum`` along the windows would
-    sum it. A span with fewer slides than the longest has its rows past them
-    zeroed, and they are dropped. Every phase is read by integer index from
-    the table of roots of unity."""
+    sum it. The block's last row is then carried into row 0, and the rows
+    are squared in place, into their real parts, which the offset sum reads.
+    A span with fewer slides than the longest has its rows past them zeroed,
+    and they are dropped. Every phase is read by integer index from the table
+    of roots of unity."""
     bins = table.T.ravel()  # offset-major: each window's offsets are summed over the middle axis
     project, base = _slide_phases(bins.tobytes(), step, length)
     roots = _roots_of_unity(length)
@@ -238,22 +244,22 @@ def _sliding_candidate_powers(
     # (block row, span, bin); row 0 holds the window before the block's first
     z = np.empty((_SCAN_BLOCK + 1, len(spans), bins.shape[0]), dtype=np.complex128)
     rows = list(z)
-    z[0] = np.fft.rfft(np.stack([x[lo : lo + length] for lo, _ in spans]))[:, bins]
+    z[0] = z[1] = np.fft.rfft(np.stack([x[lo : lo + length] for lo, _ in spans]))[:, bins]
     out = np.empty((len(spans), longest + 1, table.shape[0]))
     parts = z.view(np.float64)
-    re, im = parts[..., 0::2], parts[..., 1::2]
-    power, square = np.empty(re.shape), np.empty(re.shape)
 
-    def offset_sum(lo: int, hi: int, at: int) -> None:
-        """Powers of rows ``lo:hi``, ``re*re + im*im`` per bin with each
-        candidate's offsets added in order, into windows ``at:`` of ``out``."""
-        np.multiply(re[lo:hi], re[lo:hi], out=power[lo:hi])
-        np.multiply(im[lo:hi], im[lo:hi], out=square[lo:hi])
-        np.add(power[lo:hi], square[lo:hi], out=power[lo:hi])
-        by_offset = power[lo:hi].reshape(hi - lo, len(spans), table.shape[1], table.shape[0])
-        np.einsum("wsoc->swc", by_offset, out=out[:, at : at + hi - lo])
+    def offset_sum(n: int, at: int) -> None:
+        """Powers of rows ``1:n+1``, ``re*re + im*im`` per bin with each
+        candidate's offsets added in order, into windows ``at:`` of ``out``:
+        the rows' interleaved parts are squared in place in one contiguous
+        product, and the imaginary squares added into the real slots."""
+        block = parts[1 : n + 1]
+        np.multiply(block, block, out=block)
+        np.add(block[..., 0::2], block[..., 1::2], out=block[..., 0::2])
+        by_offset = block[..., 0::2].reshape(n, len(spans), table.shape[1], table.shape[0])
+        np.einsum("wsoc->swc", by_offset, out=out[:, at : at + n])
 
-    offset_sum(0, 1, 0)
+    offset_sum(1, 0)  # the first window, from its copy in row 1: row 0 carries it into the first block
     for a in range(0, longest, _SCAN_BLOCK):
         n = min(_SCAN_BLOCK, longest - a)
         phased = project * roots[(step * a % length) * bins % length]
@@ -266,8 +272,8 @@ def _sliding_candidate_powers(
         z[1 : n + 1] *= base[:n, None]
         for i in range(1, n + 1):
             np.add(rows[i - 1], rows[i], out=rows[i])
-        offset_sum(1, n + 1, a + 1)
-        z[0] = z[n]
+        z[0] = z[n]  # carried before the rows are squared
+        offset_sum(n, a + 1)
     return [out[s, :count] for s, (_, count) in enumerate(spans)]
 
 
@@ -326,12 +332,13 @@ def _scan(x: np.ndarray, sigs: tuple["ReferenceSignal", ...], sample_rate: float
     """Locate each signal in the recording ``x``: one coarse scan shared by
     all of them, then one sliding-DFT fine pass over ``FINE_RADIUS`` samples
     around the coarse argmax of each signal that some coarse window passes.
-    A signal that fails every coarse window gets no fine span; its window is
-    the coarse argmax (the first window), and when every signal fails, no
-    fine pass runs. Ties break to the smallest index. The fine scan only
-    picks the window; that window's exact score is the reported peak and
-    decides presence, so a window whose exact score fails a gate is not
-    present. ``sample_rate`` is the recorder's."""
+    A signal that fails every coarse window gets no fine span and no
+    rescoring: its coarse argmax, the first window, scored ``-inf`` from the
+    same powers the exact kernel gives it, so it is absent with no peak. When
+    every signal fails, no fine pass runs. Ties break to the smallest index.
+    The fine scan only picks the window; that window's exact score is the
+    reported peak and decides presence, so a window whose exact score fails a
+    gate is not present. ``sample_rate`` is the recorder's."""
     length = signal.SIGNAL_LENGTH
     x = _samples(x, "recording")
     if x.ndim != 1:
@@ -356,8 +363,9 @@ def _scan(x: np.ndarray, sigs: tuple["ReferenceSignal", ...], sample_rate: float
         for (i, (lo, _)), powers in zip(spans.items(), fine_powers):
             locations[i] = lo + int(np.argmax(_gated_scores(powers, gates[i]))) * FINE_STEP
     outcomes = []
-    for sig, gate, loc in zip(sigs, gates, locations):
-        peak = _window_score(x, loc, gate, table)
+    for i, (sig, gate, loc) in enumerate(zip(sigs, gates, locations)):
+        # A signal without a span failed at its first window, with the exact kernel's powers bit for bit.
+        peak = _window_score(x, loc, gate, table) if i in spans else -np.inf
         present = peak >= EPSILON * sig.total_power  # False for -inf: the window failed a gate
         outcomes.append(DetectionOutcome(loc if present else None, None if peak == -np.inf else peak))
     return tuple(outcomes)
@@ -378,9 +386,8 @@ def norm_power(window: np.ndarray, sig: "ReferenceSignal", *, sample_rate: float
 def detect(x: np.ndarray, sig: "ReferenceSignal", *, sample_rate: float) -> DetectionOutcome:
     """Locate one reference signal in a recording made at ``sample_rate``
     (coarse scan, then a fine scan of ``FINE_RADIUS`` samples around the
-    coarse argmax, skipped when no coarse window passes the gates; the
-    scored window is then the coarse argmax). Ties break to the smallest
-    index."""
+    coarse argmax; a signal that no coarse window passes is absent, with no
+    fine scan). Ties break to the smallest index."""
     return _scan(x, (sig,), sample_rate)[0]
 
 

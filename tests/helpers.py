@@ -24,6 +24,7 @@ that use it as a reference.
 from __future__ import annotations
 
 import math
+import tracemalloc
 import wave
 from itertools import combinations
 
@@ -53,6 +54,23 @@ def load_signal(wav_path: str, json_path: str) -> ReferenceSignal:
     with open(json_path, "rb") as fh:
         header = fh.read()
     return ReferenceSignal.from_bytes(len(header).to_bytes(4, "big") + header + samples.tobytes())
+
+
+def traced_peak(run) -> int:
+    """Bytes the traced peak rises by while ``run()`` runs, after one call
+    that fills the caches it reads."""
+    run()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def power_spectrum(window: np.ndarray) -> np.ndarray:

@@ -33,6 +33,21 @@ def uncached_all_frequency_signal(per_tone_power, duration):
     return np.clip(np.rint(x), -32768, 32767).astype(np.int16)
 
 
+# ``evaluation.all_frequency_power_sweep(6)`` as the build-based feasibility
+# loop gave it, bit for bit.
+SWEEP_POWERS = tuple(
+    float.fromhex(h)
+    for h in (
+        "0x1.5f0cc58bf4383p+34",
+        "0x1.5f0cc58bf437cp+35",
+        "0x1.5f0cc58bf437dp+36",
+        "0x1.5f0cc58bf437ep+37",
+        "0x1.5f0cc58bf437fp+38",
+        "0x1.5f0cc58bf4383p+39",
+    )
+)
+
+
 class TestGuessingReplaySignal:
     def test_output_is_valid_reference_signal(self):
         sig = adv.guessing_replay_signal(np.random.default_rng(0))
@@ -71,9 +86,13 @@ class TestAllFrequencySignal:
             with pytest.raises(ValueError, match="infeasible"):
                 adv.all_frequency_signal(1.0e16, 8192)
 
-    @pytest.mark.parametrize("duration", [8192, 66_149])
-    @pytest.mark.parametrize("power", [1.0e9, 2.5e10])
+    @pytest.mark.parametrize(
+        "power, duration",
+        [(p, d) for p in (1.0e9, 2.5e10) for d in (8192, 66_149)] + [(p, RECORD_SAMPLES - 1) for p in SWEEP_POWERS],
+    )
     def test_memoised_waveform_equals_uncached_build(self, power, duration):
+        """The block-phasor build rounds every sample as the sine loop does,
+        over the sweep's powers at the campaigns' length too."""
         expected = uncached_all_frequency_signal(power, duration)
         for _ in range(2):
             assert np.array_equal(adv.all_frequency_signal(power, duration), expected)
@@ -106,9 +125,19 @@ class TestAllFrequencySignal:
         assert (info.misses, info.hits) == (1, 1)
 
     def test_power_sweep_matches_uncached_build(self, monkeypatch):
+        """The sweep's amplitude check refuses the powers whose waveform
+        build refuses them."""
         sweep = ev.all_frequency_power_sweep(6)
-        monkeypatch.setattr(adv, "all_frequency_signal", uncached_all_frequency_signal)
+        monkeypatch.setattr(adv, "all_frequency_amplitudes", lambda power: uncached_all_frequency_signal(power, 8192))
         assert sweep == ev.all_frequency_power_sweep(6)
+
+    def test_power_sweep_is_pinned(self, monkeypatch):
+        """The sweep checks feasibility without building a waveform, and
+        finds the powers the build-based loop found, bit for bit."""
+        built = []
+        monkeypatch.setattr(adv, "all_frequency_signal", lambda *args: built.append(args))
+        assert ev.all_frequency_power_sweep(6) == SWEEP_POWERS
+        assert built == []
 
     def test_short_duration_rejected(self):
         with pytest.raises(ValueError):

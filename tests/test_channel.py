@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from helpers import full_buffer_record, load_wav, smooth_length_search, time_domain_noise
+from helpers import full_buffer_record, load_wav, smooth_length_search, time_domain_noise, traced_peak
 from sonicauth import adversary as adv
 from sonicauth import channel as ch
 from sonicauth import evaluation as ev
 from sonicauth import pcm
-from sonicauth.protocol import AuthPolicy, Endpoint, run_authentication
+from sonicauth.protocol import RECORD_SAMPLES, AuthPolicy, Endpoint, run_authentication
 from sonicauth.signal import sample_spec, synthesize
 from sonicauth.spectrum import detect
 
@@ -194,6 +194,13 @@ class TestNoise:
             return np.array([mean[band].sum() for band in bands])
 
         np.testing.assert_allclose(band_powers(ch._shaped_noise, 3), band_powers(time_domain_noise, 4), rtol=0.02)
+
+    def test_traced_peak_of_one_recording(self):
+        """The noise's mean square is taken in its dead bin buffer: one
+        recording's noise holds the bins and the samples (about 229 KB each)
+        and stays under 0.5 MB."""
+        rng = np.random.default_rng(29)
+        assert traced_peak(lambda: ch._shaped_noise(ch.ENVIRONMENTS["office"], RECORD_SAMPLES, rng)) < 500_000
 
     def test_silent_profile_is_zero(self):
         assert np.all(ch._shaped_noise(ch.ENVIRONMENTS["silent"], 1024, np.random.default_rng(1)) == 0)

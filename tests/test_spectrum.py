@@ -13,6 +13,7 @@ from helpers import (
     per_span_sliding_powers,
     power_spectrum,
     sliding_candidate_powers,
+    traced_peak,
 )
 from sonicauth import adversary as adv
 from sonicauth import evaluation as ev
@@ -253,6 +254,8 @@ class TestStackedSlidingPass:
             ([(12_345, 1)], 10, FS),  # one window, no slide
             ([(12_345, 1), (9_000, 301)], 10, FS),  # a one-window span beside a full one
             ([(9_000, 301), (2_000, 66)], 10, FS),  # the shorter span's last block holds one slide
+            ([(2_000, 66), (15_000, 301)], 10, FS),  # the same, with the shorter span first
+            ([(2_000, 66), (15_000, 66)], 10, FS),  # the pass's last block holds one slide
             ([(9_000, 301)], 10, FS),  # a lone full span: the other signal failed every coarse window
             ([(7_777, 130), (100, 65)], 1, FS),  # step 1
             ([(0, 151), (8_500, 301)], 10, FS * 1.001),  # a skewed recorder's bin table
@@ -262,6 +265,8 @@ class TestStackedSlidingPass:
             "one_window",
             "one_window_beside_full",
             "one_slide_block",
+            "one_slide_block_first",
+            "one_slide_last_block",
             "lone_full_span",
             "step_one",
             "skewed_rate",
@@ -276,6 +281,15 @@ class TestStackedSlidingPass:
             want = per_span_sliding_powers(x, lo, count, step, 4096, table)
             assert powers.shape == want.shape == (count, len(CANDIDATES))
             assert np.array_equal(powers, want)
+
+    def test_traced_peak_of_two_full_spans(self):
+        """The pass squares each block's powers in its own slide buffer, so
+        two full spans' scratch stays under 1.2 MB: the slide buffer (about
+        686 KB), the powers it returns and the spans' slides, with no power
+        buffers beside them."""
+        x = _scene_recording(30_000, seed=29)
+        table = candidate_bin_table(FS, 4096)
+        assert traced_peak(lambda: _sliding_candidate_powers(x, [(2_000, 301), (15_000, 301)], 10, 4096, table)) < 1_200_000
 
 
 class TestWindowPowers:
@@ -301,20 +315,32 @@ class TestLocatedWindowScore:
 
     @staticmethod
     def _scored(monkeypatch, x, sigs):
-        """(signal, outcome, scored window start, exact score) per detection."""
-        scored = []
-        exact = spectrum._window_score
+        """(signal, outcome, scored window start, exact score) per detection.
+        A signal that no coarse window passes is not rescored: its window is
+        the first, and its exact score is taken here."""
+        gates, scored = [], {}
+        make_gate, exact = spectrum._gate, spectrum._window_score
 
-        def spy(x, start, sig, table):
-            score = exact(x, start, sig, table)
-            scored.append((start, score))
+        def gate_spy(sig):
+            gates.append(make_gate(sig))
+            return gates[-1]
+
+        def spy(x, start, gate, table):
+            score = exact(x, start, gate, table)
+            scored[id(gate)] = (start, score)
             return score
 
         with monkeypatch.context() as m:
+            m.setattr(spectrum, "_gate", gate_spy)
             m.setattr(spectrum, "_window_score", spy)
             outcomes = detect_pair(x, *sigs, sample_rate=FS)
-        assert len(scored) == len(sigs)
-        return [(sig, out, *s) for sig, out, s in zip(sigs, outcomes, scored)]
+        assert len(gates) == len(sigs)
+        table = spectrum.candidate_bin_table(FS, 4096)
+        for gate in gates:
+            if id(gate) not in scored:
+                scored[id(gate)] = (0, exact(x, 0, gate, table))
+                assert scored[id(gate)][1] == -np.inf
+        return [(sig, out, *scored[id(gate)]) for sig, out, gate in zip(sigs, outcomes, gates)]
 
     def test_peak_is_norm_power_of_the_located_window(self, monkeypatch):
         """Scenes with the second signal absent, clearly present, or scaled to
