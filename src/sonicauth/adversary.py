@@ -21,14 +21,14 @@ from . import spectrum
 from .protocol import RECORD_SAMPLES, SceneContext
 from .signal import (
     AMPLITUDE_BUDGET,
-    CANDIDATES,
-    SAMPLE_RATE,
+    BIN_COUNT,
     SIGNAL_LENGTH,
     ReferenceSignal,
-    _block_phasors,
     _coarse_phasors,
     _finite_positive,
+    _grid_bin_spectra,
     _is_number,
+    _tone_sum,
     sample_spec,
     synthesize,
 )
@@ -88,10 +88,11 @@ def all_frequency_signal(per_tone_power: float, duration: int) -> np.ndarray:
 
 
 def all_frequency_amplitudes(per_tone_power: float) -> list[float]:
-    """Each candidate sine's amplitude, calibrated so it carries
-    ``per_tone_power``; raises when they sum above the amplitude budget, as
-    the waveform must not clip."""
-    amps = [math.sqrt(per_tone_power / unit_power) for unit_power in _unit_sine_powers()]
+    """Each candidate sine's amplitude, calibrated by its unit power in the
+    synthesizer's bin spectra so it carries ``per_tone_power``; raises when
+    they sum above the amplitude budget, as the waveform must not clip."""
+    unit_powers = spectrum._bin_powers(np.diagonal(_grid_bin_spectra()[:BIN_COUNT]))
+    amps = [math.sqrt(per_tone_power / unit_power) for unit_power in unit_powers.tolist()]
     if sum(amps) > AMPLITUDE_BUDGET:
         raise ValueError(
             f"per-tone power {per_tone_power:g} infeasible: tone amplitudes sum to "
@@ -104,27 +105,15 @@ def all_frequency_amplitudes(per_tone_power: float) -> list[float]:
 # one is enough; a session-long waveform holds ~57 KB.
 @lru_cache(maxsize=1)
 def _all_frequency_waveform(per_tone_power: float, duration: int) -> np.ndarray:
-    """``sum_i amp_i * sin(w_i t)`` rounded to 16-bit samples, at ``t = B*a +
-    b``: the imaginary part of one (blocks, N) by (N, B) complex product of
-    the candidates' coarse phasors, scaled by their amplitudes, and their fine
-    ones, rounded and clipped in place in the product's imaginary slots."""
-    coarse = _coarse_phasors(duration)
-    coarse *= np.array(all_frequency_amplitudes(per_tone_power))[:, None]
-    tone_sum = (coarse.T @ _block_phasors()[1]).view(np.float64)[:, 1::2]
-    np.clip(np.rint(tone_sum, out=tone_sum), -32768, 32767, out=tone_sum)
-    wave = tone_sum.astype(np.int16).ravel()[:duration].copy()  # owns its samples, so a path memo may hold it
+    """``sum_i amp_i * sin(w_i t)`` rounded to 16-bit samples: every
+    candidate's tone at zero phase, summed by the synthesizer's renderer over
+    the candidates' coarse phasors for ``duration`` samples, then rounded
+    and clipped in place in the product's imaginary slots."""
+    amps = np.array(all_frequency_amplitudes(per_tone_power))
+    tone_sum = _tone_sum(np.arange(BIN_COUNT), amps, np.zeros(BIN_COUNT), _coarse_phasors(duration))
+    wave = ch.quantize(tone_sum).ravel()[:duration].copy()  # owns its samples, so a path memo may hold it
     wave.setflags(write=False)
     return wave
-
-
-@lru_cache(maxsize=1)
-def _unit_sine_powers() -> tuple[float, ...]:
-    """Each candidate's measured power for a unit-amplitude sine at it."""
-    powers = []
-    for i, f in enumerate(CANDIDATES):
-        unit = np.sin(2.0 * np.pi * f * np.arange(SIGNAL_LENGTH) / SAMPLE_RATE)
-        powers.append(spectrum.measure_candidate_powers(unit, SAMPLE_RATE)[i])
-    return tuple(powers)
 
 
 def guessing_success_probability(bin_count: int, signals: int = 1) -> float:

@@ -131,7 +131,7 @@ class AcousticScene:
     emissions: tuple[Emission, ...]
     recorders: tuple[Recorder, ...]
     duration: int
-    seed: int = 0
+    seed: int
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
@@ -186,11 +186,20 @@ def propagation_delay_samples(
 
 
 def path_gain(src_pos: tuple[float, ...], dst_pos: tuple[float, ...], cfg: ChannelConfig) -> float:
-    """Amplitude scale of the path, wall attenuation included."""
+    """Amplitude scale of the path, wall attenuation included. A ValueError
+    names the config field that takes it out of the float range."""
     d = max(_distance(src_pos, dst_pos), DISTANCE_FLOOR_M)
-    gain = cfg.gain_at_1m / d ** (cfg.attenuation_exponent / 2.0)
-    if _wall_between(src_pos, dst_pos, cfg):
-        gain *= 10.0 ** (-cfg.wall_attenuation_db / 20.0)
+    name = "attenuation_exponent"  # each step names the field it brings in
+    try:
+        gain = cfg.gain_at_1m / d ** (cfg.attenuation_exponent / 2.0)  # the power may overflow, or underflow to 0
+        name = "gain_at_1m"
+        if math.isfinite(gain) and _wall_between(src_pos, dst_pos, cfg):
+            name = "wall_attenuation_db"
+            gain *= 10.0 ** (-cfg.wall_attenuation_db / 20.0)
+    except (OverflowError, ZeroDivisionError):
+        gain = math.inf
+    if not math.isfinite(gain):
+        raise ValueError(f"{name} {getattr(cfg, name)} takes the path gain at {d:g} m out of the float range")
     return gain
 
 

@@ -30,6 +30,12 @@ def _parse_distances(text: str) -> tuple[float, ...]:
         raise ValueError(f"bad distance list {text!r}") from exc
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _load_channel_cfg(args) -> ch.ChannelConfig | None:
     if not args.config:
         return None
@@ -197,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def session_flags(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--env", default="office", choices=sorted(ch.ENVIRONMENTS))
         p.add_argument("--config", help="JSON channel config file")
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import adversary as adv
 from . import channel as ch
+from . import signal as sg  # read at call time, so a wrapper installed on a signal function sees every call
 from . import spectrum
 from .protocol import (
     PAIRING_RANGE_M,
@@ -32,7 +33,6 @@ from .protocol import (
     one_way_ranging,
     run_authentication,
 )
-from .signal import CANDIDATES, _finite_positive
 
 DEFAULT_MIN_TRIALS = 10
 
@@ -59,7 +59,7 @@ class ErrorModel:
     pairing_range_m: float = PAIRING_RANGE_M
 
     def __post_init__(self) -> None:
-        if not _finite_positive(self.sigma_m):
+        if not sg._finite_positive(self.sigma_m):
             raise ValueError(f"sigma must be finite and positive, got {self.sigma_m}")
         if not 0 < self.detect_range_m < self.pairing_range_m < math.inf:  # False for nan
             raise ValueError(
@@ -220,10 +220,6 @@ def _interferer_emissions(ctx, rng: np.random.Generator, pairs: int) -> list[ch.
     two fresh reference signals, synthesized and staggered like the
     legitimate session's, at random times over ``INTERFERER_TIMELINE_SAMPLES``
     and at random positions around that pair."""
-    # Imported at call time, so that a wrapper installed on
-    # ``sonicauth.signal`` (as perfbench's tracer does) sees and counts them.
-    from .signal import sample_spec, synthesize
-
     emissions = []
     mid = tuple((a + v) / 2 for a, v in zip(ctx.auth_position, ctx.vouch_position))
     for u in range(pairs):
@@ -233,8 +229,8 @@ def _interferer_emissions(ctx, rng: np.random.Generator, pairs: int) -> list[ch.
         half_gap = rng.uniform(0.2, 0.5)
         pos_1 = (center[0] - half_gap, center[1])
         pos_2 = (center[0] + half_gap, center[1])
-        sig_1 = synthesize(sample_spec(rng))
-        sig_2 = synthesize(sample_spec(rng))
+        sig_1 = sg.synthesize(sg.sample_spec(rng))
+        sig_2 = sg.synthesize(sg.sample_spec(rng))
         gap = PLAYBACK_GAP_SAMPLES
         start = int(rng.integers(0, INTERFERER_TIMELINE_SAMPLES - sig_2.samples.shape[0] - gap - 1))
         emissions.append(ch.Emission(f"user{u}_a", sig_1.samples, start, pos_1))
@@ -315,7 +311,7 @@ class AttackReport:
     trials: int
     accepts: int
     reject_reasons: dict
-    transcripts: list[SessionTranscript] = field(default_factory=list)
+    transcripts: list[SessionTranscript]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -359,15 +355,11 @@ def attack_campaign(
 _SWEEP_REFERENCE_TONES = 15
 
 
-def all_frequency_power_sweep(count: int = 6) -> tuple[float, ...]:
-    """Log-spaced emitted per-tone powers spanning from well below the
-    out-of-set threshold to the largest feasible level (which crosses the
+def all_frequency_power_sweep(count: int) -> tuple[float, ...]:
+    """``count`` log-spaced emitted per-tone powers spanning from well below
+    the out-of-set threshold to the largest feasible level (which crosses the
     received-power thresholds at close range)."""
-    # Imported at call time, like ``_interferer_emissions``'s: a wrapper
-    # installed on ``sonicauth.signal`` sees and counts it.
-    from .signal import SignalSpec, synthesize
-
-    ref = synthesize(SignalSpec(frequencies=CANDIDATES[:_SWEEP_REFERENCE_TONES]))
+    ref = sg.synthesize(sg.SignalSpec(frequencies=sg.CANDIDATES[:_SWEEP_REFERENCE_TONES]))
     r_f = ref.total_power / _SWEEP_REFERENCE_TONES
     lo = spectrum.beta(ref.total_power, _SWEEP_REFERENCE_TONES) / 4.0
     hi = 4.0 * spectrum.ALPHA * r_f

@@ -261,20 +261,20 @@ def _block_phasors() -> tuple[np.ndarray, np.ndarray]:
     return coarse, fine
 
 
-def _tone_sum(spec: SignalSpec, index: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """``sum_k amp * sin(w_k t + phases[k])`` over the tones at candidate
-    indices ``index``, at ``t = B*a + b``: the imaginary part of one (blocks,
-    n) by (n, B) complex product, the tones' coarse phasors turned by their
-    phases times their fine ones."""
-    coarse, fine = _block_phasors()
-    amp = AMPLITUDE_BUDGET / spec.tone_count
-    return (amp * ((coarse[index].T * np.exp(1j * phases)) @ fine[index]).imag).ravel()[:SIGNAL_LENGTH]
+def _tone_sum(index: np.ndarray, amps: np.ndarray, phases: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+    """``sum_k amps[k] * sin(w_k t + phases[k])`` over the tones at candidate
+    indices ``index``, at ``t = B*a + b``: the (blocks, B) imaginary part, a
+    view a caller may round in place, of one complex product of the tones'
+    coarse phasor rows ``coarse`` (scaled and turned in place) and fine ones."""
+    coarse *= (amps * np.exp(1j * phases))[:, None]
+    return (coarse.T @ _block_phasors()[1][index]).imag
 
 
 def _render(spec: SignalSpec, index: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """The tone sum rounded half away from zero to integer-valued samples
-    within the budget."""
-    x = _tone_sum(spec, index, phases)
+    """The tone sum, each tone at amplitude ``AMPLITUDE_BUDGET / n``, rounded
+    half away from zero to integer-valued samples within the budget."""
+    amps = np.full(spec.tone_count, AMPLITUDE_BUDGET / spec.tone_count)
+    x = _tone_sum(index, amps, phases, _block_phasors()[0][index]).ravel()[:SIGNAL_LENGTH]
     samples = np.sign(x) * np.floor(np.abs(x) + 0.5)
     peak = int(np.max(np.abs(samples)))
     if peak > AMPLITUDE_BUDGET:
@@ -290,7 +290,7 @@ def _grid_bin_spectra() -> np.ndarray:
     (``spectrum.candidate_bin_table``); read-only. Each candidate's phasor row
     is its coarse and fine phasors' block product, built one at a time, so no
     (2N, SIGNAL_LENGTH) table is held."""
-    bins = spectrum.candidate_bin_table(SAMPLE_RATE, SIGNAL_LENGTH)
+    bins = spectrum.candidate_bin_table(SAMPLE_RATE)
     coarse, fine = _block_phasors()
     table = np.empty((2 * BIN_COUNT,) + bins.shape, dtype=np.complex128)
     for i in range(BIN_COUNT):

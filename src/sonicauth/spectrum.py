@@ -102,8 +102,8 @@ class DetectionOutcome:
     peak_norm_power: float | None
 
 
-def frequency_bin(freq: float, sample_rate: float, window_length: int) -> int:
-    """Spectral index ``floor(freq / sample_rate * window_length)``.
+def frequency_bin(freq: float, sample_rate: float) -> int:
+    """Spectral index ``floor(freq / sample_rate * SIGNAL_LENGTH)``.
 
     Frequencies above half the sample rate are legal (their content aliases to
     the mirrored bin); the fold point itself and anything outside ``[0,
@@ -113,15 +113,15 @@ def frequency_bin(freq: float, sample_rate: float, window_length: int) -> int:
         raise ValueError(f"frequency {freq} outside [0, sample_rate)")
     if freq == sample_rate / 2:
         raise ValueError("frequency at the fold point (half the sample rate)")
-    return int(math.floor(freq / sample_rate * window_length))
+    return int(math.floor(freq / sample_rate * signal.SIGNAL_LENGTH))
 
 
 # A session reads the nominal rate's table and a skewed recorder's; four
-# entries leave room for a one-off window length.
+# entries leave room for a campaign's other recorder rates.
 @lru_cache(maxsize=4)
-def candidate_bin_table(sample_rate: float, window_length: int) -> np.ndarray:
+def candidate_bin_table(sample_rate: float) -> np.ndarray:
     """(N, 2*THETA+1) one-sided bin indices per candidate, clamped then folded,
-    around each candidate's ``frequency_bin``. Built once per key and shared
+    around each candidate's ``frequency_bin``. Built once per rate and shared
     read-only. A rate that is not finite, or not above the highest candidate,
     is refused here, so it is checked once per rate and never on a cache
     hit."""
@@ -131,22 +131,21 @@ def candidate_bin_table(sample_rate: float, window_length: int) -> np.ndarray:
             f"sample rate {sample_rate} Hz must be finite and above the highest candidate, {highest:.2f} Hz: "
             "a candidate outside [0, sample_rate) cannot be measured"
         )
-    first = np.array([frequency_bin(f, sample_rate, window_length) for f in signal.CANDIDATES], dtype=np.intp)
-    k = np.clip(first[:, None] + np.arange(-THETA, THETA + 1), 0, window_length - 1)
-    table = np.where(k > window_length // 2, window_length - k, k)
+    length = signal.SIGNAL_LENGTH
+    first = np.array([frequency_bin(f, sample_rate) for f in signal.CANDIDATES], dtype=np.intp)
+    k = np.clip(first[:, None] + np.arange(-THETA, THETA + 1), 0, length - 1)
+    table = np.where(k > length // 2, length - k, k)
     table.setflags(write=False)
     return table
 
 
 def measure_candidate_powers(window: np.ndarray, sample_rate: float) -> np.ndarray:
-    """Per-candidate power of one window: sum of the 2*THETA+1 bins around
-    each candidate's index. This is the measurement convention shared by
-    synthesis (nominal powers) and detection."""
-    w = np.asarray(window, dtype=np.float64)
-    length = w.shape[-1]
-    if length < 2 or length & (length - 1):
-        raise ValueError(f"window length must be a power of two, got {length}")
-    return _window_powers(w, candidate_bin_table(sample_rate, length))
+    """Per-candidate power of one signal-long window: sum of the 2*THETA+1
+    bins around each candidate's index. This is the measurement convention
+    shared by synthesis (nominal powers) and detection."""
+    if np.shape(window) != (signal.SIGNAL_LENGTH,):
+        raise ValueError(f"window must hold {signal.SIGNAL_LENGTH} samples, got shape {np.shape(window)}")
+    return _window_powers(np.asarray(window, dtype=np.float64), candidate_bin_table(sample_rate))
 
 
 # Windows per block in a scan: bounds the spectra, or the sliding sums, held
@@ -166,28 +165,31 @@ def _ordered_sum(rows: np.ndarray) -> np.ndarray:
     return total
 
 
-def _window_powers(window: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per-candidate powers of one window: its rFFT read at the table's bins,
-    offset-major, squared, and the offsets added one after another. That is
-    the batched kernel's arithmetic for one of its windows, bit for bit."""
-    spec = np.fft.rfft(window)[table.T]
+def _bin_powers(spec: np.ndarray) -> np.ndarray:
+    """Per-candidate powers of the candidates' bins gathered offset-major:
+    each bin squared, and the offsets added one after another."""
     return _ordered_sum(spec.real**2 + spec.imag**2)
 
 
-def _batch_candidate_powers(x: np.ndarray, starts: slice, length: int, table: np.ndarray) -> np.ndarray:
-    """Per-candidate powers of the windows ``x[s:s+length]``, ``s`` in ``starts``."""
-    windows = sliding_window_view(x, length)[starts]
+def _window_powers(windows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per-candidate powers of one window, (N,), or of a block of windows as
+    rows, (N, windows): the same bits for a window alone and in a block."""
+    return _bin_powers(np.fft.rfft(windows).T[table.T])
+
+
+def _batch_candidate_powers(x: np.ndarray, starts: slice, table: np.ndarray) -> np.ndarray:
+    """Per-candidate powers of the windows of ``x`` starting at ``starts``."""
+    windows = sliding_window_view(x, signal.SIGNAL_LENGTH)[starts]
     out = np.empty((table.shape[0], windows.shape[0]))
     for i in range(0, windows.shape[0], _SCAN_BLOCK):
-        # gathered as (bin offset, candidate, window)
-        spec = np.fft.rfft(windows[i : i + _SCAN_BLOCK], axis=1).T[table.T]
-        out[:, i : i + _SCAN_BLOCK] = _ordered_sum(spec.real**2 + spec.imag**2)
+        out[:, i : i + _SCAN_BLOCK] = _window_powers(windows[i : i + _SCAN_BLOCK], table)
     return out.T
 
 
 @lru_cache(maxsize=1)
-def _roots_of_unity(length: int) -> np.ndarray:
-    """``W**n`` for every ``n`` in ``[0, length)``, ``W = exp(-2j*pi/length)``."""
+def _roots_of_unity() -> np.ndarray:
+    """``W**n`` for every ``n`` below ``SIGNAL_LENGTH``, ``W = exp(-2j*pi/SIGNAL_LENGTH)``."""
+    length = signal.SIGNAL_LENGTH
     roots = np.exp(-2j * np.pi * np.arange(length) / length)
     roots.setflags(write=False)
     return roots
@@ -196,13 +198,14 @@ def _roots_of_unity(length: int) -> np.ndarray:
 # Both signals of a scan share one bin table, and each device's clock rate
 # gives its own: two entries cover a session's two recorders.
 @lru_cache(maxsize=2)
-def _slide_phases(bins: bytes, step: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+def _slide_phases(bins: bytes, step: int) -> tuple[np.ndarray, np.ndarray]:
     """Phases of the sliding DFT over the bins ``k`` (an intp array's bytes):
     ``W**(k*m)`` for the ``step`` samples ``m`` of one slide, shape (step, K),
     and ``W**(k*step*i)`` for the ``_SCAN_BLOCK`` slides ``i`` of one block,
     shape (_SCAN_BLOCK, K)."""
     k = np.frombuffer(bins, dtype=np.intp)
-    roots = _roots_of_unity(length)
+    length = signal.SIGNAL_LENGTH
+    roots = _roots_of_unity()
     project = roots[np.arange(step)[:, None] * k % length]
     base = roots[np.arange(_SCAN_BLOCK)[:, None] * (step * k) % length]
     project.setflags(write=False)
@@ -211,7 +214,7 @@ def _slide_phases(bins: bytes, step: int, length: int) -> tuple[np.ndarray, np.n
 
 
 def _sliding_candidate_powers(
-    x: np.ndarray, spans: list[tuple[int, int]], step: int, length: int, table: np.ndarray
+    x: np.ndarray, spans: list[tuple[int, int]], step: int, table: np.ndarray
 ) -> list[np.ndarray]:
     """Per-candidate powers, for each span ``(lo, count)``, of the ``count``
     windows ``x[s:s+length]``, ``s = lo + j*step``: every span in one pass of a
@@ -233,9 +236,10 @@ def _sliding_candidate_powers(
     A span with fewer slides than the longest has its rows past them zeroed,
     and they are dropped. Every phase is read by integer index from the table
     of roots of unity."""
+    length = signal.SIGNAL_LENGTH
     bins = table.T.ravel()  # offset-major: each window's offsets are summed over the middle axis
-    project, base = _slide_phases(bins.tobytes(), step, length)
-    roots = _roots_of_unity(length)
+    project, base = _slide_phases(bins.tobytes(), step)
+    roots = _roots_of_unity()
     slides = [
         (x[lo + length : lo + length + (count - 1) * step] - x[lo : lo + (count - 1) * step]).reshape(-1, step)
         for lo, count in spans
@@ -345,9 +349,9 @@ def _scan(x: np.ndarray, sigs: tuple["ReferenceSignal", ...], sample_rate: float
         raise ValueError("recording must be one-dimensional")
     if x.shape[0] < length:
         raise ValueError("recording shorter than the reference signal")
-    table = candidate_bin_table(sample_rate, length)
+    table = candidate_bin_table(sample_rate)
     max_start = x.shape[0] - length
-    coarse_powers = _batch_candidate_powers(x, slice(0, max_start + 1, COARSE_STEP), length, table)
+    coarse_powers = _batch_candidate_powers(x, slice(0, max_start + 1, COARSE_STEP), table)
     gates = [_gate(sig) for sig in sigs]
     locations, spans = [], {}
     for i, gate in enumerate(gates):
@@ -359,7 +363,7 @@ def _scan(x: np.ndarray, sigs: tuple["ReferenceSignal", ...], sample_rate: float
             lo = max(0, anchor - FINE_RADIUS)
             spans[i] = (lo, (min(max_start, anchor + FINE_RADIUS) - lo) // FINE_STEP + 1)
     if spans:
-        fine_powers = _sliding_candidate_powers(x, list(spans.values()), FINE_STEP, length, table)
+        fine_powers = _sliding_candidate_powers(x, list(spans.values()), FINE_STEP, table)
         for (i, (lo, _)), powers in zip(spans.items(), fine_powers):
             locations[i] = lo + int(np.argmax(_gated_scores(powers, gates[i]))) * FINE_STEP
     outcomes = []
@@ -378,7 +382,7 @@ def norm_power(window: np.ndarray, sig: "ReferenceSignal", *, sample_rate: float
     detection reports for the window it locates."""
     if np.shape(window) != (signal.SIGNAL_LENGTH,):
         raise ValueError(f"window must hold {signal.SIGNAL_LENGTH} samples, got shape {np.shape(window)}")
-    table = candidate_bin_table(sample_rate, signal.SIGNAL_LENGTH)
+    table = candidate_bin_table(sample_rate)
     score = _window_score(_samples(window, "window"), 0, _gate(sig), table)
     return None if score == -np.inf else score
 

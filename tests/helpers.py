@@ -136,16 +136,16 @@ def sliding_candidate_powers(
     return out.T
 
 
-def per_span_sliding_powers(
-    x: np.ndarray, lo: int, count: int, step: int, length: int, table: np.ndarray
-) -> np.ndarray:
-    """Per-candidate powers of the ``count`` windows ``x[s:s+length]``, ``s =
-    lo + j*step``, by the sliding DFT over one span: window 0's bins from one
-    rFFT, then per block of ``spectrum._SCAN_BLOCK`` slides one real matmul,
-    one phase product and ``np.cumsum`` along the windows. Shape (count, N)."""
+def per_span_sliding_powers(x: np.ndarray, lo: int, count: int, step: int, table: np.ndarray) -> np.ndarray:
+    """Per-candidate powers of the ``count`` signal-long windows
+    ``x[s:s+length]``, ``s = lo + j*step``, by the sliding DFT over one span:
+    window 0's bins from one rFFT, then per block of ``spectrum._SCAN_BLOCK``
+    slides one real matmul, one phase product and ``np.cumsum`` along the
+    windows. Shape (count, N)."""
+    length = SIGNAL_LENGTH
     bins = table.T.ravel()
-    project, base = spectrum._slide_phases(bins.tobytes(), step, length)
-    roots = spectrum._roots_of_unity(length)
+    project, base = spectrum._slide_phases(bins.tobytes(), step)
+    roots = spectrum._roots_of_unity()
     span = (count - 1) * step
     slides = (x[lo + length : lo + length + span] - x[lo : lo + span]).reshape(count - 1, step)
     z = np.empty((spectrum._SCAN_BLOCK + 1, bins.shape[0]), dtype=np.complex128)
@@ -179,16 +179,16 @@ def always_fine_scan(x: np.ndarray, sigs: tuple, sample_rate: float) -> tuple:
     failed."""
     length = SIGNAL_LENGTH
     x = np.asarray(x, dtype=np.float64)
-    table = spectrum.candidate_bin_table(sample_rate, length)
+    table = spectrum.candidate_bin_table(sample_rate)
     max_start = x.shape[0] - length
-    coarse_powers = spectrum._batch_candidate_powers(x, slice(0, max_start + 1, spectrum.COARSE_STEP), length, table)
+    coarse_powers = spectrum._batch_candidate_powers(x, slice(0, max_start + 1, spectrum.COARSE_STEP), table)
     gates = [spectrum._gate(sig) for sig in sigs]
     spans = []
     for gate in gates:
         anchor = int(np.argmax(spectrum._gated_scores(coarse_powers, gate))) * spectrum.COARSE_STEP
         lo = max(0, anchor - spectrum.FINE_RADIUS)
         spans.append((lo, (min(max_start, anchor + spectrum.FINE_RADIUS) - lo) // spectrum.FINE_STEP + 1))
-    fine_powers = spectrum._sliding_candidate_powers(x, spans, spectrum.FINE_STEP, length, table)
+    fine_powers = spectrum._sliding_candidate_powers(x, spans, spectrum.FINE_STEP, table)
     outcomes = []
     for sig, gate, (lo, _), powers in zip(sigs, gates, spans, fine_powers):
         loc = lo + int(np.argmax(spectrum._gated_scores(powers, gate))) * spectrum.FINE_STEP

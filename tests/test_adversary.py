@@ -103,10 +103,10 @@ class TestAllFrequencySignal:
         with pytest.raises(ValueError):
             wave[0] = 0
 
-    def test_calibration_runs_once_per_grid(self, monkeypatch):
-        """One calibration measures each candidate once; later waveforms,
-        at any power, reuse it."""
-        adv._unit_sine_powers.cache_clear()
+    def test_waveform_build_measures_no_window(self, monkeypatch):
+        """The calibration reads the synthesizer's bin spectra: building
+        waveforms, the spectra included, measures no window."""
+        sg._grid_bin_spectra.cache_clear()
         adv._all_frequency_waveform.cache_clear()
         calls = []
         measure = spectrum.measure_candidate_powers
@@ -117,12 +117,20 @@ class TestAllFrequencySignal:
 
         monkeypatch.setattr(spectrum, "measure_candidate_powers", counting)
         first = adv.all_frequency_signal(1.0e10, 8192)
-        assert len(calls) == BIN_COUNT
         assert adv.all_frequency_signal(1.0e10, 8192) is first
         adv.all_frequency_signal(2.0e10, 8192)
-        assert len(calls) == BIN_COUNT
-        info = adv._unit_sine_powers.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert calls == []
+
+    def test_unit_powers_equal_sine_reference(self):
+        """The unit-sine power the calibration reads for each candidate is
+        the power measured on one ``np.sin`` wave at it, within 1e-12."""
+        got = 1.0 / np.array(adv.all_frequency_amplitudes(1.0)) ** 2
+        t = np.arange(4096)
+        want = [
+            measure_candidate_powers(np.sin(2.0 * np.pi * f * t / SAMPLE_RATE), SAMPLE_RATE)[i]
+            for i, f in enumerate(CANDIDATES)
+        ]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_power_sweep_matches_uncached_build(self, monkeypatch):
         """The sweep's amplitude check refuses the powers whose waveform

@@ -90,7 +90,7 @@ class TestCachePurity:
         tables = (
             *sg._block_phasors(),
             sg._grid_bin_spectra(),
-            spectrum.candidate_bin_table(44_100.0, 4096),
+            spectrum.candidate_bin_table(44_100.0),
             ch._noise_mask(66_150),
             ch._shift_ramp(4320, 0.25),
             ch._held_path_response(ch._Held(adv.all_frequency_signal(1e11, 4096)), 0.25, 0.2, (1.0,))[0],
@@ -107,9 +107,14 @@ class TestPhasorRows:
     out, hold the phasor rows of a table built for those tones alone."""
 
     @staticmethod
-    def assert_rows_equal(spec, length=4096):
+    def assert_rows_equal(spec, length=SIGNAL_LENGTH):
+        """At the signal's length the cached block phasors; at any other the
+        coarse phasors the spoofer builds for its length."""
         index, _ = spectrum.in_set_mask(spec.frequencies)
-        coarse, fine = (table[index] for table in sg._block_phasors())
+        coarse_table, fine_table = sg._block_phasors()
+        if length != SIGNAL_LENGTH:
+            coarse_table = sg._coarse_phasors(length)
+        coarse, fine = coarse_table[index], fine_table[index]
         assert coarse.shape == (spec.tone_count, -(-length // 64)) and fine.shape == (spec.tone_count, 64)
         phasor = (coarse[:, :, None] * fine[:, None, :]).reshape(spec.tone_count, -1)[:, :length]
         got = np.concatenate([phasor.imag, phasor.real])
@@ -129,8 +134,8 @@ class TestPhasorRows:
             freqs = rng.choice(np.asarray(CANDIDATES), size=tones, replace=False)
             self.assert_rows_equal(SignalSpec(frequencies=tuple(float(f) for f in freqs)))
 
-    def test_long_signal(self, long_signal_length):
-        self.assert_rows_equal(sample_spec(np.random.default_rng(9)), long_signal_length)
+    def test_long_signal(self):
+        self.assert_rows_equal(sample_spec(np.random.default_rng(9)), 16 * SIGNAL_LENGTH)
 
     def test_one_table_kept(self):
         """One cache entry, the coarse and the fine phasors, serves every tone
@@ -149,7 +154,7 @@ class TestBinSpectra:
     def test_equals_per_row_rfft(self):
         """Each candidate's phasor row in a table built for every candidate,
         its rFFT taken alone and read at every candidate's bins."""
-        bins = spectrum.candidate_bin_table(SAMPLE_RATE, SIGNAL_LENGTH)
+        bins = spectrum.candidate_bin_table(SAMPLE_RATE)
         want = np.array([np.fft.rfft(row)[bins] for row in tone_set_phasor_table(CANDIDATES)])
         got = sg._grid_bin_spectra()
         assert got.shape == want.shape == (2 * BIN_COUNT, BIN_COUNT, 2 * spectrum.THETA + 1)
@@ -159,7 +164,7 @@ class TestBinSpectra:
         """The leakage bound needs a candidate's bins to be distinct DFT rows,
         orthogonal, so that rounding moves their norm by at most
         ``SIGNAL_LENGTH / 2``."""
-        bins = spectrum.candidate_bin_table(SAMPLE_RATE, SIGNAL_LENGTH)
+        bins = spectrum.candidate_bin_table(SAMPLE_RATE)
         assert all(np.unique(row).size == row.size for row in bins)
 
 

@@ -229,7 +229,7 @@ def one_emitter_scene(sig, offset, src, recorders, duration, seed=0):
 
 class TestRecord:
     def test_empty_scene_silent_profile_all_zero(self, silent_cfg):
-        scene = ch.AcousticScene((), (ch.Recorder("m", (0.0, 0.0)),), duration=4096)
+        scene = ch.AcousticScene((), (ch.Recorder("m", (0.0, 0.0)),), duration=4096, seed=0)
         rec = ch.record(scene, "m", silent_cfg)
         assert rec.samples.dtype == np.int16
         assert np.all(rec.samples == 0)
@@ -255,10 +255,10 @@ class TestRecord:
     def test_duplicate_device_id_rejected(self):
         recorders = (ch.Recorder("m", (0.0, 0.0)), ch.Recorder("m", (1.0, 0.0)))
         with pytest.raises(ValueError, match="^two recorders share the device id 'm'$"):
-            ch.AcousticScene((), recorders, duration=64)
+            ch.AcousticScene((), recorders, duration=64, seed=0)
 
     def test_unknown_device_rejected(self, silent_cfg):
-        scene = ch.AcousticScene((), (ch.Recorder("m", (0.0, 0.0)),), duration=64)
+        scene = ch.AcousticScene((), (ch.Recorder("m", (0.0, 0.0)),), duration=64, seed=0)
         with pytest.raises(ValueError):
             ch.record(scene, "nope", silent_cfg)
 
@@ -305,6 +305,7 @@ class TestRecord:
                 (ch.Emission("a", sig.samples, -1, (0.0, 0.0)),),
                 (ch.Recorder("m", (0.0, 0.0)),),
                 duration=10_000,
+                seed=0,
             )
 
     @pytest.mark.parametrize(
@@ -341,6 +342,7 @@ class TestRecord:
                 ch.Recorder("fast", (0.0, 0.0), 44_100.0 * skew),
             ),
             duration=60_000,
+            seed=0,
         )
         rec_true = ch.record(scene, "true", silent_cfg)
         rec_fast = ch.record(scene, "fast", silent_cfg)
@@ -530,6 +532,14 @@ class TestConfig:
         data, rate = load_wav(str(tmp_path / "rec.wav"))
         assert rate == 44_100
         assert np.array_equal(data, rec.samples)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int32], ids=["float64", "int32"])
+    def test_wav_of_other_samples_rejected(self, tmp_path, dtype):
+        """The WAV writer takes int16 samples, which both its callers pass,
+        and quantizes nothing itself."""
+        with pytest.raises(ValueError, match=f"^WAV samples must be int16, got dtype {np.dtype(dtype)}$"):
+            pcm.save_wav(str(tmp_path / "x.wav"), np.zeros(8, dtype=dtype), 44_100.0)
+        assert not (tmp_path / "x.wav").exists()
 
 
 class TestCalibration:

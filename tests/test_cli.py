@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -227,6 +228,40 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, config, message):
     cfg.write_text(config)
     assert main([*command, "--config", str(cfg)]) == 2
     assert f"config error: bad channel config: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ('{"attenuation_exponent": 2000}', "attenuation_exponent 2000.0 takes the path gain at 0.1 m"),
+        ('{"attenuation_exponent": -1e308}', "attenuation_exponent -1e+308 takes the path gain at 0.1 m"),
+        ('{"wall": {"plane_x": 0.25, "attenuation_db": -1e308}}', "wall_attenuation_db -1e+308 takes the path gain at 0.5 m"),
+        ('{"gain_at_1m": 1e308}', "gain_at_1m 1e+308 takes the path gain at 0.1 m"),
+    ],
+    ids=["exponent_underflows_the_divisor", "exponent_overflows_the_divisor", "wall_overflows", "gain_overflows"],
+)
+def test_path_gain_out_of_float_range_exits_2(tmp_path, capsys, config, message):
+    """A config whose path gain leaves the float range names its field, with
+    no numpy warning: before the check the exponents raised
+    ``ZeroDivisionError`` and ``OverflowError``, the wall ``OverflowError``,
+    and the gain ran a session on NaN samples."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["auth", "--distance", "0.5", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{message} out of the float range" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+def test_bad_seed_names_its_flag(capsys, seed):
+    """Before the seed had its own argument type, ``-1`` reached numpy and
+    exited with its bare 'expected non-negative integer'."""
+    with pytest.raises(SystemExit) as exc:
+        main(["auth", "--seed", seed])
+    assert exc.value.code == 2
+    assert f"argument --seed: must be a non-negative integer, got '{seed}'" in capsys.readouterr().err
 
 
 def test_bad_distance_list_exits_2(capsys):

@@ -23,8 +23,8 @@ from sonicauth import adversary, channel, cli, evaluation, pcm, protocol, signal
 
 MODULES = (signal, spectrum, channel, protocol, adversary, evaluation, pcm, cli)
 
-# 74 dataclass fields + 19 defaulted parameters + 40 flags.
-BOUND = 133
+# 74 dataclass fields + 18 defaulted parameters + 40 flags.
+BOUND = 132
 
 
 def _defined_in(module, obj) -> bool:

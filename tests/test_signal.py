@@ -176,12 +176,12 @@ def family(spec):
 
 class TestPhasorRenderer:
     @staticmethod
-    def assert_matches_loop(spec, length=sg.SIGNAL_LENGTH):
+    def assert_matches_loop(spec):
         index, _ = spectrum.in_set_mask(spec.frequencies)
         phases = family(spec)
         assert len(phases) == 16
         rendered = np.array([sg._render(spec, index, ph) for ph in phases]).astype(np.int16)
-        assert np.array_equal(rendered, loop_render(spec, phases, length))
+        assert np.array_equal(rendered, loop_render(spec, phases))
 
     def test_matches_sine_loop_on_seeded_tone_sets(self):
         for seed in range(500):
@@ -195,12 +195,20 @@ class TestPhasorRenderer:
             self.assert_matches_loop(SignalSpec(frequencies=tuple(float(f) for f in picked)))
 
     @pytest.mark.parametrize("tones", [1, 29])
-    def test_matches_sine_loop_at_a_long_length(self, tones, long_signal_length):
+    def test_matches_sine_loop_at_a_long_length(self, tones):
         """Identity also holds where the block product's coarse phase grows
-        16 times larger than at the session length."""
+        16 times larger than at the session length: the renderer's tone sum
+        over the coarse phasors of 65 536 samples, the call the spoofer makes
+        at its own length, rounds as the sine loop does."""
+        length = 16 * sg.SIGNAL_LENGTH
         picked = np.random.default_rng(tones).choice(np.asarray(CANDIDATES), size=tones, replace=False)
         spec = SignalSpec(frequencies=tuple(float(f) for f in picked))
-        self.assert_matches_loop(spec, long_signal_length)
+        index, _ = spectrum.in_set_mask(spec.frequencies)
+        amps = np.full(tones, AMPLITUDE_BUDGET / tones)
+        phases = family(spec)
+        sums = np.array([sg._tone_sum(index, amps, ph, sg._coarse_phasors(length)[index]).ravel() for ph in phases])
+        rendered = (np.sign(sums) * np.floor(np.abs(sums) + 0.5)).astype(np.int16)
+        assert np.array_equal(rendered, loop_render(spec, phases, length))
 
     def test_phase_family_stream_unchanged(self):
         """The lazy family draws the same stream as building all 16 at once,

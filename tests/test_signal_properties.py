@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import loop_tone_sum
 from sonicauth import signal as sg
 from sonicauth import spectrum
-from sonicauth.signal import BIN_COUNT, CANDIDATES, SAMPLE_RATE, SIGNAL_LENGTH, SignalSpec
+from sonicauth.signal import AMPLITUDE_BUDGET, BIN_COUNT, CANDIDATES, SAMPLE_RATE, SIGNAL_LENGTH, SignalSpec
 
 
 def _tones_and_phases(data, low: float, high: float) -> tuple[SignalSpec, np.ndarray]:
@@ -29,7 +29,9 @@ def test_tone_sum_close_to_sine_loop(data):
     """For any tone subset and any phases, the block-phasor sum before
     rounding is within 1e-6 of one ``np.sin`` per tone."""
     spec, phases = _tones_and_phases(data, -10.0, 10.0)
-    x = sg._tone_sum(spec, spectrum.in_set_mask(spec.frequencies)[0], phases)
+    index = spectrum.in_set_mask(spec.frequencies)[0]
+    amps = np.full(spec.tone_count, AMPLITUDE_BUDGET / spec.tone_count)
+    x = sg._tone_sum(index, amps, phases, sg._block_phasors()[0][index]).ravel()
     assert np.max(np.abs(x - loop_tone_sum(spec, phases))) <= 1e-6
 
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -60,34 +61,36 @@ class TestPowerSpectrum:
         assert others.max() < 1e-12 * powers[k0]
         assert powers[k0] == pytest.approx(direct_bin_power(w, k0, n), rel=1e-9)
 
-    def test_non_power_of_two_rejected(self):
-        """The detector's measurement takes power-of-two windows only."""
-        with pytest.raises(ValueError, match="power of two, got 4095"):
-            measure_candidate_powers(np.zeros(4095), FS)
+    def test_wrong_length_rejected(self):
+        """The detector's measurement takes one signal-long window only, as
+        ``norm_power`` does: a shorter, a longer or a stacked one is refused."""
+        for shape in ((4095,), (8192,), (2, 4096)):
+            with pytest.raises(ValueError, match=rf"^window must hold 4096 samples, got shape {re.escape(str(shape))}$"):
+                measure_candidate_powers(np.zeros(shape), FS)
 
     def test_bin_frequency_mapping(self):
         """Bin k of the reference sits at ``k * f_s / n``: the detector's
         ``frequency_bin`` maps that frequency back to k."""
         powers = power_spectrum(np.sin(2 * np.pi * 1337 * np.arange(4096) / 4096))
-        assert int(np.argmax(powers)) == frequency_bin(1337 * FS / 4096, FS, 4096) == 1337
+        assert int(np.argmax(powers)) == frequency_bin(1337 * FS / 4096, FS) == 1337
 
 
 class TestFrequencyBin:
     def test_candidate_above_half_rate(self):
-        assert frequency_bin(25_166.67, FS, 4096) == 2337
+        assert frequency_bin(25_166.67, FS) == 2337
 
     def test_dc(self):
-        assert frequency_bin(0.0, FS, 4096) == 0
+        assert frequency_bin(0.0, FS) == 0
 
     def test_fold_point_rejected(self):
         with pytest.raises(ValueError):
-            frequency_bin(22_050.0, FS, 4096)
+            frequency_bin(22_050.0, FS)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            frequency_bin(-1.0, FS, 4096)
+            frequency_bin(-1.0, FS)
         with pytest.raises(ValueError):
-            frequency_bin(44_100.0, FS, 4096)
+            frequency_bin(44_100.0, FS)
 
 
 # Recorder rates at the edges of the bin table: at 1e8 Hz every candidate's
@@ -102,24 +105,24 @@ class TestBinTable:
     def test_indices_stay_in_bounds_for_edge_grids(self):
         """The edge rates reach the clamps at DC and at the top bin, and the
         table stays on the one-sided spectrum."""
-        assert frequency_bin(CANDIDATES[0], DC_RATE, 4096) - spectrum.THETA < 0
-        assert frequency_bin(CANDIDATES[-1], TOP_RATE, 4096) + spectrum.THETA > 4095
+        assert frequency_bin(CANDIDATES[0], DC_RATE) - spectrum.THETA < 0
+        assert frequency_bin(CANDIDATES[-1], TOP_RATE) + spectrum.THETA > 4095
         for rate in (DC_RATE, TOP_RATE):
-            table = candidate_bin_table(rate, 4096)
+            table = candidate_bin_table(rate)
             assert table.min() >= 0
             assert table.max() <= 2048
 
     def test_folding_matches_mirror(self):
         """The middle column holds each candidate's own bin, folded."""
-        table = candidate_bin_table(FS, 4096)
-        raw = [frequency_bin(f, FS, 4096) for f in CANDIDATES]
+        table = candidate_bin_table(FS)
+        raw = [frequency_bin(f, FS) for f in CANDIDATES]
         assert [4096 - r for r in raw] == [int(k[spectrum.THETA]) for k in table]
 
     @pytest.mark.parametrize("theta", [spectrum.THETA])
     @pytest.mark.parametrize("rate", [FS, DC_RATE, TOP_RATE], ids=["default", "dc", "top"])
     def test_equals_per_candidate_loop(self, rate, theta):
         want = np.array([folded_bins(f, rate, 4096, theta) for f in CANDIDATES])
-        table = candidate_bin_table(rate, 4096)
+        table = candidate_bin_table(rate)
         assert table.dtype == np.intp
         assert np.array_equal(table, want)
 
@@ -134,7 +137,7 @@ class TestBinTable:
     )
     def test_candidates_off_the_spectrum_rejected(self, rate, message):
         with pytest.raises(ValueError, match=message):
-            candidate_bin_table(rate, 4096)
+            candidate_bin_table(rate)
 
 
 def _per_window_candidate_powers(x, starts, length, table):
@@ -175,9 +178,9 @@ class TestBatchCandidatePowers:
     )
     def test_equals_per_window_loop(self, n, starts):
         x = self._noise(n, seed=n)
-        table = candidate_bin_table(FS, 4096)
+        table = candidate_bin_table(FS)
         windows = range(*starts.indices(n - 4096 + 1))
-        got = _batch_candidate_powers(x, starts, 4096, table)
+        got = _batch_candidate_powers(x, starts, table)
         want = _per_window_candidate_powers(x, windows, 4096, table)
         assert got.shape == want.shape == (len(windows), len(CANDIDATES))
         assert np.array_equal(got, want)
@@ -229,11 +232,11 @@ class TestSlidingCandidatePowers:
     )
     def test_equals_rfft_kernel(self, n, lo, count, step, rate):
         x = _scene_recording(n, seed=lo + count)
-        table = candidate_bin_table(rate, 4096)
+        table = candidate_bin_table(rate)
         if rate != FS:
-            assert not np.array_equal(table, candidate_bin_table(FS, 4096))
-        (got,) = _sliding_candidate_powers(x, [(lo, count)], step, 4096, table)
-        want = _batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), 4096, table)
+            assert not np.array_equal(table, candidate_bin_table(FS))
+        (got,) = _sliding_candidate_powers(x, [(lo, count)], step, table)
+        want = _batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), table)
         assert got.shape == want.shape == (count, len(CANDIDATES))
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
@@ -274,11 +277,11 @@ class TestStackedSlidingPass:
     )
     def test_equals_per_span_reference(self, spans, step, rate):
         x = _scene_recording(30_000, seed=sum(lo + count for lo, count in spans))
-        table = candidate_bin_table(rate, 4096)
-        got = _sliding_candidate_powers(x, spans, step, 4096, table)
+        table = candidate_bin_table(rate)
+        got = _sliding_candidate_powers(x, spans, step, table)
         assert len(got) == len(spans)
         for (lo, count), powers in zip(spans, got):
-            want = per_span_sliding_powers(x, lo, count, step, 4096, table)
+            want = per_span_sliding_powers(x, lo, count, step, table)
             assert powers.shape == want.shape == (count, len(CANDIDATES))
             assert np.array_equal(powers, want)
 
@@ -288,8 +291,8 @@ class TestStackedSlidingPass:
         686 KB), the powers it returns and the spans' slides, with no power
         buffers beside them."""
         x = _scene_recording(30_000, seed=29)
-        table = candidate_bin_table(FS, 4096)
-        assert traced_peak(lambda: _sliding_candidate_powers(x, [(2_000, 301), (15_000, 301)], 10, 4096, table)) < 1_200_000
+        table = candidate_bin_table(FS)
+        assert traced_peak(lambda: _sliding_candidate_powers(x, [(2_000, 301), (15_000, 301)], 10, table)) < 1_200_000
 
 
 class TestWindowPowers:
@@ -300,11 +303,11 @@ class TestWindowPowers:
     @pytest.mark.parametrize("rate", [FS, FS * 1.001], ids=["nominal", "skewed"])
     def test_equals_batched_kernel(self, rate):
         x = _scene_recording(30_000, seed=25)
-        table = candidate_bin_table(rate, 4096)
+        table = candidate_bin_table(rate)
         starts = np.random.default_rng(26).integers(0, 30_000 - 4096 + 1, 500)
         for s in starts:
             got = spectrum._window_powers(x[s : s + 4096], table)
-            want = _batch_candidate_powers(x, slice(s, s + 1), 4096, table)[0]
+            want = _batch_candidate_powers(x, slice(s, s + 1), table)[0]
             assert np.array_equal(got, want)
 
 
@@ -335,7 +338,7 @@ class TestLocatedWindowScore:
             m.setattr(spectrum, "_window_score", spy)
             outcomes = detect_pair(x, *sigs, sample_rate=FS)
         assert len(gates) == len(sigs)
-        table = spectrum.candidate_bin_table(FS, 4096)
+        table = spectrum.candidate_bin_table(FS)
         for gate in gates:
             if id(gate) not in scored:
                 scored[id(gate)] = (0, exact(x, 0, gate, table))
@@ -382,8 +385,8 @@ class TestLocatedWindowScore:
         assert detect(x, sig, sample_rate=FS).location == 15_000
         sliding = spectrum._sliding_candidate_powers
 
-        def first_window_best(x, spans, step, length, table):
-            (powers,) = sliding(x, spans, step, length, table)
+        def first_window_best(x, spans, step, table):
+            (powers,) = sliding(x, spans, step, table)
             best = int(np.argmax(spectrum._gated_scores(powers, spectrum._gate(sig))))
             powers[0] = powers[best]
             return [powers]
@@ -557,9 +560,9 @@ class TestCoarseFailureSkipsFineScan:
         calls = []
         sliding = spectrum._sliding_candidate_powers
 
-        def spy(x, spans, step, length, table):
+        def spy(x, spans, step, table):
             calls.append(list(spans))
-            return sliding(x, spans, step, length, table)
+            return sliding(x, spans, step, table)
 
         monkeypatch.setattr(spectrum, "_sliding_candidate_powers", spy)
         return calls

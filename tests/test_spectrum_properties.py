@@ -31,9 +31,9 @@ def test_sliding_powers_equal_rfft_kernel(seed, step, count, lo, tail, skew):
     pos = int(rng.integers(0, n - 4096 + 1))
     x[pos : pos + 4096] += float(rng.uniform(0.0, 1.0)) * sig.samples
     x = np.rint(x)
-    table = candidate_bin_table(FS * skew, 4096)
-    (got,) = _sliding_candidate_powers(x, [(lo, count)], step, 4096, table)
-    want = _batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), 4096, table)
+    table = candidate_bin_table(FS * skew)
+    (got,) = _sliding_candidate_powers(x, [(lo, count)], step, table)
+    want = _batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), table)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
 
@@ -52,9 +52,9 @@ def test_two_spans_equal_rfft_kernel_and_per_span_pass(seed, step, counts, los, 
     rng = np.random.default_rng(seed)
     n = max(lo + (count - 1) * step for lo, count in zip(los, counts)) + 4096
     x = np.rint(rng.normal(0.0, float(rng.uniform(20.0, 500.0)), n))
-    table = candidate_bin_table(FS * skew, 4096)
+    table = candidate_bin_table(FS * skew)
     spans = list(zip(los, counts))
-    for (lo, count), got in zip(spans, _sliding_candidate_powers(x, spans, step, 4096, table)):
-        want = _batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), 4096, table)
+    for (lo, count), got in zip(spans, _sliding_candidate_powers(x, spans, step, table)):
+        want = _batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), table)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
-        assert np.array_equal(got, per_span_sliding_powers(x, lo, count, step, 4096, table))
+        assert np.array_equal(got, per_span_sliding_powers(x, lo, count, step, table))
