@@ -28,6 +28,7 @@ from .signal import (
     _finite_positive,
     _grid_bin_spectra,
     _is_number,
+    _left_sum,
     _tone_sum,
     sample_spec,
     synthesize,
@@ -93,10 +94,11 @@ def all_frequency_amplitudes(per_tone_power: float) -> list[float]:
     they sum above the amplitude budget, as the waveform must not clip."""
     unit_powers = spectrum._bin_powers(np.diagonal(_grid_bin_spectra()[:BIN_COUNT]))
     amps = [math.sqrt(per_tone_power / unit_power) for unit_power in unit_powers.tolist()]
-    if sum(amps) > AMPLITUDE_BUDGET:
+    total = _left_sum(amps)
+    if total > AMPLITUDE_BUDGET:
         raise ValueError(
             f"per-tone power {per_tone_power:g} infeasible: tone amplitudes sum to "
-            f"{sum(amps):.0f} > budget {AMPLITUDE_BUDGET}"
+            f"{total:.0f} > budget {AMPLITUDE_BUDGET}"
         )
     return amps
 

@@ -225,43 +225,45 @@ def fast_fft_length(n: int) -> int:
 _SHIFT_PAD = 96  # absorbs the ring of the exact fractional shift
 
 
-# Sessions of one geometry shift by the same fractions: eight entries hold an
-# office campaign's four, or a spoofing campaign's seven (length, fraction)
-# keys. An entry takes ~35 KB for a signal, ~233 KB for a spoofing waveform.
+def _phase_ramp(n: int, frac: float) -> np.ndarray:
+    """``exp(-2j*pi*k*frac/n)`` over the ``n``-sample rFFT bins ``k``: the
+    phase ramp that delays by ``frac`` samples."""
+    k = np.arange(n // 2 + 1)
+    return np.exp(-2j * np.pi * k * frac / n)
+
+
+# Sessions of one geometry shift their signals by the same fractions: eight
+# entries hold an office campaign's four, or a spoofing campaign's five,
+# (length, fraction) keys, ~35 KB each. The spoofer's waveform is shifted only
+# when its path response is memoized, so its ~233 KB ramps are not kept.
 @lru_cache(maxsize=8)
 def _shift_ramp(n: int, frac: float) -> np.ndarray:
-    """``exp(-2j*pi*k*frac/n)`` over the ``n``-sample rFFT bins ``k``: the
-    phase ramp that delays by ``frac`` samples; shared read-only."""
-    k = np.arange(n // 2 + 1)
-    ramp = np.exp(-2j * np.pi * k * frac / n)
+    """``_phase_ramp(n, frac)``, shared read-only."""
+    ramp = _phase_ramp(n, frac)
     ramp.setflags(write=False)
     return ramp
 
 
-def _fractional_shift(x: np.ndarray, frac: float) -> np.ndarray:
-    """Shift ``x`` later by ``frac`` samples (0 < frac < 1), exactly, on a
-    zero-padded buffer taken at a fast FFT length. Returns a buffer of
-    ``len(x) + 2*_SHIFT_PAD`` samples starting _SHIFT_PAD samples early."""
-    length = x.shape[0] + 2 * _SHIFT_PAD
-    n = fast_fft_length(length)
-    padded = np.zeros(n)
-    padded[_SHIFT_PAD : _SHIFT_PAD + x.shape[0]] = x
-    spec = np.fft.rfft(padded)
-    return np.fft.irfft(np.multiply(spec, _shift_ramp(n, frac), out=spec), n)[:length]
-
-
 def _path_response(
-    waveform: np.ndarray, frac: float, gain: float, kernel: tuple[float, ...]
+    waveform: np.ndarray, frac: float, gain: float, kernel: tuple[float, ...], ramp
 ) -> tuple[np.ndarray, int]:
     """The waveform as heard at the end of a path: scaled by ``gain``, shifted
     later by ``frac`` samples and smoothed by ``kernel``; with the count of
-    samples it starts before the whole-sample delay."""
-    w = np.asarray(waveform, dtype=np.float64) * gain
-    lead = 0
-    if frac > 0.0:
-        w = _fractional_shift(w, frac)
-        lead = _SHIFT_PAD
-    return np.convolve(w, kernel), lead
+    samples it starts before the whole-sample delay. The shift is exact: the
+    scaled waveform goes ``_SHIFT_PAD`` samples into a zero-padded buffer of a
+    fast FFT length ``n``, takes the phase ramp ``ramp(n, frac)`` in the
+    frequency domain and transforms back into that buffer, so the response
+    starts ``_SHIFT_PAD`` samples early."""
+    if frac == 0.0:
+        return np.convolve(np.asarray(waveform, dtype=np.float64) * gain, kernel), 0
+    size = np.shape(waveform)[0]
+    length = size + 2 * _SHIFT_PAD
+    n = fast_fft_length(length)
+    padded = np.zeros(n)
+    np.multiply(waveform, gain, out=padded[_SHIFT_PAD : _SHIFT_PAD + size], dtype=np.float64)
+    spec = np.fft.rfft(padded)
+    shifted = np.fft.irfft(np.multiply(spec, ramp(n, frac), out=spec), n, out=padded)
+    return np.convolve(shifted[:length], kernel), _SHIFT_PAD
 
 
 class _Held:
@@ -287,8 +289,9 @@ class _Held:
 def _held_path_response(
     held: _Held, frac: float, gain: float, kernel: tuple[float, ...]
 ) -> tuple[np.ndarray, int]:
-    """``_path_response`` of a read-only waveform, shared read-only."""
-    w, lead = _path_response(held.waveform, frac, gain, kernel)
+    """``_path_response`` of a read-only waveform, shared read-only. Its phase
+    ramp is built for this one call and dropped with it."""
+    w, lead = _path_response(held.waveform, frac, gain, kernel, _phase_ramp)
     w.setflags(write=False)
     return w, lead
 
@@ -328,7 +331,7 @@ def propagate(
     if _read_only(waveform):
         w, lead = _held_path_response(_Held(waveform), frac, gain, cfg.smoothing_kernel)
     else:
-        w, lead = _path_response(waveform, frac, gain, cfg.smoothing_kernel)
+        w, lead = _path_response(waveform, frac, gain, cfg.smoothing_kernel, _shift_ramp)
 
     start = emit_time + whole - lead
     lo = max(start, 0)

@@ -97,6 +97,16 @@ def _finite_positive(value) -> bool:
         return False
 
 
+def _left_sum(values) -> float:
+    """The floats added left to right, one rounding per addition. The builtin
+    ``sum`` compensates float additions from Python 3.12 on, so its totals
+    would move with the interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 # The link header: the tone set and each tone's nominal power, in tone order.
 _HEADER_FIELDS = {
     "freqs_hz": (_is_number_list, "a list of numbers"),
@@ -123,7 +133,7 @@ class ReferenceSignal:
     @property
     def total_power(self) -> float:
         """The nominal powers summed in tone order."""
-        return sum(self.nominal_power[f] for f in self.spec.frequencies)
+        return _left_sum(self.nominal_power[f] for f in self.spec.frequencies)
 
     def header(self) -> bytes:
         """The link header as JSON: the tone set and its nominal powers."""
@@ -203,7 +213,7 @@ def _leakage_ratio(measured: np.ndarray, in_set: np.ndarray, spec: SignalSpec) -
     """Worst out-of-set candidate power, from a rendering's measured candidate
     powers, relative to the absence threshold. The in-set powers are summed in
     tone order, as the signal's ``total_power`` will sum them."""
-    beta = spectrum.beta(sum(measured[in_set].tolist()), spec.tone_count)
+    beta = spectrum.beta(_left_sum(measured[in_set].tolist()), spec.tone_count)
     if in_set.all() or beta == 0.0:
         return 0.0
     return float(measured[~in_set].max() / beta)

@@ -107,10 +107,13 @@ def frequency_bin(freq: float, sample_rate: float) -> int:
 
     Frequencies above half the sample rate are legal (their content aliases to
     the mirrored bin); the fold point itself and anything outside ``[0,
-    sample_rate)`` is rejected.
+    sample_rate)``, NaN included, is rejected, as is a sample rate that is not
+    finite and positive.
     """
-    if freq < 0 or freq >= sample_rate:
-        raise ValueError(f"frequency {freq} outside [0, sample_rate)")
+    if not signal._finite_positive(sample_rate):
+        raise ValueError(f"sample_rate must be finite and positive, got {sample_rate}")
+    if not 0 <= freq < sample_rate:  # False for nan
+        raise ValueError(f"freq {freq} outside [0, sample_rate) at sample_rate {sample_rate}")
     if freq == sample_rate / 2:
         raise ValueError("frequency at the fold point (half the sample rate)")
     return int(math.floor(freq / sample_rate * signal.SIGNAL_LENGTH))
@@ -145,7 +148,7 @@ def measure_candidate_powers(window: np.ndarray, sample_rate: float) -> np.ndarr
     shared by synthesis (nominal powers) and detection."""
     if np.shape(window) != (signal.SIGNAL_LENGTH,):
         raise ValueError(f"window must hold {signal.SIGNAL_LENGTH} samples, got shape {np.shape(window)}")
-    return _window_powers(np.asarray(window, dtype=np.float64), candidate_bin_table(sample_rate))
+    return _window_powers(_samples(window, "window"), candidate_bin_table(sample_rate))
 
 
 # Windows per block in a scan: bounds the spectra, or the sliding sums, held

@@ -8,7 +8,7 @@ built for its caller alone."""
 import numpy as np
 import pytest
 
-from helpers import noise_mask, tone_set_phasor_table
+from helpers import full_buffer_propagate, noise_mask, tone_set_phasor_table
 from sonicauth import adversary as adv
 from sonicauth import channel as ch
 from sonicauth import evaluation as ev
@@ -189,3 +189,40 @@ class TestShiftRamp:
         assert ch._shift_ramp.cache_info()[:2] == (1, 1)  # hits, misses
         _office_session(1.0, 1)
         assert ch._shift_ramp.cache_info()[:2] == (3, 1)
+
+
+class TestSpooferShift:
+    def test_only_signal_ramps_kept(self, monkeypatch):
+        """An all-frequency campaign shifts the spoofer's session-long
+        waveform only to build its memoized path responses, each with a ramp
+        of its own: the shift-ramp cache is asked for, and holds, signal-length
+        ramps alone. The memo's responses, served from it afterwards, add
+        what the full-buffer reference adds."""
+        _clear_caches()
+        ramp_lengths, paths = set(), {}
+        shift_ramp, propagate = ch._shift_ramp, ch.propagate
+
+        def asked(n, frac):
+            ramp_lengths.add(n)
+            return shift_ramp(n, frac)
+
+        def noted(waveform, emit_time, src_pos, dst_pos, cfg, mix):
+            if ch._read_only(waveform):
+                paths[src_pos, dst_pos] = (waveform, emit_time, cfg, len(mix))
+            propagate(waveform, emit_time, src_pos, dst_pos, cfg, mix)
+
+        monkeypatch.setattr(ch, "_shift_ramp", asked)
+        monkeypatch.setattr(ch, "propagate", noted)
+        _all_frequency_campaign()
+        monkeypatch.undo()
+        assert ramp_lengths == {ch.fast_fft_length(SIGNAL_LENGTH + 2 * ch._SHIFT_PAD)} == {4320}
+        assert ch._shift_ramp.cache_info().currsize > 0
+
+        assert len(paths) == 2  # the spoofer to each device
+        hits = ch._held_path_response.cache_info().hits
+        for (src_pos, dst_pos), (waveform, emit_time, cfg, n) in paths.items():
+            mix = np.zeros(n)
+            ch.propagate(waveform, emit_time, src_pos, dst_pos, cfg, mix)
+            want = full_buffer_propagate(ch.Emission("attacker_0", waveform, emit_time, src_pos), dst_pos, cfg, n)
+            assert np.array_equal(mix, want)
+        assert ch._held_path_response.cache_info().hits - hits == 2

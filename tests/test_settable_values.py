@@ -13,6 +13,10 @@ Three kinds of value are counted over the eight package modules:
 
 A change that adds or removes settable values updates ``BOUND`` to the new
 count and says in CHANGES.md which values it added or removed, and why.
+
+``OPTIONAL`` counts the subset a caller can leave out: dataclass fields with a
+default or a default factory, the defaulted parameters, and the flags that
+are not required. Making a value required lowers it, not ``BOUND``.
 """
 
 import argparse
@@ -25,6 +29,9 @@ MODULES = (signal, spectrum, channel, protocol, adversary, evaluation, pcm, cli)
 
 # 74 dataclass fields + 18 defaulted parameters + 40 flags.
 BOUND = 132
+# 31 defaulted dataclass fields + 18 defaulted parameters + 37 flags not
+# required (--sigma, --frr and --kind are).
+OPTIONAL = 86
 
 
 def _defined_in(module, obj) -> bool:
@@ -48,7 +55,13 @@ def _methods(cls):
         yield member
 
 
-def count_fields_and_parameters() -> tuple[int, int]:
+def _has_default(f: dataclasses.Field) -> bool:
+    return f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+
+
+def count_fields_and_parameters(optional: bool = False) -> tuple[int, int]:
+    """Init fields (only those with a default when ``optional``) and
+    defaulted parameters."""
     fields = parameters = 0
     for module in MODULES:
         for obj in vars(module).values():
@@ -56,18 +69,19 @@ def count_fields_and_parameters() -> tuple[int, int]:
                 continue
             if inspect.isclass(obj):
                 if dataclasses.is_dataclass(obj):
-                    fields += sum(f.init for f in dataclasses.fields(obj))
+                    fields += sum(f.init and (_has_default(f) or not optional) for f in dataclasses.fields(obj))
                 parameters += sum(_defaulted(m) for m in _methods(obj))
             elif callable(obj) and inspect.isfunction(inspect.unwrap(obj)):
                 parameters += _defaulted(obj)
     return fields, parameters
 
 
-def count_flags() -> int:
+def count_flags(optional: bool = False) -> int:
+    """Flags other than ``-h`` (only those not required when ``optional``)."""
     parser = cli.build_parser()
     (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return sum(
-        not isinstance(action, argparse._HelpAction)
+        not isinstance(action, argparse._HelpAction) and not (optional and action.required)
         for sub in subparsers.choices.values()
         for action in sub._actions
     )
@@ -79,3 +93,11 @@ def test_settable_values_within_bound():
     total = fields + parameters + flags
     print(f"\nsettable values: {fields} + {parameters} + {flags} = {total}")
     assert total == BOUND, f"{fields} + {parameters} + {flags} = {total} settable values, recorded {BOUND}"
+
+
+def test_optional_values():
+    fields, parameters = count_fields_and_parameters(optional=True)
+    flags = count_flags(optional=True)
+    total = fields + parameters + flags
+    print(f"\nvalues a caller can leave out: {fields} + {parameters} + {flags} = {total}")
+    assert total == OPTIONAL, f"{fields} + {parameters} + {flags} = {total} optional values, recorded {OPTIONAL}"

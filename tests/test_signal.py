@@ -1,10 +1,12 @@
 import collections
 import json
+import math
 
 import numpy as np
 import pytest
 
 from helpers import direct_candidate_power, load_signal, load_wav, loop_render, proper_subsets
+from sonicauth import adversary as adv
 from sonicauth import pcm, spectrum
 from sonicauth import signal as sg
 from sonicauth.signal import (
@@ -218,6 +220,42 @@ class TestPhasorRenderer:
         rng = np.random.default_rng(np.random.SeedSequence(index.tolist() + [BIN_COUNT, 4096]))
         eager = [np.zeros(spec.tone_count)] + [rng.uniform(0.0, 2.0 * np.pi, spec.tone_count) for _ in range(15)]
         assert all(np.array_equal(a, b) for a, b in zip(family(spec), eager, strict=True))
+
+
+class TestLeftToRightTotals:
+    """Float totals add left to right in tone order, one rounding per step,
+    whatever the interpreter's builtin ``sum`` does: from Python 3.12 on it
+    compensates, and ``[1e16, 1.0, 1.0]`` would total ``1.0000000000000002e16``."""
+
+    POWERS = (1e16, 1.0, 1.0)
+
+    @pytest.fixture(autouse=True)
+    def compensated_sum(self, monkeypatch):
+        def compensated(values, start=0):
+            return math.fsum([start, *values])
+
+        assert compensated(self.POWERS) != 1e16
+        for module in (sg, adv):
+            monkeypatch.setattr(module, "sum", compensated, raising=False)
+
+    def test_total_power(self):
+        freqs = CANDIDATES[:3]
+        sig = ReferenceSignal(SignalSpec(frequencies=freqs), np.zeros(4096, np.int16), dict(zip(freqs, self.POWERS)))
+        assert sig.total_power == 1e16
+
+    def test_leakage_ratio(self):
+        spec = SignalSpec(frequencies=CANDIDATES[:3])
+        in_set = np.zeros(BIN_COUNT, dtype=bool)
+        in_set[:3] = True
+        measured = np.ones(BIN_COUNT)
+        measured[:3] = self.POWERS
+        assert sg._leakage_ratio(measured, in_set, spec) == 1.0 / spectrum.beta(1e16, 3)
+
+    def test_all_frequency_budget(self):
+        """At this power the spoofer's 30 amplitudes total 32000.000000000004
+        left to right, over the budget, and 31999.999999999996 compensated."""
+        with pytest.raises(ValueError, match="infeasible"):
+            adv.all_frequency_amplitudes(4_671_735_838_957.362)
 
 
 class TestSerialization:

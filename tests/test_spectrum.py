@@ -68,6 +68,20 @@ class TestPowerSpectrum:
             with pytest.raises(ValueError, match=rf"^window must hold 4096 samples, got shape {re.escape(str(shape))}$"):
                 measure_candidate_powers(np.zeros(shape), FS)
 
+    def test_complex_window_rejected(self):
+        """A complex window would lose its imaginary part with a numpy
+        ``ComplexWarning``: it is refused, as ``norm_power`` refuses it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^window must hold real samples, got dtype complex128$"):
+                measure_candidate_powers(np.zeros(4096, dtype=complex), FS)
+
+    def test_nan_window_rejected(self):
+        window = np.zeros(4096)
+        window[7] = np.nan
+        with pytest.raises(ValueError, match=r"^window holds a non-finite sample, nan at index 7$"):
+            measure_candidate_powers(window, FS)
+
     def test_bin_frequency_mapping(self):
         """Bin k of the reference sits at ``k * f_s / n``: the detector's
         ``frequency_bin`` maps that frequency back to k."""
@@ -91,6 +105,15 @@ class TestFrequencyBin:
             frequency_bin(-1.0, FS)
         with pytest.raises(ValueError):
             frequency_bin(44_100.0, FS)
+
+    def test_nan_frequency_named(self):
+        with pytest.raises(ValueError, match=r"^freq nan outside \[0, sample_rate\)"):
+            frequency_bin(float("nan"), FS)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -44_100.0])
+    def test_bad_sample_rate_named(self, rate):
+        with pytest.raises(ValueError, match=rf"^sample_rate must be finite and positive, got {rate}$"):
+            frequency_bin(1000.0, rate)
 
 
 # Recorder rates at the edges of the bin table: at 1e8 Hz every candidate's
