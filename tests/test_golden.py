@@ -16,7 +16,15 @@ import pytest
 from sonicauth import adversary as adv
 from sonicauth import channel as ch
 from sonicauth import evaluation as ev
-from sonicauth.protocol import AuthPolicy, Endpoint, run_authentication
+from sonicauth import spectrum
+from sonicauth.protocol import (
+    AuthPolicy,
+    Endpoint,
+    SessionMeasurements,
+    estimate_distance,
+    replay_session,
+    run_authentication,
+)
 
 # Per-tone power of the all-frequency session: the middle of the default
 # spoofing sweep, written out so this file does not depend on the sweep.
@@ -27,7 +35,7 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _session(d, seed, *, tau=1.0, env="office", vouch_rate=ch.BASE_SAMPLE_RATE, cfg=None, **kwargs):
+def _run(d, seed, *, tau=1.0, env="office", vouch_rate=ch.BASE_SAMPLE_RATE, cfg=None, **kwargs):
     cfg = cfg if cfg is not None else ev._cfg_for(env, None)
     rng = np.random.default_rng(np.random.SeedSequence([2024, seed]))
     _, transcript = run_authentication(
@@ -38,7 +46,11 @@ def _session(d, seed, *, tau=1.0, env="office", vouch_rate=ch.BASE_SAMPLE_RATE, 
         cfg,
         **kwargs,
     )
-    return transcript.to_json()
+    return transcript
+
+
+def _session(d, seed, **kwargs):
+    return _run(d, seed, **kwargs).to_json()
 
 
 def _attack(scenario, seed, separation=3.0):
@@ -133,6 +145,14 @@ REPORT_SHA256 = {
 }
 
 
+# The cross-correlation baseline on the replayed recordings of two office
+# sessions, by (separation, seed): its four locations and raw distance. Both
+# devices' detections lock onto the nearby burst, so the distance is exactly 0.
+XCORR_BASELINE = {
+    (0.5, 12): ({"l_aa": 8924, "l_av": 8755, "l_va": 22323, "l_vv": 22154}, 0.0),
+    (1.5, 13): ({"l_aa": 8876, "l_av": 8870, "l_va": 22112, "l_vv": 22106}, 0.0),
+}
+
 # An all-frequency campaign's transcripts, concatenated: its later sessions
 # find the spoofer's path responses memoized by the first, so even in a fresh
 # process this digest covers memo hits, not only misses.
@@ -165,6 +185,18 @@ def test_session_transcript_digest(name):
 @pytest.mark.parametrize("name", sorted(SESSIONS))
 def test_session_transcript_digest_without_link(name):
     assert _sha(_without_link(_transcript(name))) == GOLDEN_WITHOUT_LINK[name]
+
+
+@pytest.mark.parametrize("d, seed", sorted(XCORR_BASELINE))
+def test_xcorr_baseline_on_replayed_recordings(d, seed):
+    cfg = ev._cfg_for("office", None)
+    t = _run(d, seed)
+    sig_a, sig_v, rec_a, rec_v = replay_session(t, cfg)
+    keys = ("l_aa", "l_av", "l_va", "l_vv")
+    pairs = ((rec, sig) for rec in (rec_a, rec_v) for sig in (sig_a, sig_v))
+    locations = {key: spectrum.cross_correlate_detect(rec.samples, sig) for key, (rec, sig) in zip(keys, pairs)}
+    m = SessionMeasurements(**locations, f_a=t.sample_rates["auth"], f_v=t.sample_rates["vouch"])
+    assert (locations, estimate_distance(m, cfg.speed_of_sound)) == XCORR_BASELINE[(d, seed)]
 
 
 def test_distance_error_campaign_csv_digest():
