@@ -29,8 +29,12 @@ from .protocol import (
     PLAYBACK_GAP_SAMPLES,
     AuthPolicy,
     Endpoint,
+    IntruderFactory,
+    SessionMeasurements,
     SessionTranscript,
+    estimate_distance,
     one_way_ranging,
+    replay_session,
     run_authentication,
 )
 
@@ -157,12 +161,12 @@ def _sessions(
     seed: int,
     cfg: ch.ChannelConfig,
     policy: AuthPolicy,
-    **session,
+    intruder: IntruderFactory | None,
 ) -> list[tuple[int, SessionTranscript]]:
     """Run ``trials`` seeded sessions per cell, cell by cell, with the devices
-    at (0, 0) and (``separations[cell]``, 0); return (cell, transcript) per
-    session. ``session`` holds the keyword options of
-    ``run_authentication``, which is looked up here at call time. Raises
+    at (0, 0) and (``separations[cell]``, 0), ``intruder`` adding its
+    emissions; return (cell, transcript) per session. ``run_authentication``
+    is looked up here at call time. Raises
     ``ValueError`` before any session when ``trials < 1`` or a separation is
     not a finite, non-negative distance; a separation beyond the pairing
     range is legal and is rejected as not paired."""
@@ -177,7 +181,7 @@ def _sessions(
             auth = Endpoint("auth", (0.0, 0.0))
             vouch = Endpoint("vouch", (d, 0.0))
             rng = _trial_rng(seed, cell, trial)
-            _, transcript = run_authentication(auth, vouch, policy, rng, cfg, **session)
+            _, transcript = run_authentication(auth, vouch, policy, rng, cfg, intruder=intruder)
             results.append((cell, transcript))
     return results
 
@@ -275,7 +279,7 @@ def multiuser_campaign(
     intruder = None
     if pairs > 1:
         intruder = lambda ctx, r: _interferer_emissions(ctx, r, pairs - 1)
-    results = _sessions(distances, trials, seed, cfg, AuthPolicy(threshold_m=1.0), intruder=intruder)
+    results = _sessions(distances, trials, seed, cfg, AuthPolicy(threshold_m=1.0), intruder)
     rows = []
     for d, signed in zip(distances, _signed_errors(results, distances)):
         errors = [abs(e) for e in signed]
@@ -340,7 +344,7 @@ def attack_campaign(
     detect range: the attacker tries while the user is away)."""
     cfg = _cfg_for(environment, channel_cfg)
     intruder = lambda ctx, r: adv.build_emissions(scenario, ctx, r)
-    results = _sessions((separation_m,), trials, seed, cfg, AuthPolicy(threshold_m=1.0), intruder=intruder)
+    results = _sessions((separation_m,), trials, seed, cfg, AuthPolicy(threshold_m=1.0), intruder)
     transcripts = [t for _, t in results]
     return AttackReport(
         scenario=type(scenario).__name__,
@@ -386,6 +390,16 @@ _ECHO_MAX_SIGMA_PROC_S = 1.0
 _ECHO_CALIBRATION_TRIALS = 10
 
 
+def _xcorr_distance(t: SessionTranscript, cfg: ch.ChannelConfig) -> float:
+    """The raw cross-correlation baseline's distance for a played session:
+    each signal located in the session's replayed recordings at the argmax of
+    its raw cross-correlation."""
+    sig_a, sig_v, rec_a, rec_v = replay_session(t, cfg)
+    locations = (spectrum.cross_correlate_detect(rec.samples, sig) for rec in (rec_a, rec_v) for sig in (sig_a, sig_v))
+    m = SessionMeasurements(*locations, f_a=t.sample_rates["auth"], f_v=t.sample_rates["vouch"])
+    return estimate_distance(m, cfg.speed_of_sound)
+
+
 def detector_comparison(
     distances: tuple[float, ...],
     trials: int,
@@ -398,27 +412,34 @@ def detector_comparison(
     """Mean absolute ranging error for three methods:
 
     * ``two_way_freq``  - the full protocol with the frequency detector;
-    * ``two_way_xcorr`` - the same protocol with the raw cross-correlation
-      baseline detector;
+    * ``two_way_xcorr`` - the raw cross-correlation baseline detector on the
+      same sessions' recordings, replayed from their transcripts;
     * ``one_way_echo``  - one-way ranging against a processing delay,
       calibrated over ``_ECHO_CALIBRATION_TRIALS`` rounds at 5 cm, whose
       per-trial jitter is Normal(``_ECHO_MU_PROC_S``, ``sigma_proc_s``),
       clipped at zero; ``sigma_proc_s`` must lie in [0, 1] s.
+
+    A distance beyond the pairing range, where no paired link serves either
+    method, raises ``ValueError`` before any session.
     """
     if not 0 <= sigma_proc_s <= _ECHO_MAX_SIGMA_PROC_S:  # False for nan
         raise ValueError(f"sigma_proc_s must be in [0, {_ECHO_MAX_SIGMA_PROC_S}] seconds, got {sigma_proc_s}")
     cfg = _cfg_for(environment, channel_cfg)
     distances = tuple(distances)
+    for d in distances:
+        if d > PAIRING_RANGE_M:
+            raise ValueError(f"distance {d} m is beyond the {PAIRING_RANGE_M} m pairing range")
     auth = Endpoint("auth", (0.0, 0.0))
 
     def echo(vouch: Endpoint, rng: np.random.Generator) -> float | None:
         delay = max(_ECHO_MU_PROC_S + sigma_proc_s * rng.standard_normal(), 0.0)
         return one_way_ranging(auth, vouch, rng, cfg, processing_delay_s=delay)
 
-    errors: dict[str, list[list[float]]] = {}
-    for method, detector in (("two_way_freq", "freq"), ("two_way_xcorr", "xcorr")):
-        results = _sessions(distances, trials, seed, cfg, AuthPolicy(threshold_m=1.0), detector=detector)
-        errors[method] = [[abs(e) for e in signed] for signed in _signed_errors(results, distances)]
+    results = _sessions(distances, trials, seed, cfg, AuthPolicy(threshold_m=1.0), None)
+    errors = {"two_way_freq": [[abs(e) for e in signed] for signed in _signed_errors(results, distances)]}
+    errors["two_way_xcorr"] = [[] for _ in distances]
+    for cell, t in results:
+        errors["two_way_xcorr"][cell].append(abs(_xcorr_distance(t, cfg) - distances[cell]))
 
     # Calibrate the echo baseline's processing delay at near-zero distance.
     cal_rng = _trial_rng(seed, 99, 0)

@@ -124,14 +124,10 @@ PLAYBACK_GAP_SAMPLES = _to_samples(PLAYBACK_GAP_S)
 RECORD_MARGIN_SAMPLES = 1000
 
 
-class LinkError(RuntimeError):
-    pass
-
-
 class SecureLink:
     """Stand-in for the paired short-range channel: reliable ordered byte
-    pipe between paired devices, usable exactly within the pairing range. Not
-    cryptographic."""
+    pipe between paired devices, usable exactly within the pairing range (a
+    session sends only once ``usable`` holds). Not cryptographic."""
 
     def __init__(self) -> None:
         self.log: list[dict] = []
@@ -139,9 +135,7 @@ class SecureLink:
     def usable(self, distance_m: float) -> bool:
         return distance_m <= PAIRING_RANGE_M
 
-    def send(self, sender: str, kind: str, payload: bytes, distance_m: float) -> bytes:
-        if not self.usable(distance_m):
-            raise LinkError("link unavailable")
+    def send(self, sender: str, kind: str, payload: bytes) -> bytes:
         self.log.append({"sender": sender, "kind": kind, "bytes": len(payload)})
         return payload
 
@@ -204,11 +198,11 @@ def _draw(rng: np.random.Generator) -> ReferenceSignal:
 
 
 def _transfer(
-    link: SecureLink, sender: str, sig_a: ReferenceSignal, sig_v: ReferenceSignal, d_m: float
+    link: SecureLink, sender: str, sig_a: ReferenceSignal, sig_v: ReferenceSignal
 ) -> tuple[ReferenceSignal, ReferenceSignal]:
     """Step II: byte-faithful transfer of both signals over the paired link;
     returns the receiving device's copies."""
-    blob = link.send(sender, "reference_signals", sig_a.to_bytes() + sig_v.to_bytes(), d_m)
+    blob = link.send(sender, "reference_signals", sig_a.to_bytes() + sig_v.to_bytes())
     split = 4 + int.from_bytes(blob[:4], "big") + sig_a.samples.nbytes
     return ReferenceSignal.from_bytes(blob[:split]), ReferenceSignal.from_bytes(blob[split:])
 
@@ -246,7 +240,7 @@ def _record(
     sig_a: ReferenceSignal,
     sig_v: ReferenceSignal,
     cfg: ch.ChannelConfig,
-    extra_emissions: Sequence[ch.Emission] = (),
+    extra_emissions: Sequence[ch.Emission],
 ) -> tuple[ch.Recording, ch.Recording]:
     """Step III: staggered playback while both devices record.
 
@@ -277,18 +271,6 @@ def _record(
     return ch.record(scene, t.auth_id, cfg), ch.record(scene, t.vouch_id, cfg)
 
 
-def _locate(
-    samples: np.ndarray, sig_a: ReferenceSignal, sig_v: ReferenceSignal, sample_rate: float, detector: str
-) -> tuple[spectrum.DetectionOutcome, spectrum.DetectionOutcome]:
-    """Step IV on one device: locate both signals in its own recording."""
-    if detector == "freq":
-        return spectrum.detect_pair(samples, sig_a, sig_v, sample_rate=sample_rate)
-    if detector == "xcorr":
-        locations = (spectrum.cross_correlate_detect(samples, sig) for sig in (sig_a, sig_v))
-        return tuple(spectrum.DetectionOutcome(location, None) for location in locations)
-    raise ValueError(f"unknown detector {detector!r}")
-
-
 def _conclude(t: SessionTranscript, link: SecureLink, policy: AuthPolicy, speed_of_sound: float) -> AuthDecision:
     """Steps V-VI: the vouching device reports only its local location
     difference, and the authenticating device turns the locations into a
@@ -297,7 +279,7 @@ def _conclude(t: SessionTranscript, link: SecureLink, policy: AuthPolicy, speed_
     if t.signal_present:
         v_diff = t.locations["l_va"] - t.locations["l_vv"]
         payload = int(v_diff).to_bytes(8, "big", signed=True)
-        link.send(t.vouch_id, "location_difference", payload, t.true_distance_m)
+        link.send(t.vouch_id, "location_difference", payload)
         raw = estimate_distance(measurements_from_transcript(t), speed_of_sound)
     decision = decide(raw, t.signal_present, t.paired_link_ok, policy)
     t.raw_distance_m = raw
@@ -316,14 +298,8 @@ def run_authentication(
     channel_cfg: ch.ChannelConfig,
     *,
     intruder: IntruderFactory | None = None,
-    detector: str = "freq",
 ) -> tuple[AuthDecision, SessionTranscript]:
-    """Run one authentication session end to end on the simulated channel.
-
-    ``detector`` selects the signal-location method: ``"freq"`` (normalized
-    spectral power, the default) or ``"xcorr"`` (raw cross-correlation
-    baseline, which has no absence verdict).
-    """
+    """Run one authentication session end to end on the simulated channel."""
     d_true = ch._distance(auth.position, vouch.position)
     link = SecureLink()
     t = SessionTranscript(
@@ -345,7 +321,7 @@ def run_authentication(
     t.freqs_a = sig_a.frequencies
     t.freqs_v = sig_v.frequencies
 
-    vouch_sig_a, vouch_sig_v = _transfer(link, auth.device_id, sig_a, sig_v, d_true)
+    vouch_sig_a, vouch_sig_v = _transfer(link, auth.device_id, sig_a, sig_v)
 
     # The draw order (start jitter, scene seed, then the intruder) is part of
     # what a session seed reproduces.
@@ -358,9 +334,10 @@ def run_authentication(
         emissions = intruder(SceneContext(auth.position, vouch.position), rng)
     rec_a, rec_v = _record(t, sig_a, vouch_sig_v, channel_cfg, emissions)
 
+    # Step IV: each device locates both signals in its own recording.
     outcomes = (
-        *_locate(rec_a.samples, sig_a, sig_v, auth.sample_rate, detector),
-        *_locate(rec_v.samples, vouch_sig_a, vouch_sig_v, vouch.sample_rate, detector),
+        *spectrum.detect_pair(rec_a.samples, sig_a, sig_v, sample_rate=auth.sample_rate),
+        *spectrum.detect_pair(rec_v.samples, vouch_sig_a, vouch_sig_v, sample_rate=vouch.sample_rate),
     )
     for key, out in zip(("l_aa", "l_av", "l_va", "l_vv"), outcomes):
         t.locations[key] = out.location
@@ -379,7 +356,7 @@ def replay_session(
     if t.playback_start is None:
         raise ValueError("the session ended before playback; there is nothing to replay")
     sig_a, sig_v = (synthesize(SignalSpec(frequencies=freqs)) for freqs in (t.freqs_a, t.freqs_v))
-    return (sig_a, sig_v, *_record(t, sig_a, sig_v, channel_cfg))
+    return (sig_a, sig_v, *_record(t, sig_a, sig_v, channel_cfg, ()))
 
 
 def measurements_from_transcript(t: SessionTranscript) -> SessionMeasurements:

@@ -271,13 +271,13 @@ class TestSessions:
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_rejected(self, trials):
         with pytest.raises(ValueError, match=f"^need at least one trial per cell, got trials={trials}$"):
-            ev._sessions((0.5,), trials, 1, ch.ChannelConfig(), AuthPolicy())
+            ev._sessions((0.5,), trials, 1, ch.ChannelConfig(), AuthPolicy(), None)
 
     @pytest.mark.parametrize("separation", [float("nan"), float("inf"), -0.5])
     def test_bad_separation_rejected(self, separation):
         message = f"^separation must be a finite, non-negative distance in metres, got {separation}$"
         with pytest.raises(ValueError, match=message):
-            ev._sessions((0.5, separation), 1, 1, ch.ChannelConfig(), AuthPolicy())
+            ev._sessions((0.5, separation), 1, 1, ch.ChannelConfig(), AuthPolicy(), None)
 
     def test_bad_separation_rejected_before_any_session(self, monkeypatch):
         monkeypatch.setattr(ev, "run_authentication", lambda *args, **kwargs: pytest.fail("a session ran"))
@@ -290,6 +290,14 @@ class TestDetectorComparison:
     def test_bad_sigma_proc_rejected(self, sigma):
         with pytest.raises(ValueError, match=f"^sigma_proc_s must be in \\[0, 1.0\\] seconds, got {sigma}$"):
             ev.detector_comparison((1.0,), 1, 42, sigma_proc_s=sigma)
+
+    def test_distance_beyond_pairing_range_rejected_before_any_session(self, monkeypatch):
+        """The echo baseline's recording grows with the distance (130 million
+        samples at 1e6 m), and no paired link serves either method there."""
+        monkeypatch.setattr(ev, "run_authentication", lambda *args, **kwargs: pytest.fail("a session ran"))
+        monkeypatch.setattr(ev, "one_way_ranging", lambda *args, **kwargs: pytest.fail("an echo ran"))
+        with pytest.raises(ValueError, match="^distance 1000000.0 m is beyond the 10.0 m pairing range$"):
+            ev.detector_comparison((0.5, 1e6), 1, 42)
 
     def test_baselines_much_worse(self):
         report = ev.detector_comparison((1.0,), 10, 42)

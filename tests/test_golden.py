@@ -75,8 +75,6 @@ SESSIONS = {
         0.5, 8, cfg=replace(ch.ChannelConfig(), wall_plane_x=0.25, wall_attenuation_db=60.0)
     ),
     "not_paired_range": lambda: _session(12.0, 9),
-    "xcorr_0.5m": lambda: _session(0.5, 12, detector="xcorr"),
-    "xcorr_1.5m": lambda: _session(1.5, 13, detector="xcorr"),
     "skewed_vouch_clock": lambda: _session(0.8, 14, tau=1.5, vouch_rate=44_100.0 * 1.001),
     "guessing_replay": lambda: _attack(adv.GuessingReplay(), 16),
     "all_frequency": lambda: _attack(adv.AllFrequency(per_tone_power=ALL_FREQUENCY_POWER), 17),
@@ -95,8 +93,6 @@ GOLDEN = {
     "signal_not_present_3m": "40270c63c56cb3dfa44bc992463a713d643648b2695f8d00bf28f93d94db7cd3",
     "signal_not_present_wall": "d43274bbc9abd38885a0e19bdafa8e8cac9305e70aac2d539fee5a12a91ed75f",
     "not_paired_range": "d5c573cb8b0a85c6e02c3523675d89c5fdbf8121139440ce4ba76363486c7030",
-    "xcorr_0.5m": "d3be3f8c2a987735037d184475f2cc9b2ab430cd53c4891deec118c49ab9f583",
-    "xcorr_1.5m": "f767038922679ec662565c190f3fc07682755454d592d3ac9d1173943bb4d965",
     "skewed_vouch_clock": "68850345a9f3f4b2df094a179ed09bb0355d190bc0252e613a2eecedeb284d2d",
     "guessing_replay": "07613463ab81cb0e5528bbb5790b862feb053e9b20ba269571f0926affa71231",
     "all_frequency": "956e3c8dd13911bc509feaba4f9f33974e89f9af8f1ceed8d95d19fc80ecf64d",
@@ -117,8 +113,6 @@ GOLDEN_WITHOUT_LINK = {
     "signal_not_present_3m": "dda94d3deb29f9075cbe7393ec77b465aa1398723b03144b027ea6289a7784d5",
     "signal_not_present_wall": "f3008f6865cbac7345d6c208d0d3f26864eb888bffb67caac986a71b2644fe2d",
     "not_paired_range": "3bb9b0482ea8e66347965f12ec23e6c7f379f8b19ada76f5eb22ae8954cfb422",
-    "xcorr_0.5m": "3bfb7b8a5b2de4e85b9ee1031f27adca7979e73892942a8c99d9253a28fc8172",
-    "xcorr_1.5m": "ca2a6c65b43ea5b467c8bb83b20e9a51a042740133d5c5a538e96aedcab85e12",
     "skewed_vouch_clock": "a96592bd969c133ca6a9ce57125f82adc89fd6da34ce28823aa5757debaddc05",
     "guessing_replay": "6f7ea8ccd0d8f5353a9420f49fb5a91a529bf6033e298d5d1ee0ab15b1505f72",
     "all_frequency": "56648bd58c13346dc67cad4c3198bc3acd7a2795f8a20b034f471fa4a6ed03d1",

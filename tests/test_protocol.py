@@ -94,7 +94,7 @@ class TestPolicy:
             AuthPolicy(threshold_m=0.0)
 
 
-def run(d, policy=None, cfg=ch.ChannelConfig(), seed=1, **kwargs):
+def run(d, policy=None, cfg=ch.ChannelConfig(), seed=1):
     rng = np.random.default_rng(np.random.SeedSequence([77, seed]))
     return run_authentication(
         Endpoint("auth", (0.0, 0.0)),
@@ -102,7 +102,6 @@ def run(d, policy=None, cfg=ch.ChannelConfig(), seed=1, **kwargs):
         policy or AuthPolicy(threshold_m=1.0),
         rng,
         cfg,
-        **kwargs,
     )
 
 
@@ -179,13 +178,18 @@ class TestRunAuthentication:
         assert transcript.raw_distance_m is not None
         assert abs(transcript.raw_distance_m - 0.8) <= 0.3
 
-    def test_xcorr_detector_variant_runs(self):
-        decision, transcript = run(0.5, detector="xcorr")
-        assert transcript.raw_distance_m is not None
+    def test_detector_comparison_runs_one_session_per_trial(self, monkeypatch):
+        """Its xcorr baseline reads the frequency sessions' replayed
+        recordings, so no trial runs a second session."""
+        sessions = []
 
-    def test_unknown_detector_rejected(self):
-        with pytest.raises(ValueError):
-            run(0.5, detector="wavelet")
+        def counted(*args, **kwargs):
+            sessions.append(args[1].position)
+            return run_authentication(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "run_authentication", counted)
+        ev.detector_comparison((0.5, 1.0), 2, 3)
+        assert sessions == [(0.5, 0.0)] * 2 + [(1.0, 0.0)] * 2
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_devices_sharing_an_id_rejected(self, seed):

@@ -748,8 +748,8 @@ class TestCrossCorrelate:
 
     @pytest.mark.parametrize("distance", [0.5, 1.5])
     def test_argmax_equals_scipy_correlate(self, office_cfg, distance):
-        """On the recordings of seeded xcorr sessions, the rFFT correlation
-        locates every signal where ``scipy.signal.correlate`` peaks."""
+        """On the recordings of seeded sessions, the rFFT correlation locates
+        every signal where ``scipy.signal.correlate`` peaks."""
         for seed in range(4):
             _, transcript = run_authentication(
                 Endpoint("auth", (0.0, 0.0)),
@@ -757,7 +757,6 @@ class TestCrossCorrelate:
                 AuthPolicy(),
                 np.random.default_rng(seed),
                 office_cfg,
-                detector="xcorr",
             )
             sig_a, sig_v, rec_a, rec_v = replay_session(transcript, office_cfg)
             for rec in (rec_a, rec_v):
