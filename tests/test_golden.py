@@ -147,6 +147,16 @@ XCORR_BASELINE = {
     (1.5, 13): ({"l_aa": 8876, "l_av": 8870, "l_va": 22112, "l_vv": 22106}, 0.0),
 }
 
+# The two-way rows of the golden detector comparison, by (method, distance):
+# trials measured and mean absolute error in metres. The echo row is left to
+# the report digest, so these hold through a change of the echo baseline.
+TWO_WAY_ROWS = {
+    ("two_way_freq", 0.5): (2, 0.039682539682542484),
+    ("two_way_freq", 1.0): (2, 0.0022675736961454973),
+    ("two_way_xcorr", 0.5): (2, 0.8430839002267574),
+    ("two_way_xcorr", 1.0): (2, 1.0),
+}
+
 # An all-frequency campaign's transcripts, concatenated: its later sessions
 # find the spoofer's path responses memoized by the first, so even in a fresh
 # process this digest covers memo hits, not only misses.
@@ -201,6 +211,16 @@ def test_distance_error_campaign_csv_digest():
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_campaign_report_digest(name):
     assert _sha(REPORTS[name]()) == REPORT_SHA256[name]
+
+
+def test_detector_comparison_two_way_rows():
+    rows = json.loads(REPORTS["detector_comparison"]())["rows"]
+    two_way = {
+        (r["method"], r["distance_m"]): (r["measured"], r["mean_abs_error_m"])
+        for r in rows
+        if r["method"] != "one_way_echo"
+    }
+    assert two_way == TWO_WAY_ROWS
 
 
 def test_all_frequency_campaign_transcripts_digest():
