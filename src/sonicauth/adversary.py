@@ -27,6 +27,7 @@ from .signal import (
     _coarse_phasors,
     _finite_positive,
     _grid_bin_spectra,
+    _is_int,
     _is_number,
     _left_sum,
     _tone_sum,
@@ -121,14 +122,15 @@ def _all_frequency_waveform(per_tone_power: float, duration: int) -> np.ndarray:
 def guessing_success_probability(bin_count: int, signals: int = 1) -> float:
     """Probability that independent guesses match the session's tone sets.
 
-    One signal: ``1 / (2**N - 2)`` (uniform over non-empty proper subsets).
-    Two signals: the square, since the guesses are independent.
+    One signal: ``1 / (2**N - 2)`` (uniform over non-empty proper subsets),
+    in exact integers, so a count past the float range gives 0.0. Two
+    signals: the square, since the guesses are independent.
     """
-    if bin_count < 2:
-        raise ValueError("need at least 2 bins")
+    if not (_is_int(bin_count) and bin_count >= 2):
+        raise ValueError(f"bin_count must be an integer of at least 2, got {bin_count!r}")
     if signals not in (1, 2):
         raise ValueError("signals must be 1 or 2")
-    single = 1.0 / (2.0**bin_count - 2.0)
+    single = 1 / ((1 << bin_count) - 2)
     return single if signals == 1 else single**2
 
 

@@ -339,8 +339,9 @@ def propagate(
     mix[lo:hi] += w[lo - start : hi - start]
 
 
-# A session's recordings share one length and the echo baseline's take a few
-# others; each mask holds n/2+1 floats (~115 KB at 28672 samples).
+# Every recording a session makes has one length; the second entry serves a
+# scene of another length that a caller of ``record`` builds. Each mask holds
+# n/2+1 floats (~115 KB at 28672 samples).
 @lru_cache(maxsize=2)
 def _noise_mask(n: int) -> np.ndarray:
     """Spectral amplitude of the noise over the ``n``-sample rFFT bins: flat

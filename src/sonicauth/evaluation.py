@@ -33,7 +33,6 @@ from .protocol import (
     SessionMeasurements,
     SessionTranscript,
     estimate_distance,
-    one_way_ranging,
     replay_session,
     run_authentication,
 )
@@ -76,6 +75,8 @@ def _normal_cdf_integral_gap(x: float) -> float:
     the antiderivative of the standard normal CDF: ``phi(0)*(1 - exp(-x*x/2))
     + x*Phi(-x)``. ``expm1`` keeps the first term exact where ``x`` is small,
     so no two nearly equal terms are subtracted."""
+    if math.isinf(x):  # a subnormal sigma: the limit, not inf * erfc(inf)
+        return 1.0 / math.sqrt(2.0 * math.pi)
     return -math.expm1(-0.5 * x * x) / math.sqrt(2.0 * math.pi) + x * 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
@@ -167,9 +168,12 @@ def _sessions(
     at (0, 0) and (``separations[cell]``, 0), ``intruder`` adding its
     emissions; return (cell, transcript) per session. ``run_authentication``
     is looked up here at call time. Raises
-    ``ValueError`` before any session when ``trials < 1`` or a separation is
-    not a finite, non-negative distance; a separation beyond the pairing
-    range is legal and is rejected as not paired."""
+    ``ValueError`` before any session when ``trials`` is not an integer of at
+    least 1 or a separation is not a finite, non-negative distance; a
+    separation beyond the pairing range is legal and is rejected as not
+    paired."""
+    if not sg._is_int(trials):
+        raise ValueError(f"trials must be an integer, got trials={trials!r}")
     if trials < 1:
         raise ValueError(f"need at least one trial per cell, got trials={trials}")
     for d in separations:
@@ -270,6 +274,8 @@ def multiuser_campaign(
 ) -> ExperimentReport:
     """Ranging with ``pairs`` total device pairs active at once (1 = no
     interference, identical to ``distance_error_campaign``)."""
+    if not sg._is_int(pairs):
+        raise ValueError(f"pairs must be an integer, got pairs={pairs!r}")
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
     if trials < min_trials:
@@ -382,8 +388,8 @@ def all_frequency_power_sweep(count: int) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 
-# The echo baseline's mean processing delay, the largest jitter it accepts
-# (its recording, and the memory it takes, grow with the drawn delay) and its
+# The echo baseline's mean processing delay, the largest jitter it accepts (a
+# second of jitter already spans 340 m, far past the pairing range) and its
 # calibration rounds.
 _ECHO_MU_PROC_S = 0.15
 _ECHO_MAX_SIGMA_PROC_S = 1.0
@@ -409,17 +415,21 @@ def detector_comparison(
     sigma_proc_s: float = 0.02,
     channel_cfg: ch.ChannelConfig | None = None,
 ) -> ExperimentReport:
-    """Mean absolute ranging error for three methods:
+    """Mean absolute ranging error for three methods, all scored on the same
+    sessions:
 
     * ``two_way_freq``  - the full protocol with the frequency detector;
     * ``two_way_xcorr`` - the raw cross-correlation baseline detector on the
-      same sessions' recordings, replayed from their transcripts;
-    * ``one_way_echo``  - one-way ranging against a processing delay,
-      calibrated over ``_ECHO_CALIBRATION_TRIALS`` rounds at 5 cm, whose
-      per-trial jitter is Normal(``_ECHO_MU_PROC_S``, ``sigma_proc_s``),
-      clipped at zero; ``sigma_proc_s`` must lie in [0, 1] s.
+      sessions' recordings, replayed from their transcripts;
+    * ``one_way_echo``  - one-way ranging from the vouching signal's arrival
+      at the authenticating device (``l_av``) less its scheduled playback,
+      plus a processing delay the authenticating device cannot see, drawn
+      per trial from Normal(``_ECHO_MU_PROC_S``, ``sigma_proc_s``) clipped at
+      zero, less the mean of ``_ECHO_CALIBRATION_TRIALS`` calibration draws;
+      ``sigma_proc_s`` must lie in [0, 1] s. A session whose ``l_av`` was not
+      found is not measured.
 
-    A distance beyond the pairing range, where no paired link serves either
+    A distance beyond the pairing range, where no paired link serves any
     method, raises ``ValueError`` before any session.
     """
     if not 0 <= sigma_proc_s <= _ECHO_MAX_SIGMA_PROC_S:  # False for nan
@@ -429,28 +439,25 @@ def detector_comparison(
     for d in distances:
         if d > PAIRING_RANGE_M:
             raise ValueError(f"distance {d} m is beyond the {PAIRING_RANGE_M} m pairing range")
-    auth = Endpoint("auth", (0.0, 0.0))
 
-    def echo(vouch: Endpoint, rng: np.random.Generator) -> float | None:
-        delay = max(_ECHO_MU_PROC_S + sigma_proc_s * rng.standard_normal(), 0.0)
-        return one_way_ranging(auth, vouch, rng, cfg, processing_delay_s=delay)
+    def delay(rng: np.random.Generator) -> float:
+        return max(_ECHO_MU_PROC_S + sigma_proc_s * rng.standard_normal(), 0.0)
 
+    # The echo baseline's calibration: the mean of delays drawn on a stream of their own.
+    cal_rng = _trial_rng(seed, 99, 0)
+    mu_hat = float(np.mean([delay(cal_rng) for _ in range(_ECHO_CALIBRATION_TRIALS)]))
     results = _sessions(distances, trials, seed, cfg, AuthPolicy(threshold_m=1.0), None)
     errors = {"two_way_freq": [[abs(e) for e in signed] for signed in _signed_errors(results, distances)]}
     errors["two_way_xcorr"] = [[] for _ in distances]
-    for cell, t in results:
+    errors["one_way_echo"] = [[] for _ in distances]
+    # The sessions run cell by cell, trial by trial: result i is trial i % trials.
+    for i, (cell, t) in enumerate(results):
         errors["two_way_xcorr"][cell].append(abs(_xcorr_distance(t, cfg) - distances[cell]))
-
-    # Calibrate the echo baseline's processing delay at near-zero distance.
-    cal_rng = _trial_rng(seed, 99, 0)
-    elapsed_cal = [echo(Endpoint("vouch", (0.05, 0.0)), cal_rng) for _ in range(_ECHO_CALIBRATION_TRIALS)]
-    elapsed_cal = [elapsed for elapsed in elapsed_cal if elapsed is not None]
-    mu_hat = float(np.mean(elapsed_cal)) if elapsed_cal else _ECHO_MU_PROC_S
-    errors["one_way_echo"] = []
-    for cell, d in enumerate(distances):
-        vouch = Endpoint("vouch", (d, 0.0))
-        elapsed = (echo(vouch, _trial_rng(seed, cell + 1000, trial)) for trial in range(trials))
-        errors["one_way_echo"].append([abs(cfg.speed_of_sound * (e - mu_hat) - d) for e in elapsed if e is not None])
+        l_av = t.locations["l_av"]
+        if l_av is not None:
+            played = (t.playback_start + t.playback_gap) / ch.BASE_SAMPLE_RATE
+            elapsed = l_av / t.sample_rates["auth"] - played + delay(_trial_rng(seed, cell + 1000, i % trials))
+            errors["one_way_echo"][cell].append(abs(cfg.speed_of_sound * (elapsed - mu_hat) - distances[cell]))
     rows = [
         {
             "method": method,

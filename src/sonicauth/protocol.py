@@ -118,9 +118,10 @@ PLAYBACK_GAP_S = 0.3
 PLAYBACK_START_S = 0.2
 START_JITTER_SAMPLES = 200
 PLAYBACK_GAP_SAMPLES = _to_samples(PLAYBACK_GAP_S)
-# A recording runs this many samples past the latest end of the signals it
-# must hold, before rounding up to a fast FFT length: room for a longer
-# smoothing kernel or a slower speed of sound than the defaults.
+# A recording runs this many samples past the latest a session's signals can
+# end, before rounding up to a fast FFT length: room for a longer smoothing
+# kernel or a slower speed of sound than the defaults (``_record`` refuses a
+# setting that needs more).
 RECORD_MARGIN_SAMPLES = 1000
 
 
@@ -215,23 +216,19 @@ def _arrival_end(play_at: int, src: tuple[float, ...], dst: tuple[float, ...], c
     return play_at + delay + SIGNAL_LENGTH + len(cfg.smoothing_kernel) - 1
 
 
-def _recording_length(end: int) -> int:
-    """Samples of a recording that must hold everything ending by sample
-    ``end``: the margin added, rounded up to a fast FFT length."""
-    return ch.fast_fft_length(end + RECORD_MARGIN_SAMPLES)
-
-
-# Every recording of a session lasts RECORD_SAMPLES: the latest a session's
-# signal can end at either device is the vouching signal's end at the
-# authenticating device, played at the latest start and heard at the pairing
-# range through the default kernel (sample 27652).
-RECORD_SAMPLES = _recording_length(
+# Every recording lasts RECORD_SAMPLES: the latest a session's signal can end
+# at either device is the vouching signal's end at the authenticating device,
+# played at the latest start and heard at the pairing range through the
+# default kernel (sample 27652). The margin is added and the sum rounded up to
+# a fast FFT length.
+RECORD_SAMPLES = ch.fast_fft_length(
     _arrival_end(
         _to_samples(PLAYBACK_START_S) + START_JITTER_SAMPLES + PLAYBACK_GAP_SAMPLES,
         (0.0,),
         (PAIRING_RANGE_M,),
         ch.ChannelConfig(),
     )
+    + RECORD_MARGIN_SAMPLES
 )
 
 
@@ -369,38 +366,3 @@ def measurements_from_transcript(t: SessionTranscript) -> SessionMeasurements:
         f_a=t.sample_rates["auth"],
         f_v=t.sample_rates["vouch"],
     )
-
-
-def one_way_ranging(
-    auth: Endpoint,
-    vouch: Endpoint,
-    rng: np.random.Generator,
-    channel_cfg: ch.ChannelConfig,
-    *,
-    processing_delay_s: float,
-) -> float | None:
-    """One round of the one-way echo baseline.
-
-    The authenticating device hands a fresh reference signal to the vouching
-    device (instantaneous over the paired link) and starts its clock; the
-    vouching device plays it after ``processing_delay_s``; the authenticating
-    device locates the arrival in a recording that ends, like a session's,
-    ``RECORD_MARGIN_SAMPLES`` after the latest the signal can end, rounded up
-    to a fast FFT length. Returns the elapsed seconds, or None when the signal
-    is not detected.
-    """
-    sig = _draw(rng)
-    t_send = _to_samples(0.15)
-    play_at = t_send + _to_samples(processing_delay_s)
-    end = _arrival_end(play_at, vouch.position, auth.position, channel_cfg)
-    scene = ch.AcousticScene(
-        emissions=(ch.Emission(vouch.device_id, sig.samples, play_at, vouch.position),),
-        recorders=(auth,),
-        duration=_recording_length(end),
-        seed=int(rng.integers(0, 2**31 - 1)),
-    )
-    rec = ch.record(scene, auth.device_id, channel_cfg)
-    out = spectrum.detect(rec.samples, sig, sample_rate=auth.sample_rate)
-    if out.location is None:
-        return None
-    return (out.location - t_send) / auth.sample_rate

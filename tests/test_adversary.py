@@ -206,6 +206,17 @@ class TestGuessingProbability:
             adv.guessing_success_probability(1, 1)
         with pytest.raises(ValueError):
             adv.guessing_success_probability(30, 3)
+        for count in (2.5, True, 30.0):
+            with pytest.raises(ValueError, match=f"^bin_count must be an integer of at least 2, got {count}$"):
+                adv.guessing_success_probability(count, 1)
+
+    def test_count_past_the_float_range(self):
+        """``2**N - 2`` is exact in integers: the probability equals the float
+        formula wherever that formula has a float, and is 0.0 beyond it."""
+        for count in range(2, 1024):
+            assert adv.guessing_success_probability(count, 1) == 1.0 / (2.0**count - 2.0)
+        assert adv.guessing_success_probability(2000, 1) == 0.0
+        assert adv.guessing_success_probability(2000, 2) == 0.0
 
 
 class TestScenarios:

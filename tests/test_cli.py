@@ -376,11 +376,3 @@ def _refuse_sessions(monkeypatch):
 
     monkeypatch.setattr(cli, "run_authentication", no_session)
     monkeypatch.setattr(sonicauth.evaluation, "run_authentication", no_session)
-
-
-def test_compare_with_a_delay_past_the_shortest_echo_recording(capsys):
-    """At ``--sigma-proc 1`` the drawn processing delays spread over seconds;
-    each echo's recording is as long as its own delay needs."""
-    assert main(["compare", "--trials", "1", "--distances", "0.5", "--sigma-proc", "1"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert [line.split(",")[0] for line in lines[1:]] == ["two_way_freq", "two_way_xcorr", "one_way_echo"]

@@ -58,16 +58,18 @@ class TestFrrFarModel:
 
     def test_frr_exact_at_tiny_sigma(self):
         """At sigma = 1e-4 m the transition is too narrow for a quadrature to
-        see; the FRR is then sigma*phi(0)/tau."""
-        sigma = 1e-4
-        frr, _ = ev.frr_far_model(1.0, ev.ErrorModel(sigma))
-        assert frr == pytest.approx(sigma * PHI_0 / 1.0, rel=1e-9)
+        see; the FRR is then sigma*phi(0)/tau. At a subnormal sigma, tau/sigma
+        overflows to infinity, and the model takes the limit. The absolute
+        tolerance is two steps of the subnormal grid."""
+        for sigma in (1e-4, 1e-320):
+            frr, _ = ev.frr_far_model(1.0, ev.ErrorModel(sigma))
+            assert frr == pytest.approx(sigma * PHI_0 / 1.0, rel=1e-9, abs=1e-323)
 
     def test_far_exact_at_tiny_sigma(self):
-        sigma = 2e-4
-        model = ev.ErrorModel(sigma)
-        _, far = ev.frr_far_model(1.0, model)
-        assert far == pytest.approx(sigma * PHI_0 / (model.pairing_range_m - 1.0), rel=1e-9)
+        for sigma in (2e-4, 1e-320):
+            model = ev.ErrorModel(sigma)
+            _, far = ev.frr_far_model(1.0, model)
+            assert far == pytest.approx(sigma * PHI_0 / (model.pairing_range_m - 1.0), rel=1e-9, abs=1e-323)
 
     def test_matches_closed_form(self):
         model = ev.ErrorModel(sigma_m=0.0702)
@@ -284,6 +286,48 @@ class TestSessions:
         with pytest.raises(ValueError, match="separation"):
             ev.distance_error_campaign("office", (0.5, float("nan")), 1, 1, min_trials=1)
 
+    @pytest.mark.parametrize(
+        "campaign, message",
+        [
+            (lambda: ev.multiuser_campaign(1.5, (0.5,), 1, 1, min_trials=1), "^pairs must be an integer, got pairs=1.5$"),
+            (lambda: ev.multiuser_campaign(1, (0.5,), 1.5, 1, min_trials=1), "^trials must be an integer, got trials=1.5$"),
+            (lambda: ev.attack_campaign(adv.ZeroEffort(), 1.5, 1), "^trials must be an integer, got trials=1.5$"),
+            (lambda: ev.attack_campaign(adv.ZeroEffort(), True, 1), "^trials must be an integer, got trials=True$"),
+        ],
+        ids=["pairs", "multiuser_trials", "attack_trials", "attack_trials_bool"],
+    )
+    def test_non_integer_count_rejected_before_any_session(self, monkeypatch, campaign, message):
+        monkeypatch.setattr(ev, "run_authentication", lambda *args, **kwargs: pytest.fail("a session ran"))
+        with pytest.raises(ValueError, match=message):
+            campaign()
+
+
+class TestTrialOrder:
+    """Trials are order-insensitive: each (cell, trial) run alone from its own
+    stream, in reverse order, gives the transcript ``_sessions`` gave it,
+    though the process keeps caches across sessions (the shift ramps, the
+    path memo and the bin tables)."""
+
+    def _assert_order_insensitive(self, separations, trials, seed, intruder):
+        cfg = ev._cfg_for("office", None)
+        policy = AuthPolicy(threshold_m=1.0)
+        forward = ev._sessions(separations, trials, seed, cfg, policy, intruder)
+        assert len(forward) == len(separations) * trials
+        # _sessions runs cell by cell, trial by trial: result i is trial i % trials.
+        for i in reversed(range(len(forward))):
+            cell, t = forward[i]
+            auth, vouch = Endpoint("auth", (0.0, 0.0)), Endpoint("vouch", (separations[cell], 0.0))
+            rng = ev._trial_rng(seed, cell, i % trials)
+            _, again = run_authentication(auth, vouch, policy, rng, cfg, intruder=intruder)
+            assert again.to_json() == t.to_json()
+
+    def test_crowded(self):
+        self._assert_order_insensitive((0.5, 1.0), 2, 61, lambda ctx, r: ev._interferer_emissions(ctx, r, 2))
+
+    def test_all_frequency_attack(self):
+        scenario = adv.AllFrequency(per_tone_power=ev.all_frequency_power_sweep(6)[-1])
+        self._assert_order_insensitive((3.0,), 3, 62, lambda ctx, r: adv.build_emissions(scenario, ctx, r))
+
 
 class TestDetectorComparison:
     @pytest.mark.parametrize("sigma", [-1.0, 1.5, float("nan"), float("inf")])
@@ -292,10 +336,8 @@ class TestDetectorComparison:
             ev.detector_comparison((1.0,), 1, 42, sigma_proc_s=sigma)
 
     def test_distance_beyond_pairing_range_rejected_before_any_session(self, monkeypatch):
-        """The echo baseline's recording grows with the distance (130 million
-        samples at 1e6 m), and no paired link serves either method there."""
+        """No paired link serves any method there."""
         monkeypatch.setattr(ev, "run_authentication", lambda *args, **kwargs: pytest.fail("a session ran"))
-        monkeypatch.setattr(ev, "one_way_ranging", lambda *args, **kwargs: pytest.fail("an echo ran"))
         with pytest.raises(ValueError, match="^distance 1000000.0 m is beyond the 10.0 m pairing range$"):
             ev.detector_comparison((0.5, 1e6), 1, 42)
 

@@ -191,6 +191,22 @@ class TestRunAuthentication:
         ev.detector_comparison((0.5, 1.0), 2, 3)
         assert sessions == [(0.5, 0.0)] * 2 + [(1.0, 0.0)] * 2
 
+    def test_detector_comparison_makes_four_recordings_per_trial(self, monkeypatch):
+        """Each trial's session records at both devices, and the xcorr
+        baseline replays both recordings; the echo baseline reads the
+        session's transcript and records nothing."""
+        recordings = []
+        record = ch.record
+
+        def counted(scene, device_id, cfg):
+            recordings.append(scene.duration)
+            return record(scene, device_id, cfg)
+
+        monkeypatch.setattr(ch, "record", counted)
+        distances, trials = (0.5, 1.0), 2
+        ev.detector_comparison(distances, trials, 3)
+        assert recordings == [RECORD_SAMPLES] * (4 * len(distances) * trials)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_devices_sharing_an_id_rejected(self, seed):
         """Both recordings would otherwise come from the first device, which
@@ -316,35 +332,3 @@ class TestPeaksReproduce:
         found = self._detections(monkeypatch, session)
         assert {rate for *_, rate, _ in found} == {44_100.0, 44_100.0 * 1.001}
         self._assert_reproduced(found, 4)
-
-
-class TestOneWay:
-    def test_zero_jitter_matches_distance(self, office_cfg):
-        from sonicauth.protocol import one_way_ranging
-
-        rng = np.random.default_rng(3)
-        elapsed = one_way_ranging(
-            Endpoint("auth", (0.0, 0.0)),
-            Endpoint("vouch", (1.0, 0.0)),
-            rng,
-            office_cfg,
-            processing_delay_s=0.15,
-        )
-        assert elapsed is not None
-        d_est = 340.0 * (elapsed - 0.15)
-        assert abs(d_est - 1.0) < 0.2
-
-    def test_delay_past_the_shortest_recording(self, office_cfg):
-        """A 2 s processing delay ends the echo after 1.2 s: the recording
-        grows to hold it, and the echo is still located."""
-        from sonicauth.protocol import one_way_ranging
-
-        elapsed = one_way_ranging(
-            Endpoint("auth", (0.0, 0.0)),
-            Endpoint("vouch", (1.0, 0.0)),
-            np.random.default_rng(3),
-            office_cfg,
-            processing_delay_s=2.0,
-        )
-        assert elapsed is not None
-        assert abs(340.0 * (elapsed - 2.0) - 1.0) < 0.2

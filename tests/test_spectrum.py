@@ -648,8 +648,7 @@ class TestCoarseFailureSkipsFineScan:
     def test_fine_pass_only_for_signals_some_coarse_window_passes(self, monkeypatch):
         """Noise alone fails every coarse window of both signals: no fine pass
         runs. With the second signal at 9 000, the pass gets its span alone.
-        ``detect``, the echo baseline's single-signal scan, follows the same
-        rule."""
+        ``detect``, the single-signal scan, follows the same rule."""
         rng = np.random.default_rng(2805)
         sig_a, sig_b = synthesize(sample_spec(rng)), synthesize(sample_spec(rng))
         noise = rng.normal(0.0, 25.0, 28_672)
