@@ -20,10 +20,8 @@ from .signal import (
 from .spectrum import (
     DetectionOutcome,
     cross_correlate_detect,
-    detect,
     detect_pair,
     frequency_bin,
-    norm_power,
 )
 from .channel import AcousticScene, ChannelConfig, Emission, Recorder, Recording, record
 from .protocol import (
@@ -61,10 +59,8 @@ __all__ = [
     "synthesize",
     "DetectionOutcome",
     "cross_correlate_detect",
-    "detect",
     "detect_pair",
     "frequency_bin",
-    "norm_power",
     "AcousticScene",
     "ChannelConfig",
     "Emission",

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable
@@ -156,29 +157,41 @@ def _trial_rng(seed: int, cell: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, cell, trial]))
 
 
+def _check_count(name: str, value) -> None:
+    if not sg._is_int(value):
+        raise ValueError(f"{name} must be an integer, got {name}={value!r}")
+
+
+def _check_separations(separations: tuple[float, ...]) -> None:
+    """``ValueError`` when a separation is not a finite, non-negative
+    distance (a bool is not a distance)."""
+    for d in separations:
+        if not isinstance(d, numbers.Real) or isinstance(d, bool):
+            raise ValueError(f"separation must be a real number of metres, got {d!r}")
+        if not (math.isfinite(d) and d >= 0):
+            raise ValueError(f"separation must be a finite, non-negative distance in metres, got {d}")
+
+
 def _sessions(
     separations: tuple[float, ...],
     trials: int,
     seed: int,
     cfg: ch.ChannelConfig,
-    policy: AuthPolicy,
     intruder: IntruderFactory | None,
 ) -> list[tuple[int, SessionTranscript]]:
     """Run ``trials`` seeded sessions per cell, cell by cell, with the devices
     at (0, 0) and (``separations[cell]``, 0), ``intruder`` adding its
-    emissions; return (cell, transcript) per session. ``run_authentication``
-    is looked up here at call time. Raises
-    ``ValueError`` before any session when ``trials`` is not an integer of at
-    least 1 or a separation is not a finite, non-negative distance; a
-    separation beyond the pairing range is legal and is rejected as not
-    paired."""
-    if not sg._is_int(trials):
-        raise ValueError(f"trials must be an integer, got trials={trials!r}")
+    emissions, under the default ``AuthPolicy``; return (cell, transcript)
+    per session. ``run_authentication`` is looked up here at call time.
+    Raises ``ValueError`` before any session when ``trials`` is not an
+    integer of at least 1 or a separation is not a finite, non-negative
+    distance; a separation beyond the pairing range is legal and is rejected
+    as not paired."""
+    _check_count("trials", trials)
     if trials < 1:
         raise ValueError(f"need at least one trial per cell, got trials={trials}")
-    for d in separations:
-        if not (math.isfinite(d) and d >= 0):
-            raise ValueError(f"separation must be a finite, non-negative distance in metres, got {d}")
+    _check_separations(separations)
+    policy = AuthPolicy()
     results = []
     for cell, d in enumerate(separations):
         for trial in range(trials):
@@ -274,8 +287,8 @@ def multiuser_campaign(
 ) -> ExperimentReport:
     """Ranging with ``pairs`` total device pairs active at once (1 = no
     interference, identical to ``distance_error_campaign``)."""
-    if not sg._is_int(pairs):
-        raise ValueError(f"pairs must be an integer, got pairs={pairs!r}")
+    for name, count in (("pairs", pairs), ("trials", trials), ("min_trials", min_trials)):
+        _check_count(name, count)
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
     if trials < min_trials:
@@ -285,7 +298,7 @@ def multiuser_campaign(
     intruder = None
     if pairs > 1:
         intruder = lambda ctx, r: _interferer_emissions(ctx, r, pairs - 1)
-    results = _sessions(distances, trials, seed, cfg, AuthPolicy(threshold_m=1.0), intruder)
+    results = _sessions(distances, trials, seed, cfg, intruder)
     rows = []
     for d, signed in zip(distances, _signed_errors(results, distances)):
         errors = [abs(e) for e in signed]
@@ -344,13 +357,13 @@ def attack_campaign(
     channel_cfg: ch.ChannelConfig | None = None,
 ) -> AttackReport:
     """Run full sessions with the attacker injected and count acceptances
-    under the 1 m threshold.
+    under the default ``AuthPolicy`` threshold, 1 m.
 
     The legitimate devices sit ``separation_m`` apart (default beyond the
     detect range: the attacker tries while the user is away)."""
     cfg = _cfg_for(environment, channel_cfg)
     intruder = lambda ctx, r: adv.build_emissions(scenario, ctx, r)
-    results = _sessions((separation_m,), trials, seed, cfg, AuthPolicy(threshold_m=1.0), intruder)
+    results = _sessions((separation_m,), trials, seed, cfg, intruder)
     transcripts = [t for _, t in results]
     return AttackReport(
         scenario=type(scenario).__name__,
@@ -436,6 +449,7 @@ def detector_comparison(
         raise ValueError(f"sigma_proc_s must be in [0, {_ECHO_MAX_SIGMA_PROC_S}] seconds, got {sigma_proc_s}")
     cfg = _cfg_for(environment, channel_cfg)
     distances = tuple(distances)
+    _check_separations(distances)
     for d in distances:
         if d > PAIRING_RANGE_M:
             raise ValueError(f"distance {d} m is beyond the {PAIRING_RANGE_M} m pairing range")
@@ -446,7 +460,7 @@ def detector_comparison(
     # The echo baseline's calibration: the mean of delays drawn on a stream of their own.
     cal_rng = _trial_rng(seed, 99, 0)
     mu_hat = float(np.mean([delay(cal_rng) for _ in range(_ECHO_CALIBRATION_TRIALS)]))
-    results = _sessions(distances, trials, seed, cfg, AuthPolicy(threshold_m=1.0), None)
+    results = _sessions(distances, trials, seed, cfg, None)
     errors = {"two_way_freq": [[abs(e) for e in signed] for signed in _signed_errors(results, distances)]}
     errors["two_way_xcorr"] = [[] for _ in distances]
     errors["one_way_echo"] = [[] for _ in distances]

@@ -31,12 +31,13 @@ squared in place in the slide buffer itself, so the pass holds no power
 buffers of its own.
 Each signal's gate (tone indices, out-of-set indices, presence floors and
 ``beta``) is built once per scan and read by the coarse, fine and exact
-scores. The fine scan only picks the window. The exact one-window kernel, the
-one ``norm_power`` uses, then scores that window; its score is the reported
-peak, and the detection is declared absent when it stays below ``EPSILON``
-times the signal's total nominal power. So a located window whose exact score fails a gate is not
-present, and ``norm_power`` on a located window reproduces the peak bit for
-bit by construction.
+scores. The fine scan only picks the window. The exact one-window kernel
+(``_window_score``) then scores that window; its score is the reported peak,
+and the detection is declared absent when it stays below ``EPSILON`` times
+the signal's total nominal power. So a located window whose exact score fails
+a gate is not present, and scanning the located window alone reproduces the
+peak bit for bit by construction: its one coarse window is its one fine
+window, rescored by the same kernel.
 
 The tone set, the nominal powers and their total all come from the
 ``ReferenceSignal``; the candidates are ``signal.CANDIDATES``, and every
@@ -378,26 +379,6 @@ def _scan(x: np.ndarray, sigs: tuple["ReferenceSignal", ...], sample_rate: float
     return tuple(outcomes)
 
 
-def norm_power(window: np.ndarray, sig: "ReferenceSignal", *, sample_rate: float) -> float | None:
-    """Normalized power of ``sig``'s tone set in one signal-long window
-    recorded at ``sample_rate``, or None when a sanity check fails (the
-    explicit stand-in for the minus-infinity sentinel). It is the score a
-    detection reports for the window it locates."""
-    if np.shape(window) != (signal.SIGNAL_LENGTH,):
-        raise ValueError(f"window must hold {signal.SIGNAL_LENGTH} samples, got shape {np.shape(window)}")
-    table = candidate_bin_table(sample_rate)
-    score = _window_score(_samples(window, "window"), 0, _gate(sig), table)
-    return None if score == -np.inf else score
-
-
-def detect(x: np.ndarray, sig: "ReferenceSignal", *, sample_rate: float) -> DetectionOutcome:
-    """Locate one reference signal in a recording made at ``sample_rate``
-    (coarse scan, then a fine scan of ``FINE_RADIUS`` samples around the
-    coarse argmax; a signal that no coarse window passes is absent, with no
-    fine scan). Ties break to the smallest index."""
-    return _scan(x, (sig,), sample_rate)[0]
-
-
 def detect_pair(
     x: np.ndarray,
     sig_a: "ReferenceSignal",
@@ -408,8 +389,8 @@ def detect_pair(
     """Detect two reference signals in one scan of a recording made at
     ``sample_rate``. The coarse-pass window spectra are computed once and
     shared, and the fine scans of the signals that some coarse window passes
-    run as one stacked pass; outcomes are bit-identical to two independent
-    ``detect`` calls.
+    run as one stacked pass. Each signal's outcome does not depend on the
+    other: ``detect_pair(x, sig, sig, ...)[0]`` is ``sig``'s outcome alone.
     """
     return _scan(x, (sig_a, sig_b), sample_rate)
 

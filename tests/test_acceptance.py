@@ -17,7 +17,7 @@ from sonicauth import channel as ch
 from sonicauth import evaluation as ev
 from sonicauth.protocol import AuthPolicy, Endpoint, RejectReason, run_authentication
 from sonicauth.signal import SAMPLE_RATE, sample_spec, synthesize
-from sonicauth.spectrum import detect
+from sonicauth.spectrum import detect_pair
 
 
 def _report(criterion, ok, detail):
@@ -227,7 +227,7 @@ def test_criterion_9_oracle_equivalence():
         x = rng.normal(0.0, 30.0, n)
         x[offset : offset + 4096] += scale * sig.samples
         x = np.clip(np.rint(x), -32768, 32767)
-        got = detect(x, sig, sample_rate=SAMPLE_RATE)
+        got = detect_pair(x, sig, sig, sample_rate=SAMPLE_RATE)[0]
         want, _ = exhaustive_detect(x, sig, 44_100.0)
         assert got.location is not None and want is not None
         worst = max(worst, abs(got.location - want))

@@ -12,7 +12,7 @@ from sonicauth import spectrum
 from sonicauth.protocol import RECORD_SAMPLES, AuthPolicy, Endpoint, SceneContext, run_authentication
 from sonicauth import signal as sg
 from sonicauth.signal import AMPLITUDE_BUDGET, BIN_COUNT, CANDIDATES, SAMPLE_RATE, sample_spec, synthesize
-from sonicauth.spectrum import measure_candidate_powers, norm_power
+from sonicauth.spectrum import detect_pair, measure_candidate_powers
 
 
 def uncached_all_frequency_signal(per_tone_power, duration):
@@ -175,7 +175,7 @@ class TestSanityCheckDefence:
             except ValueError:
                 continue
             window = wave[2048 : 2048 + 4096].astype(float)
-            assert norm_power(window, sig, sample_rate=SAMPLE_RATE) is None
+            assert detect_pair(window, sig, sig, sample_rate=SAMPLE_RATE)[0].peak_norm_power is None
 
     def test_wrong_guess_window_is_sentinel(self):
         rng = np.random.default_rng(9)
@@ -183,7 +183,7 @@ class TestSanityCheckDefence:
         guess = adv.guessing_replay_signal(np.random.default_rng(10))
         if set(guess.frequencies) == set(sig.frequencies):  # pragma: no cover
             pytest.skip("guess collided (probability ~1e-9)")
-        p = norm_power(guess.samples.astype(float), sig, sample_rate=SAMPLE_RATE)
+        p = detect_pair(guess.samples.astype(float), sig, sig, sample_rate=SAMPLE_RATE)[0].peak_norm_power
         assert p is None
 
 

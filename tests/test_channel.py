@@ -13,7 +13,7 @@ from sonicauth import evaluation as ev
 from sonicauth import pcm
 from sonicauth.protocol import RECORD_SAMPLES, AuthPolicy, Endpoint, run_authentication
 from sonicauth.signal import sample_spec, synthesize
-from sonicauth.spectrum import detect
+from sonicauth.spectrum import detect_pair
 
 
 NAN, INF = float("nan"), float("inf")
@@ -273,8 +273,8 @@ class TestRecord:
         )
         near = ch.record(scene, "near", office_cfg)
         far = ch.record(scene, "far", office_cfg)
-        l_near = detect(near.samples, sig, sample_rate=near.sample_rate).location
-        l_far = detect(far.samples, sig, sample_rate=far.sample_rate).location
+        l_near = detect_pair(near.samples, sig, sig, sample_rate=near.sample_rate)[0].location
+        l_far = detect_pair(far.samples, sig, sig, sample_rate=far.sample_rate)[0].location
         expected = round(0.5 / 340 * 44_100)  # 65 samples
         assert l_near is not None and l_far is not None
         assert abs((l_far - l_near) - expected) <= 10
@@ -347,14 +347,10 @@ class TestRecord:
         rec_true = ch.record(scene, "true", silent_cfg)
         rec_fast = ch.record(scene, "fast", silent_cfg)
         assert rec_fast.samples.shape[0] == pytest.approx(60_000 * skew, abs=2)
-        sep_true = (
-            detect(rec_true.samples, sig_b, sample_rate=44_100.0).location
-            - detect(rec_true.samples, sig_a, sample_rate=44_100.0).location
-        )
-        sep_fast = (
-            detect(rec_fast.samples, sig_b, sample_rate=44_100.0 * skew).location
-            - detect(rec_fast.samples, sig_a, sample_rate=44_100.0 * skew).location
-        )
+        out_a, out_b = detect_pair(rec_true.samples, sig_a, sig_b, sample_rate=44_100.0)
+        sep_true = out_b.location - out_a.location
+        out_a, out_b = detect_pair(rec_fast.samples, sig_a, sig_b, sample_rate=44_100.0 * skew)
+        sep_fast = out_b.location - out_a.location
         assert sep_fast == pytest.approx(sep_true * skew, abs=25)
 
     @pytest.mark.parametrize("skew", [1.001, 0.999, 1.0001])
@@ -552,5 +548,5 @@ class TestCalibration:
                 sig, 8000, (d, 0.0), (ch.Recorder("m", (0.0, 0.0)),), 30_000, seed=int(d * 10)
             )
             rec = ch.record(scene, "m", office_cfg)
-            out = detect(rec.samples, sig, sample_rate=rec.sample_rate)
+            out = detect_pair(rec.samples, sig, sig, sample_rate=rec.sample_rate)[0]
             assert (out.location is not None) == want_found

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -273,18 +274,47 @@ class TestSessions:
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_rejected(self, trials):
         with pytest.raises(ValueError, match=f"^need at least one trial per cell, got trials={trials}$"):
-            ev._sessions((0.5,), trials, 1, ch.ChannelConfig(), AuthPolicy(), None)
+            ev._sessions((0.5,), trials, 1, ch.ChannelConfig(), None)
 
     @pytest.mark.parametrize("separation", [float("nan"), float("inf"), -0.5])
     def test_bad_separation_rejected(self, separation):
         message = f"^separation must be a finite, non-negative distance in metres, got {separation}$"
         with pytest.raises(ValueError, match=message):
-            ev._sessions((0.5, separation), 1, 1, ch.ChannelConfig(), AuthPolicy(), None)
+            ev._sessions((0.5, separation), 1, 1, ch.ChannelConfig(), None)
+
+    @pytest.mark.parametrize("separation", ["a", None, True, 1 + 0j])
+    def test_non_real_separation_rejected(self, separation):
+        message = f"^separation must be a real number of metres, got {re.escape(repr(separation))}$"
+        with pytest.raises(ValueError, match=message):
+            ev._sessions((0.5, separation), 1, 1, ch.ChannelConfig(), None)
+
+    def test_numpy_separation_accepted(self, monkeypatch):
+        """``numbers.Real`` admits numpy scalars."""
+        monkeypatch.setattr(ev, "run_authentication", lambda *args, **kwargs: (None, None))
+        assert len(ev._sessions((np.float64(0.5), np.int64(1)), 1, 1, ch.ChannelConfig(), None)) == 2
 
     def test_bad_separation_rejected_before_any_session(self, monkeypatch):
         monkeypatch.setattr(ev, "run_authentication", lambda *args, **kwargs: pytest.fail("a session ran"))
         with pytest.raises(ValueError, match="separation"):
             ev.distance_error_campaign("office", (0.5, float("nan")), 1, 1, min_trials=1)
+
+    @pytest.mark.parametrize(
+        "campaign",
+        [
+            lambda: ev.multiuser_campaign(1, ("a",), 3, 1, min_trials=1),
+            lambda: ev.multiuser_campaign(1, (None,), 3, 1, min_trials=1),
+            lambda: ev.multiuser_campaign(1, (True,), 1, 1, min_trials=1),
+            lambda: ev.attack_campaign(adv.ZeroEffort(), 1, 1, separation_m="3"),
+            lambda: ev.detector_comparison(("a",), 1, 1),
+        ],
+        ids=["multiuser_str", "multiuser_none", "multiuser_bool", "attack_str", "comparison_str"],
+    )
+    def test_non_real_separation_rejected_before_any_session(self, monkeypatch, campaign):
+        """Refused before any session, and before the detector comparison's
+        pairing-range check compares it."""
+        monkeypatch.setattr(ev, "run_authentication", lambda *args, **kwargs: pytest.fail("a session ran"))
+        with pytest.raises(ValueError, match="^separation must be a real number of metres, got "):
+            campaign()
 
     @pytest.mark.parametrize(
         "campaign, message",
@@ -293,8 +323,13 @@ class TestSessions:
             (lambda: ev.multiuser_campaign(1, (0.5,), 1.5, 1, min_trials=1), "^trials must be an integer, got trials=1.5$"),
             (lambda: ev.attack_campaign(adv.ZeroEffort(), 1.5, 1), "^trials must be an integer, got trials=1.5$"),
             (lambda: ev.attack_campaign(adv.ZeroEffort(), True, 1), "^trials must be an integer, got trials=True$"),
+            (lambda: ev.multiuser_campaign(1, (0.5,), "3", 1, min_trials=1), "^trials must be an integer, got trials='3'$"),
+            (
+                lambda: ev.multiuser_campaign(1, (0.5,), 3, 1, min_trials="1"),
+                "^min_trials must be an integer, got min_trials='1'$",
+            ),
         ],
-        ids=["pairs", "multiuser_trials", "attack_trials", "attack_trials_bool"],
+        ids=["pairs", "multiuser_trials", "attack_trials", "attack_trials_bool", "multiuser_trials_str", "min_trials_str"],
     )
     def test_non_integer_count_rejected_before_any_session(self, monkeypatch, campaign, message):
         monkeypatch.setattr(ev, "run_authentication", lambda *args, **kwargs: pytest.fail("a session ran"))
@@ -310,8 +345,8 @@ class TestTrialOrder:
 
     def _assert_order_insensitive(self, separations, trials, seed, intruder):
         cfg = ev._cfg_for("office", None)
-        policy = AuthPolicy(threshold_m=1.0)
-        forward = ev._sessions(separations, trials, seed, cfg, policy, intruder)
+        policy = AuthPolicy()
+        forward = ev._sessions(separations, trials, seed, cfg, intruder)
         assert len(forward) == len(separations) * trials
         # _sessions runs cell by cell, trial by trial: result i is trial i % trials.
         for i in reversed(range(len(forward))):

@@ -74,7 +74,7 @@ class TestMatchesSequentialSearch:
         assert sg._leakage_ratio(spectrum.measure_candidate_powers(sig.samples, SAMPLE_RATE), in_set, spec) < 1.0
         row = sg._phase_family(spec, index, sg._PHASE_SEARCH_LIMIT)[17]
         assert np.array_equal(sig.samples, sg._render(spec, index, row).astype(np.int16))
-        assert spectrum.norm_power(sig.samples, sig, sample_rate=SAMPLE_RATE) is not None
+        assert spectrum.detect_pair(sig.samples, sig, sig, sample_rate=SAMPLE_RATE)[0].peak_norm_power is not None
 
     def test_strict_beta(self, monkeypatch):
         """A stricter absence threshold sends most tone sets down the

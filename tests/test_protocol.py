@@ -28,7 +28,7 @@ from sonicauth.protocol import (
     _to_samples,
 )
 from sonicauth.signal import SIGNAL_LENGTH
-from sonicauth.spectrum import detect_pair, norm_power
+from sonicauth.spectrum import detect_pair
 
 
 class TestEstimateDistance:
@@ -279,8 +279,8 @@ class TestRunAuthentication:
 
 
 class TestPeaksReproduce:
-    """``norm_power`` on a located window, at the recording device's rate,
-    equals the scan's ``peak_norm_power`` bit for bit: a verdict can be
+    """A scan of a located window alone, at the recording device's rate,
+    reports the scan's ``peak_norm_power`` bit for bit: a verdict can be
     re-derived from the window alone."""
 
     @staticmethod
@@ -305,7 +305,7 @@ class TestPeaksReproduce:
         for x, sig, rate, out in found:
             if out.location is not None:
                 window = x[out.location : out.location + SIGNAL_LENGTH]
-                assert norm_power(window, sig, sample_rate=rate) == out.peak_norm_power
+                assert detect_pair(window, sig, sig, sample_rate=rate)[0].peak_norm_power == out.peak_norm_power
 
     def test_office_sessions(self, monkeypatch):
         def sessions():

@@ -21,7 +21,7 @@ from sonicauth.signal import (
     sample_spec,
     synthesize,
 )
-from sonicauth.spectrum import norm_power
+from sonicauth.spectrum import detect_pair
 
 
 class TestBuildGrid:
@@ -120,7 +120,7 @@ class TestSynthesize:
         rng = np.random.default_rng(23)
         for _ in range(10):
             sig = synthesize(sample_spec(rng))
-            p = norm_power(sig.samples.astype(float), sig, sample_rate=SAMPLE_RATE)
+            p = detect_pair(sig.samples.astype(float), sig, sig, sample_rate=SAMPLE_RATE)[0].peak_norm_power
             assert p is not None
             assert p >= 0.95 * sig.total_power
 
@@ -132,8 +132,8 @@ class TestSynthesize:
         default = synthesize(spec)
         monkeypatch.setattr(spectrum, "BETA_RATIO", 0.002)
         tuned = synthesize(spec)
-        assert norm_power(default.samples, default, sample_rate=SAMPLE_RATE) is None
-        assert norm_power(tuned.samples, tuned, sample_rate=SAMPLE_RATE) is not None
+        assert detect_pair(default.samples, default, default, sample_rate=SAMPLE_RATE)[0].peak_norm_power is None
+        assert detect_pair(tuned.samples, tuned, tuned, sample_rate=SAMPLE_RATE)[0].peak_norm_power is not None
 
     def test_unconfinable_leakage_rejected(self, monkeypatch):
         """Seed 6's tone set tries all 256 phase candidates: each leaks past the
@@ -145,7 +145,7 @@ class TestSynthesize:
             with pytest.raises(ValueError, match=message):
                 synthesize(spec)
         sig = synthesize(spec)
-        assert norm_power(sig.samples, sig, sample_rate=SAMPLE_RATE) is not None
+        assert detect_pair(sig.samples, sig, sig, sample_rate=SAMPLE_RATE)[0].peak_norm_power is not None
 
     def test_each_candidate_measured_once(self, monkeypatch):
         """Seeds 1, 3 and 0 render 1, 1 and 3 phase candidates: the leakage

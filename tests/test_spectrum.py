@@ -27,11 +27,9 @@ from sonicauth.spectrum import (
     _sliding_candidate_powers,
     candidate_bin_table,
     cross_correlate_detect,
-    detect,
     detect_pair,
     frequency_bin,
     measure_candidate_powers,
-    norm_power,
 )
 
 FS = 44_100.0
@@ -62,15 +60,16 @@ class TestPowerSpectrum:
         assert powers[k0] == pytest.approx(direct_bin_power(w, k0, n), rel=1e-9)
 
     def test_wrong_length_rejected(self):
-        """The detector's measurement takes one signal-long window only, as
-        ``norm_power`` does: a shorter, a longer or a stacked one is refused."""
+        """The detector's measurement takes one signal-long window only: a
+        shorter, a longer or a stacked one is refused."""
         for shape in ((4095,), (8192,), (2, 4096)):
             with pytest.raises(ValueError, match=rf"^window must hold 4096 samples, got shape {re.escape(str(shape))}$"):
                 measure_candidate_powers(np.zeros(shape), FS)
 
     def test_complex_window_rejected(self):
         """A complex window would lose its imaginary part with a numpy
-        ``ComplexWarning``: it is refused, as ``norm_power`` refuses it."""
+        ``ComplexWarning``: it is refused, as the scan refuses a complex
+        recording."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^window must hold real samples, got dtype complex128$"):
@@ -191,7 +190,7 @@ class TestBatchCandidatePowers:
             (4096 + 2000, slice(0, 2001, 10)),  # step-10 windows from 0 to max_start
             (4096, slice(0, 1, 1000)),  # recording exactly one signal long: coarse
             (4096, slice(0, 1, 10)),  # and fine
-            (4096, slice(0, 1)),  # single window (norm_power, measure_candidate_powers)
+            (4096, slice(0, 1)),  # single window (measure_candidate_powers)
             (4096 + 10, slice(0, 11, 10)),  # 2 windows: the smallest multi-window block
             (4096 + 630, slice(0, 631, 10)),  # 64 windows: one full block
             (4096 + 640, slice(0, 641, 10)),  # 65 windows: the last block holds one window
@@ -216,14 +215,15 @@ class TestBatchCandidatePowers:
         2000-start recording, so the fine scan runs from 0 to max_start."""
         sig = synthesize(sample_spec(np.random.default_rng(16)))
         x = _embed(sig, 1234, 2000 - 1234)
-        out = detect(x, sig, sample_rate=FS)
+        out = detect_pair(x, sig, sig, sample_rate=FS)[0]
         assert out.location is not None and abs(out.location - 1234) <= spectrum.FINE_STEP
 
     def test_recording_exactly_one_signal_long(self):
         sig = synthesize(sample_spec(np.random.default_rng(17)))
-        out = detect(sig.samples.astype(float), sig, sample_rate=FS)
+        x = sig.samples.astype(float)
+        out = detect_pair(x, sig, sig, sample_rate=FS)[0]
         assert out.location == 0
-        assert out.peak_norm_power == norm_power(sig.samples.astype(float), sig, sample_rate=FS)
+        assert out.peak_norm_power == spectrum._window_score(x, 0, spectrum._gate(sig), candidate_bin_table(FS))
 
 
 def _scene_recording(n, seed):
@@ -319,8 +319,8 @@ class TestStackedSlidingPass:
 
 
 class TestWindowPowers:
-    """The one-window kernel behind ``norm_power``, ``measure_candidate_powers``
-    and the reported peak equals the batched kernel's row for that window,
+    """The one-window kernel behind ``measure_candidate_powers`` and the
+    reported peak equals the batched kernel's row for that window,
     bit for bit."""
 
     @pytest.mark.parametrize("rate", [FS, FS * 1.001], ids=["nominal", "skewed"])
@@ -371,8 +371,8 @@ class TestLocatedWindowScore:
     def test_peak_is_norm_power_of_the_located_window(self, monkeypatch):
         """Scenes with the second signal absent, clearly present, or scaled to
         sit near ``EPSILON`` times its total: either way the reported peak is
-        ``norm_power`` of the scored window, and presence is that score
-        against the threshold."""
+        the exact score of the scored window, the peak a scan of that window
+        alone reports, and presence is that score against the threshold."""
         verdicts = []
         for seed in range(12):
             rng = np.random.default_rng(4000 + seed)
@@ -388,7 +388,8 @@ class TestLocatedWindowScore:
             x = np.rint(x)
             for sig, out, start, score in self._scored(monkeypatch, x, (sig_a, sig_b)):
                 assert out.peak_norm_power == (None if score == -np.inf else score)
-                assert norm_power(x[start : start + 4096], sig, sample_rate=FS) == out.peak_norm_power
+                window = x[start : start + 4096]
+                assert detect_pair(window, sig, sig, sample_rate=FS)[0].peak_norm_power == out.peak_norm_power
                 present = score >= spectrum.EPSILON * sig.total_power
                 assert out.location == (start if present else None)
                 if sig is sig_b and seed % 3 == 2:
@@ -405,17 +406,21 @@ class TestLocatedWindowScore:
         x = _embed(sig, 15_000, 10_000)
         t = np.arange(1_400)
         x[13_500:14_900] += 3000.0 * np.sin(2 * np.pi * CANDIDATES[0] * t / FS)
-        assert detect(x, sig, sample_rate=FS).location == 15_000
+        assert detect_pair(x, sig, sig, sample_rate=FS)[0].location == 15_000
         sliding = spectrum._sliding_candidate_powers
 
         def first_window_best(x, spans, step, table):
-            (powers,) = sliding(x, spans, step, table)
-            best = int(np.argmax(spectrum._gated_scores(powers, spectrum._gate(sig))))
-            powers[0] = powers[best]
-            return [powers]
+            """Each span's best window moved to its first row: both spans
+            are ``sig``'s."""
+            spans_powers = sliding(x, spans, step, table)
+            for powers in spans_powers:
+                best = int(np.argmax(spectrum._gated_scores(powers, spectrum._gate(sig))))
+                powers[0] = powers[best]
+            return spans_powers
 
         monkeypatch.setattr(spectrum, "_sliding_candidate_powers", first_window_best)
-        assert detect(x, sig, sample_rate=FS) == DetectionOutcome(None, None)
+        absent = DetectionOutcome(None, None)
+        assert detect_pair(x, sig, sig, sample_rate=FS) == (absent, absent)
 
 
 def test_sliding_oracle_matches_direct_projections():
@@ -430,14 +435,17 @@ def test_sliding_oracle_matches_direct_projections():
 
 
 class TestNormPower:
+    """The normalized power of one signal-long window: the peak a scan of
+    that window alone reports, None where a sanity check fails."""
+
     def test_clean_signal_close_to_total(self):
         sig = synthesize(sample_spec(np.random.default_rng(0)))
-        p = norm_power(sig.samples.astype(float), sig, sample_rate=FS)
+        p = detect_pair(sig.samples.astype(float), sig, sig, sample_rate=FS)[0].peak_norm_power
         assert p is not None and p >= 0.95 * sig.total_power
 
     def test_silence_fails_presence_check(self):
         sig = synthesize(sample_spec(np.random.default_rng(1)))
-        p = norm_power(np.zeros(4096), sig, sample_rate=FS)
+        p = detect_pair(np.zeros(4096), sig, sig, sample_rate=FS)[0].peak_norm_power
         assert p is None
 
     def test_all_frequency_window_always_rejected(self):
@@ -452,7 +460,7 @@ class TestNormPower:
             w = np.zeros(4096)
             for f in CANDIDATES:
                 w += amp * np.sin(2 * np.pi * f * t / FS)
-            assert norm_power(w, sig, sample_rate=FS) is None
+            assert detect_pair(w, sig, sig, sample_rate=FS)[0].peak_norm_power is None
 
     def test_out_of_set_tone_trips_absence_check(self):
         """A window holding the clean signal plus one loud out-of-set tone is
@@ -461,29 +469,12 @@ class TestNormPower:
         intruder_f = CANDIDATES[0]
         t = np.arange(4096)
         w = sig.samples.astype(float) + 3000.0 * np.sin(2 * np.pi * intruder_f * t / FS)
-        assert norm_power(w, sig, sample_rate=FS) is None
+        assert detect_pair(w, sig, sig, sample_rate=FS)[0].peak_norm_power is None
 
     def test_wrong_length_rejected(self):
         sig = synthesize(sample_spec(np.random.default_rng(4)))
         with pytest.raises(ValueError):
-            norm_power(np.zeros(1000), sig, sample_rate=FS)
-
-    def test_one_rfft_per_call(self, monkeypatch):
-        """``norm_power`` takes its window's spectrum once, as the scan does
-        for the window it located."""
-        sig = synthesize(sample_spec(np.random.default_rng(5)))
-        calls = []
-        rfft = np.fft.rfft
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return rfft(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "rfft", counting)
-        for window in (sig.samples.astype(float), np.zeros(4096)):
-            calls.clear()
-            norm_power(window, sig, sample_rate=FS)
-            assert calls == [(4096,)]
+            detect_pair(np.zeros(1000), sig, sig, sample_rate=FS)
 
 
 class TestDetectorInputs:
@@ -494,9 +485,8 @@ class TestDetectorInputs:
     def _entry_points(x, rate):
         sig = synthesize(sample_spec(np.random.default_rng(30)))
         return (
-            lambda: detect(x, sig, sample_rate=rate),
             lambda: detect_pair(x, sig, sig, sample_rate=rate),
-            lambda: norm_power(x[:4096], sig, sample_rate=rate),
+            lambda: detect_pair(x[:4096], sig, sig, sample_rate=rate),
         )
 
     def _rejected(self, x, rate, message):
@@ -534,7 +524,7 @@ class TestDetect:
     def test_clean_embedding_located(self):
         sig = synthesize(sample_spec(np.random.default_rng(5)))
         x = _embed(sig, 10_000, 10_000)
-        out = detect(x, sig, sample_rate=FS)
+        out = detect_pair(x, sig, sig, sample_rate=FS)[0]
         assert out.location is not None
         assert abs(out.location - 10_000) <= spectrum.FINE_STEP
         loc, _ = exhaustive_detect(x, sig, FS)
@@ -544,18 +534,18 @@ class TestDetect:
         sig = synthesize(sample_spec(np.random.default_rng(6)))
         rms = np.sqrt(np.mean(sig.samples.astype(float) ** 2))
         x = np.random.default_rng(7).normal(0.0, rms, 60_000)
-        out = detect(x, sig, sample_rate=FS)
+        out = detect_pair(x, sig, sig, sample_rate=FS)[0]
         assert out.location is None
 
     def test_recording_shorter_than_signal(self):
         sig = synthesize(sample_spec(np.random.default_rng(8)))
         with pytest.raises(ValueError):
-            detect(np.zeros(1000), sig, sample_rate=FS)
+            detect_pair(np.zeros(1000), sig, sig, sample_rate=FS)
 
     def test_monotone_rejection_when_scaled_below_epsilon(self):
         sig = synthesize(sample_spec(np.random.default_rng(9)))
         x = _embed(sig, 5_000, 5_000, scale=0.5 * spectrum.EPSILON)
-        assert detect(x, sig, sample_rate=FS).location is None
+        assert detect_pair(x, sig, sig, sample_rate=FS)[0].location is None
 
     def test_coarse_to_fine_matches_exhaustive_on_random_scenes(self):
         for seed in range(10):
@@ -564,7 +554,7 @@ class TestDetect:
             pre = int(rng.integers(0, 12_000))
             x = _embed(sig, pre, 18_000 - pre, scale=float(rng.uniform(0.2, 1.0)))
             x += rng.normal(0.0, 40.0, x.shape[0])
-            got = detect(x, sig, sample_rate=FS)
+            got = detect_pair(x, sig, sig, sample_rate=FS)[0]
             want_loc, _ = exhaustive_detect(x, sig, FS)
             assert got.location is not None and want_loc is not None
             assert abs(got.location - want_loc) <= spectrum.FINE_STEP
@@ -639,16 +629,15 @@ class TestCoarseFailureSkipsFineScan:
         absent = DetectionOutcome(None, None)
         x, sig = self._edge_scene(0)
         assert always_fine_scan(x, (sig,), FS)[0].location == 500
-        assert detect(x, sig, sample_rate=FS) == absent
+        assert detect_pair(x, sig, sig, sample_rate=FS)[0] == absent
         for shift in (10_000, 20_000):
             x, sig = self._edge_scene(shift)
             assert always_fine_scan(x, (sig,), FS) == (absent,)
-            assert detect(x, sig, sample_rate=FS) == absent
+            assert detect_pair(x, sig, sig, sample_rate=FS)[0] == absent
 
     def test_fine_pass_only_for_signals_some_coarse_window_passes(self, monkeypatch):
         """Noise alone fails every coarse window of both signals: no fine pass
-        runs. With the second signal at 9 000, the pass gets its span alone.
-        ``detect``, the single-signal scan, follows the same rule."""
+        runs. With the second signal at 9 000, the pass gets its span alone."""
         rng = np.random.default_rng(2805)
         sig_a, sig_b = synthesize(sample_spec(rng)), synthesize(sample_spec(rng))
         noise = rng.normal(0.0, 25.0, 28_672)
@@ -657,13 +646,10 @@ class TestCoarseFailureSkipsFineScan:
         absent = DetectionOutcome(None, None)
         calls = self._fine_spans(monkeypatch)
         assert detect_pair(noise, sig_a, sig_b, sample_rate=FS) == (absent, absent)
-        assert detect(noise, sig_b, sample_rate=FS) == absent
         assert calls == []
         out_a, out_b = detect_pair(x, sig_a, sig_b, sample_rate=FS)
         assert out_a == absent and out_b.location == 9_000
-        assert detect(x, sig_a, sample_rate=FS) == absent
-        assert detect(x, sig_b, sample_rate=FS) == out_b
-        assert calls == [[(7_500, 301)], [(7_500, 301)]]
+        assert calls == [[(7_500, 301)]]
 
 
 class TestDetectPair:
@@ -688,9 +674,12 @@ class TestDetectPair:
         assert out_a.location is not None
         assert out_b.location is None
 
-    def test_equivalent_to_two_detect_calls(self):
-        """Paired scan must be bit-identical to independent scans, across
-        random scenes with zero, one or two signals present."""
+    def test_outcome_independent_of_partner(self):
+        """A signal's outcome is the same whatever signal shares its scan: the
+        scene's other signal, itself, or a third one not in the scene. So the
+        stacked pass keeps each signal's scan independent, and
+        ``detect_pair(x, sig, sig, ...)[0]`` is ``sig``'s scan alone. Random
+        scenes with zero, one or two signals present."""
         for seed in range(50):
             rng = np.random.default_rng(1000 + seed)
             sig_a = synthesize(sample_spec(rng))
@@ -703,9 +692,37 @@ class TestDetectPair:
             if mode == 2:
                 pos_b = int(rng.integers(14_000, 24_000))
                 x[pos_b : pos_b + 4096] += sig_b.samples * rng.uniform(0.1, 1.0)
-            pair = detect_pair(x, sig_a, sig_b, sample_rate=FS)
-            singles = (detect(x, sig_a, sample_rate=FS), detect(x, sig_b, sample_rate=FS))
-            assert pair == singles
+            sig_c = synthesize(sample_spec(np.random.default_rng(2000 + seed)))
+            out_a, out_b = detect_pair(x, sig_a, sig_b, sample_rate=FS)
+            for partner in (sig_a, sig_c):
+                assert detect_pair(x, sig_a, partner, sample_rate=FS)[0] == out_a
+            for partner in (sig_b, sig_c):
+                assert detect_pair(x, partner, sig_b, sample_rate=FS)[1] == out_b
+
+    def test_rfft_shapes_of_one_scan(self, monkeypatch, office_cfg):
+        """The transforms one scan takes: one batch over the 25 coarse windows
+        of a session recording, then, for the signals some coarse window
+        passes, one batch of the stacked fine pass's first windows and one
+        exact rescoring per signal. Noise alone stops after the coarse
+        batch."""
+        auth, vouch = Endpoint("auth", (0.0, 0.0)), Endpoint("vouch", (1.0, 0.0))
+        _, transcript = run_authentication(auth, vouch, AuthPolicy(), np.random.default_rng(0), office_cfg)
+        sig_a, sig_v, rec_a, _ = replay_session(transcript, office_cfg)
+        noise = np.random.default_rng(1).normal(0.0, 25.0, rec_a.samples.shape[0])
+        shapes = []
+        rfft = np.fft.rfft
+
+        def counting(*args, **kwargs):
+            shapes.append(args[0].shape)
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counting)
+        outcomes = detect_pair(rec_a.samples, sig_a, sig_v, sample_rate=rec_a.sample_rate)
+        assert all(out.location is not None for out in outcomes)
+        assert shapes == [(25, 4096), (2, 4096), (4096,), (4096,)]
+        shapes.clear()
+        assert detect_pair(noise, sig_a, sig_v, sample_rate=FS) == (DetectionOutcome(None, None),) * 2
+        assert shapes == [(25, 4096)]
 
 
 class TestCrossCorrelate:
