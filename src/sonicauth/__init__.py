@@ -23,7 +23,7 @@ from .spectrum import (
     detect_pair,
     frequency_bin,
 )
-from .channel import AcousticScene, ChannelConfig, Emission, Recorder, Recording, record
+from .channel import AcousticScene, ChannelConfig, Emission, Recorder, record
 from .protocol import (
     AuthDecision,
     AuthPolicy,
@@ -65,7 +65,6 @@ __all__ = [
     "ChannelConfig",
     "Emission",
     "Recorder",
-    "Recording",
     "record",
     "AuthDecision",
     "AuthPolicy",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import channel as ch
 from . import spectrum
-from .protocol import RECORD_SAMPLES, SceneContext
+from .protocol import RECORD_SAMPLES, Endpoint
 from .signal import (
     AMPLITUDE_BUDGET,
     BIN_COUNT,
@@ -138,18 +138,21 @@ def _near(anchor: tuple[float, ...]) -> tuple[float, ...]:
     return (anchor[0] + ATTACKER_OFFSET_M,) + tuple(anchor[1:])
 
 
-def build_emissions(scenario: AttackScenario, ctx: SceneContext, rng: np.random.Generator) -> list[ch.Emission]:
-    """Translate an attack scenario into scene emissions: none for a
-    zero-effort attempt; for a guessing replay, one guess from ``rng`` near
-    each device at a time also drawn from ``rng``; for all-frequency spoofing,
-    the waveform near the authenticating device from sample 0 to the end of
-    the ``RECORD_SAMPLES``-sample recording."""
+def build_emissions(
+    scenario: AttackScenario, auth: Endpoint, vouch: Endpoint, rng: np.random.Generator
+) -> list[ch.Emission]:
+    """Translate an attack scenario into emissions around the session's two
+    devices, read at their ``.position``: none for a zero-effort attempt; for
+    a guessing replay, one guess from ``rng`` near each device at a time also
+    drawn from ``rng``; for all-frequency spoofing, the waveform near the
+    authenticating device from sample 0 to the end of the
+    ``RECORD_SAMPLES``-sample recording."""
     if isinstance(scenario, ZeroEffort):
         return []
 
     if isinstance(scenario, GuessingReplay):
         emissions = []
-        for i, anchor in enumerate((ctx.auth_position, ctx.vouch_position)):
+        for i, anchor in enumerate((auth.position, vouch.position)):
             guess = guessing_replay_signal(rng)
             earliest, latest = int(0.05 * RECORD_SAMPLES), RECORD_SAMPLES - guess.samples.shape[0] - 1
             when = int(rng.integers(earliest, latest))
@@ -158,6 +161,6 @@ def build_emissions(scenario: AttackScenario, ctx: SceneContext, rng: np.random.
 
     if isinstance(scenario, AllFrequency):
         wave = all_frequency_signal(scenario.per_tone_power, RECORD_SAMPLES - 1)
-        return [ch.Emission("attacker_0", wave, 0, _near(ctx.auth_position))]
+        return [ch.Emission("attacker_0", wave, 0, _near(auth.position))]
 
     raise TypeError(f"unknown scenario {scenario!r}")

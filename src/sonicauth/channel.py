@@ -153,13 +153,6 @@ class AcousticScene:
         raise ValueError(f"unknown device {device_id!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class Recording:
-    device_id: str
-    sample_rate: float
-    samples: np.ndarray
-
-
 def _distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
     pa = np.asarray(a, dtype=np.float64)
     pb = np.asarray(b, dtype=np.float64)
@@ -411,14 +404,10 @@ def quantize(x: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(x, out=x), -32768, 32767, out=x).astype(np.int16)
 
 
-def record(scene: AcousticScene, device_id: str, cfg: ChannelConfig) -> Recording:
-    """What the device's microphone captures over the scene duration."""
-    rec = scene.recorder(device_id)
-    return Recording(
-        device_id=device_id,
-        sample_rate=rec.sample_rate,
-        samples=quantize(render_mix(scene, device_id, cfg)),
-    )
+def record(scene: AcousticScene, device_id: str, cfg: ChannelConfig) -> np.ndarray:
+    """What the device's microphone captures over the scene duration: int16
+    samples at the recorder's rate."""
+    return quantize(render_mix(scene, device_id, cfg))
 
 
 def _is_rate(value) -> bool:

@@ -102,7 +102,7 @@ def _dump_session_wavs(directory: str, cfg: ch.ChannelConfig, transcript) -> Non
         pcm.save_wav(os.path.join(directory, f"reference_{device}.wav"), sig.samples, SAMPLE_RATE)
         with open(os.path.join(directory, f"reference_{device}.json"), "wb") as fh:
             fh.write(sig.header())
-        pcm.save_wav(os.path.join(directory, f"recording_{device}.wav"), rec.samples, rec.sample_rate)
+        pcm.save_wav(os.path.join(directory, f"recording_{device}.wav"), rec, transcript.sample_rates[device])
     print(f"wrote WAV dumps to {directory}")
 
 

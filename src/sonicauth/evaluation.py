@@ -236,13 +236,16 @@ def _cfg_for(environment: str, channel_cfg: ch.ChannelConfig | None) -> ch.Chann
 INTERFERER_TIMELINE_SAMPLES = 66_150
 
 
-def _interferer_emissions(ctx, rng: np.random.Generator, pairs: int) -> list[ch.Emission]:
-    """Extra device pairs running their own sessions nearby: each pair plays
-    two fresh reference signals, synthesized and staggered like the
-    legitimate session's, at random times over ``INTERFERER_TIMELINE_SAMPLES``
-    and at random positions around that pair."""
+def _interferer_emissions(
+    auth: Endpoint, vouch: Endpoint, rng: np.random.Generator, pairs: int
+) -> list[ch.Emission]:
+    """Extra device pairs running their own sessions near the session's two
+    devices: each pair plays two fresh reference signals, synthesized and
+    staggered like the legitimate session's, at random times over
+    ``INTERFERER_TIMELINE_SAMPLES`` and at random positions around the
+    midpoint of ``auth.position`` and ``vouch.position``."""
     emissions = []
-    mid = tuple((a + v) / 2 for a, v in zip(ctx.auth_position, ctx.vouch_position))
+    mid = tuple((a + v) / 2 for a, v in zip(auth.position, vouch.position))
     for u in range(pairs):
         angle = rng.uniform(0.0, 2.0 * np.pi)
         radius = rng.uniform(2.5, 4.0)
@@ -265,14 +268,12 @@ def distance_error_campaign(
     trials: int,
     seed: int,
     *,
-    channel_cfg: ch.ChannelConfig | None = None,
     min_trials: int = DEFAULT_MIN_TRIALS,
 ) -> ExperimentReport:
-    """Absolute ranging error statistics per distance; the decision threshold
-    plays no role (estimates are logged regardless of the verdict)."""
-    return multiuser_campaign(
-        1, distances, trials, seed, channel_cfg=channel_cfg, environment=environment, min_trials=min_trials
-    )
+    """Absolute ranging error statistics per distance on the default channel;
+    the decision threshold plays no role (estimates are logged regardless of
+    the verdict)."""
+    return multiuser_campaign(1, distances, trials, seed, environment=environment, min_trials=min_trials)
 
 
 def multiuser_campaign(
@@ -297,7 +298,7 @@ def multiuser_campaign(
     cfg = _cfg_for(environment, channel_cfg)
     intruder = None
     if pairs > 1:
-        intruder = lambda ctx, r: _interferer_emissions(ctx, r, pairs - 1)
+        intruder = lambda auth, vouch, r: _interferer_emissions(auth, vouch, r, pairs - 1)
     results = _sessions(distances, trials, seed, cfg, intruder)
     rows = []
     for d, signed in zip(distances, _signed_errors(results, distances)):
@@ -362,7 +363,7 @@ def attack_campaign(
     The legitimate devices sit ``separation_m`` apart (default beyond the
     detect range: the attacker tries while the user is away)."""
     cfg = _cfg_for(environment, channel_cfg)
-    intruder = lambda ctx, r: adv.build_emissions(scenario, ctx, r)
+    intruder = lambda auth, vouch, r: adv.build_emissions(scenario, auth, vouch, r)
     results = _sessions((separation_m,), trials, seed, cfg, intruder)
     transcripts = [t for _, t in results]
     return AttackReport(
@@ -414,7 +415,7 @@ def _xcorr_distance(t: SessionTranscript, cfg: ch.ChannelConfig) -> float:
     each signal located in the session's replayed recordings at the argmax of
     its raw cross-correlation."""
     sig_a, sig_v, rec_a, rec_v = replay_session(t, cfg)
-    locations = (spectrum.cross_correlate_detect(rec.samples, sig) for rec in (rec_a, rec_v) for sig in (sig_a, sig_v))
+    locations = (spectrum.cross_correlate_detect(rec, sig) for rec in (rec_a, rec_v) for sig in (sig_a, sig_v))
     m = SessionMeasurements(*locations, f_a=t.sample_rates["auth"], f_v=t.sample_rates["vouch"])
     return estimate_distance(m, cfg.speed_of_sound)
 

@@ -180,17 +180,10 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-# An intruder hook receives (scene context, rng) and returns extra emissions.
-@dataclass(frozen=True)
-class SceneContext:
-    """The two devices' positions. Their recordings last ``RECORD_SAMPLES``;
-    an emission that starts at or after the end is not heard."""
-
-    auth_position: tuple[float, ...]
-    vouch_position: tuple[float, ...]
-
-
-IntruderFactory = Callable[[SceneContext, np.random.Generator], Sequence[ch.Emission]]
+# An intruder hook receives the session's two devices and its rng, and returns
+# extra emissions. The recordings last ``RECORD_SAMPLES``; an emission that
+# starts at or after the end is not heard.
+IntruderFactory = Callable[[Endpoint, Endpoint, np.random.Generator], Sequence[ch.Emission]]
 
 
 def _draw(rng: np.random.Generator) -> ReferenceSignal:
@@ -238,7 +231,7 @@ def _record(
     sig_v: ReferenceSignal,
     cfg: ch.ChannelConfig,
     extra_emissions: Sequence[ch.Emission],
-) -> tuple[ch.Recording, ch.Recording]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Step III: staggered playback while both devices record.
 
     The scene comes from the transcript's devices, playback times and seed
@@ -328,13 +321,13 @@ def run_authentication(
     t.session_seed = int(rng.integers(0, 2**31 - 1))
     emissions = ()
     if intruder is not None:
-        emissions = intruder(SceneContext(auth.position, vouch.position), rng)
+        emissions = intruder(auth, vouch, rng)
     rec_a, rec_v = _record(t, sig_a, vouch_sig_v, channel_cfg, emissions)
 
     # Step IV: each device locates both signals in its own recording.
     outcomes = (
-        *spectrum.detect_pair(rec_a.samples, sig_a, sig_v, sample_rate=auth.sample_rate),
-        *spectrum.detect_pair(rec_v.samples, vouch_sig_a, vouch_sig_v, sample_rate=vouch.sample_rate),
+        *spectrum.detect_pair(rec_a, sig_a, sig_v, sample_rate=auth.sample_rate),
+        *spectrum.detect_pair(rec_v, vouch_sig_a, vouch_sig_v, sample_rate=vouch.sample_rate),
     )
     for key, out in zip(("l_aa", "l_av", "l_va", "l_vv"), outcomes):
         t.locations[key] = out.location
@@ -345,9 +338,10 @@ def run_authentication(
 
 def replay_session(
     t: SessionTranscript, channel_cfg: ch.ChannelConfig
-) -> tuple[ReferenceSignal, ReferenceSignal, ch.Recording, ch.Recording]:
-    """Rebuild a session's two reference signals and both recordings from its
-    transcript (synthesis is deterministic per tone set). Pass the channel
+) -> tuple[ReferenceSignal, ReferenceSignal, np.ndarray, np.ndarray]:
+    """Rebuild a session's two reference signals and both recordings, each at
+    its device's rate in ``t.sample_rates``, from its transcript (synthesis is
+    deterministic per tone set). Pass the channel
     settings the session ran with. Emissions from intruders are not part of
     the transcript and are left out."""
     if t.playback_start is None:

@@ -9,7 +9,7 @@ from sonicauth import adversary as adv
 from sonicauth import channel as ch
 from sonicauth import evaluation as ev
 from sonicauth import spectrum
-from sonicauth.protocol import RECORD_SAMPLES, AuthPolicy, Endpoint, SceneContext, run_authentication
+from sonicauth.protocol import RECORD_SAMPLES, AuthPolicy, Endpoint, run_authentication
 from sonicauth import signal as sg
 from sonicauth.signal import AMPLITUDE_BUDGET, BIN_COUNT, CANDIDATES, SAMPLE_RATE, sample_spec, synthesize
 from sonicauth.spectrum import detect_pair, measure_candidate_powers
@@ -220,21 +220,21 @@ class TestGuessingProbability:
 
 
 class TestScenarios:
-    def _ctx(self):
-        return SceneContext(auth_position=(0.0, 0.0), vouch_position=(3.0, 0.0))
+    def _devices(self):
+        return Endpoint("auth", (0.0, 0.0)), Endpoint("vouch", (3.0, 0.0))
 
     def test_zero_effort_emits_nothing(self):
-        out = adv.build_emissions(adv.ZeroEffort(), self._ctx(), np.random.default_rng(0))
+        out = adv.build_emissions(adv.ZeroEffort(), *self._devices(), np.random.default_rng(0))
         assert out == []
 
     def test_guessing_replay_plays_near_both_devices(self):
-        out = adv.build_emissions(adv.GuessingReplay(), self._ctx(), np.random.default_rng(1))
+        out = adv.build_emissions(adv.GuessingReplay(), *self._devices(), np.random.default_rng(1))
         assert len(out) == 2
         positions = {e.position for e in out}
         assert (0.3, 0.0) in positions and (3.3, 0.0) in positions
 
     def test_all_frequency_continuous_spans_scene(self):
-        out = adv.build_emissions(adv.AllFrequency(per_tone_power=1e10), self._ctx(), np.random.default_rng(2))
+        out = adv.build_emissions(adv.AllFrequency(per_tone_power=1e10), *self._devices(), np.random.default_rng(2))
         assert len(out) == 1
         assert out[0].emit_time == 0
         assert out[0].position == (0.3, 0.0)
@@ -247,8 +247,8 @@ class TestScenarios:
         spans the recording."""
         emissions = []
 
-        def intruder(ctx, rng):
-            emissions.extend(adv.build_emissions(scenario, ctx, rng))
+        def intruder(auth, vouch, rng):
+            emissions.extend(adv.build_emissions(scenario, auth, vouch, rng))
             return emissions
 
         auth, vouch = Endpoint("auth", (0.0, 0.0)), Endpoint("vouch", (3.0, 0.0))

@@ -209,7 +209,7 @@ class TestNoise:
         # through the full record() path, quantization included
         scene = ch.AcousticScene((), (ch.Recorder("m", (0.0, 0.0)),), duration=1 << 16, seed=2)
         rec = ch.record(scene, "m", office_cfg)
-        spec = np.abs(np.fft.rfft(rec.samples.astype(float))) ** 2
+        spec = np.abs(np.fft.rfft(rec.astype(float))) ** 2
         freqs = np.fft.rfftfreq(1 << 16, 1 / ch.BASE_SAMPLE_RATE)
         assert spec[freqs > 6000].sum() / spec.sum() <= 0.01
 
@@ -231,8 +231,8 @@ class TestRecord:
     def test_empty_scene_silent_profile_all_zero(self, silent_cfg):
         scene = ch.AcousticScene((), (ch.Recorder("m", (0.0, 0.0)),), duration=4096, seed=0)
         rec = ch.record(scene, "m", silent_cfg)
-        assert rec.samples.dtype == np.int16
-        assert np.all(rec.samples == 0)
+        assert rec.dtype == np.int16
+        assert np.all(rec == 0)
 
     @pytest.mark.parametrize(
         "position", [(float("nan"), 0.0), (0.0, float("inf")), (-float("inf"),)], ids=["nan", "inf", "negative_inf"]
@@ -273,8 +273,8 @@ class TestRecord:
         )
         near = ch.record(scene, "near", office_cfg)
         far = ch.record(scene, "far", office_cfg)
-        l_near = detect_pair(near.samples, sig, sig, sample_rate=near.sample_rate)[0].location
-        l_far = detect_pair(far.samples, sig, sig, sample_rate=far.sample_rate)[0].location
+        l_near = detect_pair(near, sig, sig, sample_rate=ch.BASE_SAMPLE_RATE)[0].location
+        l_far = detect_pair(far, sig, sig, sample_rate=ch.BASE_SAMPLE_RATE)[0].location
         expected = round(0.5 / 340 * 44_100)  # 65 samples
         assert l_near is not None and l_far is not None
         assert abs((l_far - l_near) - expected) <= 10
@@ -284,7 +284,7 @@ class TestRecord:
         scene = one_emitter_scene(sig, 2000, (0.4, 0.0), (ch.Recorder("m", (0.0, 0.0)),), 12_000, seed=5)
         a = ch.record(scene, "m", office_cfg)
         b = ch.record(scene, "m", office_cfg)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a, b)
 
     def test_superposition_before_quantization(self, office_cfg, rng):
         sig_a = synthesize(sample_spec(rng))
@@ -346,10 +346,10 @@ class TestRecord:
         )
         rec_true = ch.record(scene, "true", silent_cfg)
         rec_fast = ch.record(scene, "fast", silent_cfg)
-        assert rec_fast.samples.shape[0] == pytest.approx(60_000 * skew, abs=2)
-        out_a, out_b = detect_pair(rec_true.samples, sig_a, sig_b, sample_rate=44_100.0)
+        assert rec_fast.shape[0] == pytest.approx(60_000 * skew, abs=2)
+        out_a, out_b = detect_pair(rec_true, sig_a, sig_b, sample_rate=44_100.0)
         sep_true = out_b.location - out_a.location
-        out_a, out_b = detect_pair(rec_fast.samples, sig_a, sig_b, sample_rate=44_100.0 * skew)
+        out_a, out_b = detect_pair(rec_fast, sig_a, sig_b, sample_rate=44_100.0 * skew)
         sep_fast = out_b.location - out_a.location
         assert sep_fast == pytest.approx(sep_true * skew, abs=25)
 
@@ -385,7 +385,7 @@ class TestFullBufferEquivalence:
 
         def checked(scene, device_id, cfg):
             rec = record(scene, device_id, cfg)
-            assert np.array_equal(rec.samples, full_buffer_record(scene, device_id, cfg))
+            assert np.array_equal(rec, full_buffer_record(scene, device_id, cfg))
             counts.append(len(scene.emissions))
             return rec
 
@@ -524,10 +524,10 @@ class TestConfig:
         sig = synthesize(sample_spec(rng))
         scene = one_emitter_scene(sig, 100, (0.2, 0.0), (ch.Recorder("m", (0.0, 0.0)),), 8000)
         rec = ch.record(scene, "m", silent_cfg)
-        pcm.save_wav(str(tmp_path / "rec.wav"), rec.samples, rec.sample_rate)
+        pcm.save_wav(str(tmp_path / "rec.wav"), rec, ch.BASE_SAMPLE_RATE)
         data, rate = load_wav(str(tmp_path / "rec.wav"))
         assert rate == 44_100
-        assert np.array_equal(data, rec.samples)
+        assert np.array_equal(data, rec)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.int32], ids=["float64", "int32"])
     def test_wav_of_other_samples_rejected(self, tmp_path, dtype):
@@ -548,5 +548,5 @@ class TestCalibration:
                 sig, 8000, (d, 0.0), (ch.Recorder("m", (0.0, 0.0)),), 30_000, seed=int(d * 10)
             )
             rec = ch.record(scene, "m", office_cfg)
-            out = detect_pair(rec.samples, sig, sig, sample_rate=rec.sample_rate)[0]
+            out = detect_pair(rec, sig, sig, sample_rate=ch.BASE_SAMPLE_RATE)[0]
             assert (out.location is not None) == want_found

@@ -18,7 +18,6 @@ from sonicauth.protocol import (
     RECORD_SAMPLES,
     AuthPolicy,
     Endpoint,
-    SceneContext,
     run_authentication,
 )
 
@@ -216,8 +215,8 @@ class TestMultiuser:
         """Other users' sessions start at random over 1.5 s, past the end of
         a session's recording: those that start after it are drawn, and not
         heard."""
-        ctx = SceneContext((0.0, 0.0), (1.0, 0.0))
-        starts = [e.emit_time for e in ev._interferer_emissions(ctx, np.random.default_rng(0), 20)[::2]]
+        auth, vouch = Endpoint("auth", (0.0, 0.0)), Endpoint("vouch", (1.0, 0.0))
+        starts = [e.emit_time for e in ev._interferer_emissions(auth, vouch, np.random.default_rng(0), 20)[::2]]
         assert max(starts) < ev.INTERFERER_TIMELINE_SAMPLES - 4096 - PLAYBACK_GAP_SAMPLES
         assert min(starts) < RECORD_SAMPLES <= max(starts)
 
@@ -225,8 +224,8 @@ class TestMultiuser:
         """The interferer pairs are staggered by the session's playback gap."""
         emissions = []
 
-        def intruder(ctx, rng):
-            emissions.extend(ev._interferer_emissions(ctx, rng, 2))
+        def intruder(auth, vouch, rng):
+            emissions.extend(ev._interferer_emissions(auth, vouch, rng, 2))
             return emissions
 
         run_authentication(
@@ -357,11 +356,11 @@ class TestTrialOrder:
             assert again.to_json() == t.to_json()
 
     def test_crowded(self):
-        self._assert_order_insensitive((0.5, 1.0), 2, 61, lambda ctx, r: ev._interferer_emissions(ctx, r, 2))
+        self._assert_order_insensitive((0.5, 1.0), 2, 61, lambda a, v, r: ev._interferer_emissions(a, v, r, 2))
 
     def test_all_frequency_attack(self):
         scenario = adv.AllFrequency(per_tone_power=ev.all_frequency_power_sweep(6)[-1])
-        self._assert_order_insensitive((3.0,), 3, 62, lambda ctx, r: adv.build_emissions(scenario, ctx, r))
+        self._assert_order_insensitive((3.0,), 3, 62, lambda a, v, r: adv.build_emissions(scenario, a, v, r))
 
 
 class TestDetectorComparison:

@@ -54,7 +54,7 @@ def _session(d, seed, **kwargs):
 
 
 def _attack(scenario, seed, separation=3.0):
-    return _session(separation, seed, intruder=lambda ctx, r: adv.build_emissions(scenario, ctx, r))
+    return _session(separation, seed, intruder=lambda a, v, r: adv.build_emissions(scenario, a, v, r))
 
 
 def _crowded(d, seed):
@@ -198,7 +198,7 @@ def test_xcorr_baseline_on_replayed_recordings(d, seed):
     sig_a, sig_v, rec_a, rec_v = replay_session(t, cfg)
     keys = ("l_aa", "l_av", "l_va", "l_vv")
     pairs = ((rec, sig) for rec in (rec_a, rec_v) for sig in (sig_a, sig_v))
-    locations = {key: spectrum.cross_correlate_detect(rec.samples, sig) for key, (rec, sig) in zip(keys, pairs)}
+    locations = {key: spectrum.cross_correlate_detect(rec, sig) for key, (rec, sig) in zip(keys, pairs)}
     m = SessionMeasurements(**locations, f_a=t.sample_rates["auth"], f_v=t.sample_rates["vouch"])
     assert (locations, estimate_distance(m, cfg.speed_of_sound)) == XCORR_BASELINE[(d, seed)]
 

@@ -270,8 +270,8 @@ class TestRunAuthentication:
         )
         sig_a, sig_v, rec_a, rec_v = replay_session(transcript, office_cfg)
         located = (
-            *detect_pair(rec_a.samples, sig_a, sig_v, sample_rate=transcript.sample_rates["auth"]),
-            *detect_pair(rec_v.samples, sig_a, sig_v, sample_rate=transcript.sample_rates["vouch"]),
+            *detect_pair(rec_a, sig_a, sig_v, sample_rate=transcript.sample_rates["auth"]),
+            *detect_pair(rec_v, sig_a, sig_v, sample_rate=transcript.sample_rates["vouch"]),
         )
         assert [o.location for o in located] == list(transcript.locations.values())
         with pytest.raises(ValueError):

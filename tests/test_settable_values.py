@@ -27,11 +27,11 @@ from sonicauth import adversary, channel, cli, evaluation, pcm, protocol, signal
 
 MODULES = (signal, spectrum, channel, protocol, adversary, evaluation, pcm, cli)
 
-# 74 dataclass fields + 16 defaulted parameters + 40 flags.
-BOUND = 130
-# 31 defaulted dataclass fields + 16 defaulted parameters + 37 flags not
+# 69 dataclass fields + 15 defaulted parameters + 40 flags.
+BOUND = 124
+# 31 defaulted dataclass fields + 15 defaulted parameters + 37 flags not
 # required (--sigma, --frr and --kind are).
-OPTIONAL = 84
+OPTIONAL = 83
 
 
 def _defined_in(module, obj) -> bool:

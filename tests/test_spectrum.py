@@ -708,7 +708,7 @@ class TestDetectPair:
         auth, vouch = Endpoint("auth", (0.0, 0.0)), Endpoint("vouch", (1.0, 0.0))
         _, transcript = run_authentication(auth, vouch, AuthPolicy(), np.random.default_rng(0), office_cfg)
         sig_a, sig_v, rec_a, _ = replay_session(transcript, office_cfg)
-        noise = np.random.default_rng(1).normal(0.0, 25.0, rec_a.samples.shape[0])
+        noise = np.random.default_rng(1).normal(0.0, 25.0, rec_a.shape[0])
         shapes = []
         rfft = np.fft.rfft
 
@@ -717,7 +717,7 @@ class TestDetectPair:
             return rfft(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", counting)
-        outcomes = detect_pair(rec_a.samples, sig_a, sig_v, sample_rate=rec_a.sample_rate)
+        outcomes = detect_pair(rec_a, sig_a, sig_v, sample_rate=transcript.sample_rates["auth"])
         assert all(out.location is not None for out in outcomes)
         assert shapes == [(25, 4096), (2, 4096), (4096,), (4096,)]
         shapes.clear()
@@ -777,9 +777,9 @@ class TestCrossCorrelate:
             sig_a, sig_v, rec_a, rec_v = replay_session(transcript, office_cfg)
             for rec in (rec_a, rec_v):
                 for sig in (sig_a, sig_v):
-                    x = rec.samples.astype(np.float64)
+                    x = rec.astype(np.float64)
                     want = scipy.signal.correlate(x, sig.samples.astype(np.float64), mode="valid")
-                    assert cross_correlate_detect(rec.samples, sig) == int(np.argmax(want))
+                    assert cross_correlate_detect(rec, sig) == int(np.argmax(want))
 
 
 class TestDetectionConstants:
