@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .signal import SAMPLE_RATE as BASE_SAMPLE_RATE
-from .signal import _finite_positive, _is_number, _json_fields
+from .signal import _finite_positive, _finite_real, _is_real, _json_fields
 
 DISTANCE_FLOOR_M = 0.1
 
@@ -95,13 +95,23 @@ class ChannelConfig:
             if not _finite_positive(getattr(self, name)):
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         for name in ("attenuation_exponent", "wall_attenuation_db"):
-            if not math.isfinite(getattr(self, name)):
+            if not _finite_real(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.wall_plane_x is not None and not math.isfinite(self.wall_plane_x):
+        if self.wall_plane_x is not None and not _finite_real(self.wall_plane_x):
             raise ValueError(f"wall_plane_x must be finite or None, got {self.wall_plane_x}")
         energy = float(np.sum(np.asarray(self.smoothing_kernel) ** 2))
         if not abs(energy - 1.0) <= 1e-6:  # False for nan: a non-finite tap fails
             raise ValueError(f"smoothing_kernel must be finite and energy-normalized (sum of squares 1), got {energy}")
+
+
+def _is_position(value) -> bool:
+    """Whether ``value`` is a non-empty sequence of real numbers."""
+    return isinstance(value, (tuple, list, np.ndarray)) and len(value) > 0 and all(_is_real(x) for x in value)
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -120,10 +130,27 @@ class Recorder:
 
     def __post_init__(self) -> None:
         where = f"device {self.device_id!r}"
-        if not np.all(np.isfinite(self.position)):
+        if not _is_position(self.position):
+            raise ValueError(f"{where} position must be a non-empty sequence of real numbers, got {self.position!r}")
+        if not all(map(_finite_real, self.position)):
             raise ValueError(f"{where} position must be finite, got {self.position}")
         if not _finite_positive(self.sample_rate):
             raise ValueError(f"{where} sample rate must be finite and positive, got {self.sample_rate}")
+
+
+def _check_waveform(waveform, where: str) -> None:
+    """``ValueError`` naming ``where`` unless ``waveform`` is a non-empty 1-D
+    array of real, finite samples. Every emission the program makes is int16,
+    so only a float waveform is scanned for non-finite samples."""
+    if not isinstance(waveform, np.ndarray):
+        raise ValueError(f"{where}: waveform must be a numpy array, got a {type(waveform).__name__}")
+    if not (waveform.ndim == 1 and waveform.size and waveform.dtype.kind in "iuf"):
+        raise ValueError(
+            f"{where}: waveform must be a non-empty 1-D array of real samples, "
+            f"got a {waveform.dtype} array of shape {waveform.shape}"
+        )
+    if waveform.dtype.kind == "f" and not np.isfinite(waveform).all():
+        raise ValueError(f"{where}: waveform samples must be finite")
 
 
 @dataclass(frozen=True)
@@ -134,13 +161,21 @@ class AcousticScene:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("scene duration must be positive")
+        if not (_is_integer(self.duration) and self.duration > 0):
+            raise ValueError(f"scene duration must be a positive integer sample count, got {self.duration!r}")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"scene seed must be a non-negative integer, got {self.seed!r}")
         for e in self.emissions:
+            where = f"emission from {e.source_id}"
+            if not _is_integer(e.emit_time):
+                raise ValueError(f"{where}: emit_time must be an integer sample index, got {e.emit_time!r}")
             if e.emit_time < 0:
-                raise ValueError(f"emission from {e.source_id} starts before the scene")
-            if not np.all(np.isfinite(e.position)):
-                raise ValueError("emission position must be finite")
+                raise ValueError(f"{where} starts before the scene")
+            if not _is_position(e.position):
+                raise ValueError(f"{where}: position must be a non-empty sequence of real numbers, got {e.position!r}")
+            if not all(map(_finite_real, e.position)):
+                raise ValueError(f"{where}: position must be finite, got {e.position}")
+            _check_waveform(e.waveform, where)
         ids = [r.device_id for r in self.recorders]
         for r in self.recorders:
             if ids.count(r.device_id) > 1:
@@ -410,30 +445,22 @@ def record(scene: AcousticScene, device_id: str, cfg: ChannelConfig) -> np.ndarr
     return quantize(render_mix(scene, device_id, cfg))
 
 
-def _is_rate(value) -> bool:
-    return _is_number(value) and _finite_positive(value)
-
-
-def _is_finite(value) -> bool:
-    return _is_number(value) and (value == 0 or _finite_positive(abs(value)))
-
-
 def _is_kernel(value) -> bool:
-    return isinstance(value, list) and all(_is_finite(t) for t in value) and any(t != 0 for t in value)
+    return isinstance(value, list) and all(_finite_real(t) for t in value) and any(t != 0 for t in value)
 
 
 # Fields of a channel config and of its wall object: the check each value
 # must pass and what it must be.
 _CONFIG_FIELDS = {
-    "speed_of_sound": (_is_rate, "a positive number"),
-    "attenuation_exponent": (_is_finite, "a finite number"),
-    "gain_at_1m": (_is_rate, "a positive number"),
+    "speed_of_sound": (_finite_positive, "a positive number"),
+    "attenuation_exponent": (_finite_real, "a finite number"),
+    "gain_at_1m": (_finite_positive, "a positive number"),
     "smoothing_kernel": (_is_kernel, "a list of finite numbers, not all zero"),
     "wall": (lambda v: isinstance(v, dict), "an object"),
 }
 _WALL_FIELDS = {
-    "plane_x": (_is_finite, "a finite number"),
-    "attenuation_db": (_is_finite, "a finite number"),
+    "plane_x": (_finite_real, "a finite number"),
+    "attenuation_db": (_finite_real, "a finite number"),
 }
 
 

@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable
@@ -65,7 +64,8 @@ class ErrorModel:
     def __post_init__(self) -> None:
         if not sg._finite_positive(self.sigma_m):
             raise ValueError(f"sigma must be finite and positive, got {self.sigma_m}")
-        if not 0 < self.detect_range_m < self.pairing_range_m < math.inf:  # False for nan
+        ranges = (self.detect_range_m, self.pairing_range_m)
+        if not (all(map(sg._is_real, ranges)) and 0 < self.detect_range_m < self.pairing_range_m < math.inf):
             raise ValueError(
                 f"need 0 < detect_range < pairing_range < inf, got {self.detect_range_m} and {self.pairing_range_m}"
             )
@@ -163,10 +163,12 @@ def _check_count(name: str, value) -> None:
 
 
 def _check_separations(separations: tuple[float, ...]) -> None:
-    """``ValueError`` when a separation is not a finite, non-negative
-    distance (a bool is not a distance)."""
+    """``ValueError`` when there is no separation or a separation is not a
+    finite, non-negative distance (a bool is not a distance)."""
+    if not separations:
+        raise ValueError("need at least one distance, got none")
     for d in separations:
-        if not isinstance(d, numbers.Real) or isinstance(d, bool):
+        if not sg._is_real(d):
             raise ValueError(f"separation must be a real number of metres, got {d!r}")
         if not (math.isfinite(d) and d >= 0):
             raise ValueError(f"separation must be a finite, non-negative distance in metres, got {d}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import channel as ch
 from . import spectrum
-from .signal import SIGNAL_LENGTH, ReferenceSignal, SignalSpec, _finite_positive, sample_spec, synthesize
+from .signal import SIGNAL_LENGTH, ReferenceSignal, SignalSpec, _finite_positive, _is_real, sample_spec, synthesize
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,11 @@ class AuthPolicy:
     threshold_m: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.threshold_m < PAIRING_RANGE_M:
-            raise ValueError(f"need 0 < threshold < pairing range ({PAIRING_RANGE_M} m), got {self.threshold_m}")
+        if not (_is_real(self.threshold_m) and 0 < self.threshold_m < PAIRING_RANGE_M):
+            raise ValueError(
+                f"threshold_m must be a number with 0 < threshold_m < pairing range ({PAIRING_RANGE_M} m), "
+                f"got {self.threshold_m!r}"
+            )
 
 
 class RejectReason(str, Enum):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -90,11 +91,25 @@ def _json_fields(obj, where: str, checks: dict, required: tuple[str, ...]) -> di
     return obj
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number, numpy's included; a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _finite_positive(value) -> bool:
+    """Whether ``value`` is a finite, positive real number: false for a bool
+    and for anything that is not a number."""
+    if not _is_real(value):
+        return False
     try:
         return math.isfinite(value) and value > 0
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+def _finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number (not a bool)."""
+    return _is_real(value) and (value == 0 or _finite_positive(abs(value)))
 
 
 def _left_sum(values) -> float:

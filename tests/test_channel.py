@@ -235,7 +235,9 @@ class TestRecord:
         assert np.all(rec == 0)
 
     @pytest.mark.parametrize(
-        "position", [(float("nan"), 0.0), (0.0, float("inf")), (-float("inf"),)], ids=["nan", "inf", "negative_inf"]
+        "position",
+        [(float("nan"), 0.0), (0.0, float("inf")), (-float("inf"),), (10**400,)],
+        ids=["nan", "inf", "negative_inf", "huge_int"],
     )
     def test_non_finite_recorder_position_rejected(self, position):
         with pytest.raises(ValueError, match="^device 'm' position must be finite, got"):
@@ -243,14 +245,25 @@ class TestRecord:
 
     @pytest.mark.parametrize(
         "rate",
-        [0.0, -44_100.0, float("nan"), float("inf"), 10**400],
-        ids=["zero", "negative", "nan", "inf", "huge_int"],
+        [0.0, -44_100.0, float("nan"), float("inf"), 10**400, "x", None, True],
+        ids=["zero", "negative", "nan", "inf", "huge_int", "string", "none", "bool"],
     )
     def test_bad_recorder_rate_rejected(self, rate):
-        """Before the check, 0 and negative rates failed inside the resampler
-        and ``inf`` escaped as ``OverflowError``."""
+        """Before the check, 0 and negative rates failed inside the resampler,
+        ``inf`` escaped as ``OverflowError`` and a string or ``None`` as
+        ``TypeError``."""
         with pytest.raises(ValueError, match="^device 'm' sample rate must be finite and positive, got"):
             ch.Recorder("m", (0.0, 0.0), rate)
+
+    @pytest.mark.parametrize(
+        "position",
+        [("a",), (), "ab", None, ((0.0, 1.0),), (True, 0.0)],
+        ids=["string_coordinate", "empty", "string", "none", "nested", "bool_coordinate"],
+    )
+    def test_recorder_position_that_is_not_real_numbers_rejected(self, position):
+        """Before the check, ``("a",)`` raised ``TypeError`` from ``np.isfinite``."""
+        with pytest.raises(ValueError, match="^device 'm' position must be a non-empty sequence of real numbers, got"):
+            ch.Recorder("m", position)
 
     def test_duplicate_device_id_rejected(self):
         recorders = (ch.Recorder("m", (0.0, 0.0)), ch.Recorder("m", (1.0, 0.0)))
@@ -370,6 +383,71 @@ class TestRecord:
         np.testing.assert_allclose(skewed, scipy.signal.resample(mix(44_100.0), skewed.shape[0]), rtol=0, atol=1e-6)
 
 
+class TestMalformedScene:
+    """A scene refuses, with a ``ValueError`` that names the emission and the
+    field, what used to fail deep inside numpy or record garbage. Each case
+    is a one-recorder scene of 1000 samples with one emission from 0.5 m."""
+
+    @staticmethod
+    def _scene(waveform=np.ones(100, dtype=np.int16), emit_time=0, duration=1000, position=(0.5,), seed=0):
+        emission = ch.Emission("x", waveform, emit_time, position)
+        return ch.AcousticScene((emission,), (ch.Recorder("a", (0.0,)),), duration, seed)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"emit_time": 3.5}, "emission from x: emit_time must be an integer sample index, got 3.5"),
+            ({"emit_time": True}, "emission from x: emit_time must be an integer sample index, got True"),
+            ({"duration": 2.5}, "scene duration must be a positive integer sample count, got 2.5"),
+            ({"duration": True}, "scene duration must be a positive integer sample count, got True"),
+            ({"duration": 0}, "scene duration must be a positive integer sample count, got 0"),
+            ({"seed": 1.5}, "scene seed must be a non-negative integer, got 1.5"),
+            ({"seed": -1}, "scene seed must be a non-negative integer, got -1"),
+            (
+                {"waveform": np.ones((2, 10))},
+                "emission from x: waveform must be a non-empty 1-D array of real samples, got a float64 array of shape (2, 10)",
+            ),
+            (
+                {"waveform": np.ones(10, dtype=complex)},
+                "emission from x: waveform must be a non-empty 1-D array of real samples, got a complex128 array of shape (10,)",
+            ),
+            (
+                {"waveform": np.ones(0, dtype=np.int16)},
+                "emission from x: waveform must be a non-empty 1-D array of real samples, got a int16 array of shape (0,)",
+            ),
+            (
+                {"waveform": [1.0, 2.0]},
+                "emission from x: waveform must be a numpy array, got a list",
+            ),
+            ({"waveform": np.full(10, np.nan)}, "emission from x: waveform samples must be finite"),
+            ({"waveform": np.array([0.0, np.inf])}, "emission from x: waveform samples must be finite"),
+            (
+                {"position": ("a",)},
+                "emission from x: position must be a non-empty sequence of real numbers, got ('a',)",
+            ),
+            ({"position": (np.nan,)}, "emission from x: position must be finite, got (nan,)"),
+        ],
+        ids=[
+            "fractional_emit_time", "bool_emit_time", "fractional_duration", "bool_duration", "zero_duration",
+            "fractional_seed", "negative_seed",
+            "two_dimensional", "complex", "empty", "list", "nan_samples", "inf_sample", "string_position",
+            "nan_position",
+        ],
+    )
+    def test_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            self._scene(**kwargs)
+
+    def test_numpy_integers_and_float_samples_accepted(self, silent_cfg):
+        """A numpy integer is a sample index, and finite float samples are
+        quantized like any other."""
+        scene = self._scene(
+            waveform=np.full(100, 1000.0), emit_time=np.int64(3), duration=np.int32(1000), seed=np.uint32(7)
+        )
+        rec = ch.record(scene, "a", silent_cfg)
+        assert rec.dtype == np.int16 and rec.shape == (1000,) and rec.any()
+
+
 class TestFullBufferEquivalence:
     """Each recording a session makes, with every emission added into the
     mix over its own span and the shift ramps read from their cache, holds
@@ -436,9 +514,16 @@ class TestConfig:
             (ch.ChannelConfig, {"attenuation_exponent": NAN}),
             (ch.ChannelConfig, {"wall_attenuation_db": NAN}),
             (ch.ChannelConfig, {"wall_plane_x": NAN}),
+            (ch.ChannelConfig, {"speed_of_sound": "x"}),
+            (ch.ChannelConfig, {"speed_of_sound": True}),
+            (ch.ChannelConfig, {"gain_at_1m": None}),
+            (ch.ChannelConfig, {"attenuation_exponent": "x"}),
+            (ch.ChannelConfig, {"wall_attenuation_db": None}),
+            (ch.ChannelConfig, {"wall_plane_x": "x"}),
         ],
         ids=[
             "kernel_nan", "speed_nan", "speed_inf", "gain_nan", "exponent_nan", "wall_db_nan", "wall_x_nan",
+            "speed_string", "speed_bool", "gain_none", "exponent_string", "wall_db_none", "wall_x_string",
         ],
     )
     def test_non_finite_or_out_of_range_field_rejected(self, cls, kwargs):

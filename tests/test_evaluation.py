@@ -116,15 +116,20 @@ class TestFrrFarModel:
         assert far == pytest.approx((gap / 2 - PHI_0 * gap * gap / sigma / 2) / (model.pairing_range_m - 1.0), rel=1e-12)
 
     @pytest.mark.parametrize(
-        "ranges", [(2.5, INF), (INF, INF), (INF, 10.0), (-INF, 10.0), (NAN, 10.0), (2.5, NAN)], ids=str
+        "ranges",
+        [(2.5, INF), (INF, INF), (INF, 10.0), (-INF, 10.0), (NAN, 10.0), (2.5, NAN), (None, 10.0), (2.5, "10")],
+        ids=str,
     )
     def test_non_finite_range_rejected(self, ranges):
-        """An infinite pairing range would make every FAR 0."""
+        """An infinite pairing range would make every FAR 0. A range that is
+        not a number once raised ``TypeError``."""
         with pytest.raises(ValueError, match=rf"^need 0 < detect_range < pairing_range < inf, got {ranges[0]} and {ranges[1]}$"):
             ev.ErrorModel(0.07, *ranges)
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf"), None, "0.07", True])
     def test_bad_sigma_rejected(self, sigma):
+        """``None`` and a string once raised ``TypeError``, and ``True`` was a
+        sigma of 1 m."""
         with pytest.raises(ValueError, match=f"^sigma must be finite and positive, got {sigma}$"):
             ev.ErrorModel(sigma)
 
@@ -291,6 +296,22 @@ class TestSessions:
         """``numbers.Real`` admits numpy scalars."""
         monkeypatch.setattr(ev, "run_authentication", lambda *args, **kwargs: (None, None))
         assert len(ev._sessions((np.float64(0.5), np.int64(1)), 1, 1, ch.ChannelConfig(), None)) == 2
+
+    @pytest.mark.parametrize(
+        "campaign",
+        [
+            lambda: ev.multiuser_campaign(1, (), 1, 1, min_trials=1),
+            lambda: ev.distance_error_campaign("office", (), 1, 1, min_trials=1),
+            lambda: ev.detector_comparison((), 1, 1),
+        ],
+        ids=["multiuser", "distance_error", "detector_comparison"],
+    )
+    def test_empty_distance_list_rejected(self, monkeypatch, campaign):
+        """Before the check, a campaign with no distance ran no session and
+        returned a report with no rows."""
+        monkeypatch.setattr(ev, "run_authentication", lambda *args, **kwargs: pytest.fail("a session ran"))
+        with pytest.raises(ValueError, match="^need at least one distance, got none$"):
+            campaign()
 
     def test_bad_separation_rejected_before_any_session(self, monkeypatch):
         monkeypatch.setattr(ev, "run_authentication", lambda *args, **kwargs: pytest.fail("a session ran"))

@@ -7,6 +7,7 @@ says why.
 
 import hashlib
 import json
+import wave
 from dataclasses import replace
 from functools import cache
 
@@ -15,6 +16,7 @@ import pytest
 
 from sonicauth import adversary as adv
 from sonicauth import channel as ch
+from sonicauth import cli
 from sonicauth import evaluation as ev
 from sonicauth import spectrum
 from sonicauth.protocol import (
@@ -201,6 +203,20 @@ def test_xcorr_baseline_on_replayed_recordings(d, seed):
     locations = {key: spectrum.cross_correlate_detect(rec, sig) for key, (rec, sig) in zip(keys, pairs)}
     m = SessionMeasurements(**locations, f_a=t.sample_rates["auth"], f_v=t.sample_rates["vouch"])
     assert (locations, estimate_distance(m, cfg.speed_of_sound)) == XCORR_BASELINE[(d, seed)]
+
+
+def test_wav_dump_of_the_skewed_session(tmp_path, capsys):
+    """The WAV dump writes each recording at its own device's rate: in the
+    ``skewed_vouch_clock`` session the vouching device's clock runs 0.1%
+    fast, so its recording holds more frames at a higher rate."""
+    t = _run(0.8, 14, tau=1.5, vouch_rate=44_100.0 * 1.001)
+    assert _sha(t.to_json()) == GOLDEN["skewed_vouch_clock"]
+    cli._dump_session_wavs(str(tmp_path), ev._cfg_for("office", None), t)
+    headers = {}
+    for device in ("auth", "vouch"):
+        with wave.open(str(tmp_path / f"recording_{device}.wav"), "rb") as fh:
+            headers[device] = (fh.getnchannels(), fh.getsampwidth(), fh.getframerate(), fh.getnframes())
+    assert headers == {"auth": (1, 2, 44_100, 28_672), "vouch": (1, 2, 44_144, 28_701)}
 
 
 def test_distance_error_campaign_csv_digest():

@@ -93,6 +93,13 @@ class TestPolicy:
         with pytest.raises(ValueError):
             AuthPolicy(threshold_m=0.0)
 
+    @pytest.mark.parametrize("tau", [None, "1.0", True, float("nan")], ids=["none", "string", "bool", "nan"])
+    def test_threshold_that_is_not_a_number_rejected(self, tau):
+        """Before the check, ``None`` and a string raised ``TypeError`` and
+        ``True`` was taken for a 1 m threshold."""
+        with pytest.raises(ValueError, match="^threshold_m must be a number with 0 < threshold_m < pairing range"):
+            AuthPolicy(threshold_m=tau)
+
 
 def run(d, policy=None, cfg=ch.ChannelConfig(), seed=1):
     rng = np.random.default_rng(np.random.SeedSequence([77, seed]))
@@ -259,6 +266,22 @@ class TestRunAuthentication:
     def test_default_kernel_fits_the_recording_at_pairing_range(self):
         _, transcript = run(PAIRING_RANGE_M)
         assert transcript.paired_link_ok and transcript.playback_start is not None
+
+    def test_intruder_receives_the_sessions_devices_and_rng(self):
+        """The intruder hook is called once, with the two device objects and
+        the random stream the session was given."""
+        auth, vouch = Endpoint("auth", (0.0, 0.0)), Endpoint("vouch", (1.0, 0.0))
+        rng = np.random.default_rng(3)
+        calls = []
+
+        def intruder(*args):
+            calls.append(args)
+            return ()
+
+        run_authentication(auth, vouch, AuthPolicy(), rng, ch.ChannelConfig(), intruder=intruder)
+        assert len(calls) == 1
+        got_auth, got_vouch, got_rng = calls[0]
+        assert got_auth is auth and got_vouch is vouch and got_rng is rng
 
     def test_replay_rebuilds_the_recordings(self, office_cfg):
         _, transcript = run_authentication(
