@@ -205,7 +205,7 @@ def test_xcorr_baseline_on_replayed_recordings(d, seed):
     assert (locations, estimate_distance(m, cfg.speed_of_sound)) == XCORR_BASELINE[(d, seed)]
 
 
-def test_wav_dump_of_the_skewed_session(tmp_path, capsys):
+def test_wav_dump_of_the_skewed_session(tmp_path):
     """The WAV dump writes each recording at its own device's rate: in the
     ``skewed_vouch_clock`` session the vouching device's clock runs 0.1%
     fast, so its recording holds more frames at a higher rate."""
