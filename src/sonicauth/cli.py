@@ -119,39 +119,30 @@ def _cmd_fit_sigma(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    """One campaign per scenario, one row each: ``allfreq`` sweeps six
+    powers, and the first ``trials % 6`` of them run one trial more, so that
+    exactly ``trials`` sessions run. Every campaign runs on the one channel
+    the config is read into once."""
     if args.kind == "allfreq":
-        powers = ev.all_frequency_power_sweep(6)
-        if args.trials < len(powers):
-            raise ValueError(f"--trials must be at least {len(powers)}, one per swept power, got {args.trials}")
-        # The first ``trials % len(powers)`` powers run one trial more, so
-        # that exactly ``trials`` sessions run. Every cell runs on the one
-        # channel the config is read into once.
-        per_trial, extra = divmod(args.trials, len(powers))
-        channel_cfg = _load_channel_cfg(args)
-        reports = []
-        total_accepts = 0
-        for i, p in enumerate(powers):
-            rep = ev.attack_campaign(
-                adv.AllFrequency(per_tone_power=p),
-                per_trial + (i < extra),
-                args.seed,
-                separation_m=args.separation,
-                environment=args.env,
-                channel_cfg=channel_cfg,
-            )
-            total_accepts += rep.accepts
-            reports.append({"per_tone_power": p, "trials": rep.trials, "accepts": rep.accepts})
-        print(json.dumps({"kind": "all_frequency_sweep", "accepts": total_accepts, "cells": reports}))
-        return 0
-    report = ev.attack_campaign(
-        adv.ZeroEffort() if args.kind == "zero" else adv.GuessingReplay(),
-        args.trials,
-        args.seed,
-        separation_m=args.separation,
-        environment=args.env,
-        channel_cfg=_load_channel_cfg(args),
-    )
-    print(report.to_json())
+        scenarios = [adv.AllFrequency(per_tone_power=p) for p in ev.all_frequency_power_sweep(6)]
+        if args.trials < len(scenarios):
+            raise ValueError(f"--trials must be at least {len(scenarios)}, one per swept power, got {args.trials}")
+    else:
+        scenarios = [adv.ZeroEffort() if args.kind == "zero" else adv.GuessingReplay()]
+    per_scenario, extra = divmod(args.trials, len(scenarios))
+    channel_cfg = _load_channel_cfg(args)
+    rows = []
+    for i, scenario in enumerate(scenarios):
+        report = ev.attack_campaign(
+            scenario,
+            per_scenario + (i < extra),
+            args.seed,
+            separation_m=args.separation,
+            environment=args.env,
+            channel_cfg=channel_cfg,
+        )
+        rows += report.rows
+    print(ev.ExperimentReport(rows=rows, meta=report.meta).to_json())
     return 0
 
 
@@ -168,10 +159,9 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_multiuser(args) -> int:
-    """Also ``range``: the campaign with one pair, so no interference."""
+def _cmd_range(args) -> int:
     report = ev.multiuser_campaign(
-        getattr(args, "pairs", 1),
+        args.pairs,
         _parse_distances(args.distances),
         args.trials,
         args.seed,
@@ -210,12 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
     def out_flag(p):
         p.add_argument("--out", help="output file (.csv or .json)")
 
-    p = sub.add_parser("range", help="ranging-error campaign per distance")
+    p = sub.add_parser("range", help="ranging-error campaign per distance, with --pairs device pairs at once")
     session_flags(p)
     out_flag(p)
+    p.add_argument("--pairs", type=int, default=1)
     p.add_argument("--distances", default="0.5,1.0,1.5,2.0")
     p.add_argument("--trials", type=int, default=10)
-    p.set_defaults(func=_cmd_multiuser)
+    p.set_defaults(func=_cmd_range)
 
     p = sub.add_parser("auth", help="one authentication session")
     session_flags(p)
@@ -252,14 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--sigma-proc", type=float, default=0.02, dest="sigma_proc")
     p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("multiuser", help="concurrent-pairs interference campaign")
-    session_flags(p)
-    out_flag(p)
-    p.add_argument("--pairs", type=int, default=3)
-    p.add_argument("--distances", default="0.5,1.0,1.5,2.0")
-    p.add_argument("--trials", type=int, default=10)
-    p.set_defaults(func=_cmd_multiuser)
 
     return parser
 

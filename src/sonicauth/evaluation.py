@@ -15,7 +15,7 @@ import io
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -30,6 +30,7 @@ from .protocol import (
     AuthPolicy,
     Endpoint,
     IntruderFactory,
+    RejectReason,
     SessionMeasurements,
     SessionTranscript,
     estimate_distance,
@@ -331,25 +332,6 @@ def multiuser_campaign(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AttackReport:
-    scenario: str
-    trials: int
-    accepts: int
-    reject_reasons: dict
-    transcripts: list[SessionTranscript]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "scenario": self.scenario,
-                "trials": self.trials,
-                "accepts": self.accepts,
-                "reject_reasons": self.reject_reasons,
-            }
-        )
-
-
 def attack_campaign(
     scenario: adv.AttackScenario,
     trials: int,
@@ -358,23 +340,28 @@ def attack_campaign(
     separation_m: float = 3.0,
     environment: str = "office",
     channel_cfg: ch.ChannelConfig | None = None,
-) -> AttackReport:
+) -> ExperimentReport:
     """Run full sessions with the attacker injected and count acceptances
     under the default ``AuthPolicy`` threshold, 1 m.
 
     The legitimate devices sit ``separation_m`` apart (default beyond the
-    detect range: the attacker tries while the user is away)."""
+    detect range: the attacker tries while the user is away). The report's
+    one row holds the scenario's name and fields, the trials, the accepts
+    and one count per ``RejectReason``."""
     cfg = _cfg_for(environment, channel_cfg)
     intruder = lambda auth, vouch, r: adv.build_emissions(scenario, auth, vouch, r)
     results = _sessions((separation_m,), trials, seed, cfg, intruder)
     transcripts = [t for _, t in results]
-    return AttackReport(
-        scenario=type(scenario).__name__,
-        trials=trials,
-        accepts=sum(t.verdict == "accept" for t in transcripts),
-        reject_reasons=dict(Counter(t.reason for t in transcripts if t.verdict != "accept")),
-        transcripts=transcripts,
-    )
+    reasons = Counter(t.reason for t in transcripts)
+    row = {
+        "scenario": type(scenario).__name__,
+        **asdict(scenario),
+        "trials": trials,
+        "accepts": sum(t.verdict == "accept" for t in transcripts),
+        **{reason.value: reasons[reason.value] for reason in RejectReason},
+    }
+    meta = {"environment": environment, "seed": seed, "separation_m": separation_m}
+    return ExperimentReport(rows=[row], meta=meta, transcripts=transcripts)
 
 
 # The sweep's reference signal: the first half of the candidate tones.

@@ -150,25 +150,25 @@ def test_criterion_5_wall():
 
 def test_criterion_6_spoofing_attacks():
     start = time.perf_counter()
-    guessing = ev.attack_campaign(adv.GuessingReplay(), 100, 6_001, separation_m=3.0)
+    (guessing,) = ev.attack_campaign(adv.GuessingReplay(), 100, 6_001, separation_m=3.0).rows
 
     sweep = ev.all_frequency_power_sweep(6)
     allfreq_accepts = 0
     allfreq_trials = 0
     for i, p in enumerate(sweep):
-        rep = ev.attack_campaign(
+        (row,) = ev.attack_campaign(
             adv.AllFrequency(per_tone_power=float(p)), 17, 6_100 + i, separation_m=3.0
-        )
-        allfreq_accepts += rep.accepts
-        allfreq_trials += rep.trials
+        ).rows
+        allfreq_accepts += row["accepts"]
+        allfreq_trials += row["trials"]
 
     elapsed = time.perf_counter() - start
-    total_accepts = guessing.accepts + allfreq_accepts
-    ok = total_accepts == 0 and guessing.trials == 100 and allfreq_trials >= 100 and elapsed < 300.0
+    total_accepts = guessing["accepts"] + allfreq_accepts
+    ok = total_accepts == 0 and guessing["trials"] == 100 and allfreq_trials >= 100 and elapsed < 300.0
     _report(
         6,
         ok,
-        f"guessing {guessing.accepts}/{guessing.trials} accepts, "
+        f"guessing {guessing['accepts']}/{guessing['trials']} accepts, "
         f"all-frequency {allfreq_accepts}/{allfreq_trials} accepts across P_a sweep"
         f" (runtime {elapsed:.1f}s)",
     )

@@ -173,8 +173,15 @@ def test_range_campaign_json(tmp_path):
 
 def test_attack_zero_effort(capsys):
     assert main(["attack", "--kind", "zero", "--trials", "3", "--separation", "12"]) == 0
-    blob = json.loads(capsys.readouterr().out)
-    assert blob["accepts"] == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row == {
+        "scenario": "ZeroEffort",
+        "trials": 3,
+        "accepts": 0,
+        "not_paired": 3,
+        "signal_not_present": 0,
+        "distance_exceeded": 0,
+    }
 
 
 def test_attack_allfreq_runs_every_trial(capsys):
@@ -182,11 +189,11 @@ def test_attack_allfreq_runs_every_trial(capsys):
     first powers, one each: ``--trials 7`` runs 7 sessions, not 6."""
     assert main(["attack", "--kind", "allfreq", "--trials", "7", "--separation", "12"]) == 0
     blob = json.loads(capsys.readouterr().out)
-    assert [cell["trials"] for cell in blob["cells"]] == [2, 1, 1, 1, 1, 1]
+    assert [row["trials"] for row in blob["rows"]] == [2, 1, 1, 1, 1, 1]
 
 
 def test_attack_allfreq_reads_the_config_once(tmp_path, monkeypatch, capsys):
-    """The sweep's 6 cells share one channel: ``--config`` is read once, not
+    """The sweep's 6 campaigns share one channel: ``--config`` is read once, not
     once per swept power."""
     cfg = tmp_path / "c.json"
     cfg.write_text("{}")
@@ -201,7 +208,7 @@ def test_attack_allfreq_reads_the_config_once(tmp_path, monkeypatch, capsys):
     argv = ["attack", "--kind", "allfreq", "--trials", "6", "--separation", "12", "--config", str(cfg)]
     assert main(argv) == 0
     assert loads == [str(cfg)]
-    assert len(json.loads(capsys.readouterr().out)["cells"]) == 6
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 6
 
 
 def test_bad_config_file_exits_2(tmp_path, capsys):
@@ -276,7 +283,7 @@ def test_compare_csv(capsys):
 
 
 def test_multiuser_csv(capsys):
-    assert main(["multiuser", "--pairs", "2", "--distances", "0.5", "--trials", "2"]) == 0
+    assert main(["range", "--pairs", "2", "--distances", "0.5", "--trials", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == (
         "environment,distance_m,trials,measured,not_present,mean_abs_error_m,std_abs_error_m,mean_signed_error_m"
@@ -284,10 +291,23 @@ def test_multiuser_csv(capsys):
     assert len(lines) == 2
 
 
+def test_range_pairs_sets_the_interferers(tmp_path, capsys):
+    """``range --pairs N`` runs N - 1 interfering pairs, and one pair, with
+    none, by default; there is no ``multiuser`` subcommand besides it."""
+    for argv, interferers in (([], 0), (["--pairs", "2"], 1)):
+        out = tmp_path / f"range{interferers}.json"
+        assert main(["range", *argv, "--trials", "1", "--distances", "0.5", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"]["interferer_pairs"] == interferers
+    with pytest.raises(SystemExit) as exc:
+        main(["multiuser", "--trials", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'multiuser'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["multiuser", "--pairs", "0", "--trials", "1", "--distances", "0.5"], "pairs must be >= 1"),
+        (["range", "--pairs", "0", "--trials", "1", "--distances", "0.5"], "pairs must be >= 1"),
         (
             ["compare", "--trials", "1", "--distances", "0.5", "--sigma-proc", "-1"],
             "sigma_proc_s must be in [0, 1.0] seconds, got -1.0",
@@ -295,7 +315,7 @@ def test_multiuser_csv(capsys):
         (["auth", "--distance", "0.5", "--config", "KERNEL"], f"{RECORD_SAMPLES}-sample recording is too short"),
         (["range", "--trials", "0", "--distances", "0.5"], "need at least one trial per cell, got trials=0"),
         (["range", "--trials", "1", "--distances", "nan"], "separation must be a finite, non-negative distance"),
-        (["multiuser", "--trials", "1", "--distances", "-0.5"], "separation must be a finite, non-negative distance"),
+        (["range", "--pairs", "3", "--trials", "1", "--distances", "-0.5"], "separation must be a finite, non-negative distance"),
         (["attack", "--kind", "allfreq", "--trials", "0"], "--trials must be at least 6, one per swept power, got 0"),
         (["attack", "--kind", "allfreq", "--trials", "5"], "--trials must be at least 6, one per swept power, got 5"),
         (["frrfar", "--sigma", "0.07", "--bt-range", "inf"], "need 0 < detect_range < pairing_range < inf, got 2.5 and inf"),
@@ -327,7 +347,7 @@ def test_value_error_from_a_command_exits_2(tmp_path, capsys, argv, message):
     "argv, message",
     [
         (["range", "--trials", "1", "--distances", "0.5", "--out", "{missing}/x.csv"], "its directory does not exist"),
-        (["multiuser", "--trials", "1", "--distances", "0.5", "--out", "{missing}/x.json"], "its directory does not exist"),
+        (["range", "--pairs", "3", "--trials", "1", "--distances", "0.5", "--out", "{missing}/x.json"], "its directory does not exist"),
         (["compare", "--trials", "1", "--distances", "0.5", "--out", "{file}/x.csv"], "its directory does not exist"),
         (["frrfar", "--sigma", "0.07", "--out", "{tmp}"], "it is a directory"),
         (["frrfar", "--sigma", "0.07", "--out", ""], "it is a directory"),

@@ -251,19 +251,19 @@ class TestMultiuser:
 
 class TestAttackCampaign:
     def test_zero_effort_beyond_pairing_range(self):
-        report = ev.attack_campaign(adv.ZeroEffort(), 10, 5, separation_m=12.0)
-        assert report.accepts == 0
-        assert report.reject_reasons == {"not_paired": 10}
+        (row,) = ev.attack_campaign(adv.ZeroEffort(), 10, 5, separation_m=12.0).rows
+        assert row["accepts"] == 0
+        assert (row["not_paired"], row["signal_not_present"], row["distance_exceeded"]) == (10, 0, 0)
 
     def test_zero_effort_beyond_detect_range_hundred_trials(self):
         # user away but still within Bluetooth range: every trial rejects
-        report = ev.attack_campaign(adv.ZeroEffort(), 100, 55, separation_m=3.5)
-        assert report.accepts == 0
-        assert report.reject_reasons == {"signal_not_present": 100}
+        (row,) = ev.attack_campaign(adv.ZeroEffort(), 100, 55, separation_m=3.5).rows
+        assert row["accepts"] == 0
+        assert (row["not_paired"], row["signal_not_present"], row["distance_exceeded"]) == (0, 100, 0)
 
     def test_guessing_replay_short_run(self):
-        report = ev.attack_campaign(adv.GuessingReplay(), 10, 6, separation_m=3.0)
-        assert report.accepts == 0
+        (row,) = ev.attack_campaign(adv.GuessingReplay(), 10, 6, separation_m=3.0).rows
+        assert row["accepts"] == 0
 
     def test_power_sweep_brackets_thresholds(self):
         sweep = ev.all_frequency_power_sweep(6)

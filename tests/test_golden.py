@@ -135,8 +135,8 @@ REPORTS = {
 
 REPORT_SHA256 = {
     "detector_comparison": "e5567dd897b5fd74448b18fa31223c8b9b71c7afca0d65646ee88f6fdce8d1a4",
-    "attack_guessing_replay": "6c44b58889c959d767f2e726f1034455ada3a6085bcd89e8b6b3aa99cabda6ec",
-    "attack_zero_effort_12m": "ba5493e490a3fac2b33b9d1a3e10972c9f89f8fabb1d57c174cfeac6bbb30f34",
+    "attack_guessing_replay": "e5211c0123510d410ef6c37993cf6720bbec1e1c3d4024c892b9607f8beb5789",
+    "attack_zero_effort_12m": "513f19da96ba0ee6b54bf47148340391e31eada87a022b56d38cd437d5ec7b75",
     "multiuser_2_pairs": "fd60cdd3f335f3283cfcd2c2977b1798eb7795308cdeaa4114b3955910221ab4",
 }
 

@@ -27,11 +27,11 @@ from sonicauth import adversary, channel, cli, evaluation, pcm, protocol, signal
 
 MODULES = (signal, spectrum, channel, protocol, adversary, evaluation, pcm, cli)
 
-# 69 dataclass fields + 15 defaulted parameters + 40 flags.
-BOUND = 124
-# 31 defaulted dataclass fields + 15 defaulted parameters + 37 flags not
+# 64 dataclass fields + 15 defaulted parameters + 34 flags.
+BOUND = 113
+# 31 defaulted dataclass fields + 15 defaulted parameters + 31 flags not
 # required (--sigma, --frr and --kind are).
-OPTIONAL = 83
+OPTIONAL = 77
 
 
 def _defined_in(module, obj) -> bool:
