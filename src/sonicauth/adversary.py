@@ -27,8 +27,7 @@ from .signal import (
     _coarse_phasors,
     _finite_positive,
     _grid_bin_spectra,
-    _is_int,
-    _is_number,
+    _is_integer,
     _left_sum,
     _tone_sum,
     sample_spec,
@@ -59,7 +58,7 @@ class AllFrequency:
 
     def __post_init__(self) -> None:
         power = self.per_tone_power
-        if not (_is_number(power) and _finite_positive(power)):
+        if not _finite_positive(power):
             raise ValueError(f"per_tone_power must be a finite positive number, got {power!r}")
 
 
@@ -126,11 +125,11 @@ def guessing_success_probability(bin_count: int, signals: int = 1) -> float:
     in exact integers, so a count past the float range gives 0.0. Two
     signals: the square, since the guesses are independent.
     """
-    if not (_is_int(bin_count) and bin_count >= 2):
+    if not (_is_integer(bin_count) and bin_count >= 2):
         raise ValueError(f"bin_count must be an integer of at least 2, got {bin_count!r}")
     if signals not in (1, 2):
         raise ValueError("signals must be 1 or 2")
-    single = 1 / ((1 << bin_count) - 2)
+    single = 1 / ((1 << int(bin_count)) - 2)  # a numpy integer would shift in 64 bits
     return single if signals == 1 else single**2
 
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .signal import SAMPLE_RATE as BASE_SAMPLE_RATE
-from .signal import _finite_positive, _finite_real, _is_real, _json_fields
+from .signal import _finite_positive, _finite_real, _is_integer, _is_real, _json_fields
 
 DISTANCE_FLOOR_M = 0.1
 
@@ -89,7 +89,7 @@ class ChannelConfig:
     wall_plane_x: float | None = None
 
     def __post_init__(self) -> None:
-        if self.environment not in ENVIRONMENTS:
+        if not (isinstance(self.environment, str) and self.environment in ENVIRONMENTS):
             raise ValueError(f"unknown environment {self.environment!r}; options: {sorted(ENVIRONMENTS)}")
         for name in ("speed_of_sound", "gain_at_1m"):
             if not _finite_positive(getattr(self, name)):
@@ -99,19 +99,17 @@ class ChannelConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.wall_plane_x is not None and not _finite_real(self.wall_plane_x):
             raise ValueError(f"wall_plane_x must be finite or None, got {self.wall_plane_x}")
-        energy = float(np.sum(np.asarray(self.smoothing_kernel) ** 2))
-        if not abs(energy - 1.0) <= 1e-6:  # False for nan: a non-finite tap fails
+        taps = self.smoothing_kernel
+        if not (_is_real_sequence(taps) and all(map(_finite_real, taps))):
+            raise ValueError(f"smoothing_kernel must be a non-empty sequence of finite real taps, got {taps!r}")
+        energy = float(np.sum(np.asarray(taps, dtype=np.float64) ** 2))
+        if not abs(energy - 1.0) <= 1e-6:  # False for nan: taps whose squares overflow fail
             raise ValueError(f"smoothing_kernel must be finite and energy-normalized (sum of squares 1), got {energy}")
 
 
-def _is_position(value) -> bool:
+def _is_real_sequence(value) -> bool:
     """Whether ``value`` is a non-empty sequence of real numbers."""
     return isinstance(value, (tuple, list, np.ndarray)) and len(value) > 0 and all(_is_real(x) for x in value)
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer, numpy's included; a bool is not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -130,7 +128,7 @@ class Recorder:
 
     def __post_init__(self) -> None:
         where = f"device {self.device_id!r}"
-        if not _is_position(self.position):
+        if not _is_real_sequence(self.position):
             raise ValueError(f"{where} position must be a non-empty sequence of real numbers, got {self.position!r}")
         if not all(map(_finite_real, self.position)):
             raise ValueError(f"{where} position must be finite, got {self.position}")
@@ -171,7 +169,7 @@ class AcousticScene:
                 raise ValueError(f"{where}: emit_time must be an integer sample index, got {e.emit_time!r}")
             if e.emit_time < 0:
                 raise ValueError(f"{where} starts before the scene")
-            if not _is_position(e.position):
+            if not _is_real_sequence(e.position):
                 raise ValueError(f"{where}: position must be a non-empty sequence of real numbers, got {e.position!r}")
             if not all(map(_finite_real, e.position)):
                 raise ValueError(f"{where}: position must be finite, got {e.position}")

@@ -151,7 +151,8 @@ class ExperimentReport:
         return buf.getvalue()
 
     def to_json(self) -> str:
-        return json.dumps({"meta": self.meta, "rows": self.rows}, default=float)
+        # A numpy scalar, a count or a power passed in by the caller, as the Python number it holds.
+        return json.dumps({"meta": self.meta, "rows": self.rows}, default=lambda value: value.item())
 
 
 def _trial_rng(seed: int, cell: int, trial: int) -> np.random.Generator:
@@ -159,7 +160,7 @@ def _trial_rng(seed: int, cell: int, trial: int) -> np.random.Generator:
 
 
 def _check_count(name: str, value) -> None:
-    if not sg._is_int(value):
+    if not sg._is_integer(value):
         raise ValueError(f"{name} must be an integer, got {name}={value!r}")
 
 

@@ -24,7 +24,16 @@ import numpy as np
 
 from . import channel as ch
 from . import spectrum
-from .signal import SIGNAL_LENGTH, ReferenceSignal, SignalSpec, _finite_positive, _is_real, sample_spec, synthesize
+from .signal import (
+    SIGNAL_LENGTH,
+    ReferenceSignal,
+    SignalSpec,
+    _finite_positive,
+    _is_integer,
+    _is_real,
+    sample_spec,
+    synthesize,
+)
 
 
 @dataclass(frozen=True)
@@ -41,8 +50,10 @@ class SessionMeasurements:
     def __post_init__(self) -> None:
         if not (_finite_positive(self.f_a) and _finite_positive(self.f_v)):
             raise ValueError(f"sample rates must be finite and positive, got {self.f_a} and {self.f_v}")
-        if min(self.l_aa, self.l_av, self.l_va, self.l_vv) < 0:
-            raise ValueError("locations must be non-negative sample indices")
+        for name in ("l_aa", "l_av", "l_va", "l_vv"):
+            value = getattr(self, name)
+            if not (_is_integer(value) and value >= 0):
+                raise ValueError(f"{name} must be a non-negative integer sample index, got {value!r}")
 
 
 def estimate_distance(m: SessionMeasurements, speed_of_sound: float = 340.0) -> float:

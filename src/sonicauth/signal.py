@@ -59,16 +59,8 @@ class SignalSpec:
         return len(self.frequencies)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
 def _is_number_list(value) -> bool:
-    return isinstance(value, list) and all(_is_number(v) for v in value)
+    return isinstance(value, list) and all(_is_real(v) for v in value)
 
 
 def _json_fields(obj, where: str, checks: dict, required: tuple[str, ...]) -> dict:
@@ -94,6 +86,11 @@ def _json_fields(obj, where: str, checks: dict, required: tuple[str, ...]) -> di
 def _is_real(value) -> bool:
     """Whether ``value`` is a real number, numpy's included; a bool is not."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _finite_positive(value) -> bool:

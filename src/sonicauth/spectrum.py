@@ -113,6 +113,8 @@ def frequency_bin(freq: float, sample_rate: float) -> int:
     """
     if not signal._finite_positive(sample_rate):
         raise ValueError(f"sample_rate must be finite and positive, got {sample_rate}")
+    if not signal._is_real(freq):
+        raise ValueError(f"freq must be a real number, got {freq!r}")
     if not 0 <= freq < sample_rate:  # False for nan
         raise ValueError(f"freq {freq} outside [0, sample_rate) at sample_rate {sample_rate}")
     if freq == sample_rate / 2:
@@ -126,15 +128,8 @@ def frequency_bin(freq: float, sample_rate: float) -> int:
 def candidate_bin_table(sample_rate: float) -> np.ndarray:
     """(N, 2*THETA+1) one-sided bin indices per candidate, clamped then folded,
     around each candidate's ``frequency_bin``. Built once per rate and shared
-    read-only. A rate that is not finite, or not above the highest candidate,
-    is refused here, so it is checked once per rate and never on a cache
-    hit."""
-    highest = max(signal.CANDIDATES)
-    if not (math.isfinite(sample_rate) and sample_rate > highest):
-        raise ValueError(
-            f"sample rate {sample_rate} Hz must be finite and above the highest candidate, {highest:.2f} Hz: "
-            "a candidate outside [0, sample_rate) cannot be measured"
-        )
+    read-only; ``frequency_bin`` refuses a rate that puts a candidate off the
+    spectrum. A scan reads it through ``_rate_table``."""
     length = signal.SIGNAL_LENGTH
     first = np.array([frequency_bin(f, sample_rate) for f in signal.CANDIDATES], dtype=np.intp)
     k = np.clip(first[:, None] + np.arange(-THETA, THETA + 1), 0, length - 1)
@@ -143,13 +138,26 @@ def candidate_bin_table(sample_rate: float) -> np.ndarray:
     return table
 
 
+def _rate_table(sample_rate: float) -> np.ndarray:
+    """``candidate_bin_table(sample_rate)``, once the rate is checked to be a
+    finite real number above the highest candidate: checked here, once per
+    scan, as the table's cache would hash a rate before any check in it."""
+    highest = max(signal.CANDIDATES)
+    if not (signal._finite_positive(sample_rate) and sample_rate > highest):
+        raise ValueError(
+            f"sample_rate must be finite and above the highest candidate, {highest:.2f} Hz, got {sample_rate!r}: "
+            "a candidate outside [0, sample_rate) cannot be measured"
+        )
+    return candidate_bin_table(sample_rate)
+
+
 def measure_candidate_powers(window: np.ndarray, sample_rate: float) -> np.ndarray:
     """Per-candidate power of one signal-long window: sum of the 2*THETA+1
     bins around each candidate's index. This is the measurement convention
     shared by synthesis (nominal powers) and detection."""
     if np.shape(window) != (signal.SIGNAL_LENGTH,):
         raise ValueError(f"window must hold {signal.SIGNAL_LENGTH} samples, got shape {np.shape(window)}")
-    return _window_powers(_samples(window, "window"), candidate_bin_table(sample_rate))
+    return _window_powers(_samples(window, "window"), _rate_table(sample_rate))
 
 
 # Windows per block in a scan: bounds the spectra, or the sliding sums, held
@@ -323,9 +331,12 @@ def _window_score(x: np.ndarray, start: int, gate: tuple, table: np.ndarray) -> 
 
 
 def _samples(x: np.ndarray, what: str) -> np.ndarray:
-    """``x`` as float64 samples; a ValueError names a dtype that is not real
-    or the first sample that is not finite."""
+    """``x`` as float64 samples; a ValueError names a shape that is not
+    one-dimensional, a dtype that is not real or the first sample that is not
+    finite."""
     x = np.asarray(x)
+    if x.ndim != 1:
+        raise ValueError(f"{what} must be one-dimensional, got shape {x.shape}")
     if x.dtype.kind not in "biuf":
         raise ValueError(f"{what} must hold real samples, got dtype {x.dtype}")
     floating = x.dtype.kind == "f"  # integer and boolean samples are finite
@@ -349,11 +360,9 @@ def _scan(x: np.ndarray, sigs: tuple["ReferenceSignal", ...], sample_rate: float
     gate is not present. ``sample_rate`` is the recorder's."""
     length = signal.SIGNAL_LENGTH
     x = _samples(x, "recording")
-    if x.ndim != 1:
-        raise ValueError("recording must be one-dimensional")
     if x.shape[0] < length:
         raise ValueError("recording shorter than the reference signal")
-    table = candidate_bin_table(sample_rate)
+    table = _rate_table(sample_rate)
     max_start = x.shape[0] - length
     coarse_powers = _batch_candidate_powers(x, slice(0, max_start + 1, COARSE_STEP), table)
     gates = [_gate(sig) for sig in sigs]

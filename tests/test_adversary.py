@@ -210,6 +210,11 @@ class TestGuessingProbability:
             with pytest.raises(ValueError, match=f"^bin_count must be an integer of at least 2, got {count}$"):
                 adv.guessing_success_probability(count, 1)
 
+    def test_numpy_count_accepted(self):
+        """A numpy integer counts as the same Python integer, past 64 bits too."""
+        for count in (30, 2000):
+            assert adv.guessing_success_probability(np.int64(count), 2) == adv.guessing_success_probability(count, 2)
+
     def test_count_past_the_float_range(self):
         """``2**N - 2`` is exact in integers: the probability equals the float
         formula wherever that formula has a float, and is 0.0 beyond it."""
@@ -269,6 +274,12 @@ class TestScenarios:
     def test_all_frequency_bad_power_rejected(self, power):
         with pytest.raises(ValueError, match="per_tone_power must be a finite positive number, got"):
             adv.AllFrequency(per_tone_power=power)
+
+    @pytest.mark.parametrize(
+        "power", [np.float32(1e9), np.float64(1e9), np.int64(10**9)], ids=["float32", "float64", "int64"]
+    )
+    def test_all_frequency_numpy_power_accepted(self, power):
+        assert adv.AllFrequency(per_tone_power=power).per_tone_power == 1e9
 
     @pytest.mark.parametrize("power", [-1, 0, float("nan")])
     def test_all_frequency_waveform_builder_rejects_bad_power(self, power):

@@ -499,6 +499,9 @@ class TestFullBufferEquivalence:
         assert emission_counts == [2] * 2
 
 
+KERNEL_MESSAGE = "smoothing_kernel must be a non-empty sequence of finite real taps, got"
+
+
 class TestConfig:
     def test_kernel_must_be_energy_normalized(self):
         with pytest.raises(ValueError):
@@ -530,6 +533,22 @@ class TestConfig:
         field = list(kwargs)[-1]
         with pytest.raises(ValueError, match=rf"\b{field} must be"):
             cls(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"smoothing_kernel": ("a",)}, f"{KERNEL_MESSAGE} ('a',)"),
+            ({"smoothing_kernel": (1.0, None)}, f"{KERNEL_MESSAGE} (1.0, None)"),
+            ({"smoothing_kernel": ()}, f"{KERNEL_MESSAGE} ()"),
+            ({"environment": []}, f"unknown environment []; options: {sorted(ch.ENVIRONMENTS)}"),
+        ],
+        ids=["kernel_string_tap", "kernel_none_tap", "kernel_empty", "environment_list"],
+    )
+    def test_mistyped_field_named(self, kwargs, message):
+        """Refused with a ValueError naming the field, not by numpy's square
+        or the environment table's hash."""
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            ch.ChannelConfig(**kwargs)
 
     def test_default_kernel_energy(self, office_cfg):
         assert sum(t**2 for t in office_cfg.smoothing_kernel) == pytest.approx(1.0)

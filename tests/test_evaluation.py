@@ -356,6 +356,14 @@ class TestSessions:
         with pytest.raises(ValueError, match=message):
             campaign()
 
+    def test_numpy_counts_accepted(self):
+        """A numpy integer is a count, as it is a sample index in a scene:
+        the reports equal those of the same Python counts, JSON included."""
+        multiuser = ev.multiuser_campaign(np.int64(1), (0.5,), np.int32(1), 1, min_trials=np.int64(1))
+        assert multiuser.to_json() == ev.multiuser_campaign(1, (0.5,), 1, 1, min_trials=1).to_json()
+        attack = ev.attack_campaign(adv.ZeroEffort(), np.int64(2), 1, separation_m=12.0)
+        assert attack.to_json() == ev.attack_campaign(adv.ZeroEffort(), 2, 1, separation_m=12.0).to_json()
+
 
 class TestTrialOrder:
     """Trials are order-insensitive: each (cell, trial) run alone from its own

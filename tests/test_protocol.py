@@ -54,6 +54,21 @@ class TestEstimateDistance:
                 with pytest.raises(ValueError, match="^sample rates must be finite and positive, got"):
                     SessionMeasurements(l_aa=0, l_av=0, l_va=0, l_vv=0, f_a=f_a, f_v=f_v)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("l_aa", None), ("l_av", "7"), ("l_va", 1.5), ("l_vv", True), ("l_aa", -1), ("l_vv", np.int64(-1))],
+        ids=["none", "string", "float", "bool", "negative", "numpy_negative"],
+    )
+    def test_location_that_is_not_a_sample_index_named(self, name, value):
+        locations = {**dict(l_aa=100, l_av=350, l_va=420, l_vv=300), name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be a non-negative integer sample index, got "):
+            SessionMeasurements(**locations, f_a=44_100, f_v=44_100)
+
+    def test_numpy_locations_accepted(self):
+        locations = dict(l_aa=100, l_av=350, l_va=420, l_vv=300)
+        m = SessionMeasurements(**{k: np.int64(v) for k, v in locations.items()}, f_a=44_100, f_v=44_100)
+        assert estimate_distance(m) == estimate_distance(SessionMeasurements(**locations, f_a=44_100, f_v=44_100))
+
 
 class TestDecide:
     def test_monotone_in_threshold(self):

@@ -109,6 +109,11 @@ class TestFrequencyBin:
         with pytest.raises(ValueError, match=r"^freq nan outside \[0, sample_rate\)"):
             frequency_bin(float("nan"), FS)
 
+    @pytest.mark.parametrize("freq", ["a", None, True], ids=["string", "none", "bool"])
+    def test_non_number_frequency_named(self, freq):
+        with pytest.raises(ValueError, match=rf"^freq must be a real number, got {re.escape(repr(freq))}$"):
+            frequency_bin(freq, FS)
+
     @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -44_100.0])
     def test_bad_sample_rate_named(self, rate):
         with pytest.raises(ValueError, match=rf"^sample_rate must be finite and positive, got {rate}$"):
@@ -509,6 +514,16 @@ class TestDetectorInputs:
     def test_rate_not_finite_or_not_above_every_candidate(self, rate):
         self._rejected(np.zeros(20_000), rate, "must be finite and above the highest candidate, 34833.33 Hz")
 
+    @pytest.mark.parametrize("rate", ["a", [FS], None], ids=["string", "list", "none"])
+    def test_rate_that_is_not_a_number(self, rate):
+        """Named by the scan and by a one-window measurement, before the bin
+        table's cache hashes the rate (a list) or its check compares it."""
+        got = re.escape(repr(rate))
+        message = rf"^sample_rate must be finite and above the highest candidate, 34833.33 Hz, got {got}: "
+        self._rejected(np.zeros(8192), rate, message)
+        with pytest.raises(ValueError, match=message):
+            measure_candidate_powers(np.zeros(4096), rate)
+
 
 def _without_first_candidate():
     """A signal whose tone set leaves out the first candidate."""
@@ -740,6 +755,15 @@ class TestCrossCorrelate:
         sig = synthesize(sample_spec(np.random.default_rng(15)))
         with pytest.raises(ValueError):
             cross_correlate_detect(np.zeros(100), sig)
+
+    def test_two_dimensional_recording_rejected(self):
+        """Named as such by both detectors, not as shorter than the signal
+        because its first axis holds two rows."""
+        sig = synthesize(sample_spec(np.random.default_rng(15)))
+        x = np.zeros((2, 8192))
+        for call in (lambda: cross_correlate_detect(x, sig), lambda: detect_pair(x, sig, sig, sample_rate=FS)):
+            with pytest.raises(ValueError, match=r"^recording must be one-dimensional, got shape \(2, 8192\)$"):
+                call()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_rejected(self, value):
