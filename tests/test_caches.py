@@ -5,9 +5,13 @@ and shared read-only: sessions must not depend on whether a table was built
 for them or found in its cache, and every cached table must equal the one
 built for its caller alone."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import sonicauth
 from helpers import full_buffer_propagate, noise_mask, tone_set_phasor_table
 from sonicauth import adversary as adv
 from sonicauth import channel as ch
@@ -17,16 +21,21 @@ from sonicauth import spectrum
 from sonicauth.protocol import AuthPolicy, Endpoint, run_authentication
 from sonicauth.signal import BIN_COUNT, CANDIDATES, SAMPLE_RATE, SIGNAL_LENGTH, SignalSpec, sample_spec, synthesize
 
+# Only the all-frequency spoofer fills these: its waveform, and the path memo
+# that only a read-only waveform, its own, enters.
+SPOOFER_CACHES = (adv._all_frequency_waveform, ch._held_path_response)
 CACHES = (
     sg._block_phasors,
     sg._grid_bin_spectra,
     spectrum.candidate_bin_table,
+    spectrum._roots_of_unity,
+    spectrum._slide_phases,
+    ch.fast_fft_length,
     ch._noise_mask,
     ch._shift_ramp,
-    ch._held_path_response,
+    *SPOOFER_CACHES,
 )
-# Only a read-only waveform, the all-frequency spoofer's, fills the path memo.
-PATH_MEMO_KINDS = {"all_frequency"}
+SPOOFER_KINDS = {"all_frequency"}
 
 
 def _clear_caches():
@@ -80,10 +89,23 @@ class TestCachePurity:
         for session in SESSIONS[kind]:
             _clear_caches()
             cold.append(session())
-        filled = CACHES if kind in PATH_MEMO_KINDS else CACHES[:-1]
+        filled = [cache for cache in CACHES if kind in SPOOFER_KINDS or cache not in SPOOFER_CACHES]
         assert all(cache.cache_info().currsize > 0 for cache in filled)
         warm = [session() for session in SESSIONS[kind]]
         assert warm == cold
+
+    def test_every_cache_is_cleared(self):
+        """``CACHES`` holds every ``lru_cache`` the package's modules define,
+        so a new cache cannot stay warm through the cold runs above."""
+        defined = set()
+        for info in pkgutil.iter_modules(sonicauth.__path__):
+            module = importlib.import_module(f"sonicauth.{info.name}")
+            defined |= {
+                obj
+                for obj in vars(module).values()
+                if callable(getattr(obj, "cache_clear", None)) and obj.__module__ == module.__name__
+            }
+        assert defined == set(CACHES)
 
     def test_cached_arrays_are_read_only(self):
         synthesize(sample_spec(np.random.default_rng(1)))
