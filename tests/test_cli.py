@@ -292,8 +292,8 @@ def test_multiuser_csv(capsys):
 
 
 def test_range_pairs_sets_the_interferers(tmp_path, capsys):
-    """``range --pairs N`` runs N - 1 interfering pairs, and one pair, with
-    none, by default; there is no ``multiuser`` subcommand besides it."""
+    """``range --pairs N`` runs N - 1 interfering pairs; by default one pair
+    runs alone. No ``multiuser`` subcommand is left beside it."""
     for argv, interferers in (([], 0), (["--pairs", "2"], 1)):
         out = tmp_path / f"range{interferers}.json"
         assert main(["range", *argv, "--trials", "1", "--distances", "0.5", "--out", str(out)]) == 0
