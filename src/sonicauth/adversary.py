@@ -104,7 +104,7 @@ def all_frequency_amplitudes(per_tone_power: float) -> list[float]:
 
 
 # An attack campaign replays one waveform on every trial, so keeping the last
-# one is enough; a session-long waveform holds ~57 KB.
+# one is enough; a session-long waveform holds ~35 KB.
 @lru_cache(maxsize=1)
 def _all_frequency_waveform(per_tone_power: float, duration: int) -> np.ndarray:
     """``sum_i amp_i * sin(w_i t)`` rounded to 16-bit samples: every

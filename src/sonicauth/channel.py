@@ -261,7 +261,7 @@ def _phase_ramp(n: int, frac: float) -> np.ndarray:
 # Sessions of one geometry shift their signals by the same fractions: eight
 # entries hold an office campaign's four, or a spoofing campaign's five,
 # (length, fraction) keys, ~35 KB each. The spoofer's waveform is shifted only
-# when its path response is memoized, so its ~233 KB ramps are not kept.
+# when its path response is memoized, so its ~143 KB ramps are not kept.
 @lru_cache(maxsize=8)
 def _shift_ramp(n: int, frac: float) -> np.ndarray:
     """``_phase_ramp(n, frac)``, shared read-only."""
@@ -310,7 +310,7 @@ class _Held:
 
 
 # An all-frequency campaign replays one read-only waveform from one position
-# in every session, to the same two recorders: two entries, ~231 KB each.
+# in every session, to the same two recorders: two entries, ~143 KB each.
 @lru_cache(maxsize=2)
 def _held_path_response(
     held: _Held, frac: float, gain: float, kernel: tuple[float, ...]
@@ -367,7 +367,7 @@ def propagate(
 
 # Every recording a session makes has one length; the second entry serves a
 # scene of another length that a caller of ``record`` builds. Each mask holds
-# n/2+1 floats (~115 KB at 28672 samples).
+# n/2+1 floats (~71 KB at 17640 samples).
 @lru_cache(maxsize=2)
 def _noise_mask(n: int) -> np.ndarray:
     """Spectral amplitude of the noise over the ``n``-sample rFFT bins: flat

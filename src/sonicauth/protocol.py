@@ -128,8 +128,17 @@ def _to_samples(seconds: float) -> int:
 # time (overlap would trip the out-of-set power check when the tone sets
 # intersect); the small start jitter keeps scan alignment honest without
 # letting coarse-scan misalignment eat the whole detection margin.
-PLAYBACK_GAP_S = 0.3
-PLAYBACK_START_S = 0.2
+# - The lead-in only has to cover the jitter: the earliest start is
+#   2205 - 200 = 2005 samples.
+# - The gap must keep the two bursts apart at both devices at the pairing
+#   range: there the first burst ends at the far device the travel delay
+#   (1298 samples at 10 m), the signal length (4096) and the default kernel's
+#   tail (8) after it is played, so the gap needs at least 5402 samples
+#   (0.12 s).
+# - The gap is 0.2 s (8820 samples), not 0.15 s: with the shorter gap, more
+#   crowded sessions lose a signal to an interfering pair's bursts.
+PLAYBACK_GAP_S = 0.2
+PLAYBACK_START_S = 0.05
 START_JITTER_SAMPLES = 200
 PLAYBACK_GAP_SAMPLES = _to_samples(PLAYBACK_GAP_S)
 # A recording runs this many samples past the latest a session's signals can
@@ -226,7 +235,7 @@ def _arrival_end(play_at: int, src: tuple[float, ...], dst: tuple[float, ...], c
 # Every recording lasts RECORD_SAMPLES: the latest a session's signal can end
 # at either device is the vouching signal's end at the authenticating device,
 # played at the latest start and heard at the pairing range through the
-# default kernel (sample 27652). The margin is added and the sum rounded up to
+# default kernel (sample 16627). The margin is added and the sum rounded up to
 # a fast FFT length.
 RECORD_SAMPLES = ch.fast_fft_length(
     _arrival_end(

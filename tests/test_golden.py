@@ -85,44 +85,44 @@ SESSIONS = {
 }
 
 GOLDEN = {
-    "accept_0.5m_s0": "19d02b89ce69c9cd17a0a799a225c00ab5131eb57ba9f87dc0d77ffe92ad1adb",
-    "accept_0.5m_s1": "7ed43aa55617662774111b1b45cfd37af3bfec46620aa02946c84cb33a72cdaf",
-    "accept_1.0m": "1bcc9f298dd7b1ce3504fffe8379b778f2f38698fc44d408105318e00d6b617c",
-    "accept_silent": "af18d0f3efbd774dfe4b9cc0094a3b87010767ff966225a67bf3fb37b362c396",
-    "accept_street": "555740beb8a477c16b124d84ae6d55f641eab6f6c139bf135ab0da608e7bea49",
-    "distance_exceeded_1.8m": "a1ac9b28eef30001a3406ec298df79239cb3eb473c391f7a9ca8f21dd2286b31",
-    "distance_exceeded_tau_0.5": "64934053ec00dc63cc146ab63e06fef9bacf9397b1254424351f34d553734150",
-    "signal_not_present_3m": "40270c63c56cb3dfa44bc992463a713d643648b2695f8d00bf28f93d94db7cd3",
-    "signal_not_present_wall": "d43274bbc9abd38885a0e19bdafa8e8cac9305e70aac2d539fee5a12a91ed75f",
+    "accept_0.5m_s0": "4de8cfda414c51b4e2921cf0bfc5f5f98a0446e1dbd9e0771113e4f8956a6b9f",
+    "accept_0.5m_s1": "68b4233e2411dfb574c59d71610331b62126cddd8d75260034bfbce117d5b41a",
+    "accept_1.0m": "517dbe479e0ecd642b8f56ac3ba3792274528e0de6c68b58f212fc8eab4c5b9c",
+    "accept_silent": "4b9498acc756b910a6b5757b903cdd8e0722f3e2e8a53f9cf869ea62a8dbc039",
+    "accept_street": "9be233ed19d52ff0b8c181030003b0f504ba40ac3e1d2a612f0e419fde9fd79a",
+    "distance_exceeded_1.8m": "9a3350d6c3cd5a507676ba56e8e38e46d54d3d929286cc8440696abc5d3d56ad",
+    "distance_exceeded_tau_0.5": "dc4f717f7dd3b2435584cd14da5f17ebccc45ea937f844d2145140ba7f600a8c",
+    "signal_not_present_3m": "7e4860d818aed68b4ea19132021df79d879c6d239cfdf087bd88d0d41d624e00",
+    "signal_not_present_wall": "79b512ff5c4ce1b8469b82f8992be131cbe1df912ee2e81f1a8f0536cc9ebc64",
     "not_paired_range": "d5c573cb8b0a85c6e02c3523675d89c5fdbf8121139440ce4ba76363486c7030",
-    "skewed_vouch_clock": "68850345a9f3f4b2df094a179ed09bb0355d190bc0252e613a2eecedeb284d2d",
-    "guessing_replay": "07613463ab81cb0e5528bbb5790b862feb053e9b20ba269571f0926affa71231",
-    "all_frequency": "956e3c8dd13911bc509feaba4f9f33974e89f9af8f1ceed8d95d19fc80ecf64d",
-    "crowded_3_pairs_0.5m": "1a84d73fee4d81327c804c351093cb189c68b1f3729ce03d1be8ed6ca59d87cd",
-    "crowded_3_pairs_1.5m": "99d885b2bff3087d3df4bb1ac3ba2452bfba6f122ce24e3c98ad4b9c80295aa5",
+    "skewed_vouch_clock": "a056724d7266af45502f4fd3d52b35b3be607a46913567c1a9690d23cf621d8d",
+    "guessing_replay": "52f44a8766692fe9688dd2b6ad95638e9a0cad88738f5a8b0173cfce537c68f3",
+    "all_frequency": "ba2bad33b28ea441d24c0c1db4aca3ee4f8a975ef9b1b8177ee08abad5a4bf18",
+    "crowded_3_pairs_0.5m": "a7a180566b0f8fc1203a1ec0a375c35eda02fd6a67c279cf1e888160e74969b8",
+    "crowded_3_pairs_1.5m": "72cf62311091f87c48b344378c4d8bd57b5f89e72f39b64ce3158b299ba4ad7d",
 }
 
 # The same transcripts without their ``link_log``: a change that moves only the
 # byte counts of the link payloads leaves these digests as they are.
 GOLDEN_WITHOUT_LINK = {
-    "accept_0.5m_s0": "2d9ef36e26a2fa72cf4e3cc880d344188a2b8ea656e3ecd25d3235fe6e962fa7",
-    "accept_0.5m_s1": "158d2b1a95031153c4f37db965ce196f3b0bdfa91de76ea0f764a5878b1cde70",
-    "accept_1.0m": "a2a55c7fbf168d0d87e6be06bfb41ac0addc021908aed76ee683ba24c70bd40f",
-    "accept_silent": "13dd38aaa6a0464eb846d5f2db93f5981e741e6cf672c78b160709cca1a0a4a6",
-    "accept_street": "be74e597e00d8d5f2f40815fb7c3790d3638c2964c87e16bb6213021b988c18d",
-    "distance_exceeded_1.8m": "69e3353031515803672e439f1e29d7f41cc4cf67aa996f4164164db95e6c06fc",
-    "distance_exceeded_tau_0.5": "e394ba4076251290914b589fbfbdf17681999666f1f9f09ec05950d62a4a0da8",
-    "signal_not_present_3m": "dda94d3deb29f9075cbe7393ec77b465aa1398723b03144b027ea6289a7784d5",
-    "signal_not_present_wall": "f3008f6865cbac7345d6c208d0d3f26864eb888bffb67caac986a71b2644fe2d",
+    "accept_0.5m_s0": "aff0b95664d6abf875f9c4e1edfd1269d4f92ed8a6f45998b8266f781cab3074",
+    "accept_0.5m_s1": "9d640b9432b3e6d0f9b858b5c229605b1dc7f6052f1291e6377ae6b40abb9e86",
+    "accept_1.0m": "bc13f59a0cf31bebb30eb4265fdbb8e8ef2ab708ed575b362eff93be1c27d5ac",
+    "accept_silent": "e85b07dcbacc6d7e42e333dfa0ace61fc54914e4dc2206b09007cbcc5318b974",
+    "accept_street": "109f0fcbc900a92e11eba9d17355cad87a322bb4d99eb3c704758c0ae8f1eb5e",
+    "distance_exceeded_1.8m": "a1f8d0cd8417a7f7ca906a43fb7909dfd9843c59d791e4f0576aaaebaa438477",
+    "distance_exceeded_tau_0.5": "0bec09c03ab7ee1782023a522c0b40c184279d8a84c41696e8e63b4ebd83826c",
+    "signal_not_present_3m": "800ea2de26593845fc916819a1009f78f5d2dd5451bf6186fa840ddaaeba8c51",
+    "signal_not_present_wall": "682cf71fd6e78a19a60b6a655de6735e804fb14667925e3e5f6c488c1e88ef61",
     "not_paired_range": "3bb9b0482ea8e66347965f12ec23e6c7f379f8b19ada76f5eb22ae8954cfb422",
-    "skewed_vouch_clock": "a96592bd969c133ca6a9ce57125f82adc89fd6da34ce28823aa5757debaddc05",
-    "guessing_replay": "6f7ea8ccd0d8f5353a9420f49fb5a91a529bf6033e298d5d1ee0ab15b1505f72",
-    "all_frequency": "56648bd58c13346dc67cad4c3198bc3acd7a2795f8a20b034f471fa4a6ed03d1",
-    "crowded_3_pairs_0.5m": "3f8f054a844726b367aec0241a769adf6cd162855e5c481bb6c09b9236c539d8",
-    "crowded_3_pairs_1.5m": "18ceeee3e31dcca534463eec93c1497f4b329a7bf0ace9f6a331ebcb09ae464a",
+    "skewed_vouch_clock": "756f8becce4ce11ceb49a2b2568e6549a6df8cc1d454ffedf423e68be918e886",
+    "guessing_replay": "08c405c5fcbcd2566a3dcea547230aa0695ceee56abb8d3c38805df8cc920b6f",
+    "all_frequency": "3e1d06f4e6ef8bc385ac5d52b3939f05de3ea6bb82b2d677a57f71fae64e40d2",
+    "crowded_3_pairs_0.5m": "32fcd47cf13a758f703dc0297ee4e72442d487a4c40ba37adfdc823dc4f46a07",
+    "crowded_3_pairs_1.5m": "48cd68effac4e340896eea51e0e3585721f3ee7180332067adbd0aa4f087331d",
 }
 
-CAMPAIGN_CSV_SHA256 = "0515c563f78f75496381fcd7ec5279aa2700a55ef8d668340f0b3f9bf6e1abc9"
+CAMPAIGN_CSV_SHA256 = "026b129352fdbd08133fe25e775f83925b279febd44302c804292d7e7c9db3e9"
 
 # Campaign reports, one per campaign that runs sessions: each pins the seeding
 # of its trials (cell and trial index) and how it folds their transcripts.
@@ -134,10 +134,10 @@ REPORTS = {
 }
 
 REPORT_SHA256 = {
-    "detector_comparison": "e5567dd897b5fd74448b18fa31223c8b9b71c7afca0d65646ee88f6fdce8d1a4",
+    "detector_comparison": "dd5ad0c110673abc6a506199336185e8f97caab167316dae73ab150315e22f74",
     "attack_guessing_replay": "e5211c0123510d410ef6c37993cf6720bbec1e1c3d4024c892b9607f8beb5789",
     "attack_zero_effort_12m": "513f19da96ba0ee6b54bf47148340391e31eada87a022b56d38cd437d5ec7b75",
-    "multiuser_2_pairs": "fd60cdd3f335f3283cfcd2c2977b1798eb7795308cdeaa4114b3955910221ab4",
+    "multiuser_2_pairs": "95a69ce0e25d7797de91f574ae5b0079805a3871e81eacb252e500e48c1c98aa",
 }
 
 
@@ -145,15 +145,15 @@ REPORT_SHA256 = {
 # sessions, by (separation, seed): its four locations and raw distance. Both
 # devices' detections lock onto the nearby burst, so the distance is exactly 0.
 XCORR_BASELINE = {
-    (0.5, 12): ({"l_aa": 8924, "l_av": 8755, "l_va": 22323, "l_vv": 22154}, 0.0),
-    (1.5, 13): ({"l_aa": 8876, "l_av": 8870, "l_va": 22112, "l_vv": 22106}, 0.0),
+    (0.5, 12): ({"l_aa": 2309, "l_av": 2140, "l_va": 11298, "l_vv": 11129}, 0.0),
+    (1.5, 13): ({"l_aa": 2261, "l_av": 2255, "l_va": 11087, "l_vv": 11081}, 0.0),
 }
 
 # The two-way rows of the golden detector comparison, by (method, distance):
 # trials measured and mean absolute error in metres. The echo row is left to
 # the report digest, so these hold through a change of the echo baseline.
 TWO_WAY_ROWS = {
-    ("two_way_freq", 0.5): (2, 0.039682539682542484),
+    ("two_way_freq", 0.5): (2, 0.03854875283446729),
     ("two_way_freq", 1.0): (2, 0.0022675736961454973),
     ("two_way_xcorr", 0.5): (2, 0.8430839002267574),
     ("two_way_xcorr", 1.0): (2, 1.0),
@@ -162,12 +162,12 @@ TWO_WAY_ROWS = {
 # An all-frequency campaign's transcripts, concatenated: its later sessions
 # find the spoofer's path responses memoized by the first, so even in a fresh
 # process this digest covers memo hits, not only misses.
-ALL_FREQUENCY_CAMPAIGN_SHA256 = "0f90bd14a4f29ff15e83eece7e7865bb642cccd31f1396ff14914be82c95d969"
+ALL_FREQUENCY_CAMPAIGN_SHA256 = "4c39340db4e23c3774ebdd1066db80e3900a6a1c70462580bc059d89282f0ca4"
 
 # A guessing-replay campaign's transcripts, concatenated: the report digest
 # above pins only its counts, these pin the locations and peaks of detections
 # whose signal no coarse window passes, which are not fine-scanned.
-GUESSING_REPLAY_CAMPAIGN_SHA256 = "291490152408b9fd58eff39b3788788d64dcb7aed05c6d0ad0a8c178fa4ded0d"
+GUESSING_REPLAY_CAMPAIGN_SHA256 = "c46b397dc31d6b756390c11c996c8d1ad4eb41d112d647b0e2adad6cc6c1649e"
 
 
 @cache
@@ -216,7 +216,7 @@ def test_wav_dump_of_the_skewed_session(tmp_path):
     for device in ("auth", "vouch"):
         with wave.open(str(tmp_path / f"recording_{device}.wav"), "rb") as fh:
             headers[device] = (fh.getnchannels(), fh.getsampwidth(), fh.getframerate(), fh.getnframes())
-    assert headers == {"auth": (1, 2, 44_100, 28_672), "vouch": (1, 2, 44_144, 28_701)}
+    assert headers == {"auth": (1, 2, 44_100, 17_640), "vouch": (1, 2, 44_144, 17_658)}
 
 
 def test_distance_error_campaign_csv_digest():

@@ -252,14 +252,17 @@ class TestRunAuthentication:
     def test_recording_too_short_for_vouching_signal_rejected(self):
         """A smoothing kernel of n taps (a delta padded with zeros) lengthens
         each arrival by n - 1 samples. The vouching burst may start at sample
-        22 250, arrives 65 samples later at the authenticating device 0.5 m
-        away, and with its 4096 samples ends at sample 26 410 + n of the
+        11 225, arrives 65 samples later at the authenticating device 0.5 m
+        away, and with its 4096 samples ends at sample 15 385 + n of the
         ``RECORD_SAMPLES``-sample recording."""
 
         def cfg(taps):
             return ch.ChannelConfig(smoothing_kernel=(1.0,) + (0.0,) * (taps - 1))
 
-        fitting = RECORD_SAMPLES - 26_410  # ends the burst on the recording's last sample
+        latest_start = _to_samples(PLAYBACK_START_S) + START_JITTER_SAMPLES + PLAYBACK_GAP_SAMPLES
+        assert latest_start == 2205 + 200 + 8820 == 11_225
+        assert latest_start + 65 + SIGNAL_LENGTH - 1 == 15_385
+        fitting = RECORD_SAMPLES - 15_385  # ends the burst on the recording's last sample
         with pytest.raises(ValueError, match=f"{RECORD_SAMPLES}-sample recording is too short"):
             run(0.5, cfg=cfg(fitting + 1))
         # 2 m away the arrival takes 260 samples, 195 more
@@ -274,9 +277,24 @@ class TestRunAuthentication:
         the margin, at a length with no prime factor above 7."""
         latest_start = _to_samples(PLAYBACK_START_S) + START_JITTER_SAMPLES + PLAYBACK_GAP_SAMPLES
         end = _arrival_end(latest_start, (0.0, 0.0), (PAIRING_RANGE_M, 0.0), ch.ChannelConfig())
-        assert end == 8820 + 200 + 13_230 + 1298 + SIGNAL_LENGTH + 8 == 27_652
+        assert end == 2205 + 200 + 8820 + 1298 + SIGNAL_LENGTH + 8 == 16_627
         assert end + RECORD_MARGIN_SAMPLES <= RECORD_SAMPLES == ch.fast_fft_length(end + RECORD_MARGIN_SAMPLES)
-        assert RECORD_SAMPLES == 28_672 == 2**12 * 7
+        assert RECORD_SAMPLES == 17_640 == 2**3 * 3**2 * 5 * 7**2
+
+    def test_gap_keeps_the_bursts_apart_at_pairing_range(self):
+        """At either device the partner's burst arrives at most the travel
+        delay at the pairing range after it was played, and with the default
+        kernel it lasts the signal length plus the kernel's tail. The second
+        burst is played only after the first has ended at both devices."""
+        cfg = ch.ChannelConfig()
+        delay = int(np.ceil(ch.propagation_delay_samples((0.0, 0.0), (PAIRING_RANGE_M, 0.0), cfg)))
+        assert delay == 1298
+        assert PLAYBACK_GAP_SAMPLES >= delay + SIGNAL_LENGTH + len(cfg.smoothing_kernel) - 1
+
+    def test_earliest_jittered_start_is_within_the_recording(self):
+        """The lead-in covers the start jitter: no signal is played before
+        the devices start recording."""
+        assert _to_samples(PLAYBACK_START_S) - START_JITTER_SAMPLES >= 0
 
     def test_default_kernel_fits_the_recording_at_pairing_range(self):
         _, transcript = run(PAIRING_RANGE_M)

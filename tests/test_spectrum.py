@@ -715,7 +715,7 @@ class TestDetectPair:
                 assert detect_pair(x, partner, sig_b, sample_rate=FS)[1] == out_b
 
     def test_rfft_shapes_of_one_scan(self, monkeypatch, office_cfg):
-        """The transforms one scan takes: one batch over the 25 coarse windows
+        """The transforms one scan takes: one batch over the 14 coarse windows
         of a session recording, then, for the signals some coarse window
         passes, one batch of the stacked fine pass's first windows and one
         exact rescoring per signal. Noise alone stops after the coarse
@@ -734,10 +734,10 @@ class TestDetectPair:
         monkeypatch.setattr(np.fft, "rfft", counting)
         outcomes = detect_pair(rec_a, sig_a, sig_v, sample_rate=transcript.sample_rates["auth"])
         assert all(out.location is not None for out in outcomes)
-        assert shapes == [(25, 4096), (2, 4096), (4096,), (4096,)]
+        assert shapes == [(14, 4096), (2, 4096), (4096,), (4096,)]
         shapes.clear()
         assert detect_pair(noise, sig_a, sig_v, sample_rate=FS) == (DetectionOutcome(None, None),) * 2
-        assert shapes == [(25, 4096)]
+        assert shapes == [(14, 4096)]
 
 
 class TestCrossCorrelate:
