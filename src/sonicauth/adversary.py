@@ -81,9 +81,12 @@ def all_frequency_signal(per_tone_power: float, duration: int) -> np.ndarray:
     The waveform is memoised per ``(power, duration)`` and returned
     read-only, since every caller with that key shares it.
     """
-    if duration < SIGNAL_LENGTH:
-        raise ValueError(f"duration must cover at least one measurement window ({SIGNAL_LENGTH} samples)")
-    if not (math.isfinite(per_tone_power) and per_tone_power > 0):
+    if not (_is_integer(duration) and duration >= SIGNAL_LENGTH):
+        raise ValueError(
+            f"duration must be an integer that covers at least one measurement window ({SIGNAL_LENGTH} samples), "
+            f"got {duration!r}"
+        )
+    if not _finite_positive(per_tone_power):
         raise ValueError(f"per-tone power must be finite and positive, got {per_tone_power!r}")
     return _all_frequency_waveform(float(per_tone_power), int(duration))
 

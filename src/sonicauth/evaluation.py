@@ -92,8 +92,8 @@ def frr_far_model(tau_m: float, model: ErrorModel) -> tuple[float, float]:
     normal CDF are exact, through its antiderivative ``G``, and free of
     cancellation at any sigma.
     """
-    if not 0 < tau_m < model.detect_range_m:
-        raise ValueError("threshold must lie in (0, detect_range)")
+    if not (sg._is_real(tau_m) and 0 < tau_m < model.detect_range_m):
+        raise ValueError(f"threshold tau_m must lie in (0, detect_range), got {tau_m!r}")
     sigma = model.sigma_m
     frr = sigma / tau_m * _normal_cdf_integral_gap(tau_m / sigma)
     far = sigma * _normal_cdf_integral_gap((model.detect_range_m - tau_m) / sigma) / (model.pairing_range_m - tau_m)
@@ -110,6 +110,8 @@ def fit_sigma(frr_target: float, tau_m: float, detect_range_m: float = DETECTION
     def frr(sigma: float) -> float:
         return frr_far_model(tau_m, ErrorModel(sigma, detect_range_m))[0]
 
+    if not sg._is_real(frr_target):
+        raise ValueError(f"frr_target must be a real number, got {frr_target!r}")
     lo, hi = 1e-4, 1.0
     if not frr(lo) <= frr_target <= frr(hi):
         raise ValueError("no sigma in (1e-4, 1) reaches the requested FRR")
@@ -348,7 +350,10 @@ def attack_campaign(
     The legitimate devices sit ``separation_m`` apart (default beyond the
     detect range: the attacker tries while the user is away). The report's
     one row holds the scenario's name and fields, the trials, the accepts
-    and one count per ``RejectReason``."""
+    and one count per ``RejectReason``. A ``scenario`` that is not an
+    ``AttackScenario`` raises ``ValueError`` before any session."""
+    if not isinstance(scenario, adv.AttackScenario):
+        raise ValueError(f"scenario must be a ZeroEffort, GuessingReplay or AllFrequency, got {scenario!r}")
     cfg = _cfg_for(environment, channel_cfg)
     intruder = lambda auth, vouch, r: adv.build_emissions(scenario, auth, vouch, r)
     results = _sessions((separation_m,), trials, seed, cfg, intruder)
@@ -436,7 +441,7 @@ def detector_comparison(
     A distance beyond the pairing range, where no paired link serves any
     method, raises ``ValueError`` before any session.
     """
-    if not 0 <= sigma_proc_s <= _ECHO_MAX_SIGMA_PROC_S:  # False for nan
+    if not (sg._is_real(sigma_proc_s) and 0 <= sigma_proc_s <= _ECHO_MAX_SIGMA_PROC_S):  # False for nan
         raise ValueError(f"sigma_proc_s must be in [0, {_ECHO_MAX_SIGMA_PROC_S}] seconds, got {sigma_proc_s}")
     cfg = _cfg_for(environment, channel_cfg)
     distances = tuple(distances)

@@ -148,22 +148,6 @@ PLAYBACK_GAP_SAMPLES = _to_samples(PLAYBACK_GAP_S)
 RECORD_MARGIN_SAMPLES = 1000
 
 
-class SecureLink:
-    """Stand-in for the paired short-range channel: reliable ordered byte
-    pipe between paired devices, usable exactly within the pairing range (a
-    session sends only once ``usable`` holds). Not cryptographic."""
-
-    def __init__(self) -> None:
-        self.log: list[dict] = []
-
-    def usable(self, distance_m: float) -> bool:
-        return distance_m <= PAIRING_RANGE_M
-
-    def send(self, sender: str, kind: str, payload: bytes) -> bytes:
-        self.log.append({"sender": sender, "kind": kind, "bytes": len(payload)})
-        return payload
-
-
 @dataclass
 class SessionTranscript:
     """Everything needed to recompute the verdict offline."""
@@ -189,6 +173,8 @@ class SessionTranscript:
     reason: str | None = None
     threshold_m: float | None = None
     session_seed: int | None = None
+    # The paired link, a reliable ordered byte pipe between the paired
+    # devices (not cryptographic): each message's sender, kind and length.
     link_log: list = field(default_factory=list)
 
     def to_json(self) -> str:
@@ -215,11 +201,13 @@ def _draw(rng: np.random.Generator) -> ReferenceSignal:
 
 
 def _transfer(
-    link: SecureLink, sender: str, sig_a: ReferenceSignal, sig_v: ReferenceSignal
+    t: SessionTranscript, sig_a: ReferenceSignal, sig_v: ReferenceSignal
 ) -> tuple[ReferenceSignal, ReferenceSignal]:
-    """Step II: byte-faithful transfer of both signals over the paired link;
-    returns the receiving device's copies."""
-    blob = link.send(sender, "reference_signals", sig_a.to_bytes() + sig_v.to_bytes())
+    """Step II: byte-faithful transfer of both signals from the
+    authenticating device over the paired link; returns the vouching
+    device's copies."""
+    blob = sig_a.to_bytes() + sig_v.to_bytes()
+    t.link_log.append({"sender": t.auth_id, "kind": "reference_signals", "bytes": len(blob)})
     split = 4 + int.from_bytes(blob[:4], "big") + sig_a.samples.nbytes
     return ReferenceSignal.from_bytes(blob[:split]), ReferenceSignal.from_bytes(blob[split:])
 
@@ -284,7 +272,7 @@ def _record(
     return ch.record(scene, t.auth_id, cfg), ch.record(scene, t.vouch_id, cfg)
 
 
-def _conclude(t: SessionTranscript, link: SecureLink, policy: AuthPolicy, speed_of_sound: float) -> AuthDecision:
+def _conclude(t: SessionTranscript, policy: AuthPolicy, speed_of_sound: float) -> AuthDecision:
     """Steps V-VI: the vouching device reports only its local location
     difference, and the authenticating device turns the locations into a
     distance and a verdict, both written to the transcript."""
@@ -292,14 +280,13 @@ def _conclude(t: SessionTranscript, link: SecureLink, policy: AuthPolicy, speed_
     if t.signal_present:
         v_diff = t.locations["l_va"] - t.locations["l_vv"]
         payload = int(v_diff).to_bytes(8, "big", signed=True)
-        link.send(t.vouch_id, "location_difference", payload)
+        t.link_log.append({"sender": t.vouch_id, "kind": "location_difference", "bytes": len(payload)})
         raw = estimate_distance(measurements_from_transcript(t), speed_of_sound)
     decision = decide(raw, t.signal_present, t.paired_link_ok, policy)
     t.raw_distance_m = raw
     t.estimated_distance_m = decision.estimated_distance_m
     t.verdict = "accept" if decision.accepted else "reject"
     t.reason = None if decision.accepted else decision.reason.value
-    t.link_log = link.log
     return decision
 
 
@@ -314,7 +301,6 @@ def run_authentication(
 ) -> tuple[AuthDecision, SessionTranscript]:
     """Run one authentication session end to end on the simulated channel."""
     d_true = ch._distance(auth.position, vouch.position)
-    link = SecureLink()
     t = SessionTranscript(
         auth_id=auth.device_id,
         vouch_id=vouch.device_id,
@@ -322,19 +308,20 @@ def run_authentication(
         vouch_position=vouch.position,
         true_distance_m=d_true,
         environment=channel_cfg.environment,
-        paired_link_ok=link.usable(d_true),
+        # The paired link is usable exactly within the pairing range.
+        paired_link_ok=d_true <= PAIRING_RANGE_M,
         threshold_m=policy.threshold_m,
         sample_rates={"auth": auth.sample_rate, "vouch": vouch.sample_rate},
     )
     if not t.paired_link_ok:
-        return _conclude(t, link, policy, channel_cfg.speed_of_sound), t
+        return _conclude(t, policy, channel_cfg.speed_of_sound), t
 
     sig_a = _draw(rng)
     sig_v = _draw(rng)
     t.freqs_a = sig_a.frequencies
     t.freqs_v = sig_v.frequencies
 
-    vouch_sig_a, vouch_sig_v = _transfer(link, auth.device_id, sig_a, sig_v)
+    vouch_sig_a, vouch_sig_v = _transfer(t, sig_a, sig_v)
 
     # The draw order (start jitter, scene seed, then the intruder) is part of
     # what a session seed reproduces.
@@ -356,7 +343,7 @@ def run_authentication(
         t.locations[key] = out.location
         t.peak_norm_powers[key] = out.peak_norm_power
     t.signal_present = all(out.location is not None for out in outcomes)
-    return _conclude(t, link, policy, channel_cfg.speed_of_sound), t
+    return _conclude(t, policy, channel_cfg.speed_of_sound), t
 
 
 def replay_session(

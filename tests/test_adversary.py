@@ -151,9 +151,10 @@ class TestAllFrequencySignal:
         with pytest.raises(ValueError):
             adv.all_frequency_signal(1.0e10, 1000)
 
-    @pytest.mark.parametrize("duration", [1, 4000, 4095])
+    @pytest.mark.parametrize("duration", [1, 4000, 4095, 5000.7])
     def test_under_one_window_rejected(self, duration):
-        """The waveform must cover one 4096-sample measurement window."""
+        """The waveform must cover one 4096-sample measurement window, in
+        whole samples: a fractional duration was once truncated."""
         with pytest.raises(ValueError, match="at least one measurement window"):
             adv.all_frequency_signal(1e9, duration)
 
@@ -281,8 +282,9 @@ class TestScenarios:
     def test_all_frequency_numpy_power_accepted(self, power):
         assert adv.AllFrequency(per_tone_power=power).per_tone_power == 1e9
 
-    @pytest.mark.parametrize("power", [-1, 0, float("nan")])
+    @pytest.mark.parametrize("power", [-1, 0, float("nan"), True, "a"])
     def test_all_frequency_waveform_builder_rejects_bad_power(self, power):
-        """The builder checks the power itself, not only through ``AllFrequency``."""
+        """The builder checks the power itself, as ``AllFrequency`` does: a
+        bool once built a waveform and a string raised ``TypeError``."""
         with pytest.raises(ValueError, match="per-tone power must be finite and positive, got"):
             adv.all_frequency_signal(power, 8192)

@@ -356,6 +356,23 @@ class TestSessions:
         with pytest.raises(ValueError, match=message):
             campaign()
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: ev.attack_campaign("x", 1, 0), "scenario"),
+            (lambda: ev.attack_campaign(None, 1, 0), "scenario"),
+            (lambda: ev.frr_far_model("a", ev.ErrorModel(0.05)), "threshold tau_m"),
+            (lambda: ev.fit_sigma("a", 1.0), "frr_target"),
+        ],
+        ids=["attack_str_scenario", "attack_none_scenario", "frr_far_str_tau", "fit_sigma_str_frr"],
+    )
+    def test_mistyped_argument_rejected_before_any_session(self, monkeypatch, call, name):
+        """Each once raised a bare ``TypeError``, the attack campaign's from
+        inside its first session."""
+        monkeypatch.setattr(ev, "run_authentication", lambda *args, **kwargs: pytest.fail("a session ran"))
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            call()
+
     def test_numpy_counts_accepted(self):
         """A numpy integer is a count, as it is a sample index in a scene:
         the reports equal those of the same Python counts, JSON included."""
@@ -393,7 +410,7 @@ class TestTrialOrder:
 
 
 class TestDetectorComparison:
-    @pytest.mark.parametrize("sigma", [-1.0, 1.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("sigma", [-1.0, 1.5, float("nan"), float("inf"), "a"])
     def test_bad_sigma_proc_rejected(self, sigma):
         with pytest.raises(ValueError, match=f"^sigma_proc_s must be in \\[0, 1.0\\] seconds, got {sigma}$"):
             ev.detector_comparison((1.0,), 1, 42, sigma_proc_s=sigma)
