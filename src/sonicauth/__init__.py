@@ -38,7 +38,6 @@ from .adversary import (
     GuessingReplay,
     ZeroEffort,
     all_frequency_signal,
-    guessing_replay_signal,
     guessing_success_probability,
 )
 from .evaluation import (
@@ -77,7 +76,6 @@ __all__ = [
     "GuessingReplay",
     "ZeroEffort",
     "all_frequency_signal",
-    "guessing_replay_signal",
     "guessing_success_probability",
     "ErrorModel",
     "attack_campaign",

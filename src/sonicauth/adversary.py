@@ -23,7 +23,6 @@ from .signal import (
     AMPLITUDE_BUDGET,
     BIN_COUNT,
     SIGNAL_LENGTH,
-    ReferenceSignal,
     _coarse_phasors,
     _finite_positive,
     _grid_bin_spectra,
@@ -65,12 +64,6 @@ class AllFrequency:
 AttackScenario = Union[ZeroEffort, GuessingReplay, AllFrequency]
 
 
-def guessing_replay_signal(rng: np.random.Generator) -> ReferenceSignal:
-    """A fresh reference-signal draw, statistically independent of any
-    session's signals."""
-    return synthesize(sample_spec(rng))
-
-
 def all_frequency_signal(per_tone_power: float, duration: int) -> np.ndarray:
     """Spoofing waveform containing every candidate tone at the nominal
     sample rate.
@@ -94,7 +87,10 @@ def all_frequency_signal(per_tone_power: float, duration: int) -> np.ndarray:
 def all_frequency_amplitudes(per_tone_power: float) -> list[float]:
     """Each candidate sine's amplitude, calibrated by its unit power in the
     synthesizer's bin spectra so it carries ``per_tone_power``; raises when
-    they sum above the amplitude budget, as the waveform must not clip."""
+    they sum above the amplitude budget, as the waveform must not clip, or
+    when ``per_tone_power`` is not a finite positive number."""
+    if not _finite_positive(per_tone_power):
+        raise ValueError(f"per-tone power must be finite and positive, got {per_tone_power!r}")
     unit_powers = spectrum._bin_powers(np.diagonal(_grid_bin_spectra()[:BIN_COUNT]))
     amps = [math.sqrt(per_tone_power / unit_power) for unit_power in unit_powers.tolist()]
     total = _left_sum(amps)
@@ -130,8 +126,8 @@ def guessing_success_probability(bin_count: int, signals: int = 1) -> float:
     """
     if not (_is_integer(bin_count) and bin_count >= 2):
         raise ValueError(f"bin_count must be an integer of at least 2, got {bin_count!r}")
-    if signals not in (1, 2):
-        raise ValueError("signals must be 1 or 2")
+    if not (_is_integer(signals) and signals in (1, 2)):
+        raise ValueError(f"signals must be 1 or 2, got {signals!r}")
     single = 1 / ((1 << int(bin_count)) - 2)  # a numpy integer would shift in 64 bits
     return single if signals == 1 else single**2
 
@@ -155,7 +151,7 @@ def build_emissions(
     if isinstance(scenario, GuessingReplay):
         emissions = []
         for i, anchor in enumerate((auth.position, vouch.position)):
-            guess = guessing_replay_signal(rng)
+            guess = synthesize(sample_spec(rng))  # independent of the session's signals
             earliest, latest = int(0.05 * RECORD_SAMPLES), RECORD_SAMPLES - guess.samples.shape[0] - 1
             when = int(rng.integers(earliest, latest))
             emissions.append(ch.Emission(f"attacker_{i}", guess.samples, when, _near(anchor)))

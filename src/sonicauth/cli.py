@@ -12,13 +12,13 @@ import json
 import os
 import re
 import sys
+import wave
 
 import numpy as np
 
 from . import adversary as adv
 from . import channel as ch
 from . import evaluation as ev
-from . import pcm
 from .protocol import PAIRING_RANGE_M, AuthPolicy, Endpoint, replay_session, run_authentication
 from .signal import SAMPLE_RATE
 
@@ -90,6 +90,17 @@ def _cmd_auth(args) -> int:
     return 0
 
 
+def save_wav(path: str, samples: np.ndarray, sample_rate: float) -> None:
+    """Write int16 samples, and no other dtype, as a mono 16-bit PCM WAV file."""
+    if samples.dtype != np.int16:
+        raise ValueError(f"WAV samples must be int16, got dtype {samples.dtype}")
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(int(round(sample_rate)))
+        fh.writeframes(samples.tobytes())
+
+
 def _dump_session_wavs(directory: str, cfg: ch.ChannelConfig, transcript) -> None:
     """Write both reference signals and both recordings, rebuilt from the
     session's transcript, as WAV files, plus each signal's link header (its
@@ -99,10 +110,10 @@ def _dump_session_wavs(directory: str, cfg: ch.ChannelConfig, transcript) -> Non
         return
     sig_a, sig_v, rec_a, rec_v = replay_session(transcript, cfg)
     for device, sig, rec in (("auth", sig_a, rec_a), ("vouch", sig_v, rec_v)):
-        pcm.save_wav(os.path.join(directory, f"reference_{device}.wav"), sig.samples, SAMPLE_RATE)
+        save_wav(os.path.join(directory, f"reference_{device}.wav"), sig.samples, SAMPLE_RATE)
         with open(os.path.join(directory, f"reference_{device}.json"), "wb") as fh:
             fh.write(sig.header())
-        pcm.save_wav(os.path.join(directory, f"recording_{device}.wav"), rec, transcript.sample_rates[device])
+        save_wav(os.path.join(directory, f"recording_{device}.wav"), rec, transcript.sample_rates[device])
     print(f"wrote WAV dumps to {directory}")
 
 

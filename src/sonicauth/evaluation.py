@@ -377,7 +377,11 @@ _SWEEP_REFERENCE_TONES = 15
 def all_frequency_power_sweep(count: int) -> tuple[float, ...]:
     """``count`` log-spaced emitted per-tone powers spanning from well below
     the out-of-set threshold to the largest feasible level (which crosses the
-    received-power thresholds at close range)."""
+    received-power thresholds at close range). Raises ``ValueError`` when
+    ``count`` is not an integer of at least 1."""
+    _check_count("count", count)
+    if count < 1:
+        raise ValueError(f"need at least one power, got count={count}")
     ref = sg.synthesize(sg.SignalSpec(frequencies=sg.CANDIDATES[:_SWEEP_REFERENCE_TONES]))
     r_f = ref.total_power / _SWEEP_REFERENCE_TONES
     lo = spectrum.beta(ref.total_power, _SWEEP_REFERENCE_TONES) / 4.0

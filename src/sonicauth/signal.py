@@ -351,7 +351,7 @@ def _measure(spec: SignalSpec, index: np.ndarray, phases: np.ndarray, in_set: np
     """Render one phase candidate: its samples, measured candidate powers,
     leakage ratio and edge energy ratio."""
     samples = _render(spec, index, phases)
-    measured = spectrum.measure_candidate_powers(samples, SAMPLE_RATE)
+    measured = spectrum._window_powers(samples, spectrum.candidate_bin_table(SAMPLE_RATE))
     return samples, measured, _leakage_ratio(measured, in_set, spec), _edge_energy_ratio(samples)
 
 

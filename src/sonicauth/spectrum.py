@@ -129,35 +129,13 @@ def candidate_bin_table(sample_rate: float) -> np.ndarray:
     """(N, 2*THETA+1) one-sided bin indices per candidate, clamped then folded,
     around each candidate's ``frequency_bin``. Built once per rate and shared
     read-only; ``frequency_bin`` refuses a rate that puts a candidate off the
-    spectrum. A scan reads it through ``_rate_table``."""
+    spectrum. ``detect_pair`` checks the rate before it reads the table."""
     length = signal.SIGNAL_LENGTH
     first = np.array([frequency_bin(f, sample_rate) for f in signal.CANDIDATES], dtype=np.intp)
     k = np.clip(first[:, None] + np.arange(-THETA, THETA + 1), 0, length - 1)
     table = np.where(k > length // 2, length - k, k)
     table.setflags(write=False)
     return table
-
-
-def _rate_table(sample_rate: float) -> np.ndarray:
-    """``candidate_bin_table(sample_rate)``, once the rate is checked to be a
-    finite real number above the highest candidate: checked here, once per
-    scan, as the table's cache would hash a rate before any check in it."""
-    highest = max(signal.CANDIDATES)
-    if not (signal._finite_positive(sample_rate) and sample_rate > highest):
-        raise ValueError(
-            f"sample_rate must be finite and above the highest candidate, {highest:.2f} Hz, got {sample_rate!r}: "
-            "a candidate outside [0, sample_rate) cannot be measured"
-        )
-    return candidate_bin_table(sample_rate)
-
-
-def measure_candidate_powers(window: np.ndarray, sample_rate: float) -> np.ndarray:
-    """Per-candidate power of one signal-long window: sum of the 2*THETA+1
-    bins around each candidate's index. This is the measurement convention
-    shared by synthesis (nominal powers) and detection."""
-    if np.shape(window) != (signal.SIGNAL_LENGTH,):
-        raise ValueError(f"window must hold {signal.SIGNAL_LENGTH} samples, got shape {np.shape(window)}")
-    return _window_powers(_samples(window, "window"), _rate_table(sample_rate))
 
 
 # Windows per block in a scan: bounds the spectra, or the sliding sums, held
@@ -185,7 +163,9 @@ def _bin_powers(spec: np.ndarray) -> np.ndarray:
 
 def _window_powers(windows: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Per-candidate powers of one window, (N,), or of a block of windows as
-    rows, (N, windows): the same bits for a window alone and in a block."""
+    rows, (N, windows): the same bits for a window alone and in a block. A
+    candidate's power sums the 2*THETA+1 bins around its index in ``table``;
+    synthesis measures its nominal powers with it, and detection its windows."""
     return _bin_powers(np.fft.rfft(windows).T[table.T])
 
 
@@ -347,22 +327,41 @@ def _samples(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _scan(x: np.ndarray, sigs: tuple["ReferenceSignal", ...], sample_rate: float) -> tuple[DetectionOutcome, ...]:
-    """Locate each signal in the recording ``x``: one coarse scan shared by
-    all of them, then one sliding-DFT fine pass over ``FINE_RADIUS`` samples
-    around the coarse argmax of each signal that some coarse window passes.
+def detect_pair(
+    x: np.ndarray,
+    sig_a: "ReferenceSignal",
+    sig_b: "ReferenceSignal",
+    *,
+    sample_rate: float,
+) -> tuple[DetectionOutcome, DetectionOutcome]:
+    """Detect two reference signals in one scan of a recording made at
+    ``sample_rate``, the recorder's: one coarse scan shared by both, then one
+    sliding-DFT fine pass over ``FINE_RADIUS`` samples around the coarse
+    argmax of each signal that some coarse window passes, the two stacked.
     A signal that fails every coarse window gets no fine span and no
     rescoring: its coarse argmax, the first window, scored ``-inf`` from the
     same powers the exact kernel gives it, so it is absent with no peak. When
-    every signal fails, no fine pass runs. Ties break to the smallest index.
-    The fine scan only picks the window; that window's exact score is the
-    reported peak and decides presence, so a window whose exact score fails a
-    gate is not present. ``sample_rate`` is the recorder's."""
+    both fail, no fine pass runs. Ties break to the smallest index. The fine
+    scan only picks the window; that window's exact score is the reported
+    peak and decides presence, so a window whose exact score fails a gate is
+    not present. Each signal's outcome does not depend on the other:
+    ``detect_pair(x, sig, sig, ...)[0]`` is ``sig``'s outcome alone.
+
+    The rate must be a finite real number above the highest candidate; it is
+    checked before ``candidate_bin_table``'s cache would hash it.
+    """
     length = signal.SIGNAL_LENGTH
     x = _samples(x, "recording")
     if x.shape[0] < length:
         raise ValueError("recording shorter than the reference signal")
-    table = _rate_table(sample_rate)
+    highest = max(signal.CANDIDATES)
+    if not (signal._finite_positive(sample_rate) and sample_rate > highest):
+        raise ValueError(
+            f"sample_rate must be finite and above the highest candidate, {highest:.2f} Hz, got {sample_rate!r}: "
+            "a candidate outside [0, sample_rate) cannot be measured"
+        )
+    table = candidate_bin_table(sample_rate)
+    sigs = (sig_a, sig_b)
     max_start = x.shape[0] - length
     coarse_powers = _batch_candidate_powers(x, slice(0, max_start + 1, COARSE_STEP), table)
     gates = [_gate(sig) for sig in sigs]
@@ -386,22 +385,6 @@ def _scan(x: np.ndarray, sigs: tuple["ReferenceSignal", ...], sample_rate: float
         present = peak >= EPSILON * sig.total_power  # False for -inf: the window failed a gate
         outcomes.append(DetectionOutcome(loc if present else None, None if peak == -np.inf else peak))
     return tuple(outcomes)
-
-
-def detect_pair(
-    x: np.ndarray,
-    sig_a: "ReferenceSignal",
-    sig_b: "ReferenceSignal",
-    *,
-    sample_rate: float,
-) -> tuple[DetectionOutcome, DetectionOutcome]:
-    """Detect two reference signals in one scan of a recording made at
-    ``sample_rate``. The coarse-pass window spectra are computed once and
-    shared, and the fine scans of the signals that some coarse window passes
-    run as one stacked pass. Each signal's outcome does not depend on the
-    other: ``detect_pair(x, sig, sig, ...)[0]`` is ``sig``'s outcome alone.
-    """
-    return _scan(x, (sig_a, sig_b), sample_rate)
 
 
 def cross_correlate_detect(x: np.ndarray, sig: "ReferenceSignal") -> int:

@@ -173,10 +173,10 @@ def always_fine_scan(x: np.ndarray, sigs: tuple, sample_rate: float) -> tuple:
     """Reference detector: every signal fine-scanned over ``FINE_RADIUS``
     samples around its coarse argmax, which is the first window when every
     coarse window fails its gates, in one stacked pass, then the exact
-    rescoring of the picked window. ``spectrum._scan`` gives a signal that no
-    coarse window passes no fine span, and so differs from this only when a
-    fine window near the recording's start passes after every coarse one
-    failed."""
+    rescoring of the picked window. ``spectrum.detect_pair`` gives a signal
+    that no coarse window passes no fine span, and so differs from this only
+    when a fine window near the recording's start passes after every coarse
+    one failed."""
     length = SIGNAL_LENGTH
     x = np.asarray(x, dtype=np.float64)
     table = spectrum.candidate_bin_table(sample_rate)
@@ -355,10 +355,11 @@ def sequential_synthesize(spec) -> ReferenceSignal:
     stream is rendered in turn until one stays under it. Raises
     ``ValueError`` as ``synthesize`` does."""
     index, in_set = spectrum.in_set_mask(spec.frequencies)
+    table = spectrum.candidate_bin_table(SAMPLE_RATE)
     chosen, chosen_key = None, None
     for phases in sg._phase_family(spec, index, sg._PHASE_CANDIDATES):
         candidate = sg._render(spec, index, phases)
-        measured = spectrum.measure_candidate_powers(candidate, SAMPLE_RATE)
+        measured = spectrum._window_powers(candidate, table)
         leak = sg._leakage_ratio(measured, in_set, spec)
         edge = sg._edge_energy_ratio(candidate)
         if leak <= sg._LEAKAGE_TARGET and edge >= sg._EDGE_ENERGY_TARGET:
@@ -371,7 +372,7 @@ def sequential_synthesize(spec) -> ReferenceSignal:
     if leak >= 1.0:
         for phases in sg._phase_family(spec, index, sg._PHASE_SEARCH_LIMIT)[sg._PHASE_CANDIDATES :]:
             samples = sg._render(spec, index, phases)
-            measured = spectrum.measure_candidate_powers(samples, SAMPLE_RATE)
+            measured = spectrum._window_powers(samples, table)
             if sg._leakage_ratio(measured, in_set, spec) < 1.0:
                 break
         else:

@@ -12,7 +12,12 @@ from sonicauth import spectrum
 from sonicauth.protocol import RECORD_SAMPLES, AuthPolicy, Endpoint, run_authentication
 from sonicauth import signal as sg
 from sonicauth.signal import AMPLITUDE_BUDGET, BIN_COUNT, CANDIDATES, SAMPLE_RATE, sample_spec, synthesize
-from sonicauth.spectrum import detect_pair, measure_candidate_powers
+from sonicauth.spectrum import detect_pair
+
+
+def measure(window):
+    """Per-candidate powers of one signal-long window at the nominal rate."""
+    return spectrum._window_powers(window, spectrum.candidate_bin_table(SAMPLE_RATE))
 
 
 def uncached_all_frequency_signal(per_tone_power, duration):
@@ -23,7 +28,7 @@ def uncached_all_frequency_signal(per_tone_power, duration):
     amps = []
     for i, f in enumerate(CANDIDATES):
         unit = np.sin(2.0 * np.pi * f * np.arange(window) / sample_rate)
-        unit_power = measure_candidate_powers(unit, sample_rate)[i]
+        unit_power = measure(unit)[i]
         amps.append(math.sqrt(per_tone_power / unit_power))
     if sum(amps) > amplitude_budget:
         raise ValueError(f"per-tone power {per_tone_power:g} infeasible")
@@ -50,10 +55,20 @@ SWEEP_POWERS = tuple(
 
 class TestGuessingReplaySignal:
     def test_output_is_valid_reference_signal(self):
-        sig = adv.guessing_replay_signal(np.random.default_rng(0))
-        assert 0 < len(sig.frequencies) < BIN_COUNT
-        assert np.max(np.abs(sig.samples)) <= AMPLITUDE_BUDGET
-        assert sig.total_power == pytest.approx(sum(sig.nominal_power.values()))
+        """Each guess a replay plays is a fresh reference signal: the draw
+        ``synthesize(sample_spec(rng))`` from the scenario's generator, ahead
+        of its emission time."""
+        auth, vouch = Endpoint("auth", (0.0, 0.0)), Endpoint("vouch", (3.0, 0.0))
+        out = adv.build_emissions(adv.GuessingReplay(), auth, vouch, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        for emission in out:
+            sig = synthesize(sample_spec(rng))
+            rng.integers(int(0.05 * RECORD_SAMPLES), RECORD_SAMPLES - sig.samples.shape[0] - 1)
+            assert 0 < len(sig.frequencies) < BIN_COUNT
+            assert np.max(np.abs(sig.samples)) <= AMPLITUDE_BUDGET
+            assert sig.total_power == pytest.approx(sum(sig.nominal_power.values()))
+            assert np.array_equal(emission.waveform, sig.samples)
+        assert len(out) == 2
 
     def test_small_grid_enumerates_all_subsets_uniformly(self):
         """The public subset draw a guesser re-runs, over four candidates."""
@@ -72,12 +87,12 @@ class TestAllFrequencySignal:
     def test_measured_per_tone_power_within_five_percent(self):
         target = 1.0e10
         wave = adv.all_frequency_signal(target, 8192)
-        measured = measure_candidate_powers(wave[:4096].astype(float), 44_100.0)
+        measured = measure(wave[:4096].astype(float))
         assert np.all(np.abs(measured / target - 1.0) < 0.05)
 
     def test_thirty_candidate_peaks(self):
         wave = adv.all_frequency_signal(1.0e10, 8192)
-        measured = measure_candidate_powers(wave[:4096].astype(float), 44_100.0)
+        measured = measure(wave[:4096].astype(float))
         assert measured.shape[0] == 30
         assert measured.min() > 0.5e10
 
@@ -109,13 +124,13 @@ class TestAllFrequencySignal:
         sg._grid_bin_spectra.cache_clear()
         adv._all_frequency_waveform.cache_clear()
         calls = []
-        measure = spectrum.measure_candidate_powers
+        window_powers = spectrum._window_powers
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return measure(*args, **kwargs)
+            return window_powers(*args, **kwargs)
 
-        monkeypatch.setattr(spectrum, "measure_candidate_powers", counting)
+        monkeypatch.setattr(spectrum, "_window_powers", counting)
         first = adv.all_frequency_signal(1.0e10, 8192)
         assert adv.all_frequency_signal(1.0e10, 8192) is first
         adv.all_frequency_signal(2.0e10, 8192)
@@ -127,7 +142,7 @@ class TestAllFrequencySignal:
         got = 1.0 / np.array(adv.all_frequency_amplitudes(1.0)) ** 2
         t = np.arange(4096)
         want = [
-            measure_candidate_powers(np.sin(2.0 * np.pi * f * t / SAMPLE_RATE), SAMPLE_RATE)[i]
+            measure(np.sin(2.0 * np.pi * f * t / SAMPLE_RATE))[i]
             for i, f in enumerate(CANDIDATES)
         ]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -181,7 +196,7 @@ class TestSanityCheckDefence:
     def test_wrong_guess_window_is_sentinel(self):
         rng = np.random.default_rng(9)
         sig = synthesize(sample_spec(rng))
-        guess = adv.guessing_replay_signal(np.random.default_rng(10))
+        guess = synthesize(sample_spec(np.random.default_rng(10)))
         if set(guess.frequencies) == set(sig.frequencies):  # pragma: no cover
             pytest.skip("guess collided (probability ~1e-9)")
         p = detect_pair(guess.samples.astype(float), sig, sig, sample_rate=SAMPLE_RATE)[0].peak_norm_power
@@ -210,6 +225,13 @@ class TestGuessingProbability:
         for count in (2.5, True, 30.0):
             with pytest.raises(ValueError, match=f"^bin_count must be an integer of at least 2, got {count}$"):
                 adv.guessing_success_probability(count, 1)
+
+    @pytest.mark.parametrize("signals", [True, False, 1.0], ids=["true", "false", "float"])
+    def test_signals_that_are_not_integers_rejected(self, signals):
+        """``True == 1`` and ``1.0 == 1``, so a membership test alone would
+        take them for one signal."""
+        with pytest.raises(ValueError, match=rf"^signals must be 1 or 2, got {signals!r}$"):
+            adv.guessing_success_probability(30, signals)
 
     def test_numpy_count_accepted(self):
         """A numpy integer counts as the same Python integer, past 64 bits too."""
@@ -281,6 +303,13 @@ class TestScenarios:
     )
     def test_all_frequency_numpy_power_accepted(self, power):
         assert adv.AllFrequency(per_tone_power=power).per_tone_power == 1e9
+
+    @pytest.mark.parametrize("power", [float("nan"), float("inf"), 0, -1.0, True, "a"])
+    def test_all_frequency_amplitudes_reject_bad_power(self, power):
+        """The calibration checks the power itself: nan once gave 30 NaN
+        amplitudes, -1.0 a math domain error and a string a ``TypeError``."""
+        with pytest.raises(ValueError, match=rf"^per-tone power must be finite and positive, got {power!r}$"):
+            adv.all_frequency_amplitudes(power)
 
     @pytest.mark.parametrize("power", [-1, 0, float("nan"), True, "a"])
     def test_all_frequency_waveform_builder_rejects_bad_power(self, power):

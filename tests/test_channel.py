@@ -10,7 +10,7 @@ from helpers import full_buffer_record, load_wav, smooth_length_search, time_dom
 from sonicauth import adversary as adv
 from sonicauth import channel as ch
 from sonicauth import evaluation as ev
-from sonicauth import pcm
+from sonicauth.cli import save_wav
 from sonicauth.protocol import RECORD_SAMPLES, AuthPolicy, Endpoint, run_authentication
 from sonicauth.signal import sample_spec, synthesize
 from sonicauth.spectrum import detect_pair
@@ -628,17 +628,17 @@ class TestConfig:
         sig = synthesize(sample_spec(rng))
         scene = one_emitter_scene(sig, 100, (0.2, 0.0), (ch.Recorder("m", (0.0, 0.0)),), 8000)
         rec = ch.record(scene, "m", silent_cfg)
-        pcm.save_wav(str(tmp_path / "rec.wav"), rec, ch.BASE_SAMPLE_RATE)
+        save_wav(str(tmp_path / "rec.wav"), rec, ch.BASE_SAMPLE_RATE)
         data, rate = load_wav(str(tmp_path / "rec.wav"))
         assert rate == 44_100
         assert np.array_equal(data, rec)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.int32], ids=["float64", "int32"])
     def test_wav_of_other_samples_rejected(self, tmp_path, dtype):
-        """The WAV writer takes int16 samples, which both its callers pass,
-        and quantizes nothing itself."""
+        """The WAV writer takes int16 samples, which both of the WAV dump's
+        calls pass, and quantizes nothing itself."""
         with pytest.raises(ValueError, match=f"^WAV samples must be int16, got dtype {np.dtype(dtype)}$"):
-            pcm.save_wav(str(tmp_path / "x.wav"), np.zeros(8, dtype=dtype), 44_100.0)
+            save_wav(str(tmp_path / "x.wav"), np.zeros(8, dtype=dtype), 44_100.0)
         assert not (tmp_path / "x.wav").exists()
 
 

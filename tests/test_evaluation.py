@@ -270,6 +270,24 @@ class TestAttackCampaign:
         assert len(sweep) == 6
         assert sweep[0] < sweep[-1]
 
+    @pytest.mark.parametrize(
+        "count, message",
+        [
+            (0, "^need at least one power, got count=0$"),
+            (-1, "^need at least one power, got count=-1$"),
+            (True, "^count must be an integer, got count=True$"),
+            (2.5, "^count must be an integer, got count=2.5$"),
+            ("a", "^count must be an integer, got count='a'$"),
+        ],
+        ids=["zero", "negative", "bool", "float", "string"],
+    )
+    def test_power_sweep_bad_count_rejected(self, monkeypatch, count, message):
+        """Refused before the reference signal is built: 0 once returned no
+        power, True one power, and 2.5 and "a" raised numpy errors."""
+        monkeypatch.setattr(ev.sg, "synthesize", lambda spec: pytest.fail("the sweep built its reference"))
+        with pytest.raises(ValueError, match=message):
+            ev.all_frequency_power_sweep(count)
+
 
 class TestSessions:
     """Every campaign runs its sessions through ``_sessions``, which rejects

@@ -17,11 +17,16 @@ from sonicauth import spectrum
 from sonicauth.signal import CANDIDATES, SAMPLE_RATE, SignalSpec, sample_spec, synthesize
 
 
+def _leakage(sig) -> float:
+    """``sig``'s leakage ratio, from its measured candidate powers."""
+    _, in_set = spectrum.in_set_mask(sig.frequencies)
+    measured = spectrum._window_powers(sig.samples, spectrum.candidate_bin_table(SAMPLE_RATE))
+    return sg._leakage_ratio(measured, in_set, sig.spec)
+
+
 def _path(sig) -> str:
     """Which rule of the search picked ``sig``'s phases."""
-    _, in_set = spectrum.in_set_mask(sig.frequencies)
-    leak = sg._leakage_ratio(spectrum.measure_candidate_powers(sig.samples, SAMPLE_RATE), in_set, sig.spec)
-    if leak > sg._LEAKAGE_TARGET:
+    if _leakage(sig) > sg._LEAKAGE_TARGET:
         return "least_leaking"
     return "passes" if sg._edge_energy_ratio(sig.samples) >= sg._EDGE_ENERGY_TARGET else "confined"
 
@@ -70,8 +75,8 @@ class TestMatchesSequentialSearch:
         spec = SignalSpec(frequencies=tuple(CANDIDATES[i] for i in tones))
         assert assert_matches_sequential(spec) == "least_leaking"
         sig = synthesize(spec)
-        index, in_set = spectrum.in_set_mask(spec.frequencies)
-        assert sg._leakage_ratio(spectrum.measure_candidate_powers(sig.samples, SAMPLE_RATE), in_set, spec) < 1.0
+        assert _leakage(sig) < 1.0
+        index, _ = spectrum.in_set_mask(spec.frequencies)
         row = sg._phase_family(spec, index, sg._PHASE_SEARCH_LIMIT)[17]
         assert np.array_equal(sig.samples, sg._render(spec, index, row).astype(np.int16))
         assert spectrum.detect_pair(sig.samples, sig, sig, sample_rate=SAMPLE_RATE)[0].peak_norm_power is not None

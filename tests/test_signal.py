@@ -7,7 +7,8 @@ import pytest
 
 from helpers import direct_candidate_power, load_signal, load_wav, loop_render, proper_subsets
 from sonicauth import adversary as adv
-from sonicauth import pcm, spectrum
+from sonicauth.cli import save_wav
+from sonicauth import spectrum
 from sonicauth import signal as sg
 from sonicauth.signal import (
     AMPLITUDE_BUDGET,
@@ -162,9 +163,7 @@ class TestSynthesize:
             return wrapper
 
         monkeypatch.setattr(sg, "_render", counting("render", sg._render))
-        monkeypatch.setattr(
-            spectrum, "measure_candidate_powers", counting("measure", spectrum.measure_candidate_powers)
-        )
+        monkeypatch.setattr(spectrum, "_window_powers", counting("measure", spectrum._window_powers))
         for seed, renders in ((1, 1), (3, 1), (0, 3)):
             calls.clear()
             synthesize(sample_spec(np.random.default_rng(seed)))
@@ -338,7 +337,7 @@ class TestSerialization:
         """The samples saved as WAV and the link header saved as JSON, as a
         session's WAV dump saves them, rebuild the signal."""
         sig = synthesize(sample_spec(np.random.default_rng(4)))
-        pcm.save_wav(str(tmp_path / "ref.wav"), sig.samples, SAMPLE_RATE)
+        save_wav(str(tmp_path / "ref.wav"), sig.samples, SAMPLE_RATE)
         (tmp_path / "ref.json").write_bytes(sig.header())
         assert load_wav(str(tmp_path / "ref.wav"))[1] == SAMPLE_RATE
         clone = load_signal(str(tmp_path / "ref.wav"), str(tmp_path / "ref.json"))
@@ -356,7 +355,7 @@ class TestLoadSignal:
     def saved(self, tmp_path):
         """Seed 4's signal saved as WAV and JSON, and the JSON as saved."""
         sig = synthesize(sample_spec(np.random.default_rng(4)))
-        pcm.save_wav(str(tmp_path / "ref.wav"), sig.samples, SAMPLE_RATE)
+        save_wav(str(tmp_path / "ref.wav"), sig.samples, SAMPLE_RATE)
         (tmp_path / "ref.json").write_bytes(sig.header())
         return sig, json.loads((tmp_path / "ref.json").read_text())
 

@@ -46,7 +46,8 @@ def test_rounding_moves_candidate_norms_by_at_most_half_the_length(data):
     spec, phases = _tones_and_phases(data, 0.0, 2.0 * np.pi)
     index, in_set = spectrum.in_set_mask(spec.frequencies)
     norms = sg._candidate_norms(spec, index, phases[None])
-    measured = spectrum.measure_candidate_powers(sg._render(spec, index, phases), SAMPLE_RATE)
+    table = spectrum.candidate_bin_table(SAMPLE_RATE)
+    measured = spectrum._window_powers(sg._render(spec, index, phases), table)
     bound = SIGNAL_LENGTH / 2
     assert np.all(np.maximum(norms[0] - bound, 0.0) ** 2 <= measured)
     assert np.all(measured <= (norms[0] + bound) ** 2)

@@ -29,7 +29,6 @@ from sonicauth.spectrum import (
     cross_correlate_detect,
     detect_pair,
     frequency_bin,
-    measure_candidate_powers,
 )
 
 FS = 44_100.0
@@ -58,28 +57,6 @@ class TestPowerSpectrum:
         others = np.delete(powers, k0)
         assert others.max() < 1e-12 * powers[k0]
         assert powers[k0] == pytest.approx(direct_bin_power(w, k0, n), rel=1e-9)
-
-    def test_wrong_length_rejected(self):
-        """The detector's measurement takes one signal-long window only: a
-        shorter, a longer or a stacked one is refused."""
-        for shape in ((4095,), (8192,), (2, 4096)):
-            with pytest.raises(ValueError, match=rf"^window must hold 4096 samples, got shape {re.escape(str(shape))}$"):
-                measure_candidate_powers(np.zeros(shape), FS)
-
-    def test_complex_window_rejected(self):
-        """A complex window would lose its imaginary part with a numpy
-        ``ComplexWarning``: it is refused, as the scan refuses a complex
-        recording."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"^window must hold real samples, got dtype complex128$"):
-                measure_candidate_powers(np.zeros(4096, dtype=complex), FS)
-
-    def test_nan_window_rejected(self):
-        window = np.zeros(4096)
-        window[7] = np.nan
-        with pytest.raises(ValueError, match=r"^window holds a non-finite sample, nan at index 7$"):
-            measure_candidate_powers(window, FS)
 
     def test_bin_frequency_mapping(self):
         """Bin k of the reference sits at ``k * f_s / n``: the detector's
@@ -195,7 +172,7 @@ class TestBatchCandidatePowers:
             (4096 + 2000, slice(0, 2001, 10)),  # step-10 windows from 0 to max_start
             (4096, slice(0, 1, 1000)),  # recording exactly one signal long: coarse
             (4096, slice(0, 1, 10)),  # and fine
-            (4096, slice(0, 1)),  # single window (measure_candidate_powers)
+            (4096, slice(0, 1)),  # single window (a synthesizer's measurement)
             (4096 + 10, slice(0, 11, 10)),  # 2 windows: the smallest multi-window block
             (4096 + 630, slice(0, 631, 10)),  # 64 windows: one full block
             (4096 + 640, slice(0, 641, 10)),  # 65 windows: the last block holds one window
@@ -324,9 +301,20 @@ class TestStackedSlidingPass:
 
 
 class TestWindowPowers:
-    """The one-window kernel behind ``measure_candidate_powers`` and the
+    """The one-window kernel behind the synthesizer's nominal powers and the
     reported peak equals the batched kernel's row for that window,
     bit for bit."""
+
+    def test_candidate_sine_equals_direct_projections(self):
+        """A sine at a candidate's frequency: every candidate's power equals
+        its folded bins' direct projections, and its own candidate holds the
+        most power."""
+        i, amp = 11, 7.5
+        x = amp * np.sin(2 * np.pi * CANDIDATES[i] * np.arange(4096) / FS)
+        powers = spectrum._window_powers(x, candidate_bin_table(FS))
+        want = [direct_candidate_power(x, f, FS, 4096, spectrum.THETA) for f in CANDIDATES]
+        np.testing.assert_allclose(powers, want, rtol=1e-9, atol=1e-6)
+        assert int(np.argmax(powers)) == i
 
     @pytest.mark.parametrize("rate", [FS, FS * 1.001], ids=["nominal", "skewed"])
     def test_equals_batched_kernel(self, rate):
@@ -483,7 +471,7 @@ class TestNormPower:
 
 
 class TestDetectorInputs:
-    """A recording, window or rate the detector cannot measure fails at once
+    """A recording or rate the detector cannot measure fails at once
     with a ValueError that names the problem, and no numpy warning leaks."""
 
     @staticmethod
@@ -516,13 +504,11 @@ class TestDetectorInputs:
 
     @pytest.mark.parametrize("rate", ["a", [FS], None], ids=["string", "list", "none"])
     def test_rate_that_is_not_a_number(self, rate):
-        """Named by the scan and by a one-window measurement, before the bin
-        table's cache hashes the rate (a list) or its check compares it."""
+        """Named by the scan before the bin table's cache hashes the rate (a
+        list) or its check compares it."""
         got = re.escape(repr(rate))
         message = rf"^sample_rate must be finite and above the highest candidate, 34833.33 Hz, got {got}: "
         self._rejected(np.zeros(8192), rate, message)
-        with pytest.raises(ValueError, match=message):
-            measure_candidate_powers(np.zeros(4096), rate)
 
 
 def _without_first_candidate():
