@@ -22,10 +22,11 @@ from .protocol import RECORD_SAMPLES, Endpoint
 from .signal import (
     AMPLITUDE_BUDGET,
     BIN_COUNT,
+    SAMPLE_RATE,
     SIGNAL_LENGTH,
+    _block_phasors,
     _coarse_phasors,
     _finite_positive,
-    _grid_bin_spectra,
     _is_integer,
     _left_sum,
     _tone_sum,
@@ -84,15 +85,29 @@ def all_frequency_signal(per_tone_power: float, duration: int) -> np.ndarray:
     return _all_frequency_waveform(float(per_tone_power), int(duration))
 
 
+def _unit_sine_powers() -> list[float]:
+    """Each candidate's power measured by the detector's kernel on one window
+    of a unit sine at it, built from its block phasors. The sines are measured
+    one at a time: a 30-window block would hold about 2 MB at import."""
+    coarse, fine = _block_phasors()
+    table = spectrum.candidate_bin_table(SAMPLE_RATE)
+    return [
+        float(spectrum._window_powers(np.outer(coarse[i], fine[i]).ravel().imag, table)[i]) for i in range(BIN_COUNT)
+    ]
+
+
+# Measured once, at import; every calibration scales from them.
+_UNIT_POWERS = _unit_sine_powers()
+
+
 def all_frequency_amplitudes(per_tone_power: float) -> list[float]:
-    """Each candidate sine's amplitude, calibrated by its unit power in the
-    synthesizer's bin spectra so it carries ``per_tone_power``; raises when
-    they sum above the amplitude budget, as the waveform must not clip, or
-    when ``per_tone_power`` is not a finite positive number."""
+    """Each candidate sine's amplitude, calibrated by the power measured on a
+    unit sine at it (``_UNIT_POWERS``) so it carries ``per_tone_power``;
+    raises when they sum above the amplitude budget, as the waveform must not
+    clip, or when ``per_tone_power`` is not a finite positive number."""
     if not _finite_positive(per_tone_power):
         raise ValueError(f"per-tone power must be finite and positive, got {per_tone_power!r}")
-    unit_powers = spectrum._bin_powers(np.diagonal(_grid_bin_spectra()[:BIN_COUNT]))
-    amps = [math.sqrt(per_tone_power / unit_power) for unit_power in unit_powers.tolist()]
+    amps = [math.sqrt(per_tone_power / unit_power) for unit_power in _UNIT_POWERS]
     total = _left_sum(amps)
     if total > AMPLITUDE_BUDGET:
         raise ValueError(

@@ -24,15 +24,22 @@ from . import spectrum
 # The one signal format: every reference signal is SIGNAL_LENGTH samples at
 # the nominal SAMPLE_RATE (every device plays and records at it, up to clock
 # skew), and its tones share AMPLITUDE_BUDGET, so their sum never clips a
-# signed 16-bit sample. Its tones are drawn from the BIN_COUNT CANDIDATES, the
-# midpoints of equal bins covering (BAND_LOW, BAND_HIGH).
+# signed 16-bit sample. Its tones are drawn from the BIN_COUNT CANDIDATES, one
+# per equal bin covering (BAND_LOW, BAND_HIGH): the window's DFT bin nearest
+# the bin's midpoint, k * SAMPLE_RATE / SIGNAL_LENGTH for an integer k. A tone
+# on a DFT bin leaks nothing into the other candidates' bins, and none lies
+# more than 5.24 Hz from its midpoint.
 SIGNAL_LENGTH = 4096
 SAMPLE_RATE = 44_100.0
 AMPLITUDE_BUDGET = 32_000
 BAND_LOW = 25_000.0
 BAND_HIGH = 35_000.0
 BIN_COUNT = 30
-CANDIDATES = tuple(BAND_LOW + (i + 0.5) * ((BAND_HIGH - BAND_LOW) / BIN_COUNT) for i in range(BIN_COUNT))
+_GRID_BINS = tuple(
+    round((BAND_LOW + (i + 0.5) * ((BAND_HIGH - BAND_LOW) / BIN_COUNT)) / SAMPLE_RATE * SIGNAL_LENGTH)
+    for i in range(BIN_COUNT)
+)
+CANDIDATES = tuple(k * SAMPLE_RATE / SIGNAL_LENGTH for k in _GRID_BINS)
 # Each candidate's index in CANDIDATES; its keys are the candidate set.
 _CANDIDATE_INDEX = {f: i for i, f in enumerate(CANDIDATES)}
 
@@ -202,23 +209,13 @@ def _proper_subset(rng: np.random.Generator, candidates: tuple[float, ...]) -> t
     return tuple(float(f) for f in chosen)
 
 
-# With every tone at phase zero, the spectral tails of the off-bin tones can
-# stack coherently and push an out-of-set candidate window past the
-# detector's absence threshold on the clean signal itself; an unlucky phase
-# mix can also leave the first or last few hundred microseconds of the burst
-# nearly silent, which blunts the detector's score peak. Synthesis therefore
-# keeps zero phases when they already confine the leakage below
-# _LEAKAGE_TARGET times the absence threshold while carrying enough edge
-# energy, and otherwise searches a fixed, tone-set-seeded family of random
-# phase draws for the best candidate. When no member of the family keeps its
-# leakage under the absence threshold at all, the search reads on down the
-# same seeded stream, up to _PHASE_SEARCH_LIMIT candidates in all, for the
-# first that does.
-_PHASE_CANDIDATES = 16
-_PHASE_SEARCH_LIMIT = 256
-_LEAKAGE_TARGET = 0.6
-_EDGE_SPAN = 48
-_EDGE_ENERGY_TARGET = 0.5  # of the burst's average energy rate
+# Each candidate's phase, by its index i: pi * i**2 / BIN_COUNT, a Schroeder
+# quadratic table (IEEE Trans. IT 16(1), 1970). A tone on a DFT bin leaks
+# nothing at any phase, so the phases only shape the burst in time: with
+# zero phases the tones line up into a pulse train of about 132 samples'
+# period, which blunts the detector's score peak.
+_PHASES = np.pi * np.arange(BIN_COUNT) ** 2 / BIN_COUNT
+_PHASES.setflags(write=False)
 
 
 def _leakage_ratio(measured: np.ndarray, in_set: np.ndarray, spec: SignalSpec) -> float:
@@ -231,34 +228,9 @@ def _leakage_ratio(measured: np.ndarray, in_set: np.ndarray, spec: SignalSpec) -
     return float(measured[~in_set].max() / beta)
 
 
-def _edge_energy_ratio(samples: np.ndarray) -> float:
-    """Energy rate of the weakest burst edge relative to the whole burst."""
-    span = _EDGE_SPAN
-    total_rate = float(np.mean(samples.astype(np.float64) ** 2))
-    if total_rate == 0.0:
-        return 0.0
-    head = float(np.mean(samples[:span].astype(np.float64) ** 2))
-    tail = float(np.mean(samples[-span:].astype(np.float64) ** 2))
-    return min(head, tail) / total_rate
-
-
-def _phase_family(spec: SignalSpec, index: np.ndarray, count: int) -> np.ndarray:
-    """(count, n) deterministic phase candidates for one tone set (``index``:
-    the tones' candidate indices): zero phases first, then seeded random
-    draws, taken in one call that draws the same stream as one call per row,
-    so a longer family starts with every row of a shorter one. The seed key
-    ends with the candidate count and the signal length; any other key would
-    change every draw, and with it every waveform."""
-    key = index.tolist() + [BIN_COUNT, SIGNAL_LENGTH]
-    rng = np.random.default_rng(np.random.SeedSequence(key))
-    draws = rng.uniform(0.0, 2.0 * np.pi, (count - 1, spec.tone_count))
-    return np.concatenate([np.zeros((1, spec.tone_count)), draws])
-
-
 # Tone sums are rendered from block phasors: sample B*a + b of candidate i's
 # phasor is exp(iw_i*B*a) * exp(iw_i*b), a and b below B (here 64), so each
-# candidate costs 2*B complex exponentials, once, not one sine per sample and
-# phase candidate.
+# candidate costs 2*B complex exponentials, once, not one sine per sample.
 _PHASOR_BLOCK = 64
 
 
@@ -304,127 +276,26 @@ def _render(spec: SignalSpec, index: np.ndarray, phases: np.ndarray) -> np.ndarr
     return samples
 
 
-# About 310 KB (60 rows of 30 candidates' 11 bins), built once.
-@lru_cache(maxsize=1)
-def _grid_bin_spectra() -> np.ndarray:
-    """(2N, N, 2*THETA+1) complex: the rFFT of ``sin(w_i t)`` for every
-    candidate i, then of ``cos(w_i t)``, read at every candidate's bins
-    (``spectrum.candidate_bin_table``); read-only. Each candidate's phasor row
-    is its coarse and fine phasors' block product, built one at a time, so no
-    (2N, SIGNAL_LENGTH) table is held."""
-    bins = spectrum.candidate_bin_table(SAMPLE_RATE)
-    coarse, fine = _block_phasors()
-    table = np.empty((2 * BIN_COUNT,) + bins.shape, dtype=np.complex128)
-    for i in range(BIN_COUNT):
-        phasor = (coarse[i, :, None] * fine[i, None, :]).ravel()[:SIGNAL_LENGTH]
-        table[i] = np.fft.rfft(phasor.imag)[bins]
-        table[BIN_COUNT + i] = np.fft.rfft(phasor.real)[bins]
-    table.setflags(write=False)
-    return table
-
-
-def _candidate_norms(spec: SignalSpec, index: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """(P, N) 2-norm of each candidate's bins in the unrounded tone sum, for
-    each of the P phase vectors ``phases``: by linearity, the tones' sine
-    rows weighted by ``amp*cos(p)`` and cosine rows by ``amp*sin(p)``."""
-    rows = np.concatenate([index, BIN_COUNT + index])
-    spectra = _grid_bin_spectra()[rows]
-    amp = AMPLITUDE_BUDGET / spec.tone_count
-    coeff = amp * np.concatenate([np.cos(phases), np.sin(phases)], axis=1)
-    parts = coeff @ spectra.reshape(rows.shape[0], -1).view(np.float64)  # real and imaginary parts interleaved
-    return np.sqrt((parts**2).reshape(phases.shape[0], BIN_COUNT, -1).sum(axis=2))
-
-
-def _leakage_lower_bounds(norms: np.ndarray, in_set: np.ndarray, tone_count: int) -> np.ndarray:
-    """A lower bound on ``_leakage_ratio`` of each rendering, from its
-    unrounded candidate norms (``_candidate_norms``). Rounding moves each
-    sample by at most 1/2, and a candidate's 2*THETA+1 bins are distinct DFT
-    rows, orthogonal with norm sqrt(SIGNAL_LENGTH); so it moves a candidate's
-    norm by at most SIGNAL_LENGTH/2. The 1.0 covers floating-point error, which
-    is far smaller. ``spectrum.beta`` is read at call time."""
-    slack = SIGNAL_LENGTH / 2 + 1.0
-    worst_out = (np.maximum(norms[:, ~in_set] - slack, 0.0) ** 2).max(axis=1)
-    return worst_out / spectrum.beta(((norms[:, in_set] + slack) ** 2).sum(axis=1), tone_count)
-
-
-def _measure(spec: SignalSpec, index: np.ndarray, phases: np.ndarray, in_set: np.ndarray):
-    """Render one phase candidate: its samples, measured candidate powers,
-    leakage ratio and edge energy ratio."""
-    samples = _render(spec, index, phases)
-    measured = spectrum._window_powers(samples, spectrum.candidate_bin_table(SAMPLE_RATE))
-    return samples, measured, _leakage_ratio(measured, in_set, spec), _edge_energy_ratio(samples)
-
-
-def _first_under_threshold(spec: SignalSpec, index: np.ndarray, in_set: np.ndarray, least: float):
-    """Samples and measured powers of the first phase candidate past the
-    family, in stream order, whose leakage stays under the absence threshold;
-    the family's least-leaking candidate reached ``least`` times it. Candidates
-    whose certified lower bound reaches the threshold are not rendered. Raises
-    ``ValueError`` when none of the first _PHASE_SEARCH_LIMIT does."""
-    rows = _phase_family(spec, index, _PHASE_SEARCH_LIMIT)[_PHASE_CANDIDATES:]
-    lower = _leakage_lower_bounds(_candidate_norms(spec, index, rows), in_set, spec.tone_count)
-    for i in np.flatnonzero(lower < 1.0):
-        samples, measured, leak, _ = _measure(spec, index, rows[i], in_set)
-        if leak < 1.0:
-            return samples, measured
-    raise ValueError(
-        f"cannot synthesize tones {spec.frequencies} under beta_ratio={spectrum.BETA_RATIO}: "
-        f"no phase candidate of {_PHASE_SEARCH_LIMIT} stays under the absence threshold, and the "
-        f"least-leaking of the first {_PHASE_CANDIDATES} reaches {least:.3f} times it"
-    )
-
-
 def synthesize(spec: SignalSpec) -> ReferenceSignal:
     """Render the reference signal and measure its per-tone nominal powers.
 
-    Each tone gets amplitude ``AMPLITUDE_BUDGET / n`` so the sum can never
-    clip a 16-bit sample. Phases are zero when the zero-phase rendering keeps
-    out-of-set spectral leakage confined, otherwise the best of a fixed
-    tone-set-seeded family of phase draws (deterministic either way). The
-    per-tone powers are measured, and the leakage confined under the absence
-    threshold, as the detector measures and gates them.
-
-    The search picks what rendering every candidate in family order would:
-    the first that passes both targets, else the confined one with the
-    strongest edge, else the least leaking, ties to the first. When even that
-    one reaches the absence threshold, the first later draw of the same
-    stream that stays under it wins (``_first_under_threshold``), and
-    ``ValueError`` is raised when none of _PHASE_SEARCH_LIMIT candidates
-    does. A certified lower bound on every candidate's leakage, from its
-    unrounded spectrum (``_leakage_lower_bounds``), spares the renders that
-    cannot change that choice.
+    Each tone gets amplitude ``AMPLITUDE_BUDGET / n``, so the sum can never
+    clip a 16-bit sample, and its candidate's phase from ``_PHASES``; the
+    same tone set always gives the same samples. The per-tone powers are
+    measured as the detector measures them. Raises ``ValueError`` if the
+    out-of-set leakage reaches the absence threshold, which the detector's
+    strict gate would reject: with every tone on a DFT bin it stays a
+    million times below it.
     """
     index, in_set = spectrum.in_set_mask(spec.frequencies)
-    family = _phase_family(spec, index, _PHASE_CANDIDATES)
-    lower = _leakage_lower_bounds(_candidate_norms(spec, index, family), in_set, spec.tone_count)
-    ruled_out = lower > _LEAKAGE_TARGET  # their leakage is too: none can pass or be confined
-    best = None  # (fallback key, samples, measured powers, leakage) of the best candidate so far
-    for i in np.flatnonzero(~ruled_out):
-        samples, measured, leak, edge = _measure(spec, index, family[i], in_set)
-        if leak <= _LEAKAGE_TARGET and edge >= _EDGE_ENERGY_TARGET:
-            best = (None, samples, measured, leak)
-            break
-        # fallback ranking: confined leakage beats anything, then strongest
-        # edge among confined candidates, then least leakage; ties to the first
-        key = (0, -edge, i) if leak <= _LEAKAGE_TARGET else (1, leak, i)
-        if best is None or key < best[0]:
-            best = (key, samples, measured, leak)
-    else:
-        if best is None or best[3] > _LEAKAGE_TARGET:
-            # None is confined, so the least leakage wins: render the ruled-out
-            # candidates by ascending bound until one exceeds the least found.
-            for i in np.argsort(lower, kind="stable"):
-                if best is not None and lower[i] > best[3]:
-                    break
-                if ruled_out[i]:
-                    samples, measured, leak, _ = _measure(spec, index, family[i], in_set)
-                    key = (1, leak, i)
-                    if best is None or key < best[0]:
-                        best = (key, samples, measured, leak)
-    _, samples, measured, leak = best
+    samples = _render(spec, index, _PHASES[index])
+    measured = spectrum._window_powers(samples, spectrum.candidate_bin_table(SAMPLE_RATE))
+    leak = _leakage_ratio(measured, in_set, spec)
     if leak >= 1.0:  # the detector's absence gate is strict: p_out < beta
-        samples, measured = _first_under_threshold(spec, index, in_set, leak)
-    # The candidate is integer-valued, so its int16 copy measures the same.
+        raise ValueError(
+            f"cannot synthesize tones {spec.frequencies} under beta_ratio={spectrum.BETA_RATIO}: "
+            f"out-of-set leakage reaches {leak:.3g} times the absence threshold"
+        )
+    # The rendering is integer-valued, so its int16 copy measures the same.
     power = {f: float(p) for f, p in zip(spec.frequencies, measured[index])}
     return ReferenceSignal(spec=spec, samples=samples.astype(np.int16), nominal_power=power)
-

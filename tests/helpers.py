@@ -3,22 +3,19 @@ command line writes.
 
 The oracles deliberately avoid the production code paths: per-bin powers come
 from direct complex projections, cumulative sums or one full rFFT per window
-instead of the package's batched and sliding kernels. Four references are
-the exception. The reference phase search renders and measures with the
-package's own functions and differs from ``synthesize`` only in rendering
-every candidate, with no bound to skip any. The per-span sliding DFT is the
-fine scan as it ran one signal at a time, with the package's phase tables:
-the stacked pass must reproduce it bit for bit. The always-fine scan is the
-detector as it ran before a signal that no coarse window passes lost its fine
-span, with the package's kernels: it fine-scans every signal. The full-buffer
-recording propagates each emission into a zeroed buffer of the whole scene,
-with an inline phase ramp, and sums the buffers, with the package's delay,
-gain, noise mask and noise seeds: ``channel.record`` must give its samples
-bit for bit. The FRR/FAR closed forms here are the package's
-model rearranged (``erf`` and the density at both ends instead of ``erfc`` and
-the antiderivative ``G``); the independent reference for the model is a
-quadrature in ``test_evaluation``, and scipy is imported only by the tests
-that use it as a reference.
+instead of the package's batched and sliding kernels. Three references are the
+exception. The per-span sliding DFT is the fine scan as it ran one signal at a
+time, with the package's phase tables: the stacked pass must reproduce it bit
+for bit. The always-fine scan is the detector as it ran before a signal that
+no coarse window passes lost its fine span, with the package's kernels: it
+fine-scans every signal. The full-buffer recording propagates each emission
+into a zeroed buffer of the whole scene, with an inline phase ramp, and sums
+the buffers, with the package's delay, gain, noise mask and noise seeds:
+``channel.record`` must give its samples bit for bit. The FRR/FAR closed forms
+here are the package's model rearranged (``erf`` and the density at both ends
+instead of ``erfc`` and the antiderivative ``G``); the independent reference
+for the model is a quadrature in ``test_evaluation``, and scipy is imported
+only by the tests that use it as a reference.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from itertools import combinations
 import numpy as np
 
 from sonicauth import channel as ch
-from sonicauth import signal as sg
 from sonicauth import spectrum
 from sonicauth.signal import AMPLITUDE_BUDGET, CANDIDATES, SAMPLE_RATE, SIGNAL_LENGTH, ReferenceSignal
 
@@ -344,45 +340,6 @@ def smooth_length_search(n: int) -> int:
 def loop_render(spec, phases, length=SIGNAL_LENGTH):
     x = loop_tone_sum(spec, phases, length)
     return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int16)
-
-
-def sequential_synthesize(spec) -> ReferenceSignal:
-    """Reference phase search: render and measure every phase candidate in
-    family order, with no bound to skip any. The first that passes both the
-    leakage and the edge-energy target wins; otherwise the confined candidate
-    with the strongest edge, otherwise the least leaking, ties to the first.
-    When that one reaches the absence threshold, every later draw of the
-    stream is rendered in turn until one stays under it. Raises
-    ``ValueError`` as ``synthesize`` does."""
-    index, in_set = spectrum.in_set_mask(spec.frequencies)
-    table = spectrum.candidate_bin_table(SAMPLE_RATE)
-    chosen, chosen_key = None, None
-    for phases in sg._phase_family(spec, index, sg._PHASE_CANDIDATES):
-        candidate = sg._render(spec, index, phases)
-        measured = spectrum._window_powers(candidate, table)
-        leak = sg._leakage_ratio(measured, in_set, spec)
-        edge = sg._edge_energy_ratio(candidate)
-        if leak <= sg._LEAKAGE_TARGET and edge >= sg._EDGE_ENERGY_TARGET:
-            chosen = (candidate, measured, leak)
-            break
-        key = (0, -edge) if leak <= sg._LEAKAGE_TARGET else (1, leak)
-        if chosen is None or key < chosen_key:
-            chosen, chosen_key = (candidate, measured, leak), key
-    samples, measured, leak = chosen
-    if leak >= 1.0:
-        for phases in sg._phase_family(spec, index, sg._PHASE_SEARCH_LIMIT)[sg._PHASE_CANDIDATES :]:
-            samples = sg._render(spec, index, phases)
-            measured = spectrum._window_powers(samples, table)
-            if sg._leakage_ratio(measured, in_set, spec) < 1.0:
-                break
-        else:
-            raise ValueError(
-                f"cannot synthesize tones {spec.frequencies} under beta_ratio={spectrum.BETA_RATIO}: "
-                f"no phase candidate of {sg._PHASE_SEARCH_LIMIT} stays under the absence threshold, and the "
-                f"least-leaking of the first {sg._PHASE_CANDIDATES} reaches {leak:.3f} times it"
-            )
-    power = {f: float(p) for f, p in zip(spec.frequencies, measured[index])}
-    return ReferenceSignal(spec=spec, samples=samples.astype(np.int16), nominal_power=power)
 
 
 def proper_subsets(items: tuple) -> list[frozenset]:

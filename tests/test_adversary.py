@@ -43,12 +43,12 @@ def uncached_all_frequency_signal(per_tone_power, duration):
 SWEEP_POWERS = tuple(
     float.fromhex(h)
     for h in (
-        "0x1.5f0cc58bf4383p+34",
-        "0x1.5f0cc58bf437cp+35",
-        "0x1.5f0cc58bf437dp+36",
-        "0x1.5f0cc58bf437ep+37",
-        "0x1.5f0cc58bf437fp+38",
-        "0x1.5f0cc58bf4383p+39",
+        "0x1.638e163444bfap+34",
+        "0x1.638e163444c06p+35",
+        "0x1.638e163444c07p+36",
+        "0x1.638e163444beep+37",
+        "0x1.638e163444befp+38",
+        "0x1.638e163444bfap+39",
     )
 )
 
@@ -103,7 +103,8 @@ class TestAllFrequencySignal:
 
     @pytest.mark.parametrize(
         "power, duration",
-        [(p, d) for p in (1.0e9, 2.5e10) for d in (8192, 66_149)] + [(p, RECORD_SAMPLES - 1) for p in SWEEP_POWERS],
+        [(p, d) for p in (1.0e9, 2.5e10) for d in (8192, 66_149)]
+        + [pytest.param(p, RECORD_SAMPLES - 1, id=f"sweep_{i}") for i, p in enumerate(SWEEP_POWERS)],
     )
     def test_memoised_waveform_equals_uncached_build(self, power, duration):
         """The block-phasor build rounds every sample as the sine loop does,
@@ -119,9 +120,8 @@ class TestAllFrequencySignal:
             wave[0] = 0
 
     def test_waveform_build_measures_no_window(self, monkeypatch):
-        """The calibration reads the synthesizer's bin spectra: building
-        waveforms, the spectra included, measures no window."""
-        sg._grid_bin_spectra.cache_clear()
+        """The calibration scales from the unit-sine powers measured at
+        import: building waveforms measures no window."""
         adv._all_frequency_waveform.cache_clear()
         calls = []
         window_powers = spectrum._window_powers

@@ -1,9 +1,8 @@
-"""The session-invariant tables (candidate block phasors and the spectra of
-their rows at the candidates' bins, candidate bin tables, the noise mask, the
-fractional-shift ramps, a read-only waveform's path responses) are built once
-and shared read-only: sessions must not depend on whether a table was built
-for them or found in its cache, and every cached table must equal the one
-built for its caller alone."""
+"""The session-invariant tables (candidate block phasors, candidate bin
+tables, the noise mask, the fractional-shift ramps, a read-only waveform's
+path responses) are built once and shared read-only: sessions must not depend
+on whether a table was built for them or found in its cache, and every cached
+table must equal the one built for its caller alone."""
 
 import importlib
 import pkgutil
@@ -26,7 +25,6 @@ from sonicauth.signal import BIN_COUNT, CANDIDATES, SAMPLE_RATE, SIGNAL_LENGTH, 
 SPOOFER_CACHES = (adv._all_frequency_waveform, ch._held_path_response)
 CACHES = (
     sg._block_phasors,
-    sg._grid_bin_spectra,
     spectrum.candidate_bin_table,
     spectrum._roots_of_unity,
     spectrum._slide_phases,
@@ -111,7 +109,6 @@ class TestCachePurity:
         synthesize(sample_spec(np.random.default_rng(1)))
         tables = (
             *sg._block_phasors(),
-            sg._grid_bin_spectra(),
             spectrum.candidate_bin_table(44_100.0),
             ch._noise_mask(66_150),
             ch._shift_ramp(4320, 0.25),
@@ -173,21 +170,14 @@ class TestPhasorRows:
 
 
 class TestBinSpectra:
-    def test_equals_per_row_rfft(self):
-        """Each candidate's phasor row in a table built for every candidate,
-        its rFFT taken alone and read at every candidate's bins."""
-        bins = spectrum.candidate_bin_table(SAMPLE_RATE)
-        want = np.array([np.fft.rfft(row)[bins] for row in tone_set_phasor_table(CANDIDATES)])
-        got = sg._grid_bin_spectra()
-        assert got.shape == want.shape == (2 * BIN_COUNT, BIN_COUNT, 2 * spectrum.THETA + 1)
-        assert np.array_equal(got, want)
-
     def test_each_candidates_bins_distinct(self):
-        """The leakage bound needs a candidate's bins to be distinct DFT rows,
-        orthogonal, so that rounding moves their norm by at most
-        ``SIGNAL_LENGTH / 2``."""
+        """A candidate's power sums 2*THETA+1 distinct bins, and no two
+        candidates share one: each tone sits on its own candidate's centre
+        bin, so a bin read twice or by a neighbour would count its power
+        twice."""
         bins = spectrum.candidate_bin_table(SAMPLE_RATE)
         assert all(np.unique(row).size == row.size for row in bins)
+        assert np.unique(bins).size == bins.size
 
 
 class TestNoiseMask:

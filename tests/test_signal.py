@@ -27,12 +27,28 @@ from sonicauth.spectrum import detect_pair
 
 class TestBuildGrid:
     def test_default_grid_midpoints(self):
+        """One candidate per 333.3 Hz bin of the band, on the window's DFT
+        grid: bins 2337, 2368, ... 3235 of the 4096-sample window."""
         assert (BAND_LOW, BAND_HIGH, BIN_COUNT) == (25_000.0, 35_000.0, 30)
         assert len(CANDIDATES) == BIN_COUNT
-        assert CANDIDATES[0] == pytest.approx(25_166.6666667)
-        assert CANDIDATES[29] == pytest.approx(34_833.3333333)
-        assert np.allclose(np.diff(CANDIDATES), 333.3333333)
+        assert CANDIDATES[0] == 2337 * SAMPLE_RATE / 4096 == pytest.approx(25_161.5478516)
+        assert CANDIDATES[29] == 3235 * SAMPLE_RATE / 4096 == pytest.approx(34_829.9560547)
+        assert set(np.diff(np.array(CANDIDATES) * 4096 / SAMPLE_RATE)) == {30.0, 31.0}
         assert all(BAND_LOW < c < BAND_HIGH for c in CANDIDATES)
+
+    def test_candidates_on_their_own_dft_bins(self):
+        """Each candidate is the DFT bin k nearest its bin's midpoint, and
+        ``frequency_bin`` maps it to exactly k: a float landing just under k
+        would floor to k - 1. None lies more than 5.24 Hz from its midpoint,
+        and each stays inside its own bin."""
+        width = (BAND_HIGH - BAND_LOW) / BIN_COUNT
+        for i, c in enumerate(CANDIDATES):
+            midpoint = BAND_LOW + (i + 0.5) * width
+            k = round(midpoint / SAMPLE_RATE * 4096)
+            assert c == k * SAMPLE_RATE / 4096
+            assert spectrum.frequency_bin(c, SAMPLE_RATE) == k
+            assert abs(c - midpoint) <= 5.24
+            assert BAND_LOW + i * width < c < BAND_LOW + (i + 1) * width
 
     def test_all_candidates_above_noise_floor(self):
         assert all(c > 6000 for c in CANDIDATES)
@@ -126,33 +142,31 @@ class TestSynthesize:
             assert p >= 0.95 * sig.total_power
 
     def test_leakage_confined_under_the_detectors_beta(self, monkeypatch):
-        """Phase selection targets the detector's absence threshold: with a
-        stricter ``BETA_RATIO``, this tone set's rendering under the default
-        one fails its own absence gate and the retuned one passes."""
+        """On the DFT grid the tones leak nothing but rounding noise: at a
+        2.5 times stricter ``BETA_RATIO`` synthesis gives the same samples,
+        and the clean signal still passes the detector's absence gate."""
         spec = sample_spec(np.random.default_rng(2))
         default = synthesize(spec)
         monkeypatch.setattr(spectrum, "BETA_RATIO", 0.002)
-        tuned = synthesize(spec)
-        assert detect_pair(default.samples, default, default, sample_rate=SAMPLE_RATE)[0].peak_norm_power is None
-        assert detect_pair(tuned.samples, tuned, tuned, sample_rate=SAMPLE_RATE)[0].peak_norm_power is not None
+        strict = synthesize(spec)
+        assert np.array_equal(strict.samples, default.samples)
+        assert detect_pair(strict.samples, strict, strict, sample_rate=SAMPLE_RATE)[0].peak_norm_power is not None
 
     def test_unconfinable_leakage_rejected(self, monkeypatch):
-        """Seed 6's tone set tries all 256 phase candidates: each leaks past the
-        strict beta, and with the default beta the fallback still passes."""
+        """The guard reads ``BETA_RATIO`` at call time: at 1e-12 the rounding
+        noise alone reaches the absence threshold, and synthesis refuses the
+        tone set rather than hand the detector a signal it would reject."""
         spec = sample_spec(np.random.default_rng(6))
         with monkeypatch.context() as patch:
-            patch.setattr(spectrum, "BETA_RATIO", 0.002)
-            message = r"beta_ratio=0\.002: no phase candidate of 256 stays under .* reaches 1\.\d+ times it$"
+            patch.setattr(spectrum, "BETA_RATIO", 1e-12)
+            message = r"beta_ratio=1e-12: out-of-set leakage reaches \d.* times the absence threshold$"
             with pytest.raises(ValueError, match=message):
                 synthesize(spec)
         sig = synthesize(spec)
         assert detect_pair(sig.samples, sig, sig, sample_rate=SAMPLE_RATE)[0].peak_norm_power is not None
 
     def test_each_candidate_measured_once(self, monkeypatch):
-        """Seeds 1, 3 and 0 render 1, 1 and 3 phase candidates: the leakage
-        bound rules out the rest unrendered (seed 0's tone set falls back to
-        its least leaking candidate, which a search without the bound finds
-        only after all 16). The chosen one is not measured again."""
+        """Synthesis is one render and one measurement, for any tone set."""
         calls = collections.Counter()
 
         def counting(name, fn):
@@ -164,24 +178,19 @@ class TestSynthesize:
 
         monkeypatch.setattr(sg, "_render", counting("render", sg._render))
         monkeypatch.setattr(spectrum, "_window_powers", counting("measure", spectrum._window_powers))
-        for seed, renders in ((1, 1), (3, 1), (0, 3)):
+        for seed in (0, 1, 3):
             calls.clear()
             synthesize(sample_spec(np.random.default_rng(seed)))
-            assert calls == {"render": renders, "measure": renders}
-
-
-def family(spec):
-    index, _ = spectrum.in_set_mask(spec.frequencies)
-    return list(sg._phase_family(spec, index, sg._PHASE_CANDIDATES))
+            assert calls == {"render": 1, "measure": 1}
 
 
 class TestPhasorRenderer:
     @staticmethod
     def assert_matches_loop(spec):
+        """The rendering at the candidates' phase table equals the sine loop's."""
         index, _ = spectrum.in_set_mask(spec.frequencies)
-        phases = family(spec)
-        assert len(phases) == 16
-        rendered = np.array([sg._render(spec, index, ph) for ph in phases]).astype(np.int16)
+        phases = sg._PHASES[index]
+        rendered = sg._render(spec, index, phases).astype(np.int16)
         assert np.array_equal(rendered, loop_render(spec, phases))
 
     def test_matches_sine_loop_on_seeded_tone_sets(self):
@@ -200,25 +209,17 @@ class TestPhasorRenderer:
         """Identity also holds where the block product's coarse phase grows
         16 times larger than at the session length: the renderer's tone sum
         over the coarse phasors of 65 536 samples, the call the spoofer makes
-        at its own length, rounds as the sine loop does."""
+        at its own length, rounds as the sine loop does, at the phase table
+        and at the spoofer's zero phases."""
         length = 16 * sg.SIGNAL_LENGTH
         picked = np.random.default_rng(tones).choice(np.asarray(CANDIDATES), size=tones, replace=False)
         spec = SignalSpec(frequencies=tuple(float(f) for f in picked))
         index, _ = spectrum.in_set_mask(spec.frequencies)
         amps = np.full(tones, AMPLITUDE_BUDGET / tones)
-        phases = family(spec)
+        phases = [sg._PHASES[index], np.zeros(tones)]
         sums = np.array([sg._tone_sum(index, amps, ph, sg._coarse_phasors(length)[index]).ravel() for ph in phases])
         rendered = (np.sign(sums) * np.floor(np.abs(sums) + 0.5)).astype(np.int16)
         assert np.array_equal(rendered, loop_render(spec, phases, length))
-
-    def test_phase_family_stream_unchanged(self):
-        """The lazy family draws the same stream as building all 16 at once,
-        seeded by the tone indices, the bin count and the 4096-sample length."""
-        spec = sample_spec(np.random.default_rng(5))
-        index, _ = spectrum.in_set_mask(spec.frequencies)
-        rng = np.random.default_rng(np.random.SeedSequence(index.tolist() + [BIN_COUNT, 4096]))
-        eager = [np.zeros(spec.tone_count)] + [rng.uniform(0.0, 2.0 * np.pi, spec.tone_count) for _ in range(15)]
-        assert all(np.array_equal(a, b) for a, b in zip(family(spec), eager, strict=True))
 
 
 class TestLeftToRightTotals:
@@ -254,7 +255,7 @@ class TestLeftToRightTotals:
         """At this power the spoofer's 30 amplitudes total 32000.000000000004
         left to right, over the budget, and 31999.999999999996 compensated."""
         with pytest.raises(ValueError, match="infeasible"):
-            adv.all_frequency_amplitudes(4_671_735_838_957.362)
+            adv.all_frequency_amplitudes(4_772_185_884_444.444)
 
 
 class TestSerialization:

@@ -1,6 +1,6 @@
-"""Property tests for the synthesis renderer and its leakage bound (need
-``hypothesis``, kept apart so the rest of the signal tests collect without
-it)."""
+"""Property tests for the synthesis renderer and its one rendering per tone
+set (need ``hypothesis``, kept apart so the rest of the signal tests collect
+without it)."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 from helpers import loop_tone_sum
 from sonicauth import signal as sg
 from sonicauth import spectrum
-from sonicauth.signal import AMPLITUDE_BUDGET, BIN_COUNT, CANDIDATES, SAMPLE_RATE, SIGNAL_LENGTH, SignalSpec
+from sonicauth.signal import (
+    AMPLITUDE_BUDGET,
+    BIN_COUNT,
+    CANDIDATES,
+    SAMPLE_RATE,
+    SIGNAL_LENGTH,
+    SignalSpec,
+    synthesize,
+)
 
 
 def _tones_and_phases(data, low: float, high: float) -> tuple[SignalSpec, np.ndarray]:
@@ -39,17 +47,52 @@ def test_tone_sum_close_to_sine_loop(data):
 @given(st.data())
 def test_rounding_moves_candidate_norms_by_at_most_half_the_length(data):
     """For any tone subset and any phases, each candidate's measured power on
-    the rendering lies within ``SIGNAL_LENGTH / 2`` (without the bound's
-    floating-point slack) of its 2-norm in the unrounded spectrum:
-    ``[(norm - B)+^2, (norm + B)^2]``. So the screen's leakage bound never
-    exceeds the rendering's leakage ratio."""
+    the rendering lies within ``SIGNAL_LENGTH / 2`` of its 2-norm in the
+    unrounded tone sum's spectrum: ``[(norm - B)+^2, (norm + B)^2]``.
+    Rounding moves each sample by at most 1/2, and a candidate's 2*THETA+1
+    bins are distinct DFT rows, orthogonal with norm sqrt(SIGNAL_LENGTH). So
+    with every tone on a DFT bin, where the unrounded out-of-set norms vanish,
+    no out-of-set candidate measures more than ``(SIGNAL_LENGTH / 2)**2``."""
     spec, phases = _tones_and_phases(data, 0.0, 2.0 * np.pi)
-    index, in_set = spectrum.in_set_mask(spec.frequencies)
-    norms = sg._candidate_norms(spec, index, phases[None])
+    index, _ = spectrum.in_set_mask(spec.frequencies)
+    amps = np.full(spec.tone_count, AMPLITUDE_BUDGET / spec.tone_count)
+    x = sg._tone_sum(index, amps, phases, sg._block_phasors()[0][index]).ravel()
     table = spectrum.candidate_bin_table(SAMPLE_RATE)
+    norms = np.sqrt((np.abs(np.fft.rfft(x)[table]) ** 2).sum(axis=1))
     measured = spectrum._window_powers(sg._render(spec, index, phases), table)
     bound = SIGNAL_LENGTH / 2
-    assert np.all(np.maximum(norms[0] - bound, 0.0) ** 2 <= measured)
-    assert np.all(measured <= (norms[0] + bound) ** 2)
-    lower = sg._leakage_lower_bounds(norms, in_set, spec.tone_count)
-    assert lower[0] <= sg._leakage_ratio(measured, in_set, spec)
+    assert np.all(np.maximum(norms - bound, 0.0) ** 2 <= measured)
+    assert np.all(measured <= (norms + bound) ** 2)
+
+
+def _centre_bins(sig) -> np.ndarray:
+    """The rFFT of ``sig``'s samples at each of its tones' own bins."""
+    index, _ = spectrum.in_set_mask(sig.frequencies)
+    centre = spectrum.candidate_bin_table(SAMPLE_RATE)[index, spectrum.THETA]
+    return np.fft.rfft(sig.samples.astype(np.float64))[centre]
+
+
+# Each candidate's centre bin when it plays alone.
+_LONE = np.array([_centre_bins(synthesize(SignalSpec(frequencies=(f,))))[0] for f in CANDIDATES])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_rendering_per_tone_set(data):
+    """For tone sets of every size from 1 to 29, the one rendering leaks at
+    most 1e-6 of the absence threshold into the other candidates, stays
+    within the amplitude budget, is the same for the same set in any order,
+    and puts each tone at the phase its candidate has when it plays alone."""
+    size = data.draw(st.integers(1, BIN_COUNT - 1))
+    index = data.draw(st.lists(st.integers(0, BIN_COUNT - 1), min_size=size, max_size=size, unique=True))
+    spec = SignalSpec(frequencies=tuple(CANDIDATES[i] for i in index))
+    sig = synthesize(spec)
+    in_index, in_set = spectrum.in_set_mask(spec.frequencies)
+    measured = spectrum._window_powers(sig.samples, spectrum.candidate_bin_table(SAMPLE_RATE))
+    assert sg._leakage_ratio(measured, in_set, spec) <= 1e-6
+    assert np.max(np.abs(sig.samples.astype(np.int64))) <= AMPLITUDE_BUDGET
+    again = synthesize(SignalSpec(frequencies=tuple(reversed(spec.frequencies))))
+    assert np.array_equal(again.samples, sig.samples)
+    assert again.nominal_power == sig.nominal_power
+    turn = np.angle(_centre_bins(sig) * np.conj(_LONE[in_index]))
+    assert np.max(np.abs(turn)) <= 1e-3

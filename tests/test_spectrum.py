@@ -498,16 +498,21 @@ class TestDetectorInputs:
     def test_complex_recording(self):
         self._rejected(np.zeros(20_000, dtype=complex), FS, "real samples, got dtype complex128")
 
-    @pytest.mark.parametrize("rate", [np.nan, np.inf, 1_000.0, CANDIDATES[-1], 0.0, -FS])
+    # The messages quote the highest candidate as the detector prints it.
+    HIGHEST = re.escape(f"{max(CANDIDATES):.2f} Hz")
+
+    @pytest.mark.parametrize(
+        "rate", [np.nan, np.inf, 1_000.0, pytest.param(max(CANDIDATES), id="highest"), 0.0, -FS]
+    )
     def test_rate_not_finite_or_not_above_every_candidate(self, rate):
-        self._rejected(np.zeros(20_000), rate, "must be finite and above the highest candidate, 34833.33 Hz")
+        self._rejected(np.zeros(20_000), rate, f"must be finite and above the highest candidate, {self.HIGHEST}")
 
     @pytest.mark.parametrize("rate", ["a", [FS], None], ids=["string", "list", "none"])
     def test_rate_that_is_not_a_number(self, rate):
         """Named by the scan before the bin table's cache hashes the rate (a
         list) or its check compares it."""
         got = re.escape(repr(rate))
-        message = rf"^sample_rate must be finite and above the highest candidate, 34833.33 Hz, got {got}: "
+        message = rf"^sample_rate must be finite and above the highest candidate, {self.HIGHEST}, got {got}: "
         self._rejected(np.zeros(8192), rate, message)
 
 
