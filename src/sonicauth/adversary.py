@@ -24,12 +24,10 @@ from .signal import (
     BIN_COUNT,
     SAMPLE_RATE,
     SIGNAL_LENGTH,
-    _block_phasors,
-    _coarse_phasors,
     _finite_positive,
     _is_integer,
     _left_sum,
-    _tone_sum,
+    _period,
     sample_spec,
     synthesize,
 )
@@ -86,14 +84,12 @@ def all_frequency_signal(per_tone_power: float, duration: int) -> np.ndarray:
 
 
 def _unit_sine_powers() -> list[float]:
-    """Each candidate's power measured by the detector's kernel on one window
-    of a unit sine at it, built from its block phasors. The sines are measured
-    one at a time: a 30-window block would hold about 2 MB at import."""
-    coarse, fine = _block_phasors()
+    """Each candidate's power measured by the detector's kernel on one period
+    of a unit sine at it. The sines are measured one at a time: a 30-window
+    block would hold about 2 MB at import."""
     table = spectrum.candidate_bin_table(SAMPLE_RATE)
-    return [
-        float(spectrum._window_powers(np.outer(coarse[i], fine[i]).ravel().imag, table)[i]) for i in range(BIN_COUNT)
-    ]
+    one, zero = np.ones(1), np.zeros(1)
+    return [float(spectrum._window_powers(_period([i], one, zero), table)[i]) for i in range(BIN_COUNT)]
 
 
 # Measured once, at import; every calibration scales from them.
@@ -122,12 +118,10 @@ def all_frequency_amplitudes(per_tone_power: float) -> list[float]:
 @lru_cache(maxsize=1)
 def _all_frequency_waveform(per_tone_power: float, duration: int) -> np.ndarray:
     """``sum_i amp_i * sin(w_i t)`` rounded to 16-bit samples: every
-    candidate's tone at zero phase, summed by the synthesizer's renderer over
-    the candidates' coarse phasors for ``duration`` samples, then rounded
-    and clipped in place in the product's imaginary slots."""
+    candidate's tone at zero phase, the synthesizer's one period repeated
+    over ``duration`` samples."""
     amps = np.array(all_frequency_amplitudes(per_tone_power))
-    tone_sum = _tone_sum(np.arange(BIN_COUNT), amps, np.zeros(BIN_COUNT), _coarse_phasors(duration))
-    wave = ch.quantize(tone_sum).ravel()[:duration].copy()  # owns its samples, so a path memo may hold it
+    wave = ch.quantize(np.resize(_period(np.arange(BIN_COUNT), amps, np.zeros(BIN_COUNT)), duration))
     wave.setflags(write=False)
     return wave
 

@@ -158,6 +158,10 @@ class ExperimentReport:
 
 
 def _trial_rng(seed: int, cell: int, trial: int) -> np.random.Generator:
+    """The stream of one trial, or of another seeded draw, of a campaign;
+    ``ValueError`` when ``seed`` is not a non-negative integer."""
+    if not (sg._is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got seed={seed!r}")
     return np.random.default_rng(np.random.SeedSequence([seed, cell, trial]))
 
 
@@ -226,6 +230,8 @@ def _nan_if_empty(stat, values: list[float]) -> float:
 
 
 def _cfg_for(environment: str, channel_cfg: ch.ChannelConfig | None) -> ch.ChannelConfig:
+    if not (channel_cfg is None or isinstance(channel_cfg, ch.ChannelConfig)):
+        raise ValueError(f"channel_cfg must be a ChannelConfig or None, got {channel_cfg!r}")
     cfg = channel_cfg if channel_cfg is not None else ch.ChannelConfig()
     return replace(cfg, environment=environment)
 

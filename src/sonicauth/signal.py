@@ -15,7 +15,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,12 +50,16 @@ class SignalSpec:
     frequencies: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        freqs = tuple(sorted(self.frequencies))
+        try:
+            freqs = tuple(sorted(self.frequencies))
+            distinct = len(set(freqs))
+        except TypeError:  # not iterable, or holds values that do not sort or hash
+            raise ValueError(f"frequencies must be a sequence of candidates, got {self.frequencies!r}") from None
         object.__setattr__(self, "frequencies", freqs)
         n = len(freqs)
         if not 0 < n < BIN_COUNT:
             raise ValueError("need 0 < |F| < BIN_COUNT")
-        if len(set(freqs)) != n:
+        if distinct != n:
             raise ValueError("duplicate frequencies")
         if not all(f in _CANDIDATE_INDEX for f in freqs):
             raise ValueError("frequencies must be candidates")
@@ -228,47 +231,22 @@ def _leakage_ratio(measured: np.ndarray, in_set: np.ndarray, spec: SignalSpec) -
     return float(measured[~in_set].max() / beta)
 
 
-# Tone sums are rendered from block phasors: sample B*a + b of candidate i's
-# phasor is exp(iw_i*B*a) * exp(iw_i*b), a and b below B (here 64), so each
-# candidate costs 2*B complex exponentials, once, not one sine per sample.
-_PHASOR_BLOCK = 64
-
-
-def _coarse_phasors(samples: int) -> np.ndarray:
-    """``exp(iw_i*B*a)`` over the blocks a that cover ``samples`` samples,
-    (N, blocks), a row per candidate i."""
-    omega = 2.0 * np.pi * np.asarray(CANDIDATES) / SAMPLE_RATE
-    return np.exp(1j * omega[:, None] * (_PHASOR_BLOCK * np.arange(-(-samples // _PHASOR_BLOCK))))
-
-
-# About 60 KB (two tables of 30 candidates' 64 phasors), built once.
-@lru_cache(maxsize=1)
-def _block_phasors() -> tuple[np.ndarray, np.ndarray]:
-    """The coarse phasors ``exp(iw_i*B*a)`` over the signal's blocks a, (N,
-    blocks), and the fine ones ``exp(iw_i*b)`` over b below B, (N, B), a row
-    per candidate i; read-only, shared by every tone set."""
-    omega = 2.0 * np.pi * np.asarray(CANDIDATES) / SAMPLE_RATE
-    coarse = _coarse_phasors(SIGNAL_LENGTH)
-    fine = np.exp(1j * omega[:, None] * np.arange(_PHASOR_BLOCK))
-    coarse.setflags(write=False)
-    fine.setflags(write=False)
-    return coarse, fine
-
-
-def _tone_sum(index: np.ndarray, amps: np.ndarray, phases: np.ndarray, coarse: np.ndarray) -> np.ndarray:
-    """``sum_k amps[k] * sin(w_k t + phases[k])`` over the tones at candidate
-    indices ``index``, at ``t = B*a + b``: the (blocks, B) imaginary part, a
-    view a caller may round in place, of one complex product of the tones'
-    coarse phasor rows ``coarse`` (scaled and turned in place) and fine ones."""
-    coarse *= (amps * np.exp(1j * phases))[:, None]
-    return (coarse.T @ _block_phasors()[1][index]).imag
+def _period(index: np.ndarray, amps: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """One ``SIGNAL_LENGTH``-sample period of ``sum_k amps[k] * sin(w_k t +
+    phases[k])`` over the tones at candidate indices ``index``: every
+    candidate is on a DFT bin, so the sum repeats every period. Candidate bin
+    ``k``, above ``SIGNAL_LENGTH / 2``, aliases to bin ``SIGNAL_LENGTH - k``
+    with its sine negated, so one inverse rFFT of those bins renders it."""
+    bins = np.zeros(SIGNAL_LENGTH // 2 + 1, dtype=complex)
+    bins[SIGNAL_LENGTH - np.asarray(_GRID_BINS)[index]] = (SIGNAL_LENGTH / 2) * 1j * amps * np.exp(-1j * phases)
+    return np.fft.irfft(bins, SIGNAL_LENGTH)
 
 
 def _render(spec: SignalSpec, index: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """The tone sum, each tone at amplitude ``AMPLITUDE_BUDGET / n``, rounded
     half away from zero to integer-valued samples within the budget."""
     amps = np.full(spec.tone_count, AMPLITUDE_BUDGET / spec.tone_count)
-    x = _tone_sum(index, amps, phases, _block_phasors()[0][index]).ravel()[:SIGNAL_LENGTH]
+    x = _period(index, amps, phases)
     samples = np.sign(x) * np.floor(np.abs(x) + 0.5)
     peak = int(np.max(np.abs(samples)))
     if peak > AMPLITUDE_BUDGET:

@@ -231,20 +231,6 @@ def loop_tone_sum(spec, phases, length=SIGNAL_LENGTH):
     return x
 
 
-def tone_set_phasor_table(frequencies, length=SIGNAL_LENGTH) -> np.ndarray:
-    """Reference phasor table built for the given tones alone: (2n, length)
-    rows ``sin(w_k t)`` for each tone k, then ``cos(w_k t)``, by the block
-    product ``exp(iw*64*a) * exp(iw*b)`` that the synthesizer's block phasors
-    hold for every candidate, taken over these tones only."""
-    block = 64
-    omega = 2.0 * np.pi * np.asarray(frequencies) / SAMPLE_RATE
-    blocks = -(-length // block)
-    coarse = np.exp(1j * omega[:, None] * (block * np.arange(blocks)))
-    fine = np.exp(1j * omega[:, None] * np.arange(block))
-    phasor = (coarse[:, :, None] * fine[:, None, :]).reshape(len(frequencies), -1)[:, :length]
-    return np.concatenate([phasor.imag, phasor.real])
-
-
 def full_buffer_propagate(emission, dst_pos, cfg, duration: int) -> np.ndarray:
     """Reference propagation: one emission's contribution at ``dst_pos`` as a
     zeroed buffer of ``duration`` samples, its fractional shift's phase ramp

@@ -107,7 +107,7 @@ class TestAllFrequencySignal:
         + [pytest.param(p, RECORD_SAMPLES - 1, id=f"sweep_{i}") for i, p in enumerate(SWEEP_POWERS)],
     )
     def test_memoised_waveform_equals_uncached_build(self, power, duration):
-        """The block-phasor build rounds every sample as the sine loop does,
+        """The period-repeating build rounds every sample as the sine loop does,
         over the sweep's powers at the campaigns' length too."""
         expected = uncached_all_frequency_signal(power, duration)
         for _ in range(2):

@@ -1,8 +1,9 @@
-"""The session-invariant tables (candidate block phasors, candidate bin
-tables, the noise mask, the fractional-shift ramps, a read-only waveform's
-path responses) are built once and shared read-only: sessions must not depend
-on whether a table was built for them or found in its cache, and every cached
-table must equal the one built for its caller alone."""
+"""The session-invariant tables (candidate bin tables, the detector's roots
+of unity and slide phases, FFT lengths, the noise mask, the fractional-shift
+ramps, the spoofer's waveform and a read-only waveform's path responses) are
+built once and shared read-only: sessions must not depend on whether a table
+was built for them or found in its cache, and every cached table must equal
+the one built for its caller alone."""
 
 import importlib
 import pkgutil
@@ -11,20 +12,18 @@ import numpy as np
 import pytest
 
 import sonicauth
-from helpers import full_buffer_propagate, noise_mask, tone_set_phasor_table
+from helpers import full_buffer_propagate, noise_mask
 from sonicauth import adversary as adv
 from sonicauth import channel as ch
 from sonicauth import evaluation as ev
-from sonicauth import signal as sg
 from sonicauth import spectrum
 from sonicauth.protocol import AuthPolicy, Endpoint, run_authentication
-from sonicauth.signal import BIN_COUNT, CANDIDATES, SAMPLE_RATE, SIGNAL_LENGTH, SignalSpec, sample_spec, synthesize
+from sonicauth.signal import SAMPLE_RATE, SIGNAL_LENGTH, sample_spec, synthesize
 
 # Only the all-frequency spoofer fills these: its waveform, and the path memo
 # that only a read-only waveform, its own, enters.
 SPOOFER_CACHES = (adv._all_frequency_waveform, ch._held_path_response)
 CACHES = (
-    sg._block_phasors,
     spectrum.candidate_bin_table,
     spectrum._roots_of_unity,
     spectrum._slide_phases,
@@ -108,7 +107,6 @@ class TestCachePurity:
     def test_cached_arrays_are_read_only(self):
         synthesize(sample_spec(np.random.default_rng(1)))
         tables = (
-            *sg._block_phasors(),
             spectrum.candidate_bin_table(44_100.0),
             ch._noise_mask(66_150),
             ch._shift_ramp(4320, 0.25),
@@ -119,54 +117,6 @@ class TestCachePurity:
                 table[0] = 0
             with pytest.raises(ValueError, match="read-only"):
                 table += 1
-
-
-class TestPhasorRows:
-    """The candidates' block phasors, taken for a tone set and multiplied
-    out, hold the phasor rows of a table built for those tones alone."""
-
-    @staticmethod
-    def assert_rows_equal(spec, length=SIGNAL_LENGTH):
-        """At the signal's length the cached block phasors; at any other the
-        coarse phasors the spoofer builds for its length."""
-        index, _ = spectrum.in_set_mask(spec.frequencies)
-        coarse_table, fine_table = sg._block_phasors()
-        if length != SIGNAL_LENGTH:
-            coarse_table = sg._coarse_phasors(length)
-        coarse, fine = coarse_table[index], fine_table[index]
-        assert coarse.shape == (spec.tone_count, -(-length // 64)) and fine.shape == (spec.tone_count, 64)
-        phasor = (coarse[:, :, None] * fine[:, None, :]).reshape(spec.tone_count, -1)[:, :length]
-        got = np.concatenate([phasor.imag, phasor.real])
-        want = tone_set_phasor_table(spec.frequencies, length)
-        assert got.shape == want.shape == (2 * spec.tone_count, length)
-        assert np.array_equal(got, want)
-
-    def test_seeded_tone_sets(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(200):
-            self.assert_rows_equal(sample_spec(rng))
-
-    @pytest.mark.parametrize("tones", [1, 2, 28, 29])
-    def test_tone_counts(self, tones):
-        rng = np.random.default_rng(tones)
-        for _ in range(5):
-            freqs = rng.choice(np.asarray(CANDIDATES), size=tones, replace=False)
-            self.assert_rows_equal(SignalSpec(frequencies=tuple(float(f) for f in freqs)))
-
-    def test_long_signal(self):
-        self.assert_rows_equal(sample_spec(np.random.default_rng(9)), 16 * SIGNAL_LENGTH)
-
-    def test_one_table_kept(self):
-        """One cache entry, the coarse and the fine phasors, serves every tone
-        set: the first synthesis builds it, and every later one finds it."""
-        sg._block_phasors.cache_clear()
-        synthesize(sample_spec(np.random.default_rng(4)))
-        synthesize(sample_spec(np.random.default_rng(5)))
-        info = sg._block_phasors.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
-        assert info.hits >= 1
-        assert [table.shape for table in sg._block_phasors()] == [(BIN_COUNT, 64), (BIN_COUNT, 64)]
-        assert sg._block_phasors.cache_info().hits == info.hits + 1
 
 
 class TestBinSpectra:

@@ -391,6 +391,41 @@ class TestSessions:
         with pytest.raises(ValueError, match=f"^{name} must "):
             call()
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "a"])
+    @pytest.mark.parametrize(
+        "campaign",
+        [
+            lambda seed: ev.multiuser_campaign(1, (0.5,), 1, seed, min_trials=1),
+            lambda seed: ev.attack_campaign(adv.ZeroEffort(), 1, seed),
+            lambda seed: ev.detector_comparison((0.5,), 1, seed),
+        ],
+        ids=["multiuser", "attack", "detector_comparison"],
+    )
+    def test_bad_seed_rejected_before_any_session(self, monkeypatch, campaign, seed):
+        """Each once escaped as a numpy error that did not name the seed, and
+        1.5 as a ``TypeError``; the detector comparison's calibration draw
+        comes first, and is refused too."""
+        monkeypatch.setattr(ev, "run_authentication", lambda *args, **kwargs: pytest.fail("a session ran"))
+        message = f"^seed must be a non-negative integer, got seed={re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            campaign(seed)
+
+    @pytest.mark.parametrize(
+        "campaign",
+        [
+            lambda cfg: ev.multiuser_campaign(1, (0.5,), 1, 1, min_trials=1, channel_cfg=cfg),
+            lambda cfg: ev.attack_campaign(adv.ZeroEffort(), 1, 1, channel_cfg=cfg),
+            lambda cfg: ev.detector_comparison((0.5,), 1, 1, channel_cfg=cfg),
+        ],
+        ids=["multiuser", "attack", "detector_comparison"],
+    )
+    def test_channel_cfg_that_is_no_config_rejected(self, monkeypatch, campaign):
+        """A dict once raised ``TypeError`` from ``dataclasses.replace``."""
+        monkeypatch.setattr(ev, "run_authentication", lambda *args, **kwargs: pytest.fail("a session ran"))
+        message = "^channel_cfg must be a ChannelConfig or None, got {'environment': 'office'}$"
+        with pytest.raises(ValueError, match=message):
+            campaign({"environment": "office"})
+
     def test_numpy_counts_accepted(self):
         """A numpy integer is a count, as it is a sample index in a scene:
         the reports equal those of the same Python counts, JSON included."""

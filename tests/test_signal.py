@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,14 @@ class TestSpecValidation:
     def test_rejects_off_grid(self):
         with pytest.raises(ValueError):
             SignalSpec(frequencies=(12_345.0,))
+
+    @pytest.mark.parametrize("frequencies", [None, 5, [[1.0]], [CANDIDATES[0], "a"]])
+    def test_rejects_what_is_no_sequence_of_frequencies(self, frequencies):
+        """``None`` and 5 once raised "object is not iterable", and a list of
+        lists "unhashable type"."""
+        message = f"^frequencies must be a sequence of candidates, got {re.escape(repr(frequencies))}$"
+        with pytest.raises(ValueError, match=message):
+            SignalSpec(frequencies=frequencies)
 
 
 class TestSynthesize:
@@ -206,18 +215,17 @@ class TestPhasorRenderer:
 
     @pytest.mark.parametrize("tones", [1, 29])
     def test_matches_sine_loop_at_a_long_length(self, tones):
-        """Identity also holds where the block product's coarse phase grows
-        16 times larger than at the session length: the renderer's tone sum
-        over the coarse phasors of 65 536 samples, the call the spoofer makes
-        at its own length, rounds as the sine loop does, at the phase table
-        and at the spoofer's zero phases."""
+        """Identity also holds over 16 periods, as the spoofer repeats the
+        period over its own length: the renderer's period, resized to 65 536
+        samples, rounds as the sine loop does, at the phase table and at the
+        spoofer's zero phases."""
         length = 16 * sg.SIGNAL_LENGTH
         picked = np.random.default_rng(tones).choice(np.asarray(CANDIDATES), size=tones, replace=False)
         spec = SignalSpec(frequencies=tuple(float(f) for f in picked))
         index, _ = spectrum.in_set_mask(spec.frequencies)
         amps = np.full(tones, AMPLITUDE_BUDGET / tones)
         phases = [sg._PHASES[index], np.zeros(tones)]
-        sums = np.array([sg._tone_sum(index, amps, ph, sg._coarse_phasors(length)[index]).ravel() for ph in phases])
+        sums = np.array([np.resize(sg._period(index, amps, ph), length) for ph in phases])
         rendered = (np.sign(sums) * np.floor(np.abs(sums) + 0.5)).astype(np.int16)
         assert np.array_equal(rendered, loop_render(spec, phases, length))
 

@@ -34,12 +34,12 @@ def _tones_and_phases(data, low: float, high: float) -> tuple[SignalSpec, np.nda
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_tone_sum_close_to_sine_loop(data):
-    """For any tone subset and any phases, the block-phasor sum before
+    """For any tone subset and any phases, the rendered period before
     rounding is within 1e-6 of one ``np.sin`` per tone."""
     spec, phases = _tones_and_phases(data, -10.0, 10.0)
     index = spectrum.in_set_mask(spec.frequencies)[0]
     amps = np.full(spec.tone_count, AMPLITUDE_BUDGET / spec.tone_count)
-    x = sg._tone_sum(index, amps, phases, sg._block_phasors()[0][index]).ravel()
+    x = sg._period(index, amps, phases)
     assert np.max(np.abs(x - loop_tone_sum(spec, phases))) <= 1e-6
 
 
@@ -56,7 +56,7 @@ def test_rounding_moves_candidate_norms_by_at_most_half_the_length(data):
     spec, phases = _tones_and_phases(data, 0.0, 2.0 * np.pi)
     index, _ = spectrum.in_set_mask(spec.frequencies)
     amps = np.full(spec.tone_count, AMPLITUDE_BUDGET / spec.tone_count)
-    x = sg._tone_sum(index, amps, phases, sg._block_phasors()[0][index]).ravel()
+    x = sg._period(index, amps, phases)
     table = spectrum.candidate_bin_table(SAMPLE_RATE)
     norms = np.sqrt((np.abs(np.fft.rfft(x)[table]) ** 2).sum(axis=1))
     measured = spectrum._window_powers(sg._render(spec, index, phases), table)
