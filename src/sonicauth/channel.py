@@ -105,6 +105,9 @@ class ChannelConfig:
         energy = float(np.sum(np.asarray(taps, dtype=np.float64) ** 2))
         if not abs(energy - 1.0) <= 1e-6:  # False for nan: taps whose squares overflow fail
             raise ValueError(f"smoothing_kernel must be finite and energy-normalized (sum of squares 1), got {energy}")
+        # Stored as a tuple of floats whatever sequence it came as, so the
+        # config hashes and the path memo can key on the kernel.
+        object.__setattr__(self, "smoothing_kernel", tuple(map(float, taps)))
 
 
 def _is_real_sequence(value) -> bool:

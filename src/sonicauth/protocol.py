@@ -16,6 +16,7 @@ iff the (non-negative-clamped) distance is within the policy threshold.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -141,6 +142,14 @@ PLAYBACK_GAP_S = 0.2
 PLAYBACK_START_S = 0.05
 START_JITTER_SAMPLES = 200
 PLAYBACK_GAP_SAMPLES = _to_samples(PLAYBACK_GAP_S)
+# Each device searches for its partner's signal only at the lags from its own
+# signal that the schedule allows (``_partner_lags``), widened by this many
+# samples either side. Over 1000 single-pair sessions (office at seed 8101,
+# street at seeds 99 and 8103, silent at 8103) a located lag fell at most
+# 39.4 samples before its true lag and 40.6 after it, but for one lock onto
+# the wrong burst; 40 is the smallest width that keeps every such location
+# inside the window at any separation from 0 to the pairing range.
+PARTNER_LAG_TOLERANCE = 40
 # A recording runs this many samples past the latest a session's signals can
 # end, before rounding up to a fast FFT length: room for a longer smoothing
 # kernel or a slower speed of sound than the defaults (``_record`` refuses a
@@ -234,6 +243,17 @@ RECORD_SAMPLES = ch.fast_fft_length(
     )
     + RECORD_MARGIN_SAMPLES
 )
+
+
+def _partner_lags(first: int, sample_rate: float, speed_of_sound: float) -> tuple[int, int]:
+    """The lags from a device's own signal, in its recorder's samples, at
+    which its partner's signal can arrive: from ``first`` base-rate samples
+    (the playback gap at the authenticating device, minus the gap at the
+    vouching one) to that plus the travel delay at ``PAIRING_RANGE_M``, each
+    scaled to the recorder's rate and widened by ``PARTNER_LAG_TOLERANCE``."""
+    r = sample_rate / ch.BASE_SAMPLE_RATE
+    reach = PAIRING_RANGE_M / speed_of_sound * ch.BASE_SAMPLE_RATE
+    return math.floor(first * r) - PARTNER_LAG_TOLERANCE, math.ceil((first + reach) * r) + PARTNER_LAG_TOLERANCE
 
 
 def _record(
@@ -334,11 +354,24 @@ def run_authentication(
         emissions = intruder(auth, vouch, rng)
     rec_a, rec_v = _record(t, sig_a, vouch_sig_v, channel_cfg, emissions)
 
-    # Step IV: each device locates both signals in its own recording.
-    outcomes = (
-        *spectrum.detect_pair(rec_a, sig_a, sig_v, sample_rate=auth.sample_rate),
-        *spectrum.detect_pair(rec_v, vouch_sig_a, vouch_sig_v, sample_rate=vouch.sample_rate),
+    # Step IV: each device locates its own signal, then its partner's at the
+    # lags the schedule allows.
+    speed = channel_cfg.speed_of_sound
+    out_aa, out_av = spectrum.detect_pair(
+        rec_a,
+        sig_a,
+        sig_v,
+        sample_rate=auth.sample_rate,
+        partner_lags=_partner_lags(t.playback_gap, auth.sample_rate, speed),
     )
+    out_vv, out_va = spectrum.detect_pair(
+        rec_v,
+        vouch_sig_v,
+        vouch_sig_a,
+        sample_rate=vouch.sample_rate,
+        partner_lags=_partner_lags(-t.playback_gap, vouch.sample_rate, speed),
+    )
+    outcomes = (out_aa, out_av, out_va, out_vv)
     for key, out in zip(("l_aa", "l_av", "l_va", "l_vv"), outcomes):
         t.locations[key] = out.location
         t.peak_norm_powers[key] = out.peak_norm_power

@@ -20,15 +20,17 @@ window, its argmax, already failed a gate with the exact kernel's powers; a
 recording in which both signals fail every coarse window runs no fine pass.
 A fine scan pinpoints the maximum of every other signal with a sliding DFT
 over the bins the candidates read: the first window's bins come from one rFFT
-and each later window's from the samples that enter and leave it. All signals
-fine-scanned in one recording share one stacked fine pass: their first
-windows take one rFFT, and each block of slides takes one phase product and
-one running sum over every signal's bins. The running sum adds the block's
-windows one row after another, so each bin is summed in window order, as a
-per-signal cumulative sum would sum it, and the stacked pass gives each
-signal's powers bit for bit. Once a block's sums are complete, its powers are
-squared in place in the slide buffer itself, so the pass holds no power
-buffers of its own.
+and each later window's from the samples that enter and leave it, one span
+of evenly spaced windows per pass. A device scans its own signal first, over
+a span around its coarse argmax. Each device plays at a fixed gap from its
+partner, so once its own signal is located, the partner's can only arrive
+within one window of lags (two-way ranging after BeepBeep, Peng et al.,
+SenSys 2007): the partner's span is that window, about 137 windows against
+the 301 around a coarse argmax. Each block of slides takes one phase product
+and one running sum, which adds the block's windows one row after another,
+so each bin is summed in window order, as a cumulative sum would sum it. Once
+a block's sums are complete, its powers are squared in place in the slide
+buffer itself, so the pass holds no power buffers of its own.
 Each signal's gate (tone indices, out-of-set indices, presence floors and
 ``beta``) is built once per scan and read by the coarse, fine and exact
 scores. The fine scan only picks the window. The exact one-window kernel
@@ -69,10 +71,11 @@ if TYPE_CHECKING:
 # ALPHA times its nominal power; the absence gate is ``beta``; a located window
 # is present at EPSILON times the signal's total nominal power or more. A
 # candidate's power sums the 2*THETA+1 bins around its own. The coarse scan
-# steps COARSE_STEP samples, and the fine scan steps FINE_STEP samples up to
-# FINE_RADIUS either side of the coarse argmax. Keeping BETA_RATIO < ALPHA
-# guarantees the all-frequency spoofing defence: no single per-tone power can
-# pass both gates at once.
+# steps COARSE_STEP samples, and the fine scan steps FINE_STEP samples, on the
+# grid of its multiples, up to FINE_RADIUS either side of the coarse argmax (a
+# partner found from its own signal scans its lags instead). Keeping
+# BETA_RATIO < ALPHA guarantees the all-frequency spoofing defence: no single
+# per-tone power can pass both gates at once.
 ALPHA = 0.01
 EPSILON = 0.01
 BETA_RATIO = 0.005
@@ -139,7 +142,7 @@ def candidate_bin_table(sample_rate: float) -> np.ndarray:
 
 
 # Windows per block in a scan: bounds the spectra, or the sliding sums, held
-# at once (a fine scan reads 301 windows).
+# at once (a fine scan reads at most 301 windows).
 _SCAN_BLOCK = 64
 
 
@@ -205,43 +208,36 @@ def _slide_phases(bins: bytes, step: int) -> tuple[np.ndarray, np.ndarray]:
     return project, base
 
 
-def _sliding_candidate_powers(
-    x: np.ndarray, spans: list[tuple[int, int]], step: int, table: np.ndarray
-) -> list[np.ndarray]:
-    """Per-candidate powers, for each span ``(lo, count)``, of the ``count``
-    windows ``x[s:s+length]``, ``s = lo + j*step``: every span in one pass of a
-    sliding DFT over the table's bins only (Jacobsen and Lyons, "The sliding
-    DFT", IEEE Signal Processing Magazine, 2003).
+def _sliding_candidate_powers(x: np.ndarray, lo: int, count: int, step: int, table: np.ndarray) -> np.ndarray:
+    """Per-candidate powers, (count, N), of the ``count`` windows
+    ``x[s:s+length]``, ``s = lo + j*step``, by a sliding DFT over the table's
+    bins only (Jacobsen and Lyons, "The sliding DFT", IEEE Signal Processing
+    Magazine, 2003).
 
     Bin k of window j, times ``W**(k*step*j)``, keeps that bin's power, and
     from window j to j+1 it grows by ``W**(k*step*j)`` times the samples that
     enter minus those that leave, ``x[s_j+length+m] - x[s_j+m]``, projected on
-    ``W**(k*m)``. The spans' first windows come from one rFFT. Each block of
-    ``_SCAN_BLOCK`` slides is one real matmul per span against the
-    projections (the complex table read as interleaved real and imaginary
-    parts), then, over every span at once, one phase product and a running
-    sum that carries on from the block before. The running sum adds the
-    block's rows one after another, a row holding every span's bins, so each
-    bin is summed in window order, as ``np.cumsum`` along the windows would
-    sum it. The block's last row is then carried into row 0, and the rows
-    are squared in place, into their real parts, which the offset sum reads.
-    A span with fewer slides than the longest has its rows past them zeroed,
-    and they are dropped. Every phase is read by integer index from the table
+    ``W**(k*m)``. The first window comes from one rFFT. Each block of
+    ``_SCAN_BLOCK`` slides is one real matmul against the projections (the
+    complex table read as interleaved real and imaginary parts), one phase
+    product and a running sum that carries on from the block before. The
+    running sum adds the block's rows one after another, so each bin is
+    summed in window order, as ``np.cumsum`` along the windows would sum it,
+    but with each addition one contiguous vector add. The block's last row is
+    then carried into row 0, and the rows are squared in place, into their
+    real parts, which the offset sum reads, so the pass holds no power
+    buffers of its own. Every phase is read by integer index from the table
     of roots of unity."""
     length = signal.SIGNAL_LENGTH
     bins = table.T.ravel()  # offset-major: each window's offsets are summed over the middle axis
     project, base = _slide_phases(bins.tobytes(), step)
     roots = _roots_of_unity()
-    slides = [
-        (x[lo + length : lo + length + (count - 1) * step] - x[lo : lo + (count - 1) * step]).reshape(-1, step)
-        for lo, count in spans
-    ]
-    longest = max(d.shape[0] for d in slides)
-    # (block row, span, bin); row 0 holds the window before the block's first
-    z = np.empty((_SCAN_BLOCK + 1, len(spans), bins.shape[0]), dtype=np.complex128)
+    slides = (x[lo + length : lo + length + (count - 1) * step] - x[lo : lo + (count - 1) * step]).reshape(-1, step)
+    # (block row, bin); row 0 holds the window before the block's first
+    z = np.empty((_SCAN_BLOCK + 1, bins.shape[0]), dtype=np.complex128)
     rows = list(z)
-    z[0] = z[1] = np.fft.rfft(np.stack([x[lo : lo + length] for lo, _ in spans]))[:, bins]
-    out = np.empty((len(spans), longest + 1, table.shape[0]))
+    z[0] = z[1] = np.fft.rfft(x[lo : lo + length])[bins]
+    out = np.empty((count, table.shape[0]))
     parts = z.view(np.float64)
 
     def offset_sum(n: int, at: int) -> None:
@@ -251,26 +247,22 @@ def _sliding_candidate_powers(
         product, and the imaginary squares added into the real slots."""
         block = parts[1 : n + 1]
         np.multiply(block, block, out=block)
-        np.add(block[..., 0::2], block[..., 1::2], out=block[..., 0::2])
-        by_offset = block[..., 0::2].reshape(n, len(spans), table.shape[1], table.shape[0])
-        np.einsum("wsoc->swc", by_offset, out=out[:, at : at + n])
+        np.add(block[:, 0::2], block[:, 1::2], out=block[:, 0::2])
+        by_offset = block[:, 0::2].reshape(n, table.shape[1], table.shape[0])
+        np.einsum("woc->wc", by_offset, out=out[at : at + n])
 
     offset_sum(1, 0)  # the first window, from its copy in row 1: row 0 carries it into the first block
-    for a in range(0, longest, _SCAN_BLOCK):
-        n = min(_SCAN_BLOCK, longest - a)
+    for a in range(0, count - 1, _SCAN_BLOCK):
+        d = slides[a : a + _SCAN_BLOCK]
+        n = d.shape[0]
         phased = project * roots[(step * a % length) * bins % length]
-        for s, d in enumerate(slides):
-            m = d[a : a + n].shape[0]
-            if m:
-                np.matmul(d[a : a + m], phased.view(np.float64), out=z[1 : m + 1, s].view(np.float64))
-            if m < n:
-                z[m + 1 : n + 1, s] = 0
-        z[1 : n + 1] *= base[:n, None]
+        np.matmul(d, phased.view(np.float64), out=z[1 : n + 1].view(np.float64))
+        z[1 : n + 1] *= base[:n]
         for i in range(1, n + 1):
             np.add(rows[i - 1], rows[i], out=rows[i])
         z[0] = z[n]  # carried before the rows are squared
         offset_sum(n, a + 1)
-    return [out[s, :count] for s, (_, count) in enumerate(spans)]
+    return out
 
 
 def in_set_mask(frequencies: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -329,26 +321,36 @@ def _samples(x: np.ndarray, what: str) -> np.ndarray:
 
 def detect_pair(
     x: np.ndarray,
-    sig_a: "ReferenceSignal",
-    sig_b: "ReferenceSignal",
+    own: "ReferenceSignal",
+    partner: "ReferenceSignal",
     *,
     sample_rate: float,
+    partner_lags: tuple[int, int],
 ) -> tuple[DetectionOutcome, DetectionOutcome]:
-    """Detect two reference signals in one scan of a recording made at
-    ``sample_rate``, the recorder's: one coarse scan shared by both, then one
-    sliding-DFT fine pass over ``FINE_RADIUS`` samples around the coarse
-    argmax of each signal that some coarse window passes, the two stacked.
-    A signal that fails every coarse window gets no fine span and no
-    rescoring: its coarse argmax, the first window, scored ``-inf`` from the
-    same powers the exact kernel gives it, so it is absent with no peak. When
-    both fail, no fine pass runs. Ties break to the smallest index. The fine
-    scan only picks the window; that window's exact score is the reported
-    peak and decides presence, so a window whose exact score fails a gate is
-    not present. Each signal's outcome does not depend on the other:
-    ``detect_pair(x, sig, sig, ...)[0]`` is ``sig``'s outcome alone.
+    """Detect a device's own reference signal and its partner's in one scan
+    of the device's recording, made at ``sample_rate``, the recorder's rate.
+    Returns the own outcome, then the partner's.
+
+    One coarse scan serves both signals. A signal that no coarse window
+    passes is absent with no peak and is not fine-scanned: its coarse argmax,
+    the first window, scored ``-inf`` from the same powers the exact kernel
+    gives it. The own signal is fine-scanned over ``FINE_RADIUS`` samples
+    either side of its coarse argmax and rescored, so its outcome does not
+    depend on the partner: ``detect_pair(x, sig, sig, ...)[0]`` is ``sig``'s
+    outcome alone. Once the own signal is present at ``l``, the partner can
+    only arrive at a lag the playback schedule allows, so it is fine-scanned
+    only at the ``FINE_STEP``-grid windows in ``[l + partner_lags[0], l +
+    partner_lags[1]]`` that fit the recording; when none does, it is absent
+    with no peak. When the own signal is absent, the partner is scanned as
+    the own signal is, around its coarse argmax. Each fine scan is one span
+    of the sliding DFT. Ties break to the smallest index. The fine scan only
+    picks the window; that window's exact score (``_window_score``) is the
+    reported peak and decides presence, so a window whose exact score fails
+    a gate is not present.
 
     The rate must be a finite real number above the highest candidate; it is
-    checked before ``candidate_bin_table``'s cache would hash it.
+    checked before ``candidate_bin_table``'s cache would hash it. The lags
+    are two integers, the first no greater than the second.
     """
     length = signal.SIGNAL_LENGTH
     x = _samples(x, "recording")
@@ -360,28 +362,38 @@ def detect_pair(
             f"sample_rate must be finite and above the highest candidate, {highest:.2f} Hz, got {sample_rate!r}: "
             "a candidate outside [0, sample_rate) cannot be measured"
         )
+    if not (
+        isinstance(partner_lags, tuple)
+        and len(partner_lags) == 2
+        and all(map(signal._is_integer, partner_lags))
+        and partner_lags[0] <= partner_lags[1]
+    ):
+        raise ValueError(f"partner_lags must be two integers (lo, hi) with lo <= hi, got {partner_lags!r}")
     table = candidate_bin_table(sample_rate)
-    sigs = (sig_a, sig_b)
     max_start = x.shape[0] - length
     coarse_powers = _batch_candidate_powers(x, slice(0, max_start + 1, COARSE_STEP), table)
-    gates = [_gate(sig) for sig in sigs]
-    locations, spans = [], {}
-    for i, gate in enumerate(gates):
+    outcomes = []
+    for sig in (own, partner):
+        gate = _gate(sig)
         scores = _gated_scores(coarse_powers, gate)
         best = int(np.argmax(scores))
-        anchor = best * COARSE_STEP
-        locations.append(anchor)
-        if scores[best] > -np.inf:  # a signal that no coarse window passes keeps its coarse argmax
-            lo = max(0, anchor - FINE_RADIUS)
-            spans[i] = (lo, (min(max_start, anchor + FINE_RADIUS) - lo) // FINE_STEP + 1)
-    if spans:
-        fine_powers = _sliding_candidate_powers(x, list(spans.values()), FINE_STEP, table)
-        for (i, (lo, _)), powers in zip(spans.items(), fine_powers):
-            locations[i] = lo + int(np.argmax(_gated_scores(powers, gates[i]))) * FINE_STEP
-    outcomes = []
-    for i, (sig, gate, loc) in enumerate(zip(sigs, gates, locations)):
-        # A signal without a span failed at its first window, with the exact kernel's powers bit for bit.
-        peak = _window_score(x, loc, gate, table) if i in spans else -np.inf
+        if scores[best] == -np.inf:  # failed at the first window, with the exact kernel's powers bit for bit
+            outcomes.append(DetectionOutcome(None, None))
+            continue
+        own_location = outcomes[0].location if outcomes else None  # set for a partner of a present own signal
+        if own_location is None:
+            anchor = best * COARSE_STEP
+            lo, hi = max(0, anchor - FINE_RADIUS), min(max_start, anchor + FINE_RADIUS)
+        else:
+            lo = max(0, own_location + partner_lags[0])
+            hi = min(max_start, own_location + partner_lags[1])
+        lo, hi = -(-lo // FINE_STEP) * FINE_STEP, hi // FINE_STEP * FINE_STEP
+        if lo > hi:  # no grid window of the partner's lags fits the recording
+            outcomes.append(DetectionOutcome(None, None))
+            continue
+        powers = _sliding_candidate_powers(x, lo, (hi - lo) // FINE_STEP + 1, FINE_STEP, table)
+        loc = lo + int(np.argmax(_gated_scores(powers, gate))) * FINE_STEP
+        peak = _window_score(x, loc, gate, table)
         present = peak >= EPSILON * sig.total_power  # False for -inf: the window failed a gate
         outcomes.append(DetectionOutcome(loc if present else None, None if peak == -np.inf else peak))
     return tuple(outcomes)

@@ -11,13 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import exhaustive_detect
+from helpers import detect_own, exhaustive_detect
 from sonicauth import adversary as adv
 from sonicauth import channel as ch
 from sonicauth import evaluation as ev
 from sonicauth.protocol import AuthPolicy, Endpoint, RejectReason, run_authentication
 from sonicauth.signal import SAMPLE_RATE, sample_spec, synthesize
-from sonicauth.spectrum import detect_pair
 
 
 def _report(criterion, ok, detail):
@@ -227,7 +226,7 @@ def test_criterion_9_oracle_equivalence():
         x = rng.normal(0.0, 30.0, n)
         x[offset : offset + 4096] += scale * sig.samples
         x = np.clip(np.rint(x), -32768, 32767)
-        got = detect_pair(x, sig, sig, sample_rate=SAMPLE_RATE)[0]
+        got = detect_own(x, sig, sample_rate=SAMPLE_RATE)
         want, _ = exhaustive_detect(x, sig, 44_100.0)
         assert got.location is not None and want is not None
         worst = max(worst, abs(got.location - want))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import proper_subsets
+from helpers import detect_own, proper_subsets
 from sonicauth import adversary as adv
 from sonicauth import channel as ch
 from sonicauth import evaluation as ev
@@ -12,7 +12,6 @@ from sonicauth import spectrum
 from sonicauth.protocol import RECORD_SAMPLES, AuthPolicy, Endpoint, run_authentication
 from sonicauth import signal as sg
 from sonicauth.signal import AMPLITUDE_BUDGET, BIN_COUNT, CANDIDATES, SAMPLE_RATE, sample_spec, synthesize
-from sonicauth.spectrum import detect_pair
 
 
 def measure(window):
@@ -191,7 +190,7 @@ class TestSanityCheckDefence:
             except ValueError:
                 continue
             window = wave[2048 : 2048 + 4096].astype(float)
-            assert detect_pair(window, sig, sig, sample_rate=SAMPLE_RATE)[0].peak_norm_power is None
+            assert detect_own(window, sig, sample_rate=SAMPLE_RATE).peak_norm_power is None
 
     def test_wrong_guess_window_is_sentinel(self):
         rng = np.random.default_rng(9)
@@ -199,7 +198,7 @@ class TestSanityCheckDefence:
         guess = synthesize(sample_spec(np.random.default_rng(10)))
         if set(guess.frequencies) == set(sig.frequencies):  # pragma: no cover
             pytest.skip("guess collided (probability ~1e-9)")
-        p = detect_pair(guess.samples.astype(float), sig, sig, sample_rate=SAMPLE_RATE)[0].peak_norm_power
+        p = detect_own(guess.samples.astype(float), sig, sample_rate=SAMPLE_RATE).peak_norm_power
         assert p is None
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from helpers import full_buffer_record, load_wav, smooth_length_search, time_domain_noise, traced_peak
+from helpers import detect_own, full_buffer_record, load_wav, smooth_length_search, time_domain_noise, traced_peak
 from sonicauth import adversary as adv
 from sonicauth import channel as ch
 from sonicauth import evaluation as ev
@@ -286,8 +286,8 @@ class TestRecord:
         )
         near = ch.record(scene, "near", office_cfg)
         far = ch.record(scene, "far", office_cfg)
-        l_near = detect_pair(near, sig, sig, sample_rate=ch.BASE_SAMPLE_RATE)[0].location
-        l_far = detect_pair(far, sig, sig, sample_rate=ch.BASE_SAMPLE_RATE)[0].location
+        l_near = detect_own(near, sig, sample_rate=ch.BASE_SAMPLE_RATE).location
+        l_far = detect_own(far, sig, sample_rate=ch.BASE_SAMPLE_RATE).location
         expected = round(0.5 / 340 * 44_100)  # 65 samples
         assert l_near is not None and l_far is not None
         assert abs((l_far - l_near) - expected) <= 10
@@ -360,9 +360,10 @@ class TestRecord:
         rec_true = ch.record(scene, "true", silent_cfg)
         rec_fast = ch.record(scene, "fast", silent_cfg)
         assert rec_fast.shape[0] == pytest.approx(60_000 * skew, abs=2)
-        out_a, out_b = detect_pair(rec_true, sig_a, sig_b, sample_rate=44_100.0)
+        lags = (gap - 4_000, gap + 4_000)  # the second signal searched within 4000 samples of the gap
+        out_a, out_b = detect_pair(rec_true, sig_a, sig_b, sample_rate=44_100.0, partner_lags=lags)
         sep_true = out_b.location - out_a.location
-        out_a, out_b = detect_pair(rec_fast, sig_a, sig_b, sample_rate=44_100.0 * skew)
+        out_a, out_b = detect_pair(rec_fast, sig_a, sig_b, sample_rate=44_100.0 * skew, partner_lags=lags)
         sep_fast = out_b.location - out_a.location
         assert sep_fast == pytest.approx(sep_true * skew, abs=25)
 
@@ -550,6 +551,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             ch.ChannelConfig(**kwargs)
 
+    @pytest.mark.parametrize("form", [np.array, list], ids=["array", "list"])
+    def test_kernel_stored_as_a_tuple_of_floats(self, form):
+        """A kernel given as an array or a list is stored as the tuple of
+        floats, so the config hashes and an all-frequency session, whose
+        path memo keys on the kernel, gives the tuple kernel's transcripts."""
+        taps = ch.energy_normalized(ch.DEFAULT_SMOOTHING_KERNEL)
+        cfg = ch.ChannelConfig(smoothing_kernel=form(taps))
+        assert cfg.smoothing_kernel == taps and all(type(t) is float for t in cfg.smoothing_kernel)
+        assert hash(cfg) == hash(ch.ChannelConfig(smoothing_kernel=taps))
+        attack = adv.AllFrequency(per_tone_power=1e9)
+        got, want = (ev.attack_campaign(attack, 1, 3, channel_cfg=c) for c in (cfg, ch.ChannelConfig()))
+        assert [t.to_json() for t in got.transcripts] == [t.to_json() for t in want.transcripts]
+
     def test_default_kernel_energy(self, office_cfg):
         assert sum(t**2 for t in office_cfg.smoothing_kernel) == pytest.approx(1.0)
 
@@ -652,5 +666,5 @@ class TestCalibration:
                 sig, 8000, (d, 0.0), (ch.Recorder("m", (0.0, 0.0)),), 30_000, seed=int(d * 10)
             )
             rec = ch.record(scene, "m", office_cfg)
-            out = detect_pair(rec, sig, sig, sample_rate=ch.BASE_SAMPLE_RATE)[0]
+            out = detect_own(rec, sig, sample_rate=ch.BASE_SAMPLE_RATE)
             assert (out.location is not None) == want_found

@@ -7,12 +7,12 @@ import warnings
 import pytest
 
 import sonicauth
-from helpers import load_signal, load_wav
+from helpers import load_signal, load_wav, session_locations
 from sonicauth import cli
+from sonicauth.channel import ChannelConfig
 from sonicauth.cli import main
 from sonicauth.evaluation import fit_sigma
 from sonicauth.protocol import RECORD_SAMPLES
-from sonicauth.spectrum import detect_pair
 
 
 def test_package_runs_with_scipy_blocked():
@@ -153,12 +153,9 @@ def test_auth_wav_dump(tmp_path, capsys):
     # the dumped files reproduce the printed session's four locations exactly;
     # each reference WAV and its JSON link header make up one link payload
     refs = [load_signal(str(dump / f"reference_{d}.wav"), str(dump / f"reference_{d}.json")) for d in ("auth", "vouch")]
-    located = {}
-    for device, keys in (("auth", ("l_aa", "l_av")), ("vouch", ("l_va", "l_vv"))):
-        samples, rate = load_wav(str(dump / f"recording_{device}.wav"))
-        outcomes = detect_pair(samples, *refs, sample_rate=rate)
-        located.update(zip(keys, (o.location for o in outcomes)))
-    assert located == transcript["locations"]
+    recordings, rates = zip(*(load_wav(str(dump / f"recording_{device}.wav")) for device in ("auth", "vouch")))
+    speed = ChannelConfig().speed_of_sound
+    assert session_locations(recordings, refs, rates, transcript["playback_gap"], speed) == transcript["locations"]
 
 
 def test_range_campaign_json(tmp_path):

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import detect_own, session_locations
 
 from sonicauth import channel as ch
 from sonicauth import evaluation as ev
@@ -28,7 +29,6 @@ from sonicauth.protocol import (
     _to_samples,
 )
 from sonicauth.signal import SIGNAL_LENGTH
-from sonicauth.spectrum import detect_pair
 
 
 class TestEstimateDistance:
@@ -325,11 +325,9 @@ class TestRunAuthentication:
             office_cfg,
         )
         sig_a, sig_v, rec_a, rec_v = replay_session(transcript, office_cfg)
-        located = (
-            *detect_pair(rec_a, sig_a, sig_v, sample_rate=transcript.sample_rates["auth"]),
-            *detect_pair(rec_v, sig_a, sig_v, sample_rate=transcript.sample_rates["vouch"]),
-        )
-        assert [o.location for o in located] == list(transcript.locations.values())
+        rates = (transcript.sample_rates["auth"], transcript.sample_rates["vouch"])
+        located = session_locations((rec_a, rec_v), (sig_a, sig_v), rates, transcript.playback_gap, office_cfg.speed_of_sound)
+        assert located == transcript.locations
         with pytest.raises(ValueError):
             replay_session(run(12.0)[1], office_cfg)
 
@@ -346,9 +344,9 @@ class TestPeaksReproduce:
         found = []
         scan = spectrum.detect_pair
 
-        def spy(x, sig_a, sig_b, *, sample_rate):
-            outcomes = scan(x, sig_a, sig_b, sample_rate=sample_rate)
-            found.extend((x, sig, sample_rate, out) for sig, out in zip((sig_a, sig_b), outcomes))
+        def spy(x, own, partner, *, sample_rate, partner_lags):
+            outcomes = scan(x, own, partner, sample_rate=sample_rate, partner_lags=partner_lags)
+            found.extend((x, sig, sample_rate, out) for sig, out in zip((own, partner), outcomes))
             return outcomes
 
         monkeypatch.setattr(spectrum, "detect_pair", spy)
@@ -361,7 +359,7 @@ class TestPeaksReproduce:
         for x, sig, rate, out in found:
             if out.location is not None:
                 window = x[out.location : out.location + SIGNAL_LENGTH]
-                assert detect_pair(window, sig, sig, sample_rate=rate)[0].peak_norm_power == out.peak_norm_power
+                assert detect_own(window, sig, sample_rate=rate).peak_norm_power == out.peak_norm_power
 
     def test_office_sessions(self, monkeypatch):
         def sessions():

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import direct_candidate_power, load_signal, load_wav, loop_render, proper_subsets
+from helpers import detect_own, direct_candidate_power, load_signal, load_wav, loop_render, proper_subsets
 from sonicauth import adversary as adv
 from sonicauth.cli import save_wav
 from sonicauth import spectrum
@@ -23,7 +23,6 @@ from sonicauth.signal import (
     sample_spec,
     synthesize,
 )
-from sonicauth.spectrum import detect_pair
 
 
 class TestBuildGrid:
@@ -146,7 +145,7 @@ class TestSynthesize:
         rng = np.random.default_rng(23)
         for _ in range(10):
             sig = synthesize(sample_spec(rng))
-            p = detect_pair(sig.samples.astype(float), sig, sig, sample_rate=SAMPLE_RATE)[0].peak_norm_power
+            p = detect_own(sig.samples.astype(float), sig, sample_rate=SAMPLE_RATE).peak_norm_power
             assert p is not None
             assert p >= 0.95 * sig.total_power
 
@@ -159,7 +158,7 @@ class TestSynthesize:
         monkeypatch.setattr(spectrum, "BETA_RATIO", 0.002)
         strict = synthesize(spec)
         assert np.array_equal(strict.samples, default.samples)
-        assert detect_pair(strict.samples, strict, strict, sample_rate=SAMPLE_RATE)[0].peak_norm_power is not None
+        assert detect_own(strict.samples, strict, sample_rate=SAMPLE_RATE).peak_norm_power is not None
 
     def test_unconfinable_leakage_rejected(self, monkeypatch):
         """The guard reads ``BETA_RATIO`` at call time: at 1e-12 the rounding
@@ -172,7 +171,7 @@ class TestSynthesize:
             with pytest.raises(ValueError, match=message):
                 synthesize(spec)
         sig = synthesize(spec)
-        assert detect_pair(sig.samples, sig, sig, sample_rate=SAMPLE_RATE)[0].peak_norm_power is not None
+        assert detect_own(sig.samples, sig, sample_rate=SAMPLE_RATE).peak_norm_power is not None
 
     def test_each_candidate_measured_once(self, monkeypatch):
         """Synthesis is one render and one measurement, for any tone set."""

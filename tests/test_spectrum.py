@@ -7,6 +7,7 @@ import scipy.signal
 
 from helpers import (
     always_fine_scan,
+    detect_own,
     direct_bin_power,
     direct_candidate_power,
     exhaustive_detect,
@@ -19,7 +20,7 @@ from helpers import (
 from sonicauth import adversary as adv
 from sonicauth import evaluation as ev
 from sonicauth import spectrum
-from sonicauth.protocol import AuthPolicy, Endpoint, replay_session, run_authentication
+from sonicauth.protocol import AuthPolicy, Endpoint, _partner_lags, replay_session, run_authentication
 from sonicauth.signal import CANDIDATES, SignalSpec, sample_spec, synthesize
 from sonicauth.spectrum import (
     DetectionOutcome,
@@ -197,13 +198,13 @@ class TestBatchCandidatePowers:
         2000-start recording, so the fine scan runs from 0 to max_start."""
         sig = synthesize(sample_spec(np.random.default_rng(16)))
         x = _embed(sig, 1234, 2000 - 1234)
-        out = detect_pair(x, sig, sig, sample_rate=FS)[0]
+        out = detect_own(x, sig, sample_rate=FS)
         assert out.location is not None and abs(out.location - 1234) <= spectrum.FINE_STEP
 
     def test_recording_exactly_one_signal_long(self):
         sig = synthesize(sample_spec(np.random.default_rng(17)))
         x = sig.samples.astype(float)
-        out = detect_pair(x, sig, sig, sample_rate=FS)[0]
+        out = detect_own(x, sig, sample_rate=FS)
         assert out.location == 0
         assert out.peak_norm_power == spectrum._window_score(x, 0, spectrum._gate(sig), candidate_bin_table(FS))
 
@@ -240,64 +241,58 @@ class TestSlidingCandidatePowers:
         table = candidate_bin_table(rate)
         if rate != FS:
             assert not np.array_equal(table, candidate_bin_table(FS))
-        (got,) = _sliding_candidate_powers(x, [(lo, count)], step, table)
+        got = _sliding_candidate_powers(x, lo, count, step, table)
         want = _batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), table)
         assert got.shape == want.shape == (count, len(CANDIDATES))
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
 
-class TestStackedSlidingPass:
-    """The stacked pass computes every span's powers as the per-span sliding
-    DFT does, bit for bit: the same matmul per span and block, the same phase
-    product, and a row-by-row running sum that adds each bin in the order
-    ``np.cumsum`` does. A span with fewer windows than the longest has its
-    extra rows dropped."""
+class TestSingleSpanSlidingPass:
+    """The fine pass computes its span's powers as the per-span sliding DFT
+    does, bit for bit: the same matmul per block, the same phase product, and
+    a row-by-row running sum that adds each bin in the order ``np.cumsum``
+    does."""
 
     @pytest.mark.parametrize(
-        "spans, step, rate",
+        "lo, count, step, rate",
         [
-            # anchors 0, 10 000 and 25 000 of a 30 000-sample recording
-            # (max_start 25 904): clipped at 0, full, clipped at max_start
-            ([(0, 151), (8_500, 301), (23_500, 241)], 10, FS),
-            ([(12_345, 1)], 10, FS),  # one window, no slide
-            ([(12_345, 1), (9_000, 301)], 10, FS),  # a one-window span beside a full one
-            ([(9_000, 301), (2_000, 66)], 10, FS),  # the shorter span's last block holds one slide
-            ([(2_000, 66), (15_000, 301)], 10, FS),  # the same, with the shorter span first
-            ([(2_000, 66), (15_000, 66)], 10, FS),  # the pass's last block holds one slide
-            ([(9_000, 301)], 10, FS),  # a lone full span: the other signal failed every coarse window
-            ([(7_777, 130), (100, 65)], 1, FS),  # step 1
-            ([(0, 151), (8_500, 301)], 10, FS * 1.001),  # a skewed recorder's bin table
+            (0, 151, 10, FS),  # clipped at lo = 0: anchor 0
+            (23_500, 241, 10, FS),  # clipped at max_start 25 904: anchor 25 000
+            (12_345, 1, 10, FS),  # one window, no slide
+            (2_000, 66, 10, FS),  # the last block holds one slide
+            (9_000, 301, 10, FS),  # a full own span: 300 slides, the last block holds 44
+            (11_000, 137, 10, FS),  # a partner's gap window
+            (7_777, 130, 1, FS),  # step 1
+            (8_500, 301, 10, FS * 1.001),  # a skewed recorder's bin table
         ],
         ids=[
-            "unequal_counts",
+            "clipped_lo",
+            "clipped_hi",
             "one_window",
-            "one_window_beside_full",
             "one_slide_block",
-            "one_slide_block_first",
-            "one_slide_last_block",
-            "lone_full_span",
+            "full_span",
+            "gap_window",
             "step_one",
             "skewed_rate",
         ],
     )
-    def test_equals_per_span_reference(self, spans, step, rate):
-        x = _scene_recording(30_000, seed=sum(lo + count for lo, count in spans))
+    def test_equals_per_span_reference(self, lo, count, step, rate):
+        x = _scene_recording(30_000, seed=lo + count)
         table = candidate_bin_table(rate)
-        got = _sliding_candidate_powers(x, spans, step, table)
-        assert len(got) == len(spans)
-        for (lo, count), powers in zip(spans, got):
-            want = per_span_sliding_powers(x, lo, count, step, table)
-            assert powers.shape == want.shape == (count, len(CANDIDATES))
-            assert np.array_equal(powers, want)
+        got = _sliding_candidate_powers(x, lo, count, step, table)
+        want = per_span_sliding_powers(x, lo, count, step, table)
+        assert got.shape == want.shape == (count, len(CANDIDATES))
+        assert np.array_equal(got, want)
 
-    def test_traced_peak_of_two_full_spans(self):
-        """The pass squares each block's powers in its own slide buffer, so
-        two full spans' scratch stays under 1.2 MB: the slide buffer (about
-        686 KB), the powers it returns and the spans' slides, with no power
-        buffers beside them."""
+    def test_traced_peak_of_a_full_span(self):
+        """The pass squares each block's powers in its own slide buffer, so a
+        full span's scratch stays under 650 KB (616 KB measured): the slide
+        buffer (about 343 KB), the powers it returns (72 KB), the span's
+        slides, the first window's rFFT and a block's phase products, with no
+        power buffers beside them. Two stacked spans took 1.07 MB."""
         x = _scene_recording(30_000, seed=29)
         table = candidate_bin_table(FS)
-        assert traced_peak(lambda: _sliding_candidate_powers(x, [(2_000, 301), (15_000, 301)], 10, table)) < 1_200_000
+        assert traced_peak(lambda: _sliding_candidate_powers(x, 2_000, 301, 10, table)) < 650_000
 
 
 class TestWindowPowers:
@@ -352,7 +347,7 @@ class TestLocatedWindowScore:
         with monkeypatch.context() as m:
             m.setattr(spectrum, "_gate", gate_spy)
             m.setattr(spectrum, "_window_score", spy)
-            outcomes = detect_pair(x, *sigs, sample_rate=FS)
+            outcomes = detect_pair(x, *sigs, sample_rate=FS, partner_lags=(13_500, 16_500))
         assert len(gates) == len(sigs)
         table = spectrum.candidate_bin_table(FS)
         for gate in gates:
@@ -382,7 +377,7 @@ class TestLocatedWindowScore:
             for sig, out, start, score in self._scored(monkeypatch, x, (sig_a, sig_b)):
                 assert out.peak_norm_power == (None if score == -np.inf else score)
                 window = x[start : start + 4096]
-                assert detect_pair(window, sig, sig, sample_rate=FS)[0].peak_norm_power == out.peak_norm_power
+                assert detect_own(window, sig, sample_rate=FS).peak_norm_power == out.peak_norm_power
                 present = score >= spectrum.EPSILON * sig.total_power
                 assert out.location == (start if present else None)
                 if sig is sig_b and seed % 3 == 2:
@@ -399,21 +394,19 @@ class TestLocatedWindowScore:
         x = _embed(sig, 15_000, 10_000)
         t = np.arange(1_400)
         x[13_500:14_900] += 3000.0 * np.sin(2 * np.pi * CANDIDATES[0] * t / FS)
-        assert detect_pair(x, sig, sig, sample_rate=FS)[0].location == 15_000
+        assert detect_own(x, sig, sample_rate=FS).location == 15_000
         sliding = spectrum._sliding_candidate_powers
 
-        def first_window_best(x, spans, step, table):
-            """Each span's best window moved to its first row: both spans
-            are ``sig``'s."""
-            spans_powers = sliding(x, spans, step, table)
-            for powers in spans_powers:
-                best = int(np.argmax(spectrum._gated_scores(powers, spectrum._gate(sig))))
-                powers[0] = powers[best]
-            return spans_powers
+        def first_window_best(x, lo, count, step, table):
+            """The span's best window moved to its first row: both signals
+            are ``sig``."""
+            powers = sliding(x, lo, count, step, table)
+            powers[0] = powers[int(np.argmax(spectrum._gated_scores(powers, spectrum._gate(sig))))]
+            return powers
 
         monkeypatch.setattr(spectrum, "_sliding_candidate_powers", first_window_best)
         absent = DetectionOutcome(None, None)
-        assert detect_pair(x, sig, sig, sample_rate=FS) == (absent, absent)
+        assert detect_pair(x, sig, sig, sample_rate=FS, partner_lags=(0, 0)) == (absent, absent)
 
 
 def test_sliding_oracle_matches_direct_projections():
@@ -433,12 +426,12 @@ class TestNormPower:
 
     def test_clean_signal_close_to_total(self):
         sig = synthesize(sample_spec(np.random.default_rng(0)))
-        p = detect_pair(sig.samples.astype(float), sig, sig, sample_rate=FS)[0].peak_norm_power
+        p = detect_own(sig.samples.astype(float), sig, sample_rate=FS).peak_norm_power
         assert p is not None and p >= 0.95 * sig.total_power
 
     def test_silence_fails_presence_check(self):
         sig = synthesize(sample_spec(np.random.default_rng(1)))
-        p = detect_pair(np.zeros(4096), sig, sig, sample_rate=FS)[0].peak_norm_power
+        p = detect_own(np.zeros(4096), sig, sample_rate=FS).peak_norm_power
         assert p is None
 
     def test_all_frequency_window_always_rejected(self):
@@ -453,7 +446,7 @@ class TestNormPower:
             w = np.zeros(4096)
             for f in CANDIDATES:
                 w += amp * np.sin(2 * np.pi * f * t / FS)
-            assert detect_pair(w, sig, sig, sample_rate=FS)[0].peak_norm_power is None
+            assert detect_own(w, sig, sample_rate=FS).peak_norm_power is None
 
     def test_out_of_set_tone_trips_absence_check(self):
         """A window holding the clean signal plus one loud out-of-set tone is
@@ -462,12 +455,12 @@ class TestNormPower:
         intruder_f = CANDIDATES[0]
         t = np.arange(4096)
         w = sig.samples.astype(float) + 3000.0 * np.sin(2 * np.pi * intruder_f * t / FS)
-        assert detect_pair(w, sig, sig, sample_rate=FS)[0].peak_norm_power is None
+        assert detect_own(w, sig, sample_rate=FS).peak_norm_power is None
 
     def test_wrong_length_rejected(self):
         sig = synthesize(sample_spec(np.random.default_rng(4)))
         with pytest.raises(ValueError):
-            detect_pair(np.zeros(1000), sig, sig, sample_rate=FS)
+            detect_pair(np.zeros(1000), sig, sig, sample_rate=FS, partner_lags=(0, 0))
 
 
 class TestDetectorInputs:
@@ -478,8 +471,8 @@ class TestDetectorInputs:
     def _entry_points(x, rate):
         sig = synthesize(sample_spec(np.random.default_rng(30)))
         return (
-            lambda: detect_pair(x, sig, sig, sample_rate=rate),
-            lambda: detect_pair(x[:4096], sig, sig, sample_rate=rate),
+            lambda: detect_pair(x, sig, sig, sample_rate=rate, partner_lags=(0, 0)),
+            lambda: detect_pair(x[:4096], sig, sig, sample_rate=rate, partner_lags=(0, 0)),
         )
 
     def _rejected(self, x, rate, message):
@@ -530,7 +523,7 @@ class TestDetect:
     def test_clean_embedding_located(self):
         sig = synthesize(sample_spec(np.random.default_rng(5)))
         x = _embed(sig, 10_000, 10_000)
-        out = detect_pair(x, sig, sig, sample_rate=FS)[0]
+        out = detect_own(x, sig, sample_rate=FS)
         assert out.location is not None
         assert abs(out.location - 10_000) <= spectrum.FINE_STEP
         loc, _ = exhaustive_detect(x, sig, FS)
@@ -540,18 +533,18 @@ class TestDetect:
         sig = synthesize(sample_spec(np.random.default_rng(6)))
         rms = np.sqrt(np.mean(sig.samples.astype(float) ** 2))
         x = np.random.default_rng(7).normal(0.0, rms, 60_000)
-        out = detect_pair(x, sig, sig, sample_rate=FS)[0]
+        out = detect_own(x, sig, sample_rate=FS)
         assert out.location is None
 
     def test_recording_shorter_than_signal(self):
         sig = synthesize(sample_spec(np.random.default_rng(8)))
         with pytest.raises(ValueError):
-            detect_pair(np.zeros(1000), sig, sig, sample_rate=FS)
+            detect_pair(np.zeros(1000), sig, sig, sample_rate=FS, partner_lags=(0, 0))
 
     def test_monotone_rejection_when_scaled_below_epsilon(self):
         sig = synthesize(sample_spec(np.random.default_rng(9)))
         x = _embed(sig, 5_000, 5_000, scale=0.5 * spectrum.EPSILON)
-        assert detect_pair(x, sig, sig, sample_rate=FS)[0].location is None
+        assert detect_own(x, sig, sample_rate=FS).location is None
 
     def test_coarse_to_fine_matches_exhaustive_on_random_scenes(self):
         for seed in range(10):
@@ -560,7 +553,7 @@ class TestDetect:
             pre = int(rng.integers(0, 12_000))
             x = _embed(sig, pre, 18_000 - pre, scale=float(rng.uniform(0.2, 1.0)))
             x += rng.normal(0.0, 40.0, x.shape[0])
-            got = detect_pair(x, sig, sig, sample_rate=FS)[0]
+            got = detect_own(x, sig, sample_rate=FS)
             want_loc, _ = exhaustive_detect(x, sig, FS)
             assert got.location is not None and want_loc is not None
             assert abs(got.location - want_loc) <= spectrum.FINE_STEP
@@ -570,32 +563,31 @@ class TestCoarseFailureSkipsFineScan:
     """A signal that no coarse window passes gets no fine span: its scored
     window is the coarse argmax, the first window, which is also the window
     the always-fine reference's all-failing fine scan picks. The two differ
-    only when a window in (0, FINE_RADIUS] passes after every coarse window
-    failed."""
+    only when a fine window passes after every coarse window failed."""
 
     @staticmethod
     def _fine_spans(monkeypatch):
-        """The span lists the stacked fine pass is called with, one per call."""
+        """The ``(lo, count)`` span of each fine pass, one per call."""
         calls = []
         sliding = spectrum._sliding_candidate_powers
 
-        def spy(x, spans, step, table):
-            calls.append(list(spans))
-            return sliding(x, spans, step, table)
+        def spy(x, lo, count, step, table):
+            calls.append((lo, count))
+            return sliding(x, lo, count, step, table)
 
         monkeypatch.setattr(spectrum, "_sliding_candidate_powers", spy)
         return calls
 
     def test_campaign_recordings_match_the_always_fine_scan(self, monkeypatch):
-        """Guessing-replay, all-frequency, crowded and office recordings give
-        the reference's outcomes, and some of their signals skip the fine
-        scan."""
+        """Guessing-replay, all-frequency, crowded and office recordings, with
+        the lags each session passed, give the reference's outcomes, and some
+        of their signals skip the fine scan."""
         recordings = []
         scan = spectrum.detect_pair
 
-        def spy(x, sig_a, sig_b, *, sample_rate):
-            recordings.append((x, (sig_a, sig_b), sample_rate))
-            return scan(x, sig_a, sig_b, sample_rate=sample_rate)
+        def spy(x, own, partner, *, sample_rate, partner_lags):
+            recordings.append((x, own, partner, sample_rate, partner_lags))
+            return scan(x, own, partner, sample_rate=sample_rate, partner_lags=partner_lags)
 
         with monkeypatch.context() as m:
             m.setattr(spectrum, "detect_pair", spy)
@@ -605,11 +597,11 @@ class TestCoarseFailureSkipsFineScan:
             ev.distance_error_campaign("office", (0.5, 1.5), 1, 2804, min_trials=1)
         calls = self._fine_spans(monkeypatch)
         skipped = 0
-        for x, sigs, rate in recordings:
-            want = always_fine_scan(x, sigs, rate)
+        for x, own, partner, rate, lags in recordings:
+            want = always_fine_scan(x, own, partner, rate, lags)
             calls.clear()
-            assert detect_pair(x, *sigs, sample_rate=rate) == want
-            skipped += len(sigs) - sum(len(spans) for spans in calls)
+            assert detect_pair(x, own, partner, sample_rate=rate, partner_lags=lags) == want
+            skipped += 2 - len(calls)
         assert skipped > 0
 
     @staticmethod
@@ -634,16 +626,17 @@ class TestCoarseFailureSkipsFineScan:
         absent at every offset."""
         absent = DetectionOutcome(None, None)
         x, sig = self._edge_scene(0)
-        assert always_fine_scan(x, (sig,), FS)[0].location == 500
-        assert detect_pair(x, sig, sig, sample_rate=FS)[0] == absent
+        assert always_fine_scan(x, sig, sig, FS, (0, 0))[0].location == 500
+        assert detect_own(x, sig, sample_rate=FS) == absent
         for shift in (10_000, 20_000):
             x, sig = self._edge_scene(shift)
-            assert always_fine_scan(x, (sig,), FS) == (absent,)
-            assert detect_pair(x, sig, sig, sample_rate=FS)[0] == absent
+            assert always_fine_scan(x, sig, sig, FS, (0, 0))[0] == absent
+            assert detect_own(x, sig, sample_rate=FS) == absent
 
     def test_fine_pass_only_for_signals_some_coarse_window_passes(self, monkeypatch):
         """Noise alone fails every coarse window of both signals: no fine pass
-        runs. With the second signal at 9 000, the pass gets its span alone."""
+        runs. With only the partner at 9 000, the own signal is absent, so the
+        partner's span lies around its coarse argmax, not at its lags."""
         rng = np.random.default_rng(2805)
         sig_a, sig_b = synthesize(sample_spec(rng)), synthesize(sample_spec(rng))
         noise = rng.normal(0.0, 25.0, 28_672)
@@ -651,11 +644,91 @@ class TestCoarseFailureSkipsFineScan:
         x[9_000 : 9_000 + 4096] += sig_b.samples
         absent = DetectionOutcome(None, None)
         calls = self._fine_spans(monkeypatch)
-        assert detect_pair(noise, sig_a, sig_b, sample_rate=FS) == (absent, absent)
+        lags = (15_000, 16_000)
+        assert detect_pair(noise, sig_a, sig_b, sample_rate=FS, partner_lags=lags) == (absent, absent)
         assert calls == []
-        out_a, out_b = detect_pair(x, sig_a, sig_b, sample_rate=FS)
+        out_a, out_b = detect_pair(x, sig_a, sig_b, sample_rate=FS, partner_lags=lags)
         assert out_a == absent and out_b.location == 9_000
-        assert calls == [[(7_500, 301)]]
+        assert calls == [(7_500, 301)]
+
+
+class TestPartnerWindow:
+    """Once the own signal is present, the partner is searched only at the
+    grid windows of its lags; the own signal's outcome never depends on
+    them."""
+
+    @staticmethod
+    def _scene(partner_at):
+        """Office-level noise with a signal at 3 000 and, at ``partner_at``,
+        another."""
+        rng = np.random.default_rng(2806)
+        own, partner = synthesize(sample_spec(rng)), synthesize(sample_spec(rng))
+        x = rng.normal(0.0, 25.0, 30_000)
+        x[3_000 : 3_000 + 4096] += own.samples
+        x[partner_at : partner_at + 4096] += partner.samples
+        return np.rint(x), own, partner
+
+    def test_span_is_the_grid_windows_of_the_lags(self, monkeypatch):
+        """Lags of 8 815 to 10 118 from the own signal at 3 000 give the grid
+        windows 11 820 to 13 110: one 130-window span, not 301 around the
+        partner's coarse argmax."""
+        x, own, partner = self._scene(12_000)
+        calls = TestCoarseFailureSkipsFineScan._fine_spans(monkeypatch)
+        out_own, out_partner = detect_pair(x, own, partner, sample_rate=FS, partner_lags=(8_815, 10_118))
+        assert (out_own.location, out_partner.location) == (3_000, 12_000)
+        assert calls == [(1_500, 301), (11_820, 130)]
+
+    def test_partner_outside_its_lags_is_absent(self, monkeypatch):
+        """The same partner, searched 5 000 samples past its lag, is absent
+        with no peak, and so is one whose lags leave the recording: those
+        run no fine pass for it."""
+        x, own, partner = self._scene(12_000)
+        calls = TestCoarseFailureSkipsFineScan._fine_spans(monkeypatch)
+        absent = DetectionOutcome(None, None)
+        out_own, out_partner = detect_pair(x, own, partner, sample_rate=FS, partner_lags=(14_000, 15_000))
+        assert out_own.location == 3_000 and out_partner.location is None
+        calls.clear()
+        assert detect_pair(x, own, partner, sample_rate=FS, partner_lags=(25_000, 26_000)) == (out_own, absent)
+        assert calls == [(1_500, 301)]
+        calls.clear()
+        assert detect_pair(x, own, partner, sample_rate=FS, partner_lags=(-9_000, -3_001)) == (out_own, absent)
+        assert calls == [(1_500, 301)]
+
+    def test_vouching_side_with_negative_lags(self):
+        """The vouching device's own signal comes second: its partner lies at
+        negative lags, and a window clipped at the recording's start still
+        finds it."""
+        x, partner, own = self._scene(12_000)  # the signal at 3 000 is the partner
+        out_own, out_partner = detect_pair(x, own, partner, sample_rate=FS, partner_lags=(-10_118, -8_815))
+        assert (out_own.location, out_partner.location) == (12_000, 3_000)
+        clipped = detect_pair(x, own, partner, sample_rate=FS, partner_lags=(-13_000, -8_000))
+        assert clipped == (out_own, out_partner)
+
+    def test_skewed_recorder(self, office_cfg):
+        """A vouching device whose clock runs 0.1% fast searches at lags
+        scaled by its rate, and finds its partner inside them, where the
+        own-first reference does."""
+        rate = 44_100.0 * 1.001
+        _, t = run_authentication(
+            Endpoint("auth", (0.0, 0.0)),
+            Endpoint("vouch", (1.5, 0.0), sample_rate=rate),
+            AuthPolicy(threshold_m=2.0),
+            np.random.default_rng(2807),
+            office_cfg,
+        )
+        sig_a, sig_v, _, rec_v = replay_session(t, office_cfg)
+        lags = _partner_lags(-t.playback_gap, rate, office_cfg.speed_of_sound)
+        assert lags == (-8869, -7490)  # against (-8860, -7482) at the nominal rate
+        outcomes = detect_pair(rec_v, sig_v, sig_a, sample_rate=rate, partner_lags=lags)
+        assert outcomes == always_fine_scan(rec_v, sig_v, sig_a, rate, lags)
+        assert (outcomes[0].location, outcomes[1].location) == (t.locations["l_vv"], t.locations["l_va"])
+        assert lags[0] <= t.locations["l_va"] - t.locations["l_vv"] <= lags[1]
+
+    @pytest.mark.parametrize("lags", [(0,), (1, 0), (0.5, 10), [0, 10], (True, 10), "ab"])
+    def test_malformed_lags_rejected(self, lags):
+        x, own, partner = self._scene(12_000)
+        with pytest.raises(ValueError, match=r"^partner_lags must be two integers \(lo, hi\) with lo <= hi, got "):
+            detect_pair(x, own, partner, sample_rate=FS, partner_lags=lags)
 
 
 class TestDetectPair:
@@ -666,7 +739,7 @@ class TestDetectPair:
         x = np.zeros(45_000)
         x[10_000 : 10_000 + 4096] = sig_a.samples
         x[30_000 : 30_000 + 4096] = sig_b.samples
-        out_a, out_b = detect_pair(x, sig_a, sig_b, sample_rate=FS)
+        out_a, out_b = detect_pair(x, sig_a, sig_b, sample_rate=FS, partner_lags=(19_000, 21_000))
         assert abs(out_a.location - 10_000) <= spectrum.FINE_STEP
         assert abs(out_b.location - 30_000) <= spectrum.FINE_STEP
 
@@ -676,17 +749,17 @@ class TestDetectPair:
         others = tuple(f for f in CANDIDATES if f not in sig_a.frequencies)
         sig_b = synthesize(SignalSpec(frequencies=others))
         x = _embed(sig_a, 8_000, 20_000)
-        out_a, out_b = detect_pair(x, sig_a, sig_b, sample_rate=FS)
+        out_a, out_b = detect_pair(x, sig_a, sig_b, sample_rate=FS, partner_lags=(8_000, 10_000))
         assert out_a.location is not None
         assert out_b.location is None
 
     def test_outcome_independent_of_partner(self):
-        """A signal's outcome is the same whatever signal shares its scan: the
-        scene's other signal, itself, or a third one not in the scene. So the
-        stacked pass keeps each signal's scan independent, and
+        """The own signal's outcome is the same whatever signal is its
+        partner, the scene's other signal, itself or a third one not in the
+        scene, and whatever lags the partner is searched at: so
         ``detect_pair(x, sig, sig, ...)[0]`` is ``sig``'s scan alone. Random
         scenes with zero, one or two signals present."""
-        for seed in range(50):
+        for seed in range(30):
             rng = np.random.default_rng(1000 + seed)
             sig_a = synthesize(sample_spec(rng))
             sig_b = synthesize(sample_spec(rng))
@@ -699,22 +772,20 @@ class TestDetectPair:
                 pos_b = int(rng.integers(14_000, 24_000))
                 x[pos_b : pos_b + 4096] += sig_b.samples * rng.uniform(0.1, 1.0)
             sig_c = synthesize(sample_spec(np.random.default_rng(2000 + seed)))
-            out_a, out_b = detect_pair(x, sig_a, sig_b, sample_rate=FS)
-            for partner in (sig_a, sig_c):
-                assert detect_pair(x, sig_a, partner, sample_rate=FS)[0] == out_a
-            for partner in (sig_b, sig_c):
-                assert detect_pair(x, partner, sig_b, sample_rate=FS)[1] == out_b
+            out_a = detect_own(x, sig_a, sample_rate=FS)
+            for partner, lags in ((sig_b, (8_780, 10_158)), (sig_b, (-30_000, 30_000)), (sig_c, (0, 0))):
+                assert detect_pair(x, sig_a, partner, sample_rate=FS, partner_lags=lags)[0] == out_a
 
     def test_rfft_shapes_of_one_scan(self, monkeypatch, office_cfg):
         """The transforms one scan takes: one batch over the 14 coarse windows
-        of a session recording, then, for the signals some coarse window
-        passes, one batch of the stacked fine pass's first windows and one
-        exact rescoring per signal. Noise alone stops after the coarse
-        batch."""
+        of a session recording, then, for each signal some coarse window
+        passes, its fine span's first window and its exact rescoring. Noise
+        alone stops after the coarse batch."""
         auth, vouch = Endpoint("auth", (0.0, 0.0)), Endpoint("vouch", (1.0, 0.0))
         _, transcript = run_authentication(auth, vouch, AuthPolicy(), np.random.default_rng(0), office_cfg)
         sig_a, sig_v, rec_a, _ = replay_session(transcript, office_cfg)
         noise = np.random.default_rng(1).normal(0.0, 25.0, rec_a.shape[0])
+        lags = _partner_lags(transcript.playback_gap, transcript.sample_rates["auth"], office_cfg.speed_of_sound)
         shapes = []
         rfft = np.fft.rfft
 
@@ -723,11 +794,11 @@ class TestDetectPair:
             return rfft(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", counting)
-        outcomes = detect_pair(rec_a, sig_a, sig_v, sample_rate=transcript.sample_rates["auth"])
+        outcomes = detect_pair(rec_a, sig_a, sig_v, sample_rate=transcript.sample_rates["auth"], partner_lags=lags)
         assert all(out.location is not None for out in outcomes)
-        assert shapes == [(14, 4096), (2, 4096), (4096,), (4096,)]
+        assert shapes == [(14, 4096)] + [(4096,)] * 4
         shapes.clear()
-        assert detect_pair(noise, sig_a, sig_v, sample_rate=FS) == (DetectionOutcome(None, None),) * 2
+        assert detect_pair(noise, sig_a, sig_v, sample_rate=FS, partner_lags=lags) == (DetectionOutcome(None, None),) * 2
         assert shapes == [(14, 4096)]
 
 
@@ -752,7 +823,7 @@ class TestCrossCorrelate:
         because its first axis holds two rows."""
         sig = synthesize(sample_spec(np.random.default_rng(15)))
         x = np.zeros((2, 8192))
-        for call in (lambda: cross_correlate_detect(x, sig), lambda: detect_pair(x, sig, sig, sample_rate=FS)):
+        for call in (lambda: cross_correlate_detect(x, sig), lambda: detect_own(x, sig, sample_rate=FS)):
             with pytest.raises(ValueError, match=r"^recording must be one-dimensional, got shape \(2, 8192\)$"):
                 call()
 

@@ -1,13 +1,20 @@
-"""Property test of the fine scan's sliding DFT (needs ``hypothesis``, kept
-apart so the rest of the spectrum tests collect without it)."""
+"""Property tests of the fine scan's sliding DFT and of the partner's lag
+window (need ``hypothesis``, kept apart so the rest of the spectrum tests
+collect without it)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import per_span_sliding_powers
-from sonicauth.signal import sample_spec, synthesize
-from sonicauth.spectrum import _batch_candidate_powers, _sliding_candidate_powers, candidate_bin_table
+from helpers import always_fine_scan, detect_own, per_span_sliding_powers
+from sonicauth.signal import SIGNAL_LENGTH, sample_spec, synthesize
+from sonicauth.spectrum import (
+    FINE_STEP,
+    _batch_candidate_powers,
+    _sliding_candidate_powers,
+    candidate_bin_table,
+    detect_pair,
+)
 
 FS = 44_100.0
 
@@ -23,7 +30,8 @@ FS = 44_100.0
 )
 def test_sliding_powers_equal_rfft_kernel(seed, step, count, lo, tail, skew):
     """For any recording, first window, window count and step, the sliding
-    DFT's candidate powers equal the exact rFFT kernel's (rtol 1e-9)."""
+    DFT's candidate powers equal the exact rFFT kernel's (rtol 1e-9) and the
+    per-span reference's bit for bit."""
     rng = np.random.default_rng(seed)
     sig = synthesize(sample_spec(rng))
     n = lo + (count - 1) * step + 4096 + tail
@@ -32,29 +40,93 @@ def test_sliding_powers_equal_rfft_kernel(seed, step, count, lo, tail, skew):
     x[pos : pos + 4096] += float(rng.uniform(0.0, 1.0)) * sig.samples
     x = np.rint(x)
     table = candidate_bin_table(FS * skew)
-    (got,) = _sliding_candidate_powers(x, [(lo, count)], step, table)
+    got = _sliding_candidate_powers(x, lo, count, step, table)
     want = _batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), table)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+    assert np.array_equal(got, per_span_sliding_powers(x, lo, count, step, table))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    step=st.integers(1, 40),
-    counts=st.tuples(st.integers(1, 200), st.integers(1, 200)),
-    los=st.tuples(st.integers(0, 3_000), st.integers(0, 3_000)),
-    skew=st.sampled_from([1.0, 1.001, 0.9995]),
-)
-def test_two_spans_equal_rfft_kernel_and_per_span_pass(seed, step, counts, los, skew):
-    """Two spans of any lengths in one stacked pass: each span's powers
-    equal the exact rFFT kernel's (rtol 1e-9) and the per-span sliding DFT's
-    bit for bit."""
+def _pair_scene(seed: int, own_at: int | None, partner_at: int | None):
+    """30 000 samples of office-level noise with the own signal at
+    ``own_at`` and the partner's at ``partner_at``, each left out when
+    None."""
     rng = np.random.default_rng(seed)
-    n = max(lo + (count - 1) * step for lo, count in zip(los, counts)) + 4096
-    x = np.rint(rng.normal(0.0, float(rng.uniform(20.0, 500.0)), n))
-    table = candidate_bin_table(FS * skew)
-    spans = list(zip(los, counts))
-    for (lo, count), got in zip(spans, _sliding_candidate_powers(x, spans, step, table)):
-        want = _batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), table)
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
-        assert np.array_equal(got, per_span_sliding_powers(x, lo, count, step, table))
+    own, partner = synthesize(sample_spec(rng)), synthesize(sample_spec(rng))
+    x = rng.normal(0.0, 25.0, 30_000)
+    for sig, at in ((own, own_at), (partner, partner_at)):
+        if at is not None:
+            x[at : at + SIGNAL_LENGTH] += sig.samples
+    return np.rint(x), own, partner
+
+
+# A partner's true lag from the own signal: after it (the authenticating
+# device's view) or before it (the vouching device's), with the own signal
+# placed so that both fit a 30 000-sample recording.
+_SIDES = st.sampled_from(
+    [
+        ((0, 8_000), (8_000, 16_000)),  # authenticating: own first, positive lags
+        ((16_000, 25_000), (-16_000, -8_000)),  # vouching: partner first, negative lags
+    ]
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), side=_SIDES, data=st.data())
+def test_partner_inside_its_lags_is_found(seed, side, data):
+    """A partner whose true lag lies inside its lags, 20 samples or more from
+    either end, is found within one fine step of where it was played, on
+    either device's side; the own signal is found the same way, as it is
+    alone, and both outcomes are the own-first reference's."""
+    (own_lo, own_hi), (lag_lo, lag_hi) = side
+    own_at = data.draw(st.integers(own_lo, own_hi))
+    lag = data.draw(st.integers(lag_lo, lag_hi))
+    below = data.draw(st.integers(20, 1_500))
+    above = data.draw(st.integers(20, 1_500))
+    lags = (lag - below, lag + above)
+    x, own, partner = _pair_scene(seed % 2**16, own_at, own_at + lag)
+    out_own, out_partner = detect_pair(x, own, partner, sample_rate=FS, partner_lags=lags)
+    assert abs(out_own.location - own_at) <= FINE_STEP
+    assert abs(out_partner.location - (own_at + lag)) <= FINE_STEP
+    assert out_own == detect_own(x, own, sample_rate=FS)
+    assert (out_own, out_partner) == always_fine_scan(x, own, partner, FS, lags)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), side=_SIDES, data=st.data())
+def test_partner_only_outside_its_lags_is_absent(seed, side, data):
+    """A partner played where no window of its lags overlaps it (its lags
+    end a signal length or more before its lag, or start that far after) is
+    absent, though its signal is in the recording; the own signal is found
+    as it is alone."""
+    (own_lo, own_hi), (lag_lo, lag_hi) = side
+    own_at = data.draw(st.integers(own_lo, own_hi))
+    lag = data.draw(st.integers(lag_lo, lag_hi))
+    width = data.draw(st.integers(0, 1_500))
+    gap = data.draw(st.integers(SIGNAL_LENGTH, 6_000))
+    first = lag + gap if data.draw(st.booleans()) else lag - gap - width
+    lags = (first, first + width)
+    x, own, partner = _pair_scene(seed % 2**16, own_at, own_at + lag)
+    out_own, out_partner = detect_pair(x, own, partner, sample_rate=FS, partner_lags=lags)
+    assert out_own == detect_own(x, own, sample_rate=FS)
+    assert abs(out_own.location - own_at) <= FINE_STEP
+    assert out_partner.location is None
+    assert (out_own, out_partner) == always_fine_scan(x, own, partner, FS, lags)
+    found = detect_pair(x, own, partner, sample_rate=FS, partner_lags=(lag - 20, lag + 20))[1]
+    assert abs(found.location - (own_at + lag)) <= FINE_STEP
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16 - 1),
+    own_at=st.one_of(st.none(), st.integers(0, 25_000)),
+    partner_at=st.one_of(st.none(), st.integers(0, 25_000)),
+    lags=st.tuples(st.integers(-30_000, 30_000), st.integers(0, 3_000)).map(lambda t: (t[0], t[0] + t[1])),
+)
+def test_own_outcome_independent_of_partner_and_lags(seed, own_at, partner_at, lags):
+    """With either signal, both or neither in the recording, possibly
+    overlapping, the own outcome is the one the signal gets alone, whatever
+    the lags, and both outcomes are the own-first reference's."""
+    x, own, partner = _pair_scene(seed, own_at, partner_at)
+    outcomes = detect_pair(x, own, partner, sample_rate=FS, partner_lags=lags)
+    assert outcomes[0] == detect_own(x, own, sample_rate=FS)
+    assert outcomes == always_fine_scan(x, own, partner, FS, lags)
