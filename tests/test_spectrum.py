@@ -559,24 +559,24 @@ class TestDetect:
             assert abs(got.location - want_loc) <= spectrum.FINE_STEP
 
 
+def _fine_spans(monkeypatch):
+    """The ``(lo, count)`` span of each fine pass, one per call."""
+    calls = []
+    sliding = spectrum._sliding_candidate_powers
+
+    def spy(x, lo, count, step, table):
+        calls.append((lo, count))
+        return sliding(x, lo, count, step, table)
+
+    monkeypatch.setattr(spectrum, "_sliding_candidate_powers", spy)
+    return calls
+
+
 class TestCoarseFailureSkipsFineScan:
     """A signal that no coarse window passes gets no fine span: its scored
     window is the coarse argmax, the first window, which is also the window
     the always-fine reference's all-failing fine scan picks. The two differ
     only when a fine window passes after every coarse window failed."""
-
-    @staticmethod
-    def _fine_spans(monkeypatch):
-        """The ``(lo, count)`` span of each fine pass, one per call."""
-        calls = []
-        sliding = spectrum._sliding_candidate_powers
-
-        def spy(x, lo, count, step, table):
-            calls.append((lo, count))
-            return sliding(x, lo, count, step, table)
-
-        monkeypatch.setattr(spectrum, "_sliding_candidate_powers", spy)
-        return calls
 
     def test_campaign_recordings_match_the_always_fine_scan(self, monkeypatch):
         """Guessing-replay, all-frequency, crowded and office recordings, with
@@ -595,7 +595,7 @@ class TestCoarseFailureSkipsFineScan:
             ev.attack_campaign(adv.AllFrequency(per_tone_power=1.0e11), 2, 2802)
             ev.multiuser_campaign(3, (0.5,), 1, 2803, min_trials=1)
             ev.distance_error_campaign("office", (0.5, 1.5), 1, 2804, min_trials=1)
-        calls = self._fine_spans(monkeypatch)
+        calls = _fine_spans(monkeypatch)
         skipped = 0
         for x, own, partner, rate, lags in recordings:
             want = always_fine_scan(x, own, partner, rate, lags)
@@ -643,7 +643,7 @@ class TestCoarseFailureSkipsFineScan:
         x = noise.copy()
         x[9_000 : 9_000 + 4096] += sig_b.samples
         absent = DetectionOutcome(None, None)
-        calls = self._fine_spans(monkeypatch)
+        calls = _fine_spans(monkeypatch)
         lags = (15_000, 16_000)
         assert detect_pair(noise, sig_a, sig_b, sample_rate=FS, partner_lags=lags) == (absent, absent)
         assert calls == []
@@ -673,7 +673,7 @@ class TestPartnerWindow:
         windows 11 820 to 13 110: one 130-window span, not 301 around the
         partner's coarse argmax."""
         x, own, partner = self._scene(12_000)
-        calls = TestCoarseFailureSkipsFineScan._fine_spans(monkeypatch)
+        calls = _fine_spans(monkeypatch)
         out_own, out_partner = detect_pair(x, own, partner, sample_rate=FS, partner_lags=(8_815, 10_118))
         assert (out_own.location, out_partner.location) == (3_000, 12_000)
         assert calls == [(1_500, 301), (11_820, 130)]
@@ -683,7 +683,7 @@ class TestPartnerWindow:
         with no peak, and so is one whose lags leave the recording: those
         run no fine pass for it."""
         x, own, partner = self._scene(12_000)
-        calls = TestCoarseFailureSkipsFineScan._fine_spans(monkeypatch)
+        calls = _fine_spans(monkeypatch)
         absent = DetectionOutcome(None, None)
         out_own, out_partner = detect_pair(x, own, partner, sample_rate=FS, partner_lags=(14_000, 15_000))
         assert out_own.location == 3_000 and out_partner.location is None
