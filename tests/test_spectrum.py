@@ -258,8 +258,6 @@ class TestSingleSpanSlidingPass:
         [
             (0, 151, 10, FS),  # clipped at lo = 0: anchor 0
             (23_500, 241, 10, FS),  # clipped at max_start 25 904: anchor 25 000
-            (12_345, 1, 10, FS),  # one window, no slide
-            (2_000, 66, 10, FS),  # the last block holds one slide
             (9_000, 301, 10, FS),  # a full own span: 300 slides, the last block holds 44
             (11_000, 137, 10, FS),  # a partner's gap window
             (7_777, 130, 1, FS),  # step 1
@@ -268,8 +266,6 @@ class TestSingleSpanSlidingPass:
         ids=[
             "clipped_lo",
             "clipped_hi",
-            "one_window",
-            "one_slide_block",
             "full_span",
             "gap_window",
             "step_one",
@@ -293,6 +289,41 @@ class TestSingleSpanSlidingPass:
         x = _scene_recording(30_000, seed=29)
         table = candidate_bin_table(FS)
         assert traced_peak(lambda: _sliding_candidate_powers(x, 2_000, 301, 10, table)) < 650_000
+
+
+class TestStackedSlidingPass:
+    """Spans of one recording passed one after another, as ``detect_pair``
+    passes its own span and then its partner's, each get the per-span
+    sliding DFT's powers bit for bit, whatever their lengths and order: the
+    passes share only the cached, read-only slide phases, which the first
+    pass builds, and no pass's powers change when a later pass runs."""
+
+    @pytest.mark.parametrize(
+        "spans",
+        [
+            [(12_345, 1)],  # one window, no slide
+            [(12_345, 1), (9_000, 301)],  # a one-window span before a full one
+            [(9_000, 301), (2_000, 66)],  # the shorter span's last block holds one slide
+            [(2_000, 66), (15_000, 301)],  # the same, with the shorter span first
+            [(2_000, 66), (15_000, 66)],  # both spans' last blocks hold one slide
+        ],
+        ids=[
+            "one_window",
+            "one_window_beside_full",
+            "one_slide_block",
+            "one_slide_block_first",
+            "one_slide_last_block",
+        ],
+    )
+    def test_equals_per_span_reference(self, spans):
+        x = _scene_recording(30_000, seed=sum(lo + count for lo, count in spans))
+        table = candidate_bin_table(FS)
+        spectrum._slide_phases.cache_clear()
+        got = [_sliding_candidate_powers(x, lo, count, 10, table) for lo, count in spans]
+        for (lo, count), powers in zip(spans, got):
+            want = per_span_sliding_powers(x, lo, count, 10, table)
+            assert powers.shape == want.shape == (count, len(CANDIDATES))
+            assert np.array_equal(powers, want)
 
 
 class TestWindowPowers:

@@ -46,6 +46,29 @@ def test_sliding_powers_equal_rfft_kernel(seed, step, count, lo, tail, skew):
     assert np.array_equal(got, per_span_sliding_powers(x, lo, count, step, table))
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    step=st.integers(1, 40),
+    counts=st.tuples(st.integers(1, 200), st.integers(1, 200)),
+    los=st.tuples(st.integers(0, 3_000), st.integers(0, 3_000)),
+    skew=st.sampled_from([1.0, 1.001, 0.9995]),
+)
+def test_two_spans_equal_rfft_kernel_and_per_span_pass(seed, step, counts, los, skew):
+    """Two spans of any lengths passed one after another, sharing the slide
+    phases: each span's powers, read after both passes ran, equal the exact
+    rFFT kernel's (rtol 1e-9) and the per-span sliding DFT's bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = max(lo + (count - 1) * step for lo, count in zip(los, counts)) + 4096
+    x = np.rint(rng.normal(0.0, float(rng.uniform(20.0, 500.0)), n))
+    table = candidate_bin_table(FS * skew)
+    spans = list(zip(los, counts))
+    for (lo, count), got in zip(spans, [_sliding_candidate_powers(x, lo, count, step, table) for lo, count in spans]):
+        want = _batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), table)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+        assert np.array_equal(got, per_span_sliding_powers(x, lo, count, step, table))
+
+
 def _pair_scene(seed: int, own_at: int | None, partner_at: int | None):
     """30 000 samples of office-level noise with the own signal at
     ``own_at`` and the partner's at ``partner_at``, each left out when
