@@ -59,7 +59,11 @@ class SessionMeasurements:
 
 def estimate_distance(m: SessionMeasurements, speed_of_sound: float = 340.0) -> float:
     """Two-way distance estimate in metres; may be negative on noisy input
-    (callers clamp for decisions and keep the raw value for logging)."""
+    (callers clamp for decisions and keep the raw value for logging). A
+    ``speed_of_sound`` that is not finite and positive raises a ValueError
+    naming it."""
+    if not _finite_positive(speed_of_sound):
+        raise ValueError(f"speed_of_sound must be finite and positive, got {speed_of_sound!r}")
     return 0.5 * speed_of_sound * ((m.l_va - m.l_vv) / m.f_v + (m.l_av - m.l_aa) / m.f_a)
 
 

@@ -94,7 +94,10 @@ def _json_fields(obj, where: str, checks: dict, required: tuple[str, ...]) -> di
 
 
 def _is_real(value) -> bool:
-    """Whether ``value`` is a real number, numpy's included; a bool is not."""
+    """Whether ``value`` is a real number, numpy's included; a bool is not.
+    An exact ``float`` or ``int``, the common case, skips the ABC check."""
+    if type(value) is float or type(value) is int:
+        return True
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
@@ -175,7 +178,10 @@ class ReferenceSignal:
         hlen = int.from_bytes(blob[:4], "big")
         if 4 + hlen > len(blob):
             raise ValueError(f"link payload header of {hlen} bytes runs past the {len(blob)}-byte blob")
-        meta = json.loads(blob[4 : 4 + hlen].decode())
+        try:
+            meta = json.loads(blob[4 : 4 + hlen].decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise ValueError(f"link payload header is not UTF-8 JSON: {err}") from None
         _json_fields(meta, "link payload header", _HEADER_FIELDS, tuple(_HEADER_FIELDS))
         body = len(blob) - 4 - hlen
         if body != 2 * SIGNAL_LENGTH:

@@ -147,15 +147,18 @@ _SCAN_BLOCK = 64
 
 
 def _ordered_sum(rows: np.ndarray) -> np.ndarray:
-    """Sum over the first axis, one row after another. ``ndarray.sum`` picks
-    its order from the memory layout (pairwise for a lone window), so the same
-    window would sum differently alone and in a block. Adding whole rows keeps
-    each addition a contiguous vector add; ``np.cumsum(rows, axis=0)`` gives
-    the same sums but loops over the short first axis innermost (~6x slower)."""
-    total = rows[0].copy()
-    for row in rows[1:]:
-        total += row
-    return total
+    """Sum over the first axis, one row after another. ``ndarray.sum`` and
+    ``np.add.reduce`` add pairwise along the axis fastest in memory, so they
+    add in row order only when another axis is faster: over a C-contiguous
+    array with more than one element per row, one ``add.reduce`` adds whole
+    rows in order, each addition a contiguous vector add. Two layouts are
+    made to fit. A lone window's bin gather, (2*THETA+1, N) with strides
+    (8, 88), is copied C-contiguous first; a lone window's gated powers,
+    (n, 1), hold their summed axis alone, so they are added as floats left
+    to right. The same window then sums the same bits alone and in a block."""
+    if rows.size == rows.shape[0]:
+        return np.array([signal._left_sum(rows.ravel().tolist())])
+    return np.add.reduce(np.ascontiguousarray(rows), axis=0)
 
 
 def _bin_powers(spec: np.ndarray) -> np.ndarray:
@@ -208,6 +211,23 @@ def _slide_phases(bins: bytes, step: int) -> tuple[np.ndarray, np.ndarray]:
     return project, base
 
 
+# A session's fine spans read at most five blocks per bin table (a 301-window
+# span holds 300 slides); two tables' blocks fit, and a longer span reads its
+# later blocks through the same cache.
+@lru_cache(maxsize=10)
+def _block_phases(bins: bytes, step: int, a: int) -> np.ndarray:
+    """The projections of the block of slides from slide ``a`` on, phased to
+    its first slide: ``W**(k*m)`` times ``W**(k*step*a)``, shape (step, K),
+    for the bins ``k`` of ``_slide_phases``. It depends on the bins, the step
+    and ``a`` alone, not on where the span starts."""
+    k = np.frombuffer(bins, dtype=np.intp)
+    length = signal.SIGNAL_LENGTH
+    project, _ = _slide_phases(bins, step)
+    phased = project * _roots_of_unity()[(step * a % length) * k % length]
+    phased.setflags(write=False)
+    return phased
+
+
 def _sliding_candidate_powers(x: np.ndarray, lo: int, count: int, step: int, table: np.ndarray) -> np.ndarray:
     """Per-candidate powers, (count, N), of the ``count`` windows
     ``x[s:s+length]``, ``s = lo + j*step``, by a sliding DFT over the table's
@@ -218,9 +238,10 @@ def _sliding_candidate_powers(x: np.ndarray, lo: int, count: int, step: int, tab
     from window j to j+1 it grows by ``W**(k*step*j)`` times the samples that
     enter minus those that leave, ``x[s_j+length+m] - x[s_j+m]``, projected on
     ``W**(k*m)``. The first window comes from one rFFT. Each block of
-    ``_SCAN_BLOCK`` slides is one real matmul against the projections (the
-    complex table read as interleaved real and imaginary parts), one phase
-    product and a running sum that carries on from the block before. The
+    ``_SCAN_BLOCK`` slides is one real matmul against the block's phased
+    projections (``_block_phases``, cached, the complex table read as
+    interleaved real and imaginary parts), one phase product and a running
+    sum that carries on from the block before. The
     running sum adds the block's rows one after another, so each bin is
     summed in window order, as ``np.cumsum`` along the windows would sum it,
     but with each addition one contiguous vector add. The block's last row is
@@ -230,8 +251,8 @@ def _sliding_candidate_powers(x: np.ndarray, lo: int, count: int, step: int, tab
     of roots of unity."""
     length = signal.SIGNAL_LENGTH
     bins = table.T.ravel()  # offset-major: each window's offsets are summed over the middle axis
-    project, base = _slide_phases(bins.tobytes(), step)
-    roots = _roots_of_unity()
+    key = bins.tobytes()  # one bytes object, so its hash is computed once per pass
+    _, base = _slide_phases(key, step)
     slides = (x[lo + length : lo + length + (count - 1) * step] - x[lo : lo + (count - 1) * step]).reshape(-1, step)
     # (block row, bin); row 0 holds the window before the block's first
     z = np.empty((_SCAN_BLOCK + 1, bins.shape[0]), dtype=np.complex128)
@@ -255,8 +276,7 @@ def _sliding_candidate_powers(x: np.ndarray, lo: int, count: int, step: int, tab
     for a in range(0, count - 1, _SCAN_BLOCK):
         d = slides[a : a + _SCAN_BLOCK]
         n = d.shape[0]
-        phased = project * roots[(step * a % length) * bins % length]
-        np.matmul(d, phased.view(np.float64), out=z[1 : n + 1].view(np.float64))
+        np.matmul(d, _block_phases(key, step, a).view(np.float64), out=z[1 : n + 1].view(np.float64))
         z[1 : n + 1] *= base[:n]
         for i in range(1, n + 1):
             np.add(rows[i - 1], rows[i], out=rows[i])

@@ -1,5 +1,5 @@
 """The session-invariant tables (candidate bin tables, the detector's roots
-of unity and slide phases, FFT lengths, the noise mask, the fractional-shift
+of unity, slide phases and per-block phased projections, FFT lengths, the noise mask, the fractional-shift
 ramps, the spoofer's waveform and a read-only waveform's path responses) are
 built once and shared read-only: sessions must not depend on whether a table
 was built for them or found in its cache, and every cached table must equal
@@ -27,6 +27,7 @@ CACHES = (
     spectrum.candidate_bin_table,
     spectrum._roots_of_unity,
     spectrum._slide_phases,
+    spectrum._block_phases,
     ch.fast_fft_length,
     ch._noise_mask,
     ch._shift_ramp,
@@ -108,6 +109,7 @@ class TestCachePurity:
         synthesize(sample_spec(np.random.default_rng(1)))
         tables = (
             spectrum.candidate_bin_table(44_100.0),
+            spectrum._block_phases(spectrum.candidate_bin_table(44_100.0).T.ravel().tobytes(), 10, 64),
             ch._noise_mask(66_150),
             ch._shift_ramp(4320, 0.25),
             ch._held_path_response(ch._Held(adv.all_frequency_signal(1e11, 4096)), 0.25, 0.2, (1.0,))[0],

@@ -1,7 +1,10 @@
 import collections
+import enum
 import json
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -229,6 +232,55 @@ class TestPhasorRenderer:
         assert np.array_equal(rendered, loop_render(spec, phases, length))
 
 
+class _Tone(enum.IntEnum):
+    LOW = 1
+
+
+class TestIsReal:
+    """``_is_real`` answers an exact ``float`` or ``int`` at once and asks the
+    ``numbers.Real`` ABC about anything else: the same answers either way."""
+
+    @pytest.mark.parametrize(
+        "value, real",
+        [
+            (1.5, True),
+            (3, True),
+            (float("nan"), True),
+            (10**400, True),
+            (True, False),
+            (np.True_, False),
+            (np.float64(1.5), True),
+            (np.float32(2.0), True),
+            (np.int64(3), True),
+            (Fraction(1, 3), True),
+            (Decimal("1"), False),
+            (1 + 0j, False),
+            ("1", False),
+            (None, False),
+            (_Tone.LOW, True),
+        ],
+        ids=[
+            "float",
+            "int",
+            "nan",
+            "int_beyond_float",
+            "bool",
+            "numpy_bool",
+            "numpy_float64",
+            "numpy_float32",
+            "numpy_int64",
+            "fraction",
+            "decimal",
+            "complex",
+            "string",
+            "none",
+            "int_enum",
+        ],
+    )
+    def test_answers(self, value, real):
+        assert sg._is_real(value) is real
+
+
 class TestLeftToRightTotals:
     """Float totals add left to right in tone order, one rounding per step,
     whatever the interpreter's builtin ``sum`` does: from Python 3.12 on it
@@ -340,6 +392,14 @@ class TestSerialization:
         powers = ["1e9"] + [sig.nominal_power[f] for f in sig.frequencies][1:]
         with pytest.raises(ValueError, match="field 'nominal_power' must be a list of numbers"):
             ReferenceSignal.from_bytes(self._payload(sig, nominal_power=powers))
+
+    @pytest.mark.parametrize("header", [b"\xff\xfe", b"{]"], ids=["not_utf8", "not_json"])
+    def test_header_that_is_not_utf8_json_named(self, header):
+        sig = synthesize(sample_spec(np.random.default_rng(2)))
+        blob = len(header).to_bytes(4, "big") + header + sig.samples.tobytes()
+        with pytest.raises(ValueError, match="^link payload header is not UTF-8 JSON: ") as info:
+            ReferenceSignal.from_bytes(blob)
+        assert type(info.value) is ValueError
 
     def test_wav_json_round_trip(self, tmp_path):
         """The samples saved as WAV and the link header saved as JSON, as a

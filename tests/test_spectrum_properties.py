@@ -1,22 +1,103 @@
-"""Property tests of the fine scan's sliding DFT and of the partner's lag
-window (need ``hypothesis``, kept apart so the rest of the spectrum tests
-collect without it)."""
+"""Property tests of the scores' ordered sums, of the fine scan's sliding
+DFT and of the partner's lag window (need ``hypothesis``, kept apart so the
+rest of the spectrum tests collect without it)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import always_fine_scan, detect_own, per_span_sliding_powers
-from sonicauth.signal import SIGNAL_LENGTH, sample_spec, synthesize
+from sonicauth.signal import BIN_COUNT, SIGNAL_LENGTH, _left_sum, sample_spec, synthesize
 from sonicauth.spectrum import (
     FINE_STEP,
+    THETA,
     _batch_candidate_powers,
+    _gated_scores,
+    _ordered_sum,
     _sliding_candidate_powers,
     candidate_bin_table,
     detect_pair,
 )
 
 FS = 44_100.0
+
+
+def _spread(rng: np.random.Generator, shape) -> np.ndarray:
+    """Positive floats spread over twenty decades, so that sums taken in a
+    different order round differently."""
+    return 10.0 ** rng.uniform(-10.0, 10.0, shape)
+
+
+def _left_sums(rows: np.ndarray) -> np.ndarray:
+    """Each column of ``rows`` summed over the first axis as Python floats,
+    left to right: the order the scores must sum in."""
+    columns = rows.reshape(rows.shape[0], -1).T.tolist()
+    return np.array([_left_sum(column) for column in columns]).reshape(rows.shape[1:])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(["c_block", "column", "gather", "gather_block"]),
+    n=st.integers(1, 40),
+    windows=st.integers(2, 301),
+)
+def test_ordered_sum_adds_rows_left_to_right(seed, layout, n, windows):
+    """``_ordered_sum`` equals a Python-float left-to-right sum bit for bit on
+    every layout the scores hand it: C-ordered (n, W) blocks of gated powers,
+    a lone window's (n, 1) column, a lone window's F-ordered (2*THETA+1, N)
+    bin gather and a block's (2*THETA+1, N, W) gather."""
+    rng = np.random.default_rng(seed)
+    offsets = 2 * THETA + 1
+    if layout == "c_block":
+        rows = _spread(rng, (n, windows))
+    elif layout == "column":
+        rows = _spread(rng, (1, n)).T[rng.permutation(n)]  # a lone window's gathered powers
+    elif layout == "gather":
+        spec = _spread(rng, (SIGNAL_LENGTH // 2 + 1, 2)).view(np.complex128)[:, 0]
+        gathered = spec[candidate_bin_table(FS).T]
+        rows = gathered.real**2 + gathered.imag**2
+        assert rows.shape == (offsets, BIN_COUNT) and rows.flags.f_contiguous and not rows.flags.c_contiguous
+    else:
+        spec = _spread(rng, (windows, SIGNAL_LENGTH // 2 + 1, 2)).view(np.complex128)[..., 0]
+        gathered = spec.T[candidate_bin_table(FS).T]
+        rows = gathered.real**2 + gathered.imag**2
+        assert rows.shape == (offsets, BIN_COUNT, windows)
+    got = _ordered_sum(rows)
+    want = _left_sums(rows)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    windows=st.sampled_from([1, 14, 137, 301]),
+    tones=st.integers(1, BIN_COUNT - 1),
+)
+def test_gated_scores_equal_left_sum_reference(seed, windows, tones):
+    """Each window's score is its in-set powers summed left to right in
+    candidate order minus its out-of-set powers summed the same way, or
+    -inf where a gate fails, bit for bit, for a lone window and for the
+    coarse, gap-window and full fine spans' counts."""
+    rng = np.random.default_rng(seed)
+    index = np.sort(rng.permutation(BIN_COUNT)[:tones])
+    out = np.setdiff1d(np.arange(BIN_COUNT), index)
+    floor, limit = _spread(rng, (tones, 1)) * 1e-3, 1e9
+    powers = np.empty((windows, BIN_COUNT))
+    powers[:, index] = floor.T * (1.0 + _spread(rng, (windows, tones)))
+    powers[:, out] = limit * rng.uniform(0.0, 1.0, (windows, out.size))
+    powers[rng.random(windows) < 0.1, index[0]] = floor[0, 0]  # presence fails: not above the floor
+    powers[rng.random(windows) < 0.1, out[0]] = limit  # absence fails: not below the limit
+    want = [
+        _left_sum(row[index].tolist()) - _left_sum(row[out].tolist())
+        if (row[index] > floor[:, 0]).all() and (row[out] < limit).all()
+        else -np.inf
+        for row in powers
+    ]
+    got = _gated_scores(powers, (index, out, floor, limit))
+    assert got.shape == (windows,)
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
