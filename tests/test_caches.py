@@ -1,9 +1,10 @@
 """The session-invariant tables (candidate bin tables, the detector's roots
-of unity, slide phases and per-block phased projections, FFT lengths, the noise mask, the fractional-shift
-ramps, the spoofer's waveform and a read-only waveform's path responses) are
-built once and shared read-only: sessions must not depend on whether a table
-was built for them or found in its cache, and every cached table must equal
-the one built for its caller alone."""
+of unity, slide phases and per-block phased projections, FFT lengths, the
+noise mask, the fractional-shift ramps, the spoofer's waveform and a
+read-only waveform's path responses) are built once and shared read-only:
+sessions must not depend on whether a table was built for them or found in
+its cache, and every cached table must equal the one built for its caller
+alone."""
 
 import importlib
 import pkgutil

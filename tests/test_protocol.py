@@ -70,15 +70,13 @@ class TestEstimateDistance:
         m = SessionMeasurements(**{k: np.int64(v) for k, v in locations.items()}, f_a=44_100, f_v=44_100)
         assert estimate_distance(m) == estimate_distance(SessionMeasurements(**locations, f_a=44_100, f_v=44_100))
 
-
-    @pytest.mark.parametrize(
-        "speed", [float("nan"), float("inf"), 0.0, -340.0, True, "340", None], ids=repr
-    )
+    @pytest.mark.parametrize("speed", [float("nan"), float("inf"), 0.0, -340.0, True, "340", None], ids=repr)
     def test_speed_of_sound_that_is_not_finite_and_positive_named(self, speed):
         """A nan speed would return nan and a negative one would flip the
         estimate's sign; both are refused with the parameter named."""
         m = SessionMeasurements(l_aa=1000, l_av=1130, l_va=1130, l_vv=1000, f_a=44_100, f_v=44_100)
-        with pytest.raises(ValueError, match=rf"^speed_of_sound must be finite and positive, got {re.escape(repr(speed))}$"):
+        message = rf"^speed_of_sound must be finite and positive, got {re.escape(repr(speed))}$"
+        with pytest.raises(ValueError, match=message):
             estimate_distance(m, speed)
 
 
