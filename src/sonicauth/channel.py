@@ -85,7 +85,7 @@ class ChannelConfig:
         default_factory=lambda: energy_normalized(DEFAULT_SMOOTHING_KERNEL)
     )
     environment: str = "office"
-    wall_attenuation_db: float = 0.0
+    wall_attenuation_db: float = 60.0
     wall_plane_x: float | None = None
 
     def __post_init__(self) -> None:
@@ -181,12 +181,6 @@ class AcousticScene:
         for r in self.recorders:
             if ids.count(r.device_id) > 1:
                 raise ValueError(f"two recorders share the device id {r.device_id!r}")
-
-    def recorder(self, device_id: str) -> Recorder:
-        for r in self.recorders:
-            if r.device_id == device_id:
-                return r
-        raise ValueError(f"unknown device {device_id!r}")
 
 
 def _distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
@@ -412,8 +406,11 @@ def render_mix(scene: AcousticScene, device_id: str, cfg: ChannelConfig) -> np.n
     """Pre-quantization float mix a device records: all propagated emissions
     plus its environment noise, resampled to the device rate when it differs
     from the base rate."""
-    rec = scene.recorder(device_id)
-    idx = [r.device_id for r in scene.recorders].index(device_id)
+    for idx, rec in enumerate(scene.recorders):
+        if rec.device_id == device_id:
+            break
+    else:
+        raise ValueError(f"unknown device {device_id!r}")
     mix = np.zeros(scene.duration)
     for emission in scene.emissions:
         propagate(emission.waveform, emission.emit_time, emission.position, rec.position, cfg, mix)
@@ -468,9 +465,10 @@ _WALL_FIELDS = {
 def config_from_json(obj: dict) -> ChannelConfig:
     """Channel config from a JSON object. Every field is optional; see
     ``_CONFIG_FIELDS`` for their types. A ``wall`` object needs ``plane_x``
-    and attenuates by ``attenuation_db`` (default 60). The noise environment
-    is not a config field: the campaigns and ``--env`` set it. A malformed
-    config raises ``ValueError`` naming the field."""
+    and attenuates by ``attenuation_db`` (default
+    ``ChannelConfig.wall_attenuation_db``). The noise environment is not a
+    config field: the campaigns and ``--env`` set it. A malformed config
+    raises ``ValueError`` naming the field."""
     where = "channel config"
     data = dict(_json_fields(obj, where, _CONFIG_FIELDS, ()))
     cfg = ChannelConfig()
@@ -479,7 +477,7 @@ def config_from_json(obj: dict) -> ChannelConfig:
         cfg = replace(
             cfg,
             wall_plane_x=float(wall["plane_x"]),
-            wall_attenuation_db=float(wall.get("attenuation_db", 60.0)),
+            wall_attenuation_db=float(wall.get("attenuation_db", cfg.wall_attenuation_db)),
         )
     if "smoothing_kernel" in data:
         cfg = replace(cfg, smoothing_kernel=energy_normalized(data.pop("smoothing_kernel")))

@@ -13,6 +13,7 @@ import os
 import re
 import sys
 import wave
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,18 +37,21 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _load_channel_cfg(args) -> ch.ChannelConfig | None:
+def _load_channel_cfg(args) -> ch.ChannelConfig:
+    """The channel read from ``--config``, or the default channel, in the
+    ``--env`` environment."""
     if not args.config:
-        return None
+        return ch.ChannelConfig(environment=args.env)
     try:
         with open(args.config) as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read config {args.config}: {exc}") from exc
     try:
-        return ch.config_from_json(obj)
+        cfg = ch.config_from_json(obj)
     except ValueError as exc:
         raise ValueError(f"bad channel config: {exc}") from exc
+    return replace(cfg, environment=args.env)
 
 
 def _check_outputs(args) -> None:
@@ -79,7 +83,7 @@ def _emit(report: ev.ExperimentReport, out: str | None) -> None:
 def _cmd_auth(args) -> int:
     if args.distance < 0:  # False for nan, which the device's position check reports
         raise ValueError(f"--distance must be a non-negative distance in metres, got {args.distance}")
-    cfg = ev._cfg_for(args.env, _load_channel_cfg(args))
+    cfg = _load_channel_cfg(args)
     rng = np.random.default_rng(args.seed)
     auth = Endpoint("auth", (0.0, 0.0))
     vouch = Endpoint("vouch", (args.distance, 0.0))
@@ -124,7 +128,7 @@ def _cmd_frrfar(args) -> int:
 
 
 def _cmd_fit_sigma(args) -> int:
-    sigma = ev.fit_sigma(args.frr, args.tau, args.ds)
+    sigma = ev.fit_sigma(args.frr, args.tau)
     print(json.dumps({"sigma_m": sigma, "tau_m": args.tau, "frr": args.frr}))
     return 0
 
@@ -237,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-sigma", help="fit sigma to a target FRR")
     p.add_argument("--frr", type=float, required=True)
     p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--ds", type=float, default=ev.DETECTION_RANGE_M)
     p.set_defaults(func=_cmd_fit_sigma)
 
     p = sub.add_parser("attack", help="attack campaign")

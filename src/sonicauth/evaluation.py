@@ -15,7 +15,7 @@ import io
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -100,7 +100,7 @@ def frr_far_model(tau_m: float, model: ErrorModel) -> tuple[float, float]:
     return frr, far
 
 
-def fit_sigma(frr_target: float, tau_m: float, detect_range_m: float = DETECTION_RANGE_M) -> float:
+def fit_sigma(frr_target: float, tau_m: float) -> float:
     """Invert the model: sigma such that FRR(tau) hits ``frr_target``.
 
     Bisection to 1e-6 over sigma in (1e-4, 1), in which the FRR rises;
@@ -108,7 +108,7 @@ def fit_sigma(frr_target: float, tau_m: float, detect_range_m: float = DETECTION
     stays below 0.5)."""
 
     def frr(sigma: float) -> float:
-        return frr_far_model(tau_m, ErrorModel(sigma, detect_range_m))[0]
+        return frr_far_model(tau_m, ErrorModel(sigma))[0]
 
     if not sg._is_real(frr_target):
         raise ValueError(f"frr_target must be a real number, got {frr_target!r}")
@@ -140,7 +140,7 @@ def frr_far_table(taus: tuple[float, ...], model: ErrorModel) -> "ExperimentRepo
 @dataclass
 class ExperimentReport:
     rows: list[dict]
-    meta: dict = field(default_factory=dict)
+    meta: dict
     transcripts: list[SessionTranscript] = field(default_factory=list)
 
     def to_csv(self) -> str:
@@ -230,10 +230,17 @@ def _nan_if_empty(stat, values: list[float]) -> float:
 
 
 def _cfg_for(environment: str, channel_cfg: ch.ChannelConfig | None) -> ch.ChannelConfig:
-    if not (channel_cfg is None or isinstance(channel_cfg, ch.ChannelConfig)):
+    """The campaign's channel: ``channel_cfg``, or the default channel in
+    ``environment``. A ``channel_cfg`` in another environment is refused."""
+    if channel_cfg is None:
+        return ch.ChannelConfig(environment=environment)
+    if not isinstance(channel_cfg, ch.ChannelConfig):
         raise ValueError(f"channel_cfg must be a ChannelConfig or None, got {channel_cfg!r}")
-    cfg = channel_cfg if channel_cfg is not None else ch.ChannelConfig()
-    return replace(cfg, environment=environment)
+    if channel_cfg.environment != environment:
+        raise ValueError(
+            f"channel_cfg's environment {channel_cfg.environment!r} disagrees with environment={environment!r}"
+        )
+    return channel_cfg
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,8 @@ RECORD_MARGIN_SAMPLES = 1000
 
 @dataclass
 class SessionTranscript:
-    """Everything needed to recompute the verdict offline."""
+    """Everything needed to recompute the verdict offline. A session is built
+    from its nine inputs; the session writes every other field."""
 
     auth_id: str
     vouch_id: str
@@ -172,34 +173,27 @@ class SessionTranscript:
     true_distance_m: float
     environment: str
     paired_link_ok: bool
-    freqs_a: tuple[float, ...] = ()
-    freqs_v: tuple[float, ...] = ()
-    locations: dict = field(default_factory=dict)
-    peak_norm_powers: dict = field(default_factory=dict)
-    sample_rates: dict = field(default_factory=dict)
-    playback_start: int | None = None
-    playback_gap: int | None = None
-    signal_present: bool = False
-    raw_distance_m: float | None = None
-    estimated_distance_m: float | None = None
-    verdict: str = "reject"
-    reason: str | None = None
-    threshold_m: float | None = None
-    session_seed: int | None = None
+    freqs_a: tuple[float, ...] = field(init=False, default=())
+    freqs_v: tuple[float, ...] = field(init=False, default=())
+    locations: dict = field(init=False, default_factory=dict)
+    peak_norm_powers: dict = field(init=False, default_factory=dict)
+    sample_rates: dict
+    playback_start: int | None = field(init=False, default=None)
+    playback_gap: int | None = field(init=False, default=None)
+    signal_present: bool = field(init=False, default=False)
+    raw_distance_m: float | None = field(init=False, default=None)
+    estimated_distance_m: float | None = field(init=False, default=None)
+    verdict: str = field(init=False, default="reject")
+    reason: str | None = field(init=False, default=None)
+    threshold_m: float
+    session_seed: int | None = field(init=False, default=None)
     # The paired link, a reliable ordered byte pipe between the paired
     # devices (not cryptographic): each message's sender, kind and length.
-    link_log: list = field(default_factory=list)
+    link_log: list = field(init=False, default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), default=_json_default)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+        # A numpy scalar a session stored, as the Python number it holds.
+        return json.dumps(asdict(self), default=lambda value: value.item())
 
 
 # An intruder hook receives the session's two devices and its rng, and returns
@@ -208,21 +202,15 @@ def _json_default(obj):
 IntruderFactory = Callable[[Endpoint, Endpoint, np.random.Generator], Sequence[ch.Emission]]
 
 
-def _draw(rng: np.random.Generator) -> ReferenceSignal:
-    """Step I: draw a tone set and synthesize its reference signal."""
-    return synthesize(sample_spec(rng))
-
-
 def _transfer(
     t: SessionTranscript, sig_a: ReferenceSignal, sig_v: ReferenceSignal
 ) -> tuple[ReferenceSignal, ReferenceSignal]:
     """Step II: byte-faithful transfer of both signals from the
-    authenticating device over the paired link; returns the vouching
-    device's copies."""
-    blob = sig_a.to_bytes() + sig_v.to_bytes()
-    t.link_log.append({"sender": t.auth_id, "kind": "reference_signals", "bytes": len(blob)})
-    split = 4 + int.from_bytes(blob[:4], "big") + sig_a.samples.nbytes
-    return ReferenceSignal.from_bytes(blob[:split]), ReferenceSignal.from_bytes(blob[split:])
+    authenticating device over the paired link, logged as one message;
+    returns the vouching device's copies, each payload decoded on its own."""
+    payloads = sig_a.to_bytes(), sig_v.to_bytes()
+    t.link_log.append({"sender": t.auth_id, "kind": "reference_signals", "bytes": sum(map(len, payloads))})
+    return ReferenceSignal.from_bytes(payloads[0]), ReferenceSignal.from_bytes(payloads[1])
 
 
 def _arrival_end(play_at: int, src: tuple[float, ...], dst: tuple[float, ...], cfg: ch.ChannelConfig) -> int:
@@ -340,8 +328,9 @@ def run_authentication(
     if not t.paired_link_ok:
         return _conclude(t, policy, channel_cfg.speed_of_sound), t
 
-    sig_a = _draw(rng)
-    sig_v = _draw(rng)
+    # Step I: draw each device's tone set and synthesize its reference signal.
+    sig_a = synthesize(sample_spec(rng))
+    sig_v = synthesize(sample_spec(rng))
     t.freqs_a = sig_a.frequencies
     t.freqs_v = sig_v.frequencies
 

@@ -161,18 +161,15 @@ def _ordered_sum(rows: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.ascontiguousarray(rows), axis=0)
 
 
-def _bin_powers(spec: np.ndarray) -> np.ndarray:
-    """Per-candidate powers of the candidates' bins gathered offset-major:
-    each bin squared, and the offsets added one after another."""
-    return _ordered_sum(spec.real**2 + spec.imag**2)
-
-
 def _window_powers(windows: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Per-candidate powers of one window, (N,), or of a block of windows as
     rows, (N, windows): the same bits for a window alone and in a block. A
     candidate's power sums the 2*THETA+1 bins around its index in ``table``;
-    synthesis measures its nominal powers with it, and detection its windows."""
-    return _bin_powers(np.fft.rfft(windows).T[table.T])
+    synthesis measures its nominal powers with it, and detection its windows.
+    The bins are gathered offset-major, each squared, and the offsets added
+    one after another."""
+    spec = np.fft.rfft(windows).T[table.T]
+    return _ordered_sum(spec.real**2 + spec.imag**2)
 
 
 def _batch_candidate_powers(x: np.ndarray, starts: slice, table: np.ndarray) -> np.ndarray:

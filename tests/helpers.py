@@ -294,7 +294,8 @@ def full_buffer_record(scene, device_id: str, cfg) -> np.ndarray:
     the mix in emission order, the environment noise drawn as rFFT bins and
     added, the Fourier resampling to a skewed clock and the saturating int16
     quantization, each step out of place."""
-    rec = scene.recorder(device_id)
+    (idx,) = [i for i, r in enumerate(scene.recorders) if r.device_id == device_id]
+    rec = scene.recorders[idx]
     n = scene.duration
     mix = np.zeros(n)
     for emission in scene.emissions:
@@ -302,7 +303,7 @@ def full_buffer_record(scene, device_id: str, cfg) -> np.ndarray:
     rms = ch.ENVIRONMENTS[cfg.environment]
     if rms:
         mask = ch._noise_mask(n)
-        rng = ch._noise_rng(scene, [r.device_id for r in scene.recorders].index(device_id))
+        rng = ch._noise_rng(scene, idx)
         shaped = np.fft.irfft(rng.standard_normal(2 * mask.shape[0]).view(np.complex128) * mask, n)
         mix += shaped * (rms / np.sqrt(np.mean(shaped**2)))
     if rec.sample_rate != ch.BASE_SAMPLE_RATE:

@@ -64,6 +64,16 @@ class TestPropagate:
         ratio = np.sqrt(np.mean(through**2) / np.mean(free**2))
         assert ratio == pytest.approx(10 ** (-60 / 20), rel=1e-6)
 
+    def test_wall_attenuates_by_60_db_by_default(self):
+        """A wall set with no attenuation once attenuated by 0 dB, while a
+        JSON wall object defaulted to 60 dB; both now take the dataclass's
+        60 dB."""
+        w = np.sin(2 * np.pi * 1000 * np.arange(4096) / 44100) * 1000
+        through = propagated(w, 0, (0.0, 0.0), (1.0, 0.0), identity_kernel_cfg(wall_plane_x=0.5), 5000)
+        free = propagated(w, 0, (0.0, 0.0), (1.0, 0.0), identity_kernel_cfg(), 5000)
+        assert np.sqrt(np.mean(through**2) / np.mean(free**2)) == pytest.approx(10 ** (-60 / 20), rel=1e-6)
+        assert ch.config_from_json({"wall": {"plane_x": 0.5}}) == ch.ChannelConfig(wall_plane_x=0.5)
+
     def test_wall_only_between_opposite_sides(self):
         cfg = identity_kernel_cfg(wall_plane_x=5.0, wall_attenuation_db=60.0)
         w = np.ones(32) * 100
@@ -438,6 +448,10 @@ class TestMalformedScene:
     def test_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             self._scene(**kwargs)
+
+    def test_unknown_device_rejected(self, silent_cfg):
+        with pytest.raises(ValueError, match="^unknown device 'b'$"):
+            ch.record(self._scene(), "b", silent_cfg)
 
     def test_numpy_integers_and_float_samples_accepted(self, silent_cfg):
         """A numpy integer is a sample index, and finite float samples are

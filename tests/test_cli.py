@@ -4,15 +4,17 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import sonicauth
 from helpers import load_signal, load_wav, session_locations
 from sonicauth import cli
+from sonicauth import evaluation as ev
 from sonicauth.channel import ChannelConfig
 from sonicauth.cli import main
 from sonicauth.evaluation import fit_sigma
-from sonicauth.protocol import RECORD_SAMPLES
+from sonicauth.protocol import RECORD_SAMPLES, AuthPolicy, Endpoint, run_authentication
 
 
 def test_package_runs_with_scipy_blocked():
@@ -123,12 +125,16 @@ def test_distance_list_starting_negative_exits_2(distances, capsys):
         ["fit-sigma", "--frr", "0.028", "--out", "x"],
         ["fit-sigma", "--frr", "0.028", "--env", "home"],
         ["fit-sigma", "--frr", "0.028", "--bt-range", "10"],
+        ["fit-sigma", "--frr", "0.028", "--ds", "5"],
         ["frrfar", "--sigma", "0.0702", "--seed", "1"],
         ["frrfar", "--sigma", "0.0702", "--config", "cfg.json"],
         ["auth", "--out", "x"],
         ["attack", "--kind", "zero", "--out", "x"],
     ],
-    ids=["fit_sigma_out", "fit_sigma_env", "fit_sigma_bt_range", "frrfar_seed", "frrfar_config", "auth_out", "attack_out"],
+    ids=[
+        "fit_sigma_out", "fit_sigma_env", "fit_sigma_bt_range", "fit_sigma_ds", "frrfar_seed", "frrfar_config",
+        "auth_out", "attack_out",
+    ],
 )
 def test_flag_the_subcommand_does_not_read_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -206,6 +212,24 @@ def test_attack_allfreq_reads_the_config_once(tmp_path, monkeypatch, capsys):
     assert main(argv) == 0
     assert loads == [str(cfg)]
     assert len(json.loads(capsys.readouterr().out)["rows"]) == 6
+
+
+def test_env_applies_to_the_config_file(tmp_path, capsys):
+    """``--env street --config x.json`` runs the file's channel in the street:
+    the command sets the environment of the config it reads."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"speed_of_sound": 343.0}')
+    street = ChannelConfig(speed_of_sound=343.0, environment="street")
+    assert main(["auth", "--distance", "0.5", "--env", "street", "--config", str(cfg)]) == 0
+    _, want = run_authentication(
+        Endpoint("auth", (0.0, 0.0)), Endpoint("vouch", (0.5, 0.0)), AuthPolicy(), np.random.default_rng(0), street
+    )
+    assert capsys.readouterr().out == want.to_json() + "\n"
+    out = tmp_path / "range.json"
+    argv = ["range", "--trials", "1", "--distances", "0.5", "--env", "street", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 0
+    report = ev.multiuser_campaign(1, (0.5,), 1, 0, channel_cfg=street, environment="street", min_trials=1)
+    assert out.read_text() == report.to_json()
 
 
 def test_bad_config_file_exits_2(tmp_path, capsys):

@@ -426,6 +426,29 @@ class TestSessions:
         with pytest.raises(ValueError, match=message):
             campaign({"environment": "office"})
 
+    @pytest.mark.parametrize(
+        "campaign",
+        [
+            lambda cfg: ev.multiuser_campaign(1, (0.5,), 1, 3, min_trials=1, channel_cfg=cfg),
+            lambda cfg: ev.attack_campaign(adv.ZeroEffort(), 1, 3, channel_cfg=cfg),
+            lambda cfg: ev.detector_comparison((0.5,), 1, 3, channel_cfg=cfg),
+        ],
+        ids=["multiuser", "attack", "detector_comparison"],
+    )
+    def test_channel_cfg_in_another_environment_rejected(self, monkeypatch, campaign):
+        """A street config once ran in the office, the ``environment``
+        default, and its transcripts said ``"office"``."""
+        monkeypatch.setattr(ev, "run_authentication", lambda *args, **kwargs: pytest.fail("a session ran"))
+        message = "^channel_cfg's environment 'street' disagrees with environment='office'$"
+        with pytest.raises(ValueError, match=message):
+            campaign(ch.ChannelConfig(environment="street"))
+
+    def test_channel_cfg_in_the_campaigns_environment_runs_there(self):
+        cfg = ch.ChannelConfig(environment="street")
+        report = ev.multiuser_campaign(1, (0.5,), 1, 3, channel_cfg=cfg, environment="street", min_trials=1)
+        assert [t.environment for t in report.transcripts] == ["street"]
+        assert report.to_json() == ev.multiuser_campaign(1, (0.5,), 1, 3, environment="street", min_trials=1).to_json()
+
     def test_numpy_counts_accepted(self):
         """A numpy integer is a count, as it is a sample index in a scene:
         the reports equal those of the same Python counts, JSON included."""

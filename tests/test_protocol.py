@@ -1,6 +1,7 @@
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from sonicauth.protocol import (
     Endpoint,
     RejectReason,
     SessionMeasurements,
+    SessionTranscript,
     decide,
     estimate_distance,
     measurements_from_transcript,
@@ -29,7 +31,7 @@ from sonicauth.protocol import (
     _arrival_end,
     _to_samples,
 )
-from sonicauth.signal import SIGNAL_LENGTH
+from sonicauth.signal import SIGNAL_LENGTH, SignalSpec, synthesize
 
 
 class TestEstimateDistance:
@@ -181,6 +183,13 @@ class TestRunAuthentication:
         assert set(blob["locations"]) == {"l_aa", "l_av", "l_va", "l_vv"}
         assert len(blob["freqs_a"]) > 0 and len(blob["freqs_v"]) > 0
         assert blob["raw_distance_m"] is not None
+
+    def test_link_log_counts_both_payloads_in_one_message(self):
+        _, transcript = run(0.5)
+        (sent,) = [m for m in transcript.link_log if m["kind"] == "reference_signals"]
+        assert sent["sender"] == "auth"
+        sigs = [synthesize(SignalSpec(frequencies=f)) for f in (transcript.freqs_a, transcript.freqs_v)]
+        assert sent["bytes"] == sum(len(sig.to_bytes()) for sig in sigs)
 
     def test_vouching_device_sends_only_location_difference(self):
         """Step V: the acoustic evidence leaving the vouching device is one
@@ -340,6 +349,70 @@ class TestRunAuthentication:
         assert located == transcript.locations
         with pytest.raises(ValueError):
             replay_session(run(12.0)[1], office_cfg)
+
+
+# The nine values a session starts from; the session writes every other field.
+SESSION_INPUTS = dict(
+    auth_id="auth",
+    vouch_id="vouch",
+    auth_position=(0.0, 0.0),
+    vouch_position=(1.0, 0.0),
+    true_distance_m=1.0,
+    environment="office",
+    paired_link_ok=True,
+    sample_rates={"auth": 44_100.0, "vouch": 44_100.0},
+    threshold_m=1.0,
+)
+SESSION_WRITTEN = {
+    "freqs_a": (),
+    "freqs_v": (),
+    "locations": {},
+    "peak_norm_powers": {},
+    "playback_start": 0,
+    "playback_gap": 0,
+    "signal_present": True,
+    "raw_distance_m": 0.5,
+    "estimated_distance_m": 0.5,
+    "verdict": "accept",
+    "reason": None,
+    "session_seed": 0,
+    "link_log": [],
+}
+
+
+class TestTranscript:
+    @pytest.mark.parametrize("name", sorted(SESSION_WRITTEN))
+    def test_session_written_field_is_not_a_constructor_argument(self, name):
+        with pytest.raises(TypeError, match=name):
+            SessionTranscript(**SESSION_INPUTS, **{name: SESSION_WRITTEN[name]})
+
+    @pytest.mark.parametrize("name", sorted(SESSION_INPUTS))
+    def test_every_input_is_required(self, name):
+        inputs = {k: v for k, v in SESSION_INPUTS.items() if k != name}
+        with pytest.raises(TypeError, match=name):
+            SessionTranscript(**inputs)
+
+    def test_keys_in_the_order_of_a_stored_transcript(self):
+        stored = json.loads((Path(__file__).parent / "golden" / "accept_1.0m.json").read_text())
+        blob = json.loads(SessionTranscript(**SESSION_INPUTS).to_json())
+        assert list(blob) == list(stored)
+        assert {k: blob[k] for k in SESSION_WRITTEN} == {
+            **dict.fromkeys(SESSION_WRITTEN),
+            "freqs_a": [],
+            "freqs_v": [],
+            "locations": {},
+            "peak_norm_powers": {},
+            "signal_present": False,
+            "verdict": "reject",
+            "link_log": [],
+        }
+
+    def test_numpy_scalars_serialize_as_python_numbers(self):
+        t = SessionTranscript(**SESSION_INPUTS)
+        t.locations = {"l_aa": np.int64(7)}
+        t.peak_norm_powers = {"l_aa": np.float32(0.5)}
+        blob = json.loads(t.to_json())
+        assert (blob["locations"], blob["peak_norm_powers"]) == ({"l_aa": 7}, {"l_aa": 0.5})
 
 
 class TestPeaksReproduce:

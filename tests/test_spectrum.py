@@ -291,7 +291,7 @@ class TestSingleSpanSlidingPass:
         assert traced_peak(lambda: _sliding_candidate_powers(x, 2_000, 301, 10, table)) < 650_000
 
 
-class TestStackedSlidingPass:
+class TestSpansInSequence:
     """Spans of one recording passed one after another, as ``detect_pair``
     passes its own span and then its partner's, each get the per-span
     sliding DFT's powers bit for bit, whatever their lengths and order: the
