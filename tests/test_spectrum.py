@@ -295,8 +295,9 @@ class TestSpansInSequence:
     """Spans of one recording passed one after another, as ``detect_pair``
     passes its own span and then its partner's, each get the per-span
     sliding DFT's powers bit for bit, whatever their lengths and order: the
-    passes share only the cached, read-only slide phases, which the first
-    pass builds, and no pass's powers change when a later pass runs."""
+    passes share only the cached, read-only slide phases and phased block
+    projections, which the first pass builds, and no pass's powers change
+    when a later pass runs."""
 
     @pytest.mark.parametrize(
         "spans",
@@ -319,6 +320,7 @@ class TestSpansInSequence:
         x = _scene_recording(30_000, seed=sum(lo + count for lo, count in spans))
         table = candidate_bin_table(FS)
         spectrum._slide_phases.cache_clear()
+        spectrum._block_phases.cache_clear()
         got = [_sliding_candidate_powers(x, lo, count, 10, table) for lo, count in spans]
         for (lo, count), powers in zip(spans, got):
             want = per_span_sliding_powers(x, lo, count, 10, table)
