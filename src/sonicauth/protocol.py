@@ -131,8 +131,10 @@ def _to_samples(seconds: float) -> int:
 
 # Session timing. The playback gap keeps the two signals from overlapping in
 # time (overlap would trip the out-of-set power check when the tone sets
-# intersect); the small start jitter keeps scan alignment honest without
-# letting coarse-scan misalignment eat the whole detection margin.
+# intersect). The start jitter stands in for a device's unknown output
+# latency: a device knows when it scheduled its own signal but not the drawn
+# jitter, so it searches that signal over every start the jitter allows
+# (``_own_span``).
 # - The lead-in only has to cover the jitter: the earliest start is
 #   2205 - 200 = 2005 samples.
 # - The gap must keep the two bursts apart at both devices at the pairing
@@ -147,12 +149,14 @@ PLAYBACK_START_S = 0.05
 START_JITTER_SAMPLES = 200
 PLAYBACK_GAP_SAMPLES = _to_samples(PLAYBACK_GAP_S)
 # Each device searches for its partner's signal only at the lags from its own
-# signal that the schedule allows (``_partner_lags``), widened by this many
-# samples either side. Over 1000 single-pair sessions (office at seed 8101,
-# street at seeds 99 and 8103, silent at 8103) a located lag fell at most
-# 39.4 samples before its true lag and 40.6 after it, but for one lock onto
-# the wrong burst; 40 is the smallest width that keeps every such location
-# inside the window at any separation from 0 to the pairing range.
+# signal that the schedule allows (``_partner_lags``), and for its own signal
+# only at the starts its schedule allows (``_own_span``), each widened by this
+# many samples either side. Over 1000 single-pair sessions (office at seed
+# 8101, street at seeds 99 and 8103, silent at 8103) a located lag fell at
+# most 39.4 samples before its true lag and 40.6 after it, but for one lock
+# onto the wrong burst; 40 is the smallest width that keeps every such
+# location inside the window at any separation from 0 to the pairing range.
+# A located own signal fell at most 9 samples from where it was played.
 PARTNER_LAG_TOLERANCE = 40
 # A recording runs this many samples past the latest a session's signals can
 # end, before rounding up to a fast FFT length: room for a longer smoothing
@@ -246,6 +250,18 @@ def _partner_lags(first: int, sample_rate: float, speed_of_sound: float) -> tupl
     r = sample_rate / ch.BASE_SAMPLE_RATE
     reach = PAIRING_RANGE_M / speed_of_sound * ch.BASE_SAMPLE_RATE
     return math.floor(first * r) - PARTNER_LAG_TOLERANCE, math.ceil((first + reach) * r) + PARTNER_LAG_TOLERANCE
+
+
+def _own_span(nominal: int, sample_rate: float) -> tuple[int, int]:
+    """The window starts, in its recorder's samples, at which a device's own
+    signal can begin: its scheduled start ``nominal`` (base-rate samples)
+    give or take ``START_JITTER_SAMPLES``, scaled to the recorder's rate and
+    widened by ``PARTNER_LAG_TOLERANCE``."""
+    r = sample_rate / ch.BASE_SAMPLE_RATE
+    return (
+        math.floor((nominal - START_JITTER_SAMPLES) * r) - PARTNER_LAG_TOLERANCE,
+        math.ceil((nominal + START_JITTER_SAMPLES) * r) + PARTNER_LAG_TOLERANCE,
+    )
 
 
 def _record(
@@ -347,14 +363,16 @@ def run_authentication(
         emissions = intruder(auth, vouch, rng)
     rec_a, rec_v = _record(t, sig_a, vouch_sig_v, channel_cfg, emissions)
 
-    # Step IV: each device locates its own signal, then its partner's at the
-    # lags the schedule allows.
+    # Step IV: each device locates its own signal where its schedule put it,
+    # then its partner's at the lags the schedule allows.
     speed = channel_cfg.speed_of_sound
+    scheduled = _to_samples(PLAYBACK_START_S)
     out_aa, out_av = spectrum.detect_pair(
         rec_a,
         sig_a,
         sig_v,
         sample_rate=auth.sample_rate,
+        own_span=_own_span(scheduled, auth.sample_rate),
         partner_lags=_partner_lags(t.playback_gap, auth.sample_rate, speed),
     )
     out_vv, out_va = spectrum.detect_pair(
@@ -362,6 +380,7 @@ def run_authentication(
         vouch_sig_v,
         vouch_sig_a,
         sample_rate=vouch.sample_rate,
+        own_span=_own_span(scheduled + t.playback_gap, vouch.sample_rate),
         partner_lags=_partner_lags(-t.playback_gap, vouch.sample_rate, speed),
     )
     outcomes = (out_aa, out_av, out_va, out_vv)

@@ -1,45 +1,42 @@
 """Power spectra and sliding-window detection of reference signals.
 
-The detector slides a window over the recording, computes the window's power
-spectrum, and scores each window by the normalized power of the sought tone
-set: the summed power at in-set candidates minus the summed power at out-of-set
-candidates. Two sanity checks gate the score before it can compete for the
-argmax:
+The detector slides a window over spans of the recording, computes the
+window's power spectrum, and scores each window by the normalized power of
+the sought tone set: the summed power at in-set candidates minus the summed
+power at out-of-set candidates. Two sanity checks gate the score before it
+can compete for the argmax:
 
 * presence: every in-set candidate must carry more than ``ALPHA`` times its
   nominal power (hardware attenuation allowance);
 * absence: every out-of-set candidate must stay below ``beta`` (rejects
   broadband interference and all-frequency spoofing).
 
-Windows failing either check score negative infinity. A coarse scan with a
-large step finds the neighbourhood of the maximum; it takes one rFFT per
-window, reading its evenly spaced windows in place from the recording as a
-strided view. A signal that no coarse window passes is not fine-scanned and
-not rescored: it is absent, with no peak, since the coarse scan's first
-window, its argmax, already failed a gate with the exact kernel's powers; a
-recording in which both signals fail every coarse window runs no fine pass.
-A fine scan pinpoints the maximum of every other signal with a sliding DFT
-over the bins the candidates read: the first window's bins come from one rFFT
-and each later window's from the samples that enter and leave it, one span
-of evenly spaced windows per pass. A device scans its own signal first, over
-a span around its coarse argmax. Each device plays at a fixed gap from its
-partner, so once its own signal is located, the partner's can only arrive
-within one window of lags (two-way ranging after BeepBeep, Peng et al.,
-SenSys 2007): the partner's span is that window, about 137 windows against
-the 301 around a coarse argmax. Each block of slides takes one phase product
-and one running sum, which adds the block's windows one row after another,
-so each bin is summed in window order, as a cumulative sum would sum it. Once
-a block's sums are complete, its powers are squared in place in the slide
-buffer itself, so the pass holds no power buffers of its own.
+Windows failing either check score negative infinity. A device knows when
+it asked to play its own signal, so it searches that signal only over the
+span of window starts its schedule allows (the protocol's start jitter
+stands in for the unknown output latency), 48 windows in a session.
+Each device plays at a fixed gap from its partner, so once its own signal
+is located, the partner's can only arrive within one window of lags
+(two-way ranging after BeepBeep, Peng et al., SenSys 2007), about 137
+windows. A device that cannot place its own signal has no lag to search
+from: its partner is absent too, and is not scanned.
+Each search is one span of evenly spaced windows, scanned by a sliding DFT
+over the bins the candidates read: the first window's bins come from one
+rFFT and each later window's from the samples that enter and leave it. Each
+block of slides takes one phase product and one running sum, which adds the
+block's windows one row after another, so each bin is summed in window
+order, as a cumulative sum would sum it. Once a block's sums are complete,
+its powers are squared in place in the slide buffer itself, so the pass
+holds no power buffers of its own.
 Each signal's gate (tone indices, out-of-set indices, presence floors and
-``beta``) is built once per scan and read by the coarse, fine and exact
-scores. The fine scan only picks the window. The exact one-window kernel
-(``_window_score``) then scores that window; its score is the reported peak,
-and the detection is declared absent when it stays below ``EPSILON`` times
-the signal's total nominal power. So a located window whose exact score fails
-a gate is not present, and scanning the located window alone reproduces the
-peak bit for bit by construction: its one coarse window is its one fine
-window, rescored by the same kernel.
+``beta``) is built once per search and read by the sliding and exact
+scores. The sliding scores only pick the window. The exact one-window
+kernel (``_window_score``) then scores that window; its score is the
+reported peak, and the detection is declared absent when it stays below
+``EPSILON`` times the signal's total nominal power. So a located window
+whose exact score fails a gate is not present, and scanning the located
+window alone reproduces the peak bit for bit by construction: a one-window
+span's pick is that window, rescored by the same kernel.
 
 The tone set, the nominal powers and their total all come from the
 ``ReferenceSignal``; the candidates are ``signal.CANDIDATES``, and every
@@ -58,7 +55,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 # ``signal`` imports this module first, so its constants are read at call time.
 from . import signal
@@ -70,19 +66,15 @@ if TYPE_CHECKING:
 # The detector's fixed settings. An in-set tone passes the presence gate above
 # ALPHA times its nominal power; the absence gate is ``beta``; a located window
 # is present at EPSILON times the signal's total nominal power or more. A
-# candidate's power sums the 2*THETA+1 bins around its own. The coarse scan
-# steps COARSE_STEP samples, and the fine scan steps FINE_STEP samples, on the
-# grid of its multiples, up to FINE_RADIUS either side of the coarse argmax (a
-# partner found from its own signal scans its lags instead). Keeping
-# BETA_RATIO < ALPHA guarantees the all-frequency spoofing defence: no single
-# per-tone power can pass both gates at once.
+# candidate's power sums the 2*THETA+1 bins around its own. A search steps
+# FINE_STEP samples, on the grid of its multiples, over the window starts it is
+# given. Keeping BETA_RATIO < ALPHA guarantees the all-frequency spoofing
+# defence: no single per-tone power can pass both gates at once.
 ALPHA = 0.01
 EPSILON = 0.01
 BETA_RATIO = 0.005
 THETA = 5
-COARSE_STEP = 1000
 FINE_STEP = 10
-FINE_RADIUS = 1500
 
 
 def beta(total_power: float, tone_count: int) -> float:
@@ -96,10 +88,10 @@ class DetectionOutcome:
     """Detected sample location, or absence.
 
     ``location is None`` means the signal was declared not present;
-    ``peak_norm_power`` is the exact normalized power of the window the scan
-    picked (None when that window fails a sanity check): the fine scan's
-    pick, or, for a signal that no coarse window passes, the coarse argmax,
-    the recording's first window, which has no peak.
+    ``peak_norm_power`` is the exact normalized power of the window the
+    search picked, None when that window fails a sanity check. A signal that
+    no window was searched for has no peak either: one whose span holds no
+    window of the recording, or the partner of an absent own signal.
     """
 
     location: int | None
@@ -141,8 +133,9 @@ def candidate_bin_table(sample_rate: float) -> np.ndarray:
     return table
 
 
-# Windows per block in a scan: bounds the spectra, or the sliding sums, held
-# at once (a fine scan reads at most 301 windows).
+# Slides per block in a search: bounds the sliding sums held at once (a
+# session's own span holds 48 windows and its partner's about 137; a
+# span over a whole recording holds thousands).
 _SCAN_BLOCK = 64
 
 
@@ -172,15 +165,6 @@ def _window_powers(windows: np.ndarray, table: np.ndarray) -> np.ndarray:
     return _ordered_sum(spec.real**2 + spec.imag**2)
 
 
-def _batch_candidate_powers(x: np.ndarray, starts: slice, table: np.ndarray) -> np.ndarray:
-    """Per-candidate powers of the windows of ``x`` starting at ``starts``."""
-    windows = sliding_window_view(x, signal.SIGNAL_LENGTH)[starts]
-    out = np.empty((table.shape[0], windows.shape[0]))
-    for i in range(0, windows.shape[0], _SCAN_BLOCK):
-        out[:, i : i + _SCAN_BLOCK] = _window_powers(windows[i : i + _SCAN_BLOCK], table)
-    return out.T
-
-
 @lru_cache(maxsize=1)
 def _roots_of_unity() -> np.ndarray:
     """``W**n`` for every ``n`` below ``SIGNAL_LENGTH``, ``W = exp(-2j*pi/SIGNAL_LENGTH)``."""
@@ -208,10 +192,11 @@ def _slide_phases(bins: bytes, step: int) -> tuple[np.ndarray, np.ndarray]:
     return project, base
 
 
-# A session's fine spans read at most five blocks per bin table (a 301-window
-# span holds 300 slides); two tables' blocks fit, and a longer span reads its
-# later blocks through the same cache.
-@lru_cache(maxsize=10)
+# A session's spans read at most three blocks per bin table: the partner's
+# span holds up to 138 slides, and the own span's one block is the partner's
+# first. Two tables' blocks fit, and a longer span reads its later blocks
+# through the same cache.
+@lru_cache(maxsize=6)
 def _block_phases(bins: bytes, step: int, a: int) -> np.ndarray:
     """The projections of the block of slides from slide ``a`` on, phased to
     its first slide: ``W**(k*m)`` times ``W**(k*step*a)``, shape (step, K),
@@ -336,42 +321,68 @@ def _samples(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
+def _check_span(value, name: str) -> None:
+    """Refuse a span of window starts or lags that is not two integers
+    ``(lo, hi)`` with ``lo <= hi``, with a ValueError naming it."""
+    if not (
+        isinstance(value, tuple)
+        and len(value) == 2
+        and all(map(signal._is_integer, value))
+        and value[0] <= value[1]
+    ):
+        raise ValueError(f"{name} must be two integers (lo, hi) with lo <= hi, got {value!r}")
+
+
+def _locate(x: np.ndarray, sig: "ReferenceSignal", lo: int, hi: int, table: np.ndarray) -> DetectionOutcome:
+    """``sig``'s outcome over the ``FINE_STEP``-grid window starts in ``[lo,
+    hi]`` that fit the recording: absent with no peak when none does, else
+    the sliding pass's pick, rescored by the exact kernel."""
+    lo = -(-max(0, lo) // FINE_STEP) * FINE_STEP
+    hi = min(x.shape[0] - signal.SIGNAL_LENGTH, hi) // FINE_STEP * FINE_STEP
+    if lo > hi:
+        return DetectionOutcome(None, None)
+    gate = _gate(sig)
+    powers = _sliding_candidate_powers(x, lo, (hi - lo) // FINE_STEP + 1, FINE_STEP, table)
+    loc = lo + int(np.argmax(_gated_scores(powers, gate))) * FINE_STEP
+    peak = _window_score(x, loc, gate, table)
+    present = peak >= EPSILON * sig.total_power  # False for -inf: the window failed a gate
+    return DetectionOutcome(loc if present else None, None if peak == -np.inf else peak)
+
+
 def detect_pair(
     x: np.ndarray,
     own: "ReferenceSignal",
     partner: "ReferenceSignal",
     *,
     sample_rate: float,
+    own_span: tuple[int, int],
     partner_lags: tuple[int, int],
 ) -> tuple[DetectionOutcome, DetectionOutcome]:
-    """Detect a device's own reference signal and its partner's in one scan
-    of the device's recording, made at ``sample_rate``, the recorder's rate.
+    """Detect a device's own reference signal and its partner's in the
+    device's recording, made at ``sample_rate``, the recorder's rate.
     Returns the own outcome, then the partner's.
 
-    One coarse scan serves both signals. A signal that no coarse window
-    passes is absent with no peak and is not fine-scanned: its coarse argmax,
-    the first window, scored ``-inf`` from the same powers the exact kernel
-    gives it. The own signal is fine-scanned over ``FINE_RADIUS`` samples
-    either side of its coarse argmax and rescored, so its outcome does not
-    depend on the partner: ``detect_pair(x, sig, sig, ...)[0]`` is ``sig``'s
-    outcome alone. Once the own signal is present at ``l``, the partner can
-    only arrive at a lag the playback schedule allows, so it is fine-scanned
-    only at the ``FINE_STEP``-grid windows in ``[l + partner_lags[0], l +
-    partner_lags[1]]`` that fit the recording; when none does, it is absent
-    with no peak. When the own signal is absent, the partner is scanned as
-    the own signal is, around its coarse argmax. Each fine scan is one span
-    of the sliding DFT. Ties break to the smallest index. The fine scan only
-    picks the window; that window's exact score (``_window_score``) is the
-    reported peak and decides presence, so a window whose exact score fails
-    a gate is not present.
+    The own signal is searched at the ``FINE_STEP``-grid windows starting in
+    ``own_span`` that fit the recording, so its outcome does not depend on
+    the partner: ``detect_pair(x, sig, sig, ...)[0]`` is ``sig``'s outcome
+    alone. Once it is present at ``l``, the partner can only arrive at a lag
+    the playback schedule allows, so it is searched only at the grid windows
+    in ``[l + partner_lags[0], l + partner_lags[1]]`` that fit the
+    recording. A signal none of whose windows fits is absent with no peak,
+    and so is the partner of an absent own signal, which is not scanned: it
+    has no lag to search from. Each search is one span of the sliding DFT.
+    Ties break to the smallest index. The sliding scores only pick the
+    window; that window's exact score (``_window_score``) is the reported
+    peak and decides presence, so a window whose exact score fails a gate is
+    not present.
 
     The rate must be a finite real number above the highest candidate; it is
-    checked before ``candidate_bin_table``'s cache would hash it. The lags
-    are two integers, the first no greater than the second.
+    checked before ``candidate_bin_table``'s cache would hash it. The span
+    and the lags are each two integers, the first no greater than the
+    second.
     """
-    length = signal.SIGNAL_LENGTH
     x = _samples(x, "recording")
-    if x.shape[0] < length:
+    if x.shape[0] < signal.SIGNAL_LENGTH:
         raise ValueError("recording shorter than the reference signal")
     highest = max(signal.CANDIDATES)
     if not (signal._finite_positive(sample_rate) and sample_rate > highest):
@@ -379,41 +390,13 @@ def detect_pair(
             f"sample_rate must be finite and above the highest candidate, {highest:.2f} Hz, got {sample_rate!r}: "
             "a candidate outside [0, sample_rate) cannot be measured"
         )
-    if not (
-        isinstance(partner_lags, tuple)
-        and len(partner_lags) == 2
-        and all(map(signal._is_integer, partner_lags))
-        and partner_lags[0] <= partner_lags[1]
-    ):
-        raise ValueError(f"partner_lags must be two integers (lo, hi) with lo <= hi, got {partner_lags!r}")
+    _check_span(own_span, "own_span")
+    _check_span(partner_lags, "partner_lags")
     table = candidate_bin_table(sample_rate)
-    max_start = x.shape[0] - length
-    coarse_powers = _batch_candidate_powers(x, slice(0, max_start + 1, COARSE_STEP), table)
-    outcomes = []
-    for sig in (own, partner):
-        gate = _gate(sig)
-        scores = _gated_scores(coarse_powers, gate)
-        best = int(np.argmax(scores))
-        if scores[best] == -np.inf:  # failed at the first window, with the exact kernel's powers bit for bit
-            outcomes.append(DetectionOutcome(None, None))
-            continue
-        own_location = outcomes[0].location if outcomes else None  # set for a partner of a present own signal
-        if own_location is None:
-            anchor = best * COARSE_STEP
-            lo, hi = max(0, anchor - FINE_RADIUS), min(max_start, anchor + FINE_RADIUS)
-        else:
-            lo = max(0, own_location + partner_lags[0])
-            hi = min(max_start, own_location + partner_lags[1])
-        lo, hi = -(-lo // FINE_STEP) * FINE_STEP, hi // FINE_STEP * FINE_STEP
-        if lo > hi:  # no grid window of the partner's lags fits the recording
-            outcomes.append(DetectionOutcome(None, None))
-            continue
-        powers = _sliding_candidate_powers(x, lo, (hi - lo) // FINE_STEP + 1, FINE_STEP, table)
-        loc = lo + int(np.argmax(_gated_scores(powers, gate))) * FINE_STEP
-        peak = _window_score(x, loc, gate, table)
-        present = peak >= EPSILON * sig.total_power  # False for -inf: the window failed a gate
-        outcomes.append(DetectionOutcome(loc if present else None, None if peak == -np.inf else peak))
-    return tuple(outcomes)
+    found = _locate(x, own, *own_span, table)
+    if found.location is None:
+        return found, DetectionOutcome(None, None)
+    return found, _locate(x, partner, found.location + partner_lags[0], found.location + partner_lags[1], table)
 
 
 def cross_correlate_detect(x: np.ndarray, sig: "ReferenceSignal") -> int:

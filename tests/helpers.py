@@ -3,14 +3,15 @@ command line writes.
 
 The oracles deliberately avoid the production code paths: per-bin powers come
 from direct complex projections, cumulative sums or one full rFFT per window
-instead of the package's batched and sliding kernels. Four references are the
-exception. The per-span sliding DFT is the fine scan with the package's phase
-tables, summed by ``np.cumsum``: the fine pass must reproduce it bit for bit.
-The always-fine scan is the own-first detector with the package's gates and
-that per-span sliding DFT, as it would run if a signal that no coarse window
-passes kept its fine span: it fine-scans every signal. The session locator
-repeats a session's Step IV with the package's partner lags, to check that a
-replay or a dump finds the transcript's locations. The full-buffer recording propagates each emission
+instead of the package's sliding kernel. Five references are the
+exception. The batched rFFT kernel reads blocks of windows with the
+package's one-window kernel, so its rows are that kernel's bits. The per-span
+sliding DFT is the search with the package's phase tables, summed by
+``np.cumsum``: the sliding pass must reproduce it bit for bit. The per-span
+detector is the own-first detector with the package's gates and that
+per-span sliding DFT. The session locator repeats a session's Step IV with
+the package's own spans and partner lags, to check that a replay or a dump
+finds the transcript's locations. The full-buffer recording propagates each emission
 into a zeroed buffer of the whole scene, with an inline phase ramp, and sums
 the buffers, with the package's delay, gain, noise mask and noise seeds:
 ``channel.record`` must give its samples bit for bit. The FRR/FAR closed forms
@@ -28,10 +29,11 @@ import wave
 from itertools import combinations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from sonicauth import channel as ch
 from sonicauth import spectrum
-from sonicauth.protocol import _partner_lags
+from sonicauth.protocol import PLAYBACK_START_S, _own_span, _partner_lags, _to_samples
 from sonicauth.signal import AMPLITUDE_BUDGET, CANDIDATES, SAMPLE_RATE, SIGNAL_LENGTH, ReferenceSignal
 from sonicauth.spectrum import detect_pair  # bound here, so a test that patches the module's name does not reach it
 
@@ -136,6 +138,19 @@ def sliding_candidate_powers(
     return out.T
 
 
+def batch_candidate_powers(x: np.ndarray, starts: slice, table: np.ndarray) -> np.ndarray:
+    """Per-candidate powers, (windows, N), of the windows of ``x`` starting at
+    ``starts``: one rFFT per window, ``spectrum._SCAN_BLOCK`` windows at a
+    time, read in place from the recording as a strided view by the
+    package's one-window kernel, which gives a window's bits alone and in a
+    block."""
+    windows = sliding_window_view(x, SIGNAL_LENGTH)[starts]
+    out = np.empty((table.shape[0], windows.shape[0]))
+    for i in range(0, windows.shape[0], spectrum._SCAN_BLOCK):
+        out[:, i : i + spectrum._SCAN_BLOCK] = spectrum._window_powers(windows[i : i + spectrum._SCAN_BLOCK], table)
+    return out.T
+
+
 def per_span_sliding_powers(x: np.ndarray, lo: int, count: int, step: int, table: np.ndarray) -> np.ndarray:
     """Per-candidate powers of the ``count`` signal-long windows
     ``x[s:s+length]``, ``s = lo + j*step``, by the sliding DFT over one span:
@@ -169,58 +184,66 @@ def per_span_sliding_powers(x: np.ndarray, lo: int, count: int, step: int, table
     return out
 
 
-def always_fine_scan(x: np.ndarray, own, partner, sample_rate: float, partner_lags: tuple[int, int]) -> tuple:
-    """Reference detector, own signal first, in which every signal is
-    fine-scanned by ``per_span_sliding_powers`` and the picked window rescored
-    by the exact kernel. The own signal's span covers ``FINE_RADIUS`` samples
-    either side of its coarse argmax, which is the first window when every
-    coarse window fails its gates. Once the own signal is present at ``l``,
-    the partner's span is the ``FINE_STEP``-grid windows in ``[l +
-    partner_lags[0], l + partner_lags[1]]`` that fit the recording (absent,
-    with no peak, when none does); otherwise it is the own signal's kind of
-    span around the partner's coarse argmax. ``spectrum.detect_pair`` gives a
-    signal that no coarse window passes no fine span, and so differs from
-    this only when a fine window passes after every coarse one failed."""
+def per_span_detect_pair(x: np.ndarray, own, partner, sample_rate: float, own_span, partner_lags) -> tuple:
+    """Reference detector, own signal first, in which each signal's
+    ``FINE_STEP``-grid windows are scored by ``per_span_sliding_powers`` and
+    the picked window rescored by the exact kernel. The own signal's windows
+    start in ``own_span``; once it is present at ``l``, the partner's start
+    in ``[l + partner_lags[0], l + partner_lags[1]]``. Each keeps only the
+    windows that fit the recording, and is absent with no peak when none
+    does. The partner of an absent own signal is absent with no peak."""
     step = spectrum.FINE_STEP
     x = np.asarray(x, dtype=np.float64)
     table = spectrum.candidate_bin_table(sample_rate)
-    max_start = x.shape[0] - SIGNAL_LENGTH
-    coarse_powers = spectrum._batch_candidate_powers(x, slice(0, max_start + 1, spectrum.COARSE_STEP), table)
-    outcomes = []
-    for sig in (own, partner):
-        gate = spectrum._gate(sig)
-        if outcomes and outcomes[0].location is not None:
-            lo, hi = outcomes[0].location + partner_lags[0], outcomes[0].location + partner_lags[1]
-        else:
-            anchor = int(np.argmax(spectrum._gated_scores(coarse_powers, gate))) * spectrum.COARSE_STEP
-            lo, hi = anchor - spectrum.FINE_RADIUS, anchor + spectrum.FINE_RADIUS
-        lo, hi = math.ceil(max(0, lo) / step) * step, min(max_start, hi) // step * step
+
+    def locate(sig, lo, hi):
+        lo, hi = math.ceil(max(0, lo) / step) * step, min(x.shape[0] - SIGNAL_LENGTH, hi) // step * step
         if lo > hi:
-            outcomes.append(spectrum.DetectionOutcome(None, None))
-            continue
+            return spectrum.DetectionOutcome(None, None)
+        gate = spectrum._gate(sig)
         powers = per_span_sliding_powers(x, lo, (hi - lo) // step + 1, step, table)
         loc = lo + int(np.argmax(spectrum._gated_scores(powers, gate))) * step
         peak = spectrum._window_score(x, loc, gate, table)
         present = peak >= spectrum.EPSILON * sig.total_power
-        outcomes.append(spectrum.DetectionOutcome(loc if present else None, None if peak == -np.inf else peak))
-    return tuple(outcomes)
+        return spectrum.DetectionOutcome(loc if present else None, None if peak == -np.inf else peak)
+
+    found = locate(own, *own_span)
+    if found.location is None:
+        return found, spectrum.DetectionOutcome(None, None)
+    return found, locate(partner, found.location + partner_lags[0], found.location + partner_lags[1])
 
 
 def detect_own(x: np.ndarray, sig, *, sample_rate: float):
-    """``sig``'s outcome as its own signal, which does not depend on the
-    partner or its lags."""
-    return detect_pair(x, sig, sig, sample_rate=sample_rate, partner_lags=(0, 0))[0]
+    """``sig``'s outcome as its own signal searched over the whole recording,
+    which does not depend on the partner or its lags."""
+    return detect_pair(x, sig, sig, sample_rate=sample_rate, own_span=(0, len(x)), partner_lags=(0, 0))[0]
 
 
 def session_locations(recordings, refs, rates, gap: int, speed_of_sound: float) -> dict:
     """The four locations of a session's Step IV, keyed as a transcript's:
     each device locates its own signal in its recording (``recordings``, the
-    authenticating device's first), then its partner's at the lags the
-    schedule allows. ``refs`` are the authenticating and the vouching
-    signal, ``rates`` the two recorders' rates."""
+    authenticating device's first) over the starts its schedule allows, then
+    its partner's at the lags the schedule allows. ``refs`` are the
+    authenticating and the vouching signal, ``rates`` the two recorders'
+    rates."""
     (rec_a, rec_v), (sig_a, sig_v), (f_a, f_v) = recordings, refs, rates
-    aa, av = detect_pair(rec_a, sig_a, sig_v, sample_rate=f_a, partner_lags=_partner_lags(gap, f_a, speed_of_sound))
-    vv, va = detect_pair(rec_v, sig_v, sig_a, sample_rate=f_v, partner_lags=_partner_lags(-gap, f_v, speed_of_sound))
+    start = _to_samples(PLAYBACK_START_S)
+    aa, av = detect_pair(
+        rec_a,
+        sig_a,
+        sig_v,
+        sample_rate=f_a,
+        own_span=_own_span(start, f_a),
+        partner_lags=_partner_lags(gap, f_a, speed_of_sound),
+    )
+    vv, va = detect_pair(
+        rec_v,
+        sig_v,
+        sig_a,
+        sample_rate=f_v,
+        own_span=_own_span(start + gap, f_v),
+        partner_lags=_partner_lags(-gap, f_v, speed_of_sound),
+    )
     return {"l_aa": aa.location, "l_av": av.location, "l_va": va.location, "l_vv": vv.location}
 
 

@@ -214,8 +214,9 @@ ORACLE_SCENE_MASTER = 202  # locked scene family, verified to satisfy the bound
 
 def test_criterion_9_oracle_equivalence():
     """Random embeddings (signal at a random offset and level in white noise)
-    scanned both ways: the two-stage scan must land within one fine step of
-    the step-1 exhaustive argmax."""
+    scanned both ways: the search over the whole recording, on the
+    ``FINE_STEP`` grid, must land within one fine step of the step-1
+    exhaustive argmax."""
     worst = 0
     for seed in range(100):
         rng = np.random.default_rng(np.random.SeedSequence([ORACLE_SCENE_MASTER, seed]))
@@ -231,7 +232,7 @@ def test_criterion_9_oracle_equivalence():
         assert got.location is not None and want is not None
         worst = max(worst, abs(got.location - want))
     ok = worst <= 10
-    _report(9, ok, f"max |coarse-to-fine - exhaustive| = {worst} samples over 100 scenes")
+    _report(9, ok, f"max |grid search - exhaustive| = {worst} samples over 100 scenes")
 
 
 # --- 10. Throughput -------------------------------------------------------------------------

@@ -370,10 +370,12 @@ class TestRecord:
         rec_true = ch.record(scene, "true", silent_cfg)
         rec_fast = ch.record(scene, "fast", silent_cfg)
         assert rec_fast.shape[0] == pytest.approx(60_000 * skew, abs=2)
-        lags = (gap - 4_000, gap + 4_000)  # the second signal searched within 4000 samples of the gap
-        out_a, out_b = detect_pair(rec_true, sig_a, sig_b, sample_rate=44_100.0, partner_lags=lags)
+        # the first signal searched within 1000 samples of its start, the
+        # second within 4000 samples of the gap
+        spans = {"own_span": (1_000, 3_000), "partner_lags": (gap - 4_000, gap + 4_000)}
+        out_a, out_b = detect_pair(rec_true, sig_a, sig_b, sample_rate=44_100.0, **spans)
         sep_true = out_b.location - out_a.location
-        out_a, out_b = detect_pair(rec_fast, sig_a, sig_b, sample_rate=44_100.0 * skew, partner_lags=lags)
+        out_a, out_b = detect_pair(rec_fast, sig_a, sig_b, sample_rate=44_100.0 * skew, **spans)
         sep_fast = out_b.location - out_a.location
         assert sep_fast == pytest.approx(sep_true * skew, abs=25)
 

@@ -104,7 +104,7 @@ PINS = {
     "all_frequency_campaign": lambda: _campaign_transcripts(adv.AllFrequency(per_tone_power=ALL_FREQUENCY_POWER), 36),
     # A guessing-replay campaign's transcripts, back to back: the report pin
     # holds only its counts, these the locations and peaks of detections
-    # whose signal no coarse window passes, which are not fine-scanned.
+    # whose own signal is absent, whose partner is not searched.
     "guessing_replay_campaign": lambda: _campaign_transcripts(adv.GuessingReplay(), 37),
 }
 

@@ -29,9 +29,11 @@ from sonicauth.protocol import (
     replay_session,
     run_authentication,
     _arrival_end,
+    _own_span,
     _to_samples,
 )
 from sonicauth.signal import SIGNAL_LENGTH, SignalSpec, synthesize
+from sonicauth.spectrum import FINE_STEP
 
 
 class TestEstimateDistance:
@@ -427,8 +429,8 @@ class TestPeaksReproduce:
         found = []
         scan = spectrum.detect_pair
 
-        def spy(x, own, partner, *, sample_rate, partner_lags):
-            outcomes = scan(x, own, partner, sample_rate=sample_rate, partner_lags=partner_lags)
+        def spy(x, own, partner, *, sample_rate, own_span, partner_lags):
+            outcomes = scan(x, own, partner, sample_rate=sample_rate, own_span=own_span, partner_lags=partner_lags)
             found.extend((x, sig, sample_rate, out) for sig, out in zip((own, partner), outcomes))
             return outcomes
 
@@ -469,3 +471,54 @@ class TestPeaksReproduce:
         found = self._detections(monkeypatch, session)
         assert {rate for *_, rate, _ in found} == {44_100.0, 44_100.0 * 1.001}
         self._assert_reproduced(found, 4)
+
+
+class TestOwnSpan:
+    """Each device searches its own signal only over the starts its schedule
+    allows, whatever jitter was drawn."""
+
+    @pytest.mark.parametrize(
+        "skews, bound",
+        [((1.0, 1.0), FINE_STEP), ((1.001, 0.9995), 2 * FINE_STEP), ((0.9995, 1.001), 2 * FINE_STEP)],
+        ids=["nominal", "fast_auth", "fast_vouch"],
+    )
+    def test_clean_own_signal_located_at_its_onset(self, silent_cfg, skews, bound):
+        """In silent sessions each device locates its own signal inside its
+        span, near the onset its recorder heard, the played start scaled by
+        the recorder's rate: within one search step at the nominal rate, and
+        within two at a skewed one, whose located windows lie up to 13.2
+        samples from that onset here (as they did under the coarse scan),
+        well inside the span's 40-sample tolerance."""
+        for seed in range(4):
+            auth = Endpoint("auth", (0.0, 0.0), sample_rate=44_100.0 * skews[0])
+            vouch = Endpoint("vouch", (1.0, 0.0), sample_rate=44_100.0 * skews[1])
+            rng = np.random.default_rng(4600 + seed)
+            _, t = run_authentication(auth, vouch, AuthPolicy(threshold_m=2.0), rng, silent_cfg)
+            scheduled = _to_samples(PLAYBACK_START_S)
+            for key, offset, rate in (("l_aa", 0, auth.sample_rate), ("l_vv", t.playback_gap, vouch.sample_rate)):
+                lo, hi = _own_span(scheduled + offset, rate)
+                onset = (t.playback_start + offset) * rate / ch.BASE_SAMPLE_RATE
+                assert lo <= t.locations[key] <= hi
+                assert abs(t.locations[key] - onset) <= bound
+
+    def test_own_signal_of_a_crowded_session_not_locked_late(self):
+        """A crowded session's vouching device used to lock its own signal
+        1431 samples after its onset, onto a window that an interfering
+        pair's burst let pass the gates, and the pair was accepted at +0.617
+        m though 1.5 m apart (``multiuser_campaign(2, (0.5, 1.0, 1.5, 2.0),
+        10, 72)``, cell 2, trial 9). That window lies outside its own span:
+        the signal is absent, and the session is refused."""
+        auth, vouch = Endpoint("auth", (0.0, 0.0)), Endpoint("vouch", (1.5, 0.0))
+        decision, t = run_authentication(
+            auth,
+            vouch,
+            AuthPolicy(),
+            ev._trial_rng(72, 2, 9),
+            ch.ChannelConfig(),
+            intruder=lambda a, v, r: ev._interferer_emissions(a, v, r, 1),
+        )
+        assert t.playback_start + t.playback_gap == 10_959
+        assert (t.locations["l_vv"], t.locations["l_va"]) == (None, None)
+        assert not decision.accepted and decision.reason is RejectReason.SIGNAL_NOT_PRESENT
+        report = ev.multiuser_campaign(2, (0.5, 1.0, 1.5, 2.0), 10, 72)
+        assert report.transcripts[29].to_json() == t.to_json()

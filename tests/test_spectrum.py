@@ -6,12 +6,13 @@ import pytest
 import scipy.signal
 
 from helpers import (
-    always_fine_scan,
+    batch_candidate_powers,
     detect_own,
     direct_bin_power,
     direct_candidate_power,
     exhaustive_detect,
     folded_bins,
+    per_span_detect_pair,
     per_span_sliding_powers,
     power_spectrum,
     sliding_candidate_powers,
@@ -20,11 +21,19 @@ from helpers import (
 from sonicauth import adversary as adv
 from sonicauth import evaluation as ev
 from sonicauth import spectrum
-from sonicauth.protocol import AuthPolicy, Endpoint, _partner_lags, replay_session, run_authentication
+from sonicauth.protocol import (
+    PLAYBACK_START_S,
+    AuthPolicy,
+    Endpoint,
+    _own_span,
+    _partner_lags,
+    _to_samples,
+    replay_session,
+    run_authentication,
+)
 from sonicauth.signal import CANDIDATES, SignalSpec, sample_spec, synthesize
 from sonicauth.spectrum import (
     DetectionOutcome,
-    _batch_candidate_powers,
     _sliding_candidate_powers,
     candidate_bin_table,
     cross_correlate_detect,
@@ -33,6 +42,10 @@ from sonicauth.spectrum import (
 )
 
 FS = 44_100.0
+
+# The own span of a signal played at 3 000, as a session widens it: the start
+# jitter and the tolerance either side.
+OWN_SPAN = (2_760, 3_240)
 
 
 class TestPowerSpectrum:
@@ -158,8 +171,9 @@ def _per_window_candidate_powers(x, starts, length, table):
 
 
 class TestBatchCandidatePowers:
-    """The strided, gather-then-square kernel must equal the per-window
-    spectra bit for bit, on every kind of window range a scan asks for."""
+    """The batched rFFT reference, the package's gather-then-square kernel
+    over strided blocks of windows, must equal the per-window spectra bit for
+    bit, on every kind of window range."""
 
     @staticmethod
     def _noise(n, seed):
@@ -168,11 +182,11 @@ class TestBatchCandidatePowers:
     @pytest.mark.parametrize(
         "n, starts",
         [
-            (30_000, slice(0, 30_000 - 4096 + 1, 1000)),  # coarse scan
+            (30_000, slice(0, 30_000 - 4096 + 1, 1000)),  # evenly spaced windows over the whole recording
             (30_000, slice(9_000, 12_001, 10)),  # step-10 windows inside the recording
             (4096 + 2000, slice(0, 2001, 10)),  # step-10 windows from 0 to max_start
-            (4096, slice(0, 1, 1000)),  # recording exactly one signal long: coarse
-            (4096, slice(0, 1, 10)),  # and fine
+            (4096, slice(0, 1, 1000)),  # recording exactly one signal long: a wide step
+            (4096, slice(0, 1, 10)),  # and a search's
             (4096, slice(0, 1)),  # single window (a synthesizer's measurement)
             (4096 + 10, slice(0, 11, 10)),  # 2 windows: the smallest multi-window block
             (4096 + 630, slice(0, 631, 10)),  # 64 windows: one full block
@@ -185,7 +199,7 @@ class TestBatchCandidatePowers:
         x = self._noise(n, seed=n)
         table = candidate_bin_table(FS)
         windows = range(*starts.indices(n - 4096 + 1))
-        got = _batch_candidate_powers(x, starts, table)
+        got = batch_candidate_powers(x, starts, table)
         want = _per_window_candidate_powers(x, windows, 4096, table)
         assert got.shape == want.shape == (len(windows), len(CANDIDATES))
         assert np.array_equal(got, want)
@@ -194,8 +208,8 @@ class TestBatchCandidatePowers:
         np.testing.assert_allclose(got, each, rtol=1e-14, atol=0)
 
     def test_scan_clipped_at_both_ends_covers_the_whole_recording(self):
-        """The coarse anchor (1000) lies within fine_radius of both ends of a
-        2000-start recording, so the fine scan runs from 0 to max_start."""
+        """A search over the whole of a 2000-start recording runs from 0 to
+        max_start and finds the signal at 1234."""
         sig = synthesize(sample_spec(np.random.default_rng(16)))
         x = _embed(sig, 1234, 2000 - 1234)
         out = detect_own(x, sig, sample_rate=FS)
@@ -242,7 +256,7 @@ class TestSlidingCandidatePowers:
         if rate != FS:
             assert not np.array_equal(table, candidate_bin_table(FS))
         got = _sliding_candidate_powers(x, lo, count, step, table)
-        want = _batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), table)
+        want = batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), table)
         assert got.shape == want.shape == (count, len(CANDIDATES))
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
@@ -351,7 +365,7 @@ class TestWindowPowers:
         starts = np.random.default_rng(26).integers(0, 30_000 - 4096 + 1, 500)
         for s in starts:
             got = spectrum._window_powers(x[s : s + 4096], table)
-            want = _batch_candidate_powers(x, slice(s, s + 1), table)[0]
+            want = batch_candidate_powers(x, slice(s, s + 1), table)[0]
             assert np.array_equal(got, want)
 
 
@@ -362,9 +376,9 @@ class TestLocatedWindowScore:
 
     @staticmethod
     def _scored(monkeypatch, x, sigs):
-        """(signal, outcome, scored window start, exact score) per detection.
-        A signal that no coarse window passes is not rescored: its window is
-        the first, and its exact score is taken here."""
+        """(signal, outcome, scored window start, exact score) per searched
+        signal, the own one at about 3 000. The partner of an absent own
+        signal is not searched: it is absent with no peak, and left out."""
         gates, scored = [], {}
         make_gate, exact = spectrum._gate, spectrum._window_score
 
@@ -380,13 +394,10 @@ class TestLocatedWindowScore:
         with monkeypatch.context() as m:
             m.setattr(spectrum, "_gate", gate_spy)
             m.setattr(spectrum, "_window_score", spy)
-            outcomes = detect_pair(x, *sigs, sample_rate=FS, partner_lags=(13_500, 16_500))
-        assert len(gates) == len(sigs)
-        table = spectrum.candidate_bin_table(FS)
-        for gate in gates:
-            if id(gate) not in scored:
-                scored[id(gate)] = (0, exact(x, 0, gate, table))
-                assert scored[id(gate)][1] == -np.inf
+            outcomes = detect_pair(x, *sigs, sample_rate=FS, own_span=OWN_SPAN, partner_lags=(13_500, 16_500))
+        assert len(gates) == (1 if outcomes[0].location is None else 2)
+        if len(gates) == 1:
+            assert outcomes[1] == DetectionOutcome(None, None)
         return [(sig, out, *scored[id(gate)]) for sig, out, gate in zip(sigs, outcomes, gates)]
 
     def test_peak_is_norm_power_of_the_located_window(self, monkeypatch):
@@ -420,9 +431,9 @@ class TestLocatedWindowScore:
     def test_window_failing_a_gate_when_rescored_is_not_present(self, monkeypatch):
         """The stated rule for a sliding score and an exact score that
         disagree: the exact one decides. Here the slide is made to rank the
-        scan's first window best, but a loud out-of-set tone in that window
-        fails its absence gate, so the signal is not present and has no
-        peak."""
+        span's first window, at 13 500, best, but a loud out-of-set tone in
+        that window fails its absence gate, so the signal is not present and
+        has no peak, and its partner is not searched."""
         sig = _without_first_candidate()
         x = _embed(sig, 15_000, 10_000)
         t = np.arange(1_400)
@@ -439,7 +450,8 @@ class TestLocatedWindowScore:
 
         monkeypatch.setattr(spectrum, "_sliding_candidate_powers", first_window_best)
         absent = DetectionOutcome(None, None)
-        assert detect_pair(x, sig, sig, sample_rate=FS, partner_lags=(0, 0)) == (absent, absent)
+        outcomes = detect_pair(x, sig, sig, sample_rate=FS, own_span=(13_500, 16_500), partner_lags=(0, 0))
+        assert outcomes == (absent, absent)
 
 
 def test_sliding_oracle_matches_direct_projections():
@@ -493,7 +505,7 @@ class TestNormPower:
     def test_wrong_length_rejected(self):
         sig = synthesize(sample_spec(np.random.default_rng(4)))
         with pytest.raises(ValueError):
-            detect_pair(np.zeros(1000), sig, sig, sample_rate=FS, partner_lags=(0, 0))
+            detect_pair(np.zeros(1000), sig, sig, sample_rate=FS, own_span=(0, 0), partner_lags=(0, 0))
 
 
 class TestDetectorInputs:
@@ -504,8 +516,8 @@ class TestDetectorInputs:
     def _entry_points(x, rate):
         sig = synthesize(sample_spec(np.random.default_rng(30)))
         return (
-            lambda: detect_pair(x, sig, sig, sample_rate=rate, partner_lags=(0, 0)),
-            lambda: detect_pair(x[:4096], sig, sig, sample_rate=rate, partner_lags=(0, 0)),
+            lambda: detect_pair(x, sig, sig, sample_rate=rate, own_span=(0, 0), partner_lags=(0, 0)),
+            lambda: detect_pair(x[:4096], sig, sig, sample_rate=rate, own_span=(0, 0), partner_lags=(0, 0)),
         )
 
     def _rejected(self, x, rate, message):
@@ -572,14 +584,14 @@ class TestDetect:
     def test_recording_shorter_than_signal(self):
         sig = synthesize(sample_spec(np.random.default_rng(8)))
         with pytest.raises(ValueError):
-            detect_pair(np.zeros(1000), sig, sig, sample_rate=FS, partner_lags=(0, 0))
+            detect_pair(np.zeros(1000), sig, sig, sample_rate=FS, own_span=(0, 0), partner_lags=(0, 0))
 
     def test_monotone_rejection_when_scaled_below_epsilon(self):
         sig = synthesize(sample_spec(np.random.default_rng(9)))
         x = _embed(sig, 5_000, 5_000, scale=0.5 * spectrum.EPSILON)
         assert detect_own(x, sig, sample_rate=FS).location is None
 
-    def test_coarse_to_fine_matches_exhaustive_on_random_scenes(self):
+    def test_whole_recording_span_matches_exhaustive_on_random_scenes(self):
         for seed in range(10):
             rng = np.random.default_rng(seed)
             sig = synthesize(sample_spec(rng))
@@ -605,22 +617,22 @@ def _fine_spans(monkeypatch):
     return calls
 
 
-class TestCoarseFailureSkipsFineScan:
-    """A signal that no coarse window passes gets no fine span: its scored
-    window is the coarse argmax, the first window, which is also the window
-    the always-fine reference's all-failing fine scan picks. The two differ
-    only when a fine window passes after every coarse window failed."""
+class TestOwnSpan:
+    """The own signal is searched only at the grid windows of its span, and
+    the partner of an absent own signal is not searched at all: it is absent
+    with no peak."""
 
-    def test_campaign_recordings_match_the_always_fine_scan(self, monkeypatch):
+    def test_campaign_recordings_match_the_per_span_detector(self, monkeypatch):
         """Guessing-replay, all-frequency, crowded and office recordings, with
-        the lags each session passed, give the reference's outcomes, and some
-        of their signals skip the fine scan."""
+        the span and lags each session passed, give the per-span reference
+        detector's outcomes; some of their own signals are absent, and so
+        are those signals' partners."""
         recordings = []
         scan = spectrum.detect_pair
 
-        def spy(x, own, partner, *, sample_rate, partner_lags):
-            recordings.append((x, own, partner, sample_rate, partner_lags))
-            return scan(x, own, partner, sample_rate=sample_rate, partner_lags=partner_lags)
+        def spy(x, own, partner, *, sample_rate, own_span, partner_lags):
+            recordings.append((x, own, partner, sample_rate, own_span, partner_lags))
+            return scan(x, own, partner, sample_rate=sample_rate, own_span=own_span, partner_lags=partner_lags)
 
         with monkeypatch.context() as m:
             m.setattr(spectrum, "detect_pair", spy)
@@ -628,61 +640,72 @@ class TestCoarseFailureSkipsFineScan:
             ev.attack_campaign(adv.AllFrequency(per_tone_power=1.0e11), 2, 2802)
             ev.multiuser_campaign(3, (0.5,), 1, 2803, min_trials=1)
             ev.distance_error_campaign("office", (0.5, 1.5), 1, 2804, min_trials=1)
-        calls = _fine_spans(monkeypatch)
-        skipped = 0
-        for x, own, partner, rate, lags in recordings:
-            want = always_fine_scan(x, own, partner, rate, lags)
-            calls.clear()
-            assert detect_pair(x, own, partner, sample_rate=rate, partner_lags=lags) == want
-            skipped += 2 - len(calls)
-        assert skipped > 0
+        absent_own = 0
+        for x, own, partner, rate, span, lags in recordings:
+            want = per_span_detect_pair(x, own, partner, rate, span, lags)
+            assert detect_pair(x, own, partner, sample_rate=rate, own_span=span, partner_lags=lags) == want
+            absent_own += want[0].location is None
+        assert absent_own > 0
 
-    @staticmethod
-    def _edge_scene(shift):
-        """A signal at ``shift + 500`` between loud out-of-set bursts over
-        ``[shift, shift + 400)`` and ``[shift + 4700, shift + 5100)``: every
-        coarse window holds part of a burst or none of the signal, but the
-        window at ``shift + 500`` holds the whole signal and no burst."""
-        sig = _without_first_candidate()
-        x = np.zeros(28_672)
-        x[shift + 500 : shift + 500 + 4096] += sig.samples
-        burst = 3000.0 * np.sin(2 * np.pi * CANDIDATES[0] * np.arange(400) / FS)
-        for start in (shift, shift + 4_700):
-            x[start : start + 400] += burst
-        return x, sig
-
-    def test_edge_scene_is_absent_at_every_offset(self):
-        """The one behaviour change: at offset 0 the window at 500 lies in the
-        reference's fine span around the first window, so it finds the signal
-        there; shifted by 10 000 or 20 000 samples it lies outside that span,
-        and the reference finds nothing either. The scan reports the scene
-        absent at every offset."""
-        absent = DetectionOutcome(None, None)
-        x, sig = self._edge_scene(0)
-        assert always_fine_scan(x, sig, sig, FS, (0, 0))[0].location == 500
-        assert detect_own(x, sig, sample_rate=FS) == absent
-        for shift in (10_000, 20_000):
-            x, sig = self._edge_scene(shift)
-            assert always_fine_scan(x, sig, sig, FS, (0, 0))[0] == absent
-            assert detect_own(x, sig, sample_rate=FS) == absent
-
-    def test_fine_pass_only_for_signals_some_coarse_window_passes(self, monkeypatch):
-        """Noise alone fails every coarse window of both signals: no fine pass
-        runs. With only the partner at 9 000, the own signal is absent, so the
-        partner's span lies around its coarse argmax, not at its lags."""
+    def test_absent_own_signal_leaves_the_partner_unsearched(self, monkeypatch):
+        """With no own signal in its span, the partner is absent with no
+        peak after one sliding pass, the own span's: noise alone, and a
+        partner played where its lags from the span would find it."""
         rng = np.random.default_rng(2805)
         sig_a, sig_b = synthesize(sample_spec(rng)), synthesize(sample_spec(rng))
-        noise = rng.normal(0.0, 25.0, 28_672)
+        noise = np.rint(rng.normal(0.0, 25.0, 30_000))
         x = noise.copy()
-        x[9_000 : 9_000 + 4096] += sig_b.samples
-        absent = DetectionOutcome(None, None)
+        x[12_000 : 12_000 + 4096] += sig_b.samples
         calls = _fine_spans(monkeypatch)
-        lags = (15_000, 16_000)
-        assert detect_pair(noise, sig_a, sig_b, sample_rate=FS, partner_lags=lags) == (absent, absent)
+        for recording in (noise, x):
+            calls.clear()
+            out_a, out_b = detect_pair(
+                recording, sig_a, sig_b, sample_rate=FS, own_span=OWN_SPAN, partner_lags=(8_815, 10_118)
+            )
+            assert out_a.location is None and out_b == DetectionOutcome(None, None)
+            assert calls == [(2_760, 49)]
+        found = detect_pair(x, sig_b, sig_a, sample_rate=FS, own_span=(11_760, 12_240), partner_lags=(0, 0))[0]
+        assert found.location == 12_000
+
+    @pytest.mark.parametrize("span", [(26_000, 27_000), (-500, -1), (25_905, 25_909)])
+    def test_own_span_outside_the_recording(self, monkeypatch, span):
+        """A span with no grid window that fits the 30 000-sample recording
+        (windows start at 0 to 25 904) gives two absent outcomes with no
+        peak, and runs no sliding pass, though both signals are in it."""
+        x, own, partner = TestPartnerWindow._scene(12_000)
+        calls = _fine_spans(monkeypatch)
+        absent = DetectionOutcome(None, None)
+        outcomes = detect_pair(x, own, partner, sample_rate=FS, own_span=span, partner_lags=(8_815, 10_118))
+        assert outcomes == (absent, absent)
         assert calls == []
-        out_a, out_b = detect_pair(x, sig_a, sig_b, sample_rate=FS, partner_lags=lags)
-        assert out_a == absent and out_b.location == 9_000
-        assert calls == [(7_500, 301)]
+
+    def test_span_clipped_at_the_recording(self, monkeypatch):
+        """A span that reaches past either end keeps the grid windows that
+        fit: the own signal at 3 000 of a 30 000-sample recording is found
+        from a span over it all and beyond, one pass of 2 591 windows."""
+        x, own, partner = TestPartnerWindow._scene(12_000)
+        calls = _fine_spans(monkeypatch)
+        out_own, out_partner = detect_pair(
+            x, own, partner, sample_rate=FS, own_span=(-5_000, 40_000), partner_lags=(8_815, 10_118)
+        )
+        assert (out_own.location, out_partner.location) == (3_000, 12_000)
+        assert calls == [(0, 2_591), (11_820, 130)]
+
+    @pytest.mark.parametrize("span", [(0,), (1, 0), (0.5, 10), [0, 10], (True, 10), "ab", None])
+    def test_malformed_own_span_rejected(self, monkeypatch, span):
+        """The own span passes the one check the lags pass too, whose
+        message names it; the lags are not checked after it fails."""
+        x, own, partner = TestPartnerWindow._scene(12_000)
+        names, check = [], spectrum._check_span
+
+        def spy(value, name):
+            names.append(name)
+            check(value, name)
+
+        monkeypatch.setattr(spectrum, "_check_span", spy)
+        with pytest.raises(ValueError, match=r"^own_span must be two integers \(lo, hi\) with lo <= hi, got "):
+            detect_pair(x, own, partner, sample_rate=FS, own_span=span, partner_lags=(8_815, 10_118))
+        assert names == ["own_span"]
 
 
 class TestPartnerWindow:
@@ -692,8 +715,8 @@ class TestPartnerWindow:
 
     @staticmethod
     def _scene(partner_at):
-        """Office-level noise with a signal at 3 000 and, at ``partner_at``,
-        another."""
+        """Office-level noise with a signal at 3 000, inside ``OWN_SPAN``,
+        and, at ``partner_at``, another."""
         rng = np.random.default_rng(2806)
         own, partner = synthesize(sample_spec(rng)), synthesize(sample_spec(rng))
         x = rng.normal(0.0, 25.0, 30_000)
@@ -703,13 +726,15 @@ class TestPartnerWindow:
 
     def test_span_is_the_grid_windows_of_the_lags(self, monkeypatch):
         """Lags of 8 815 to 10 118 from the own signal at 3 000 give the grid
-        windows 11 820 to 13 110: one 130-window span, not 301 around the
-        partner's coarse argmax."""
+        windows 11 820 to 13 110: one 130-window span, after the own span's
+        49 windows from 2 760 to 3 240."""
         x, own, partner = self._scene(12_000)
         calls = _fine_spans(monkeypatch)
-        out_own, out_partner = detect_pair(x, own, partner, sample_rate=FS, partner_lags=(8_815, 10_118))
+        out_own, out_partner = detect_pair(
+            x, own, partner, sample_rate=FS, own_span=OWN_SPAN, partner_lags=(8_815, 10_118)
+        )
         assert (out_own.location, out_partner.location) == (3_000, 12_000)
-        assert calls == [(1_500, 301), (11_820, 130)]
+        assert calls == [(2_760, 49), (11_820, 130)]
 
     def test_partner_outside_its_lags_is_absent(self, monkeypatch):
         """The same partner, searched 5 000 samples past its lag, is absent
@@ -718,29 +743,33 @@ class TestPartnerWindow:
         x, own, partner = self._scene(12_000)
         calls = _fine_spans(monkeypatch)
         absent = DetectionOutcome(None, None)
-        out_own, out_partner = detect_pair(x, own, partner, sample_rate=FS, partner_lags=(14_000, 15_000))
+        out_own, out_partner = detect_pair(
+            x, own, partner, sample_rate=FS, own_span=OWN_SPAN, partner_lags=(14_000, 15_000)
+        )
         assert out_own.location == 3_000 and out_partner.location is None
-        calls.clear()
-        assert detect_pair(x, own, partner, sample_rate=FS, partner_lags=(25_000, 26_000)) == (out_own, absent)
-        assert calls == [(1_500, 301)]
-        calls.clear()
-        assert detect_pair(x, own, partner, sample_rate=FS, partner_lags=(-9_000, -3_001)) == (out_own, absent)
-        assert calls == [(1_500, 301)]
+        for lags in ((25_000, 26_000), (-9_000, -3_001)):
+            calls.clear()
+            outcomes = detect_pair(x, own, partner, sample_rate=FS, own_span=OWN_SPAN, partner_lags=lags)
+            assert outcomes == (out_own, absent)
+            assert calls == [(2_760, 49)]
 
     def test_vouching_side_with_negative_lags(self):
         """The vouching device's own signal comes second: its partner lies at
         negative lags, and a window clipped at the recording's start still
         finds it."""
         x, partner, own = self._scene(12_000)  # the signal at 3 000 is the partner
-        out_own, out_partner = detect_pair(x, own, partner, sample_rate=FS, partner_lags=(-10_118, -8_815))
+        span = (11_760, 12_240)
+        out_own, out_partner = detect_pair(
+            x, own, partner, sample_rate=FS, own_span=span, partner_lags=(-10_118, -8_815)
+        )
         assert (out_own.location, out_partner.location) == (12_000, 3_000)
-        clipped = detect_pair(x, own, partner, sample_rate=FS, partner_lags=(-13_000, -8_000))
+        clipped = detect_pair(x, own, partner, sample_rate=FS, own_span=span, partner_lags=(-13_000, -8_000))
         assert clipped == (out_own, out_partner)
 
     def test_skewed_recorder(self, office_cfg):
-        """A vouching device whose clock runs 0.1% fast searches at lags
-        scaled by its rate, and finds its partner inside them, where the
-        own-first reference does."""
+        """A vouching device whose clock runs 0.1% fast searches its own span
+        and its lags scaled by its rate, and finds both signals inside them,
+        where the per-span reference detector does."""
         rate = 44_100.0 * 1.001
         _, t = run_authentication(
             Endpoint("auth", (0.0, 0.0)),
@@ -750,18 +779,21 @@ class TestPartnerWindow:
             office_cfg,
         )
         sig_a, sig_v, _, rec_v = replay_session(t, office_cfg)
+        span = _own_span(_to_samples(PLAYBACK_START_S) + t.playback_gap, rate)
         lags = _partner_lags(-t.playback_gap, rate, office_cfg.speed_of_sound)
+        assert span == (10_795, 11_277)  # against (10_785, 11_265) at the nominal rate
         assert lags == (-8869, -7490)  # against (-8860, -7482) at the nominal rate
-        outcomes = detect_pair(rec_v, sig_v, sig_a, sample_rate=rate, partner_lags=lags)
-        assert outcomes == always_fine_scan(rec_v, sig_v, sig_a, rate, lags)
+        outcomes = detect_pair(rec_v, sig_v, sig_a, sample_rate=rate, own_span=span, partner_lags=lags)
+        assert outcomes == per_span_detect_pair(rec_v, sig_v, sig_a, rate, span, lags)
         assert (outcomes[0].location, outcomes[1].location) == (t.locations["l_vv"], t.locations["l_va"])
+        assert span[0] <= t.locations["l_vv"] <= span[1]
         assert lags[0] <= t.locations["l_va"] - t.locations["l_vv"] <= lags[1]
 
     @pytest.mark.parametrize("lags", [(0,), (1, 0), (0.5, 10), [0, 10], (True, 10), "ab"])
     def test_malformed_lags_rejected(self, lags):
         x, own, partner = self._scene(12_000)
         with pytest.raises(ValueError, match=r"^partner_lags must be two integers \(lo, hi\) with lo <= hi, got "):
-            detect_pair(x, own, partner, sample_rate=FS, partner_lags=lags)
+            detect_pair(x, own, partner, sample_rate=FS, own_span=OWN_SPAN, partner_lags=lags)
 
 
 class TestDetectPair:
@@ -772,7 +804,9 @@ class TestDetectPair:
         x = np.zeros(45_000)
         x[10_000 : 10_000 + 4096] = sig_a.samples
         x[30_000 : 30_000 + 4096] = sig_b.samples
-        out_a, out_b = detect_pair(x, sig_a, sig_b, sample_rate=FS, partner_lags=(19_000, 21_000))
+        out_a, out_b = detect_pair(
+            x, sig_a, sig_b, sample_rate=FS, own_span=(9_760, 10_240), partner_lags=(19_000, 21_000)
+        )
         assert abs(out_a.location - 10_000) <= spectrum.FINE_STEP
         assert abs(out_b.location - 30_000) <= spectrum.FINE_STEP
 
@@ -782,7 +816,9 @@ class TestDetectPair:
         others = tuple(f for f in CANDIDATES if f not in sig_a.frequencies)
         sig_b = synthesize(SignalSpec(frequencies=others))
         x = _embed(sig_a, 8_000, 20_000)
-        out_a, out_b = detect_pair(x, sig_a, sig_b, sample_rate=FS, partner_lags=(8_000, 10_000))
+        out_a, out_b = detect_pair(
+            x, sig_a, sig_b, sample_rate=FS, own_span=(7_760, 8_240), partner_lags=(8_000, 10_000)
+        )
         assert out_a.location is not None
         assert out_b.location is None
 
@@ -807,18 +843,23 @@ class TestDetectPair:
             sig_c = synthesize(sample_spec(np.random.default_rng(2000 + seed)))
             out_a = detect_own(x, sig_a, sample_rate=FS)
             for partner, lags in ((sig_b, (8_780, 10_158)), (sig_b, (-30_000, 30_000)), (sig_c, (0, 0))):
-                assert detect_pair(x, sig_a, partner, sample_rate=FS, partner_lags=lags)[0] == out_a
+                got = detect_pair(x, sig_a, partner, sample_rate=FS, own_span=(0, 30_000), partner_lags=lags)[0]
+                assert got == out_a
 
     def test_rfft_shapes_of_one_scan(self, monkeypatch, office_cfg):
-        """The transforms one scan takes: one batch over the 14 coarse windows
-        of a session recording, then, for each signal some coarse window
-        passes, its fine span's first window and its exact rescoring. Noise
-        alone stops after the coarse batch."""
+        """The transforms one scan of a session recording takes: for each
+        signal searched, its span's first window and its exact rescoring.
+        In noise alone the own signal is absent, so its partner takes
+        none."""
         auth, vouch = Endpoint("auth", (0.0, 0.0)), Endpoint("vouch", (1.0, 0.0))
         _, transcript = run_authentication(auth, vouch, AuthPolicy(), np.random.default_rng(0), office_cfg)
         sig_a, sig_v, rec_a, _ = replay_session(transcript, office_cfg)
         noise = np.random.default_rng(1).normal(0.0, 25.0, rec_a.shape[0])
-        lags = _partner_lags(transcript.playback_gap, transcript.sample_rates["auth"], office_cfg.speed_of_sound)
+        rate = transcript.sample_rates["auth"]
+        spans = {
+            "own_span": _own_span(_to_samples(PLAYBACK_START_S), rate),
+            "partner_lags": _partner_lags(transcript.playback_gap, rate, office_cfg.speed_of_sound),
+        }
         shapes = []
         rfft = np.fft.rfft
 
@@ -827,12 +868,12 @@ class TestDetectPair:
             return rfft(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", counting)
-        outcomes = detect_pair(rec_a, sig_a, sig_v, sample_rate=transcript.sample_rates["auth"], partner_lags=lags)
+        outcomes = detect_pair(rec_a, sig_a, sig_v, sample_rate=rate, **spans)
         assert all(out.location is not None for out in outcomes)
-        assert shapes == [(14, 4096)] + [(4096,)] * 4
+        assert shapes == [(4096,)] * 4
         shapes.clear()
-        assert detect_pair(noise, sig_a, sig_v, sample_rate=FS, partner_lags=lags) == (DetectionOutcome(None, None),) * 2
-        assert shapes == [(14, 4096)]
+        assert detect_pair(noise, sig_a, sig_v, sample_rate=FS, **spans) == (DetectionOutcome(None, None),) * 2
+        assert shapes == [(4096,)] * 2
 
 
 class TestCrossCorrelate:
@@ -905,10 +946,8 @@ class TestDetectionConstants:
     def test_constants_satisfy_the_invariants(self):
         """Gates in (0, 1) with the peak threshold at most the presence one,
         beta below the presence gate (the all-frequency spoofing guard), and a
-        fine scan that steps no wider than the coarse one and covers at least
-        one coarse step either side."""
+        search step of at least one sample."""
         assert 0.0 < spectrum.EPSILON <= spectrum.ALPHA < 1.0
         assert 0.0 < spectrum.BETA_RATIO < spectrum.ALPHA
         assert spectrum.THETA >= 0
-        assert spectrum.COARSE_STEP >= spectrum.FINE_STEP >= 1
-        assert spectrum.FINE_RADIUS >= spectrum.COARSE_STEP
+        assert spectrum.FINE_STEP >= 1

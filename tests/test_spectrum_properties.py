@@ -1,17 +1,16 @@
-"""Property tests of the scores' ordered sums, of the fine scan's sliding
-DFT and of the partner's lag window (need ``hypothesis``, kept apart so the
-rest of the spectrum tests collect without it)."""
+"""Property tests of the scores' ordered sums, of the search's sliding DFT
+and of the partner's lag window (need ``hypothesis``, kept apart so the rest
+of the spectrum tests collect without it)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import always_fine_scan, detect_own, per_span_sliding_powers
+from helpers import batch_candidate_powers, detect_own, per_span_detect_pair, per_span_sliding_powers
 from sonicauth.signal import BIN_COUNT, SIGNAL_LENGTH, _left_sum, sample_spec, synthesize
 from sonicauth.spectrum import (
     FINE_STEP,
     THETA,
-    _batch_candidate_powers,
     _gated_scores,
     _ordered_sum,
     _sliding_candidate_powers,
@@ -72,14 +71,14 @@ def test_ordered_sum_adds_rows_left_to_right(seed, layout, n, windows):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    windows=st.sampled_from([1, 14, 137, 301]),
+    windows=st.sampled_from([1, 49, 137, 301]),
     tones=st.integers(1, BIN_COUNT - 1),
 )
 def test_gated_scores_equal_left_sum_reference(seed, windows, tones):
     """Each window's score is its in-set powers summed left to right in
     candidate order minus its out-of-set powers summed the same way, or
     -inf where a gate fails, bit for bit, for a lone window and for the
-    coarse, gap-window and full fine spans' counts."""
+    own span's, the gap window's and a 301-window span's counts."""
     rng = np.random.default_rng(seed)
     index = np.sort(rng.permutation(BIN_COUNT)[:tones])
     out = np.setdiff1d(np.arange(BIN_COUNT), index)
@@ -122,7 +121,7 @@ def test_sliding_powers_equal_rfft_kernel(seed, step, count, lo, tail, skew):
     x = np.rint(x)
     table = candidate_bin_table(FS * skew)
     got = _sliding_candidate_powers(x, lo, count, step, table)
-    want = _batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), table)
+    want = batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), table)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
     assert np.array_equal(got, per_span_sliding_powers(x, lo, count, step, table))
 
@@ -145,9 +144,14 @@ def test_two_spans_equal_rfft_kernel_and_per_span_pass(seed, step, counts, los, 
     table = candidate_bin_table(FS * skew)
     spans = list(zip(los, counts))
     for (lo, count), got in zip(spans, [_sliding_candidate_powers(x, lo, count, step, table) for lo, count in spans]):
-        want = _batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), table)
+        want = batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), table)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
         assert np.array_equal(got, per_span_sliding_powers(x, lo, count, step, table))
+
+
+# The own signal's span in the scenes below: the whole 30 000-sample recording,
+# so the own outcome is the one ``detect_own`` gives.
+WHOLE = (0, 30_000)
 
 
 def _pair_scene(seed: int, own_at: int | None, partner_at: int | None):
@@ -180,7 +184,7 @@ def test_partner_inside_its_lags_is_found(seed, side, data):
     """A partner whose true lag lies inside its lags, 20 samples or more from
     either end, is found within one fine step of where it was played, on
     either device's side; the own signal is found the same way, as it is
-    alone, and both outcomes are the own-first reference's."""
+    alone, and both outcomes are the per-span reference detector's."""
     (own_lo, own_hi), (lag_lo, lag_hi) = side
     own_at = data.draw(st.integers(own_lo, own_hi))
     lag = data.draw(st.integers(lag_lo, lag_hi))
@@ -188,11 +192,11 @@ def test_partner_inside_its_lags_is_found(seed, side, data):
     above = data.draw(st.integers(20, 1_500))
     lags = (lag - below, lag + above)
     x, own, partner = _pair_scene(seed % 2**16, own_at, own_at + lag)
-    out_own, out_partner = detect_pair(x, own, partner, sample_rate=FS, partner_lags=lags)
+    out_own, out_partner = detect_pair(x, own, partner, sample_rate=FS, own_span=WHOLE, partner_lags=lags)
     assert abs(out_own.location - own_at) <= FINE_STEP
     assert abs(out_partner.location - (own_at + lag)) <= FINE_STEP
     assert out_own == detect_own(x, own, sample_rate=FS)
-    assert (out_own, out_partner) == always_fine_scan(x, own, partner, FS, lags)
+    assert (out_own, out_partner) == per_span_detect_pair(x, own, partner, FS, WHOLE, lags)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -210,12 +214,12 @@ def test_partner_only_outside_its_lags_is_absent(seed, side, data):
     first = lag + gap if data.draw(st.booleans()) else lag - gap - width
     lags = (first, first + width)
     x, own, partner = _pair_scene(seed % 2**16, own_at, own_at + lag)
-    out_own, out_partner = detect_pair(x, own, partner, sample_rate=FS, partner_lags=lags)
+    out_own, out_partner = detect_pair(x, own, partner, sample_rate=FS, own_span=WHOLE, partner_lags=lags)
     assert out_own == detect_own(x, own, sample_rate=FS)
     assert abs(out_own.location - own_at) <= FINE_STEP
     assert out_partner.location is None
-    assert (out_own, out_partner) == always_fine_scan(x, own, partner, FS, lags)
-    found = detect_pair(x, own, partner, sample_rate=FS, partner_lags=(lag - 20, lag + 20))[1]
+    assert (out_own, out_partner) == per_span_detect_pair(x, own, partner, FS, WHOLE, lags)
+    found = detect_pair(x, own, partner, sample_rate=FS, own_span=WHOLE, partner_lags=(lag - 20, lag + 20))[1]
     assert abs(found.location - (own_at + lag)) <= FINE_STEP
 
 
@@ -229,8 +233,8 @@ def test_partner_only_outside_its_lags_is_absent(seed, side, data):
 def test_own_outcome_independent_of_partner_and_lags(seed, own_at, partner_at, lags):
     """With either signal, both or neither in the recording, possibly
     overlapping, the own outcome is the one the signal gets alone, whatever
-    the lags, and both outcomes are the own-first reference's."""
+    the lags, and both outcomes are the per-span reference detector's."""
     x, own, partner = _pair_scene(seed, own_at, partner_at)
-    outcomes = detect_pair(x, own, partner, sample_rate=FS, partner_lags=lags)
+    outcomes = detect_pair(x, own, partner, sample_rate=FS, own_span=WHOLE, partner_lags=lags)
     assert outcomes[0] == detect_own(x, own, sample_rate=FS)
-    assert outcomes == always_fine_scan(x, own, partner, FS, lags)
+    assert outcomes == per_span_detect_pair(x, own, partner, FS, WHOLE, lags)
