@@ -10,7 +10,8 @@ two differences into a distance:
     d = s/2 * ((l_va - l_vv) / f_v + (l_av - l_aa) / f_a)
 
 which cancels the unknown clock offset between the devices. Access is granted
-iff the (non-negative-clamped) distance is within the policy threshold.
+iff the distance is within the policy threshold; the transcript keeps the
+estimate and the estimate clamped at zero.
 """
 
 from __future__ import annotations
@@ -91,10 +92,10 @@ class RejectReason(str, Enum):
 
 @dataclass(frozen=True)
 class AuthDecision:
+    """The verdict alone; a session's transcript holds the distances."""
+
     accepted: bool
     reason: RejectReason | None = None
-    estimated_distance_m: float | None = None
-    raw_distance_m: float | None = None
 
     def __post_init__(self) -> None:
         if self.accepted and self.reason is not None:
@@ -104,20 +105,16 @@ class AuthDecision:
 
 
 def decide(raw_distance: float | None, signal_present: bool, paired: bool, policy: AuthPolicy) -> AuthDecision:
-    """Pure decision function; reusable to recompute a verdict offline."""
+    """Pure decision function; reusable to recompute a verdict offline. The
+    raw estimate is compared with the threshold as it is: the threshold is
+    above 0, so a negative estimate is accepted as its clamp at 0 would be."""
     if not paired:
         return AuthDecision(accepted=False, reason=RejectReason.NOT_PAIRED)
     if not signal_present or raw_distance is None:
         return AuthDecision(accepted=False, reason=RejectReason.SIGNAL_NOT_PRESENT)
-    clamped = max(raw_distance, 0.0)
-    if clamped <= policy.threshold_m:
-        return AuthDecision(accepted=True, estimated_distance_m=clamped, raw_distance_m=raw_distance)
-    return AuthDecision(
-        accepted=False,
-        reason=RejectReason.DISTANCE_EXCEEDED,
-        estimated_distance_m=clamped,
-        raw_distance_m=raw_distance,
-    )
+    if raw_distance <= policy.threshold_m:
+        return AuthDecision(accepted=True)
+    return AuthDecision(accepted=False, reason=RejectReason.DISTANCE_EXCEEDED)
 
 
 # A device in a session is described as the channel records it: an id, a
@@ -241,27 +238,38 @@ RECORD_SAMPLES = ch.fast_fft_length(
 )
 
 
+def _widened(lo: float, hi: float, sample_rate: float) -> tuple[int, int]:
+    """Base-rate samples ``[lo, hi]`` scaled to a recorder's samples at
+    ``sample_rate``, then widened by ``PARTNER_LAG_TOLERANCE`` either side."""
+    r = sample_rate / ch.BASE_SAMPLE_RATE
+    return math.floor(lo * r) - PARTNER_LAG_TOLERANCE, math.ceil(hi * r) + PARTNER_LAG_TOLERANCE
+
+
 def _partner_lags(first: int, sample_rate: float, speed_of_sound: float) -> tuple[int, int]:
     """The lags from a device's own signal, in its recorder's samples, at
     which its partner's signal can arrive: from ``first`` base-rate samples
     (the playback gap at the authenticating device, minus the gap at the
-    vouching one) to that plus the travel delay at ``PAIRING_RANGE_M``, each
-    scaled to the recorder's rate and widened by ``PARTNER_LAG_TOLERANCE``."""
-    r = sample_rate / ch.BASE_SAMPLE_RATE
-    reach = PAIRING_RANGE_M / speed_of_sound * ch.BASE_SAMPLE_RATE
-    return math.floor(first * r) - PARTNER_LAG_TOLERANCE, math.ceil((first + reach) * r) + PARTNER_LAG_TOLERANCE
+    vouching one) to that plus the travel delay at ``PAIRING_RANGE_M``,
+    ``_widened``."""
+    return _widened(first, first + PAIRING_RANGE_M / speed_of_sound * ch.BASE_SAMPLE_RATE, sample_rate)
 
 
 def _own_span(nominal: int, sample_rate: float) -> tuple[int, int]:
     """The window starts, in its recorder's samples, at which a device's own
     signal can begin: its scheduled start ``nominal`` (base-rate samples)
-    give or take ``START_JITTER_SAMPLES``, scaled to the recorder's rate and
-    widened by ``PARTNER_LAG_TOLERANCE``."""
-    r = sample_rate / ch.BASE_SAMPLE_RATE
-    return (
-        math.floor((nominal - START_JITTER_SAMPLES) * r) - PARTNER_LAG_TOLERANCE,
-        math.ceil((nominal + START_JITTER_SAMPLES) * r) + PARTNER_LAG_TOLERANCE,
-    )
+    give or take ``START_JITTER_SAMPLES``, ``_widened``."""
+    return _widened(nominal - START_JITTER_SAMPLES, nominal + START_JITTER_SAMPLES, sample_rate)
+
+
+def _locate_signals(
+    x: np.ndarray, own: ReferenceSignal, partner: ReferenceSignal, rate: float, own_at: int, partner_at: int, speed: float
+) -> tuple[spectrum.DetectionOutcome, spectrum.DetectionOutcome]:
+    """Step IV at one device: the outcomes of its own signal and then its
+    partner's in its recording ``x``, made at ``rate``. It locates its own
+    signal where its schedule put it (``own_at``, base-rate samples), then its
+    partner's, scheduled at ``partner_at``, at the lags the schedule allows."""
+    lags = _partner_lags(partner_at - own_at, rate, speed)
+    return spectrum.detect_pair(x, own, partner, sample_rate=rate, own_span=_own_span(own_at, rate), partner_lags=lags)
 
 
 def _record(
@@ -303,16 +311,15 @@ def _record(
 def _conclude(t: SessionTranscript, policy: AuthPolicy, speed_of_sound: float) -> AuthDecision:
     """Steps V-VI: the vouching device reports only its local location
     difference, and the authenticating device turns the locations into a
-    distance and a verdict, both written to the transcript."""
-    raw = None
+    distance and a verdict, both written to the transcript: the raw estimate
+    and, clamped at zero, the estimated distance."""
     if t.signal_present:
         v_diff = t.locations["l_va"] - t.locations["l_vv"]
         payload = int(v_diff).to_bytes(8, "big", signed=True)
         t.link_log.append({"sender": t.vouch_id, "kind": "location_difference", "bytes": len(payload)})
-        raw = estimate_distance(measurements_from_transcript(t), speed_of_sound)
-    decision = decide(raw, t.signal_present, t.paired_link_ok, policy)
-    t.raw_distance_m = raw
-    t.estimated_distance_m = decision.estimated_distance_m
+        t.raw_distance_m = estimate_distance(measurements_from_transcript(t), speed_of_sound)
+        t.estimated_distance_m = max(t.raw_distance_m, 0.0)
+    decision = decide(t.raw_distance_m, t.signal_present, t.paired_link_ok, policy)
     t.verdict = "accept" if decision.accepted else "reject"
     t.reason = None if decision.accepted else decision.reason.value
     return decision
@@ -363,26 +370,12 @@ def run_authentication(
         emissions = intruder(auth, vouch, rng)
     rec_a, rec_v = _record(t, sig_a, vouch_sig_v, channel_cfg, emissions)
 
-    # Step IV: each device locates its own signal where its schedule put it,
-    # then its partner's at the lags the schedule allows.
+    # Step IV at each device, from the scheduled starts of the two signals.
+    at_a = _to_samples(PLAYBACK_START_S)
+    at_v = at_a + t.playback_gap
     speed = channel_cfg.speed_of_sound
-    scheduled = _to_samples(PLAYBACK_START_S)
-    out_aa, out_av = spectrum.detect_pair(
-        rec_a,
-        sig_a,
-        sig_v,
-        sample_rate=auth.sample_rate,
-        own_span=_own_span(scheduled, auth.sample_rate),
-        partner_lags=_partner_lags(t.playback_gap, auth.sample_rate, speed),
-    )
-    out_vv, out_va = spectrum.detect_pair(
-        rec_v,
-        vouch_sig_v,
-        vouch_sig_a,
-        sample_rate=vouch.sample_rate,
-        own_span=_own_span(scheduled + t.playback_gap, vouch.sample_rate),
-        partner_lags=_partner_lags(-t.playback_gap, vouch.sample_rate, speed),
-    )
+    out_aa, out_av = _locate_signals(rec_a, sig_a, sig_v, auth.sample_rate, at_a, at_v, speed)
+    out_vv, out_va = _locate_signals(rec_v, vouch_sig_v, vouch_sig_a, vouch.sample_rate, at_v, at_a, speed)
     outcomes = (out_aa, out_av, out_va, out_vv)
     for key, out in zip(("l_aa", "l_av", "l_va", "l_vv"), outcomes):
         t.locations[key] = out.location

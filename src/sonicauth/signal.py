@@ -206,7 +206,8 @@ def sample_spec(rng: np.random.Generator) -> SignalSpec:
 def _proper_subset(rng: np.random.Generator, candidates: tuple[float, ...]) -> tuple[float, ...]:
     """A subset of ``candidates`` drawn uniformly over the non-empty proper
     ones: its size follows the binomial weights C(M, n), then its members are
-    drawn without replacement."""
+    drawn without replacement, by index, so the subset holds ``candidates``'
+    own objects."""
     m = len(candidates)
     u = int(rng.integers(0, (1 << m) - 2))
     cum = 0
@@ -214,8 +215,7 @@ def _proper_subset(rng: np.random.Generator, candidates: tuple[float, ...]) -> t
         cum += math.comb(m, n)
         if u < cum:
             break
-    chosen = rng.choice(np.asarray(candidates), size=n, replace=False)
-    return tuple(float(f) for f in chosen)
+    return tuple(candidates[i] for i in rng.choice(m, size=n, replace=False))
 
 
 # Each candidate's phase, by its index i: pi * i**2 / BIN_COUNT, a Schroeder

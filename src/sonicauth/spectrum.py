@@ -177,19 +177,14 @@ def _roots_of_unity() -> np.ndarray:
 # Both signals of a scan share one bin table, and each device's clock rate
 # gives its own: two entries cover a session's two recorders.
 @lru_cache(maxsize=2)
-def _slide_phases(bins: bytes, step: int) -> tuple[np.ndarray, np.ndarray]:
+def _slide_phases(bins: bytes, step: int) -> np.ndarray:
     """Phases of the sliding DFT over the bins ``k`` (an intp array's bytes):
-    ``W**(k*m)`` for the ``step`` samples ``m`` of one slide, shape (step, K),
-    and ``W**(k*step*i)`` for the ``_SCAN_BLOCK`` slides ``i`` of one block,
+    ``W**(k*step*i)`` for the ``_SCAN_BLOCK`` slides ``i`` of one block,
     shape (_SCAN_BLOCK, K)."""
     k = np.frombuffer(bins, dtype=np.intp)
-    length = signal.SIGNAL_LENGTH
-    roots = _roots_of_unity()
-    project = roots[np.arange(step)[:, None] * k % length]
-    base = roots[np.arange(_SCAN_BLOCK)[:, None] * (step * k) % length]
-    project.setflags(write=False)
+    base = _roots_of_unity()[np.arange(_SCAN_BLOCK)[:, None] * (step * k) % signal.SIGNAL_LENGTH]
     base.setflags(write=False)
-    return project, base
+    return base
 
 
 # A session's spans read at most three blocks per bin table: the partner's
@@ -199,13 +194,14 @@ def _slide_phases(bins: bytes, step: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=6)
 def _block_phases(bins: bytes, step: int, a: int) -> np.ndarray:
     """The projections of the block of slides from slide ``a`` on, phased to
-    its first slide: ``W**(k*m)`` times ``W**(k*step*a)``, shape (step, K),
-    for the bins ``k`` of ``_slide_phases``. It depends on the bins, the step
-    and ``a`` alone, not on where the span starts."""
+    its first slide: ``W**(k*m)`` for the ``step`` samples ``m`` of one
+    slide times ``W**(k*step*a)``, shape (step, K), for the bins ``k`` of
+    ``_slide_phases``. It depends on the bins, the step and ``a`` alone, not
+    on where the span starts."""
     k = np.frombuffer(bins, dtype=np.intp)
     length = signal.SIGNAL_LENGTH
-    project, _ = _slide_phases(bins, step)
-    phased = project * _roots_of_unity()[(step * a % length) * k % length]
+    roots = _roots_of_unity()
+    phased = roots[np.arange(step)[:, None] * k % length] * roots[(step * a % length) * k % length]
     phased.setflags(write=False)
     return phased
 
@@ -234,7 +230,7 @@ def _sliding_candidate_powers(x: np.ndarray, lo: int, count: int, step: int, tab
     length = signal.SIGNAL_LENGTH
     bins = table.T.ravel()  # offset-major: each window's offsets are summed over the middle axis
     key = bins.tobytes()  # one bytes object, so its hash is computed once per pass
-    _, base = _slide_phases(key, step)
+    base = _slide_phases(key, step)
     slides = (x[lo + length : lo + length + (count - 1) * step] - x[lo : lo + (count - 1) * step]).reshape(-1, step)
     # (block row, bin); row 0 holds the window before the block's first
     z = np.empty((_SCAN_BLOCK + 1, bins.shape[0]), dtype=np.complex128)

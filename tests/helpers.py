@@ -33,7 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from sonicauth import channel as ch
 from sonicauth import spectrum
-from sonicauth.protocol import PLAYBACK_START_S, _own_span, _partner_lags, _to_samples
+from sonicauth.protocol import PLAYBACK_START_S, _locate_signals, _to_samples
 from sonicauth.signal import AMPLITUDE_BUDGET, CANDIDATES, SAMPLE_RATE, SIGNAL_LENGTH, ReferenceSignal
 from sonicauth.spectrum import detect_pair  # bound here, so a test that patches the module's name does not reach it
 
@@ -159,8 +159,9 @@ def per_span_sliding_powers(x: np.ndarray, lo: int, count: int, step: int, table
     windows. Shape (count, N)."""
     length = SIGNAL_LENGTH
     bins = table.T.ravel()
-    project, base = spectrum._slide_phases(bins.tobytes(), step)
+    base = spectrum._slide_phases(bins.tobytes(), step)
     roots = spectrum._roots_of_unity()
+    project = roots[np.arange(step)[:, None] * bins % length]
     span = (count - 1) * step
     slides = (x[lo + length : lo + length + span] - x[lo : lo + span]).reshape(count - 1, step)
     z = np.empty((spectrum._SCAN_BLOCK + 1, bins.shape[0]), dtype=np.complex128)
@@ -227,23 +228,9 @@ def session_locations(recordings, refs, rates, gap: int, speed_of_sound: float) 
     authenticating and the vouching signal, ``rates`` the two recorders'
     rates."""
     (rec_a, rec_v), (sig_a, sig_v), (f_a, f_v) = recordings, refs, rates
-    start = _to_samples(PLAYBACK_START_S)
-    aa, av = detect_pair(
-        rec_a,
-        sig_a,
-        sig_v,
-        sample_rate=f_a,
-        own_span=_own_span(start, f_a),
-        partner_lags=_partner_lags(gap, f_a, speed_of_sound),
-    )
-    vv, va = detect_pair(
-        rec_v,
-        sig_v,
-        sig_a,
-        sample_rate=f_v,
-        own_span=_own_span(start + gap, f_v),
-        partner_lags=_partner_lags(-gap, f_v, speed_of_sound),
-    )
+    at_a = _to_samples(PLAYBACK_START_S)
+    aa, av = _locate_signals(rec_a, sig_a, sig_v, f_a, at_a, at_a + gap, speed_of_sound)
+    vv, va = _locate_signals(rec_v, sig_v, sig_a, f_v, at_a + gap, at_a, speed_of_sound)
     return {"l_aa": aa.location, "l_av": av.location, "l_va": va.location, "l_vv": vv.location}
 
 

@@ -29,6 +29,7 @@ from sonicauth.protocol import (
     replay_session,
     run_authentication,
     _arrival_end,
+    _conclude,
     _own_span,
     _to_samples,
 )
@@ -95,18 +96,28 @@ class TestDecide:
             assert accepted == sorted(accepted)
 
     def test_negative_raw_clamped_to_zero(self):
+        """A negative estimate is accepted, as its clamp at 0 is; the
+        decision holds the verdict alone."""
         d = decide(-0.2, True, True, AuthPolicy(threshold_m=0.5))
-        assert d.accepted
-        assert d.estimated_distance_m == 0.0
-        assert d.raw_distance_m == -0.2
+        assert d == AuthDecision(accepted=True)
+
+    def test_conclude_writes_raw_and_clamped_estimate(self):
+        """The session's conclusion is the one writer of both distances: a
+        negative raw estimate is kept as it is, and the estimated distance is
+        its clamp at 0."""
+        t = SessionTranscript(**SESSION_INPUTS)
+        t.signal_present = True
+        t.locations = {"l_aa": 2_000, "l_av": 10_820, "l_va": 2_000, "l_vv": 10_830}
+        assert _conclude(t, AuthPolicy(threshold_m=1.0), 340.0) == AuthDecision(accepted=True)
+        assert t.raw_distance_m == pytest.approx(-170.0 * 10 / 44_100)
+        assert t.estimated_distance_m == 0.0
+        assert (t.verdict, t.reason) == ("accept", None)
 
     def test_reject_reasons(self):
         policy = AuthPolicy(threshold_m=1.0)
         assert decide(None, False, False, policy).reason is RejectReason.NOT_PAIRED
         assert decide(None, False, True, policy).reason is RejectReason.SIGNAL_NOT_PRESENT
-        exceeded = decide(5.0, True, True, policy)
-        assert exceeded.reason is RejectReason.DISTANCE_EXCEEDED
-        assert exceeded.estimated_distance_m > policy.threshold_m
+        assert decide(5.0, True, True, policy).reason is RejectReason.DISTANCE_EXCEEDED
 
     def test_decision_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -145,7 +156,7 @@ class TestRunAuthentication:
     def test_accept_at_half_metre(self):
         decision, transcript = run(0.5)
         assert decision.accepted
-        assert abs(decision.estimated_distance_m - 0.5) <= 0.2
+        assert abs(transcript.estimated_distance_m - 0.5) <= 0.2
         assert transcript.verdict == "accept"
 
     def test_reject_beyond_detect_range(self):
@@ -165,9 +176,9 @@ class TestRunAuthentication:
         assert not transcript.paired_link_ok
 
     def test_distance_exceeded_between_tau_and_detect_range(self):
-        decision, _ = run(1.8, policy=AuthPolicy(threshold_m=1.0))
+        decision, transcript = run(1.8, policy=AuthPolicy(threshold_m=1.0))
         assert decision.reason is RejectReason.DISTANCE_EXCEEDED
-        assert decision.estimated_distance_m > 1.0
+        assert transcript.estimated_distance_m > 1.0
 
     def test_transcript_recomputes_verdict(self):
         policy = AuthPolicy(threshold_m=1.0)

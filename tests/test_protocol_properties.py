@@ -1,6 +1,6 @@
-"""Property test of the span over which a device searches its own signal
-(needs ``hypothesis``, kept apart so the rest of the protocol tests collect
-without it)."""
+"""Property tests of the verdict rule and of the span over which a device
+searches its own signal (need ``hypothesis``, kept apart so the rest of the
+protocol tests collect without it)."""
 
 import math
 
@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from sonicauth.channel import BASE_SAMPLE_RATE
 from sonicauth.protocol import (
+    PAIRING_RANGE_M,
     PARTNER_LAG_TOLERANCE,
     PLAYBACK_GAP_SAMPLES,
     PLAYBACK_START_S,
     START_JITTER_SAMPLES,
+    AuthPolicy,
+    decide,
     _own_span,
     _to_samples,
 )
@@ -38,3 +41,18 @@ def test_own_onset_lies_inside_the_span(jitter, skew, vouching):
     onset = (nominal + jitter) * rate / BASE_SAMPLE_RATE
     assert lo + PARTNER_LAG_TOLERANCE <= onset <= hi - PARTNER_LAG_TOLERANCE
     assert len(range(math.ceil(lo / FINE_STEP) * FINE_STEP, hi + 1, FINE_STEP)) <= 49
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    raw=st.floats(allow_infinity=False),
+    tau=st.floats(0.0, PAIRING_RANGE_M, exclude_min=True, exclude_max=True),
+)
+@example(raw=-0.0, tau=0.5)
+@example(raw=-1e300, tau=5e-324)
+@example(raw=float("nan"), tau=1.0)
+def test_verdict_is_the_clamped_estimate_within_the_threshold(raw, tau):
+    """Comparing the raw estimate with the threshold gives the verdict its
+    clamp at 0 gives, for every finite or NaN estimate: the threshold is
+    above 0."""
+    assert decide(raw, True, True, AuthPolicy(tau)).accepted == (max(raw, 0.0) <= tau)

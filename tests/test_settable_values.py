@@ -32,19 +32,19 @@ from sonicauth import cli
 # module added or deleted cannot drop out of the count unnoticed.
 MODULES = tuple(importlib.import_module(f"sonicauth.{info.name}") for info in pkgutil.iter_modules(sonicauth.__path__))
 
-# 51 dataclass fields + 14 defaulted parameters + 33 flags. The last removal
-# took 15 values: the 13 ``SessionTranscript`` fields a session writes
-# (``freqs_a``, ``freqs_v``, ``locations``, ``peak_norm_powers``,
-# ``playback_start``, ``playback_gap``, ``signal_present``, ``raw_distance_m``,
-# ``estimated_distance_m``, ``verdict``, ``reason``, ``session_seed`` and
-# ``link_log``, now ``init=False``), ``fit_sigma(detect_range_m=)`` and
-# ``fit-sigma --ds``.
-BOUND = 98
-# 15 defaulted dataclass fields + 14 defaulted parameters + 30 flags not
-# required (--sigma, --frr and --kind are). Besides the 15 values above, the
-# defaults of ``SessionTranscript.sample_rates``, ``.threshold_m`` and
-# ``ExperimentReport.meta`` went: every caller sets them.
-OPTIONAL = 59
+# 49 dataclass fields + 14 defaulted parameters + 33 flags. The last removal
+# took 2 values, ``AuthDecision.estimated_distance_m`` and ``.raw_distance_m``:
+# a decision holds the verdict alone, and the session's transcript is the one
+# record of both distances. The one before took 15: the 13
+# ``SessionTranscript`` fields a session writes (now ``init=False``),
+# ``fit_sigma(detect_range_m=)`` and ``fit-sigma --ds``.
+BOUND = 96
+# 13 defaulted dataclass fields + 14 defaulted parameters + 30 flags not
+# required (--sigma, --frr and --kind are). Both ``AuthDecision`` fields
+# above had a default. The removal before also took the defaults of
+# ``SessionTranscript.sample_rates``, ``.threshold_m`` and
+# ``ExperimentReport.meta``: every caller sets them.
+OPTIONAL = 57
 
 
 def _defined_in(module, obj) -> bool:

@@ -69,6 +69,14 @@ class TestSampleSpec:
             spec = sample_spec(rng)
             assert 0 < spec.tone_count < BIN_COUNT
 
+    def test_tones_are_the_candidates_own_floats(self):
+        """A drawn tone set holds ``CANDIDATES``' own float objects, so a
+        transcript that keeps it holds no floats of its own for its tones."""
+        rng = np.random.default_rng(47)
+        for _ in range(50):
+            for f in sample_spec(rng).frequencies:
+                assert any(f is c for c in CANDIDATES)
+
     def test_uniform_over_subsets_small_grid(self):
         """The subset draw behind ``sample_spec``, over four candidates."""
         candidates = (1500.0, 2500.0, 3500.0, 4500.0)
@@ -195,7 +203,10 @@ class TestSynthesize:
             assert calls == {"render": 1, "measure": 1}
 
 
-class TestPhasorRenderer:
+class TestRenderingMatchesSineLoop:
+    """The renderer, one inverse rFFT of the tones' bins per tone sum, rounds
+    to the sine loop's samples bit for bit."""
+
     @staticmethod
     def assert_matches_loop(spec):
         """The rendering at the candidates' phase table equals the sine loop's."""

@@ -241,10 +241,10 @@ class TestSlidingCandidatePowers:
     @pytest.mark.parametrize(
         "n, lo, count, step, rate",
         [
-            (30_000, 0, 151, 10, FS),  # clipped at lo = 0: anchor 0
+            (30_000, 0, 151, 10, FS),  # clipped at lo = 0: the first window starts the recording
             (4096 + 20_000, 18_000, 201, 10, FS),  # clipped at hi = max_start: the last window ends the recording
             (30_000, 12_345, 1, 10, FS),  # one window
-            (30_000, 9_000, 301, 10, FS),  # 301 windows: 300 slides, the last block holds 44
+            (30_000, 9_000, 301, 10, FS),  # a long span, 301 windows: 300 slides, the last block holds 44
             (30_000, 9_000, 301, 10, FS * 1.001),  # a skewed recorder's bin table
             (30_000, 7_777, 130, 1, FS),  # step 1: 129 slides, the last block holds one
         ],
@@ -270,9 +270,9 @@ class TestSingleSpanSlidingPass:
     @pytest.mark.parametrize(
         "lo, count, step, rate",
         [
-            (0, 151, 10, FS),  # clipped at lo = 0: anchor 0
-            (23_500, 241, 10, FS),  # clipped at max_start 25 904: anchor 25 000
-            (9_000, 301, 10, FS),  # a full own span: 300 slides, the last block holds 44
+            (0, 151, 10, FS),  # clipped at lo = 0: the first window starts the recording
+            (23_500, 241, 10, FS),  # clipped at max_start 25 904: the last window starts at 25 900
+            (9_000, 301, 10, FS),  # a long span, 301 windows: 300 slides, the last block holds 44
             (11_000, 137, 10, FS),  # a partner's gap window
             (7_777, 130, 1, FS),  # step 1
             (8_500, 301, 10, FS * 1.001),  # a skewed recorder's bin table
@@ -296,8 +296,8 @@ class TestSingleSpanSlidingPass:
 
     def test_traced_peak_of_a_full_span(self):
         """The pass squares each block's powers in its own slide buffer, so a
-        full span's scratch stays under 650 KB (616 KB measured): the slide
-        buffer (about 343 KB), the powers it returns (72 KB), the span's
+        301-window span's scratch stays under 650 KB (616 KB measured): the
+        slide buffer (about 343 KB), the powers it returns (72 KB), the span's
         slides, the first window's rFFT and a block's phase products, with no
         power buffers beside them. Two stacked spans took 1.07 MB."""
         x = _scene_recording(30_000, seed=29)
@@ -317,7 +317,7 @@ class TestSpansInSequence:
         "spans",
         [
             [(12_345, 1)],  # one window, no slide
-            [(12_345, 1), (9_000, 301)],  # a one-window span before a full one
+            [(12_345, 1), (9_000, 301)],  # a one-window span before a long one
             [(9_000, 301), (2_000, 66)],  # the shorter span's last block holds one slide
             [(2_000, 66), (15_000, 301)],  # the same, with the shorter span first
             [(2_000, 66), (15_000, 66)],  # both spans' last blocks hold one slide
