@@ -249,7 +249,7 @@ def _partner_lags(first: int, sample_rate: float, speed_of_sound: float) -> tupl
     """The lags from a device's own signal, in its recorder's samples, at
     which its partner's signal can arrive: from ``first`` base-rate samples
     (the playback gap at the authenticating device, minus the gap at the
-    vouching one) to that plus the travel delay at ``PAIRING_RANGE_M``,
+    vouching one) to that plus the travel delay at ``PAIRING_RANGE_M``, both
     ``_widened``."""
     return _widened(first, first + PAIRING_RANGE_M / speed_of_sound * ch.BASE_SAMPLE_RATE, sample_rate)
 
@@ -257,7 +257,7 @@ def _partner_lags(first: int, sample_rate: float, speed_of_sound: float) -> tupl
 def _own_span(nominal: int, sample_rate: float) -> tuple[int, int]:
     """The window starts, in its recorder's samples, at which a device's own
     signal can begin: its scheduled start ``nominal`` (base-rate samples)
-    give or take ``START_JITTER_SAMPLES``, ``_widened``."""
+    give or take ``START_JITTER_SAMPLES``, both ``_widened``."""
     return _widened(nominal - START_JITTER_SAMPLES, nominal + START_JITTER_SAMPLES, sample_rate)
 
 

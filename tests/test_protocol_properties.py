@@ -48,6 +48,7 @@ def test_own_onset_lies_inside_the_span(jitter, skew, vouching):
     raw=st.floats(allow_infinity=False),
     tau=st.floats(0.0, PAIRING_RANGE_M, exclude_min=True, exclude_max=True),
 )
+@example(raw=0.5, tau=0.5)
 @example(raw=-0.0, tau=0.5)
 @example(raw=-1e300, tau=5e-324)
 @example(raw=float("nan"), tau=1.0)
