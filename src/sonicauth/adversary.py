@@ -85,11 +85,11 @@ def all_frequency_signal(per_tone_power: float, duration: int) -> np.ndarray:
 
 def _unit_sine_powers() -> list[float]:
     """Each candidate's power measured by the detector's kernel on one period
-    of a unit sine at it. The sines are measured one at a time: a 30-window
-    block would hold about 2 MB at import."""
+    of a unit sine at it, each period a one-window span."""
     table = spectrum.candidate_bin_table(SAMPLE_RATE)
     one, zero = np.ones(1), np.zeros(1)
-    return [float(spectrum._window_powers(_period([i], one, zero), table)[i]) for i in range(BIN_COUNT)]
+    periods = (_period([i], one, zero) for i in range(BIN_COUNT))
+    return [float(spectrum._sliding_candidate_powers(p, 0, 1, 1, table)[0, i]) for i, p in enumerate(periods)]
 
 
 # Measured once, at import; every calibration scales from them.

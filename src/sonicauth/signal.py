@@ -227,11 +227,11 @@ _PHASES = np.pi * np.arange(BIN_COUNT) ** 2 / BIN_COUNT
 _PHASES.setflags(write=False)
 
 
-def _leakage_ratio(measured: np.ndarray, in_set: np.ndarray, spec: SignalSpec) -> float:
+def _leakage_ratio(measured: np.ndarray, index: np.ndarray, in_set: np.ndarray) -> float:
     """Worst out-of-set candidate power, from a rendering's measured candidate
-    powers, relative to the absence threshold. The in-set powers are summed in
-    tone order, as the signal's ``total_power`` will sum them."""
-    beta = spectrum.beta(_left_sum(measured[in_set].tolist()), spec.tone_count)
+    powers, relative to the absence threshold. The tones' powers, at their
+    indices ``index``, are summed in tone order, as ``total_power`` sums them."""
+    beta = spectrum.beta(_left_sum(measured[index].tolist()), index.size)
     if in_set.all() or beta == 0.0:
         return 0.0
     return float(measured[~in_set].max() / beta)
@@ -273,8 +273,8 @@ def synthesize(spec: SignalSpec) -> ReferenceSignal:
     """
     index, in_set = spectrum.in_set_mask(spec.frequencies)
     samples = _render(spec, index, _PHASES[index])
-    measured = spectrum._window_powers(samples, spectrum.candidate_bin_table(SAMPLE_RATE))
-    leak = _leakage_ratio(measured, in_set, spec)
+    measured = spectrum._sliding_candidate_powers(samples, 0, 1, 1, spectrum.candidate_bin_table(SAMPLE_RATE))[0]
+    leak = _leakage_ratio(measured, index, in_set)
     if leak >= 1.0:  # the detector's absence gate is strict: p_out < beta
         raise ValueError(
             f"cannot synthesize tones {spec.frequencies} under beta_ratio={spectrum.BETA_RATIO}: "

@@ -20,23 +20,25 @@ is located, the partner's can only arrive within one window of lags
 (two-way ranging after BeepBeep, Peng et al., SenSys 2007), about 137
 windows. A device that cannot place its own signal has no lag to search
 from: its partner is absent too, and is not scanned.
-Each search is one span of evenly spaced windows, scanned by a sliding DFT
-over the bins the candidates read: the first window's bins come from one
-rFFT and each later window's from the samples that enter and leave it. Each
+Every candidate power comes from one kernel: a span of evenly spaced
+windows, scanned by a sliding DFT over the bins the candidates read
+(``_sliding_candidate_powers``). The first window's bins come from one rFFT
+and each later window's from the samples that enter and leave it. Each
 block of slides takes one phase product and one running sum, which adds the
 block's windows one row after another, so each bin is summed in window
-order, as a cumulative sum would sum it. Once a block's sums are complete,
-its powers are squared in place in the slide buffer itself, so the pass
-holds no power buffers of its own.
+order, as a cumulative sum would sum it. A block's powers are squared in
+place in the slide buffer itself, so the pass holds no power buffers of its
+own. A one-window span, one rFFT, is its window's exact measurement: row 0
+of every span, a synthesized signal's nominal powers and the reported peak.
 Each signal's gate (tone indices, out-of-set indices, presence floors and
 ``beta``) is built once per search and read by the sliding and exact
-scores. The sliding scores only pick the window. The exact one-window
-kernel (``_window_score``) then scores that window; its score is the
-reported peak, and the detection is declared absent when it stays below
-``EPSILON`` times the signal's total nominal power. So a located window
-whose exact score fails a gate is not present, and scanning the located
-window alone reproduces the peak bit for bit by construction: a one-window
-span's pick is that window, rescored by the same kernel.
+scores. The sliding scores only pick the window, which is then rescored as
+a one-window span (``_window_score``): that score is the reported peak, and
+the detection is declared absent when it stays below ``EPSILON`` times the
+signal's total nominal power. So a located window whose exact score fails a
+gate is not present, and scanning it alone reproduces the peak bit for bit.
+A span whose every window fails a gate is not rescored: its pick's exact
+score is its row 0, -inf.
 
 The tone set, the nominal powers and their total all come from the
 ``ReferenceSignal``; the candidates are ``signal.CANDIDATES``, and every
@@ -122,13 +124,14 @@ def frequency_bin(freq: float, sample_rate: float) -> int:
 @lru_cache(maxsize=4)
 def candidate_bin_table(sample_rate: float) -> np.ndarray:
     """(N, 2*THETA+1) one-sided bin indices per candidate, clamped then folded,
-    around each candidate's ``frequency_bin``. Built once per rate and shared
+    around each candidate's ``frequency_bin``, in Fortran order, so that the
+    kernel's offset-major bins are a view. Built once per rate and shared
     read-only; ``frequency_bin`` refuses a rate that puts a candidate off the
     spectrum. ``detect_pair`` checks the rate before it reads the table."""
     length = signal.SIGNAL_LENGTH
     first = np.array([frequency_bin(f, sample_rate) for f in signal.CANDIDATES], dtype=np.intp)
     k = np.clip(first[:, None] + np.arange(-THETA, THETA + 1), 0, length - 1)
-    table = np.where(k > length // 2, length - k, k)
+    table = np.asfortranarray(np.where(k > length // 2, length - k, k))
     table.setflags(write=False)
     return table
 
@@ -143,26 +146,14 @@ def _ordered_sum(rows: np.ndarray) -> np.ndarray:
     """Sum over the first axis, one row after another. ``ndarray.sum`` and
     ``np.add.reduce`` add pairwise along the axis fastest in memory, so they
     add in row order only when another axis is faster: over a C-contiguous
-    array with more than one element per row, one ``add.reduce`` adds whole
-    rows in order, each addition a contiguous vector add. Two layouts are
-    made to fit. A lone window's bin gather, (2*THETA+1, N) with strides
-    (8, 88), is copied C-contiguous first; a lone window's gated powers,
-    (n, 1), hold their summed axis alone, so they are added as floats left
-    to right. The same window then sums the same bits alone and in a block."""
+    array with more than one element per row, such as a block's gathered
+    powers, (n, W), one ``add.reduce`` adds whole rows in order, each
+    addition a contiguous vector add. A lone window's gathered powers, (n,
+    1), hold their summed axis alone, so they are added as floats left to
+    right. The same window then sums the same bits alone and in a block."""
     if rows.size == rows.shape[0]:
         return np.array([signal._left_sum(rows.ravel().tolist())])
-    return np.add.reduce(np.ascontiguousarray(rows), axis=0)
-
-
-def _window_powers(windows: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per-candidate powers of one window, (N,), or of a block of windows as
-    rows, (N, windows): the same bits for a window alone and in a block. A
-    candidate's power sums the 2*THETA+1 bins around its index in ``table``;
-    synthesis measures its nominal powers with it, and detection its windows.
-    The bins are gathered offset-major, each squared, and the offsets added
-    one after another."""
-    spec = np.fft.rfft(windows).T[table.T]
-    return _ordered_sum(spec.real**2 + spec.imag**2)
+    return np.add.reduce(rows, axis=0)
 
 
 @lru_cache(maxsize=1)
@@ -206,51 +197,52 @@ def _block_phases(bins: bytes, step: int, a: int) -> np.ndarray:
     return phased
 
 
+def _offset_sums(rows: np.ndarray, out: np.ndarray) -> None:
+    """Powers of the complex bin rows ``rows``, (n, K), offset-major, into
+    ``out``, (n, N): ``re*re + im*im`` per bin, squared in place in the rows'
+    interleaved parts, with each candidate's offsets added in order."""
+    parts = rows.view(np.float64)
+    np.multiply(parts, parts, out=parts)
+    real = parts[:, 0::2]
+    np.add(real, parts[:, 1::2], out=real)
+    np.einsum("woc->wc", real.reshape(rows.shape[0], -1, out.shape[1]), out=out)
+
+
 def _sliding_candidate_powers(x: np.ndarray, lo: int, count: int, step: int, table: np.ndarray) -> np.ndarray:
     """Per-candidate powers, (count, N), of the ``count`` windows
     ``x[s:s+length]``, ``s = lo + j*step``, by a sliding DFT over the table's
     bins only (Jacobsen and Lyons, "The sliding DFT", IEEE Signal Processing
-    Magazine, 2003).
+    Magazine, 2003). A candidate's power sums the 2*THETA+1 bins around its
+    index in ``table``. A one-window span is one rFFT, with no slide buffer.
 
     Bin k of window j, times ``W**(k*step*j)``, keeps that bin's power, and
     from window j to j+1 it grows by ``W**(k*step*j)`` times the samples that
     enter minus those that leave, ``x[s_j+length+m] - x[s_j+m]``, projected on
-    ``W**(k*m)``. The first window comes from one rFFT. Each block of
-    ``_SCAN_BLOCK`` slides is one real matmul against the block's phased
-    projections (``_block_phases``, cached, the complex table read as
-    interleaved real and imaginary parts), one phase product and a running
-    sum that carries on from the block before. The
+    ``W**(k*m)``. Each block of ``_SCAN_BLOCK`` slides is one real matmul
+    against the block's phased projections (``_block_phases``, cached, the
+    complex table read as interleaved real and imaginary parts), one phase
+    product and a running sum that carries on from the block before. The
     running sum adds the block's rows one after another, so each bin is
     summed in window order, as ``np.cumsum`` along the windows would sum it,
     but with each addition one contiguous vector add. The block's last row is
-    then carried into row 0, and the rows are squared in place, into their
-    real parts, which the offset sum reads, so the pass holds no power
-    buffers of its own. Every phase is read by integer index from the table
-    of roots of unity."""
+    then carried into row 0, and the rows are squared in place
+    (``_offset_sums``), so the pass holds no power buffers of its own. Every
+    phase is read by integer index from the table of roots of unity."""
     length = signal.SIGNAL_LENGTH
     bins = table.T.ravel()  # offset-major: each window's offsets are summed over the middle axis
+    first = np.fft.rfft(x[lo : lo + length])[bins][None]
+    out = np.empty((count, table.shape[0]))
+    if count == 1:
+        _offset_sums(first, out)
+        return out
     key = bins.tobytes()  # one bytes object, so its hash is computed once per pass
     base = _slide_phases(key, step)
     slides = (x[lo + length : lo + length + (count - 1) * step] - x[lo : lo + (count - 1) * step]).reshape(-1, step)
     # (block row, bin); row 0 holds the window before the block's first
     z = np.empty((_SCAN_BLOCK + 1, bins.shape[0]), dtype=np.complex128)
     rows = list(z)
-    z[0] = z[1] = np.fft.rfft(x[lo : lo + length])[bins]
-    out = np.empty((count, table.shape[0]))
-    parts = z.view(np.float64)
-
-    def offset_sum(n: int, at: int) -> None:
-        """Powers of rows ``1:n+1``, ``re*re + im*im`` per bin with each
-        candidate's offsets added in order, into windows ``at:`` of ``out``:
-        the rows' interleaved parts are squared in place in one contiguous
-        product, and the imaginary squares added into the real slots."""
-        block = parts[1 : n + 1]
-        np.multiply(block, block, out=block)
-        np.add(block[:, 0::2], block[:, 1::2], out=block[:, 0::2])
-        by_offset = block[:, 0::2].reshape(n, table.shape[1], table.shape[0])
-        np.einsum("woc->wc", by_offset, out=out[at : at + n])
-
-    offset_sum(1, 0)  # the first window, from its copy in row 1: row 0 carries it into the first block
+    z[0] = first
+    _offset_sums(first, out[:1])  # squared in place once row 0 holds its copy
     for a in range(0, count - 1, _SCAN_BLOCK):
         d = slides[a : a + _SCAN_BLOCK]
         n = d.shape[0]
@@ -259,7 +251,7 @@ def _sliding_candidate_powers(x: np.ndarray, lo: int, count: int, step: int, tab
         for i in range(1, n + 1):
             np.add(rows[i - 1], rows[i], out=rows[i])
         z[0] = z[n]  # carried before the rows are squared
-        offset_sum(n, a + 1)
+        _offset_sums(z[1 : n + 1], out[a + 1 : a + n + 1])
     return out
 
 
@@ -294,10 +286,9 @@ def _gated_scores(cand_powers: np.ndarray, gate: tuple) -> np.ndarray:
 
 
 def _window_score(x: np.ndarray, start: int, gate: tuple, table: np.ndarray) -> float:
-    """Gated normalized power of the one window ``x[start:start+SIGNAL_LENGTH]``
-    by the exact one-window kernel: the score a detection reports."""
-    powers = _window_powers(x[start : start + signal.SIGNAL_LENGTH], table)
-    return float(_gated_scores(powers[None], gate)[0])
+    """Gated normalized power of the one window ``x[start:start+SIGNAL_LENGTH]``,
+    measured as a one-window span: the score a detection reports."""
+    return float(_gated_scores(_sliding_candidate_powers(x, start, 1, FINE_STEP, table), gate)[0])
 
 
 def _samples(x: np.ndarray, what: str) -> np.ndarray:
@@ -331,15 +322,19 @@ def _check_span(value, name: str) -> None:
 
 def _locate(x: np.ndarray, sig: "ReferenceSignal", lo: int, hi: int, table: np.ndarray) -> DetectionOutcome:
     """``sig``'s outcome over the ``FINE_STEP``-grid window starts in ``[lo,
-    hi]`` that fit the recording: absent with no peak when none does, else
-    the sliding pass's pick, rescored by the exact kernel."""
+    hi]`` that fit the recording: absent with no peak when none does or every
+    window fails a gate, else the sliding pass's pick, rescored as a
+    one-window span."""
     lo = -(-max(0, lo) // FINE_STEP) * FINE_STEP
     hi = min(x.shape[0] - signal.SIGNAL_LENGTH, hi) // FINE_STEP * FINE_STEP
     if lo > hi:
         return DetectionOutcome(None, None)
     gate = _gate(sig)
-    powers = _sliding_candidate_powers(x, lo, (hi - lo) // FINE_STEP + 1, FINE_STEP, table)
-    loc = lo + int(np.argmax(_gated_scores(powers, gate))) * FINE_STEP
+    scores = _gated_scores(_sliding_candidate_powers(x, lo, (hi - lo) // FINE_STEP + 1, FINE_STEP, table), gate)
+    best = int(np.argmax(scores))
+    if scores[best] == -np.inf:
+        return DetectionOutcome(None, None)
+    loc = lo + best * FINE_STEP
     peak = _window_score(x, loc, gate, table)
     present = peak >= EPSILON * sig.total_power  # False for -inf: the window failed a gate
     return DetectionOutcome(loc if present else None, None if peak == -np.inf else peak)
@@ -364,13 +359,13 @@ def detect_pair(
     alone. Once it is present at ``l``, the partner can only arrive at a lag
     the playback schedule allows, so it is searched only at the grid windows
     in ``[l + partner_lags[0], l + partner_lags[1]]`` that fit the
-    recording. A signal none of whose windows fits is absent with no peak,
-    and so is the partner of an absent own signal, which is not scanned: it
-    has no lag to search from. Each search is one span of the sliding DFT.
-    Ties break to the smallest index. The sliding scores only pick the
-    window; that window's exact score (``_window_score``) is the reported
-    peak and decides presence, so a window whose exact score fails a gate is
-    not present.
+    recording. A signal none of whose windows fits or passes the gates is
+    absent with no peak, and so is the partner of an absent own signal,
+    which is not scanned: it has no lag to search from. Each search is one
+    span of the sliding DFT. Ties break to the smallest index. The sliding
+    scores only pick the window; that window's exact score
+    (``_window_score``) is the reported peak and decides presence, so a
+    window whose exact score fails a gate is not present.
 
     The rate must be a finite real number above the highest candidate; it is
     checked before ``candidate_bin_table``'s cache would hash it. The span

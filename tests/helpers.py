@@ -3,13 +3,12 @@ command line writes.
 
 The oracles deliberately avoid the production code paths: per-bin powers come
 from direct complex projections, cumulative sums or one full rFFT per window
-instead of the package's sliding kernel. Five references are the
-exception. The batched rFFT kernel reads blocks of windows with the
-package's one-window kernel, so its rows are that kernel's bits. The per-span
-sliding DFT is the search with the package's phase tables, summed by
-``np.cumsum``: the sliding pass must reproduce it bit for bit. The per-span
-detector is the own-first detector with the package's gates and that
-per-span sliding DFT. The session locator repeats a session's Step IV with
+instead of the package's sliding kernel. Four references are the
+exception. The per-span sliding DFT is the search with the package's phase
+tables, summed by ``np.cumsum``: the sliding pass must reproduce it bit for
+bit. The per-span detector is the own-first detector with the package's
+gates and that per-span sliding DFT, and it rescores every pick, even one
+whose span fails every gate. The session locator repeats a session's Step IV with
 the package's own spans and partner lags, to check that a replay or a dump
 finds the transcript's locations. The full-buffer recording propagates each emission
 into a zeroed buffer of the whole scene, with an inline phase ramp, and sums
@@ -141,14 +140,19 @@ def sliding_candidate_powers(
 def batch_candidate_powers(x: np.ndarray, starts: slice, table: np.ndarray) -> np.ndarray:
     """Per-candidate powers, (windows, N), of the windows of ``x`` starting at
     ``starts``: one rFFT per window, ``spectrum._SCAN_BLOCK`` windows at a
-    time, read in place from the recording as a strided view by the
-    package's one-window kernel, which gives a window's bits alone and in a
-    block."""
+    time, read in place from the recording as a strided view. Each
+    candidate's 2*THETA+1 bins are gathered, squared and added one offset
+    after another, the order the package's kernel adds them in."""
     windows = sliding_window_view(x, SIGNAL_LENGTH)[starts]
-    out = np.empty((table.shape[0], windows.shape[0]))
+    out = np.empty((windows.shape[0], table.shape[0]))
     for i in range(0, windows.shape[0], spectrum._SCAN_BLOCK):
-        out[:, i : i + spectrum._SCAN_BLOCK] = spectrum._window_powers(windows[i : i + spectrum._SCAN_BLOCK], table)
-    return out.T
+        gathered = np.fft.rfft(windows[i : i + spectrum._SCAN_BLOCK])[:, table]
+        power = gathered.real**2 + gathered.imag**2
+        block = out[i : i + spectrum._SCAN_BLOCK]
+        block[:] = power[:, :, 0]
+        for offset in range(1, table.shape[1]):
+            block += power[:, :, offset]
+    return out
 
 
 def per_span_sliding_powers(x: np.ndarray, lo: int, count: int, step: int, table: np.ndarray) -> np.ndarray:

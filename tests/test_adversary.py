@@ -15,8 +15,9 @@ from sonicauth.signal import AMPLITUDE_BUDGET, BIN_COUNT, CANDIDATES, SAMPLE_RAT
 
 
 def measure(window):
-    """Per-candidate powers of one signal-long window at the nominal rate."""
-    return spectrum._window_powers(window, spectrum.candidate_bin_table(SAMPLE_RATE))
+    """Per-candidate powers of one signal-long window at the nominal rate,
+    measured as a one-window span."""
+    return spectrum._sliding_candidate_powers(window, 0, 1, 1, spectrum.candidate_bin_table(SAMPLE_RATE))[0]
 
 
 def uncached_all_frequency_signal(per_tone_power, duration):
@@ -123,13 +124,13 @@ class TestAllFrequencySignal:
         import: building waveforms measures no window."""
         adv._all_frequency_waveform.cache_clear()
         calls = []
-        window_powers = spectrum._window_powers
+        span_powers = spectrum._sliding_candidate_powers
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return window_powers(*args, **kwargs)
+            return span_powers(*args, **kwargs)
 
-        monkeypatch.setattr(spectrum, "_window_powers", counting)
+        monkeypatch.setattr(spectrum, "_sliding_candidate_powers", counting)
         first = adv.all_frequency_signal(1.0e10, 8192)
         assert adv.all_frequency_signal(1.0e10, 8192) is first
         adv.all_frequency_signal(2.0e10, 8192)

@@ -196,7 +196,9 @@ class TestSynthesize:
             return wrapper
 
         monkeypatch.setattr(sg, "_render", counting("render", sg._render))
-        monkeypatch.setattr(spectrum, "_window_powers", counting("measure", spectrum._window_powers))
+        monkeypatch.setattr(
+            spectrum, "_sliding_candidate_powers", counting("measure", spectrum._sliding_candidate_powers)
+        )
         for seed in (0, 1, 3):
             calls.clear()
             synthesize(sample_spec(np.random.default_rng(seed)))
@@ -314,12 +316,10 @@ class TestLeftToRightTotals:
         assert sig.total_power == 1e16
 
     def test_leakage_ratio(self):
-        spec = SignalSpec(frequencies=CANDIDATES[:3])
-        in_set = np.zeros(BIN_COUNT, dtype=bool)
-        in_set[:3] = True
+        index, in_set = spectrum.in_set_mask(CANDIDATES[:3])
         measured = np.ones(BIN_COUNT)
         measured[:3] = self.POWERS
-        assert sg._leakage_ratio(measured, in_set, spec) == 1.0 / spectrum.beta(1e16, 3)
+        assert sg._leakage_ratio(measured, index, in_set) == 1.0 / spectrum.beta(1e16, 3)
 
     def test_all_frequency_budget(self):
         """At this power the spoofer's 30 amplitudes total 32000.000000000004

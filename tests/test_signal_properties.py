@@ -59,7 +59,7 @@ def test_rounding_moves_candidate_norms_by_at_most_half_the_length(data):
     x = sg._period(index, amps, phases)
     table = spectrum.candidate_bin_table(SAMPLE_RATE)
     norms = np.sqrt((np.abs(np.fft.rfft(x)[table]) ** 2).sum(axis=1))
-    measured = spectrum._window_powers(sg._render(spec, index, phases), table)
+    measured = spectrum._sliding_candidate_powers(sg._render(spec, index, phases), 0, 1, 1, table)[0]
     bound = SIGNAL_LENGTH / 2
     assert np.all(np.maximum(norms - bound, 0.0) ** 2 <= measured)
     assert np.all(measured <= (norms + bound) ** 2)
@@ -88,8 +88,8 @@ def test_one_rendering_per_tone_set(data):
     spec = SignalSpec(frequencies=tuple(CANDIDATES[i] for i in index))
     sig = synthesize(spec)
     in_index, in_set = spectrum.in_set_mask(spec.frequencies)
-    measured = spectrum._window_powers(sig.samples, spectrum.candidate_bin_table(SAMPLE_RATE))
-    assert sg._leakage_ratio(measured, in_set, spec) <= 1e-6
+    measured = spectrum._sliding_candidate_powers(sig.samples, 0, 1, 1, spectrum.candidate_bin_table(SAMPLE_RATE))[0]
+    assert sg._leakage_ratio(measured, in_index, in_set) <= 1e-6
     assert np.max(np.abs(sig.samples.astype(np.int64))) <= AMPLITUDE_BUDGET
     again = synthesize(SignalSpec(frequencies=tuple(reversed(spec.frequencies))))
     assert np.array_equal(again.samples, sig.samples)

@@ -171,9 +171,9 @@ def _per_window_candidate_powers(x, starts, length, table):
 
 
 class TestBatchCandidatePowers:
-    """The batched rFFT reference, the package's gather-then-square kernel
-    over strided blocks of windows, must equal the per-window spectra bit for
-    bit, on every kind of window range."""
+    """The batched rFFT reference, a gather-then-square kernel over strided
+    blocks of windows, must equal the per-window spectra bit for bit, on
+    every kind of window range."""
 
     @staticmethod
     def _noise(n, seed):
@@ -342,10 +342,10 @@ class TestSpansInSequence:
             assert np.array_equal(powers, want)
 
 
-class TestWindowPowers:
-    """The one-window kernel behind the synthesizer's nominal powers and the
-    reported peak equals the batched kernel's row for that window,
-    bit for bit."""
+class TestOneWindowSpan:
+    """A one-window span, the exact measurement behind the synthesizer's
+    nominal powers, the spoofer's calibration and the reported peak, equals
+    the batched rFFT reference's row for that window, bit for bit."""
 
     def test_candidate_sine_equals_direct_projections(self):
         """A sine at a candidate's frequency: every candidate's power equals
@@ -353,7 +353,7 @@ class TestWindowPowers:
         most power."""
         i, amp = 11, 7.5
         x = amp * np.sin(2 * np.pi * CANDIDATES[i] * np.arange(4096) / FS)
-        powers = spectrum._window_powers(x, candidate_bin_table(FS))
+        powers = _sliding_candidate_powers(x, 0, 1, 1, candidate_bin_table(FS))[0]
         want = [direct_candidate_power(x, f, FS, 4096, spectrum.THETA) for f in CANDIDATES]
         np.testing.assert_allclose(powers, want, rtol=1e-9, atol=1e-6)
         assert int(np.argmax(powers)) == i
@@ -364,21 +364,24 @@ class TestWindowPowers:
         table = candidate_bin_table(rate)
         starts = np.random.default_rng(26).integers(0, 30_000 - 4096 + 1, 500)
         for s in starts:
-            got = spectrum._window_powers(x[s : s + 4096], table)
+            got = _sliding_candidate_powers(x, s, 1, 10, table)[0]
             want = batch_candidate_powers(x, slice(s, s + 1), table)[0]
             assert np.array_equal(got, want)
 
 
 class TestLocatedWindowScore:
-    """The fine scan's sliding scores only pick the window. The exact
-    one-window kernel scores that window, and its score is both the reported
+    """The fine scan's sliding scores only pick the window. A one-window
+    span rescores that window exactly, and its score is both the reported
     peak and the presence verdict."""
 
     @staticmethod
     def _scored(monkeypatch, x, sigs):
         """(signal, outcome, scored window start, exact score) per searched
         signal, the own one at about 3 000. The partner of an absent own
-        signal is not searched: it is absent with no peak, and left out."""
+        signal is not searched: it is absent with no peak, and left out. A
+        searched signal whose every window fails a gate is not rescored: it
+        is absent with no peak, and scored here as the pick it would have
+        rescored, its span's first window, at -inf."""
         gates, scored = [], {}
         make_gate, exact = spectrum._gate, spectrum._window_score
 
@@ -398,7 +401,11 @@ class TestLocatedWindowScore:
         assert len(gates) == (1 if outcomes[0].location is None else 2)
         if len(gates) == 1:
             assert outcomes[1] == DetectionOutcome(None, None)
-        return [(sig, out, *scored[id(gate)]) for sig, out, gate in zip(sigs, outcomes, gates)]
+        firsts = (OWN_SPAN[0], (outcomes[0].location or 0) + 13_500)  # each span's first window, on the grid
+        return [
+            (sig, out, *scored.get(id(gate), (first, -np.inf)))
+            for sig, out, gate, first in zip(sigs, outcomes, gates, firsts)
+        ]
 
     def test_peak_is_norm_power_of_the_located_window(self, monkeypatch):
         """Scenes with the second signal absent, clearly present, or scaled to
@@ -452,6 +459,40 @@ class TestLocatedWindowScore:
         absent = DetectionOutcome(None, None)
         outcomes = detect_pair(x, sig, sig, sample_rate=FS, own_span=(13_500, 16_500), partner_lags=(0, 0))
         assert outcomes == (absent, absent)
+
+    @pytest.mark.parametrize("scene", ["noise", "loud_out_of_set_tone"])
+    def test_span_failing_every_gate_takes_one_rfft(self, monkeypatch, scene):
+        """A span whose every window fails a gate is absent with no peak
+        after its one rFFT, and is not rescored: its pick would be its first
+        window, whose exact score, row 0 of the span, is -inf. In noise alone
+        every window fails the presence gate; with the signal played under a
+        loud out-of-set tone, the absence gate."""
+        sig = _without_first_candidate()
+        rng = np.random.default_rng(2808)
+        x = rng.normal(0.0, 25.0, 30_000)
+        if scene == "loud_out_of_set_tone":
+            x += _embed(sig, 15_000, 10_904) + 3000.0 * np.sin(2 * np.pi * CANDIDATES[0] * np.arange(30_000) / FS)
+        x = np.rint(x)
+        table = candidate_bin_table(FS)
+        scores = spectrum._gated_scores(_sliding_candidate_powers(x, 13_500, 301, 10, table), spectrum._gate(sig))
+        assert np.all(scores == -np.inf)
+        shapes, rescored = [], []
+        rfft, exact = np.fft.rfft, spectrum._window_score
+
+        def counting(*args, **kwargs):
+            shapes.append(args[0].shape)
+            return rfft(*args, **kwargs)
+
+        def spy(*args):
+            rescored.append(args[1])
+            return exact(*args)
+
+        monkeypatch.setattr(np.fft, "rfft", counting)
+        monkeypatch.setattr(spectrum, "_window_score", spy)
+        outcomes = detect_pair(x, sig, sig, sample_rate=FS, own_span=(13_500, 16_500), partner_lags=(0, 0))
+        assert outcomes == (DetectionOutcome(None, None),) * 2
+        assert shapes == [(4096,)]
+        assert rescored == []
 
 
 def test_sliding_oracle_matches_direct_projections():
@@ -626,7 +667,9 @@ class TestOwnSpan:
         """Guessing-replay, all-frequency, crowded and office recordings, with
         the span and lags each session passed, give the per-span reference
         detector's outcomes; some of their own signals are absent, and so
-        are those signals' partners."""
+        are those signals' partners. Each attack recording holds a searched
+        span whose every window fails a gate, which the detector does not
+        rescore and the reference does."""
         recordings = []
         scan = spectrum.detect_pair
 
@@ -640,12 +683,23 @@ class TestOwnSpan:
             ev.attack_campaign(adv.AllFrequency(per_tone_power=1.0e11), 2, 2802)
             ev.multiuser_campaign(3, (0.5,), 1, 2803, min_trials=1)
             ev.distance_error_campaign("office", (0.5, 1.5), 1, 2804, min_trials=1)
-        absent_own = 0
+        rescored = []
+        exact = spectrum._window_score
+
+        def counting(*args):
+            rescored.append(args[1])
+            return exact(*args)
+
+        monkeypatch.setattr(spectrum, "_window_score", counting)
+        absent_own, unrescored = 0, []
         for x, own, partner, rate, span, lags in recordings:
             want = per_span_detect_pair(x, own, partner, rate, span, lags)
+            rescored.clear()
             assert detect_pair(x, own, partner, sample_rate=rate, own_span=span, partner_lags=lags) == want
             absent_own += want[0].location is None
+            unrescored.append(1 + (want[0].location is not None) - len(rescored))  # of the searched spans
         assert absent_own > 0
+        assert all(unrescored[:8])  # the two attack campaigns' 8 recordings
 
     def test_absent_own_signal_leaves_the_partner_unsearched(self, monkeypatch):
         """With no own signal in its span, the partner is absent with no
@@ -682,14 +736,15 @@ class TestOwnSpan:
     def test_span_clipped_at_the_recording(self, monkeypatch):
         """A span that reaches past either end keeps the grid windows that
         fit: the own signal at 3 000 of a 30 000-sample recording is found
-        from a span over it all and beyond, one pass of 2 591 windows."""
+        from a span over it all and beyond, one pass of 2 591 windows, then
+        rescored as a one-window span."""
         x, own, partner = TestPartnerWindow._scene(12_000)
         calls = _fine_spans(monkeypatch)
         out_own, out_partner = detect_pair(
             x, own, partner, sample_rate=FS, own_span=(-5_000, 40_000), partner_lags=(8_815, 10_118)
         )
         assert (out_own.location, out_partner.location) == (3_000, 12_000)
-        assert calls == [(0, 2_591), (11_820, 130)]
+        assert calls == [(0, 2_591), (3_000, 1), (11_820, 130), (12_000, 1)]
 
     @pytest.mark.parametrize("span", [(0,), (1, 0), (0.5, 10), [0, 10], (True, 10), "ab", None])
     def test_malformed_own_span_rejected(self, monkeypatch, span):
@@ -727,19 +782,20 @@ class TestPartnerWindow:
     def test_span_is_the_grid_windows_of_the_lags(self, monkeypatch):
         """Lags of 8 815 to 10 118 from the own signal at 3 000 give the grid
         windows 11 820 to 13 110: one 130-window span, after the own span's
-        49 windows from 2 760 to 3 240."""
+        49 windows from 2 760 to 3 240, each span's pick rescored as a
+        one-window span."""
         x, own, partner = self._scene(12_000)
         calls = _fine_spans(monkeypatch)
         out_own, out_partner = detect_pair(
             x, own, partner, sample_rate=FS, own_span=OWN_SPAN, partner_lags=(8_815, 10_118)
         )
         assert (out_own.location, out_partner.location) == (3_000, 12_000)
-        assert calls == [(2_760, 49), (11_820, 130)]
+        assert calls == [(2_760, 49), (3_000, 1), (11_820, 130), (12_000, 1)]
 
     def test_partner_outside_its_lags_is_absent(self, monkeypatch):
         """The same partner, searched 5 000 samples past its lag, is absent
         with no peak, and so is one whose lags leave the recording: those
-        run no fine pass for it."""
+        run no fine pass for it, only the own span's and its rescoring."""
         x, own, partner = self._scene(12_000)
         calls = _fine_spans(monkeypatch)
         absent = DetectionOutcome(None, None)
@@ -751,7 +807,7 @@ class TestPartnerWindow:
             calls.clear()
             outcomes = detect_pair(x, own, partner, sample_rate=FS, own_span=OWN_SPAN, partner_lags=lags)
             assert outcomes == (out_own, absent)
-            assert calls == [(2_760, 49)]
+            assert calls == [(2_760, 49), (3_000, 1)]
 
     def test_vouching_side_with_negative_lags(self):
         """The vouching device's own signal comes second: its partner lies at
@@ -849,8 +905,8 @@ class TestDetectPair:
     def test_rfft_shapes_of_one_scan(self, monkeypatch, office_cfg):
         """The transforms one scan of a session recording takes: for each
         signal searched, its span's first window and its exact rescoring.
-        In noise alone the own signal is absent, so its partner takes
-        none."""
+        In noise alone every window of the own span fails a gate, so it takes
+        its first window's alone, and its partner takes none."""
         auth, vouch = Endpoint("auth", (0.0, 0.0)), Endpoint("vouch", (1.0, 0.0))
         _, transcript = run_authentication(auth, vouch, AuthPolicy(), np.random.default_rng(0), office_cfg)
         sig_a, sig_v, rec_a, _ = replay_session(transcript, office_cfg)
@@ -873,7 +929,7 @@ class TestDetectPair:
         assert shapes == [(4096,)] * 4
         shapes.clear()
         assert detect_pair(noise, sig_a, sig_v, sample_rate=FS, **spans) == (DetectionOutcome(None, None),) * 2
-        assert shapes == [(4096,)] * 2
+        assert shapes == [(4096,)]
 
 
 class TestCrossCorrelate:

@@ -11,9 +11,11 @@ from sonicauth.signal import BIN_COUNT, SIGNAL_LENGTH, _left_sum, sample_spec, s
 from sonicauth.spectrum import (
     FINE_STEP,
     THETA,
+    _gate,
     _gated_scores,
     _ordered_sum,
     _sliding_candidate_powers,
+    _window_score,
     candidate_bin_table,
     detect_pair,
 )
@@ -37,31 +39,20 @@ def _left_sums(rows: np.ndarray) -> np.ndarray:
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    layout=st.sampled_from(["c_block", "column", "gather", "gather_block"]),
+    layout=st.sampled_from(["c_block", "column"]),
     n=st.integers(1, 40),
     windows=st.integers(2, 301),
 )
 def test_ordered_sum_adds_rows_left_to_right(seed, layout, n, windows):
     """``_ordered_sum`` equals a Python-float left-to-right sum bit for bit on
-    every layout the scores hand it: C-ordered (n, W) blocks of gated powers,
-    a lone window's (n, 1) column, a lone window's F-ordered (2*THETA+1, N)
-    bin gather and a block's (2*THETA+1, N, W) gather."""
+    both layouts the scores hand it: C-ordered (n, W) blocks of gated powers
+    and a lone window's (n, 1) column."""
     rng = np.random.default_rng(seed)
-    offsets = 2 * THETA + 1
     if layout == "c_block":
         rows = _spread(rng, (n, windows))
-    elif layout == "column":
-        rows = _spread(rng, (1, n)).T[rng.permutation(n)]  # a lone window's gathered powers
-    elif layout == "gather":
-        spec = _spread(rng, (SIGNAL_LENGTH // 2 + 1, 2)).view(np.complex128)[:, 0]
-        gathered = spec[candidate_bin_table(FS).T]
-        rows = gathered.real**2 + gathered.imag**2
-        assert rows.shape == (offsets, BIN_COUNT) and rows.flags.f_contiguous and not rows.flags.c_contiguous
     else:
-        spec = _spread(rng, (windows, SIGNAL_LENGTH // 2 + 1, 2)).view(np.complex128)[..., 0]
-        gathered = spec.T[candidate_bin_table(FS).T]
-        rows = gathered.real**2 + gathered.imag**2
-        assert rows.shape == (offsets, BIN_COUNT, windows)
+        rows = _spread(rng, (1, n)).T[rng.permutation(n)]  # a lone window's gathered powers
+    assert rows.flags.c_contiguous
     got = _ordered_sum(rows)
     want = _left_sums(rows)
     assert got.shape == want.shape
@@ -147,6 +138,40 @@ def test_two_spans_equal_rfft_kernel_and_per_span_pass(seed, step, counts, los, 
         want = batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), table)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
         assert np.array_equal(got, per_span_sliding_powers(x, lo, count, step, table))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 301),
+    lo=st.integers(0, 3_000),
+    level=st.floats(0.0, 1.5),
+    skew=st.sampled_from([1.0, 1.001]),
+    data=st.data(),
+)
+def test_row_zero_is_the_one_window_span(seed, count, lo, level, skew, data):
+    """For any recording, span and bin table, row 0 of the span equals the
+    one-window span at its start bit for bit, and ``_window_score`` at any
+    grid start ``lo + j*FINE_STEP`` of the span equals the gated score of
+    the one-window span there. So a span whose every window fails a gate
+    would rescore its pick, its first window, to -inf: the exact score
+    its row 0 already holds."""
+    rng = np.random.default_rng(seed)
+    sig = synthesize(sample_spec(rng))
+    n = lo + (count - 1) * FINE_STEP + SIGNAL_LENGTH
+    x = rng.normal(0.0, float(rng.uniform(20.0, 500.0)), n)
+    pos = int(rng.integers(0, n - SIGNAL_LENGTH + 1))
+    x[pos : pos + SIGNAL_LENGTH] += level * sig.samples
+    x = np.rint(x)
+    table, gate = candidate_bin_table(FS * skew), _gate(sig)
+    span = _sliding_candidate_powers(x, lo, count, FINE_STEP, table)
+    alone = _sliding_candidate_powers(x, lo, 1, FINE_STEP, table)
+    assert alone.shape == (1, BIN_COUNT)
+    assert np.array_equal(span[:1], alone)
+    assert _window_score(x, lo, gate, table) == _gated_scores(span, gate)[0]
+    start = lo + data.draw(st.integers(0, count - 1)) * FINE_STEP
+    there = _gated_scores(_sliding_candidate_powers(x, start, 1, FINE_STEP, table), gate)[0]
+    assert _window_score(x, start, gate, table) == there
 
 
 # The own signal's span in the scenes below: the whole 30 000-sample recording,
