@@ -10,7 +10,6 @@ from helpers import batch_candidate_powers, detect_own, per_span_detect_pair, pe
 from sonicauth.signal import BIN_COUNT, SIGNAL_LENGTH, _left_sum, sample_spec, synthesize
 from sonicauth.spectrum import (
     FINE_STEP,
-    THETA,
     _gate,
     _gated_scores,
     _ordered_sum,
