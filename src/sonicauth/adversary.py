@@ -86,10 +86,9 @@ def all_frequency_signal(per_tone_power: float, duration: int) -> np.ndarray:
 def _unit_sine_powers() -> list[float]:
     """Each candidate's power measured by the detector's kernel on one period
     of a unit sine at it, each period a one-window span."""
-    table = spectrum.candidate_bin_table(SAMPLE_RATE)
     one, zero = np.ones(1), np.zeros(1)
     periods = (_period([i], one, zero) for i in range(BIN_COUNT))
-    return [float(spectrum._sliding_candidate_powers(p, 0, 1, 1, table)[0, i]) for i, p in enumerate(periods)]
+    return [float(spectrum._sliding_candidate_powers(p, 0, 1, SAMPLE_RATE)[0, i]) for i, p in enumerate(periods)]
 
 
 # Measured once, at import; every calibration scales from them.
@@ -130,13 +129,17 @@ def guessing_success_probability(bin_count: int, signals: int = 1) -> float:
     """Probability that independent guesses match the session's tone sets.
 
     One signal: ``1 / (2**N - 2)`` (uniform over non-empty proper subsets),
-    in exact integers, so a count past the float range gives 0.0. Two
-    signals: the square, since the guesses are independent.
+    in exact integers. It rounds to the smallest subnormal float at 1075
+    candidates and to 0.0 from 1076 on, which is returned without building
+    the ``N``-bit integer. Two signals: the square, since the guesses are
+    independent.
     """
     if not (_is_integer(bin_count) and bin_count >= 2):
         raise ValueError(f"bin_count must be an integer of at least 2, got {bin_count!r}")
     if not (_is_integer(signals) and signals in (1, 2)):
         raise ValueError(f"signals must be 1 or 2, got {signals!r}")
+    if bin_count > 1075:
+        return 0.0
     single = 1 / ((1 << int(bin_count)) - 2)  # a numpy integer would shift in 64 bits
     return single if signals == 1 else single**2
 

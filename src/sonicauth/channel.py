@@ -48,7 +48,11 @@ DEFAULT_SMOOTHING_KERNEL = (
 
 
 def energy_normalized(taps: tuple[float, ...] | list[float]) -> tuple[float, ...]:
+    """``taps`` scaled to a sum of squares of 1. They are first divided by
+    the largest |tap|, so that no square overflows or vanishes, whatever
+    their scale; a kernel whose largest tap is 1.0 is not changed by it."""
     h = np.asarray(taps, dtype=np.float64)
+    h = h / np.max(np.abs(h))
     return tuple(h / np.sqrt((h**2).sum()))
 
 
@@ -102,8 +106,9 @@ class ChannelConfig:
         taps = self.smoothing_kernel
         if not (_is_real_sequence(taps) and all(map(_finite_real, taps))):
             raise ValueError(f"smoothing_kernel must be a non-empty sequence of finite real taps, got {taps!r}")
-        energy = float(np.sum(np.asarray(taps, dtype=np.float64) ** 2))
-        if not abs(energy - 1.0) <= 1e-6:  # False for nan: taps whose squares overflow fail
+        with np.errstate(over="ignore"):  # taps whose squares overflow fail with energy inf
+            energy = float(np.sum(np.asarray(taps, dtype=np.float64) ** 2))
+        if not abs(energy - 1.0) <= 1e-6:
             raise ValueError(f"smoothing_kernel must be finite and energy-normalized (sum of squares 1), got {energy}")
         # Stored as a tuple of floats whatever sequence it came as, so the
         # config hashes and the path memo can key on the kernel.

@@ -273,7 +273,7 @@ def synthesize(spec: SignalSpec) -> ReferenceSignal:
     """
     index, in_set = spectrum.in_set_mask(spec.frequencies)
     samples = _render(spec, index, _PHASES[index])
-    measured = spectrum._sliding_candidate_powers(samples, 0, 1, 1, spectrum.candidate_bin_table(SAMPLE_RATE))[0]
+    measured = spectrum._sliding_candidate_powers(samples, 0, 1, SAMPLE_RATE)[0]
     leak = _leakage_ratio(measured, index, in_set)
     if leak >= 1.0:  # the detector's absence gate is strict: p_out < beta
         raise ValueError(

@@ -20,9 +20,11 @@ is located, the partner's can only arrive within one window of lags
 (two-way ranging after BeepBeep, Peng et al., SenSys 2007), about 137
 windows. A device that cannot place its own signal has no lag to search
 from: its partner is absent too, and is not scanned.
-Every candidate power comes from one kernel: a span of evenly spaced
-windows, scanned by a sliding DFT over the bins the candidates read
-(``_sliding_candidate_powers``). The first window's bins come from one rFFT
+Every candidate power comes from one kernel: a span of windows
+``FINE_STEP`` samples apart, scanned by a sliding DFT over the bins the
+candidates read (``_sliding_candidate_powers``). Those bins, and so every
+phase of the pass, follow from the recorder's rate alone, which keys each
+table the kernel caches. The first window's bins come from one rFFT
 and each later window's from the samples that enter and leave it. Each
 block of slides takes one phase product and one running sum, which adds the
 block's windows one row after another, so each bin is summed in window
@@ -119,21 +121,15 @@ def frequency_bin(freq: float, sample_rate: float) -> int:
     return int(math.floor(freq / sample_rate * signal.SIGNAL_LENGTH))
 
 
-# A session reads the nominal rate's table and a skewed recorder's; four
-# entries leave room for a campaign's other recorder rates.
-@lru_cache(maxsize=4)
 def candidate_bin_table(sample_rate: float) -> np.ndarray:
     """(N, 2*THETA+1) one-sided bin indices per candidate, clamped then folded,
-    around each candidate's ``frequency_bin``, in Fortran order, so that the
-    kernel's offset-major bins are a view. Built once per rate and shared
-    read-only; ``frequency_bin`` refuses a rate that puts a candidate off the
-    spectrum. ``detect_pair`` checks the rate before it reads the table."""
+    around each candidate's ``frequency_bin``; ``frequency_bin`` refuses a
+    rate that puts a candidate off the spectrum. The detector reads it once
+    per recorder rate, through ``_slide_phases``."""
     length = signal.SIGNAL_LENGTH
     first = np.array([frequency_bin(f, sample_rate) for f in signal.CANDIDATES], dtype=np.intp)
     k = np.clip(first[:, None] + np.arange(-THETA, THETA + 1), 0, length - 1)
-    table = np.asfortranarray(np.where(k > length // 2, length - k, k))
-    table.setflags(write=False)
-    return table
+    return np.where(k > length // 2, length - k, k)
 
 
 # Slides per block in a search: bounds the sliding sums held at once (a
@@ -156,43 +152,42 @@ def _ordered_sum(rows: np.ndarray) -> np.ndarray:
     return np.add.reduce(rows, axis=0)
 
 
-@lru_cache(maxsize=1)
 def _roots_of_unity() -> np.ndarray:
     """``W**n`` for every ``n`` below ``SIGNAL_LENGTH``, ``W = exp(-2j*pi/SIGNAL_LENGTH)``."""
     length = signal.SIGNAL_LENGTH
-    roots = np.exp(-2j * np.pi * np.arange(length) / length)
-    roots.setflags(write=False)
-    return roots
+    return np.exp(-2j * np.pi * np.arange(length) / length)
 
 
-# Both signals of a scan share one bin table, and each device's clock rate
-# gives its own: two entries cover a session's two recorders.
+# Each device's clock rate gives its own bins: two entries cover a session's
+# two recorders.
 @lru_cache(maxsize=2)
-def _slide_phases(bins: bytes, step: int) -> np.ndarray:
-    """Phases of the sliding DFT over the bins ``k`` (an intp array's bytes):
-    ``W**(k*step*i)`` for the ``_SCAN_BLOCK`` slides ``i`` of one block,
-    shape (_SCAN_BLOCK, K)."""
-    k = np.frombuffer(bins, dtype=np.intp)
-    base = _roots_of_unity()[np.arange(_SCAN_BLOCK)[:, None] * (step * k) % signal.SIGNAL_LENGTH]
+def _slide_phases(sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """The offset-major bins ``k`` a recorder at ``sample_rate`` reads (its
+    ``candidate_bin_table`` transposed and flattened) and the sliding DFT's
+    phases over them, ``W**(k*FINE_STEP*i)`` for the ``_SCAN_BLOCK`` slides
+    ``i`` of one block, shape (_SCAN_BLOCK, K); both read-only."""
+    bins = candidate_bin_table(sample_rate).T.ravel()
+    base = _roots_of_unity()[np.arange(_SCAN_BLOCK)[:, None] * (FINE_STEP * bins) % signal.SIGNAL_LENGTH]
+    bins.setflags(write=False)
     base.setflags(write=False)
-    return base
+    return bins, base
 
 
-# A session's spans read at most three blocks per bin table: the partner's
-# span holds up to 138 slides, and the own span's one block is the partner's
-# first. Two tables' blocks fit, and a longer span reads its later blocks
-# through the same cache.
+# A session's spans read at most three blocks per recorder rate: the
+# partner's span holds up to 138 slides, and the own span's one block is the
+# partner's first. Two rates' blocks fit, and a longer span reads its later
+# blocks through the same cache.
 @lru_cache(maxsize=6)
-def _block_phases(bins: bytes, step: int, a: int) -> np.ndarray:
+def _block_phases(sample_rate: float, a: int) -> np.ndarray:
     """The projections of the block of slides from slide ``a`` on, phased to
-    its first slide: ``W**(k*m)`` for the ``step`` samples ``m`` of one
-    slide times ``W**(k*step*a)``, shape (step, K), for the bins ``k`` of
-    ``_slide_phases``. It depends on the bins, the step and ``a`` alone, not
+    its first slide: ``W**(k*m)`` for the ``FINE_STEP`` samples ``m`` of one
+    slide times ``W**(k*FINE_STEP*a)``, shape (FINE_STEP, K), for the bins
+    ``k`` of ``_slide_phases``. It depends on the rate and ``a`` alone, not
     on where the span starts."""
-    k = np.frombuffer(bins, dtype=np.intp)
+    k = _slide_phases(sample_rate)[0]
     length = signal.SIGNAL_LENGTH
     roots = _roots_of_unity()
-    phased = roots[np.arange(step)[:, None] * k % length] * roots[(step * a % length) * k % length]
+    phased = roots[np.arange(FINE_STEP)[:, None] * k % length] * roots[(FINE_STEP * a % length) * k % length]
     phased.setflags(write=False)
     return phased
 
@@ -208,36 +203,37 @@ def _offset_sums(rows: np.ndarray, out: np.ndarray) -> None:
     np.einsum("woc->wc", real.reshape(rows.shape[0], -1, out.shape[1]), out=out)
 
 
-def _sliding_candidate_powers(x: np.ndarray, lo: int, count: int, step: int, table: np.ndarray) -> np.ndarray:
+def _sliding_candidate_powers(x: np.ndarray, lo: int, count: int, sample_rate: float) -> np.ndarray:
     """Per-candidate powers, (count, N), of the ``count`` windows
-    ``x[s:s+length]``, ``s = lo + j*step``, by a sliding DFT over the table's
-    bins only (Jacobsen and Lyons, "The sliding DFT", IEEE Signal Processing
-    Magazine, 2003). A candidate's power sums the 2*THETA+1 bins around its
-    index in ``table``. A one-window span is one rFFT, with no slide buffer.
+    ``x[s:s+length]``, ``s = lo + j*FINE_STEP``, of a recording made at
+    ``sample_rate``, by a sliding DFT over the rate's bins only (Jacobsen and
+    Lyons, "The sliding DFT", IEEE Signal Processing Magazine, 2003). A
+    candidate's power sums the 2*THETA+1 bins around its own. A one-window
+    span is one rFFT, with no slide buffer.
 
-    Bin k of window j, times ``W**(k*step*j)``, keeps that bin's power, and
-    from window j to j+1 it grows by ``W**(k*step*j)`` times the samples that
-    enter minus those that leave, ``x[s_j+length+m] - x[s_j+m]``, projected on
-    ``W**(k*m)``. Each block of ``_SCAN_BLOCK`` slides is one real matmul
-    against the block's phased projections (``_block_phases``, cached, the
-    complex table read as interleaved real and imaginary parts), one phase
-    product and a running sum that carries on from the block before. The
-    running sum adds the block's rows one after another, so each bin is
-    summed in window order, as ``np.cumsum`` along the windows would sum it,
-    but with each addition one contiguous vector add. The block's last row is
-    then carried into row 0, and the rows are squared in place
-    (``_offset_sums``), so the pass holds no power buffers of its own. Every
-    phase is read by integer index from the table of roots of unity."""
+    Bin k of window j, times ``W**(k*FINE_STEP*j)``, keeps that bin's power,
+    and from window j to j+1 it grows by ``W**(k*FINE_STEP*j)`` times the
+    samples that enter minus those that leave, ``x[s_j+length+m] -
+    x[s_j+m]``, projected on ``W**(k*m)``. Each block of ``_SCAN_BLOCK``
+    slides is one real matmul against the block's phased projections
+    (``_block_phases``, cached, the complex table read as interleaved real
+    and imaginary parts), one phase product and a running sum that carries
+    on from the block before. The running sum adds the block's rows one after
+    another, so each bin is summed in window order, as ``np.cumsum`` along
+    the windows would sum it, but with each addition one contiguous vector
+    add. The block's last row is then carried into row 0, and the rows are
+    squared in place (``_offset_sums``), so the pass holds no power buffers
+    of its own. Every phase is read by integer index from the table of roots
+    of unity."""
     length = signal.SIGNAL_LENGTH
-    bins = table.T.ravel()  # offset-major: each window's offsets are summed over the middle axis
+    bins, base = _slide_phases(sample_rate)
     first = np.fft.rfft(x[lo : lo + length])[bins][None]
-    out = np.empty((count, table.shape[0]))
+    out = np.empty((count, signal.BIN_COUNT))
     if count == 1:
         _offset_sums(first, out)
         return out
-    key = bins.tobytes()  # one bytes object, so its hash is computed once per pass
-    base = _slide_phases(key, step)
-    slides = (x[lo + length : lo + length + (count - 1) * step] - x[lo : lo + (count - 1) * step]).reshape(-1, step)
+    span = (count - 1) * FINE_STEP
+    slides = (x[lo + length : lo + length + span] - x[lo : lo + span]).reshape(-1, FINE_STEP)
     # (block row, bin); row 0 holds the window before the block's first
     z = np.empty((_SCAN_BLOCK + 1, bins.shape[0]), dtype=np.complex128)
     rows = list(z)
@@ -246,7 +242,7 @@ def _sliding_candidate_powers(x: np.ndarray, lo: int, count: int, step: int, tab
     for a in range(0, count - 1, _SCAN_BLOCK):
         d = slides[a : a + _SCAN_BLOCK]
         n = d.shape[0]
-        np.matmul(d, _block_phases(key, step, a).view(np.float64), out=z[1 : n + 1].view(np.float64))
+        np.matmul(d, _block_phases(sample_rate, a).view(np.float64), out=z[1 : n + 1].view(np.float64))
         z[1 : n + 1] *= base[:n]
         for i in range(1, n + 1):
             np.add(rows[i - 1], rows[i], out=rows[i])
@@ -285,10 +281,11 @@ def _gated_scores(cand_powers: np.ndarray, gate: tuple) -> np.ndarray:
     return np.where(ok, _ordered_sum(p_in) - _ordered_sum(p_out), -np.inf)
 
 
-def _window_score(x: np.ndarray, start: int, gate: tuple, table: np.ndarray) -> float:
-    """Gated normalized power of the one window ``x[start:start+SIGNAL_LENGTH]``,
-    measured as a one-window span: the score a detection reports."""
-    return float(_gated_scores(_sliding_candidate_powers(x, start, 1, FINE_STEP, table), gate)[0])
+def _window_score(x: np.ndarray, start: int, gate: tuple, sample_rate: float) -> float:
+    """Gated normalized power of the one window ``x[start:start+SIGNAL_LENGTH]``
+    of a recording made at ``sample_rate``, measured as a one-window span:
+    the score a detection reports."""
+    return float(_gated_scores(_sliding_candidate_powers(x, start, 1, sample_rate), gate)[0])
 
 
 def _samples(x: np.ndarray, what: str) -> np.ndarray:
@@ -320,7 +317,7 @@ def _check_span(value, name: str) -> None:
         raise ValueError(f"{name} must be two integers (lo, hi) with lo <= hi, got {value!r}")
 
 
-def _locate(x: np.ndarray, sig: "ReferenceSignal", lo: int, hi: int, table: np.ndarray) -> DetectionOutcome:
+def _locate(x: np.ndarray, sig: "ReferenceSignal", lo: int, hi: int, sample_rate: float) -> DetectionOutcome:
     """``sig``'s outcome over the ``FINE_STEP``-grid window starts in ``[lo,
     hi]`` that fit the recording: absent with no peak when none does or every
     window fails a gate, else the sliding pass's pick, rescored as a
@@ -330,12 +327,12 @@ def _locate(x: np.ndarray, sig: "ReferenceSignal", lo: int, hi: int, table: np.n
     if lo > hi:
         return DetectionOutcome(None, None)
     gate = _gate(sig)
-    scores = _gated_scores(_sliding_candidate_powers(x, lo, (hi - lo) // FINE_STEP + 1, FINE_STEP, table), gate)
+    scores = _gated_scores(_sliding_candidate_powers(x, lo, (hi - lo) // FINE_STEP + 1, sample_rate), gate)
     best = int(np.argmax(scores))
     if scores[best] == -np.inf:
         return DetectionOutcome(None, None)
     loc = lo + best * FINE_STEP
-    peak = _window_score(x, loc, gate, table)
+    peak = _window_score(x, loc, gate, sample_rate)
     present = peak >= EPSILON * sig.total_power  # False for -inf: the window failed a gate
     return DetectionOutcome(loc if present else None, None if peak == -np.inf else peak)
 
@@ -368,7 +365,8 @@ def detect_pair(
     window whose exact score fails a gate is not present.
 
     The rate must be a finite real number above the highest candidate; it is
-    checked before ``candidate_bin_table``'s cache would hash it. The span
+    checked before a cache would hash it, since it is the one key of every
+    table the kernel reads (``_slide_phases``, ``_block_phases``). The span
     and the lags are each two integers, the first no greater than the
     second.
     """
@@ -383,11 +381,10 @@ def detect_pair(
         )
     _check_span(own_span, "own_span")
     _check_span(partner_lags, "partner_lags")
-    table = candidate_bin_table(sample_rate)
-    found = _locate(x, own, *own_span, table)
+    found = _locate(x, own, *own_span, sample_rate)
     if found.location is None:
         return found, DetectionOutcome(None, None)
-    return found, _locate(x, partner, found.location + partner_lags[0], found.location + partner_lags[1], table)
+    return found, _locate(x, partner, found.location + partner_lags[0], found.location + partner_lags[1], sample_rate)
 
 
 def cross_correlate_detect(x: np.ndarray, sig: "ReferenceSignal") -> int:

@@ -155,16 +155,19 @@ def batch_candidate_powers(x: np.ndarray, starts: slice, table: np.ndarray) -> n
     return out
 
 
-def per_span_sliding_powers(x: np.ndarray, lo: int, count: int, step: int, table: np.ndarray) -> np.ndarray:
+def per_span_sliding_powers(x: np.ndarray, lo: int, count: int, sample_rate: float) -> np.ndarray:
     """Per-candidate powers of the ``count`` signal-long windows
-    ``x[s:s+length]``, ``s = lo + j*step``, by the sliding DFT over one span:
-    window 0's bins from one rFFT, then per block of ``spectrum._SCAN_BLOCK``
-    slides one real matmul, one phase product and ``np.cumsum`` along the
-    windows. Shape (count, N)."""
-    length = SIGNAL_LENGTH
+    ``x[s:s+length]``, ``s = lo + j*FINE_STEP``, of a recording made at
+    ``sample_rate``, by the sliding DFT over one span: window 0's bins from
+    one rFFT, then per block of ``spectrum._SCAN_BLOCK`` slides one real
+    matmul, one phase product and ``np.cumsum`` along the windows. Shape
+    (count, N). Its roots of unity and phases are its own, built here, so a
+    wrong table in the package's caches cannot pass by being read twice."""
+    length, step = SIGNAL_LENGTH, spectrum.FINE_STEP
+    table = spectrum.candidate_bin_table(sample_rate)
     bins = table.T.ravel()
-    base = spectrum._slide_phases(bins.tobytes(), step)
-    roots = spectrum._roots_of_unity()
+    roots = np.exp(-2j * np.pi * np.arange(length) / length)
+    base = roots[np.arange(spectrum._SCAN_BLOCK)[:, None] * (step * bins) % length]
     project = roots[np.arange(step)[:, None] * bins % length]
     span = (count - 1) * step
     slides = (x[lo + length : lo + length + span] - x[lo : lo + span]).reshape(count - 1, step)
@@ -199,16 +202,15 @@ def per_span_detect_pair(x: np.ndarray, own, partner, sample_rate: float, own_sp
     does. The partner of an absent own signal is absent with no peak."""
     step = spectrum.FINE_STEP
     x = np.asarray(x, dtype=np.float64)
-    table = spectrum.candidate_bin_table(sample_rate)
 
     def locate(sig, lo, hi):
         lo, hi = math.ceil(max(0, lo) / step) * step, min(x.shape[0] - SIGNAL_LENGTH, hi) // step * step
         if lo > hi:
             return spectrum.DetectionOutcome(None, None)
         gate = spectrum._gate(sig)
-        powers = per_span_sliding_powers(x, lo, (hi - lo) // step + 1, step, table)
+        powers = per_span_sliding_powers(x, lo, (hi - lo) // step + 1, sample_rate)
         loc = lo + int(np.argmax(spectrum._gated_scores(powers, gate))) * step
-        peak = spectrum._window_score(x, loc, gate, table)
+        peak = spectrum._window_score(x, loc, gate, sample_rate)
         present = peak >= spectrum.EPSILON * sig.total_power
         return spectrum.DetectionOutcome(loc if present else None, None if peak == -np.inf else peak)
 

@@ -1,5 +1,6 @@
 import collections
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from sonicauth.signal import AMPLITUDE_BUDGET, BIN_COUNT, CANDIDATES, SAMPLE_RAT
 def measure(window):
     """Per-candidate powers of one signal-long window at the nominal rate,
     measured as a one-window span."""
-    return spectrum._sliding_candidate_powers(window, 0, 1, 1, spectrum.candidate_bin_table(SAMPLE_RATE))[0]
+    return spectrum._sliding_candidate_powers(window, 0, 1, SAMPLE_RATE)[0]
 
 
 def uncached_all_frequency_signal(per_tone_power, duration):
@@ -232,6 +233,22 @@ class TestGuessingProbability:
         take them for one signal."""
         with pytest.raises(ValueError, match=rf"^signals must be 1 or 2, got {signals!r}$"):
             adv.guessing_success_probability(30, signals)
+
+    def test_underflow_edge(self):
+        """``1 / (2**1075 - 2)`` rounds up to the smallest subnormal float,
+        and from 1076 candidates on the probability is 0.0."""
+        assert adv.guessing_success_probability(1075, 1) == math.ulp(0.0) == 5e-324
+        assert adv.guessing_success_probability(1075, 2) == 0.0
+        assert adv.guessing_success_probability(1076, 1) == 0.0
+        assert adv.guessing_success_probability(1073, 1) == 2 * math.ulp(0.0)
+
+    @pytest.mark.parametrize("count", [10**12, np.int64(10**12)], ids=["int", "numpy"])
+    def test_huge_count_returns_at_once(self, count):
+        """A count whose exact integer would take 125 GB returns 0.0 without
+        building it."""
+        started = time.perf_counter()
+        assert adv.guessing_success_probability(count, 1) == 0.0
+        assert time.perf_counter() - started < 1.0
 
     def test_numpy_count_accepted(self):
         """A numpy integer counts as the same Python integer, past 64 bits too."""

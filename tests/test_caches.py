@@ -1,7 +1,7 @@
-"""The session-invariant tables (candidate bin tables, the detector's roots
-of unity, slide phases and per-block phased projections, FFT lengths, the
-noise mask, the fractional-shift ramps, the spoofer's waveform and a
-read-only waveform's path responses) are built once and shared read-only:
+"""The session-invariant tables (the detector's per-rate bins and slide
+phases and its per-block phased projections, FFT lengths, the noise mask,
+the fractional-shift ramps, the spoofer's waveform and a read-only
+waveform's path responses) are built once and shared read-only:
 sessions must not depend on whether a table was built for them or found in
 its cache, and every cached table must equal the one built for its caller
 alone."""
@@ -25,8 +25,6 @@ from sonicauth.signal import SAMPLE_RATE, SIGNAL_LENGTH, sample_spec, synthesize
 # that only a read-only waveform, its own, enters.
 SPOOFER_CACHES = (adv._all_frequency_waveform, ch._held_path_response)
 CACHES = (
-    spectrum.candidate_bin_table,
-    spectrum._roots_of_unity,
     spectrum._slide_phases,
     spectrum._block_phases,
     ch.fast_fft_length,
@@ -109,8 +107,8 @@ class TestCachePurity:
     def test_cached_arrays_are_read_only(self):
         synthesize(sample_spec(np.random.default_rng(1)))
         tables = (
-            spectrum.candidate_bin_table(44_100.0),
-            spectrum._block_phases(spectrum.candidate_bin_table(44_100.0).T.ravel().tobytes(), 10, 64),
+            *spectrum._slide_phases(44_100.0),
+            spectrum._block_phases(44_100.0, 64),
             ch._noise_mask(66_150),
             ch._shift_ramp(4320, 0.25),
             ch._held_path_response(ch._Held(adv.all_frequency_signal(1e11, 4096)), 0.25, 0.2, (1.0,))[0],
@@ -120,6 +118,33 @@ class TestCachePurity:
                 table[0] = 0
             with pytest.raises(ValueError, match="read-only"):
                 table += 1
+
+
+class TestDetectorCacheSizes:
+    """The detector's caches are keyed by the recorder's rate and sized for a
+    session's two recorders: real traffic fills them without evicting."""
+
+    @staticmethod
+    def _entries(cache):
+        info = cache.cache_info()
+        return info.currsize, info.misses
+
+    def test_nominal_office_campaign(self):
+        """Every recorder of an office campaign runs at the nominal rate: one
+        per-rate entry, and the partner span's three blocks, the own span's
+        one block being the partner's first."""
+        _clear_caches()
+        ev.distance_error_campaign("office", (0.5, 1.5), 2, 2804, min_trials=1)
+        assert self._entries(spectrum._slide_phases) == (1, 1)
+        assert self._entries(spectrum._block_phases) == (3, 3)
+
+    def test_skewed_vouch_session(self):
+        """A vouching device with a skewed clock adds its rate's entry and
+        its three blocks: both rates fit with nothing evicted."""
+        _clear_caches()
+        _skewed_session()
+        assert self._entries(spectrum._slide_phases) == (2, 2)
+        assert self._entries(spectrum._block_phases) == (6, 6)
 
 
 class TestBinSpectra:

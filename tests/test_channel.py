@@ -580,6 +580,28 @@ class TestConfig:
         got, want = (ev.attack_campaign(attack, 1, 3, channel_cfg=c) for c in (cfg, ch.ChannelConfig()))
         assert [t.to_json() for t in got.transcripts] == [t.to_json() for t in want.transcripts]
 
+    @pytest.mark.parametrize(
+        "taps, want",
+        [((1e200, 1e200), (2**-0.5, 2**-0.5)), ((1e-200,), (1.0,)), ((-3e-320, 4e-320), (-0.6, 0.8))],
+        ids=["squares_overflow", "square_vanishes", "subnormal"],
+    )
+    def test_extreme_taps_normalized_without_warning(self, taps, want):
+        """Taps whose squares overflow or vanish are normalized all the same,
+        with no numpy warning, and the config takes them."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ch.energy_normalized(taps)
+            assert ch.ChannelConfig(smoothing_kernel=got).smoothing_kernel == got
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+    def test_kernel_whose_squares_overflow_refused_without_warning(self):
+        """An unnormalized kernel whose energy overflows is refused as
+        infinite energy, with no numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"energy-normalized \(sum of squares 1\), got inf$"):
+                ch.ChannelConfig(smoothing_kernel=(1e200, 1e200))
+
     def test_default_kernel_energy(self, office_cfg):
         assert sum(t**2 for t in office_cfg.smoothing_kernel) == pytest.approx(1.0)
 

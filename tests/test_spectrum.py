@@ -220,7 +220,7 @@ class TestBatchCandidatePowers:
         x = sig.samples.astype(float)
         out = detect_own(x, sig, sample_rate=FS)
         assert out.location == 0
-        assert out.peak_norm_power == spectrum._window_score(x, 0, spectrum._gate(sig), candidate_bin_table(FS))
+        assert out.peak_norm_power == spectrum._window_score(x, 0, spectrum._gate(sig), FS)
 
 
 def _scene_recording(n, seed):
@@ -239,24 +239,24 @@ class TestSlidingCandidatePowers:
     exact rFFT kernel, up to rounding."""
 
     @pytest.mark.parametrize(
-        "n, lo, count, step, rate",
+        "n, lo, count, rate",
         [
-            (30_000, 0, 151, 10, FS),  # clipped at lo = 0: the first window starts the recording
-            (4096 + 20_000, 18_000, 201, 10, FS),  # clipped at hi = max_start: the last window ends the recording
-            (30_000, 12_345, 1, 10, FS),  # one window
-            (30_000, 9_000, 301, 10, FS),  # a long span, 301 windows: 300 slides, the last block holds 44
-            (30_000, 9_000, 301, 10, FS * 1.001),  # a skewed recorder's bin table
-            (30_000, 7_777, 130, 1, FS),  # step 1: 129 slides, the last block holds one
+            (30_000, 0, 151, FS),  # clipped at lo = 0: the first window starts the recording
+            (4096 + 20_000, 18_000, 201, FS),  # clipped at hi = max_start: the last window ends the recording
+            (30_000, 12_345, 1, FS),  # one window
+            (30_000, 9_000, 301, FS),  # a long span, 301 windows: 300 slides, the last block holds 44
+            (30_000, 9_000, 301, FS * 1.001),  # a skewed recorder's bin table
+            (30_000, 7_777, 130, FS),  # 129 slides: the last block holds one
         ],
-        ids=["clipped_lo", "clipped_hi", "one_window", "full_partial_block", "skewed_rate", "step_one"],
+        ids=["clipped_lo", "clipped_hi", "one_window", "full_partial_block", "skewed_rate", "one_slide_last_block"],
     )
-    def test_equals_rfft_kernel(self, n, lo, count, step, rate):
+    def test_equals_rfft_kernel(self, n, lo, count, rate):
         x = _scene_recording(n, seed=lo + count)
         table = candidate_bin_table(rate)
         if rate != FS:
             assert not np.array_equal(table, candidate_bin_table(FS))
-        got = _sliding_candidate_powers(x, lo, count, step, table)
-        want = batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), table)
+        got = _sliding_candidate_powers(x, lo, count, rate)
+        want = batch_candidate_powers(x, slice(lo, lo + (count - 1) * spectrum.FINE_STEP + 1, spectrum.FINE_STEP), table)
         assert got.shape == want.shape == (count, len(CANDIDATES))
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
@@ -268,29 +268,20 @@ class TestSingleSpanSlidingPass:
     does."""
 
     @pytest.mark.parametrize(
-        "lo, count, step, rate",
+        "lo, count, rate",
         [
-            (0, 151, 10, FS),  # clipped at lo = 0: the first window starts the recording
-            (23_500, 241, 10, FS),  # clipped at max_start 25 904: the last window starts at 25 900
-            (9_000, 301, 10, FS),  # a long span, 301 windows: 300 slides, the last block holds 44
-            (11_000, 137, 10, FS),  # a partner's gap window
-            (7_777, 130, 1, FS),  # step 1
-            (8_500, 301, 10, FS * 1.001),  # a skewed recorder's bin table
+            (0, 151, FS),  # clipped at lo = 0: the first window starts the recording
+            (23_500, 241, FS),  # clipped at max_start 25 904: the last window starts at 25 900
+            (9_000, 301, FS),  # a long span, 301 windows: 300 slides, the last block holds 44
+            (11_000, 137, FS),  # a partner's gap window
+            (8_500, 301, FS * 1.001),  # a skewed recorder's bin table
         ],
-        ids=[
-            "clipped_lo",
-            "clipped_hi",
-            "full_span",
-            "gap_window",
-            "step_one",
-            "skewed_rate",
-        ],
+        ids=["clipped_lo", "clipped_hi", "full_span", "gap_window", "skewed_rate"],
     )
-    def test_equals_per_span_reference(self, lo, count, step, rate):
+    def test_equals_per_span_reference(self, lo, count, rate):
         x = _scene_recording(30_000, seed=lo + count)
-        table = candidate_bin_table(rate)
-        got = _sliding_candidate_powers(x, lo, count, step, table)
-        want = per_span_sliding_powers(x, lo, count, step, table)
+        got = _sliding_candidate_powers(x, lo, count, rate)
+        want = per_span_sliding_powers(x, lo, count, rate)
         assert got.shape == want.shape == (count, len(CANDIDATES))
         assert np.array_equal(got, want)
 
@@ -301,8 +292,7 @@ class TestSingleSpanSlidingPass:
         slides, the first window's rFFT and a block's phase products, with no
         power buffers beside them. Two stacked spans took 1.07 MB."""
         x = _scene_recording(30_000, seed=29)
-        table = candidate_bin_table(FS)
-        assert traced_peak(lambda: _sliding_candidate_powers(x, 2_000, 301, 10, table)) < 650_000
+        assert traced_peak(lambda: _sliding_candidate_powers(x, 2_000, 301, FS)) < 650_000
 
 
 class TestSpansInSequence:
@@ -332,12 +322,11 @@ class TestSpansInSequence:
     )
     def test_equals_per_span_reference(self, spans):
         x = _scene_recording(30_000, seed=sum(lo + count for lo, count in spans))
-        table = candidate_bin_table(FS)
         spectrum._slide_phases.cache_clear()
         spectrum._block_phases.cache_clear()
-        got = [_sliding_candidate_powers(x, lo, count, 10, table) for lo, count in spans]
+        got = [_sliding_candidate_powers(x, lo, count, FS) for lo, count in spans]
         for (lo, count), powers in zip(spans, got):
-            want = per_span_sliding_powers(x, lo, count, 10, table)
+            want = per_span_sliding_powers(x, lo, count, FS)
             assert powers.shape == want.shape == (count, len(CANDIDATES))
             assert np.array_equal(powers, want)
 
@@ -353,7 +342,7 @@ class TestOneWindowSpan:
         most power."""
         i, amp = 11, 7.5
         x = amp * np.sin(2 * np.pi * CANDIDATES[i] * np.arange(4096) / FS)
-        powers = _sliding_candidate_powers(x, 0, 1, 1, candidate_bin_table(FS))[0]
+        powers = _sliding_candidate_powers(x, 0, 1, FS)[0]
         want = [direct_candidate_power(x, f, FS, 4096, spectrum.THETA) for f in CANDIDATES]
         np.testing.assert_allclose(powers, want, rtol=1e-9, atol=1e-6)
         assert int(np.argmax(powers)) == i
@@ -364,7 +353,7 @@ class TestOneWindowSpan:
         table = candidate_bin_table(rate)
         starts = np.random.default_rng(26).integers(0, 30_000 - 4096 + 1, 500)
         for s in starts:
-            got = _sliding_candidate_powers(x, s, 1, 10, table)[0]
+            got = _sliding_candidate_powers(x, s, 1, rate)[0]
             want = batch_candidate_powers(x, slice(s, s + 1), table)[0]
             assert np.array_equal(got, want)
 
@@ -389,8 +378,8 @@ class TestLocatedWindowScore:
             gates.append(make_gate(sig))
             return gates[-1]
 
-        def spy(x, start, gate, table):
-            score = exact(x, start, gate, table)
+        def spy(x, start, gate, sample_rate):
+            score = exact(x, start, gate, sample_rate)
             scored[id(gate)] = (start, score)
             return score
 
@@ -448,10 +437,10 @@ class TestLocatedWindowScore:
         assert detect_own(x, sig, sample_rate=FS).location == 15_000
         sliding = spectrum._sliding_candidate_powers
 
-        def first_window_best(x, lo, count, step, table):
+        def first_window_best(x, lo, count, sample_rate):
             """The span's best window moved to its first row: both signals
             are ``sig``."""
-            powers = sliding(x, lo, count, step, table)
+            powers = sliding(x, lo, count, sample_rate)
             powers[0] = powers[int(np.argmax(spectrum._gated_scores(powers, spectrum._gate(sig))))]
             return powers
 
@@ -473,8 +462,7 @@ class TestLocatedWindowScore:
         if scene == "loud_out_of_set_tone":
             x += _embed(sig, 15_000, 10_904) + 3000.0 * np.sin(2 * np.pi * CANDIDATES[0] * np.arange(30_000) / FS)
         x = np.rint(x)
-        table = candidate_bin_table(FS)
-        scores = spectrum._gated_scores(_sliding_candidate_powers(x, 13_500, 301, 10, table), spectrum._gate(sig))
+        scores = spectrum._gated_scores(_sliding_candidate_powers(x, 13_500, 301, FS), spectrum._gate(sig))
         assert np.all(scores == -np.inf)
         shapes, rescored = [], []
         rfft, exact = np.fft.rfft, spectrum._window_score
@@ -650,9 +638,9 @@ def _fine_spans(monkeypatch):
     calls = []
     sliding = spectrum._sliding_candidate_powers
 
-    def spy(x, lo, count, step, table):
+    def spy(x, lo, count, sample_rate):
         calls.append((lo, count))
-        return sliding(x, lo, count, step, table)
+        return sliding(x, lo, count, sample_rate)
 
     monkeypatch.setattr(spectrum, "_sliding_candidate_powers", spy)
     return calls

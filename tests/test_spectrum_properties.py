@@ -89,54 +89,57 @@ def test_gated_scores_equal_left_sum_reference(seed, windows, tones):
     assert np.array_equal(got, want)
 
 
+def _grid(lo: int, count: int) -> slice:
+    """The starts of the ``count`` windows ``FINE_STEP`` apart from ``lo``."""
+    return slice(lo, lo + (count - 1) * FINE_STEP + 1, FINE_STEP)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    step=st.integers(1, 40),
     count=st.integers(1, 200),
     lo=st.integers(0, 3_000),
     tail=st.integers(0, 500),
     skew=st.sampled_from([1.0, 1.001, 0.9995]),
 )
-def test_sliding_powers_equal_rfft_kernel(seed, step, count, lo, tail, skew):
-    """For any recording, first window, window count and step, the sliding
-    DFT's candidate powers equal the exact rFFT kernel's (rtol 1e-9) and the
-    per-span reference's bit for bit."""
+def test_sliding_powers_equal_rfft_kernel(seed, count, lo, tail, skew):
+    """For any recording, first window, window count and recorder rate, the
+    sliding DFT's candidate powers equal the exact rFFT kernel's (rtol 1e-9)
+    and the per-span reference's bit for bit."""
     rng = np.random.default_rng(seed)
     sig = synthesize(sample_spec(rng))
-    n = lo + (count - 1) * step + 4096 + tail
+    n = lo + (count - 1) * FINE_STEP + 4096 + tail
     x = rng.normal(0.0, float(rng.uniform(20.0, 500.0)), n)
     pos = int(rng.integers(0, n - 4096 + 1))
     x[pos : pos + 4096] += float(rng.uniform(0.0, 1.0)) * sig.samples
     x = np.rint(x)
-    table = candidate_bin_table(FS * skew)
-    got = _sliding_candidate_powers(x, lo, count, step, table)
-    want = batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), table)
+    rate = FS * skew
+    got = _sliding_candidate_powers(x, lo, count, rate)
+    want = batch_candidate_powers(x, _grid(lo, count), candidate_bin_table(rate))
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
-    assert np.array_equal(got, per_span_sliding_powers(x, lo, count, step, table))
+    assert np.array_equal(got, per_span_sliding_powers(x, lo, count, rate))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    step=st.integers(1, 40),
     counts=st.tuples(st.integers(1, 200), st.integers(1, 200)),
     los=st.tuples(st.integers(0, 3_000), st.integers(0, 3_000)),
     skew=st.sampled_from([1.0, 1.001, 0.9995]),
 )
-def test_two_spans_equal_rfft_kernel_and_per_span_pass(seed, step, counts, los, skew):
+def test_two_spans_equal_rfft_kernel_and_per_span_pass(seed, counts, los, skew):
     """Two spans of any lengths passed one after another, sharing the slide
     phases: each span's powers, read after both passes ran, equal the exact
     rFFT kernel's (rtol 1e-9) and the per-span sliding DFT's bit for bit."""
     rng = np.random.default_rng(seed)
-    n = max(lo + (count - 1) * step for lo, count in zip(los, counts)) + 4096
+    n = max(lo + (count - 1) * FINE_STEP for lo, count in zip(los, counts)) + 4096
     x = np.rint(rng.normal(0.0, float(rng.uniform(20.0, 500.0)), n))
-    table = candidate_bin_table(FS * skew)
+    rate = FS * skew
     spans = list(zip(los, counts))
-    for (lo, count), got in zip(spans, [_sliding_candidate_powers(x, lo, count, step, table) for lo, count in spans]):
-        want = batch_candidate_powers(x, slice(lo, lo + (count - 1) * step + 1, step), table)
+    for (lo, count), got in zip(spans, [_sliding_candidate_powers(x, lo, count, rate) for lo, count in spans]):
+        want = batch_candidate_powers(x, _grid(lo, count), candidate_bin_table(rate))
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
-        assert np.array_equal(got, per_span_sliding_powers(x, lo, count, step, table))
+        assert np.array_equal(got, per_span_sliding_powers(x, lo, count, rate))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -162,15 +165,15 @@ def test_row_zero_is_the_one_window_span(seed, count, lo, level, skew, data):
     pos = int(rng.integers(0, n - SIGNAL_LENGTH + 1))
     x[pos : pos + SIGNAL_LENGTH] += level * sig.samples
     x = np.rint(x)
-    table, gate = candidate_bin_table(FS * skew), _gate(sig)
-    span = _sliding_candidate_powers(x, lo, count, FINE_STEP, table)
-    alone = _sliding_candidate_powers(x, lo, 1, FINE_STEP, table)
+    rate, gate = FS * skew, _gate(sig)
+    span = _sliding_candidate_powers(x, lo, count, rate)
+    alone = _sliding_candidate_powers(x, lo, 1, rate)
     assert alone.shape == (1, BIN_COUNT)
     assert np.array_equal(span[:1], alone)
-    assert _window_score(x, lo, gate, table) == _gated_scores(span, gate)[0]
+    assert _window_score(x, lo, gate, rate) == _gated_scores(span, gate)[0]
     start = lo + data.draw(st.integers(0, count - 1)) * FINE_STEP
-    there = _gated_scores(_sliding_candidate_powers(x, start, 1, FINE_STEP, table), gate)[0]
-    assert _window_score(x, start, gate, table) == there
+    there = _gated_scores(_sliding_candidate_powers(x, start, 1, rate), gate)[0]
+    assert _window_score(x, start, gate, rate) == there
 
 
 # The own signal's span in the scenes below: the whole 30 000-sample recording,
