@@ -206,17 +206,15 @@ def _wall_between(src: tuple[float, ...], dst: tuple[float, ...], cfg: ChannelCo
     return (src[0] - cfg.wall_plane_x) * (dst[0] - cfg.wall_plane_x) < 0
 
 
-def propagation_delay_samples(
-    src_pos: tuple[float, ...], dst_pos: tuple[float, ...], cfg: ChannelConfig
-) -> float:
-    """Travel delay in base-rate samples (possibly fractional)."""
-    return _distance(src_pos, dst_pos) / cfg.speed_of_sound * BASE_SAMPLE_RATE
+def propagation_delay_samples(distance_m: float, speed_of_sound: float) -> float:
+    """Travel delay over ``distance_m`` metres, in base-rate samples (possibly fractional)."""
+    return distance_m / speed_of_sound * BASE_SAMPLE_RATE
 
 
-def path_gain(src_pos: tuple[float, ...], dst_pos: tuple[float, ...], cfg: ChannelConfig) -> float:
-    """Amplitude scale of the path, wall attenuation included. A ValueError
-    names the config field that takes it out of the float range."""
-    d = max(_distance(src_pos, dst_pos), DISTANCE_FLOOR_M)
+def path_gain(distance_m: float, src_pos: tuple[float, ...], dst_pos: tuple[float, ...], cfg: ChannelConfig) -> float:
+    """Amplitude scale of a path ``distance_m`` long, wall attenuation included.
+    A ValueError names the config field that takes it out of the float range."""
+    d = max(distance_m, DISTANCE_FLOOR_M)
     name = "attenuation_exponent"  # each step names the field it brings in
     try:
         gain = cfg.gain_at_1m / d ** (cfg.attenuation_exponent / 2.0)  # the power may overflow, or underflow to 0
@@ -349,13 +347,14 @@ def propagate(
     memoized per path; every other waveform's is computed afresh, since a
     writeable one may change between calls. Either way the mix gets the same
     bits."""
-    delay = propagation_delay_samples(src_pos, dst_pos, cfg)
+    distance = _distance(src_pos, dst_pos)
+    delay = propagation_delay_samples(distance, cfg.speed_of_sound)
     whole = int(np.floor(delay))
     frac = delay - whole
     if emit_time + whole >= mix.shape[0]:
         return
 
-    gain = path_gain(src_pos, dst_pos, cfg)
+    gain = path_gain(distance, src_pos, dst_pos, cfg)
     if _read_only(waveform):
         w, lead = _held_path_response(_Held(waveform), frac, gain, cfg.smoothing_kernel)
     else:

@@ -66,7 +66,7 @@ class ErrorModel:
         if not sg._finite_positive(self.sigma_m):
             raise ValueError(f"sigma must be finite and positive, got {self.sigma_m}")
         ranges = (self.detect_range_m, self.pairing_range_m)
-        if not (all(map(sg._is_real, ranges)) and 0 < self.detect_range_m < self.pairing_range_m < math.inf):
+        if not (all(map(sg._finite_positive, ranges)) and self.detect_range_m < self.pairing_range_m):
             raise ValueError(
                 f"need 0 < detect_range < pairing_range < inf, got {self.detect_range_m} and {self.pairing_range_m}"
             )
@@ -95,7 +95,8 @@ def frr_far_model(tau_m: float, model: ErrorModel) -> tuple[float, float]:
     if not (sg._is_real(tau_m) and 0 < tau_m < model.detect_range_m):
         raise ValueError(f"threshold tau_m must lie in (0, detect_range), got {tau_m!r}")
     sigma = model.sigma_m
-    frr = sigma / tau_m * _normal_cdf_integral_gap(tau_m / sigma)
+    # The FRR tends to 1/2 as tau/sigma -> 0; min holds it there where the product rounds past 1/2, is inf or is nan.
+    frr = min(0.5, sigma / tau_m * _normal_cdf_integral_gap(tau_m / sigma))
     far = sigma * _normal_cdf_integral_gap((model.detect_range_m - tau_m) / sigma) / (model.pairing_range_m - tau_m)
     return frr, far
 
@@ -178,7 +179,7 @@ def _check_separations(separations: tuple[float, ...]) -> None:
     for d in separations:
         if not sg._is_real(d):
             raise ValueError(f"separation must be a real number of metres, got {d!r}")
-        if not (math.isfinite(d) and d >= 0):
+        if not (sg._finite_real(d) and d >= 0):
             raise ValueError(f"separation must be a finite, non-negative distance in metres, got {d}")
 
 

@@ -54,7 +54,7 @@ class SessionMeasurements:
             raise ValueError(f"sample rates must be finite and positive, got {self.f_a} and {self.f_v}")
         for name in ("l_aa", "l_av", "l_va", "l_vv"):
             value = getattr(self, name)
-            if not (_is_integer(value) and value >= 0):
+            if not (_is_integer(value) and (value == 0 or _finite_positive(value))):
                 raise ValueError(f"{name} must be a non-negative integer sample index, got {value!r}")
 
 
@@ -165,15 +165,16 @@ RECORD_MARGIN_SAMPLES = 1000
 @dataclass
 class SessionTranscript:
     """Everything needed to recompute the verdict offline. A session is built
-    from its nine inputs; the session writes every other field."""
+    from its seven inputs; the positions give the true distance and whether
+    the paired link reaches, and the session writes every other field."""
 
     auth_id: str
     vouch_id: str
     auth_position: tuple[float, ...]
     vouch_position: tuple[float, ...]
-    true_distance_m: float
+    true_distance_m: float = field(init=False)
     environment: str
-    paired_link_ok: bool
+    paired_link_ok: bool = field(init=False)
     freqs_a: tuple[float, ...] = field(init=False, default=())
     freqs_v: tuple[float, ...] = field(init=False, default=())
     locations: dict = field(init=False, default_factory=dict)
@@ -191,6 +192,10 @@ class SessionTranscript:
     # The paired link, a reliable ordered byte pipe between the paired
     # devices (not cryptographic): each message's sender, kind and length.
     link_log: list = field(init=False, default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.true_distance_m = ch._distance(self.auth_position, self.vouch_position)
+        self.paired_link_ok = self.true_distance_m <= PAIRING_RANGE_M
 
     def to_json(self) -> str:
         # A numpy scalar a session stored, as the Python number it holds.
@@ -214,11 +219,11 @@ def _transfer(
     return ReferenceSignal.from_bytes(payloads[0]), ReferenceSignal.from_bytes(payloads[1])
 
 
-def _arrival_end(play_at: int, src: tuple[float, ...], dst: tuple[float, ...], cfg: ch.ChannelConfig) -> int:
+def _arrival_end(play_at: int, distance_m: float, cfg: ch.ChannelConfig) -> int:
     """The recording length that holds all of a reference signal played at
-    sample ``play_at`` from ``src`` and heard at ``dst``: start, travel delay,
-    signal length and the smoothing kernel's tail."""
-    delay = int(np.ceil(ch.propagation_delay_samples(src, dst, cfg)))
+    sample ``play_at`` and heard ``distance_m`` metres away: start, travel
+    delay, signal length and the smoothing kernel's tail."""
+    delay = int(np.ceil(ch.propagation_delay_samples(distance_m, cfg.speed_of_sound)))
     return play_at + delay + SIGNAL_LENGTH + len(cfg.smoothing_kernel) - 1
 
 
@@ -230,8 +235,7 @@ def _arrival_end(play_at: int, src: tuple[float, ...], dst: tuple[float, ...], c
 RECORD_SAMPLES = ch.fast_fft_length(
     _arrival_end(
         _to_samples(PLAYBACK_START_S) + START_JITTER_SAMPLES + PLAYBACK_GAP_SAMPLES,
-        (0.0,),
-        (PAIRING_RANGE_M,),
+        PAIRING_RANGE_M,
         ch.ChannelConfig(),
     )
     + RECORD_MARGIN_SAMPLES
@@ -251,7 +255,7 @@ def _partner_lags(first: int, sample_rate: float, speed_of_sound: float) -> tupl
     (the playback gap at the authenticating device, minus the gap at the
     vouching one) to that plus the travel delay at ``PAIRING_RANGE_M``, both
     ``_widened``."""
-    return _widened(first, first + PAIRING_RANGE_M / speed_of_sound * ch.BASE_SAMPLE_RATE, sample_rate)
+    return _widened(first, first + ch.propagation_delay_samples(PAIRING_RANGE_M, speed_of_sound), sample_rate)
 
 
 def _own_span(nominal: int, sample_rate: float) -> tuple[int, int]:
@@ -286,7 +290,7 @@ def _record(
     recordings."""
     # The latest the vouching signal can end at the authenticating device.
     latest_start = _to_samples(PLAYBACK_START_S) + START_JITTER_SAMPLES + t.playback_gap
-    end = _arrival_end(latest_start, t.vouch_position, t.auth_position, cfg)
+    end = _arrival_end(latest_start, t.true_distance_m, cfg)
     if end > RECORD_SAMPLES:
         raise ValueError(
             f"the {RECORD_SAMPLES}-sample recording is too short: with a {len(cfg.smoothing_kernel)}-tap smoothing "
@@ -335,16 +339,12 @@ def run_authentication(
     intruder: IntruderFactory | None = None,
 ) -> tuple[AuthDecision, SessionTranscript]:
     """Run one authentication session end to end on the simulated channel."""
-    d_true = ch._distance(auth.position, vouch.position)
     t = SessionTranscript(
         auth_id=auth.device_id,
         vouch_id=vouch.device_id,
         auth_position=auth.position,
         vouch_position=vouch.position,
-        true_distance_m=d_true,
         environment=channel_cfg.environment,
-        # The paired link is usable exactly within the pairing range.
-        paired_link_ok=d_true <= PAIRING_RANGE_M,
         threshold_m=policy.threshold_m,
         sample_rates={"auth": auth.sample_rate, "vouch": vouch.sample_rate},
     )

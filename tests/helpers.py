@@ -282,12 +282,13 @@ def full_buffer_propagate(emission, dst_pos, cfg, duration: int) -> np.ndarray:
     zeroed buffer of ``duration`` samples, its fractional shift's phase ramp
     taken by an inline ``np.exp``."""
     out = np.zeros(duration)
-    delay = ch.propagation_delay_samples(emission.position, dst_pos, cfg)
+    distance = ch._distance(emission.position, dst_pos)
+    delay = ch.propagation_delay_samples(distance, cfg.speed_of_sound)
     whole = int(np.floor(delay))
     frac = delay - whole
     if emission.emit_time + whole >= duration:
         return out
-    w = np.asarray(emission.waveform, dtype=np.float64) * ch.path_gain(emission.position, dst_pos, cfg)
+    w = np.asarray(emission.waveform, dtype=np.float64) * ch.path_gain(distance, emission.position, dst_pos, cfg)
     lead = 0
     if frac > 0.0:
         lead = ch._SHIFT_PAD

@@ -42,7 +42,7 @@ class TestFastFftLength:
 
 class TestPropagate:
     def test_delay_arithmetic_one_metre(self, office_cfg):
-        delay = ch.propagation_delay_samples((0.0, 0.0), (1.0, 0.0), office_cfg)
+        delay = ch.propagation_delay_samples(1.0, office_cfg.speed_of_sound)
         assert int(delay) == 129
         assert delay - int(delay) == pytest.approx(0.70588, abs=1e-5)
 
@@ -110,6 +110,14 @@ class TestPropagate:
         assert np.array_equal(mix[: reached[0]], base[: reached[0]])
         assert np.array_equal(mix[reached[-1] + 1 :], base[reached[-1] + 1 :])
 
+    def test_measures_its_path_once(self, office_cfg, monkeypatch):
+        """The delay and the gain both read the one distance of the path."""
+        calls = []
+        distance = ch._distance
+        monkeypatch.setattr(ch, "_distance", lambda a, b: calls.append((a, b)) or distance(a, b))
+        propagated(np.ones(64), 0, (0.0, 0.0), (1.3, 0.7), office_cfg, 500)
+        assert calls == [((0.0, 0.0), (1.3, 0.7))]
+
     def test_unheard_emission_adds_nothing(self, office_cfg):
         mix = np.full(500, 7.0)
         ch.propagate(np.ones(64), 480, (0.0, 0.0), (1.0, 0.0), office_cfg, mix)
@@ -119,7 +127,7 @@ class TestPropagate:
         cfg = identity_kernel_cfg()
         w = np.sin(2 * np.pi * 14_000 * np.arange(4096) / 44100) * 1000
         out = propagated(w, 500, (0.0, 0.0), (1.0, 0.0), cfg, 8000)
-        gain = ch.path_gain((0.0, 0.0), (1.0, 0.0), cfg)
+        gain = ch.path_gain(1.0, (0.0, 0.0), (1.0, 0.0), cfg)
         assert np.sum(out**2) == pytest.approx(np.sum((w * gain) ** 2), rel=1e-3)
 
 

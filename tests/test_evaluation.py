@@ -115,6 +115,32 @@ class TestFrrFarModel:
         assert frr == pytest.approx(0.5 - PHI_0 / sigma / 2, rel=1e-12)
         assert far == pytest.approx((gap / 2 - PHI_0 * gap * gap / sigma / 2) / (model.pairing_range_m - 1.0), rel=1e-12)
 
+    @pytest.mark.parametrize("tau", [1e-300, 1e-310, 1e-320, 5e-324])
+    @pytest.mark.parametrize("sigma", [0.0702, 10.0])
+    def test_frr_at_a_vanishing_threshold_is_its_limit(self, tau, sigma):
+        """As tau/sigma falls to 0 the FRR tends to 1/2, which it rounds to
+        here. ``sigma / tau`` overflowed below 1e-309 and gave inf, or, where
+        ``tau / sigma`` underflows to 0 (5e-324 at sigma 10), nan."""
+        frr, far = ev.frr_far_model(tau, ev.ErrorModel(sigma))
+        assert frr == 0.5
+        assert far == ev.frr_far_model(1e-300, ev.ErrorModel(sigma))[1]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        sigma=st.floats(min_value=5e-324, max_value=1e308),
+        tau=st.floats(min_value=5e-324, max_value=ev.DETECTION_RANGE_M, exclude_max=True),
+    )
+    def test_frr_within_zero_and_its_limit(self, sigma, tau):
+        """The FRR averages a probability that is at most 1/2 over (0, tau]:
+        rounding once carried it a few ulps past 1/2 where tau/sigma is tiny."""
+        assert 0.0 <= ev.frr_far_model(tau, ev.ErrorModel(sigma))[0] <= 0.5
+
+    def test_pairing_range_beyond_float_range_rejected(self):
+        """An integer range past the float range compared below ``inf`` and
+        was accepted; the model then raised ``OverflowError``."""
+        with pytest.raises(ValueError, match=r"^need 0 < detect_range < pairing_range < inf, got 2.5 and 1000"):
+            ev.ErrorModel(0.07, 2.5, 10**400)
+
     @pytest.mark.parametrize(
         "ranges",
         [(2.5, INF), (INF, INF), (INF, 10.0), (-INF, 10.0), (NAN, 10.0), (2.5, NAN), (None, 10.0), (2.5, "10")],
@@ -303,6 +329,13 @@ class TestSessions:
         message = f"^separation must be a finite, non-negative distance in metres, got {separation}$"
         with pytest.raises(ValueError, match=message):
             ev._sessions((0.5, separation), 1, 1, ch.ChannelConfig(), None)
+
+    def test_separation_beyond_float_range_rejected(self, monkeypatch):
+        """An integer separation past the float range raised ``OverflowError``
+        from the finiteness check."""
+        monkeypatch.setattr(ev, "run_authentication", lambda *args, **kwargs: pytest.fail("a session ran"))
+        with pytest.raises(ValueError, match="^separation must be a finite, non-negative distance in metres, got 1000"):
+            ev.multiuser_campaign(1, (10**400,), 1, 0, min_trials=1)
 
     @pytest.mark.parametrize("separation", ["a", None, True, 1 + 0j])
     def test_non_real_separation_rejected(self, separation):

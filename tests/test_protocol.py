@@ -62,10 +62,21 @@ class TestEstimateDistance:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("l_aa", None), ("l_av", "7"), ("l_va", 1.5), ("l_vv", True), ("l_aa", -1), ("l_vv", np.int64(-1))],
-        ids=["none", "string", "float", "bool", "negative", "numpy_negative"],
+        [
+            ("l_aa", None),
+            ("l_av", "7"),
+            ("l_va", 1.5),
+            ("l_vv", True),
+            ("l_aa", -1),
+            ("l_vv", np.int64(-1)),
+            ("l_av", 10**400),
+        ],
+        ids=["none", "string", "float", "bool", "negative", "numpy_negative", "beyond_float_range"],
     )
     def test_location_that_is_not_a_sample_index_named(self, name, value):
+        """Each is refused with a ValueError naming the location. An integer
+        past the float range was once accepted, and ``estimate_distance``
+        then raised ``OverflowError``."""
         locations = {**dict(l_aa=100, l_av=350, l_va=420, l_vv=300), name: value}
         with pytest.raises(ValueError, match=rf"^{name} must be a non-negative integer sample index, got "):
             SessionMeasurements(**locations, f_a=44_100, f_v=44_100)
@@ -308,7 +319,7 @@ class TestRunAuthentication:
         the pairing range through the default kernel. It holds that end plus
         the margin, at a length with no prime factor above 7."""
         latest_start = _to_samples(PLAYBACK_START_S) + START_JITTER_SAMPLES + PLAYBACK_GAP_SAMPLES
-        end = _arrival_end(latest_start, (0.0, 0.0), (PAIRING_RANGE_M, 0.0), ch.ChannelConfig())
+        end = _arrival_end(latest_start, PAIRING_RANGE_M, ch.ChannelConfig())
         assert end == 2205 + 200 + 8820 + 1298 + SIGNAL_LENGTH + 8 == 16_627
         assert end + RECORD_MARGIN_SAMPLES <= RECORD_SAMPLES == ch.fast_fft_length(end + RECORD_MARGIN_SAMPLES)
         assert RECORD_SAMPLES == 17_640 == 2**3 * 3**2 * 5 * 7**2
@@ -319,7 +330,7 @@ class TestRunAuthentication:
         kernel it lasts the signal length plus the kernel's tail. The second
         burst is played only after the first has ended at both devices."""
         cfg = ch.ChannelConfig()
-        delay = int(np.ceil(ch.propagation_delay_samples((0.0, 0.0), (PAIRING_RANGE_M, 0.0), cfg)))
+        delay = int(np.ceil(ch.propagation_delay_samples(PAIRING_RANGE_M, cfg.speed_of_sound)))
         assert delay == 1298
         assert PLAYBACK_GAP_SAMPLES >= delay + SIGNAL_LENGTH + len(cfg.smoothing_kernel) - 1
 
@@ -331,6 +342,19 @@ class TestRunAuthentication:
     def test_default_kernel_fits_the_recording_at_pairing_range(self):
         _, transcript = run(PAIRING_RANGE_M)
         assert transcript.paired_link_ok and transcript.playback_start is not None
+
+    def test_each_path_measured_once(self, monkeypatch):
+        """A session measures its geometry once per path: the transcript's
+        distance, then one per propagation (each device hears both signals),
+        which the path's delay and gain both read. The recording check reads
+        the transcript's distance. It took 10 when the delay, the gain and the
+        recording check each measured the path."""
+        calls = []
+        distance = ch._distance
+        monkeypatch.setattr(ch, "_distance", lambda a, b: calls.append((a, b)) or distance(a, b))
+        _, transcript = run(1.0)
+        assert transcript.signal_present
+        assert len(calls) == 5
 
     def test_intruder_receives_the_sessions_devices_and_rng(self):
         """The intruder hook is called once, with the two device objects and
@@ -364,18 +388,19 @@ class TestRunAuthentication:
             replay_session(run(12.0)[1], office_cfg)
 
 
-# The nine values a session starts from; the session writes every other field.
+# The seven values a session starts from. The transcript derives the true
+# distance and the link state from the positions; the session writes every
+# other field.
 SESSION_INPUTS = dict(
     auth_id="auth",
     vouch_id="vouch",
     auth_position=(0.0, 0.0),
     vouch_position=(1.0, 0.0),
-    true_distance_m=1.0,
     environment="office",
-    paired_link_ok=True,
     sample_rates={"auth": 44_100.0, "vouch": 44_100.0},
     threshold_m=1.0,
 )
+SESSION_DERIVED = {"true_distance_m": 1.0, "paired_link_ok": True}
 SESSION_WRITTEN = {
     "freqs_a": (),
     "freqs_v": (),
@@ -399,16 +424,36 @@ class TestTranscript:
         with pytest.raises(TypeError, match=name):
             SessionTranscript(**SESSION_INPUTS, **{name: SESSION_WRITTEN[name]})
 
+    @pytest.mark.parametrize("name", sorted(SESSION_DERIVED))
+    def test_derived_field_is_not_a_constructor_argument(self, name):
+        """The true distance and the link state follow from the positions, so
+        no caller can set them apart from the geometry."""
+        with pytest.raises(TypeError, match=name):
+            SessionTranscript(**SESSION_INPUTS, **{name: SESSION_DERIVED[name]})
+
     @pytest.mark.parametrize("name", sorted(SESSION_INPUTS))
     def test_every_input_is_required(self, name):
         inputs = {k: v for k, v in SESSION_INPUTS.items() if k != name}
         with pytest.raises(TypeError, match=name):
             SessionTranscript(**inputs)
 
+    @pytest.mark.parametrize(
+        "vouch_position, paired",
+        [((1.0, 0.0), True), ((PAIRING_RANGE_M, 0.0), True), ((12.0, 0.0), False), ((3.0, 4.0), True)],
+        ids=["1m", "pairing_range", "12m", "diagonal_5m"],
+    )
+    def test_positions_give_distance_and_link(self, vouch_position, paired):
+        """The paired link reaches exactly within the pairing range, and the
+        true distance is the channel's distance between the two positions."""
+        t = SessionTranscript(**{**SESSION_INPUTS, "vouch_position": vouch_position})
+        assert t.true_distance_m == ch._distance(t.auth_position, vouch_position)
+        assert t.paired_link_ok is paired
+
     def test_keys_in_the_order_of_a_stored_transcript(self):
         stored = json.loads((Path(__file__).parent / "golden" / "accept_1.0m.json").read_text())
         blob = json.loads(SessionTranscript(**SESSION_INPUTS).to_json())
         assert list(blob) == list(stored)
+        assert {k: blob[k] for k in SESSION_DERIVED} == SESSION_DERIVED
         assert {k: blob[k] for k in SESSION_WRITTEN} == {
             **dict.fromkeys(SESSION_WRITTEN),
             "freqs_a": [],

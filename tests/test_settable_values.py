@@ -32,17 +32,17 @@ from sonicauth import cli
 # module added or deleted cannot drop out of the count unnoticed.
 MODULES = tuple(importlib.import_module(f"sonicauth.{info.name}") for info in pkgutil.iter_modules(sonicauth.__path__))
 
-# 49 dataclass fields + 14 defaulted parameters + 33 flags. The last removal
-# took 2 values, ``AuthDecision.estimated_distance_m`` and ``.raw_distance_m``:
-# a decision holds the verdict alone, and the session's transcript is the one
-# record of both distances. The one before took 15: the 13
-# ``SessionTranscript`` fields a session writes (now ``init=False``),
-# ``fit_sigma(detect_range_m=)`` and ``fit-sigma --ds``.
-BOUND = 96
+# 47 dataclass fields + 14 defaulted parameters + 33 flags. The last removal
+# took 2 values, ``SessionTranscript.true_distance_m`` and ``.paired_link_ok``
+# (now ``init=False``): the transcript derives both from its two positions.
+# The one before took 2, ``AuthDecision.estimated_distance_m`` and
+# ``.raw_distance_m``: a decision holds the verdict alone, and the session's
+# transcript is the one record of both distances.
+BOUND = 94
 # 13 defaulted dataclass fields + 14 defaulted parameters + 30 flags not
-# required (--sigma, --frr and --kind are). Both ``AuthDecision`` fields
-# above had a default. The removal before also took the defaults of
-# ``SessionTranscript.sample_rates``, ``.threshold_m`` and
+# required (--sigma, --frr and --kind are). Neither transcript field above
+# had a default; both ``AuthDecision`` fields had. An earlier removal also took
+# the defaults of ``SessionTranscript.sample_rates``, ``.threshold_m`` and
 # ``ExperimentReport.meta``: every caller sets them.
 OPTIONAL = 57
 
